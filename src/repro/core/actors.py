@@ -355,36 +355,47 @@ class BimatrixInventor(GameInventor):
         integer-lattice certification gate — when the hinted system
         pins a unique mix (the generic case) this decides the hint
         without touching the exact LP, and the unique solution is
-        necessarily the same profile the LP would return.
-        Underdetermined or uncertified hints fall back to
-        ``equilibrium_for_supports`` (the full exact-LP decision), as
-        before.  Note that on any game with several equilibria
+        necessarily the same profile the LP would return.  A side whose
+        system is inconsistent, or whose unique solution fails the side
+        conditions, decides the hint: the exact LP on the same supports
+        is infeasible, so it is not run.  Underdetermined or uncertified
+        hints fall back to ``equilibrium_for_supports`` (the full
+        exact-LP decision).  Note that on any game with several equilibria
         (degenerate or not) a hint may legitimately settle on a
         different (equally exact) equilibrium than the cold enumeration
         order would — which is why the solve is recorded as ``"warm"``.
         """
         from repro.equilibria.mixed import certify_mixed_profile
-        from repro.equilibria.support_enumeration import reconstruct_one_side
+        from repro.equilibria.support_enumeration import (
+            UNDERDETERMINED,
+            reconstruct_one_side,
+        )
         from repro.errors import ProfileError
 
         n, m = game.action_counts
         for rs, cs in hints:
             if not rs or not cs or max(rs) >= n or max(cs) >= m:
                 continue
-            y_side = reconstruct_one_side(game.row_matrix, rs, cs, m)
-            if y_side is not None:
-                x_side = reconstruct_one_side(
-                    game.column_matrix_transposed, cs, rs, n
-                )
-                if x_side is not None:
-                    try:
-                        profile = MixedProfile((x_side[0], y_side[0]))
-                    except ProfileError:
-                        profile = None
-                    if profile is not None and certify_mixed_profile(
-                        game, profile
-                    ) is not None:
-                        return profile
+            y_side = reconstruct_one_side(
+                game.row_matrix, rs, cs, m, report_underdetermined=True
+            )
+            if y_side is None:
+                continue
+            x_side = reconstruct_one_side(
+                game.column_matrix_transposed, cs, rs, n,
+                report_underdetermined=True,
+            )
+            if x_side is None:
+                continue
+            if y_side is not UNDERDETERMINED and x_side is not UNDERDETERMINED:
+                try:
+                    profile = MixedProfile((x_side[0], y_side[0]))
+                except ProfileError:
+                    profile = None
+                if profile is not None and certify_mixed_profile(
+                    game, profile
+                ) is not None:
+                    return profile
             result = equilibrium_for_supports(game, rs, cs)
             if result is not None:
                 return result[0]

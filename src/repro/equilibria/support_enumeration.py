@@ -22,11 +22,13 @@ explicit four-stage pipeline::
 order.  **Screen** decides, approximately and cheaply, which pairs can
 possibly carry an equilibrium; it runs on a configurable
 :class:`~repro.linalg.backend.NumericBackend` (the vectorized numpy
-backend decides whole stacks of Lemma-1 systems at once; the stdlib
-float backend screens one pair at a time, warm-starting from the
-previous pair's basis when only one action changed) and can be sharded
-across worker processes by a pluggable executor — workers return plain
-picklable verdicts, nothing else.  **Reconstruct** re-solves surviving
+backend decides a chunk's y-side Lemma-1 systems as one zero-padded
+stack built by fancy-indexing the float payoff matrix, then the
+survivors' x-sides as another; the stdlib float backend screens one
+pair at a time, warm-starting from the previous pair's basis when only
+one action changed) and can be sharded across worker processes by a
+pluggable executor — workers return plain picklable verdicts, nothing
+else.  **Reconstruct** re-solves surviving
 candidates exactly (support-restricted, on the fraction-free integer
 Bareiss kernel — bit-identical to Fraction elimination), always in the
 calling process.  **Certify** passes each wave's reconstructions
@@ -39,9 +41,19 @@ profile ever escapes and soundness is unconditional in every mode.  With the def
 screen at all: everything is Fractions end to end, exactly as the seed
 behaved.
 
-Determinism: support pairs, chunk boundaries and resolution order are
+Screening runs chunk by chunk off a fixed schedule of chunk sizes.  An
+exhaustive enumeration screens DEFAULT_CHUNK_SIZE pairs per chunk.  A
+first-hit scan (:func:`find_one_equilibrium`) on the numpy backend
+starts at FIRST_CHUNK_SIZE pairs and doubles up to DEFAULT_CHUNK_SIZE,
+stopping after the first wave that holds a certified pair, so a game
+whose answer sits early in pair order screens a few dozen pairs, not
+all of them.
+
+Determinism: support pairs, the chunk schedule and resolution order are
 all fixed before any executor runs, so the returned equilibrium tuple is
-identical for every worker count (serial included).
+identical for every worker count (serial included).  On the numpy
+backend each pair's verdict is moreover the one its systems earn when
+screened alone, so not even the chunk sizes can change an answer.
 """
 
 from __future__ import annotations
@@ -66,11 +78,12 @@ from repro.linalg.int_lp import find_feasible_point
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-#: Support pairs screened per work chunk.  Fixed (policy-overridable but
-#: never worker-count-dependent), so sharding cannot change results.
-#: 1024 amortizes the vectorized screen's per-stack overhead while still
-#: cutting a default-scale enumeration into enough shards to feed a
-#: multi-core pool.
+#: Support pairs screened per work chunk in an exhaustive enumeration,
+#: and the width a first-hit scan's doubling schedule grows to.  Fixed
+#: (policy-overridable but never worker-count-dependent), so sharding
+#: cannot change results.  1024 amortizes the vectorized screen's
+#: per-stack overhead while still cutting a default-scale enumeration
+#: into enough shards to feed a multi-core pool.
 DEFAULT_CHUNK_SIZE = 1024
 
 
@@ -147,12 +160,20 @@ def _exact_one_side(
     return tuple(full_mix), value
 
 
+#: What :func:`reconstruct_one_side` returns, when asked, for a side
+#: whose equality system does not pin a unique mix.
+UNDERDETERMINED = type("_Underdetermined", (), {
+    "__repr__": lambda self: "UNDERDETERMINED",
+})()
+
+
 def reconstruct_one_side(
     payoff_rows: Sequence[Sequence[Fraction]],
     own_support: tuple[int, ...],
     refined_other: tuple[int, ...],
     num_other_actions: int,
-) -> tuple[tuple[Fraction, ...], Fraction] | None:
+    report_underdetermined: bool = False,
+):
     """Exact support-restricted re-solve of a float candidate.
 
     Solves the *linear system* "all of ``own_support`` earns a common λ
@@ -163,6 +184,13 @@ def reconstruct_one_side(
     off-``own_support`` action earning at most λ) with exact arithmetic.
     Returns None when the system is inconsistent, underdetermined, or the
     checks fail — the caller then falls back to the exact LP.
+
+    With ``report_underdetermined`` an underdetermined system returns
+    :data:`UNDERDETERMINED` instead of None.  A caller deciding these
+    very supports can then skip the exact LP on a None: the LP's
+    feasible points solve the same equality system, so when that system
+    is inconsistent, or its unique solution fails the checks, the LP on
+    ``(own_support, refined_other)`` is infeasible too.
 
     This is shared certification infrastructure: both the support-
     enumeration screen and the Lemke-Howson float endpoint rebuild their
@@ -186,7 +214,8 @@ def reconstruct_one_side(
     except LinearAlgebraError:
         return None
     if basis:
-        return None  # underdetermined: let the exact LP pick a vertex
+        # Underdetermined: only the exact LP can pick a vertex.
+        return UNDERDETERMINED if report_underdetermined else None
     q = particular[:k]
     value = particular[k]
     if any(p < 0 or p > 1 for p in q):
@@ -212,7 +241,6 @@ def solve_one_side(
     other_support: Sequence[int],
     num_other_actions: int,
     backend: NumericBackend | None = None,
-    float_rows: Sequence[Sequence[float]] | None = None,
 ) -> tuple[tuple[Fraction, ...], Fraction] | None:
     """Find the *other* player's mix that makes ``own_support`` optimal.
 
@@ -221,9 +249,7 @@ def solve_one_side(
     is the other player's distribution (length ``num_other_actions``) and
     ``value`` is our common supported payoff λ — or None if infeasible.
     The returned values are always exact Fractions, whatever ``backend``
-    the search phase ran on; ``float_rows`` optionally carries a
-    pre-converted float copy of ``payoff_rows`` so enumeration loops do
-    not re-convert the payoff matrix per support pair.
+    the search phase ran on.
     """
     own_support = tuple(own_support)
     other_support = tuple(other_support)
@@ -231,10 +257,8 @@ def solve_one_side(
         return None
 
     if backend is not None and not backend.exact:
-        if float_rows is None:
-            float_rows = float_matrix(payoff_rows)
         rows, rhs, __ = _feasibility_rows(
-            float_rows, own_support, other_support, 0.0, 1.0
+            float_matrix(payoff_rows), own_support, other_support, 0.0, 1.0
         )
         try:
             point = backend.find_feasible_point(rows, rhs)
@@ -267,7 +291,6 @@ def equilibrium_for_supports(
     row_support: Sequence[int],
     col_support: Sequence[int],
     backend: NumericBackend | None = None,
-    _float_cache: tuple | None = None,
 ) -> tuple[MixedProfile, Fraction, Fraction] | None:
     """One exact equilibrium with the given supports, or None.
 
@@ -280,18 +303,14 @@ def equilibrium_for_supports(
     a = game.row_matrix
     b_cols = game.column_matrix_transposed
     n, m = game.action_counts
-    a_float, b_cols_float = _float_cache if _float_cache else (None, None)
 
     # The column mix y makes the row support indifferent (uses A).
-    y_solution = solve_one_side(
-        a, row_support, col_support, m, backend=backend, float_rows=a_float
-    )
+    y_solution = solve_one_side(a, row_support, col_support, m, backend=backend)
     if y_solution is None:
         return None
     # The row mix x makes the column support indifferent (uses B columns).
     x_solution = solve_one_side(
-        b_cols, col_support, row_support, n, backend=backend,
-        float_rows=b_cols_float,
+        b_cols, col_support, row_support, n, backend=backend
     )
     if x_solution is None:
         return None
@@ -324,16 +343,21 @@ def support_pairs(
 
 
 def _search_setup(game: BimatrixGame, policy):
-    """Resolve the policy to a backend and float payoff caches."""
+    """Resolve the policy to a backend and the payoffs it screens on.
+
+    The float payoffs — A, and B transposed — are converted once per
+    search, into the form the backend reads (ndarrays for the numpy
+    backend), and travel to every screening chunk in its payload.
+    """
     n, m = game.action_counts
     backend = resolve_policy(policy).search_backend(n + m)
     if backend.exact:
         return None, None
-    cache = (
-        float_matrix(game.row_matrix),
-        float_matrix(game.column_matrix_transposed),
+    payoffs = (
+        backend.float_payoffs(game.row_matrix),
+        backend.float_payoffs(game.column_matrix_transposed),
     )
-    return backend, cache
+    return backend, payoffs
 
 
 def _certified(game: BimatrixGame, profile: MixedProfile) -> bool:
@@ -505,39 +529,94 @@ def _triage(y_point, x_point, rs, cs, support_tol):
     )
 
 
+def _lemma1_stack(payoff, owns, others):
+    """One side's Lemma-1 systems of many support pairs, as one stack.
+
+    System p is ``_feasibility_rows(payoff, owns[p], others[p], 0.0,
+    1.0)`` with its mix columns zero-padded to the widest ``others`` and
+    its slack columns to the most off-support actions, so entry ``idx``
+    of its point is still the weight on ``others[p][idx]``.  The
+    numpy backend's module docstring explains why this padding cannot
+    change a verdict.  ``payoff`` is the backend's float ndarray and
+    supports are sorted tuples, as :func:`support_pairs` yields them.
+    """
+    import numpy as np
+
+    from repro.linalg.numpy_backend import SystemStack
+
+    num_own = payoff.shape[0]
+    batch = len(owns)
+    own_sizes = np.fromiter(map(len, owns), dtype=np.intp, count=batch)
+    other_sizes = np.fromiter(map(len, others), dtype=np.intp, count=batch)
+    width = int(other_sizes.max())
+    slack_width = num_own - int(own_sizes.min())
+
+    # Row order: the supported actions, then the off-support ones.
+    supported = np.zeros((batch, num_own), dtype=bool)
+    supported[
+        np.repeat(np.arange(batch), own_sizes),
+        np.fromiter(itertools.chain.from_iterable(owns), dtype=np.intp),
+    ] = True
+    row_order = np.argsort(~supported, axis=1, kind="stable")
+    in_mix = np.arange(width) < other_sizes[:, None]
+    mix_cols = np.zeros((batch, width), dtype=np.intp)
+    mix_cols[in_mix] = np.fromiter(
+        itertools.chain.from_iterable(others), dtype=np.intp
+    )
+
+    a = np.zeros((batch, num_own + 1, width + 2 + slack_width))
+    a[:, :num_own, :width] = np.where(
+        in_mix[:, None, :],
+        payoff[row_order[:, :, None], mix_cols[:, None, :]],
+        0.0,
+    )
+    a[:, :num_own, width] = -1.0     # λ⁺
+    a[:, :num_own, width + 1] = 1.0  # λ⁻
+    a[:, num_own, :width] = in_mix   # the mix sums to one
+    slack = np.arange(num_own) - own_sizes[:, None]
+    system, row = np.nonzero(slack >= 0)
+    a[system, row, width + 2 + slack[system, row]] = 1.0
+    b = np.zeros((batch, num_own + 1))
+    b[:, num_own] = 1.0
+    sizes = (num_own + 1) + (other_sizes + 2 + num_own - own_sizes)
+    return SystemStack(a, b, sizes)
+
+
 def screen_support_chunk(payload):
     """Screen one chunk of support pairs; plain data in, plain data out.
 
-    ``payload`` is ``(backend, a_float, b_cols_float, pairs)``.  Returns
-    one verdict per pair, in order: ``(SCREEN_PRUNED,)``,
+    ``payload`` is ``(backend, a_float, b_cols_float, pairs)``, the
+    payoffs as :func:`_search_setup` converted them.  Returns one
+    verdict per pair, in order: ``(SCREEN_PRUNED,)``,
     ``(SCREEN_CANDIDATE, refined_cols, refined_rows)`` or
     ``(SCREEN_EXACT,)``.  This is the sharding unit — it is a top-level
     function over picklable values so a process pool can run it, and it
     performs no exact arithmetic at all: certification never leaves the
     parent process.
 
-    Backends with a batched screen decide all y-sides of the chunk in
-    one stack, then all x-sides of the survivors in another; scalar
-    backends screen pair by pair with warm-started bases.
+    Backends with a batched screen decide all y-sides of the chunk as
+    one padded stack, then all x-sides of the survivors as another;
+    scalar backends screen pair by pair with warm-started bases.
     """
     backend, a_float, b_cols_float, pairs = payload
     support_tol = backend.support_tol
-    if getattr(backend, "batched_screen", False):
-        y_systems = [
-            _feasibility_rows(a_float, rs, cs, 0.0, 1.0)[:2] for rs, cs in pairs
-        ]
-        y_points = backend.screen_feasible(y_systems)
+    if backend.batched_screen:
+        y_points = backend.screen_feasible(_lemma1_stack(
+            a_float, [rs for rs, __ in pairs], [cs for __, cs in pairs]
+        ))
         survivors = [
             idx for idx, point in enumerate(y_points)
             if point is not None and point is not INCONCLUSIVE
         ]
-        x_systems = [
-            _feasibility_rows(
-                b_cols_float, pairs[idx][1], pairs[idx][0], 0.0, 1.0
-            )[:2]
-            for idx in survivors
-        ]
-        x_points = dict(zip(survivors, backend.screen_feasible(x_systems)))
+        x_points = {}
+        if survivors:
+            x_points = dict(zip(survivors, backend.screen_feasible(
+                _lemma1_stack(
+                    b_cols_float,
+                    [pairs[idx][1] for idx in survivors],
+                    [pairs[idx][0] for idx in survivors],
+                )
+            )))
         return [
             _triage(
                 y_points[idx],
@@ -591,31 +670,59 @@ def _resolve_screened_pair(game, rs, cs, verdict):
 
 #: Chunk size for *scalar* screening when only the first hit matters:
 #: a lazy scan usually resolves within the first few pairs, so big
-#: chunks would screen ~1000 pairs it never looks at.  The vectorized
-#: screen keeps DEFAULT_CHUNK_SIZE — stack width is its whole speedup.
+#: chunks would screen ~1000 pairs it never looks at.
 SCALAR_FIND_CHUNK_SIZE = 16
 
+#: The first chunk of a first-hit scan on a batched screen.  Later
+#: chunks double, up to DEFAULT_CHUNK_SIZE: on random 5x5 games the
+#: winning pair's median position is about 62 of 961, so most scans
+#: stop after the first chunk or two, while a scan that runs long soon
+#: reaches full stack width.
+FIRST_CHUNK_SIZE = 64
 
-def _screened_verdict_waves(game, backend, pair_stream, chunk_size, executor):
+
+def _chunk_sizes(backend, chunk_size, first_hit):
+    """The fixed chunk-size schedule of one scan (never worker-dependent).
+
+    A policy's ``chunk_size`` fixes every chunk; an exhaustive scan
+    uses DEFAULT_CHUNK_SIZE; a first-hit scan uses
+    SCALAR_FIND_CHUNK_SIZE on a scalar screen and the doubling schedule
+    from FIRST_CHUNK_SIZE on a batched one.
+    """
+    if chunk_size:
+        yield from itertools.repeat(chunk_size)
+    elif not first_hit:
+        yield from itertools.repeat(DEFAULT_CHUNK_SIZE)
+    elif not backend.batched_screen:
+        yield from itertools.repeat(SCALAR_FIND_CHUNK_SIZE)
+    else:
+        size = FIRST_CHUNK_SIZE
+        while True:
+            yield size
+            size = min(2 * size, DEFAULT_CHUNK_SIZE)
+
+
+def _screened_verdict_waves(backend, payoffs, pair_stream, chunk_sizes,
+                            executor):
     """Stream screened waves ``[((rs, cs), verdict), ...]`` in pair order.
 
-    Pairs come off the generator wave by wave (one chunk per worker, a
-    single chunk when serial), so the exponential pair space is never
-    materialized and memory is bounded by the in-flight wave.  Chunk
-    boundaries depend only on ``chunk_size``, and verdicts are yielded
-    strictly in pair order whatever the pool's completion order — the
-    two determinism invariants callers rely on.  Yielding whole waves
-    (rather than single pairs) lets the enumeration certify each wave's
-    surviving candidates as one batch.
+    Pairs come off the generator wave by wave (the next chunk of the
+    ``chunk_sizes`` schedule per worker, a single chunk when serial), so
+    the exponential pair space is never materialized and memory is
+    bounded by the in-flight wave.  Chunk boundaries depend only on the
+    schedule, and verdicts are yielded strictly in pair order whatever
+    the pool's completion order — the two determinism invariants
+    callers rely on.  Yielding whole waves (rather than single pairs)
+    lets the enumeration certify each wave's surviving candidates as
+    one batch.
     """
-    a_float = float_matrix(game.row_matrix)
-    b_cols_float = float_matrix(game.column_matrix_transposed)
+    a_float, b_cols_float = payoffs
     wave_width = max(1, getattr(executor, "workers", 1)) if executor else 1
     while True:
         wave = [
             chunk
             for chunk in (
-                list(itertools.islice(pair_stream, chunk_size))
+                list(itertools.islice(pair_stream, next(chunk_sizes)))
                 for __ in range(wave_width)
             )
             if chunk
@@ -636,10 +743,10 @@ def _screened_verdict_waves(game, backend, pair_stream, chunk_size, executor):
         ]
 
 
-def _screened_pairs(game, backend, pair_stream, chunk_size, executor):
+def _screened_pairs(backend, payoffs, pair_stream, chunk_sizes, executor):
     """Flattened :func:`_screened_verdict_waves` (for first-hit scans)."""
     for wave in _screened_verdict_waves(
-        game, backend, pair_stream, chunk_size, executor
+        backend, payoffs, pair_stream, chunk_sizes, executor
     ):
         yield from wave
 
@@ -716,7 +823,7 @@ def support_enumeration(
     every worker count.
     """
     resolved = resolve_policy(policy)
-    backend, __ = _search_setup(game, resolved)
+    backend, payoffs = _search_setup(game, resolved)
     n, m = game.action_counts
     seen: set[tuple] = set()
     out: list[MixedProfile] = []
@@ -734,14 +841,14 @@ def support_enumeration(
                 out.append(profile)
         return tuple(out)
 
-    chunk_size = resolved.chunk_size or DEFAULT_CHUNK_SIZE
+    chunk_sizes = _chunk_sizes(backend, resolved.chunk_size, first_hit=False)
     pair_stream = support_pairs(n, m, equal_size_only=equal_size_only)
     own_executor = executor is None
     if own_executor and resolved.resolved_workers() > 1:
         executor = make_executor(resolved.resolved_workers())
     try:
         for wave in _screened_verdict_waves(
-            game, backend, pair_stream, chunk_size, executor
+            backend, payoffs, pair_stream, chunk_sizes, executor
         ):
             _resolve_screened_wave(game, wave, seen, out)
     finally:
@@ -763,14 +870,19 @@ def find_one_equilibrium(
     Screening is chunked and *lazy*: pairs stream off the generator one
     wave at a time and the scan stops inside the first wave containing a
     certified equilibrium, so the exponential pair space is never
-    materialized.  With a sharded ``executor`` (or a policy asking for
-    one) each wave fans one chunk per worker across the pool; candidates
-    are still resolved strictly in pair order, so the returned
-    equilibrium is identical for every worker count — wave width only
-    changes how much screening beyond the answer is wasted.
+    materialized.  On the numpy backend the chunks follow a fixed
+    doubling schedule — FIRST_CHUNK_SIZE pairs, then twice as many, up
+    to DEFAULT_CHUNK_SIZE — so an early answer costs a small stack and
+    a late one soon gets full-width stacks; the stdlib float backend
+    screens SCALAR_FIND_CHUNK_SIZE pairs per chunk, and a policy's
+    ``chunk_size`` fixes every chunk.  With a sharded ``executor`` (or a
+    policy asking for one) each wave takes the schedule's next chunk per
+    worker; candidates are still resolved strictly in pair order, so the
+    returned equilibrium is identical for every worker count — wave
+    width only changes how much screening beyond the answer is wasted.
     """
     resolved = resolve_policy(policy)
-    backend, __ = _search_setup(game, resolved)
+    backend, payoffs = _search_setup(game, resolved)
     n, m = game.action_counts
     if backend is None:
         for rs, cs in support_pairs(n, m):
@@ -782,19 +894,14 @@ def find_one_equilibrium(
             "this contradicts Nash's theorem"
         )
 
-    if resolved.chunk_size:
-        chunk_size = resolved.chunk_size
-    elif backend.batched_screen:
-        chunk_size = DEFAULT_CHUNK_SIZE
-    else:
-        chunk_size = SCALAR_FIND_CHUNK_SIZE
+    chunk_sizes = _chunk_sizes(backend, resolved.chunk_size, first_hit=True)
     pair_stream = support_pairs(n, m)
     own_executor = executor is None
     if own_executor and resolved.resolved_workers() > 1:
         executor = make_executor(resolved.resolved_workers())
     try:
         for (rs, cs), verdict in _screened_pairs(
-            game, backend, pair_stream, chunk_size, executor
+            backend, payoffs, pair_stream, chunk_sizes, executor
         ):
             profile = _resolve_screened_pair(game, rs, cs, verdict)
             if profile is not None:

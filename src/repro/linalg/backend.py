@@ -119,7 +119,7 @@ class NumericBackend:
         confidently infeasible, or :data:`INCONCLUSIVE` where the
         numerics cannot decide (callers re-solve those exactly).  The
         base implementation screens sequentially; vectorized backends
-        stack same-shaped systems and decide them in bulk.
+        zero-pad the systems into one stack and decide them in bulk.
         """
         results = []
         for rows, rhs in systems:
@@ -213,6 +213,10 @@ class FloatBackend(NumericBackend):
         self.pivot_tol = float(pivot_tol)
         self.support_tol = float(support_tol)
         self.max_iterations = max_iterations
+
+    def float_payoffs(self, matrix: Sequence[Sequence]):
+        """``matrix`` converted once into the form this backend screens."""
+        return float_matrix(matrix)
 
     # ------------------------------------------------------------------
     # Square solves

@@ -13,11 +13,25 @@ always exact — but stages the work for hardware:
 * :meth:`NumpyBackend.find_feasible_point` runs a dense-tableau phase-1
   simplex whose pivots are rank-1 ndarray updates;
 * :meth:`NumpyBackend.screen_feasible` is the batched screening entry
-  point the support-enumeration engine drives: it stacks many small
-  Lemma-1 feasibility systems by shape and pivots *all systems of a
-  shape group simultaneously* — one entering/leaving/ratio computation
-  per iteration for the whole stack, which is where the bulk-rejection
-  speedup over one-at-a-time screening comes from.
+  point the support-enumeration engine drives: it takes one
+  :class:`SystemStack` — many small feasibility systems zero-padded to
+  a common shape — and pivots *all of them simultaneously*, one
+  entering/leaving/ratio computation per iteration for the whole
+  stack, which is where the bulk-rejection speedup over one-at-a-time
+  screening comes from.  Support enumeration builds each side of a
+  wave's Lemma-1 systems straight into one such stack.
+
+Padding cannot change a verdict.  A zero structural column has a
+reduced cost of exactly 0 at every pivot (it starts at 0, and every
+pivot row holds 0 in it), so it never enters the basis; a zero row
+with a zero right-hand side keeps its artificial basic at 0 and never
+leaves.  Padded columns sit after a system's own columns of the same
+kind and padded rows after its own rows, so real columns and
+artificials keep their relative label order, and the Dantzig entering
+rule and the smallest-label ratio tie-break make the same choices —
+every real entry of the tableau follows the trajectory it follows when
+the system is screened alone.  Each system also keeps its own iteration
+cap, computed from its own rows and columns.
 
 Tolerance discipline mirrors the stdlib backend exactly: a phase-1
 optimum above ``feastol`` is confidently infeasible; one inside
@@ -34,7 +48,7 @@ stdlib float path keeps screening) when numpy is absent.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,10 +60,49 @@ from repro.linalg.backend import (
     FloatBackend,
 )
 
-# Status codes for systems moving through the batched phase-1 loop.
-_ACTIVE = 0
-_OPTIMAL = 1
-_UNDECIDED = 2  # unbounded ray / iteration cap: inconclusive
+# Per-system outcomes of the batched phase-1 loop.
+_INCONCLUSIVE = 0  # unbounded ray, iteration cap, or too close to call
+_FEASIBLE = 1
+_INFEASIBLE = 2
+
+
+class SystemStack(NamedTuple):
+    """Many ``Ax = b, x >= 0`` systems zero-padded to one shape.
+
+    ``a`` is ``(batch, rows, cols)`` and ``b`` is ``(batch, rows)``;
+    ``sizes[i]`` is system i's own row count plus its own column count,
+    which sets its iteration cap exactly as if it were screened alone.
+    Padding must follow the rules in the module docstring.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    sizes: np.ndarray
+
+
+def pad_systems(systems: Sequence[tuple]) -> tuple[SystemStack, list[int]]:
+    """Stack ``(rows, rhs)`` systems of any shapes, zero-padded.
+
+    Each system's rows keep their order at the top of its slot and its
+    columns at the left; returns the stack and each system's own column
+    count.
+    """
+    shapes = []
+    for rows, rhs in systems:
+        ncols = len(rows[0]) if rows else 0
+        if any(len(row) != ncols for row in rows) or len(rhs) != len(rows):
+            raise LinearAlgebraError("screen_feasible: malformed system")
+        shapes.append((len(rows), ncols))
+    nrows = max((r for r, __ in shapes), default=0)
+    ncols = max((c for __, c in shapes), default=0)
+    a = np.zeros((len(shapes), nrows, ncols))
+    b = np.zeros((len(shapes), nrows))
+    for pos, ((rows, rhs), (r, c)) in enumerate(zip(systems, shapes)):
+        if r and c:
+            a[pos, :r, :c] = rows
+        b[pos, :r] = rhs
+    sizes = np.array([r + c for r, c in shapes], dtype=np.int64)
+    return SystemStack(a, b, sizes), [c for __, c in shapes]
 
 
 class NumpyBackend(FloatBackend):
@@ -77,6 +130,9 @@ class NumpyBackend(FloatBackend):
         if max_condition <= 0:
             raise LinearAlgebraError("max_condition must be positive")
         self.max_condition = float(max_condition)
+
+    def float_payoffs(self, matrix):
+        return np.array(matrix, dtype=np.float64)
 
     # ------------------------------------------------------------------
     # Square solves
@@ -135,70 +191,60 @@ class NumpyBackend(FloatBackend):
                 bound_row[ncols + j] = 1.0
                 a.append(bound_row)
                 b.append(u)
-        outcome = self._phase1_batch(
-            np.asarray([a], dtype=np.float64) if a else np.zeros((1, 0, ncols)),
-            np.asarray([b], dtype=np.float64).reshape(1, -1),
-        )[0]
-        if outcome is INCONCLUSIVE:
+        status, points = self._phase1_batch(pad_systems([(a, b)])[0])
+        if status[0] == _INCONCLUSIVE:
             raise BackendError("numpy phase-1 inconclusive")
-        if outcome is None:
+        if status[0] == _INFEASIBLE:
             return None
-        return list(outcome[:ncols])
+        return points[0, :ncols].tolist()
 
     # ------------------------------------------------------------------
     # Batched screening
     # ------------------------------------------------------------------
 
-    def screen_feasible(self, systems: Sequence[tuple]) -> list:
-        """Decide many ``Ax = b, x >= 0`` systems, stacked by shape.
+    def screen_feasible(self, systems) -> list:
+        """Decide many ``Ax = b, x >= 0`` systems as one padded stack.
 
-        Same-shaped systems (the common case: Lemma-1 sides of support
-        pairs with equal cardinalities) are screened as one ndarray
-        stack; distinct shapes form separate stacks.  Output order
-        matches input order regardless of grouping, so callers can rely
-        on positional correspondence.
+        ``systems`` is a :class:`SystemStack`, or a sequence of
+        ``(rows, rhs)`` pairs of any shapes, which :func:`pad_systems`
+        stacks.  Returns one entry per system, in input order: ``None``
+        (confidently infeasible), :data:`INCONCLUSIVE`, or a feasible
+        point as a list — over the stack's columns for a
+        :class:`SystemStack`, over the system's own columns otherwise.
         """
-        results: list = [None] * len(systems)
-        groups: dict[tuple[int, int], list[int]] = {}
-        for idx, (rows, rhs) in enumerate(systems):
-            nrows = len(rows)
-            ncols = len(rows[0]) if rows else 0
-            if any(len(row) != ncols for row in rows) or len(rhs) != nrows:
-                raise LinearAlgebraError("screen_feasible: malformed system")
-            groups.setdefault((nrows, ncols), []).append(idx)
-        for (nrows, ncols), indices in groups.items():
-            a = np.empty((len(indices), nrows, ncols), dtype=np.float64)
-            b = np.empty((len(indices), nrows), dtype=np.float64)
-            for pos, idx in enumerate(indices):
-                rows, rhs = systems[idx]
-                a[pos] = rows
-                b[pos] = rhs
-            outcomes = self._phase1_batch(a, b)
-            for pos, idx in enumerate(indices):
-                outcome = outcomes[pos]
-                if outcome is None or outcome is INCONCLUSIVE:
-                    results[idx] = outcome
-                else:
-                    results[idx] = tuple(outcome[:ncols])
+        if isinstance(systems, SystemStack):
+            stack, widths = systems, None
+        else:
+            stack, widths = pad_systems(systems)
+        status, points = self._phase1_batch(stack)
+        rows = points.tolist()
+        results: list = []
+        for idx, code in enumerate(status.tolist()):
+            if code == _FEASIBLE:
+                results.append(rows[idx] if widths is None
+                               else rows[idx][:widths[idx]])
+            else:
+                results.append(None if code == _INFEASIBLE else INCONCLUSIVE)
         return results
 
-    def _phase1_batch(self, a: np.ndarray, b: np.ndarray) -> list:
-        """Batched phase-1 simplex over a (batch, rows, cols) stack.
+    def _phase1_batch(self, stack: SystemStack):
+        """Batched phase-1 simplex over a zero-padded stack.
 
-        Returns one entry per system: the full variable vector
-        (structural + artificial) on feasibility, ``None`` on confident
-        infeasibility, :data:`INCONCLUSIVE` otherwise.  All systems of
-        the stack pivot in lockstep; finished systems are masked out.
-        The Dantzig entering rule and the smallest-basis-label ratio
-        tie-break make every trajectory deterministic, so the batch
-        decomposition (and hence any sharding of it) cannot change
-        answers.
+        Returns ``(status, points)``: one outcome code per system and a
+        ``(batch, cols)`` array holding each feasible system's
+        structural point (zeros elsewhere).  All systems of the stack
+        pivot in lockstep; finished systems are compacted out.  The
+        Dantzig entering rule and the smallest-basis-label ratio
+        tie-break make every trajectory deterministic and, with each
+        system's own iteration cap, independent of the other systems
+        in the stack — so no batching or sharding can change answers.
         """
+        a, b, sizes = stack
         batch, nrows, ncols = a.shape
-        if batch == 0:
-            return []
-        if nrows == 0:
-            return [np.zeros(ncols)] * batch
+        status = np.full(batch, _INCONCLUSIVE, dtype=np.int8)
+        if batch == 0 or nrows == 0:
+            status[:] = _FEASIBLE
+            return status, np.zeros((batch, ncols))
 
         a = a.copy()
         b = b.copy()
@@ -229,49 +275,49 @@ class NumpyBackend(FloatBackend):
         objective = np.zeros((batch, total + 1))
         objective[:, ncols:ncols + nrows] = 1.0
         objective -= tableau.sum(axis=1)
+        caps = (np.full(batch, self.max_iterations) if self.max_iterations
+                else 64 + 16 * np.asarray(sizes))
+        # Basic values by label, for every system that ends feasible.
+        solution = np.zeros((batch, total))
 
         # The stack pivots in lockstep but systems finish at different
         # times; finished systems are *compacted out* of the working
         # arrays (not masked), so per-iteration cost tracks the number
         # of still-undecided systems, not the original batch size.
-        results: list = [INCONCLUSIVE] * batch
         origin = np.arange(batch)
+
+        def keep_only(keep: np.ndarray) -> None:
+            nonlocal tableau, objective, basis, origin, caps
+            tableau = tableau[keep]
+            objective = objective[keep]
+            basis = basis[keep]
+            origin = origin[keep]
+            caps = caps[keep]
 
         def finalize(keep: np.ndarray) -> None:
             """Record answers for optimal systems not in ``keep``."""
-            nonlocal tableau, objective, basis, origin
-            done = ~keep
-            if done.any():
-                done_obj = objective[done]
-                done_tab = tableau[done]
-                done_basis = basis[done]
-                infeasibility = -done_obj[:, -1]
-                for pos, index in enumerate(origin[done]):
-                    if infeasibility[pos] > self.feastol:
-                        results[index] = None  # confidently infeasible
-                    elif infeasibility[pos] > self.pivot_tol:
-                        results[index] = INCONCLUSIVE  # too close to call
-                    else:
-                        x = np.zeros(total)
-                        x[done_basis[pos]] = done_tab[pos, :, -1]
-                        results[index] = x
-            tableau = tableau[keep]
-            objective = objective[keep]
-            basis = basis[keep]
-            origin = origin[keep]
+            done = np.flatnonzero(~keep)
+            infeasibility = -objective[done, -1]
+            codes = np.where(
+                infeasibility > self.feastol, _INFEASIBLE,
+                np.where(infeasibility > self.pivot_tol, _INCONCLUSIVE,
+                         _FEASIBLE),
+            )
+            status[origin[done]] = codes
+            done = done[codes == _FEASIBLE]
+            solution[origin[done][:, None], basis[done]] = tableau[done, :, -1]
+            keep_only(keep)
 
-        def drop(keep: np.ndarray) -> None:
-            """Discard undecidable systems not in ``keep`` (stay INCONCLUSIVE)."""
-            nonlocal tableau, objective, basis, origin
-            tableau = tableau[keep]
-            objective = objective[keep]
-            basis = basis[keep]
-            origin = origin[keep]
-
-        cap = self.max_iterations or (64 + 16 * (nrows + ncols))
-        for _iteration in range(cap):
-            if origin.size == 0:
-                break
+        iteration = 0
+        next_cap = caps.min()
+        while origin.size:
+            if iteration >= next_cap:
+                # Systems at their own cap stay INCONCLUSIVE.
+                keep_only(caps > iteration)
+                if origin.size == 0:
+                    break
+                next_cap = caps.min()
+            iteration += 1
             reduced = objective[:, :total]
             entering = reduced.argmin(axis=1)
             alive = np.arange(origin.size)
@@ -284,24 +330,21 @@ class NumpyBackend(FloatBackend):
                 entering = entering[still]
                 alive = np.arange(origin.size)
 
-            column = np.take_along_axis(
-                tableau, entering[:, None, None], axis=2
-            )[:, :, 0]
+            column = tableau[alive, :, entering]
             positive = column > self.pivot_tol
             bounded = positive.any(axis=1)
             if not bounded.all():
-                drop(bounded)  # unbounded ray: numerical trouble, no answer
+                keep_only(bounded)  # unbounded ray: numerical trouble, no answer
                 if origin.size == 0:
-                    continue
+                    break
                 entering = entering[bounded]
                 column = column[bounded]
                 positive = positive[bounded]
                 alive = np.arange(origin.size)
 
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(
-                    positive, tableau[:, :, -1] / column, np.inf
-                )
+            ratios = np.divide(tableau[:, :, -1], column,
+                               out=np.full_like(column, np.inf),
+                               where=positive)
             best_ratio = ratios.min(axis=1)
             # Ties within pivot_tol break on the smallest basis label —
             # the deterministic anti-stalling rule of the stdlib backend.
@@ -316,5 +359,4 @@ class NumpyBackend(FloatBackend):
             obj_coef = objective[alive, entering]
             objective -= obj_coef[:, None] * pivot_rows
             basis[alive, leaving] = entering
-        # Whatever is still pivoting at the cap stays INCONCLUSIVE.
-        return results
+        return status, solution[:, :ncols]

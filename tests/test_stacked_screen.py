@@ -1,0 +1,195 @@
+"""The padded-stack screen and the first-hit wave schedule.
+
+Support enumeration screens each side of a chunk's Lemma-1 systems as
+one zero-padded numpy stack.  These tests pin that padding changes
+nothing: every pair's verdict equals the one its two systems earn when
+screened alone, iteration caps included, and the first equilibrium
+found does not depend on how the pairs are chunked or sharded.  They
+also pin the support-hint shortcut that skips the exact LP when a
+hint's own equality system already decides it.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core.actors import BimatrixInventor
+from repro.equilibria.mixed import is_mixed_nash
+from repro.equilibria.support_enumeration import (
+    SCREEN_EXACT,
+    UNDERDETERMINED,
+    _feasibility_rows,
+    _triage,
+    find_one_equilibrium,
+    reconstruct_one_side,
+    screen_support_chunk,
+    support_pairs,
+)
+from repro.games.bimatrix import BimatrixGame
+from repro.games.generators import random_bimatrix
+from repro.linalg.backend import (
+    INCONCLUSIVE,
+    MODE_NUMPY,
+    NUMPY_BACKEND,
+    BackendPolicy,
+    float_matrix,
+    numpy_available,
+)
+from repro.rng import make_rng
+
+requires_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="needs numpy (stdlib-only run)"
+)
+
+SHAPES = [(3, 3), (5, 5), (4, 6), (6, 4), (3, 7)]
+
+
+def _degenerate(n: int, m: int, seed: int) -> BimatrixGame:
+    """Payoffs in {-1, 0, 1}: ties everywhere, the hard case for pivoting."""
+    rng = make_rng(seed, "stacked-screen:degenerate")
+    a = [[rng.choice((-1, 0, 1)) for _ in range(m)] for _ in range(n)]
+    b = [[rng.choice((-1, 0, 1)) for _ in range(m)] for _ in range(n)]
+    return BimatrixGame(a, b, name=f"Degenerate({n}x{m}, seed={seed})")
+
+
+def _corpus():
+    games = []
+    for n, m in SHAPES:
+        for seed in range(2):
+            games.append(random_bimatrix(n, m, seed=4100 + 10 * seed + n * m))
+            games.append(_degenerate(n, m, 4200 + 10 * seed + n * m))
+    return games
+
+
+def _screened_alone(backend, game, pairs):
+    """The reference: every Lemma-1 system built as lists, screened alone."""
+    a_rows = float_matrix(game.row_matrix)
+    b_cols = float_matrix(game.column_matrix_transposed)
+    verdicts = []
+    for rs, cs in pairs:
+        y_point = backend.screen_feasible(
+            [_feasibility_rows(a_rows, rs, cs, 0.0, 1.0)[:2]]
+        )[0]
+        x_point = None
+        if y_point is INCONCLUSIVE:
+            x_point = INCONCLUSIVE
+        elif y_point is not None:
+            x_point = backend.screen_feasible(
+                [_feasibility_rows(b_cols, cs, rs, 0.0, 1.0)[:2]]
+            )[0]
+        verdicts.append(_triage(y_point, x_point, rs, cs, backend.support_tol))
+    return verdicts
+
+
+def _screened_stacked(backend, game, pairs):
+    payload = (
+        backend,
+        backend.float_payoffs(game.row_matrix),
+        backend.float_payoffs(game.column_matrix_transposed),
+        pairs,
+    )
+    return screen_support_chunk(payload)
+
+
+@requires_numpy
+class TestStackedVerdicts:
+    @pytest.mark.parametrize("game", _corpus(), ids=lambda g: g.name)
+    def test_each_pair_matches_its_systems_screened_alone(self, game):
+        pairs = list(support_pairs(*game.action_counts))
+        stacked = _screened_stacked(NUMPY_BACKEND, game, pairs)
+        assert stacked == _screened_alone(NUMPY_BACKEND, game, pairs)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5, 8])
+    def test_padded_system_hits_its_own_iteration_cap(self, cap):
+        from repro.linalg.numpy_backend import NumpyBackend
+
+        backend = NumpyBackend(max_iterations=cap)
+        inconclusive = 0
+        for game in (random_bimatrix(5, 5, seed=4300), _degenerate(4, 6, 4301)):
+            pairs = list(support_pairs(*game.action_counts))
+            stacked = _screened_stacked(backend, game, pairs)
+            assert stacked == _screened_alone(backend, game, pairs)
+            inconclusive += stacked.count((SCREEN_EXACT,))
+        if cap <= 3:
+            assert inconclusive > 0  # the cap really binds
+
+    def test_mixed_shapes_pad_into_one_stack(self):
+        from repro.linalg.numpy_backend import NumpyBackend
+
+        rng = make_rng(4400, "stacked-screen:generic")
+        systems = []
+        for __ in range(60):
+            nrows = rng.randint(1, 4)
+            ncols = rng.randint(1, 6)
+            systems.append((
+                [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)],
+                [rng.randint(-5, 5) for _ in range(nrows)],
+            ))
+        for backend in (NUMPY_BACKEND, NumpyBackend(max_iterations=2)):
+            alone = [backend.screen_feasible([system])[0] for system in systems]
+            assert backend.screen_feasible(systems) == alone
+
+
+@requires_numpy
+class TestWaveSchedule:
+    @pytest.mark.parametrize("game", _corpus(), ids=lambda g: g.name)
+    def test_answer_independent_of_chunking(self, game):
+        expected = find_one_equilibrium(game, policy="numpy")
+        assert is_mixed_nash(game, expected)
+        for chunk_size in (1, 7, 1024):
+            policy = BackendPolicy(MODE_NUMPY, chunk_size=chunk_size)
+            found = find_one_equilibrium(game, policy=policy)
+            assert found.distributions == expected.distributions
+
+    def test_answer_independent_of_workers(self):
+        for game in (random_bimatrix(5, 5, seed=4500), _degenerate(6, 4, 4501)):
+            expected = find_one_equilibrium(game, policy="numpy")
+            sharded = BackendPolicy(MODE_NUMPY, workers=2)
+            found = find_one_equilibrium(game, policy=sharded)
+            assert found.distributions == expected.distributions
+
+
+class TestSupportHintShortcut:
+    """A hint whose equality system decides it never reaches the LP."""
+
+    @staticmethod
+    def _lp_calls(monkeypatch):
+        import repro.core.actors as actors
+
+        calls = []
+        real = actors.equilibrium_for_supports
+
+        def counting(game, rs, cs, *args, **kwargs):
+            calls.append((rs, cs))
+            return real(game, rs, cs, *args, **kwargs)
+
+        monkeypatch.setattr(actors, "equilibrium_for_supports", counting)
+        return calls
+
+    def test_underdetermined_hint_reaches_the_lp(self, monkeypatch):
+        # Row 0 earns 1 against any column mix: the y-side system on
+        # ({0}, {0, 1}) has a line of solutions, so only the LP decides.
+        game = BimatrixGame([[1, 1], [0, 0]], [[2, 2], [0, 1]])
+        assert reconstruct_one_side(
+            game.row_matrix, (0,), (0, 1), 2, report_underdetermined=True
+        ) is UNDERDETERMINED
+        calls = self._lp_calls(monkeypatch)
+        profile = BimatrixInventor("inv")._try_support_hints(
+            game, [((0,), (0, 1))]
+        )
+        assert calls == [((0,), (0, 1))]
+        assert profile is not None and is_mixed_nash(game, profile)
+
+    @pytest.mark.parametrize("hint", [
+        ((1,), (0,)),     # unique y-side mix, but row 0 earns more
+        ((0, 1), (0,)),   # rows 0 and 1 cannot earn a common value
+    ])
+    def test_decided_infeasible_hint_skips_the_lp(self, monkeypatch, hint):
+        game = BimatrixGame([[3, 0], [1, 2]], [[1, 0], [0, 1]])
+        rs, cs = hint
+        assert reconstruct_one_side(
+            game.row_matrix, rs, cs, 2, report_underdetermined=True
+        ) is None
+        calls = self._lp_calls(monkeypatch)
+        assert BimatrixInventor("inv")._try_support_hints(game, [hint]) is None
+        assert calls == []
