@@ -3,10 +3,10 @@
 
 The harness in :mod:`repro.service.faults` threads ``check()`` /
 ``filter_bytes()`` hooks through the hot serving path — the solve
-stage, the verify/conclude stage, every pool submit, every journal
-append.  The design promise is that a *disarmed* hook is one module
-attribute load plus an ``is None`` test; this gate holds the promise
-against the service's own warm numbers:
+stage, the verify/conclude stage, every journal append.  The design
+promise is that a *disarmed* hook is one module attribute load plus an
+``is None`` test; this gate holds the promise against the service's
+own warm numbers:
 
 * measure the per-call cost of a disarmed ``faults.check()`` and
   ``faults.filter_bytes()`` (ns/call, best of several rounds);
@@ -45,9 +45,9 @@ from repro.core.registry import standard_procedures  # noqa: E402
 from repro.games.generators import random_bimatrix  # noqa: E402
 from repro.service import faults  # noqa: E402
 
-#: Far above the real count (solve + verify.conclude + a handful of
-#: pool submits + journal/snapshot I/O + the pump tick): over-counting
-#: keeps the gate honest as future PRs add injection points.
+#: Far above the real count (solve + verify.conclude + journal/snapshot
+#: I/O + the pump tick): over-counting keeps the gate honest as new
+#: injection points are added.
 HOOKS_PER_CONSULT = 32
 
 MAX_OVERHEAD_PCT = 1.0

@@ -7,8 +7,7 @@ Reads a ``BENCH_load_service.json`` produced by
 * **warm-stream throughput** — the all-repeats closed-loop rate
   (``warm_stream_consults_per_s``): cache hits plus certification only,
   the service's best case.  A collapse here means the admission path,
-  the drain loop or the verify stage grew real per-consultation
-  overhead.
+  the drain loop or verification grew real per-consultation overhead.
 * **sustained p99 ceiling** — the p99 latency of the highest rung the
   saturation scan sustained.  The scan self-calibrates its rates to
   the machine, so this is a shape check (queueing stays bounded below

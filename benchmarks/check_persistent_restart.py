@@ -15,9 +15,9 @@ prove on their own:
   entries were rejected by the Lemma-1 gate, and that every suggestion
   is string-for-string identical to the cold phase's record.
 
-Run it once more with ``REPRO_FORCE_SERIAL=1`` in the environment to
-pin the pool-less path: same file, same assertions, every executor and
-verifier inline.
+The service screens in process and verifies inline on the draining
+thread on every interpreter, so one round trip covers the only serving
+path; ``REPRO_FORCE_SERIAL`` changes nothing here.
 
 Exit status: 0 on success, 1 on any mismatch (a restarted authority
 that forgot — or worse, changed — its advice is a failed guard).

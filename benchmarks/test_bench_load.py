@@ -1,30 +1,17 @@
-"""L1 — latency under offered load: saturation, pipelining, self-tuning.
+"""L1 — latency under offered load: the saturation scan.
 
 Every earlier bench measured closed-loop throughput (submit, drain,
 divide).  This one drives the service **open-loop** — arrivals follow
-their own Poisson/bursty clock, independent of completions — so
-queueing delay appears in the latency numbers instead of silently
-throttling the workload.  Three measurements:
-
-* **saturation scan** — a self-calibrated offered-rate ladder over the
-  mixed cold/repeat/near-repeat stream; reports per-rung p50/p95/p99
-  and the saturation point (the first rate whose p99 blows the bound);
-* **pipelined vs forced-serial drain** — the same mixed stream,
-  verify/conclude off-path (``verify_workers = 4``) vs the
-  ``REPRO_FORCE_SERIAL`` inline fallback, with bit-identity asserted
-  pair by pair.  Note the honest physics: this repo's certification is
-  *cheap by design* (the paper's whole point), so stage 2 is a few
-  percent of the drain and Amdahl caps the overlap win near 1x — the
-  committed number documents that pipelining is free, and the stage
-  queue is the seam that scale-out (heavier verifier panels, slower
-  certification rules) would pay through;
-* **adaptive vs fixed** — a bursty arrival schedule against fixed
-  ``verify_workers`` 1 and 4 and against the EWMA hysteresis
-  controller; the controller must match the best fixed setting.
+their own Poisson clock, independent of completions — so queueing
+delay appears in the latency numbers instead of silently throttling
+the workload.  A self-calibrated offered-rate ladder over the mixed
+cold/repeat/near-repeat stream reports per-rung p50/p95/p99 and the
+saturation point (the first rate whose p99 blows the bound); a warm
+closed-loop stream gives the throughput floor the CI gate holds.
 
 Soundness is asserted throughout: every completed consultation is
 majority-certified, and every exact repeat's suggestion is bit-identical
-to its cold base's — under load, off-path, at every pool size.
+to its cold base's — under load included.
 """
 
 from __future__ import annotations
@@ -33,14 +20,11 @@ import time
 
 from repro.analysis import PaperComparison, TextTable
 from repro.core.actors import AuthorityAgent, BimatrixInventor
-from repro.core.audit_events import EVENT_AUTOTUNE_RESIZED, EVENT_SERVICE_COMPLETED
 from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
 from repro.linalg.backend import MODE_NUMPY, BackendPolicy
 from repro.service import (
     AuthorityService,
-    AutotuneConfig,
-    bursty_arrivals,
     find_saturation,
     mixed_game_stream,
     poisson_arrivals,
@@ -48,16 +32,6 @@ from repro.service import (
     run_load,
 )
 from repro.service.load import KIND_REPEAT
-
-#: Pipelining must never cost real throughput (the win is capped by the
-#: verify fraction, see module docstring; the floor guards the overhead).
-#: At quick scale the whole warm-heavy drain is tens of milliseconds, so
-#: fixed thread-dispatch overhead is a visible fraction of it — the
-#: tracked number is the default-scale one, quick only smokes gross
-#: regressions.
-_PIPELINE_FLOORS = {"quick": 0.45, "default": 0.85, "full": 0.85}
-#: The controller must stay within this factor of the best fixed pool.
-_AUTOTUNE_FLOOR = 0.75
 
 
 def _scale(bench_scale):
@@ -105,10 +79,10 @@ def _assert_sound(stream, futures):
             ), f"{entry.game_id} diverged from {entry.base_id}"
 
 
-def _closed_loop(size, count, verify_workers=1, seed=33, **stream_kwargs):
+def _closed_loop(size, count, seed=33, **stream_kwargs):
     """One closed-loop run; returns (seconds, futures, stream)."""
     authority, stream = _fresh(size, count, seed=seed, **stream_kwargs)
-    service = AuthorityService(authority, verify_workers=verify_workers)
+    service = AuthorityService(authority)
     started = time.perf_counter()
     futures = [service.submit("jane", e.game_id) for e in stream]
     service.drain()
@@ -144,7 +118,7 @@ def test_bench_load_saturation(bench_scale, record_table, record_metrics):
 
     def run_at(rate):
         authority, stream = _fresh(size, count)
-        service = AuthorityService(authority, verify_workers=2)
+        service = AuthorityService(authority)
         schedule = poisson_arrivals(rate=rate, count=count, seed=7)
         report = run_load(service, "jane", stream, schedule)
         rungs.append((rate, report))
@@ -223,155 +197,4 @@ def test_bench_load_saturation(bench_scale, record_table, record_metrics):
         f"> {top_rate:.1f}/s", f"{warm_rate:.1f}/s", warm_rate > top_rate,
     )
     record_table("l1_load_saturation_comparison", comparison.render())
-    assert comparison.all_match()
-
-
-def test_bench_pipelined_vs_serial(bench_scale, record_table, record_metrics,
-                                   monkeypatch):
-    count, size = _scale(bench_scale)
-    kwargs = dict(repeat_fraction=0.65, near_fraction=0.2, seed=59)
-
-    # Warm the interpreter (imports, numpy dispatch) off the clock so
-    # neither mode pays the cold-start penalty.
-    _closed_loop(size, max(6, count // 8), **kwargs)
-
-    monkeypatch.setenv("REPRO_FORCE_SERIAL", "1")
-    serial_seconds, serial_futures, stream = _closed_loop(
-        size, count, verify_workers=4, **kwargs
-    )
-    monkeypatch.delenv("REPRO_FORCE_SERIAL")
-    piped_seconds, piped_futures, __ = _closed_loop(
-        size, count, verify_workers=4, **kwargs
-    )
-
-    # Bit-identity pair by pair: threads are never part of the answer.
-    for slow, fast in zip(serial_futures, piped_futures):
-        assert slow.result().advice.suggestion == fast.result().advice.suggestion
-        assert slow.result().advice.cache == fast.result().advice.cache
-
-    serial_rate = count / serial_seconds
-    piped_rate = count / piped_seconds
-    speedup = serial_rate and piped_rate / serial_rate
-
-    table = TextTable(
-        ["drain", "games", "seconds", "consults/s"],
-        title=(
-            f"L2: pipelined vs forced-serial drain, warm-heavy mixed "
-            f"stream ({count} games, n = m = {size})"
-        ),
-    )
-    table.add_row("forced serial (REPRO_FORCE_SERIAL=1)", count,
-                  f"{serial_seconds:.3f}", f"{serial_rate:.1f}")
-    table.add_row("pipelined (verify_workers=4)", count,
-                  f"{piped_seconds:.3f}", f"{piped_rate:.1f}")
-    record_table("l2_pipelined_drain", table.render())
-
-    record_metrics(
-        "load_pipeline",
-        [
-            {"metric": "serial_consults_per_s", "value": serial_rate,
-             "games": count, "size": size, "unit": "1/s"},
-            {"metric": "pipelined_consults_per_s", "value": piped_rate,
-             "games": count, "size": size, "unit": "1/s"},
-            {"metric": "pipelined_speedup", "value": speedup, "unit": "x"},
-        ],
-        backend="numpy",
-    )
-
-    comparison = PaperComparison("L2 / pipelined drain")
-    comparison.add(
-        "pipelined outcomes bit-identical to serial", "all games",
-        "all games", True,
-    )
-    floor = _PIPELINE_FLOORS[bench_scale]
-    comparison.add(
-        f"pipelining costs no real throughput (>= {floor:.2f}x)",
-        f">= {floor:.2f}x", f"{speedup:.2f}x",
-        speedup >= floor,
-    )
-    record_table("l2_pipelined_comparison", comparison.render())
-    assert comparison.all_match()
-
-
-def test_bench_autotune_vs_fixed(bench_scale, record_table, record_metrics):
-    count, size = _scale(bench_scale)
-    burst = max(4, count // 6)
-    bursts = count // burst
-    trimmed = burst * bursts
-
-    def run_one(label, **service_kwargs):
-        authority, stream = _fresh(size, trimmed, seed=71)
-        service = AuthorityService(authority, **service_kwargs)
-        # Bursts sized to spike the queue, gapped so drains interleave.
-        schedule = bursty_arrivals(
-            burst_size=burst, bursts=bursts, gap_s=0.05, within_s=0.01,
-            seed=3,
-        )
-        report = run_load(service, "jane", stream, schedule)
-        # Soundness off the audit trail: every completion certified.
-        accepted = sum(
-            1 for r in authority.audit.events_of(EVENT_SERVICE_COMPLETED)
-            if r.details.get("accepted")
-        )
-        assert accepted == report.completed == len(stream)
-        resizes = len(authority.audit.events_of(EVENT_AUTOTUNE_RESIZED))
-        service.close()
-        authority.close()
-        return label, report, resizes
-
-    fixed1 = run_one("fixed verify_workers=1", verify_workers=1)
-    fixed4 = run_one("fixed verify_workers=4", verify_workers=4)
-    adaptive = run_one(
-        "adaptive (1..4, EWMA hysteresis)",
-        autotune=AutotuneConfig(
-            min_verify_workers=1, max_verify_workers=4,
-            alpha=0.5, cooldown=1, depth_pressure=burst // 2,
-        ),
-    )
-
-    best_fixed = max(fixed1[1].throughput, fixed4[1].throughput)
-    ratio = adaptive[1].throughput / best_fixed if best_fixed else 1.0
-
-    table = TextTable(
-        ["policy", "completed", "throughput/s", "p99 ms", "resizes"],
-        title=(
-            f"L3: adaptive controller vs fixed pools, bursty stream "
-            f"({bursts} bursts x {burst}, n = m = {size})"
-        ),
-    )
-    for label, report, resizes in (fixed1, fixed4, adaptive):
-        table.add_row(
-            label, report.completed, f"{report.throughput:.1f}",
-            f"{report.latency_ms['p99']:.1f}", resizes,
-        )
-    record_table("l3_autotune", table.render())
-
-    record_metrics(
-        "load_autotune",
-        [
-            {"metric": "fixed1_throughput_per_s",
-             "value": fixed1[1].throughput, "unit": "1/s"},
-            {"metric": "fixed4_throughput_per_s",
-             "value": fixed4[1].throughput, "unit": "1/s"},
-            {"metric": "adaptive_throughput_per_s",
-             "value": adaptive[1].throughput, "unit": "1/s"},
-            {"metric": "adaptive_vs_best_fixed", "value": ratio, "unit": "x"},
-            {"metric": "adaptive_resizes", "value": adaptive[2]},
-        ],
-        backend="numpy",
-    )
-
-    comparison = PaperComparison("L3 / telemetry-driven self-tuning")
-    comparison.add(
-        "every submission completed under every policy",
-        f"{trimmed} x 3",
-        f"{fixed1[1].completed + fixed4[1].completed + adaptive[1].completed}",
-        all(r.completed == trimmed for __, r, ___ in (fixed1, fixed4, adaptive)),
-    )
-    comparison.add(
-        f"adaptive within {_AUTOTUNE_FLOOR:.2f}x of best fixed pool",
-        f">= {_AUTOTUNE_FLOOR:.2f}x", f"{ratio:.2f}x",
-        ratio >= _AUTOTUNE_FLOOR,
-    )
-    record_table("l3_autotune_comparison", comparison.render())
     assert comparison.all_match()

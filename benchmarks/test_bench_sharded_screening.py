@@ -1,24 +1,22 @@
-"""B2 — vectorized + sharded candidate screening vs the stdlib float screen.
+"""B2 — vectorized candidate screening vs the stdlib float screen.
 
-PR 1 established the two-phase win: float search + exact certification
+B1 established the two-phase win: float search + exact certification
 beats exact-everywhere by a large constant factor.  This bench measures
-the *next* rung — the staged candidate engine of PR 2 — on the same
+the *next* rung — the staged candidate engine — on the same
 default-scale support enumeration:
 
-* ``float+certify``: the PR 1 baseline (stdlib scalar screen, now with
+* ``float+certify``: the B1 baseline (stdlib scalar screen, with
   warm-started bases);
 * ``numpy``: the vectorized backend screening whole stacks of Lemma-1
   systems per pivot iteration (the acceptance target: >= 3x over the
-  stdlib float screen);
-* sharded: the same vectorized screen fanned across a 2-worker process
-  pool (trajectory data — on a single-core container the pool mostly
-  measures its own overhead; on real hardware it scales the screen).
+  stdlib float screen).
+
+The file and result names keep their historical ``sharded`` key so the
+committed trajectory stays comparable across commits.
 
 Soundness is asserted, not sampled: every returned profile is an exact
-Fraction profile, every mode's equilibrium *set* matches the exact
-backend bit for bit on the bench seeds, and certification runs
-exclusively on Fractions in the parent process (workers return plain
-float verdicts — asserted via the profiles' types below).
+Fraction profile and every mode's equilibrium *set* matches the exact
+backend bit for bit on the bench seeds.
 """
 
 from __future__ import annotations
@@ -32,11 +30,7 @@ from repro.analysis import PaperComparison, TextTable
 from repro.equilibria.mixed import is_mixed_nash
 from repro.equilibria.support_enumeration import support_enumeration
 from repro.games.generators import random_bimatrix
-from repro.linalg.backend import (
-    MODE_NUMPY,
-    BackendPolicy,
-    numpy_available,
-)
+from repro.linalg.backend import numpy_available
 
 _REQUIRED_SPEEDUP = 3.0
 
@@ -65,19 +59,11 @@ def test_bench_sharded_screening(benchmark, bench_scale, record_table, record_me
     numpy_eqs = support_enumeration(game, equal_size_only=True, policy="numpy")
     numpy_seconds = time.perf_counter() - start
 
-    sharded_policy = BackendPolicy(MODE_NUMPY, workers=2)
-    start = time.perf_counter()
-    sharded_eqs = support_enumeration(
-        game, equal_size_only=True, policy=sharded_policy
-    )
-    sharded_seconds = time.perf_counter() - start
-
     # --- Soundness: exact sets, exact types, in every mode. ---
     reference = {profile.distributions for profile in exact_eqs}
     for label, eqs in (
         ("float+certify", float_eqs),
         ("numpy", numpy_eqs),
-        ("sharded", sharded_eqs),
     ):
         assert {p.distributions for p in eqs} == reference, (
             f"{label} returned a different equilibrium set than exact"
@@ -91,14 +77,11 @@ def test_bench_sharded_screening(benchmark, bench_scale, record_table, record_me
         ), f"{label} leaked a non-Fraction value past certification"
 
     numpy_speedup = float_seconds / numpy_seconds if numpy_seconds > 0 else float("inf")
-    sharded_speedup = (
-        float_seconds / sharded_seconds if sharded_seconds > 0 else float("inf")
-    )
     exact_speedup = exact_seconds / numpy_seconds if numpy_seconds > 0 else float("inf")
 
     table = TextTable(
         ["screen", "n = m", "seconds", "vs float+certify", "equilibria"],
-        title="B2: vectorized + sharded screening vs the stdlib float screen",
+        title="B2: vectorized screening vs the stdlib float screen",
     )
     table.add_row("exact (no screen)", size, f"{exact_seconds:.3f}", "-",
                   len(exact_eqs))
@@ -106,8 +89,6 @@ def test_bench_sharded_screening(benchmark, bench_scale, record_table, record_me
                   len(float_eqs))
     table.add_row("numpy", size, f"{numpy_seconds:.3f}",
                   f"{numpy_speedup:.1f}x", len(numpy_eqs))
-    table.add_row("numpy sharded x2", size, f"{sharded_seconds:.3f}",
-                  f"{sharded_speedup:.1f}x", len(sharded_eqs))
     record_table("b2_sharded_screening", table.render())
 
     record_metrics(
@@ -115,23 +96,19 @@ def test_bench_sharded_screening(benchmark, bench_scale, record_table, record_me
         [
             {"metric": "numpy_speedup_vs_float", "value": numpy_speedup,
              "size": size, "unit": "x"},
-            {"metric": "sharded_speedup_vs_float", "value": sharded_speedup,
-             "size": size, "unit": "x", "workers": 2},
             {"metric": "numpy_speedup_vs_exact", "value": exact_speedup,
              "size": size, "unit": "x"},
             {"metric": "float_seconds", "value": float_seconds, "size": size,
              "unit": "s"},
             {"metric": "numpy_seconds", "value": numpy_seconds, "size": size,
              "unit": "s"},
-            {"metric": "sharded_seconds", "value": sharded_seconds,
-             "size": size, "unit": "s", "workers": 2},
             {"metric": "equilibria_found", "value": len(numpy_eqs),
              "size": size},
         ],
         backend="mixed",
     )
 
-    comparison = PaperComparison("B2 / vectorized + sharded screening")
+    comparison = PaperComparison("B2 / vectorized screening")
     comparison.add(
         "vectorized screen beats the stdlib float screen",
         f">= {_REQUIRED_SPEEDUP:.0f}x",
@@ -144,7 +121,7 @@ def test_bench_sharded_screening(benchmark, bench_scale, record_table, record_me
         "bit for bit, all modes",
         all(
             {p.distributions for p in eqs} == reference
-            for eqs in (float_eqs, numpy_eqs, sharded_eqs)
+            for eqs in (float_eqs, numpy_eqs)
         ),
     )
     record_table("b2_sharded_comparison", comparison.render())

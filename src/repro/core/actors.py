@@ -70,18 +70,9 @@ class GameInventor(abc.ABC):
 
         The base inventor has no shared solver state, so this is a
         no-op.  Inventors whose hard step benefits from amortized
-        setup (a warm solver cache, a live worker pool) override it —
-        see :meth:`BimatrixInventor.prepare_games` — so that a batch of
-        consultations pays for backend and executor setup once, not per
-        query.
-        """
-
-    def close(self) -> None:
-        """Release any long-lived solver resources (worker pools).
-
-        No-op by default; sharding inventors override it.  The authority
-        calls this for every registered inventor on its own
-        :meth:`~repro.core.authority.RationalityAuthority.close`.
+        setup (a warm solver cache) override it — see
+        :meth:`BimatrixInventor.prepare_games` — so that a batch of
+        consultations pays for that setup once, not per query.
         """
 
     def attach_solve_cache(self, cache) -> None:
@@ -94,29 +85,6 @@ class GameInventor(abc.ABC):
         and idempotent; an inventor constructed with its own cache
         keeps it.
         """
-
-    def set_screening_workers(self, workers: int) -> bool:
-        """Ask this inventor to run future screens on ``workers`` shards.
-
-        No-op (returns ``False``) by default: only inventors that fan
-        screening across a worker pool have a knob to turn.  The
-        service's adaptive controller calls this between drains; by the
-        executor determinism contract the shard count changes cost,
-        never answers.
-        """
-        return False
-
-    def drain_pool_events(self) -> "list[dict]":
-        """Pop this inventor's screening-pool supervision events.
-
-        Empty by default: only inventors that fan screening across a
-        process pool (see :meth:`BimatrixInventor.drain_pool_events`)
-        have mid-run rebuilds or serial degradations to report.  The
-        consultation service drains these at the end of every drain and
-        turns them into ``service.pool.rebuilt`` /
-        ``service.pool.degraded`` audit records.
-        """
-        return []
 
     @property
     def solve_cache(self):
@@ -188,8 +156,8 @@ class BimatrixInventor(GameInventor):
     interactively: P1 when privacy is "open", P2 when "private".
 
     ``backend`` selects the numeric search policy for the hard step
-    (``"exact"``, ``"float+certify"``, ``"numpy"``, ``"sharded"`` or
-    ``"auto"``; also accepts a
+    (``"exact"``, ``"float+certify"``, ``"numpy"`` or ``"auto"``; also
+    accepts a
     :class:`~repro.linalg.backend.BackendPolicy`).  The solvers certify
     approximately-found candidates exactly before returning, so in every
     mode the advice is an exact, certified equilibrium carrying the same
@@ -198,12 +166,6 @@ class BimatrixInventor(GameInventor):
     settle on a *different* (equally exact) equilibrium than the exact
     search would, which is why the mode that actually ran is recorded
     on the advice for the audit log.
-
-    A policy with ``workers > 1`` shards support-pair screening across
-    a process pool.  The pool is created lazily, shared across every
-    solve this inventor performs (that is the batch-consultation
-    amortization: :meth:`prepare_games` pre-solves a stream of games
-    against one pool), and released by :meth:`close`.
 
     ``solve_cache`` optionally supplies a cross-run
     :class:`~repro.service.cache.SolveCache`: solves are then keyed by
@@ -227,12 +189,9 @@ class BimatrixInventor(GameInventor):
         self._rng = rng or random.Random(0)
         self._policy = resolve_policy(backend)
         self._cache: dict[str, MixedProfile] = {}
-        self._executor = None
-        self._executor_used: dict[str, str] = {}
         self._solve_cache = solve_cache
         self._cache_status: dict[str, str] = {}
         self._solve_ms: dict[str, float] = {}
-        self._workers_override: int | None = None
 
     @property
     def backend_mode(self) -> str:
@@ -248,80 +207,6 @@ class BimatrixInventor(GameInventor):
         """
         n, m = game.action_counts
         return self._policy.search_backend(n + m).mode
-
-    def effective_executor(self, game_id: str) -> str:
-        """The executor that actually ran the game's search.
-
-        ``"sharded"`` only when the solve really fanned screening across
-        a pool; a pool that could not start (restricted sandbox) records
-        the serial fallback that did the work instead.
-        """
-        return self._executor_used.get(game_id, "serial")
-
-    def _wants_sharding(self, game: BimatrixGame) -> bool:
-        if self._method != "support-enumeration":
-            return False  # Lemke-Howson is path-following: nothing to shard
-        n, m = game.action_counts
-        if self._policy.search_backend(n + m).exact:
-            return False
-        return self.screening_workers > 1
-
-    @property
-    def screening_workers(self) -> int:
-        """The shard count future screens will fan across.
-
-        The policy's resolved worker count, unless the service's
-        adaptive controller overrode it via
-        :meth:`set_screening_workers`.
-        """
-        if self._workers_override is not None:
-            return self._workers_override
-        return self._policy.resolved_workers()
-
-    def set_screening_workers(self, workers: int) -> bool:
-        """Adopt a controller-chosen shard count for future screens.
-
-        Cheap between solves: an existing sharded pool is resized in
-        place (shut down now, restarted lazily at the new width),
-        otherwise the executor is released so the next screen creates
-        one at the new count.  Answers never change — the executors'
-        determinism contract fixes chunk boundaries independently of
-        worker count — so this is purely a cost knob.
-        """
-        if workers < 1:
-            raise ProtocolError("screening workers must be positive")
-        if workers == self.screening_workers:
-            return False
-        self._workers_override = workers
-        if self._executor is not None:
-            from repro.equilibria.executors import ShardedExecutor
-
-            if isinstance(self._executor, ShardedExecutor) and workers > 1:
-                self._executor.resize(workers)
-            else:
-                self._executor.close()
-                self._executor = None
-        return True
-
-    def _screening_executor(self):
-        """The shared (lazily created) screening pool."""
-        if self._executor is None:
-            from repro.equilibria.executors import make_executor
-
-            self._executor = make_executor(self.screening_workers)
-        return self._executor
-
-    def drain_pool_events(self) -> "list[dict]":
-        """Pop the screening executor's rebuild/degrade events."""
-        executor = self._executor
-        drain = getattr(executor, "drain_events", None)
-        return drain() if drain is not None else []
-
-    def close(self) -> None:
-        """Release the shared screening pool, if one was started."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
 
     def attach_solve_cache(self, cache) -> None:
         """Adopt a cross-run solve cache unless one was set at construction."""
@@ -418,14 +303,12 @@ class BimatrixInventor(GameInventor):
                 )
                 if cached is not None:
                     self._cache[game_id] = cached
-                    self._executor_used[game_id] = "serial"
                     self._cache_status[game_id] = "hit"
                     self._solve_ms[game_id] = (
                         time.perf_counter() - started
                     ) * 1000.0
                     return cached
         status = "" if fingerprint is None else "miss"
-        executor_name = "serial"
         profile = None
         if self._method == "lemke-howson":
             profile = lemke_howson(game, 0, policy=self._policy)
@@ -437,33 +320,21 @@ class BimatrixInventor(GameInventor):
                 if profile is not None:
                     status = "warm" if fingerprint is not None else ""
             if profile is None:
-                if self._wants_sharding(game):
-                    executor = self._screening_executor()
-                    profile = find_one_equilibrium(
-                        game, policy=self._policy, executor=executor
-                    )
-                    executor_name = getattr(
-                        executor, "effective_name", executor.name
-                    )
-                else:
-                    profile = find_one_equilibrium(game, policy=self._policy)
+                profile = find_one_equilibrium(game, policy=self._policy)
         if cache is not None and fingerprint is not None:
             cache.store_profile(fingerprint, self._method, mode, profile)
             cache.note_solved(warm=(status == "warm"))
             if self._method == "support-enumeration":
                 cache.note_hint(game.action_counts, profile.supports())
         self._cache[game_id] = profile
-        self._executor_used[game_id] = executor_name
         self._cache_status[game_id] = status
         self._solve_ms[game_id] = (time.perf_counter() - started) * 1000.0
         return profile
 
     def prepare_games(self, games: Sequence[tuple[str, BimatrixGame]]) -> None:
-        """Pre-solve a batch of games against one shared screening pool.
+        """Pre-solve a batch of games.
 
-        This is the inventor half of the batch-consultation path: the
-        worker pool (when the policy shards) and the per-run float
-        payoff conversions are paid once for the whole stream, and every
+        This is the inventor half of the batch-consultation path: every
         subsequent :meth:`advise` for these games hits the cache.
         """
         for game_id, game in games:
@@ -490,7 +361,6 @@ class BimatrixInventor(GameInventor):
                 proof=None,
                 inventor=self.name,
                 backend=self.effective_backend(game),
-                executor=self.effective_executor(game_id),
                 cache=self.cache_state(game_id),
                 solve_ms=self.solve_millis(game_id),
             )
@@ -513,7 +383,6 @@ class BimatrixInventor(GameInventor):
             },
             inventor=self.name,
             backend=self.effective_backend(game),
-            executor=self.effective_executor(game_id),
             cache=self.cache_state(game_id),
             solve_ms=self.solve_millis(game_id),
         )
@@ -685,9 +554,6 @@ class MisadvisingInventor(GameInventor):
     @property
     def solve_cache(self):
         return self._inner.solve_cache
-
-    def close(self) -> None:
-        self._inner.close()
 
     def advise(self, game_id, game, agent, privacy) -> AdvicePackage:
         import dataclasses

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ProtocolError
-from repro.linalg.backend import (
-    EXECUTOR_NAMES,
-    MODE_EXACT,
-    MODE_FLOAT_CERTIFY,
-    MODE_NUMPY,
-)
+from repro.linalg.backend import MODE_EXACT, MODE_FLOAT_CERTIFY, MODE_NUMPY
 
 #: Advice records the backend that actually ran, so "auto" (a request,
 #: not a resolution) is deliberately not accepted here.
@@ -179,14 +174,11 @@ class Advice:
     ``backend`` records which numeric search mode actually produced the
     suggestion — ``"exact"``, ``"float+certify"`` or ``"numpy"``; an
     "auto" *policy* must be resolved to one of them before advising, so
-    the audit trail always shows what ran.  ``executor`` likewise
-    records how the search was executed — ``"serial"`` in process, or
-    ``"sharded"`` across a worker pool (and if a sharded run fell back
-    to in-process screening, the fallback is what gets recorded).
-    Whatever the search mode, the suggestion's numbers are exact
-    rationals — approximately-searching inventors certify before they
-    advise, in their own process — so the proof obligations are
-    identical in every mode.
+    the audit trail always shows what ran.  Whatever the search mode,
+    the suggestion's numbers are exact rationals —
+    approximately-searching inventors certify before they advise, in
+    their own process — so the proof obligations are identical in every
+    mode.
 
     ``cache`` records what the cross-run solve cache did for the hard
     step (see :data:`CACHE_STATES`): a ``"hit"`` advice carries a
@@ -215,7 +207,6 @@ class Advice:
     proof: Any
     inventor: str = ""
     backend: str = MODE_EXACT
-    executor: str = "serial"
     cache: str = ""
     solve_ms: float = -1.0
     verify_ms: float = -1.0
@@ -233,11 +224,6 @@ class Advice:
             raise ProtocolError(
                 f"unknown solver backend {self.backend!r}; "
                 f"expected one of {RESOLVED_BACKEND_MODES}"
-            )
-        if self.executor not in EXECUTOR_NAMES:
-            raise ProtocolError(
-                f"unknown search executor {self.executor!r}; "
-                f"expected one of {EXECUTOR_NAMES}"
             )
         if self.cache not in CACHE_STATES:
             raise ProtocolError(
@@ -262,12 +248,6 @@ def describe_advice(advice: Advice) -> str:
         notice += (
             f" Solver backend: {advice.backend} (search was approximate; "
             f"the suggestion itself is exact and certified)."
-        )
-    if advice.executor != "serial":
-        notice += (
-            f" Search executor: {advice.executor} (screening was fanned "
-            f"across worker processes; certification ran in the "
-            f"inventor's own process)."
         )
     if advice.cache == "hit":
         notice += (

@@ -47,17 +47,13 @@ EVENT_RULE_VIOLATION = "gameauthority.violation"
 EVENT_STATISTICS_AUDIT = "statistics.audit"
 
 # ----------------------------------------------------------------------
-# Service core (admission, drain, autotune, deadlines, supervision)
+# Service core (admission, drain, deadlines)
 # ----------------------------------------------------------------------
 EVENT_SERVICE_COMPLETED = "service.consultation.completed"
 EVENT_SERVICE_DRAINED = "service.queue.drained"
 EVENT_CALLBACK_FAILED = "service.callback.failed"
-EVENT_AUTOTUNE_RESIZED = "service.autotune.resized"
 EVENT_BACKPRESSURE = "service.admission.backpressure"
 EVENT_DEADLINE_EXCEEDED = "service.deadline.exceeded"
-EVENT_VERIFY_RESPAWNED = "service.verify.respawned"
-EVENT_POOL_REBUILT = "service.pool.rebuilt"
-EVENT_POOL_DEGRADED = "service.pool.degraded"
 
 # ----------------------------------------------------------------------
 # Persistent cache (warm state on disk)
@@ -116,21 +112,12 @@ REGISTRY: dict[str, str] = {
         "latency percentiles).",
     EVENT_CALLBACK_FAILED:
         "A future's done-callback raised; surfaced instead of swallowed.",
-    EVENT_AUTOTUNE_RESIZED:
-        "The EWMA autotuner resized verify workers or screening shards.",
     EVENT_BACKPRESSURE:
         "An admission was shed, blocked, or timed out at the "
         "high-water mark.",
     EVENT_DEADLINE_EXCEEDED:
         "A consultation's wall-clock budget lapsed; the solve was "
         "abandoned.",
-    EVENT_VERIFY_RESPAWNED:
-        "A verify-stage puller crashed and a replacement was spawned.",
-    EVENT_POOL_REBUILT:
-        "A broken screening process pool got its one fresh rebuild.",
-    EVENT_POOL_DEGRADED:
-        "A screening pool broke again post-rebuild; sticky serial "
-        "degrade.",
     EVENT_CACHE_LOADED:
         "A persistent cache file passed the tamper checks and loaded.",
     EVENT_CACHE_LOAD_REJECTED:

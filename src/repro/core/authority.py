@@ -179,7 +179,7 @@ class RationalityAuthority:
         with a fresh cross-run
         :class:`~repro.service.cache.SolveCache` attached to every
         cacheable inventor).  Hosts that want different service
-        parameters — a shared cache, off-path verifier threads —
+        parameters — a shared cache, backpressure, deadlines —
         construct their own ``AuthorityService(authority, ...)``
         instead; the synchronous :meth:`consult` / :meth:`consult_many`
         shims always use this default instance.
@@ -230,11 +230,11 @@ class RationalityAuthority:
         semantic one.  The games are grouped by owning inventor and each
         inventor's hard solves are pre-run through its
         :meth:`~repro.core.actors.GameInventor.prepare_games` hook, so a
-        sharding inventor pays for its worker pool (and a caching one
-        for its solver setup) once per batch instead of once per
-        consultation.  Every session then proceeds through the usual
-        advise → verify → conclude flow, with the resolved backend,
-        executor and cache state recorded per advice in the audit log.
+        caching inventor pays for its solver setup once per batch
+        instead of once per consultation.  Every session then proceeds
+        through the usual advise → verify → conclude flow, with the
+        resolved backend and cache state recorded per advice in the
+        audit log.
 
         .. deprecated:: PR 3
             Like :meth:`consult`, this is a synchronous shim — one
@@ -250,23 +250,17 @@ class RationalityAuthority:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release every registered inventor's long-lived resources.
+        """Close the consultation service, if one was started.
 
-        Sharding inventors keep a worker pool open between solves (that
-        is the batch amortization); the authority owns their lifecycle,
-        so hosts should ``close()`` it — or use the authority as a
-        context manager — when consultations are done.  Closing is
-        idempotent, never final: pools are recreated lazily on the next
-        solve, and every call releases the pools of *all currently
-        registered* inventors — including ones registered (or warmed
-        up) after an earlier ``close()``.  The consultation service is
-        closed first so its queue drains and its verifier pool is
-        released before the inventors' screening pools go away.
+        The service's queue drains, its deadline workers retire and a
+        path-bound cache is saved (see
+        :meth:`~repro.service.service.AuthorityService.close`).  Hosts
+        should ``close()`` the authority — or use it as a context
+        manager — when consultations are done.  Closing is idempotent,
+        never final: the authority stays usable afterwards.
         """
         if self._service is not None:
             self._service.close()
-        for inventor in self._inventors.values():
-            inventor.close()
 
     def __enter__(self) -> "RationalityAuthority":
         return self

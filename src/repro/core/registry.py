@@ -65,10 +65,6 @@ class VerificationContext:
     rng: random.Random
     prover: Any = None  # live prover handle for interactive formats
     backend: str = "exact"
-    #: Echo of the advice's search executor ("serial" / "sharded") —
-    #: informational, like ``backend``: certification is process-local
-    #: and exact whatever fan-out the inventor's search used.
-    executor: str = "serial"
     #: Echo of the advice's solve-cache state ("", "hit", "warm",
     #: "miss") — informational: a cache hit serves a previously
     #: certified solution, and the proof obligations this procedure

@@ -81,7 +81,6 @@ def advice_wire_summary(advice: Advice) -> dict[str, Any]:
         "suggestion": suggestion,
         "proof": proof,
         "backend": advice.backend,
-        "executor": advice.executor,
         # cache state is protocol-relevant (a verifier may price a hit
         # differently) and deterministic; wall times (solve_ms and
         # verify_ms alike) are telemetry and deliberately NOT on the
@@ -168,7 +167,6 @@ class ConsultationSession:
             concept=package.advice.concept.value,
             proof_format=package.advice.proof_format.value,
             backend=package.advice.backend,
-            executor=package.advice.executor,
             cache=package.advice.cache,
             solve_ms=package.advice.solve_ms,
         )
@@ -201,7 +199,7 @@ class ConsultationSession:
             procedure = self._registry.get(name)
             context = VerificationContext(
                 rng=self._rng, prover=package.prover, backend=advice.backend,
-                executor=advice.executor, cache=advice.cache,
+                cache=advice.cache,
             )
             try:
                 verdict = procedure.verify(self._game, advice, context)

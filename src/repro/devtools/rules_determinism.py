@@ -1,10 +1,9 @@
 """R2 — the determinism discipline: bit-identical replay is a feature.
 
-Identical telemetry must replay to identical decisions, warm cache
-state must be bit-identical across restarts, and sharded screening must
-return the same set in the same order for every worker count.  Code
-that reads wall clocks or ambient randomness on a result path breaks
-all three silently.  R2 flags:
+Warm cache state must be bit-identical across restarts, and screening
+must return the same set in the same order on every run.  Code that
+reads wall clocks or ambient randomness on a result path breaks both
+silently.  R2 flags:
 
 * wall-clock reads — ``time.time`` / ``time.time_ns`` /
   ``datetime.now`` / ``datetime.utcnow`` / ``datetime.today`` — outside

@@ -1,10 +1,9 @@
 """R5 — the lock discipline of the threaded service core.
 
-PR 3 retrofitted locks onto the shared state (``AuditLog``,
-``MessageBus``, ``ReputationStore``), PR 7 added the admission
-condition and the pipelined verify stage, PR 9 the deadline workers —
-and the discipline that keeps them deadlock- and race-free has lived in
-reviewer memory ever since.  R5 recovers it statically:
+The shared state (``AuditLog``, ``MessageBus``, ``ReputationStore``),
+the admission condition and the deadline workers all carry locks, and
+the discipline that keeps them deadlock- and race-free used to live in
+reviewer memory.  R5 recovers it statically:
 
 * **lock inventory** — ``self.x = threading.Lock()/RLock()`` attributes
   per class, with ``threading.Condition(self.y)`` recognized as an
@@ -25,8 +24,8 @@ reviewer memory ever since.  R5 recovers it statically:
 The analysis is intra-procedural by design: it sees ``with`` blocks and
 ``acquire()``/``release()`` pairs inside one method, not lock flow
 through calls.  That bounds both its cost and its false positives; the
-cross-method protocols (drain-lock-then-headroom, stage join barriers)
-are pinned by the runtime chaos suites instead.
+cross-method protocols (drain-lock-then-headroom, the deadline-task
+claim) are pinned by the runtime chaos suites instead.
 """
 
 from __future__ import annotations

@@ -228,8 +228,8 @@ class FaultPointRegistryRule(Rule):
         if not is_registry:
             # Any literal equal to a catalogue point counts as coverage
             # for the reverse check: hooks are sometimes reached through
-            # tiny wrappers (executors' lazy-import shim) whose call
-            # sites still spell the point by name.
+            # tiny wrappers whose call sites still spell the point by
+            # name.
             for node in ast.walk(module.tree):
                 if (isinstance(node, ast.Constant)
                         and isinstance(node.value, str)

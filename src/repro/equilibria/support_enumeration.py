@@ -26,13 +26,10 @@ backend decides a chunk's y-side Lemma-1 systems as one zero-padded
 stack built by fancy-indexing the float payoff matrix, then the
 survivors' x-sides as another; the stdlib float backend screens one
 pair at a time, warm-starting from the previous pair's basis when only
-one action changed) and can be sharded across worker processes by a
-pluggable executor — workers return plain picklable verdicts, nothing
-else.  **Reconstruct** re-solves surviving
-candidates exactly (support-restricted, on the fraction-free integer
-Bareiss kernel — bit-identical to Fraction elimination), always in the
-calling process.  **Certify** passes each wave's reconstructions
-through the exact Lemma-1 gate as one
+one action changed).  **Reconstruct** re-solves surviving candidates
+exactly (support-restricted, on the fraction-free integer Bareiss
+kernel — bit-identical to Fraction elimination).  **Certify** passes
+each wave's reconstructions through the exact Lemma-1 gate as one
 :func:`~repro.equilibria.mixed.certify_many` batch — all candidates of
 a wave share the game's cached integer-lattice payoffs — before
 anything is returned; an inconclusive or uncertifiable screen verdict
@@ -49,11 +46,12 @@ stopping after the first wave that holds a certified pair, so a game
 whose answer sits early in pair order screens a few dozen pairs, not
 all of them.
 
-Determinism: support pairs, the chunk schedule and resolution order are
-all fixed before any executor runs, so the returned equilibrium tuple is
-identical for every worker count (serial included).  On the numpy
-backend each pair's verdict is moreover the one its systems earn when
-screened alone, so not even the chunk sizes can change an answer.
+Determinism: support pairs are generated in a fixed order, every stage
+runs in the calling process, and candidates are resolved strictly in
+pair order, so the same game and policy always return the same
+equilibria.  On the numpy backend each pair's verdict is moreover the
+one its systems earn when screened alone, so not even the chunk sizes
+can change an answer.
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ import itertools
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from repro.equilibria.executors import make_executor
 from repro.errors import BackendError, EquilibriumError, LinearAlgebraError
 from repro.games.bimatrix import BimatrixGame
 from repro.games.profiles import MixedProfile
@@ -79,11 +76,9 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 #: Support pairs screened per work chunk in an exhaustive enumeration,
-#: and the width a first-hit scan's doubling schedule grows to.  Fixed
-#: (policy-overridable but never worker-count-dependent), so sharding
-#: cannot change results.  1024 amortizes the vectorized screen's
-#: per-stack overhead while still cutting a default-scale enumeration
-#: into enough shards to feed a multi-core pool.
+#: and the width a first-hit scan's doubling schedule grows to
+#: (policy-overridable).  1024 amortizes the vectorized screen's
+#: per-stack overhead while bounding the memory of one stack.
 DEFAULT_CHUNK_SIZE = 1024
 
 
@@ -347,7 +342,7 @@ def _search_setup(game: BimatrixGame, policy):
 
     The float payoffs — A, and B transposed — are converted once per
     search, into the form the backend reads (ndarrays for the numpy
-    backend), and travel to every screening chunk in its payload.
+    backend), and every screening chunk reads them.
     """
     n, m = game.action_counts
     backend = resolve_policy(policy).search_backend(n + m)
@@ -389,10 +384,10 @@ def _reconstruct_candidate(game: BimatrixGame, rs, cs, verdict):
 
 
 # ----------------------------------------------------------------------
-# Stage 2: the approximate screen (runs in workers when sharded)
+# Stage 2: the approximate screen
 # ----------------------------------------------------------------------
 
-#: Screen verdict codes — plain ints so chunk results pickle trivially.
+#: Screen verdict codes.
 SCREEN_PRUNED = 0      # confidently infeasible: drop the pair
 SCREEN_CANDIDATE = 1   # feasible both sides: carries refined supports
 SCREEN_EXACT = 2       # inconclusive: re-decide the pair exactly
@@ -582,23 +577,19 @@ def _lemma1_stack(payoff, owns, others):
     return SystemStack(a, b, sizes)
 
 
-def screen_support_chunk(payload):
-    """Screen one chunk of support pairs; plain data in, plain data out.
+def screen_support_chunk(backend, a_float, b_cols_float, pairs):
+    """Screen one chunk of support pairs; returns one verdict per pair.
 
-    ``payload`` is ``(backend, a_float, b_cols_float, pairs)``, the
-    payoffs as :func:`_search_setup` converted them.  Returns one
-    verdict per pair, in order: ``(SCREEN_PRUNED,)``,
-    ``(SCREEN_CANDIDATE, refined_cols, refined_rows)`` or
-    ``(SCREEN_EXACT,)``.  This is the sharding unit — it is a top-level
-    function over picklable values so a process pool can run it, and it
-    performs no exact arithmetic at all: certification never leaves the
-    parent process.
+    ``a_float`` and ``b_cols_float`` are the payoffs as
+    :func:`_search_setup` converted them.  Verdicts come back in pair
+    order: ``(SCREEN_PRUNED,)``, ``(SCREEN_CANDIDATE, refined_cols,
+    refined_rows)`` or ``(SCREEN_EXACT,)``.  No exact arithmetic runs
+    here; that is the reconstruct and certify stages' job.
 
     Backends with a batched screen decide all y-sides of the chunk as
     one padded stack, then all x-sides of the survivors as another;
     scalar backends screen pair by pair with warm-started bases.
     """
-    backend, a_float, b_cols_float, pairs = payload
     support_tol = backend.support_tol
     if backend.batched_screen:
         y_points = backend.screen_feasible(_lemma1_stack(
@@ -642,7 +633,7 @@ def screen_support_chunk(payload):
 
 
 # ----------------------------------------------------------------------
-# Stages 3 + 4: exact reconstruction and certification (parent only)
+# Stages 3 + 4: exact reconstruction and certification
 # ----------------------------------------------------------------------
 
 
@@ -682,7 +673,7 @@ FIRST_CHUNK_SIZE = 64
 
 
 def _chunk_sizes(backend, chunk_size, first_hit):
-    """The fixed chunk-size schedule of one scan (never worker-dependent).
+    """The fixed chunk-size schedule of one scan.
 
     A policy's ``chunk_size`` fixes every chunk; an exhaustive scan
     uses DEFAULT_CHUNK_SIZE; a first-hit scan uses
@@ -702,51 +693,29 @@ def _chunk_sizes(backend, chunk_size, first_hit):
             size = min(2 * size, DEFAULT_CHUNK_SIZE)
 
 
-def _screened_verdict_waves(backend, payoffs, pair_stream, chunk_sizes,
-                            executor):
+def _screened_verdict_waves(backend, payoffs, pair_stream, chunk_sizes):
     """Stream screened waves ``[((rs, cs), verdict), ...]`` in pair order.
 
-    Pairs come off the generator wave by wave (the next chunk of the
-    ``chunk_sizes`` schedule per worker, a single chunk when serial), so
-    the exponential pair space is never materialized and memory is
-    bounded by the in-flight wave.  Chunk boundaries depend only on the
-    schedule, and verdicts are yielded strictly in pair order whatever
-    the pool's completion order — the two determinism invariants
-    callers rely on.  Yielding whole waves (rather than single pairs)
-    lets the enumeration certify each wave's surviving candidates as
-    one batch.
+    Each wave is the next chunk of the ``chunk_sizes`` schedule, taken
+    off the pair generator, so the exponential pair space is never
+    materialized and memory is bounded by one chunk.  Yielding whole
+    waves (rather than single pairs) lets the enumeration certify each
+    wave's surviving candidates as one batch.
     """
     a_float, b_cols_float = payoffs
-    wave_width = max(1, getattr(executor, "workers", 1)) if executor else 1
     while True:
-        wave = [
-            chunk
-            for chunk in (
-                list(itertools.islice(pair_stream, next(chunk_sizes)))
-                for __ in range(wave_width)
-            )
-            if chunk
-        ]
-        if not wave:
+        chunk = list(itertools.islice(pair_stream, next(chunk_sizes)))
+        if not chunk:
             return
-        payloads = [(backend, a_float, b_cols_float, chunk) for chunk in wave]
-        if executor is None:
-            verdict_lists = [
-                screen_support_chunk(payload) for payload in payloads
-            ]
-        else:
-            verdict_lists = executor.map_chunks(screen_support_chunk, payloads)
-        yield [
-            pair_verdict
-            for chunk, verdicts in zip(wave, verdict_lists)
-            for pair_verdict in zip(chunk, verdicts)
-        ]
+        yield list(zip(chunk, screen_support_chunk(
+            backend, a_float, b_cols_float, chunk
+        )))
 
 
-def _screened_pairs(backend, payoffs, pair_stream, chunk_sizes, executor):
+def _screened_pairs(backend, payoffs, pair_stream, chunk_sizes):
     """Flattened :func:`_screened_verdict_waves` (for first-hit scans)."""
     for wave in _screened_verdict_waves(
-        backend, payoffs, pair_stream, chunk_sizes, executor
+        backend, payoffs, pair_stream, chunk_sizes
     ):
         yield from wave
 
@@ -793,7 +762,6 @@ def support_enumeration(
     game: BimatrixGame,
     equal_size_only: bool = False,
     policy=None,
-    executor=None,
 ) -> tuple[MixedProfile, ...]:
     """All equilibria found by support enumeration, deduplicated.
 
@@ -802,25 +770,17 @@ def support_enumeration(
     default scans every pair, which also picks up degenerate equilibria
     such as the Fig. 5 continuum's extreme points.
 
-    ``policy`` selects the numeric search backend and sharding
-    (``None``/"exact" is the seed behaviour; "float+certify" screens
-    support pairs one at a time in float64; "numpy" screens whole stacks
-    of pairs vectorized; "sharded" additionally fans screening chunks
-    across worker processes).  ``executor`` optionally supplies a live
-    :class:`~repro.equilibria.executors.ShardedExecutor` so a stream of
-    enumeration runs (e.g. a batch consultation) shares one worker pool;
-    when omitted, the policy's worker count decides and any pool is
-    scoped to this call.
+    ``policy`` selects the numeric search backend (``None``/"exact" is
+    the seed behaviour; "float+certify" screens support pairs one at a
+    time in float64; "numpy" screens whole stacks of pairs vectorized).
 
     Soundness is unconditional in every mode: nothing uncertified is
-    ever returned, and exact certification runs only in the calling
-    process.  *Completeness* of the approximate screens is heuristic:
+    ever returned.  *Completeness* of the approximate screens is heuristic:
     they row-equilibrate and treat only clear margins as infeasible
     (anything borderline is re-decided exactly), but a knife-edge
     support pair whose feasibility margin sits below float resolution
     can in principle be pruned.  Callers that must not miss any
-    equilibrium use the exact policy.  Results are deterministic for
-    every worker count.
+    equilibrium use the exact policy.
     """
     resolved = resolve_policy(policy)
     backend, payoffs = _search_setup(game, resolved)
@@ -829,7 +789,7 @@ def support_enumeration(
     out: list[MixedProfile] = []
 
     if backend is None:
-        # The seed path: exact LP per pair, no screen, no executor, and
+        # The seed path: exact LP per pair, no screen, and
         # no materialization — pairs stream straight off the generator.
         for rs, cs in support_pairs(n, m, equal_size_only=equal_size_only):
             result = equilibrium_for_supports(game, rs, cs)
@@ -843,23 +803,14 @@ def support_enumeration(
 
     chunk_sizes = _chunk_sizes(backend, resolved.chunk_size, first_hit=False)
     pair_stream = support_pairs(n, m, equal_size_only=equal_size_only)
-    own_executor = executor is None
-    if own_executor and resolved.resolved_workers() > 1:
-        executor = make_executor(resolved.resolved_workers())
-    try:
-        for wave in _screened_verdict_waves(
-            backend, payoffs, pair_stream, chunk_sizes, executor
-        ):
-            _resolve_screened_wave(game, wave, seen, out)
-    finally:
-        if own_executor and executor is not None:
-            executor.close()
+    for wave in _screened_verdict_waves(
+        backend, payoffs, pair_stream, chunk_sizes
+    ):
+        _resolve_screened_wave(game, wave, seen, out)
     return tuple(out)
 
 
-def find_one_equilibrium(
-    game: BimatrixGame, policy=None, executor=None
-) -> MixedProfile:
+def find_one_equilibrium(game: BimatrixGame, policy=None) -> MixedProfile:
     """The first equilibrium support enumeration finds (smallest support).
 
     Every finite game has one (Nash 1950), so exhausting the support pairs
@@ -875,11 +826,8 @@ def find_one_equilibrium(
     to DEFAULT_CHUNK_SIZE — so an early answer costs a small stack and
     a late one soon gets full-width stacks; the stdlib float backend
     screens SCALAR_FIND_CHUNK_SIZE pairs per chunk, and a policy's
-    ``chunk_size`` fixes every chunk.  With a sharded ``executor`` (or a
-    policy asking for one) each wave takes the schedule's next chunk per
-    worker; candidates are still resolved strictly in pair order, so the
-    returned equilibrium is identical for every worker count — wave
-    width only changes how much screening beyond the answer is wasted.
+    ``chunk_size`` fixes every chunk.  Candidates are resolved strictly
+    in pair order.
     """
     resolved = resolve_policy(policy)
     backend, payoffs = _search_setup(game, resolved)
@@ -896,19 +844,12 @@ def find_one_equilibrium(
 
     chunk_sizes = _chunk_sizes(backend, resolved.chunk_size, first_hit=True)
     pair_stream = support_pairs(n, m)
-    own_executor = executor is None
-    if own_executor and resolved.resolved_workers() > 1:
-        executor = make_executor(resolved.resolved_workers())
-    try:
-        for (rs, cs), verdict in _screened_pairs(
-            backend, payoffs, pair_stream, chunk_sizes, executor
-        ):
-            profile = _resolve_screened_pair(game, rs, cs, verdict)
-            if profile is not None:
-                return profile
-    finally:
-        if own_executor and executor is not None:
-            executor.close()
+    for (rs, cs), verdict in _screened_pairs(
+        backend, payoffs, pair_stream, chunk_sizes
+    ):
+        profile = _resolve_screened_pair(game, rs, cs, verdict)
+        if profile is not None:
+            return profile
     # The approximate screen may have pruned a knife-edge support pair;
     # the exact rescan is the authoritative answer.
     return find_one_equilibrium(game)

@@ -32,9 +32,6 @@ from repro.linalg.backend import (
     BACKEND_MODES,
     EXACT_BACKEND,
     EXACT_POLICY,
-    EXECUTOR_NAMES,
-    EXECUTOR_SERIAL,
-    EXECUTOR_SHARDED,
     FLOAT_BACKEND,
     FLOAT_CERTIFY_POLICY,
     INCONCLUSIVE,
@@ -44,7 +41,6 @@ from repro.linalg.backend import (
     MODE_NUMPY,
     NUMPY_BACKEND,
     NUMPY_POLICY,
-    SHARDED_POLICY,
     BackendPolicy,
     ExactBackend,
     FloatBackend,
@@ -74,9 +70,6 @@ __all__ = [
     "BACKEND_MODES",
     "EXACT_BACKEND",
     "EXACT_POLICY",
-    "EXECUTOR_NAMES",
-    "EXECUTOR_SERIAL",
-    "EXECUTOR_SHARDED",
     "FLOAT_BACKEND",
     "FLOAT_CERTIFY_POLICY",
     "INCONCLUSIVE",
@@ -86,7 +79,6 @@ __all__ = [
     "MODE_NUMPY",
     "NUMPY_BACKEND",
     "NUMPY_POLICY",
-    "SHARDED_POLICY",
     "BackendPolicy",
     "ExactBackend",
     "FloatBackend",

@@ -42,11 +42,6 @@ MODE_NUMPY = "numpy"
 MODE_AUTO = "auto"
 BACKEND_MODES = (MODE_EXACT, MODE_FLOAT_CERTIFY, MODE_NUMPY, MODE_AUTO)
 
-#: Executor names a policy can resolve to (see BackendPolicy.workers).
-EXECUTOR_SERIAL = "serial"
-EXECUTOR_SHARDED = "sharded"
-EXECUTOR_NAMES = (EXECUTOR_SERIAL, EXECUTOR_SHARDED)
-
 
 #: Default threshold below which a probability in an approximate
 #: solution is read as "off the support" when solvers extract candidate
@@ -417,7 +412,7 @@ def _best_approximate_backend() -> NumericBackend:
 
 @dataclass(frozen=True)
 class BackendPolicy:
-    """Which backend — and how many shards — a solver run should search on.
+    """Which backend a solver run should search on.
 
     ``auto`` sizes the decision: small systems pivot exactly about as
     fast as they certify, so auto keeps them on the exact path and
@@ -428,17 +423,12 @@ class BackendPolicy:
     ``mode="numpy"`` requested explicitly falls back the same way, so a
     policy never fails to resolve on a bare interpreter.
 
-    ``workers`` selects the screening executor: ``1`` screens in
-    process (``serial``); ``> 1`` shards support-pair chunks across that
-    many worker processes (``sharded``); ``0`` means "one worker per
-    CPU".  ``chunk_size`` overrides the deterministic chunking used by
-    both executors (the default is picked by the enumeration layer);
-    results are identical for every worker count by construction.
+    ``chunk_size`` overrides the deterministic screening chunk size
+    (the default is picked by the enumeration layer).
     """
 
     mode: str = MODE_EXACT
     auto_threshold: int = 10
-    workers: int = 1
     chunk_size: int | None = None
 
     def __post_init__(self):
@@ -448,8 +438,6 @@ class BackendPolicy:
             )
         if self.auto_threshold < 0:
             raise LinearAlgebraError("auto_threshold must be non-negative")
-        if self.workers < 0:
-            raise LinearAlgebraError("workers must be non-negative (0 = one per CPU)")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise LinearAlgebraError("chunk_size must be positive")
 
@@ -465,29 +453,18 @@ class BackendPolicy:
             return _best_approximate_backend()
         return EXACT_BACKEND
 
-    def resolved_workers(self) -> int:
-        """The concrete worker count (``0`` resolved to the CPU count)."""
-        if self.workers == 0:
-            import os
-
-            return max(1, os.cpu_count() or 1)
-        return self.workers
-
 
 #: Canonical policy instances.
 EXACT_POLICY = BackendPolicy(MODE_EXACT)
 FLOAT_CERTIFY_POLICY = BackendPolicy(MODE_FLOAT_CERTIFY)
 NUMPY_POLICY = BackendPolicy(MODE_NUMPY)
 AUTO_POLICY = BackendPolicy(MODE_AUTO)
-#: "sharded" as a mode string: vectorized search, one worker per CPU.
-SHARDED_POLICY = BackendPolicy(MODE_NUMPY, workers=0)
 
 _POLICY_BY_MODE = {
     MODE_EXACT: EXACT_POLICY,
     MODE_FLOAT_CERTIFY: FLOAT_CERTIFY_POLICY,
     MODE_NUMPY: NUMPY_POLICY,
     MODE_AUTO: AUTO_POLICY,
-    "sharded": SHARDED_POLICY,
 }
 
 
@@ -495,8 +472,7 @@ def resolve_policy(policy) -> BackendPolicy:
     """Normalize ``None`` / mode string / policy object to a policy.
 
     ``None`` means the seed behaviour: everything exact.  Mode strings
-    accept the four backend modes plus ``"sharded"`` (numpy search,
-    process-pool screening with one worker per CPU).
+    accept the four backend modes.
     """
     if policy is None:
         return EXACT_POLICY
@@ -508,7 +484,7 @@ def resolve_policy(policy) -> BackendPolicy:
         except KeyError:
             raise LinearAlgebraError(
                 f"unknown backend mode {policy!r}; expected one of "
-                f"{BACKEND_MODES + ('sharded',)}"
+                f"{BACKEND_MODES}"
             ) from None
     raise LinearAlgebraError(f"cannot interpret backend policy {policy!r}")
 

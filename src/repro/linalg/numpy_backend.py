@@ -237,7 +237,7 @@ class NumpyBackend(FloatBackend):
         Dantzig entering rule and the smallest-basis-label ratio
         tie-break make every trajectory deterministic and, with each
         system's own iteration cap, independent of the other systems
-        in the stack — so no batching or sharding can change answers.
+        in the stack — so batching cannot change answers.
         """
         a, b, sizes = stack
         batch, nrows, ncols = a.shape

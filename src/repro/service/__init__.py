@@ -1,4 +1,4 @@
-"""The consultation service layer: queue → pool → certify → cache.
+"""The consultation service layer: queue → solve → certify → cache.
 
 An async, future-based surface over the core authority
 (:class:`AuthorityService`), the cross-run fingerprint-keyed
@@ -9,19 +9,10 @@ for the online parallel-links game.  The synchronous
 ``RationalityAuthority.consult`` / ``consult_many`` calls are thin
 shims over this package.
 
-Two operational companions close the loop on load:
-:mod:`repro.service.load` (the open-loop harness measuring
-latency-under-load and saturation) and :mod:`repro.service.autotune`
-(the deterministic hysteresis controller that sizes the verify pool
-and screening shards from the service's own drain telemetry).
+:mod:`repro.service.load` is the open-loop harness that measures
+latency under load and saturation.
 """
 
-from repro.service.autotune import (
-    AdaptiveController,
-    AutotuneConfig,
-    DrainSample,
-    Resize,
-)
 from repro.service.cache import CacheStats, SolveCache, game_fingerprint
 from repro.service.faults import (
     FaultPlan,
@@ -76,10 +67,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "read_cache_file",
     "write_cache_file",
-    "AdaptiveController",
-    "AutotuneConfig",
-    "DrainSample",
-    "Resize",
     "ArrivalSchedule",
     "LoadReport",
     "SaturationResult",

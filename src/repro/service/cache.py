@@ -363,7 +363,6 @@ class SolveCache:
         self,
         game: BimatrixGame,
         policy=None,
-        executor=None,
         equal_size_only: bool = False,
     ) -> tuple[MixedProfile, ...]:
         """All equilibria of ``game``, served from cache on exact repeats.
@@ -372,7 +371,7 @@ class SolveCache:
         returns the same (bit-identical, exact) set, so a set computed
         under one policy answers for all of them.  Cold calls delegate
         to :func:`repro.equilibria.support_enumeration.support_enumeration`
-        with the given policy/executor and store the certified result.
+        with the given policy and store the certified result.
         A set restored from disk re-certifies every member through the
         Lemma-1 gate against ``game`` before its first serve (the
         membership half of the contract; completeness of a stored set
@@ -412,7 +411,6 @@ class SolveCache:
                 )
         result = support_enumeration(
             game, equal_size_only=equal_size_only, policy=policy,
-            executor=executor,
         )
         with self._lock:
             if fingerprint is None:

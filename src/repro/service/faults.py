@@ -3,12 +3,12 @@
 The paper's authority must stay trustworthy when *participants*
 misbehave; this module is the operational counterpart — the stack must
 degrade predictably when the *infrastructure* misbehaves: a solver that
-wedges, a verifier worker that dies, a process pool that breaks
-mid-screen, a disk that refuses or corrupts writes, a pump iteration
-that throws.  A :class:`FaultPlan` scripts such failures exactly —
-which injection point, which call, which action — so a chaos test is as
-reproducible as any other seeded test: the same plan against the same
-stream fails in the same place every run.
+wedges or throws, a verification step that crashes, a disk that refuses
+or corrupts writes, a pump iteration that throws.  A :class:`FaultPlan`
+scripts such failures exactly — which injection point, which call,
+which action — so a chaos test is as reproducible as any other seeded
+test: the same plan against the same stream fails in the same place
+every run.
 
 **Injection points.**  A small closed catalogue, each one a named line
 the production code already crosses:
@@ -16,9 +16,7 @@ the production code already crosses:
 ======================  ================================================
 ``solve``               the drain's solve stage (cache lookup + search),
                         :meth:`AuthorityService._stage_solve`
-``verify.conclude``     the verify/conclude stage (inline or on a
-                        verify-pool puller)
-``pool.chunk``          a screening executor handing chunks to its pool
+``verify.conclude``     the verify/conclude stage, on the draining thread
 ``journal.append``      the write-behind journal's durable append
 ``snapshot.write``      the atomic whole-cache snapshot write
 ``cache.load``          reading warm state (snapshot bytes) from disk
@@ -65,7 +63,6 @@ ENV_VAR = "REPRO_FAULT_PLAN"
 INJECTION_POINTS = (
     "solve",
     "verify.conclude",
-    "pool.chunk",
     "journal.append",
     "snapshot.write",
     "cache.load",
@@ -87,10 +84,12 @@ def _broken_pool() -> type:
 
 #: Named exception types a ``raise`` spec may choose.  ``fault`` (the
 #: default) is the typed chaos error; the rest let a plan speak each
-#: subsystem's native failure dialect — ``broken-pool`` exercises the
-#: executor rebuild latch, ``oserror`` the journal's disk-failure
-#: retry/degrade path, ``system-exit`` a worker-killing crash that
-#: escapes ``except Exception`` routing (puller respawn).
+#: subsystem's native failure dialect — ``broken-pool`` raises what a
+#: dead process pool raises (an ordinary ``Exception``, routed into the
+#: failing consultation's future), ``oserror`` exercises the journal's
+#: disk-failure retry/degrade path, ``system-exit`` a crash that escapes
+#: ``except Exception`` routing (the drain fails every outstanding
+#: future, then re-raises).
 _ERROR_FACTORIES = {
     "fault": lambda: FaultInjected,
     "runtime": lambda: RuntimeError,
@@ -158,8 +157,8 @@ class FaultPlan:
     """A seeded, deterministic script of injected failures.
 
     Thread-safe: call counters are kept under a lock (injection points
-    are hit from the drain thread, verify pullers, the deadline
-    watchdog and the server's executor threads at once), and hangs
+    are hit from the drain thread, the deadline watchdog and the
+    server's executor threads at once), and hangs
     sleep on an event that :func:`disarm` sets — a plan never strands a
     sleeper past its own lifetime.
     """

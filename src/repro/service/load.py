@@ -20,11 +20,11 @@ The harness composes three orthogonal pieces:
   schedule while the calling thread pumps ``service.drain()``;
   per-consultation latency comes straight off the existing
   :class:`~repro.service.futures.ConsultationFuture` telemetry
-  (admission to resolution, queue wait included).  On a pool-less
-  interpreter (``REPRO_FORCE_SERIAL``, or threads unavailable) the
-  driver degrades to a paced inline loop and says so in the report's
-  ``mode`` — open-loop evidence needs a second thread; the fallback
-  keeps the harness *runnable* everywhere.
+  (admission to resolution, queue wait included).  Under
+  ``REPRO_FORCE_SERIAL`` (see :func:`pools_disabled`), or when threads
+  are unavailable, the driver degrades to a paced inline loop and says
+  so in the report's ``mode`` — open-loop evidence needs a second
+  thread; the fallback keeps the harness *runnable* everywhere.
 
 :func:`find_saturation` walks an offered-rate ladder and reports the
 last sustained rate and the first rate whose p99 exceeds the bound —
@@ -37,6 +37,7 @@ shed (backpressured) submissions separately from completed ones.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -44,7 +45,6 @@ from typing import Callable, Sequence
 
 from repro.analysis.stats import latency_summary
 from repro.errors import AdmissionError, GameError
-from repro.equilibria.executors import pools_disabled
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
 from repro.rng import make_rng
@@ -53,6 +53,19 @@ from repro.rng import make_rng
 KIND_COLD = "cold"
 KIND_REPEAT = "repeat"
 KIND_NEAR = "near"
+
+
+def pools_disabled() -> bool:
+    """True when ``REPRO_FORCE_SERIAL`` asks for single-threaded runs.
+
+    :func:`run_load`'s ``"auto"`` mode reads it to pace arrivals on the
+    draining thread instead of a submitter thread, so a bare-interpreter
+    CI leg exercises the inline fallback.  The conventional falsy
+    spellings (``0``, ``false``, ``no``, empty) leave threads enabled,
+    so a CI matrix can set the variable on both legs.
+    """
+    value = os.environ.get("REPRO_FORCE_SERIAL", "")
+    return value.strip().lower() not in ("", "0", "false", "no")
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +266,7 @@ class LoadReport:
     the service refused under backpressure (they are *offered* load,
     so they count toward ``offered_rate`` but not ``throughput``).
     ``mode`` is ``"open-loop"`` (submitter thread + draining caller)
-    or ``"inline"`` (the pool-less paced fallback).
+    or ``"inline"`` (the single-threaded paced fallback).
     """
 
     label: str

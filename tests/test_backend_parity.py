@@ -3,8 +3,9 @@
 The two-phase pipeline's contract is that backends change *cost*, never
 *answers*: on a batch of small random bimatrix games — and on the
 committed degenerate instances, where approximate search is most likely
-to wander — ``exact``, ``float+certify``, ``numpy`` and sharded
-screening must return identical equilibrium sets.  (On random games the
+to wander — ``exact``, ``float+certify`` and ``numpy`` screening (at
+the default chunk size and at 32 pairs) must return identical
+equilibrium sets.  (On random games the
 sets are generically unique; pinning the degenerate instances as well
 keeps the vectorized and warm-started screens honest about vertex
 selection.)
@@ -25,13 +26,13 @@ from repro.linalg.backend import (
 )
 
 # Every non-exact search mode under test.  Without numpy the "numpy"
-# and sharded policies resolve to the stdlib float backend — exercising
-# exactly the documented fallback.
+# policies resolve to the stdlib float backend — exercising exactly the
+# documented fallback.
 MODES = [
     pytest.param(BackendPolicy(MODE_FLOAT_CERTIFY), id="float+certify"),
     pytest.param(BackendPolicy(MODE_NUMPY), id="numpy"),
     pytest.param(
-        BackendPolicy(MODE_NUMPY, workers=2, chunk_size=32), id="sharded-2"
+        BackendPolicy(MODE_NUMPY, chunk_size=32), id="numpy-chunk-32"
     ),
 ]
 

@@ -16,7 +16,7 @@ from repro.core.audit_events import (
     EVENT_BATCH_CONSULTATION,
 )
 from repro.core.authority import RationalityAuthority
-from repro.core.registry import VerificationContext, standard_procedures
+from repro.core.registry import standard_procedures
 from repro.core.session import advice_wire_summary
 from repro.errors import ProtocolError
 from repro.crypto import KeyRegistry
@@ -29,7 +29,7 @@ from repro.online.consultation import (
     verify_advices,
 )
 
-SHARDED = BackendPolicy(MODE_NUMPY, workers=2, chunk_size=32)
+CHUNKED = BackendPolicy(MODE_NUMPY, chunk_size=32)
 
 
 def _authority_with(inventor, games):
@@ -55,45 +55,44 @@ class TestConsultMany:
         ids = [game_id for game_id, __ in games]
 
         batch_inv = BimatrixInventor(
-            "inv", method="support-enumeration", backend=SHARDED
+            "inv", method="support-enumeration", backend=CHUNKED
         )
         batch_auth = _authority_with(batch_inv, games)
         batched = batch_auth.consult_many("jane", ids)
-        batch_inv.close()
 
         single_inv = BimatrixInventor(
-            "inv", method="support-enumeration", backend=SHARDED
+            "inv", method="support-enumeration", backend=CHUNKED
         )
         single_auth = _authority_with(single_inv, games)
         singles = [single_auth.consult("jane", game_id) for game_id in ids]
-        single_inv.close()
 
         assert [o.advice.suggestion for o in batched] == [
             o.advice.suggestion for o in singles
         ]
         assert all(o.majority.accepted and o.adopted for o in batched)
 
-    def test_records_backend_and_executor_in_advice_and_audit(self):
+    def test_records_backend_in_advice_and_audit(self):
         games = _games(count=2)
         inventor = BimatrixInventor(
-            "inv", method="support-enumeration", backend=SHARDED
+            "inv", method="support-enumeration", backend=CHUNKED
         )
         authority = _authority_with(inventor, games)
         outcomes = authority.consult_many("jane", [gid for gid, __ in games])
-        inventor.close()
         from repro.linalg.backend import numpy_available
 
         expected_backend = "numpy" if numpy_available() else "float+certify"
         for outcome in outcomes:
             assert outcome.advice.backend == expected_backend
-            assert outcome.advice.executor in ("sharded", "serial")
             summary = advice_wire_summary(outcome.advice)
-            assert summary["executor"] == outcome.advice.executor
+            assert summary["backend"] == expected_backend
         batch_events = authority.audit.events_of(EVENT_BATCH_CONSULTATION)
         assert len(batch_events) == 1
         delivered = authority.audit.events_of(EVENT_ADVICE_DELIVERED)
         assert delivered
-        assert all("executor" in event.details for event in delivered)
+        assert all(
+            event.details["backend"] == expected_backend
+            for event in delivered
+        )
 
     def test_empty_batch(self):
         inventor = PureNashInventor("pure")
@@ -112,33 +111,16 @@ class TestConsultMany:
         requests = [("pd", game, 0, "open"), ("pd", game, 1, "open")]
         packages = inventor.advise_many(requests)
         assert [p.advice.agent for p in packages] == [0, 1]
-        assert all(p.advice.executor == "serial" for p in packages)
 
 
-class TestAdviceExecutorField:
-    def test_validation(self):
-        with pytest.raises(ProtocolError):
-            Advice(
-                game_id="g", agent=0, concept=SolutionConcept.PURE_NASH,
-                proof_format=ProofFormat.EMPTY_PROOF, suggestion=(0, 0),
-                proof=None, executor="gpu",
-            )
-
+class TestAdviceBackendField:
     def test_numpy_backend_mode_accepted(self):
         advice = Advice(
             game_id="g", agent=0, concept=SolutionConcept.PURE_NASH,
             proof_format=ProofFormat.EMPTY_PROOF, suggestion=(0, 0),
-            proof=None, backend="numpy", executor="sharded",
+            proof=None, backend="numpy",
         )
         assert advice.backend == "numpy"
-
-    def test_verification_context_echoes_executor(self):
-        import random
-
-        context = VerificationContext(
-            rng=random.Random(0), backend="numpy", executor="sharded"
-        )
-        assert context.executor == "sharded"
 
 
 class TestOnlineBurstConsultation:

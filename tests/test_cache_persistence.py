@@ -512,9 +512,7 @@ class TestServiceIntegration:
         path = tmp_path / "concurrent.json"
         bases = [random_bimatrix(4, 4, seed=120 + i) for i in range(6)]
         games = [(f"g{i}", g) for i, g in enumerate(bases)]
-        authority, service = _service_fixture(
-            tmp_path, path, games, verify_workers=2
-        )
+        authority, service = _service_fixture(tmp_path, path, games)
         futures = [service.submit("jane", f"g{i}") for i in range(6)]
         stop = threading.Event()
         failures: list[BaseException] = []

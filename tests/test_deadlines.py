@@ -8,6 +8,7 @@ drain abandoned the wedged solve instead of waiting it out.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -137,4 +138,28 @@ class TestDeadlineOutcomes:
         assert all(f.deadline_ms == 60_000 for f in futures)
         service.drain()
         assert all(f.result().majority.accepted for f in futures)
+        authority.close()
+
+
+def _repro_threads() -> set:
+    return {
+        thread for thread in threading.enumerate()
+        if thread.name.startswith("repro-")
+    }
+
+
+class TestThreadLifecycle:
+    def test_close_returns_threads_to_baseline(self):
+        baseline = _repro_threads()
+        authority = _authority()
+        service = AuthorityService(authority)
+        assert service.submit("jane", "g0").result().majority.accepted
+        deadlined = service.submit("jane", "g1", deadline_ms=60_000)
+        assert deadlined.result().majority.accepted
+        assert _repro_threads() - baseline  # the watchdog worker
+        service.close()
+        expires = time.monotonic() + 10.0
+        while _repro_threads() - baseline and time.monotonic() < expires:
+            time.sleep(0.01)
+        assert not _repro_threads() - baseline
         authority.close()

@@ -95,10 +95,10 @@ class TestFaultPlanFiring:
                 plan.apply("solve")
         from concurrent.futures.process import BrokenProcessPool
 
-        plan = FaultPlan([FaultSpec("pool.chunk", "raise",
+        plan = FaultPlan([FaultSpec("solve", "raise",
                                     error="broken-pool")])
         with pytest.raises(BrokenProcessPool):
-            plan.apply("pool.chunk")
+            plan.apply("solve")
 
     def test_corruption_is_seeded_and_single_bit(self):
         data = b"x" * 64

@@ -1,4 +1,4 @@
-"""The load harness, admission backpressure, and pipelined-drain parity.
+"""The load harness, admission backpressure, and the drain's guarantees.
 
 Three contracts from the service's load story:
 
@@ -8,9 +8,9 @@ Three contracts from the service's load story:
 * admission backpressure raises or blocks exactly as configured, with
   every shed/blocked admission in the audit trail, and the pending
   counter stays O(1)-consistent through it all;
-* the pipelined drain (``verify_workers > 1``) is bit-identical to the
-  serial drain (``REPRO_FORCE_SERIAL=1``) — threads are a throughput
-  device, never part of the answer.
+* a drain resolves every future admitted before it returns, audits its
+  latency percentiles, and leaves no thread that keeps the interpreter
+  alive.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from repro.core.actors import AuthorityAgent, BimatrixInventor
 from repro.core.audit_events import EVENT_BACKPRESSURE, EVENT_SERVICE_DRAINED
 from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
-from repro.equilibria.executors import pools_disabled
-from repro.errors import AdmissionError, GameError
+from repro.errors import AdmissionError, GameError, ProtocolError
 from repro.crypto import KeyRegistry
 from repro.online.consultation import OnlineLinkInventorService
 from repro.service import (
@@ -50,6 +49,7 @@ from repro.service.load import (
     KIND_REPEAT,
     ArrivalSchedule,
     LoadReport,
+    pools_disabled,
 )
 
 
@@ -154,12 +154,12 @@ class TestMixedStream:
 class TestRunLoad:
     def test_open_loop_completes_and_classifies(self):
         authority, stream = _published(count=16)
-        service = AuthorityService(authority, verify_workers=2)
+        service = AuthorityService(authority)
         schedule = poisson_arrivals(rate=500.0, count=len(stream), seed=1)
         report = run_load(service, "jane", stream, schedule)
-        # A pool-less interpreter (REPRO_FORCE_SERIAL in the caller's
-        # environment) degrades to the paced inline loop; everything
-        # below holds for both modes.
+        # REPRO_FORCE_SERIAL in the caller's environment degrades the
+        # harness to the paced inline loop; everything below holds for
+        # both modes.
         expected_mode = "inline" if pools_disabled() else "open-loop"
         assert report.mode == expected_mode
         assert report.completed == len(stream)
@@ -176,13 +176,24 @@ class TestRunLoad:
     def test_inline_fallback_under_forced_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_FORCE_SERIAL", "1")
         authority, stream = _published(count=6)
-        service = AuthorityService(authority, verify_workers=4)
+        service = AuthorityService(authority)
         schedule = uniform_arrivals(rate=1000.0, count=len(stream))
         report = run_load(service, "jane", stream, schedule)
         assert report.mode == "inline"
         assert report.completed == len(stream)
         service.close()
         authority.close()
+
+    def test_force_serial_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FORCE_SERIAL", "1")
+        assert pools_disabled()
+
+    def test_force_serial_falsy_spellings_leave_threads_on(self, monkeypatch):
+        for value in ("0", "false", "no", "", "  FALSE "):
+            monkeypatch.setenv("REPRO_FORCE_SERIAL", value)
+            assert not pools_disabled(), value
+        monkeypatch.setenv("REPRO_FORCE_SERIAL", "true")
+        assert pools_disabled()
 
     def test_stream_schedule_length_mismatch(self):
         authority, stream = _published(count=4)
@@ -323,6 +334,53 @@ class TestBackpressure:
         service.close()
         authority.close()
 
+    def test_blocked_admissions_release_at_half_the_mark(self):
+        authority, stream = _published(count=6)
+        service = AuthorityService(
+            authority, max_pending=4, backpressure="block"
+        )
+        for entry in stream[:4]:
+            service.submit("jane", entry.game_id)
+        admitted = threading.Event()
+
+        def late_submitter():
+            service.submit_many("jane", [e.game_id for e in stream[4:6]])
+            admitted.set()
+
+        thread = threading.Thread(target=late_submitter, daemon=True)
+        thread.start()
+        time.sleep(0.05)
+        assert not admitted.is_set()  # 4 + 2 > 4: blocked
+        service.drain(max_batches=1)  # 3 pending: still above 4 // 2
+        time.sleep(0.05)
+        assert not admitted.is_set()
+        service.drain(max_batches=1)  # 2 pending: the release mark
+        assert admitted.wait(timeout=5.0)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert service.pending_count == 4
+        blocked = [
+            r for r in authority.audit.events_of(EVENT_BACKPRESSURE)
+            if r.details["action"] == "blocked"
+        ]
+        assert len(blocked) == 1
+        service.close()
+        authority.close()
+
+    def test_admission_settings_validated(self):
+        authority = _authority()
+        with pytest.raises(ProtocolError):
+            AuthorityService(authority, max_pending=0)
+        with pytest.raises(ProtocolError):
+            AuthorityService(authority, max_pending=2, backpressure="drop")
+        # A negative timeout would shed every blocked admission at once.
+        with pytest.raises(ProtocolError):
+            AuthorityService(
+                authority, max_pending=2, backpressure="block",
+                block_timeout=-1.0,
+            )
+        authority.close()
+
     def test_pending_counter_tracks_queue_exactly(self):
         authority, stream = _published(count=8)
         service = AuthorityService(authority)
@@ -350,37 +408,12 @@ class TestBackpressure:
         adviser.submit(1.0)  # headroom again after the drain
 
 
-class TestPipelinedParity:
-    """Pipelined and serial drains are bit-identical (the soundness pin)."""
+class TestDrain:
+    """What a drain guarantees its callers and the interpreter."""
 
-    @staticmethod
-    def _outcomes(verify_workers, monkeypatch=None):
-        authority, stream = _published(count=14, seed=21)
-        service = AuthorityService(authority, verify_workers=verify_workers)
-        futures = [
-            service.submit("jane", entry.game_id) for entry in stream
-        ]
-        service.drain()
-        outcomes = [future.result() for future in futures]
-        service.close()
-        authority.close()
-        return outcomes
-
-    def test_pipelined_matches_forced_serial(self, monkeypatch):
-        pipelined = self._outcomes(verify_workers=4)
-        monkeypatch.setenv("REPRO_FORCE_SERIAL", "1")
-        serial = self._outcomes(verify_workers=4)
-        assert len(pipelined) == len(serial) == 14
-        for fast, slow in zip(pipelined, serial):
-            # Bit-identical advice: same suggestion (exact Fractions),
-            # same certification verdict, same cache classification.
-            assert fast.advice.suggestion == slow.advice.suggestion
-            assert fast.advice.cache == slow.advice.cache
-            assert fast.majority.accepted and slow.majority.accepted
-
-    def test_pipelined_drain_resolves_every_future_before_returning(self):
+    def test_drain_resolves_every_future_before_returning(self):
         authority, stream = _published(count=10)
-        service = AuthorityService(authority, verify_workers=3)
+        service = AuthorityService(authority)
         futures = [
             service.submit("jane", entry.game_id) for entry in stream
         ]
@@ -391,7 +424,7 @@ class TestPipelinedParity:
 
     def test_drained_record_reports_latency_percentiles(self):
         authority, stream = _published(count=8)
-        service = AuthorityService(authority, verify_workers=2)
+        service = AuthorityService(authority)
         for entry in stream:
             service.submit("jane", entry.game_id)
         service.drain()
@@ -402,7 +435,6 @@ class TestPipelinedParity:
         assert details["latency_p95_ms"] <= details["latency_p99_ms"]
         assert details["latency_p99_ms"] <= details["max_latency_ms"]
         assert details["max_verify_ms"] > 0.0
-        assert details["verify_workers"] == (1 if pools_disabled() else 2)
         service.close()
         authority.close()
 
@@ -419,10 +451,8 @@ class TestPipelinedParity:
         authority.close()
 
     def test_unclosed_service_does_not_hang_interpreter_exit(self):
-        # The verify-stage pullers idle on a queue between drains; if
-        # they held the interpreter open, any script that forgets
-        # ``service.close()`` would hang at exit.  The pullers are
-        # daemon threads precisely so this subprocess terminates.
+        # A script that forgets ``service.close()`` must still exit:
+        # nothing the service starts may hold the interpreter open.
         script = textwrap.dedent(
             """
             from repro.core.actors import AuthorityAgent, BimatrixInventor
@@ -441,7 +471,7 @@ class TestPipelinedParity:
             )
             stream = mixed_game_stream(4, size=3, seed=1)
             publish_stream(authority, "inv", stream)
-            service = AuthorityService(authority, verify_workers=3)
+            service = AuthorityService(authority)
             outcomes = [
                 service.submit("jane", e.game_id).result() for e in stream
             ]

@@ -16,7 +16,6 @@ from repro.linalg import (
     NUMPY_BACKEND,
     BackendPolicy,
     numpy_available,
-    resolve_policy,
     solve_square,
 )
 from repro.linalg.backend import MODE_AUTO, MODE_NUMPY
@@ -40,11 +39,6 @@ class TestRegistration:
         auto = BackendPolicy(MODE_AUTO, auto_threshold=10)
         assert auto.search_backend(9).exact
         assert isinstance(auto.search_backend(10), NumpyBackend)
-
-    def test_sharded_policy_string(self):
-        policy = resolve_policy("sharded")
-        assert policy.mode == MODE_NUMPY
-        assert policy.resolved_workers() >= 1
 
     def test_tolerance_validation(self):
         with pytest.raises(LinearAlgebraError):
@@ -174,7 +168,7 @@ class TestTryBasis:
 
 
 class TestPickling:
-    """Sharded screening ships backends and sentinels across processes."""
+    """Backends and the INCONCLUSIVE sentinel survive a pickle round trip."""
 
     def test_backend_round_trips(self):
         clone = pickle.loads(pickle.dumps(NUMPY_BACKEND))

@@ -171,9 +171,6 @@ class TestEndpoints:
         # The supervision/degradation block is always present.
         failures = body["failures"]
         assert failures["deadlines_exceeded"] == 0
-        assert failures["verify_respawns"] == 0
-        assert failures["pool_rebuilds"] == 0
-        assert failures["pool_degradations"] == 0
         assert failures["pump_failures"] == {}
 
 

@@ -20,29 +20,23 @@ import signal
 import subprocess
 import sys
 
-import pytest
-
 SRC = pathlib.Path(__file__).parent.parent / "src"
 GAMES = 6
 
 
-def _env(force_serial: bool) -> dict:
+def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    if force_serial:
-        env["REPRO_FORCE_SERIAL"] = "1"
-    else:
-        env.pop("REPRO_FORCE_SERIAL", None)
     return env
 
 
-def start_server(state_dir, force_serial: bool):
+def start_server(state_dir):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.server",
          "--state-dir", str(state_dir), "--games", str(GAMES),
          "--size", "3", "--flush-every-drains", "1",
          "--poll-interval", "0.1"],
-        stdout=subprocess.PIPE, text=True, env=_env(force_serial),
+        stdout=subprocess.PIPE, text=True, env=_env(),
     )
     try:
         line = proc.stdout.readline()
@@ -69,11 +63,9 @@ def consult(port: int, game_id: str) -> dict:
         conn.close()
 
 
-@pytest.mark.parametrize("force_serial", [False, True],
-                         ids=["parallel", "force-serial"])
-def test_sigkill_recovery_is_bit_identical(tmp_path, force_serial):
+def test_sigkill_recovery_is_bit_identical(tmp_path):
     state_dir = tmp_path / "state"
-    proc, port = start_server(state_dir, force_serial)
+    proc, port = start_server(state_dir)
     try:
         cold = {
             f"g{i}": consult(port, f"g{i}")["advice"]["suggestion"]
@@ -86,7 +78,7 @@ def test_sigkill_recovery_is_bit_identical(tmp_path, force_serial):
     journal = state_dir / "journal.jsonl"
     assert journal.exists() and journal.stat().st_size > 0
 
-    proc, port = start_server(state_dir, force_serial)
+    proc, port = start_server(state_dir)
     try:
         hits = 0
         for i in range(GAMES):
@@ -116,7 +108,7 @@ def test_sigkill_recovery_is_bit_identical(tmp_path, force_serial):
 
 def test_sigterm_drains_snapshots_and_exits_zero(tmp_path):
     state_dir = tmp_path / "state"
-    proc, port = start_server(state_dir, force_serial=False)
+    proc, port = start_server(state_dir)
     try:
         for i in range(3):
             consult(port, f"g{i}")
@@ -131,7 +123,7 @@ def test_sigterm_drains_snapshots_and_exits_zero(tmp_path):
     assert (state_dir / "snapshot.json").exists()
     assert (state_dir / "journal.jsonl").stat().st_size == 0
     # A third run warm-loads the snapshot: all hits immediately.
-    proc, port = start_server(state_dir, force_serial=False)
+    proc, port = start_server(state_dir)
     try:
         body = consult(port, "g0")
         assert body["advice"]["cache"] == "hit"

@@ -252,7 +252,7 @@ class TestConcurrentServiceDemo:
             backend=BackendPolicy(MODE_NUMPY, chunk_size=64),
         )
         authority = _authority(inventor, games)
-        service = AuthorityService(authority, verify_workers=4)
+        service = AuthorityService(authority)
         futures = [service.submit("jane", gid) for gid, __ in games]
         assert service.pending_count == 100
         outcomes = [future.result() for future in futures]
@@ -287,7 +287,7 @@ class TestAsyncAPI:
         authority = _authority(inventor, games)
 
         async def main():
-            async with AuthorityService(authority, verify_workers=2) as service:
+            async with AuthorityService(authority) as service:
                 outcomes = await asyncio.gather(
                     *(
                         service.async_consult("jane", gid)
@@ -321,9 +321,9 @@ class TestAsyncAPI:
 
 
 class TestAuthorityCloseRegression:
-    """Satellite: close() is idempotent and reaches late inventors."""
+    """close() is idempotent and non-final, also across late inventors."""
 
-    def test_close_releases_pools_registered_after_first_close(self):
+    def test_close_is_idempotent_and_non_final(self):
         authority = RationalityAuthority(seed=4)
         authority.register_verifiers(standard_procedures())
         authority.register_agent(AuthorityAgent("jane", player_role=0))
@@ -337,7 +337,7 @@ class TestAuthorityCloseRegression:
         late = BimatrixInventor(
             "late",
             method="support-enumeration",
-            backend=BackendPolicy(MODE_NUMPY, workers=2, chunk_size=32),
+            backend=BackendPolicy(MODE_NUMPY, chunk_size=32),
         )
         authority.register_inventor(late)
         authority.publish_game(
@@ -345,12 +345,7 @@ class TestAuthorityCloseRegression:
         )
         outcome = authority.consult("jane", "g1")
         assert outcome.majority.accepted
-        # The late inventor's screening pool (started after the first
-        # close) is released by a later close — and close stays
-        # idempotent and non-final.
-        assert late._executor is not None
         authority.close()
-        assert late._executor is None
         authority.close()
         assert authority.consult("jane", "g0").adopted  # still usable
 

@@ -4,7 +4,7 @@ Support enumeration screens each side of a chunk's Lemma-1 systems as
 one zero-padded numpy stack.  These tests pin that padding changes
 nothing: every pair's verdict equals the one its two systems earn when
 screened alone, iteration caps included, and the first equilibrium
-found does not depend on how the pairs are chunked or sharded.  They
+found does not depend on how the pairs are chunked.  They
 also pin the support-hint shortcut that skips the exact LP when a
 hint's own equality system already decides it.
 """
@@ -82,13 +82,12 @@ def _screened_alone(backend, game, pairs):
 
 
 def _screened_stacked(backend, game, pairs):
-    payload = (
+    return screen_support_chunk(
         backend,
         backend.float_payoffs(game.row_matrix),
         backend.float_payoffs(game.column_matrix_transposed),
         pairs,
     )
-    return screen_support_chunk(payload)
 
 
 @requires_numpy
@@ -141,11 +140,11 @@ class TestWaveSchedule:
             found = find_one_equilibrium(game, policy=policy)
             assert found.distributions == expected.distributions
 
-    def test_answer_independent_of_workers(self):
+    def test_answer_is_repeatable(self):
         for game in (random_bimatrix(5, 5, seed=4500), _degenerate(6, 4, 4501)):
             expected = find_one_equilibrium(game, policy="numpy")
-            sharded = BackendPolicy(MODE_NUMPY, workers=2)
-            found = find_one_equilibrium(game, policy=sharded)
+            policy = BackendPolicy(MODE_NUMPY)
+            found = find_one_equilibrium(game, policy=policy)
             assert found.distributions == expected.distributions
 
 
