@@ -43,6 +43,7 @@ the same per-inventor ``consultation.batch`` records (and
 from __future__ import annotations
 
 import asyncio
+import math
 import queue
 import threading
 import time
@@ -295,8 +296,12 @@ class AuthorityService:
             )
         if max_pending is not None and max_pending < 1:
             raise ProtocolError("max_pending must be positive")
-        if block_timeout is not None and block_timeout < 0:
-            raise ProtocolError("block_timeout must be non-negative")
+        if block_timeout is not None and not 0 <= block_timeout < math.inf:
+            # NaN and infinity would reach Condition.wait and raise
+            # there, inside an admission; None is the wait-forever value.
+            raise ProtocolError(
+                "block_timeout must be a finite non-negative number"
+            )
         self._authority = authority
         # The service persists (and audits) only a cache it created;
         # a caller-owned cache manages its own persistence.

@@ -17,6 +17,7 @@ from repro.linalg import (
 )
 from repro.online.parallel_links import LeastLoadedTracker
 from repro.linalg.backend import (
+    BACKEND_MODES,
     MODE_AUTO,
     MODE_EXACT,
     MODE_FLOAT_CERTIFY,
@@ -99,6 +100,23 @@ class TestBackendPolicy:
         assert resolve_policy("float+certify").mode == MODE_FLOAT_CERTIFY
         policy = BackendPolicy(MODE_AUTO, auto_threshold=8)
         assert resolve_policy(policy) is policy
+
+    @pytest.mark.parametrize("mode", BACKEND_MODES)
+    def test_every_mode_string_resolves_to_its_shared_policy(self, mode):
+        policy = resolve_policy(mode)
+        assert policy.mode == mode
+        assert policy.chunk_size is None
+        assert resolve_policy(mode) is policy
+        assert policy == BackendPolicy(mode)
+
+    def test_sharded_is_not_a_mode(self):
+        # Screening always runs in the calling process; a stale
+        # "sharded" spelling must fail loudly, not fall back silently.
+        assert "sharded" not in BACKEND_MODES
+        with pytest.raises(LinearAlgebraError, match="expected one of"):
+            resolve_policy("sharded")
+        with pytest.raises(LinearAlgebraError):
+            BackendPolicy("sharded")
 
     def test_search_backend_selection(self):
         assert BackendPolicy(MODE_EXACT).search_backend(100).exact

@@ -122,6 +122,23 @@ class TestAdviceBackendField:
         )
         assert advice.backend == "numpy"
 
+    def test_wire_summary_fields(self):
+        advice = Advice(
+            game_id="g", agent=0, concept=SolutionConcept.PURE_NASH,
+            proof_format=ProofFormat.EMPTY_PROOF, suggestion=(0, 1),
+            proof=None, backend="numpy",
+        )
+        assert advice_wire_summary(advice) == {
+            "game_id": "g",
+            "agent": 0,
+            "concept": SolutionConcept.PURE_NASH.value,
+            "proof_format": ProofFormat.EMPTY_PROOF.value,
+            "suggestion": [0, 1],
+            "proof": None,
+            "backend": "numpy",
+            "cache": "",
+        }
+
 
 class TestOnlineBurstConsultation:
     def _loads(self, count=30):

@@ -137,6 +137,23 @@ class TestAdvice:
         assert "Consequences" in text
         assert "pure-nash" in text
 
+    @pytest.mark.parametrize("backend", ["exact", "float+certify", "numpy"])
+    def test_describe_advice_names_approximate_backends(self, backend):
+        advice = Advice(
+            game_id="g",
+            agent=0,
+            concept=SolutionConcept.PURE_NASH,
+            proof_format=ProofFormat.EMPTY_PROOF,
+            suggestion=(0, 0),
+            proof=None,
+            backend=backend,
+        )
+        text = describe_advice(advice)
+        if backend == "exact":
+            assert "Solver backend" not in text
+        else:
+            assert f"Solver backend: {backend} (search was approximate;" in text
+
 
 class TestProcedures:
     def test_certificate_procedure_accepts_valid(self):

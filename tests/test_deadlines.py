@@ -148,6 +148,14 @@ def _repro_threads() -> set:
     }
 
 
+def _leftover_threads(baseline: set, timeout: float = 10.0) -> set:
+    """The ``repro-*`` threads beyond ``baseline`` once they settle."""
+    expires = time.monotonic() + timeout
+    while _repro_threads() - baseline and time.monotonic() < expires:
+        time.sleep(0.01)
+    return _repro_threads() - baseline
+
+
 class TestThreadLifecycle:
     def test_close_returns_threads_to_baseline(self):
         baseline = _repro_threads()
@@ -158,8 +166,78 @@ class TestThreadLifecycle:
         assert deadlined.result().majority.accepted
         assert _repro_threads() - baseline  # the watchdog worker
         service.close()
-        expires = time.monotonic() + 10.0
-        while _repro_threads() - baseline and time.monotonic() < expires:
-            time.sleep(0.01)
-        assert not _repro_threads() - baseline
+        assert not _leftover_threads(baseline)
+        authority.close()
+
+    def test_drain_without_deadlines_starts_no_thread(self):
+        authority = _authority()
+        service = AuthorityService(authority)
+        before = set(threading.enumerate())
+        futures = [service.submit("jane", f"g{i}") for i in range(3)]
+        service.drain()
+        assert all(f.result().majority.accepted for f in futures)
+        assert not set(threading.enumerate()) - before
+        service.close()
+        authority.close()
+
+    def test_verification_runs_on_the_draining_thread(self, monkeypatch):
+        from repro.core.session import ConsultationSession
+
+        verified_on = []
+        real_verify = ConsultationSession.verify
+
+        def recording_verify(session, *args, **kwargs):
+            verified_on.append(threading.get_ident())
+            return real_verify(session, *args, **kwargs)
+
+        monkeypatch.setattr(ConsultationSession, "verify", recording_verify)
+        authority = _authority()
+        service = AuthorityService(authority)
+        # A deadlined solve runs on a watchdog worker; its verification
+        # still comes back to the draining thread.
+        futures = [
+            service.submit("jane", "g0"),
+            service.submit("jane", "g1", deadline_ms=60_000),
+        ]
+        service.drain()
+        assert all(f.result().majority.accepted for f in futures)
+        assert verified_on == [threading.get_ident()] * 2
+        service.close()
+        authority.close()
+
+    def test_abandoned_solve_thread_exits_after_release(self):
+        baseline = _repro_threads()
+        authority = _authority()
+        service = AuthorityService(authority)
+        with faults.armed("solve:hang:30@1"):
+            wedged = service.submit("jane", "g0", deadline_ms=200)
+            service.drain()
+            assert isinstance(wedged.exception(), DeadlineExceeded)
+            assert _repro_threads() - baseline  # still hung
+        # Disarming released the hang: the abandoned worker finishes its
+        # solve, discards the result and retires once the runner closes.
+        service.close()
+        assert not _leftover_threads(baseline)
+        authority.close()
+
+    def test_authority_close_returns_threads_to_baseline(self):
+        baseline = _repro_threads()
+        authority = _authority()
+        outcome = authority.service.submit(
+            "jane", "g0", deadline_ms=60_000
+        ).result()
+        assert outcome.majority.accepted
+        authority.close()
+        assert not _leftover_threads(baseline)
+
+    def test_failure_counters_hold_only_deadline_expiries(self):
+        authority = _authority()
+        service = AuthorityService(authority)
+        assert service.failure_counters() == {"deadlines_exceeded": 0}
+        future = service.submit("jane", "g0", deadline_ms=1)
+        time.sleep(0.02)
+        service.drain()
+        assert isinstance(future.exception(), DeadlineExceeded)
+        assert service.failure_counters() == {"deadlines_exceeded": 1}
+        service.close()
         authority.close()

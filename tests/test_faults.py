@@ -72,6 +72,13 @@ class TestParsePlan:
         plan = parse_plan("; solve:raise@1 ;;")
         assert len(plan.specs) == 1
 
+    def test_screening_has_no_injection_point(self):
+        # Screening runs inside the solve; a plan still naming the old
+        # pool point is refused rather than silently never firing.
+        assert "pool.chunk" not in faults.INJECTION_POINTS
+        with pytest.raises(ProtocolError, match="unknown injection point"):
+            parse_plan("pool.chunk:raise:broken-pool@1")
+
 
 class TestFaultPlanFiring:
     def test_fires_on_exact_calls_with_typed_error(self):
@@ -169,3 +176,53 @@ class TestArming:
     def test_plan_rejects_non_specs(self):
         with pytest.raises(ProtocolError):
             FaultPlan(["solve:raise"])
+
+
+def _service():
+    from repro.core.actors import AuthorityAgent, BimatrixInventor
+    from repro.core.authority import RationalityAuthority
+    from repro.core.registry import standard_procedures
+    from repro.games.generators import random_bimatrix
+    from repro.service import AuthorityService
+
+    authority = RationalityAuthority(seed=3)
+    authority.register_verifiers(standard_procedures())
+    authority.register_inventor(BimatrixInventor("inv"))
+    authority.register_agent(AuthorityAgent("jane", player_role=0))
+    for i in range(2):
+        authority.publish_game(
+            "inv", f"g{i}", random_bimatrix(3, 3, seed=8700 + i)
+        )
+    return authority, AuthorityService(authority)
+
+
+class TestServiceDialects:
+    """How the drain routes each dialect raised by a solve."""
+
+    def test_broken_pool_fails_only_its_consultation(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        authority, service = _service()
+        with faults.armed("solve:raise:broken-pool@1"):
+            failed = service.submit("jane", "g0")
+            healthy = service.submit("jane", "g1")
+            service.drain()
+        assert isinstance(failed.exception(), BrokenProcessPool)
+        assert healthy.result().majority.accepted
+        # Nothing to rebuild: the next solve of the same game succeeds.
+        assert service.submit("jane", "g0").result().majority.accepted
+        service.close()
+        authority.close()
+
+    def test_system_exit_fails_outstanding_futures_then_escapes(self):
+        authority, service = _service()
+        with faults.armed("solve:raise:system-exit@1"):
+            first = service.submit("jane", "g0")
+            second = service.submit("jane", "g1")
+            with pytest.raises(SystemExit):
+                service.drain()
+        assert isinstance(first.exception(), SystemExit)
+        assert isinstance(second.exception(), SystemExit)
+        assert service.pending_count == 0
+        service.close()
+        authority.close()

@@ -195,6 +195,41 @@ class TestRunLoad:
         monkeypatch.setenv("REPRO_FORCE_SERIAL", "true")
         assert pools_disabled()
 
+    def test_force_serial_other_spellings_disable_threads(self, monkeypatch):
+        for value in ("1", "yes", "on", " True ", "serial"):
+            monkeypatch.setenv("REPRO_FORCE_SERIAL", value)
+            assert pools_disabled(), value
+        monkeypatch.delenv("REPRO_FORCE_SERIAL")
+        assert not pools_disabled()
+
+    def test_open_loop_and_inline_runs_agree(self):
+        # The submitter thread only paces arrivals: both modes serve
+        # every game the same certified answer, with the same cache
+        # classification, in the same order.
+        runs = []
+        for mode in ("open-loop", "inline"):
+            authority, stream = _published(count=14, seed=21)
+            service = AuthorityService(authority)
+            schedule = uniform_arrivals(rate=2000.0, count=len(stream))
+            report = run_load(service, "jane", stream, schedule, mode=mode)
+            assert report.mode == mode
+            # Each re-consultation is a cache hit serving the answer
+            # the run certified.
+            answers = {
+                entry.game_id:
+                    service.submit("jane", entry.game_id)
+                    .result().advice.suggestion
+                for entry in stream
+            }
+            runs.append((
+                report.completed, report.failed, report.shed,
+                report.cache_counts, report.kind_counts, answers,
+            ))
+            service.close()
+            authority.close()
+        assert runs[0] == runs[1]
+        assert runs[0][:3] == (14, 0, 0)
+
     def test_stream_schedule_length_mismatch(self):
         authority, stream = _published(count=4)
         service = AuthorityService(authority)
@@ -381,6 +416,59 @@ class TestBackpressure:
             )
         authority.close()
 
+    @pytest.mark.parametrize(
+        "timeout", [float("nan"), float("inf"), float("-inf")],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_non_finite_block_timeout_rejected(self, timeout):
+        # NaN and infinity would otherwise reach Condition.wait and
+        # raise out of the first blocked admission.
+        authority = _authority()
+        with pytest.raises(ProtocolError):
+            AuthorityService(
+                authority, max_pending=2, backpressure="block",
+                block_timeout=timeout,
+            )
+        authority.close()
+
+    def test_zero_block_timeout_sheds_without_waiting(self):
+        authority, stream = _published(count=3)
+        service = AuthorityService(
+            authority, max_pending=1, backpressure="block",
+            block_timeout=0.0,
+        )
+        service.submit("jane", stream[0].game_id)
+        started = time.monotonic()
+        with pytest.raises(AdmissionError):
+            service.submit("jane", stream[1].game_id)
+        assert time.monotonic() - started < 1.0
+        (record,) = authority.audit.events_of(EVENT_BACKPRESSURE)
+        assert record.details["action"] == "timed-out"
+        assert service.pending_count == 1
+        service.drain()
+        assert service.completed_count == 1
+        service.close()
+        authority.close()
+
+    def test_block_policy_admits_an_oversize_batch_into_an_empty_queue(self):
+        # A batch larger than the high-water mark can never fit, so the
+        # block policy admits it once the queue is at the release mark
+        # instead of waiting forever; it is still admitted whole.
+        authority, stream = _published(count=5)
+        service = AuthorityService(
+            authority, max_pending=2, backpressure="block",
+            block_timeout=5.0,
+        )
+        futures = service.submit_many(
+            "jane", [entry.game_id for entry in stream[:3]]
+        )
+        assert len(futures) == 3
+        assert service.pending_count == 3
+        service.drain()
+        assert all(f.result().majority.accepted for f in futures)
+        service.close()
+        authority.close()
+
     def test_pending_counter_tracks_queue_exactly(self):
         authority, stream = _published(count=8)
         service = AuthorityService(authority)
@@ -435,6 +523,24 @@ class TestDrain:
         assert details["latency_p95_ms"] <= details["latency_p99_ms"]
         assert details["latency_p99_ms"] <= details["max_latency_ms"]
         assert details["max_verify_ms"] > 0.0
+        service.close()
+        authority.close()
+
+    def test_drained_record_fields(self):
+        authority, stream = _published(count=4)
+        service = AuthorityService(authority)
+        for entry in stream:
+            service.submit("jane", entry.game_id)
+        service.drain()
+        (record,) = authority.audit.events_of(EVENT_SERVICE_DRAINED)
+        assert set(record.details) == {
+            "submissions", "queue_depth",
+            "latency_p50_ms", "latency_p95_ms", "latency_p99_ms",
+            "max_latency_ms", "max_verify_ms",
+            "cache_hits", "cache_warm_hits", "cache_misses",
+            "cache_hit_rate",
+        }
+        assert record.details["queue_depth"] == 4
         service.close()
         authority.close()
 

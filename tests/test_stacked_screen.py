@@ -11,23 +11,29 @@ hint's own equality system already decides it.
 
 from __future__ import annotations
 
+import hashlib
+import threading
+
 import pytest
 
 from repro.core.actors import BimatrixInventor
 from repro.equilibria.mixed import is_mixed_nash
 from repro.equilibria.support_enumeration import (
     SCREEN_EXACT,
+    SCREEN_PRUNED,
     UNDERDETERMINED,
     _feasibility_rows,
     _triage,
     find_one_equilibrium,
     reconstruct_one_side,
     screen_support_chunk,
+    support_enumeration,
     support_pairs,
 )
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
 from repro.linalg.backend import (
+    FLOAT_BACKEND,
     INCONCLUSIVE,
     MODE_NUMPY,
     NUMPY_BACKEND,
@@ -146,6 +152,84 @@ class TestWaveSchedule:
             policy = BackendPolicy(MODE_NUMPY)
             found = find_one_equilibrium(game, policy=policy)
             assert found.distributions == expected.distributions
+
+
+def _support_of(profile):
+    return tuple(
+        tuple(i for i, p in enumerate(dist) if p)
+        for dist in profile.distributions
+    )
+
+
+class TestScreenVerdicts:
+    """Both screen paths keep every pair that carries an equilibrium."""
+
+    @pytest.mark.parametrize("backend", [
+        pytest.param(FLOAT_BACKEND, id="scalar-float"),
+        pytest.param(NUMPY_BACKEND, id="stacked-numpy", marks=requires_numpy),
+    ])
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 6), (5, 5)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_equilibrium_supports_survive_the_screen(self, backend, shape):
+        game = random_bimatrix(*shape, seed=4600 + shape[0] * shape[1])
+        pairs = list(support_pairs(*game.action_counts))
+        verdicts = _screened_stacked(backend, game, pairs)
+        assert len(verdicts) == len(pairs)
+        verdict_of = dict(zip(pairs, verdicts))
+        equilibria = support_enumeration(game)
+        assert equilibria
+        for profile in equilibria:
+            assert verdict_of[_support_of(profile)] != (SCREEN_PRUNED,)
+
+
+#: SHA-256 over the corpus's first-hit and full-enumeration answers.
+#: The three policies agree on every game, so they share one digest;
+#: a change to it means a served answer changed.
+ANSWER_DIGEST = (
+    "1b309d5f0d7837567c4754de8bb8e89af68fa93ed6002db514b1a24c48105967"
+)
+
+
+def _answer_line(game, kind, profile):
+    cells = "|".join(
+        ",".join(str(p) for p in dist) for dist in profile.distributions
+    )
+    return f"{game.name}:{kind}:{cells}\n".encode()
+
+
+class TestAnswersPinned:
+    @pytest.mark.parametrize("policy", ["exact", "float+certify", "numpy"])
+    def test_answers_match_the_recorded_digest(self, policy):
+        digest = hashlib.sha256()
+        for game in _corpus():
+            first = find_one_equilibrium(game, policy=policy)
+            digest.update(_answer_line(game, "one", first))
+            for profile in support_enumeration(game, policy=policy):
+                digest.update(_answer_line(game, "all", profile))
+        assert digest.hexdigest() == ANSWER_DIGEST
+
+
+class TestInProcessSearch:
+    @pytest.mark.parametrize("policy", ["exact", "float+certify", "numpy"])
+    def test_search_starts_no_thread_or_process(self, policy, monkeypatch):
+        import multiprocessing.process
+
+        started = []
+
+        def refuse(worker, *args, **kwargs):
+            started.append(worker)
+            raise AssertionError(f"the search started {worker!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", refuse
+        )
+        for game in (random_bimatrix(5, 5, seed=4700), _degenerate(4, 6, 4701)):
+            found = find_one_equilibrium(game, policy=policy)
+            assert is_mixed_nash(game, found)
+            assert found in support_enumeration(game, policy=policy)
+        monkeypatch.undo()
+        assert started == []
 
 
 class TestSupportHintShortcut:
