@@ -79,8 +79,8 @@ def test_bench_server_http(
 
     # --- In-process baseline: no socket, no journal.  Same cache
     # logic as the HTTP side (in-memory SolveCache) so both paths take
-    # the same hint-driven solves and the advice identity below is
-    # deterministic; the only delta left is wire + durability.
+    # the same solves and the advice identity below is deterministic;
+    # the only delta left is wire + durability.
     authority = _authority(bases)
     service = AuthorityService(authority, solve_cache=SolveCache())
     start = time.perf_counter()
@@ -140,9 +140,8 @@ def test_bench_server_http(
     # --- Soundness across transports. ---
     assert http_advice == inproc_advice, "HTTP advice diverged from in-process"
     cold_states = http_states[:games]
-    # A cold game may still solve "warm" off another game's support
-    # hint; what cannot happen on a fresh state dir is a full "hit".
-    assert all(s in ("miss", "warm") for s in cold_states), cold_states
+    # A fresh state dir has nothing to hit: every first consult solves.
+    assert all(s == "miss" for s in cold_states), cold_states
 
     # --- Restart on the surviving state dir: warm serving must be
     # cache hits, bit-identical to the cold advice.  Also hosts the

@@ -82,8 +82,7 @@ def main() -> None:
     service = AuthorityService(authority, cache_path=cache_file)
     loaded = authority.audit.events_of(EVENT_CACHE_LOADED)[-1]
     print("\n--- restarted run ---")
-    print(f"warm-loaded: {loaded.details['profiles']} profiles, "
-          f"{loaded.details['hints']} hint shapes")
+    print(f"warm-loaded: {loaded.details['profiles']} profiles")
     warm = consult_stream(authority, service, "warm")
     identical = all(
         w.advice.suggestion == c.advice.suggestion for w, c in zip(warm, cold)

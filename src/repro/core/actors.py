@@ -31,10 +31,7 @@ from repro.games.participation import ParticipationGame
 from repro.games.profiles import MixedProfile
 from repro.equilibria.lemke_howson import lemke_howson
 from repro.equilibria.pure import maximal_pure_nash, pure_nash_equilibria
-from repro.equilibria.support_enumeration import (
-    equilibrium_for_supports,
-    find_one_equilibrium,
-)
+from repro.equilibria.support_enumeration import find_one_equilibrium
 from repro.equilibria.symmetric import participation_equilibrium, symmetric_equilibria
 from repro.interactive.p1 import P1Prover
 from repro.interactive.p2 import P2Prover
@@ -171,10 +168,10 @@ class BimatrixInventor(GameInventor):
     :class:`~repro.service.cache.SolveCache`: solves are then keyed by
     the game's canonical payoff fingerprint, so an exact repeat (same
     payoff bytes, any game id) serves the previously certified profile
-    without searching, and a near-repeat of the same shape tries the
-    cache's winning-support hints — one exact support-restricted solve —
-    before falling back to a full screen.  The consultation service
-    attaches its cache here via :meth:`attach_solve_cache`.
+    without searching; anything else is a cold search, so the answer
+    depends only on the game and the policy, never on what the cache
+    saw before.  The consultation service attaches its cache here via
+    :meth:`attach_solve_cache`.
     """
 
     def __init__(self, name: str, method: str = "lemke-howson",
@@ -227,65 +224,6 @@ class BimatrixInventor(GameInventor):
         """Measured wall time of this game's hard step (ms; -1 unknown)."""
         return self._solve_ms.get(game_id, -1.0)
 
-    def _try_support_hints(self, game: BimatrixGame, hints):
-        """One exact support-restricted solve per cached winning pair.
-
-        The cross-run warm start: a near-repeat game very often carries
-        its equilibrium on a support pair that already won for an
-        earlier same-shaped game.  Each hint is re-decided from scratch
-        on *this* game's exact payoffs, so a stale hint can cost one
-        exact solve, never an uncertified answer.  The cheap route runs
-        first: both Lemma-1 sides re-solved as linear systems on the
-        fraction-free Bareiss kernel and the result pushed through the
-        integer-lattice certification gate — when the hinted system
-        pins a unique mix (the generic case) this decides the hint
-        without touching the exact LP, and the unique solution is
-        necessarily the same profile the LP would return.  A side whose
-        system is inconsistent, or whose unique solution fails the side
-        conditions, decides the hint: the exact LP on the same supports
-        is infeasible, so it is not run.  Underdetermined or uncertified
-        hints fall back to ``equilibrium_for_supports`` (the full
-        exact-LP decision).  Note that on any game with several equilibria
-        (degenerate or not) a hint may legitimately settle on a
-        different (equally exact) equilibrium than the cold enumeration
-        order would — which is why the solve is recorded as ``"warm"``.
-        """
-        from repro.equilibria.mixed import certify_mixed_profile
-        from repro.equilibria.support_enumeration import (
-            UNDERDETERMINED,
-            reconstruct_one_side,
-        )
-        from repro.errors import ProfileError
-
-        n, m = game.action_counts
-        for rs, cs in hints:
-            if not rs or not cs or max(rs) >= n or max(cs) >= m:
-                continue
-            y_side = reconstruct_one_side(
-                game.row_matrix, rs, cs, m, report_underdetermined=True
-            )
-            if y_side is None:
-                continue
-            x_side = reconstruct_one_side(
-                game.column_matrix_transposed, cs, rs, n,
-                report_underdetermined=True,
-            )
-            if x_side is None:
-                continue
-            if y_side is not UNDERDETERMINED and x_side is not UNDERDETERMINED:
-                try:
-                    profile = MixedProfile((x_side[0], y_side[0]))
-                except ProfileError:
-                    profile = None
-                if profile is not None and certify_mixed_profile(
-                    game, profile
-                ) is not None:
-                    return profile
-            result = equilibrium_for_supports(game, rs, cs)
-            if result is not None:
-                return result[0]
-        return None
-
     def solve(self, game_id: str, game: BimatrixGame) -> MixedProfile:
         """The inventor's expensive step, cached per game id *and* — when
         a cross-run cache is attached — per exact payoff fingerprint."""
@@ -308,26 +246,15 @@ class BimatrixInventor(GameInventor):
                         time.perf_counter() - started
                     ) * 1000.0
                     return cached
-        status = "" if fingerprint is None else "miss"
-        profile = None
         if self._method == "lemke-howson":
             profile = lemke_howson(game, 0, policy=self._policy)
         else:
-            if cache is not None:
-                profile = self._try_support_hints(
-                    game, cache.support_hints(game.action_counts)
-                )
-                if profile is not None:
-                    status = "warm" if fingerprint is not None else ""
-            if profile is None:
-                profile = find_one_equilibrium(game, policy=self._policy)
+            profile = find_one_equilibrium(game, policy=self._policy)
         if cache is not None and fingerprint is not None:
             cache.store_profile(fingerprint, self._method, mode, profile)
-            cache.note_solved(warm=(status == "warm"))
-            if self._method == "support-enumeration":
-                cache.note_hint(game.action_counts, profile.supports())
+            cache.note_solved()
         self._cache[game_id] = profile
-        self._cache_status[game_id] = status
+        self._cache_status[game_id] = "" if fingerprint is None else "miss"
         self._solve_ms[game_id] = (time.perf_counter() - started) * 1000.0
         return profile
 

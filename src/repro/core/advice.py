@@ -25,11 +25,9 @@ RESOLVED_BACKEND_MODES = (MODE_EXACT, MODE_FLOAT_CERTIFY, MODE_NUMPY)
 
 #: What the cross-run solve cache did for this advice's hard step:
 #: ``""`` — no cache attached; ``"hit"`` — the certified solution was
-#: served straight from the cache (no search at all); ``"warm"`` — a
-#: cached support hint resolved the game with one exact solve, skipping
-#: the screen; ``"miss"`` — a full cold search ran (and populated the
-#: cache).
-CACHE_STATES = ("", "hit", "warm", "miss")
+#: served straight from the cache (no search at all); ``"miss"`` — a
+#: full cold search ran (and populated the cache).
+CACHE_STATES = ("", "hit", "miss")
 
 
 class SolutionConcept(enum.Enum):
@@ -253,10 +251,5 @@ def describe_advice(advice: Advice) -> str:
         notice += (
             " Solve cache: hit (a previously certified solution for these "
             "exact payoffs was served; the proof obligations are unchanged)."
-        )
-    elif advice.cache == "warm":
-        notice += (
-            " Solve cache: warm (a cached support hint resolved the game "
-            "with one exact solve, skipping the screening phase)."
         )
     return notice

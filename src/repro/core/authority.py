@@ -186,20 +186,9 @@ class RationalityAuthority:
         """
         with self._service_lock:
             if self._service is None:
-                from repro.service.cache import SolveCache
                 from repro.service.service import AuthorityService
 
-                # The default service keeps the synchronous shims
-                # strictly reproducible: exact-fingerprint hits only
-                # (deterministic solvers make those bit-identical to a
-                # fresh solve), no near-repeat support hints — on any
-                # game with several equilibria a hint may settle on a
-                # different (equally exact) equilibrium than cold
-                # enumeration order, which a behavior-identical shim
-                # must not do.
-                self._service = AuthorityService(
-                    self, solve_cache=SolveCache(use_hints=False)
-                )
+                self._service = AuthorityService(self)
         return self._service
 
     def consult(

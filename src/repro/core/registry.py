@@ -65,8 +65,8 @@ class VerificationContext:
     rng: random.Random
     prover: Any = None  # live prover handle for interactive formats
     backend: str = "exact"
-    #: Echo of the advice's solve-cache state ("", "hit", "warm",
-    #: "miss") — informational: a cache hit serves a previously
+    #: Echo of the advice's solve-cache state ("", "hit", "miss")
+    #: — informational: a cache hit serves a previously
     #: certified solution, and the proof obligations this procedure
     #: checks are identical either way.
     cache: str = ""

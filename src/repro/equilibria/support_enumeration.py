@@ -14,13 +14,17 @@ sides):
   a common value λ2 and all columns outside S2 earn at most λ2.
 
 Each side is an LP feasibility question.  The search is organized as an
-explicit four-stage pipeline::
+explicit five-stage pipeline::
 
-    generate  →  screen  →  reconstruct  →  certify
+    generate  →  decide  →  screen  →  reconstruct  →  certify
 
 **Generate** lists candidate support pairs in a fixed deterministic
-order.  **Screen** decides, approximately and cheaply, which pairs can
-possibly carry an equilibrium; it runs on a configurable
+order.  **Decide** settles exactly, on the game's integer lattice, every
+pair with a one-action side: a pure row pins the row mix, so Lemma 1
+reduces to a plain comparison (likewise for a pure column), and a pair
+failing it is dropped before any LP is built.  **Screen** decides,
+approximately and cheaply, which of the remaining pairs can possibly
+carry an equilibrium; it runs on a configurable
 :class:`~repro.linalg.backend.NumericBackend` (the vectorized numpy
 backend decides a chunk's y-side Lemma-1 systems as one zero-padded
 stack built by fancy-indexing the float payoff matrix, then the
@@ -34,9 +38,10 @@ each wave's reconstructions through the exact Lemma-1 gate as one
 a wave share the game's cached integer-lattice payoffs — before
 anything is returned; an inconclusive or uncertifiable screen verdict
 falls back to the seed's exact LP for that pair, so no approximate
-profile ever escapes and soundness is unconditional in every mode.  With the default exact backend there is no
-screen at all: everything is Fractions end to end, exactly as the seed
-behaved.
+profile ever escapes and soundness is unconditional in every mode.
+With the default exact backend there is no screen at all: the pairs
+the decide stage keeps go straight to the exact LP, Fractions end to
+end.
 
 Screening runs chunk by chunk off a fixed schedule of chunk sizes.  An
 exhaustive enumeration screens DEFAULT_CHUNK_SIZE pairs per chunk.  A
@@ -49,9 +54,10 @@ all of them.
 Determinism: support pairs are generated in a fixed order, every stage
 runs in the calling process, and candidates are resolved strictly in
 pair order, so the same game and policy always return the same
-equilibria.  On the numpy backend each pair's verdict is moreover the
-one its systems earn when screened alone, so not even the chunk sizes
-can change an answer.
+equilibria.  The decide stage drops only pairs no backend could answer
+from, so it changes cost, never an answer.  On the numpy backend each
+pair's verdict is moreover the one its systems earn when screened
+alone, so not even the chunk sizes can change an answer.
 """
 
 from __future__ import annotations
@@ -155,20 +161,12 @@ def _exact_one_side(
     return tuple(full_mix), value
 
 
-#: What :func:`reconstruct_one_side` returns, when asked, for a side
-#: whose equality system does not pin a unique mix.
-UNDERDETERMINED = type("_Underdetermined", (), {
-    "__repr__": lambda self: "UNDERDETERMINED",
-})()
-
-
 def reconstruct_one_side(
     payoff_rows: Sequence[Sequence[Fraction]],
     own_support: tuple[int, ...],
     refined_other: tuple[int, ...],
     num_other_actions: int,
-    report_underdetermined: bool = False,
-):
+) -> tuple[tuple[Fraction, ...], Fraction] | None:
     """Exact support-restricted re-solve of a float candidate.
 
     Solves the *linear system* "all of ``own_support`` earns a common λ
@@ -179,13 +177,6 @@ def reconstruct_one_side(
     off-``own_support`` action earning at most λ) with exact arithmetic.
     Returns None when the system is inconsistent, underdetermined, or the
     checks fail — the caller then falls back to the exact LP.
-
-    With ``report_underdetermined`` an underdetermined system returns
-    :data:`UNDERDETERMINED` instead of None.  A caller deciding these
-    very supports can then skip the exact LP on a None: the LP's
-    feasible points solve the same equality system, so when that system
-    is inconsistent, or its unique solution fails the checks, the LP on
-    ``(own_support, refined_other)`` is infeasible too.
 
     This is shared certification infrastructure: both the support-
     enumeration screen and the Lemke-Howson float endpoint rebuild their
@@ -210,7 +201,7 @@ def reconstruct_one_side(
         return None
     if basis:
         # Underdetermined: only the exact LP can pick a vertex.
-        return UNDERDETERMINED if report_underdetermined else None
+        return None
     q = particular[:k]
     value = particular[k]
     if any(p < 0 or p > 1 for p in q):
@@ -337,6 +328,41 @@ def support_pairs(
             yield rs, cs
 
 
+# ----------------------------------------------------------------------
+# Stage 2: the exact decide stage
+# ----------------------------------------------------------------------
+
+
+def _ties_at_max(values) -> frozenset[int]:
+    """The positions of ``values`` that tie at its maximum."""
+    top = max(values)
+    return frozenset(idx for idx, value in enumerate(values) if value == top)
+
+
+def decide_support_pairs(game: BimatrixGame, pairs):
+    """Drop the pairs whose one-action side fails Lemma 1; keep order.
+
+    A pure row i pins the row mix to i, so the columns of S2 must all
+    tie at the maximum of row i of B; a pure column j pins the column
+    mix, so the rows of S1 must all tie at the maximum of column j of
+    A.  Both are plain comparisons, read off two tables of the game's
+    integer lattice (one positive scale per matrix keeps every tie and
+    every order).  A pair failing either has an infeasible Lemma-1
+    system, and its pure side's :func:`reconstruct_one_side` fails the
+    same comparison, so no backend could ever answer from it.
+    """
+    lattice = game.integer_lattice
+    # Row i of B is column i of column_scale * B^T, and so on.
+    best_cols = [_ties_at_max(row) for row in zip(*lattice.column_payoffs)]
+    best_rows = [_ties_at_max(col) for col in zip(*lattice.row_payoffs)]
+    for rs, cs in pairs:
+        if len(rs) == 1 and not best_cols[rs[0]].issuperset(cs):
+            continue
+        if len(cs) == 1 and not best_rows[cs[0]].issuperset(rs):
+            continue
+        yield rs, cs
+
+
 def _search_setup(game: BimatrixGame, policy):
     """Resolve the policy to a backend and the payoffs it screens on.
 
@@ -363,7 +389,7 @@ def _certified(game: BimatrixGame, profile: MixedProfile) -> bool:
 
 
 def _reconstruct_candidate(game: BimatrixGame, rs, cs, verdict):
-    """Stage 3 for one SCREEN_CANDIDATE verdict: the exact profile, or None.
+    """Stage 4 for one SCREEN_CANDIDATE verdict: the exact profile, or None.
 
     Exact support-restricted re-solves of both Lemma-1 sides on the
     refined supports the screen suggested; ``None`` (either side
@@ -384,7 +410,7 @@ def _reconstruct_candidate(game: BimatrixGame, rs, cs, verdict):
 
 
 # ----------------------------------------------------------------------
-# Stage 2: the approximate screen
+# Stage 3: the approximate screen
 # ----------------------------------------------------------------------
 
 #: Screen verdict codes.
@@ -633,7 +659,7 @@ def screen_support_chunk(backend, a_float, b_cols_float, pairs):
 
 
 # ----------------------------------------------------------------------
-# Stages 3 + 4: exact reconstruction and certification
+# Stages 4 + 5: exact reconstruction and certification
 # ----------------------------------------------------------------------
 
 
@@ -721,7 +747,7 @@ def _screened_pairs(backend, payoffs, pair_stream, chunk_sizes):
 
 
 def _resolve_screened_wave(game, wave, seen, out):
-    """Stages 3+4 for one wave: batch-certify, then resolve in pair order.
+    """Stages 4+5 for one wave: batch-certify, then resolve in pair order.
 
     All of the wave's SCREEN_CANDIDATE verdicts are reconstructed first
     and certified through one :func:`~repro.equilibria.mixed.certify_many`
@@ -787,11 +813,14 @@ def support_enumeration(
     n, m = game.action_counts
     seen: set[tuple] = set()
     out: list[MixedProfile] = []
+    pairs = decide_support_pairs(
+        game, support_pairs(n, m, equal_size_only=equal_size_only)
+    )
 
     if backend is None:
         # The seed path: exact LP per pair, no screen, and
         # no materialization — pairs stream straight off the generator.
-        for rs, cs in support_pairs(n, m, equal_size_only=equal_size_only):
+        for rs, cs in pairs:
             result = equilibrium_for_supports(game, rs, cs)
             if result is None:
                 continue
@@ -802,10 +831,7 @@ def support_enumeration(
         return tuple(out)
 
     chunk_sizes = _chunk_sizes(backend, resolved.chunk_size, first_hit=False)
-    pair_stream = support_pairs(n, m, equal_size_only=equal_size_only)
-    for wave in _screened_verdict_waves(
-        backend, payoffs, pair_stream, chunk_sizes
-    ):
+    for wave in _screened_verdict_waves(backend, payoffs, pairs, chunk_sizes):
         _resolve_screened_wave(game, wave, seen, out)
     return tuple(out)
 
@@ -832,8 +858,9 @@ def find_one_equilibrium(game: BimatrixGame, policy=None) -> MixedProfile:
     resolved = resolve_policy(policy)
     backend, payoffs = _search_setup(game, resolved)
     n, m = game.action_counts
+    pairs = decide_support_pairs(game, support_pairs(n, m))
     if backend is None:
-        for rs, cs in support_pairs(n, m):
+        for rs, cs in pairs:
             result = equilibrium_for_supports(game, rs, cs)
             if result is not None:
                 return result[0]
@@ -843,9 +870,8 @@ def find_one_equilibrium(game: BimatrixGame, policy=None) -> MixedProfile:
         )
 
     chunk_sizes = _chunk_sizes(backend, resolved.chunk_size, first_hit=True)
-    pair_stream = support_pairs(n, m)
     for (rs, cs), verdict in _screened_pairs(
-        backend, payoffs, pair_stream, chunk_sizes
+        backend, payoffs, pairs, chunk_sizes
     ):
         profile = _resolve_screened_pair(game, rs, cs, verdict)
         if profile is not None:

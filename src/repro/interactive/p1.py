@@ -184,8 +184,10 @@ class P1Verifier:
         if sum(y, start=_ZERO) != 1:
             return self._reject("derived probabilities do not sum to 1")
 
+        # Zero weights add nothing: sum over the opponent actions in play.
+        played = [j for j in range(num_other) if y[j]]
         gains = [
-            sum((y[j] * payoff_rows[i][j] for j in range(num_other)), start=_ZERO)
+            sum((y[j] * payoff_rows[i][j] for j in played), start=_ZERO)
             for i in range(num_own)
         ]
         value = gains[own_support[0]]

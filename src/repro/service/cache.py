@@ -2,8 +2,8 @@
 
 The PPAD-hard step of a consultation is the inventor's equilibrium
 search; a production authority answering a stream of queries sees the
-same games — and near-misses of them — over and over.  This cache makes
-repeats cheap without touching the soundness story:
+same games over and over.  This cache makes exact repeats cheap without
+touching the soundness story:
 
 * **Keys are exact.**  A game is identified by the canonical fingerprint
   of its exact payoff matrices
@@ -18,13 +18,10 @@ repeats cheap without touching the soundness story:
   sets).  Serving one skips the search phase only; the verification a
   consultation performs downstream is identical either way.
 
-* **Near-repeats warm-start.**  For games that are *not* exact repeats
-  the cache keeps per-shape support hints — the winning support pairs
-  of recent solves.  A hinted pair is re-decided from scratch on the
-  new game's exact arithmetic (one support-restricted exact solve, the
-  cross-run analogue of the within-run warm-started bases in
-  ``support_enumeration._SideScreener``), so a stale hint can cost
-  time, never correctness.
+* **History-free.**  A game that is not an exact repeat gets a cold
+  search, never a warm start from other games' answers, so what the
+  cache holds can change how fast an answer comes, never which answer
+  it is.
 
 * **Warm state survives restarts.**  With ``path=`` set the cache
   saves its contents through :mod:`repro.service.persistence` — exact
@@ -39,12 +36,9 @@ repeats cheap without touching the soundness story:
 
 Entries are keyed by ``(fingerprint, method, mode)`` for single
 solutions: a hit returns exactly the certified profile this cache
-stored for those payoff bytes under that configuration.  With
-``use_hints=False`` that is also bit-identical to a fresh cold solve
-(the solvers are deterministic given the three key parts); with hints
-on, an entry populated through a warm hint may — on any game with
-several equilibria, degenerate or not — be a different (equally exact,
-equally certified) equilibrium than cold enumeration order would pick.  Enumeration *sets* are keyed
+stored for those payoff bytes under that configuration, which is
+bit-identical to a fresh cold solve (the solvers are deterministic
+given the three key parts).  Enumeration *sets* are keyed
 by fingerprint alone — the backend-parity guarantee (sets are
 bit-identical across every search mode) makes the mode irrelevant to
 the value.
@@ -98,7 +92,6 @@ class CacheStats:
     """
 
     hits: int = 0
-    warm_hits: int = 0
     misses: int = 0
     set_hits: int = 0
     set_misses: int = 0
@@ -107,7 +100,7 @@ class CacheStats:
 
     @property
     def lookups(self) -> int:
-        return self.hits + self.warm_hits + self.misses
+        return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
@@ -118,7 +111,9 @@ class CacheStats:
     def as_dict(self) -> dict:
         return {
             "hits": self.hits,
-            "warm_hits": self.warm_hits,
+            # Always 0: perfbench/workloads.py still reads this key from
+            # /stats; it goes with the next benchmark change.
+            "warm_hits": 0,
             "misses": self.misses,
             "set_hits": self.set_hits,
             "set_misses": self.set_misses,
@@ -133,25 +128,17 @@ class _Snapshot:
     """Immutable copy of the counters, for delta reporting."""
 
     hits: int
-    warm_hits: int
     misses: int
 
 
 class SolveCache:
-    """Cross-run cache of certified solves, support hints and sets.
+    """Cross-run cache of certified solves and equilibrium sets.
 
-    ``max_hints_per_shape`` bounds the per-shape support-hint list
-    (most-recently-confirmed first); ``use_hints=False`` disables the
-    near-repeat warm path entirely, leaving only exact-fingerprint
-    hits — useful when bit-reproducibility of *which* equilibrium a
-    degenerate game yields must not depend on cache warmth.
-
-    ``max_entries`` bounds each of the profile, set and hint-shape
-    stores (least-recently-used entries are evicted) so an always-on
-    service answering a long stream of mostly-distinct games holds
-    steady memory; ``None`` removes the bound.  Eviction only ever
-    costs a re-solve — an evicted entry's next lookup is an ordinary
-    miss.
+    ``max_entries`` bounds each of the profile and set stores
+    (least-recently-used entries are evicted) so an always-on service
+    answering a long stream of mostly-distinct games holds steady
+    memory; ``None`` removes the bound.  Eviction only ever costs a
+    re-solve — an evicted entry's next lookup is an ordinary miss.
 
     ``path`` makes the cache persistent: :meth:`load` restores warm
     state from the file (done automatically at construction when
@@ -165,31 +152,25 @@ class SolveCache:
 
     DEFAULT_MAX_ENTRIES = 4096
 
-    def __init__(self, max_hints_per_shape: int = 8, use_hints: bool = True,
-                 max_entries: int | None = DEFAULT_MAX_ENTRIES,
+    def __init__(self, max_entries: int | None = DEFAULT_MAX_ENTRIES,
                  path: str | os.PathLike | None = None,
                  autoload: bool = True, autosave: bool = True):
-        if max_hints_per_shape < 0:
-            raise ValueError("max_hints_per_shape must be non-negative")
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be positive (or None)")
         self._profiles: dict[tuple[str, str, str], MixedProfile] = {}
         self._sets: dict[tuple[str, bool], tuple[MixedProfile, ...]] = {}
-        self._hints: dict[tuple[int, int], list] = {}
         # Entries restored from disk, awaiting their first-serve
         # re-certification through the Lemma-1 gate (they promote into
         # the live stores above on success, and are dropped — counted
         # as load_rejected — on failure).
         self._pending_profiles: dict[tuple[str, str, str], MixedProfile] = {}
         self._pending_sets: dict[tuple[str, bool], tuple[MixedProfile, ...]] = {}
-        self._max_hints = max_hints_per_shape
         self._max_entries = max_entries
-        self._use_hints = use_hints
         self._lock = threading.Lock()
         # Write-behind seam: with tracking on, every committed update
-        # (profile store, cold set store, hint promotion) is queued as a
-        # ``(kind, key, value)`` tuple for a journal to flush.  Off by
-        # default so a journal-less cache never grows an unbounded list.
+        # (profile store, cold set store) is queued as a ``(kind, key,
+        # value)`` tuple for a journal to flush.  Off by default so a
+        # journal-less cache never grows an unbounded list.
         self._track_updates = False
         self._updates: list[tuple] = []
         self.stats = CacheStats()
@@ -268,9 +249,8 @@ class SolveCache:
         the lookup falls through to a miss — live entries are
         unaffected.
 
-        A miss is *not* counted here — the caller decides whether the
-        cold solve that follows was hint-warmed or fully cold and
-        reports it via :meth:`note_solved`.
+        A miss is *not* counted here — the caller reports the cold solve
+        that follows via :meth:`note_solved`.
         """
         key = (fingerprint, method, mode)
         with self._lock:
@@ -313,47 +293,14 @@ class SolveCache:
             self._evict(self._profiles)
             self._note_update("profile", key, profile)
 
-    def note_solved(self, warm: bool) -> None:
-        """Record how a non-hit solve resolved (hint-warmed or cold)."""
+    def note_solved(self) -> None:
+        """Count one cold solve after a lookup that missed."""
         with self._lock:
-            if warm:
-                self.stats.warm_hits += 1
-            else:
-                self.stats.misses += 1
+            self.stats.misses += 1
 
-    # ------------------------------------------------------------------
-    # Support hints (the cross-run warm-start seam)
-    # ------------------------------------------------------------------
-
-    def support_hints(self, shape: tuple[int, int]) -> tuple:
-        """Recently winning ``(row_support, col_support)`` pairs for a shape."""
-        if not self._use_hints:
-            return ()
-        shape = tuple(shape)
-        with self._lock:
-            hints = self._hints.get(shape)
-            if hints is None:
-                return ()
-            self._touch(self._hints, shape)
-            return tuple(hints)
-
-    def note_hint(self, shape: tuple[int, int], pair) -> None:
-        """Promote a freshly confirmed winning support pair to the front."""
-        if not self._use_hints or self._max_hints == 0:
-            return
-        shape = tuple(shape)
-        with self._lock:
-            if shape in self._hints:
-                hints = self._hints[shape]
-                self._touch(self._hints, shape)
-            else:
-                hints = self._hints[shape] = []
-                self._evict(self._hints)
-            if pair in hints:
-                hints.remove(pair)
-            hints.insert(0, pair)
-            del hints[self._max_hints:]
-            self._note_update("hint", shape, pair)
+    def note_hint(self, shape, pair) -> None:
+        """A no-op: perfbench/layers.py's traced mode still wraps this
+        name; it goes with the next benchmark change."""
 
     # ------------------------------------------------------------------
     # Certified equilibrium sets (full enumeration results)
@@ -445,9 +392,6 @@ class SolveCache:
             state = CacheState(
                 profiles={**self._pending_profiles, **self._profiles},
                 sets={**self._pending_sets, **self._sets},
-                hints={
-                    shape: list(pairs) for shape, pairs in self._hints.items()
-                },
             )
         write_cache_file(target, state)
         return state.entry_count
@@ -457,9 +401,8 @@ class SolveCache:
 
         On success the file's profiles and sets enter the *pending*
         stores — each is re-certified through the exact Lemma-1 gate
-        against the requesting caller's game before its first serve —
-        and hints go live directly (a stale or hostile hint can only
-        ever cost one exact re-solve, by construction).  On *any*
+        against the requesting caller's game before its first serve.
+        On *any*
         integrity, schema or decoding failure — including a missing
         file — nothing is restored: the cache keeps serving clean
         misses, the report says why, and the rejection is queued for
@@ -488,7 +431,6 @@ class SolveCache:
         report = CacheLoadReport(
             path=target, accepted=True,
             profiles=len(state.profiles), sets=len(state.sets),
-            hints=len(state.hints),
         )
         self.last_load_report = report
         return report
@@ -500,9 +442,7 @@ class SolveCache:
         journal replay (:mod:`repro.server.journal`): profiles and sets
         become pending — each re-certified through the Lemma-1 gate
         against the requesting caller's actual game before first
-        serve — and hints go live directly (a stale or hostile hint can
-        only ever cost one exact re-solve).  Live entries are never
-        displaced by loaded ones.
+        serve.  Live entries are never displaced by loaded ones.
         """
         merged = 0
         with self._lock:
@@ -517,15 +457,6 @@ class SolveCache:
                     self._pending_sets[key] = profiles
                     self._evict(self._pending_sets)
                     merged += 1
-            if self._use_hints:
-                for shape, pairs in _newest(state.hints, limit).items():
-                    merged_pairs = self._hints.setdefault(shape, [])
-                    for pair in pairs:
-                        if pair not in merged_pairs:
-                            merged_pairs.append(pair)
-                    del merged_pairs[self._max_hints:]
-                    merged += 1
-                self._evict(self._hints)
         return merged
 
     @property
@@ -561,32 +492,26 @@ class SolveCache:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        """Servable entries: live + pending profiles/sets + hint shapes."""
+        """Servable entries: live + pending profiles and sets."""
         with self._lock:
             return (
-                len(self._profiles) + len(self._sets) + len(self._hints)
+                len(self._profiles) + len(self._sets)
                 + len(self._pending_profiles) + len(self._pending_sets)
             )
 
     def snapshot(self) -> _Snapshot:
         """Counter snapshot for delta reporting (see the service drain)."""
         with self._lock:
-            return _Snapshot(
-                hits=self.stats.hits,
-                warm_hits=self.stats.warm_hits,
-                misses=self.stats.misses,
-            )
+            return _Snapshot(hits=self.stats.hits, misses=self.stats.misses)
 
     def delta_since(self, snapshot: _Snapshot) -> dict:
-        """Hit/warm/miss counts accumulated since ``snapshot``."""
+        """Hit/miss counts accumulated since ``snapshot``."""
         with self._lock:
             hits = self.stats.hits - snapshot.hits
-            warm = self.stats.warm_hits - snapshot.warm_hits
             misses = self.stats.misses - snapshot.misses
-        lookups = hits + warm + misses
+        lookups = hits + misses
         return {
             "cache_hits": hits,
-            "cache_warm_hits": warm,
             "cache_misses": misses,
             "cache_hit_rate": hits / lookups if lookups else 0.0,
         }
@@ -595,7 +520,6 @@ class SolveCache:
         with self._lock:
             self._profiles.clear()
             self._sets.clear()
-            self._hints.clear()
             self._pending_profiles.clear()
             self._pending_sets.clear()
             self._load_rejections.clear()

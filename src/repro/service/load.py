@@ -14,7 +14,7 @@ The harness composes three orthogonal pieces:
   deterministic offset sequences (seconds from harness start);
 * **game streams** — :func:`mixed_game_stream`: a seeded mix of cold
   games (fresh payoffs), exact repeats (cache hits) and near-repeats
-  (same shape, one perturbed cell — warm support hints), built on
+  (same shape, one perturbed cell — a cold search again), built on
   :mod:`repro.games.generators`;
 * **the driver** — :func:`run_load`: a submitter thread admits per the
   schedule while the calling thread pumps ``service.drain()``;
@@ -195,7 +195,7 @@ def mixed_game_stream(count: int, size: int = 4, seed: int = 0,
     * ``repeat`` — an earlier cold game's exact payoff bytes under a
       new id (a fingerprint cache hit: zero search);
     * ``near`` — an earlier cold game with a single payoff cell bumped
-      (same shape: the cache's support hints usually warm-start it).
+      (a different fingerprint, so a cache miss and a full search).
 
     The kind sequence and every payoff are functions of ``seed`` alone.
     The first entry is always cold; fractions are of the remaining

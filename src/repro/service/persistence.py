@@ -138,19 +138,21 @@ def decode_profile(rows: Any) -> MixedProfile:
         raise PersistenceError(f"malformed profile encoding: {exc}") from exc
 
 
-def _decode_support_pair(pair: Any) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Strictly decode one ``(row_support, column_support)`` hint pair."""
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise PersistenceError(f"support hint is not a two-sided pair: {pair!r}")
-    sides = []
-    for side in pair:
-        if not isinstance(side, list) or not side:
-            raise PersistenceError(f"support hint side is malformed: {side!r}")
-        for action in side:
-            if not isinstance(action, int) or isinstance(action, bool) or action < 0:
-                raise PersistenceError(f"support hint action {action!r} is not an index")
-        sides.append(tuple(side))
-    return tuple(sides)
+def _decode_set_key(entry: dict, what: str) -> tuple[str, bool]:
+    """Strictly decode a set entry's ``(fingerprint, equal_size_only)``.
+
+    ``equal_size_only`` must be a JSON boolean: coercing would read the
+    string ``"false"`` as True and serve the set under the wrong key.
+    """
+    fingerprint = entry["fingerprint"]
+    if not isinstance(fingerprint, str):
+        raise PersistenceError(f"{what} fingerprint is not a string: {fingerprint!r}")
+    equal_size_only = entry["equal_size_only"]
+    if not isinstance(equal_size_only, bool):
+        raise PersistenceError(
+            f"{what} equal_size_only is not a boolean: {equal_size_only!r}"
+        )
+    return fingerprint, equal_size_only
 
 
 # ----------------------------------------------------------------------
@@ -163,18 +165,16 @@ class CacheState:
 
     ``profiles`` maps ``(fingerprint, method, mode)`` to a certified
     profile; ``sets`` maps ``(fingerprint, equal_size_only)`` to a full
-    enumeration result; ``hints`` maps a shape to its winning-support
-    pairs (most recent first).  Iteration order is oldest-first for the
-    entry stores — a save/load round trip preserves eviction order.
+    enumeration result.  Iteration order is oldest-first — a save/load
+    round trip preserves eviction order.
     """
 
     profiles: dict[tuple[str, str, str], MixedProfile] = field(default_factory=dict)
     sets: dict[tuple[str, bool], tuple[MixedProfile, ...]] = field(default_factory=dict)
-    hints: dict[tuple[int, int], list] = field(default_factory=dict)
 
     @property
     def entry_count(self) -> int:
-        return len(self.profiles) + len(self.sets) + len(self.hints)
+        return len(self.profiles) + len(self.sets)
 
 
 @dataclass(frozen=True)
@@ -191,11 +191,10 @@ class CacheLoadReport:
     reason: str | None = None
     profiles: int = 0
     sets: int = 0
-    hints: int = 0
 
     @property
     def entry_count(self) -> int:
-        return self.profiles + self.sets + self.hints
+        return self.profiles + self.sets
 
     def as_dict(self) -> dict:
         return {
@@ -204,7 +203,6 @@ class CacheLoadReport:
             "reason": self.reason,
             "profiles": self.profiles,
             "sets": self.sets,
-            "hints": self.hints,
         }
 
 
@@ -228,18 +226,16 @@ def encode_cache_state(state: CacheState) -> dict[str, Any]:
             }
             for (fingerprint, equal_size_only), profiles in state.sets.items()
         ],
-        "hints": [
-            {
-                "shape": list(shape),
-                "pairs": [[list(rs), list(cs)] for rs, cs in pairs],
-            }
-            for shape, pairs in state.hints.items()
-        ],
     }
 
 
 def decode_cache_state(payload: Any) -> CacheState:
-    """Strict inverse of :func:`encode_cache_state`."""
+    """Strict inverse of :func:`encode_cache_state`.
+
+    Top-level keys other than ``profiles`` and ``sets`` are ignored, so
+    a payload from an older writer that also carried a support-hint
+    list still loads (the digest covers that list too, and verifies).
+    """
     if not isinstance(payload, dict):
         raise PersistenceError("cache payload is not an object")
     state = CacheState()
@@ -252,29 +248,12 @@ def decode_cache_state(payload: Any) -> CacheState:
                 raise PersistenceError(f"duplicate profile key {key!r}")
             state.profiles[key] = decode_profile(entry["profile"])
         for entry in payload.get("sets", ()):
-            fingerprint = entry["fingerprint"]
-            if not isinstance(fingerprint, str):
-                raise PersistenceError(f"set fingerprint is not a string: {fingerprint!r}")
-            key = (fingerprint, bool(entry["equal_size_only"]))
+            key = _decode_set_key(entry, "set")
             if key in state.sets:
                 raise PersistenceError(f"duplicate set key {key!r}")
             state.sets[key] = tuple(
                 decode_profile(p) for p in entry["profiles"]
             )
-        for entry in payload.get("hints", ()):
-            shape = entry["shape"]
-            if (
-                not isinstance(shape, list)
-                or len(shape) != 2
-                or not all(isinstance(n, int) and n > 0 for n in shape)
-            ):
-                raise PersistenceError(f"hint shape is malformed: {shape!r}")
-            shape = (shape[0], shape[1])
-            if shape in state.hints:
-                raise PersistenceError(f"duplicate hint shape {shape!r}")
-            state.hints[shape] = [
-                _decode_support_pair(pair) for pair in entry["pairs"]
-            ]
     except PersistenceError:
         raise
     except (KeyError, TypeError) as exc:
@@ -339,8 +318,8 @@ JOURNAL_FORMAT_NAME = "repro.solve-cache-journal"
 #: Journal frame schema version; readers reject any other value.
 JOURNAL_SCHEMA_VERSION = 1
 
-#: The three journalable entry kinds (mirroring the cache's stores).
-JOURNAL_KINDS = ("profile", "set", "hint")
+#: The journalable entry kinds (mirroring the cache's stores).
+JOURNAL_KINDS = ("profile", "set")
 
 
 def encode_journal_body(kind: str, key, value) -> dict[str, Any]:
@@ -348,8 +327,7 @@ def encode_journal_body(kind: str, key, value) -> dict[str, Any]:
 
     ``kind``/``key``/``value`` use the cache's own vocabulary: a
     ``"profile"`` is keyed ``(fingerprint, method, mode)``, a ``"set"``
-    ``(fingerprint, equal_size_only)``, a ``"hint"`` by its shape with
-    the value being one ``(row_support, col_support)`` pair.
+    ``(fingerprint, equal_size_only)``.
     """
     if kind == "profile":
         fingerprint, method, mode = key
@@ -372,14 +350,6 @@ def encode_journal_body(kind: str, key, value) -> dict[str, Any]:
             "equal_size_only": bool(equal_size_only),
             "profiles": [encode_profile(p) for p in value],
         }
-    if kind == "hint":
-        return {
-            "format": JOURNAL_FORMAT_NAME,
-            "schema": JOURNAL_SCHEMA_VERSION,
-            "kind": "hint",
-            "shape": [int(key[0]), int(key[1])],
-            "pair": [list(value[0]), list(value[1])],
-        }
     raise PersistenceError(f"unknown journal entry kind {kind!r}")
 
 
@@ -396,8 +366,9 @@ def decode_journal_frame(line: bytes):
     Returns ``(kind, key, value)`` in the cache's vocabulary.  Raises
     :class:`PersistenceError` on *anything* wrong with the frame —
     torn/non-JSON line, missing or mismatching digest, wrong format tag
-    or schema, malformed entry — so a journal replay can reject the one
-    frame and keep the rest.
+    or schema, malformed entry, unknown kind (an older writer's
+    support-hint frames among them) — so a journal replay can reject
+    the one frame and keep the rest.
     """
     try:
         frame = json.loads(line.decode("utf-8"))
@@ -430,25 +401,8 @@ def decode_journal_frame(line: bytes):
                 )
             return "profile", key, decode_profile(body["profile"])
         if kind == "set":
-            fingerprint = body["fingerprint"]
-            if not isinstance(fingerprint, str):
-                raise PersistenceError(
-                    f"set frame fingerprint is not a string: {fingerprint!r}"
-                )
-            key = (fingerprint, bool(body["equal_size_only"]))
-            return "set", key, tuple(
+            return "set", _decode_set_key(body, "set frame"), tuple(
                 decode_profile(p) for p in body["profiles"]
-            )
-        if kind == "hint":
-            shape = body["shape"]
-            if (
-                not isinstance(shape, list)
-                or len(shape) != 2
-                or not all(isinstance(n, int) and n > 0 for n in shape)
-            ):
-                raise PersistenceError(f"hint frame shape is malformed: {shape!r}")
-            return "hint", (shape[0], shape[1]), _decode_support_pair(
-                body["pair"]
             )
     except PersistenceError:
         raise
@@ -458,20 +412,11 @@ def decode_journal_frame(line: bytes):
 
 
 def apply_journal_entry(state: CacheState, kind: str, key, value) -> None:
-    """Fold one decoded frame into a :class:`CacheState` (latest wins).
-
-    Hint frames append one pair to the shape's list (most recent last —
-    the cache's merge reverses recency on load, matching snapshots).
-    """
+    """Fold one decoded frame into a :class:`CacheState` (latest wins)."""
     if kind == "profile":
         state.profiles[key] = value
     elif kind == "set":
         state.sets[key] = value
-    elif kind == "hint":
-        pairs = state.hints.setdefault(key, [])
-        if value in pairs:
-            pairs.remove(value)
-        pairs.append(value)
     else:  # pragma: no cover - decode_journal_frame already refused it
         raise PersistenceError(f"unknown journal entry kind {kind!r}")
 

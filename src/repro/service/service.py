@@ -28,7 +28,7 @@ execution*, which composes with any host: a sync caller, an asyncio
 loop, or a real server front-end.
 
 Audit integration: every drain appends a ``service.queue.drained``
-record with the queue depth, cache hit/miss/warm counts, the hit rate,
+record with the queue depth, cache hit/miss counts, the hit rate,
 the p50/p95/p99/max of the drain's per-consultation latencies and the
 drain's worst verification time (``max_verify_ms``); every completion
 appends a ``service.consultation.completed`` record with the future's
@@ -715,8 +715,8 @@ class AuthorityService:
 
     @staticmethod
     def _cache_deltas(snapshots) -> dict:
-        """Aggregate hit/warm/miss deltas across the active caches."""
-        totals = {"cache_hits": 0, "cache_warm_hits": 0, "cache_misses": 0}
+        """Aggregate hit/miss deltas across the active caches."""
+        totals = {"cache_hits": 0, "cache_misses": 0}
         for cache, snapshot in snapshots:
             delta = cache.delta_since(snapshot)
             for key in totals:

@@ -91,6 +91,43 @@ def _degenerate_and_rank_deficient():
     ]
 
 
+def _battle_of_the_sexes() -> BimatrixGame:
+    return BimatrixGame([[3, 0], [0, 2]], [[2, 0], [0, 3]], name="BoS")
+
+
+_BOS_FINGERPRINT = (
+    "db684689d8aad4a0cfe8c78e1ae8227a4ee79376c7761eb418281a594adeab9d"
+)
+
+#: A snapshot of one cached Battle-of-the-Sexes solve and its
+#: enumeration set, as the writer that still kept support hints saved
+#: it (the digest is that writer's).
+_OLDER_SNAPSHOT = {
+    "digest": "sha256:9409afd5d7678126b36c28d784fab879"
+              "df444d55d2227fb33a2a4838b6a90d2a",
+    "format": "repro.solve-cache",
+    "payload": {
+        "hints": [{"pairs": [[[0], [0]]], "shape": [2, 2]}],
+        "profiles": [{
+            "fingerprint": _BOS_FINGERPRINT,
+            "method": "support-enumeration",
+            "mode": "exact",
+            "profile": [["1/1", "0/1"], ["1/1", "0/1"]],
+        }],
+        "sets": [{
+            "equal_size_only": False,
+            "fingerprint": _BOS_FINGERPRINT,
+            "profiles": [
+                [["1/1", "0/1"], ["1/1", "0/1"]],
+                [["0/1", "1/1"], ["0/1", "1/1"]],
+                [["3/5", "2/5"], ["2/5", "3/5"]],
+            ],
+        }],
+    },
+    "schema": 1,
+}
+
+
 class TestExactEncoding:
     """num/den strings, strict decoding — the serialize.py discipline."""
 
@@ -153,13 +190,12 @@ class TestRoundTrip:
         assert loaded.stats.hits == len(games)
         assert loaded.stats.load_rejected == 0
 
-    def test_sets_and_hints_round_trip(self, tmp_path):
+    def test_sets_round_trip(self, tmp_path):
         path = tmp_path / "cache.json"
         cache = SolveCache(path=path)
         games = _degenerate_and_rank_deficient()
         cold_sets = [cache.equilibrium_set(g) for g in games]
-        cache.note_hint((2, 2), ((0,), (0, 1)))
-        assert cache.save() == len(cache)
+        assert cache.save() == len(cache) == len(games)
 
         loaded = SolveCache(path=path)
         report = loaded.last_load_report
@@ -171,11 +207,35 @@ class TestRoundTrip:
             for left, right in zip(served, cold):
                 assert _bit_identical(left, right), game.name
         assert loaded.stats.set_hits == len(games)
-        assert loaded.support_hints((2, 2))[0] == ((0,), (0, 1))
+        assert "hints" not in json.loads(path.read_text())["payload"]
+
+    def test_snapshot_with_support_hints_still_loads(self, tmp_path):
+        # An older writer's file: its payload also carries a support-hint
+        # list.  The key is ignored and the digest, which covers it,
+        # still verifies; the profile and the set serve as hits.
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps(_OLDER_SNAPSHOT))
+        cache = SolveCache(path=path)
+        report = cache.last_load_report
+        assert report.accepted, report.reason
+        assert (report.profiles, report.sets) == (1, 1)
+        assert len(cache) == 2
+        game = _battle_of_the_sexes()
+        inventor = BimatrixInventor(
+            "inv", method="support-enumeration", solve_cache=cache
+        )
+        profile = inventor.solve("g", game)
+        assert inventor.cache_state("g") == "hit"
+        assert profile.distributions == ((1, 0), (1, 0))
+        assert len(cache.equilibrium_set(game)) == 3
+        assert cache.stats.set_hits == 1
+        assert cache.stats.load_rejected == 0
+        cache.save()  # rewritten in the current format
+        assert "hints" not in json.loads(path.read_text())["payload"]
 
     def test_lru_order_survives_the_round_trip(self, tmp_path):
         path = tmp_path / "cache.json"
-        cache = SolveCache(path=path, use_hints=False)
+        cache = SolveCache(path=path)
         inventor = BimatrixInventor(
             "inv", method="support-enumeration", solve_cache=cache
         )
@@ -185,7 +245,7 @@ class TestRoundTrip:
         cache.save()
 
         # Reload into a 2-entry cache: only the two *newest* survive.
-        loaded = SolveCache(path=path, max_entries=2, use_hints=False)
+        loaded = SolveCache(path=path, max_entries=2)
         probe = BimatrixInventor(
             "probe", method="support-enumeration", solve_cache=loaded
         )
@@ -348,7 +408,7 @@ class TestTamperRejection:
         profile = inventor.solve(
             "g", BimatrixGame(game.row_matrix, game.column_matrix)
         )
-        assert inventor.cache_state("g") in ("miss", "warm")  # not served
+        assert inventor.cache_state("g") == "miss"  # not served
         assert certify_mixed_profile(game, profile) is not None
         assert cache.stats.load_rejected == 1
         (rejection,) = cache.drain_rejections()
@@ -393,8 +453,22 @@ class TestTamperRejection:
         )
         game = games[0]
         inventor.solve("g", BimatrixGame(game.row_matrix, game.column_matrix))
-        assert inventor.cache_state("g") in ("miss", "warm")
+        assert inventor.cache_state("g") == "miss"
         assert cache.stats.load_rejected == 1
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_non_boolean_equal_size_only_is_rejected(self, tmp_path, flag):
+        # Even with a recomputed digest: coercing "false" to True would
+        # serve the set under the other key.
+        path = tmp_path / "cache.json"
+        cache = SolveCache(path=path)
+        cache.equilibrium_set(random_bimatrix(3, 3, seed=56))
+        cache.save()
+        document = json.loads(path.read_text())
+        document["payload"]["sets"][0]["equal_size_only"] = flag
+        document["digest"] = payload_digest(document["payload"])
+        path.write_text(json.dumps(document))
+        self._assert_rejected(path, "equal_size_only is not a boolean")
 
 
 def _service_fixture(tmp_path, cache_path=None, games=None, **kwargs):

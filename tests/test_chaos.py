@@ -230,7 +230,7 @@ class TestRestartReplay:
                     )
                     if status == 200:
                         # The advice itself must replay exactly; the
-                        # "cache" field is provenance (miss/warm/hit)
+                        # "cache" field is provenance (miss/hit)
                         # and legitimately differs across runs.
                         wire = dict(body["advice"])
                         wire.pop("cache", None)

@@ -35,6 +35,34 @@ from repro.service.persistence import (
     apply_journal_entry,
     decode_journal_frame,
     encode_journal_frame,
+    payload_digest,
+)
+
+
+_BOS_FINGERPRINT = (
+    "db684689d8aad4a0cfe8c78e1ae8227a4ee79376c7761eb418281a594adeab9d"
+)
+
+#: Four frames for one Battle-of-the-Sexes solve, byte for byte as the
+#: writer that still journaled support hints appended them.
+_OLDER_JOURNAL = (
+    b'{"body":{"fingerprint":"db684689d8aad4a0cfe8c78e1ae8227a4ee79376c7761eb4'
+    b'18281a594adeab9d","format":"repro.solve-cache-journal","kind":"profile",'
+    b'"method":"support-enumeration","mode":"exact","profile":[["1/1","0/1"],'
+    b'["1/1","0/1"]],"schema":1},"digest":"sha256:6350f72a0c7fa9f0c1b1bffaa33'
+    b'19531a5a57dfee538eb84d4704a1aec45d1cd"}\n'
+    b'{"body":{"format":"repro.solve-cache-journal","kind":"hint","pair":[[0],'
+    b'[0]],"schema":1,"shape":[2,2]},"digest":"sha256:6e4ecb326fa403a770f7308'
+    b'b2e9ae9d4eea38c844795cb8f415d13ebd43ec178"}\n'
+    b'{"body":{"equal_size_only":false,"fingerprint":"db684689d8aad4a0cfe8c78e'
+    b'1ae8227a4ee79376c7761eb418281a594adeab9d","format":"repro.solve-cache-jo'
+    b'urnal","kind":"set","profiles":[[["1/1","0/1"],["1/1","0/1"]],[["0/1","1'
+    b'/1"],["0/1","1/1"]],[["3/5","2/5"],["2/5","3/5"]]],"schema":1},"digest":'
+    b'"sha256:db7fcc868c1f9834b21ec7bff1e4eb61da99515f4f427a5457b4937d9a4faa54'
+    b'"}\n'
+    b'{"body":{"format":"repro.solve-cache-journal","kind":"hint","pair":[[0],'
+    b'[0]],"schema":1,"shape":[2,2]},"digest":"sha256:6e4ecb326fa403a770f7308'
+    b'b2e9ae9d4eea38c844795cb8f415d13ebd43ec178"}\n'
 )
 
 
@@ -73,16 +101,29 @@ class TestJournalFrames:
             type(v) is Fraction for d in got.distributions for v in d
         )
 
-    def test_set_and_hint_frames_round_trip(self):
-        line = encode_journal_frame(
-            "set", ("fp", True), (_profile(), _profile())
-        )
-        kind, key, value = decode_journal_frame(line.rstrip(b"\n"))
-        assert kind == "set" and key == ("fp", True) and len(value) == 2
-        line = encode_journal_frame("hint", (2, 2), ((0, 1), (1,)))
-        kind, key, value = decode_journal_frame(line.rstrip(b"\n"))
-        assert kind == "hint" and key == (2, 2)
-        assert value == ((0, 1), (1,))
+    def test_set_frames_round_trip(self):
+        for flag in (True, False):
+            line = encode_journal_frame(
+                "set", ("fp", flag), (_profile(), _profile())
+            )
+            kind, key, value = decode_journal_frame(line.rstrip(b"\n"))
+            assert kind == "set" and key == ("fp", flag) and len(value) == 2
+            assert key[1] is flag
+
+    def test_only_profile_and_set_frames_are_written(self):
+        with pytest.raises(PersistenceError, match="unknown journal entry"):
+            encode_journal_frame("hint", (2, 2), ((0, 1), (1,)))
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_non_boolean_equal_size_only_is_rejected(self, flag):
+        line = encode_journal_frame("set", ("fp", False), (_profile(),))
+        body = json.loads(line)["body"]
+        body["equal_size_only"] = flag
+        forged = json.dumps(
+            {"digest": payload_digest(body), "body": body}
+        ).encode()
+        with pytest.raises(PersistenceError, match="not a boolean"):
+            decode_journal_frame(forged)
 
     def test_tampered_frame_is_rejected(self):
         line = encode_journal_frame(
@@ -102,8 +143,6 @@ class TestJournalFrames:
             decode_journal_frame(line[: len(line) // 2])
 
     def test_alien_format_and_schema_are_rejected(self):
-        from repro.service.persistence import payload_digest
-
         for body in (
             {"format": "something-else", "schema": 1, "kind": "profile"},
             {"format": "repro.solve-cache-journal", "schema": 99,
@@ -145,6 +184,35 @@ class TestReplay:
         assert len(report.rejections) == 1
         assert report.rejections[0]["frame"] == 3
         assert len(state.profiles) == 3
+
+    def test_older_hint_frames_are_refused_one_by_one(self, tmp_path):
+        # A journal as the writer that still kept support hints left it:
+        # profile, hint, set, hint.  Each hint frame is refused on its
+        # own as an unknown kind; the frames around it replay.
+        path = tmp_path / "journal.jsonl"
+        path.write_bytes(_OLDER_JOURNAL)
+        state, report = replay_journal(path)
+        assert report.frames == 2
+        assert [r["frame"] for r in report.rejections] == [1, 3]
+        assert all(
+            "unknown journal frame kind 'hint'" in r["reason"]
+            for r in report.rejections
+        )
+        assert list(state.profiles) == [
+            (_BOS_FINGERPRINT, "support-enumeration", "exact")
+        ]
+        assert list(state.sets) == [(_BOS_FINGERPRINT, False)]
+
+        cache = SolveCache()
+        assert cache.merge_pending_state(state) == 2
+        game = BimatrixGame([[3, 0], [0, 2]], [[2, 0], [0, 3]])
+        inventor = BimatrixInventor(
+            "inv", method="support-enumeration", solve_cache=cache
+        )
+        inventor.solve("g", game)
+        assert inventor.cache_state("g") == "hit"
+        assert len(cache.equilibrium_set(game)) == 3
+        assert cache.stats.set_hits == 1
 
     def test_missing_journal_is_a_quiet_cold_start(self, tmp_path):
         state, report = replay_journal(tmp_path / "absent.jsonl")

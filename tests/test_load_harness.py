@@ -537,7 +537,7 @@ class TestDrain:
             "submissions", "queue_depth",
             "latency_p50_ms", "latency_p95_ms", "latency_p99_ms",
             "max_latency_ms", "max_verify_ms",
-            "cache_hits", "cache_warm_hits", "cache_misses",
+            "cache_hits", "cache_misses",
             "cache_hit_rate",
         }
         assert record.details["queue_depth"] == 4

@@ -203,16 +203,33 @@ class TestShimEquivalence:
         shim_auth.close()
         svc_auth.close()
 
-    def test_default_shim_service_disables_warm_hints(self):
-        # Behavior-identity of the shims forbids hint-dependent answers
-        # on degenerate games: the lazy default service caches exact
-        # repeats only.  Explicitly constructed services choose.
-        inventor = PureNashInventor("pure")
-        authority = _authority(inventor, [("pd", prisoners_dilemma())])
-        cache = authority.service.cache
-        cache.note_hint((2, 2), ((0,), (0,)))
-        assert cache.support_hints((2, 2)) == ()
-        assert authority.service is authority.service  # one instance
+    def test_consult_and_server_wiring_serve_the_same_advice(self, tmp_path):
+        # Answers depend only on the game and the policy: the lazy
+        # default service behind consult() and the service
+        # `python -m repro.server --state-dir` builds agree, game by
+        # game, in the same consultation order.
+        from repro.server.__main__ import (
+            DEFAULT_AGENT,
+            build_demo_authority,
+            build_server,
+            parse_args,
+        )
+
+        flags = ["--games", "30", "--size", "5", "--seed", "7000"]
+        shim_auth = build_demo_authority(30, 5, 7000)
+        __, service = build_server(
+            parse_args(flags + ["--state-dir", str(tmp_path)])
+        )
+        assert service.cache is not shim_auth.service.cache
+        for i in range(30):
+            shim = shim_auth.consult(DEFAULT_AGENT, f"g{i}")
+            served = service.submit(DEFAULT_AGENT, f"g{i}").result()
+            assert served.advice.suggestion == shim.advice.suggestion, i
+            assert served.advice.cache == shim.advice.cache == "miss"
+        assert shim_auth.service is shim_auth.service  # one instance
+        service.close()
+        service.authority.close()
+        shim_auth.close()
 
     def test_wire_summary_carries_cache_but_never_timings(self):
         from repro.core.session import advice_wire_summary
@@ -263,7 +280,7 @@ class TestConcurrentServiceDemo:
         # bytes exactly: all 50 are cache hits, served without search.
         hits = [o for o in outcomes if o.advice.cache == "hit"]
         assert len(hits) == 50
-        assert all(o.advice.cache in ("miss", "warm") for o in outcomes[:50])
+        assert all(o.advice.cache == "miss" for o in outcomes[:50])
         assert service.cache.stats.hits == 50
         # The audit log reports the drain's hit rate.
         drained = authority.audit.events_of(EVENT_SERVICE_DRAINED)

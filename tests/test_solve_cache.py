@@ -1,4 +1,4 @@
-"""The cross-run solve cache: fingerprints, hits, hints and sets.
+"""The cross-run solve cache: fingerprints, hits and sets.
 
 The cache's contract is proof-preserving caching: keys are exact
 payoff fingerprints (no tolerance anywhere), values are certified
@@ -153,87 +153,55 @@ class TestProfileCache:
         assert inventor.cache_state("g") == ""
 
 
-class TestWarmHints:
-    """Near-repeats resolve through cached winning-support pairs."""
+class TestHistoryFree:
+    """A cached service answers every game as a lone cold solve would."""
 
-    def test_scaled_near_repeat_is_warm_and_exact(self):
+    @pytest.mark.parametrize("size", [5, 4, 3])
+    def test_answers_do_not_depend_on_earlier_solves(self, size):
+        from repro.equilibria.support_enumeration import find_one_equilibrium
+
+        cache = SolveCache()
+        inventor = BimatrixInventor(
+            "inv", method="support-enumeration", backend="auto",
+            solve_cache=cache,
+        )
+        differ = []
+        for seed in range(7000, 7100):
+            game = random_bimatrix(size, size, seed=seed)
+            served = inventor.solve(f"g{seed}", game)
+            alone = find_one_equilibrium(game, policy="auto")
+            if served.distributions != alone.distributions:
+                differ.append(seed)
+        assert differ == []
+        assert cache.stats.misses == 100 and cache.stats.hits == 0
+
+    def test_near_repeat_is_a_cold_miss(self):
         cache = SolveCache()
         inventor = BimatrixInventor(
             "inv", method="support-enumeration", solve_cache=cache
         )
         game = random_bimatrix(4, 4, seed=31)
-        near = _scaled(game, 3)
         cold = inventor.solve("g", game)
-        warm = inventor.solve("g-near", near)
-        assert inventor.cache_state("g-near") == "warm"
-        assert cache.stats.warm_hits == 1
-        # Positive scaling preserves the equilibrium exactly, and the
-        # hint path re-solved it on the new game's exact payoffs.
-        assert warm.distributions == cold.distributions
-        # The warm solve is cached under the near game's own
-        # fingerprint: an exact repeat of it now hits.
+        near = inventor.solve("g-near", _scaled(game, 3))
+        assert inventor.cache_state("g-near") == "miss"
+        # Positive scaling preserves the equilibrium exactly.
+        assert near.distributions == cold.distributions
+        # Cached under the near game's own fingerprint: a repeat hits.
         again = inventor.solve("g-near-2", _scaled(game, 3))
         assert inventor.cache_state("g-near-2") == "hit"
-        assert again is warm
+        assert again is near
 
-    def test_hints_can_be_disabled(self):
-        cache = SolveCache(use_hints=False)
-        inventor = BimatrixInventor(
-            "inv", method="support-enumeration", solve_cache=cache
-        )
-        game = random_bimatrix(4, 4, seed=32)
-        inventor.solve("g", game)
-        inventor.solve("g-near", _scaled(game, 2))
-        assert inventor.cache_state("g-near") == "miss"
-        assert cache.stats.warm_hits == 0
-
-    def test_stale_hints_cannot_corrupt_answers(self):
-        # A hint from an unrelated same-shape game either fails its
-        # exact re-solve (cold path) or lands on a true equilibrium —
-        # never an uncertified answer.  Exercise both outcomes.
-        from repro.equilibria.mixed import certify_mixed_profile
-
+    def test_names_perfbench_reads_stay_inert(self):
         cache = SolveCache()
         inventor = BimatrixInventor(
             "inv", method="support-enumeration", solve_cache=cache
         )
-        for i in range(6):
-            game = random_bimatrix(3, 3, seed=300 + i)
-            profile = inventor.solve(f"g{i}", game)
-            assert certify_mixed_profile(game, profile) is not None
-
-    def test_hint_list_is_bounded_and_fresh_first(self):
-        cache = SolveCache(max_hints_per_shape=2)
-        cache.note_hint((3, 3), ((0,), (0,)))
-        cache.note_hint((3, 3), ((1,), (1,)))
-        cache.note_hint((3, 3), ((2,), (2,)))
-        assert cache.support_hints((3, 3)) == (((2,), (2,)), ((1,), (1,)))
-        # Re-confirming an old pair promotes it, not duplicates it.
-        cache.note_hint((3, 3), ((1,), (1,)))
-        assert cache.support_hints((3, 3)) == (((1,), (1,)), ((2,), (2,)))
-
-    def test_hint_shape_map_is_lru_bounded(self):
-        # The bugfix: max_hints_per_shape bounds each *list*, but a
-        # stream of distinct shapes must not grow the shape map without
-        # bound — it is LRU-evicted under max_entries like the entry
-        # stores, and visible to len().
-        cache = SolveCache(max_entries=2)
-        cache.note_hint((2, 2), ((0,), (0,)))
-        cache.note_hint((3, 3), ((1,), (1,)))
-        assert len(cache) == 2  # hints count toward size accounting
-        # Touch (2, 2) so (3, 3) becomes least-recently-used...
-        assert cache.support_hints((2, 2))
-        cache.note_hint((4, 4), ((2,), (2,)))
-        assert len(cache) == 2
-        assert cache.support_hints((3, 3)) == ()  # evicted
-        assert cache.support_hints((2, 2)) != ()
-        assert cache.support_hints((4, 4)) != ()
-
-    def test_unbounded_cache_keeps_every_shape(self):
-        cache = SolveCache(max_entries=None)
-        for n in range(2, 12):
-            cache.note_hint((n, n), ((0,), (0,)))
-        assert len(cache) == 10
+        inventor.solve("g", random_bimatrix(3, 3, seed=32))
+        assert cache.note_hint((3, 3), ((0,), (0,))) is None
+        assert len(cache) == 1
+        stats = cache.stats.as_dict()
+        assert stats["warm_hits"] == 0
+        assert stats["misses"] == 1 and cache.stats.lookups == 1
 
 
 class TestEquilibriumSetCache:
@@ -333,7 +301,7 @@ class TestStatsAndLifecycle:
             "fresh", method="support-enumeration", solve_cache=cache
         )
         fresh.solve("r0", BimatrixGame(games[0].row_matrix, games[0].column_matrix))
-        assert fresh.cache_state("r0") in ("miss", "warm")  # evicted
+        assert fresh.cache_state("r0") == "miss"  # evicted
         fresh.solve("r2", BimatrixGame(games[2].row_matrix, games[2].column_matrix))
         assert fresh.cache_state("r2") == "hit"
         assert SolveCache(max_entries=None)._max_entries is None
@@ -341,7 +309,7 @@ class TestStatsAndLifecycle:
             SolveCache(max_entries=0)
 
     def test_lookup_refreshes_lru_order(self):
-        cache = SolveCache(max_entries=2, use_hints=False)
+        cache = SolveCache(max_entries=2)
         inventor = BimatrixInventor(
             "inv", method="support-enumeration", solve_cache=cache
         )

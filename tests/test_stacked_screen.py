@@ -1,31 +1,33 @@
-"""The padded-stack screen and the first-hit wave schedule.
+"""The decide stage, the padded-stack screen and the first-hit schedule.
 
 Support enumeration screens each side of a chunk's Lemma-1 systems as
 one zero-padded numpy stack.  These tests pin that padding changes
 nothing: every pair's verdict equals the one its two systems earn when
 screened alone, iteration caps included, and the first equilibrium
-found does not depend on how the pairs are chunked.  They
-also pin the support-hint shortcut that skips the exact LP when a
-hint's own equality system already decides it.
+found does not depend on how the pairs are chunked.  They also pin the
+exact decide stage in front of the screen: every pair it drops has no
+equilibrium, no equilibrium's support pair is dropped, and a dropped
+pair never reaches the screen or the exact LP.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import threading
+from fractions import Fraction
 
 import pytest
 
-from repro.core.actors import BimatrixInventor
 from repro.equilibria.mixed import is_mixed_nash
 from repro.equilibria.support_enumeration import (
     SCREEN_EXACT,
     SCREEN_PRUNED,
-    UNDERDETERMINED,
     _feasibility_rows,
     _triage,
+    decide_support_pairs,
+    equilibrium_for_supports,
     find_one_equilibrium,
-    reconstruct_one_side,
     screen_support_chunk,
     support_enumeration,
     support_pairs,
@@ -42,6 +44,9 @@ from repro.linalg.backend import (
     numpy_available,
 )
 from repro.rng import make_rng
+
+# The package re-exports the function under the module's name.
+se = importlib.import_module("repro.equilibria.support_enumeration")
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="needs numpy (stdlib-only run)"
@@ -232,47 +237,78 @@ class TestInProcessSearch:
         assert started == []
 
 
-class TestSupportHintShortcut:
-    """A hint whose equality system decides it never reaches the LP."""
+def _near_tie(n: int, m: int, seed: int) -> BimatrixGame:
+    """{-1, 0, 1} payoffs nudged by multiples of 1e-9: exact order, float ties."""
+    rng = make_rng(seed, "stacked-screen:near-tie")
+    nudge = Fraction(1, 10**9)
 
-    @staticmethod
-    def _lp_calls(monkeypatch):
-        import repro.core.actors as actors
+    def cell():
+        return rng.choice((-1, 0, 1)) + rng.choice((-1, 0, 0, 1)) * nudge
 
-        calls = []
-        real = actors.equilibrium_for_supports
+    a = [[cell() for _ in range(m)] for _ in range(n)]
+    b = [[cell() for _ in range(m)] for _ in range(n)]
+    return BimatrixGame(a, b, name=f"NearTie({n}x{m}, seed={seed})")
 
-        def counting(game, rs, cs, *args, **kwargs):
-            calls.append((rs, cs))
-            return real(game, rs, cs, *args, **kwargs)
 
-        monkeypatch.setattr(actors, "equilibrium_for_supports", counting)
-        return calls
+def _decide_corpus():
+    games = []
+    for n, m in SHAPES:
+        games.append(random_bimatrix(n, m, seed=4800 + n * m))
+        games.append(_degenerate(n, m, 4900 + n * m))
+        games.append(_near_tie(n, m, 5000 + n * m))
+    return games
 
-    def test_underdetermined_hint_reaches_the_lp(self, monkeypatch):
-        # Row 0 earns 1 against any column mix: the y-side system on
-        # ({0}, {0, 1}) has a line of solutions, so only the LP decides.
-        game = BimatrixGame([[1, 1], [0, 0]], [[2, 2], [0, 1]])
-        assert reconstruct_one_side(
-            game.row_matrix, (0,), (0, 1), 2, report_underdetermined=True
-        ) is UNDERDETERMINED
-        calls = self._lp_calls(monkeypatch)
-        profile = BimatrixInventor("inv")._try_support_hints(
-            game, [((0,), (0, 1))]
-        )
-        assert calls == [((0,), (0, 1))]
-        assert profile is not None and is_mixed_nash(game, profile)
 
-    @pytest.mark.parametrize("hint", [
-        ((1,), (0,)),     # unique y-side mix, but row 0 earns more
-        ((0, 1), (0,)),   # rows 0 and 1 cannot earn a common value
-    ])
-    def test_decided_infeasible_hint_skips_the_lp(self, monkeypatch, hint):
-        game = BimatrixGame([[3, 0], [1, 2]], [[1, 0], [0, 1]])
-        rs, cs = hint
-        assert reconstruct_one_side(
-            game.row_matrix, rs, cs, 2, report_underdetermined=True
-        ) is None
-        calls = self._lp_calls(monkeypatch)
-        assert BimatrixInventor("inv")._try_support_hints(game, [hint]) is None
-        assert calls == []
+def _rejected(game):
+    pairs = list(support_pairs(*game.action_counts))
+    kept = set(decide_support_pairs(game, pairs))
+    return {pair for pair in pairs if pair not in kept}
+
+
+class TestDecideStage:
+    """Exact one-action comparisons drop pairs before the screen."""
+
+    @pytest.mark.parametrize("game", _decide_corpus(), ids=lambda g: g.name)
+    def test_every_rejected_pair_is_infeasible(self, game):
+        pairs = list(support_pairs(*game.action_counts))
+        kept = list(decide_support_pairs(game, pairs))
+        assert kept == [pair for pair in pairs if pair in set(kept)]
+        rejected = _rejected(game)
+        assert rejected  # the stage has something to decide here
+        for rs, cs in sorted(rejected):
+            assert min(len(rs), len(cs)) == 1
+            assert equilibrium_for_supports(game, rs, cs) is None, (rs, cs)
+
+    @pytest.mark.parametrize("game", _decide_corpus(), ids=lambda g: g.name)
+    def test_no_equilibrium_support_is_rejected(self, game):
+        rejected = _rejected(game)
+        equilibria = support_enumeration(game)
+        assert equilibria
+        for profile in equilibria:
+            assert _support_of(profile) not in rejected
+
+    @pytest.mark.parametrize("policy", ["exact", "float+certify", "numpy"])
+    @pytest.mark.parametrize("game", _decide_corpus(), ids=lambda g: g.name)
+    def test_rejected_pairs_reach_neither_screen_nor_lp(
+        self, game, policy, monkeypatch
+    ):
+        seen = []
+        real_screen = se.screen_support_chunk
+        real_lp = se.equilibrium_for_supports
+
+        def screen(backend, a_float, b_cols_float, pairs):
+            seen.extend(pairs)
+            return real_screen(backend, a_float, b_cols_float, pairs)
+
+        def lp(game, rs, cs, *args, **kwargs):
+            seen.append((tuple(rs), tuple(cs)))
+            return real_lp(game, rs, cs, *args, **kwargs)
+
+        monkeypatch.setattr(se, "screen_support_chunk", screen)
+        monkeypatch.setattr(se, "equilibrium_for_supports", lp)
+        found = find_one_equilibrium(game, policy=policy)
+        everything = support_enumeration(game, policy=policy)
+        monkeypatch.undo()
+        assert seen
+        assert not set(seen) & _rejected(game)
+        assert found in everything
