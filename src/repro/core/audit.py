@@ -16,6 +16,7 @@ and how often.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -25,6 +26,13 @@ from repro.core.audit_events import (
     EVENT_AGENT_BLAMED,
     EVENT_INVENTOR_BLAMED,
     EVENT_VERIFIER_BLAMED,
+)
+
+#: How many of the newest records the log keeps in memory.
+AUDIT_WINDOW = 4096
+
+_BLAME_EVENTS = frozenset(
+    {EVENT_INVENTOR_BLAMED, EVENT_VERIFIER_BLAMED, EVENT_AGENT_BLAMED}
 )
 
 
@@ -45,11 +53,16 @@ class AuditLog:
     Appends are serialized by a lock so the log stays consistent when
     the consultation service runs verifiers concurrently; the logical
     clock remains strictly increasing and gap-free in every mode.
+
+    Memory keeps the newest :data:`AUDIT_WINDOW` records, which the
+    record queries read; the clock and :meth:`blame_counts` are running
+    counters over the log's whole lifetime.
     """
 
     def __init__(self):
-        self._records: list[AuditRecord] = []
+        self._records: deque[AuditRecord] = deque(maxlen=AUDIT_WINDOW)
         self._clock = 0
+        self._blame_counts: dict[str, int] = {}
         self._lock = threading.Lock()
 
     def record(self, session_id: str, actor: str, event: str, **details) -> AuditRecord:
@@ -63,6 +76,8 @@ class AuditLog:
                 details=dict(details),
             )
             self._records.append(entry)
+            if event in _BLAME_EVENTS:
+                self._blame_counts[actor] = self._blame_counts.get(actor, 0) + 1
         return entry
 
     # ------------------------------------------------------------------
@@ -91,26 +106,22 @@ class AuditLog:
 
     @property
     def records(self) -> tuple[AuditRecord, ...]:
-        return tuple(self._records)
+        """The window, oldest first, copied under the lock: iterating a
+        deque that another thread appends to raises ``RuntimeError``."""
+        with self._lock:
+            return tuple(self._records)
 
     def events_for(self, actor: str) -> tuple[AuditRecord, ...]:
-        return tuple(r for r in self._records if r.actor == actor)
+        return tuple(r for r in self.records if r.actor == actor)
 
     def events_of(self, event: str) -> tuple[AuditRecord, ...]:
-        return tuple(r for r in self._records if r.event == event)
+        return tuple(r for r in self.records if r.event == event)
 
     def session(self, session_id: str) -> tuple[AuditRecord, ...]:
-        return tuple(r for r in self._records if r.session_id == session_id)
+        return tuple(r for r in self.records if r.session_id == session_id)
 
     def blame_counts(self) -> dict[str, int]:
-        """How many times each actor has been blamed, any blame kind."""
-        counts: dict[str, int] = {}
-        blame_events = {
-            EVENT_INVENTOR_BLAMED,
-            EVENT_VERIFIER_BLAMED,
-            EVENT_AGENT_BLAMED,
-        }
-        for record in self._records:
-            if record.event in blame_events:
-                counts[record.actor] = counts.get(record.actor, 0) + 1
-        return counts
+        """How many times each actor has been blamed, any blame kind,
+        over the log's whole lifetime."""
+        with self._lock:
+            return dict(self._blame_counts)

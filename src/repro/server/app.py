@@ -23,7 +23,8 @@ surface:
     poll (or ``?wait=<s>`` long-poll) an outstanding future;
 ``GET /audit`` / ``GET /stats`` / ``GET /healthz`` / ``GET /readyz``
     observability; the audit endpoint tails the authority's log
-    (``?event=``, ``?since=<clock>``, ``?limit=``); ``/healthz`` is
+    window (``?event=``, ``?since=<clock>``, ``?limit=``) and reports
+    the window's ``oldest_clock``; ``/healthz`` is
     pure *liveness* (200 whenever the loop answers) while ``/readyz``
     is *readiness* (503 + ``Retry-After`` during the recovery replay
     and the shutdown drain);
@@ -76,6 +77,7 @@ from repro.server.wire import (
     pending_payload,
 )
 from repro.service import faults
+from repro.service.service import MAX_DEADLINE_MS
 
 #: Reason phrases for the handful of statuses the server emits.
 _REASONS = {
@@ -171,6 +173,10 @@ class AuthorityHTTPServer:
         # the shutdown drain.
         self._ready = False
         self._connections = 0
+        # Writers of connections reading their next request; stop()
+        # hangs these up once every future has resolved.
+        self._idle: set[asyncio.StreamWriter] = set()
+        self._hung_up = False
         self._started_at: float | None = None
         self._futures: dict[str, Any] = {}
         self.request_count = 0
@@ -260,8 +266,9 @@ class AuthorityHTTPServer:
         """Graceful shutdown: stop admitting, drain, flush, snapshot.
 
         Sequence — stop listening; drain every already-admitted future
-        to resolution; retire the pump and timer tasks; give in-flight
-        handlers a grace window to write their (now resolved)
+        to resolution; retire the pump and timer tasks; hang up the
+        keep-alive connections waiting between requests and give
+        in-flight handlers a grace window to write their (now resolved)
         responses; close the service; cut the persister's final
         snapshot; audit ``server.shutdown.completed``.  Idempotent and
         safe to race: the second caller awaits the first's completion.
@@ -274,8 +281,9 @@ class AuthorityHTTPServer:
         self._ready = False
         loop = asyncio.get_running_loop()
         if self._server is not None:
+            # Not wait_closed(): from Python 3.12.1 it also waits for
+            # every open connection, which the grace window below bounds.
             self._server.close()
-            await self._server.wait_closed()
         while self._service.pending_count:
             try:
                 await loop.run_in_executor(None, self._service.drain)
@@ -290,6 +298,9 @@ class AuthorityHTTPServer:
             return_exceptions=True,
         )
         deadline = loop.time() + self._shutdown_grace
+        self._hung_up = True
+        for writer in tuple(self._idle):
+            writer.close()  # its handler reads EOF and returns
         while self._connections and loop.time() < deadline:
             await asyncio.sleep(0.02)
         snapshot_entries = await loop.run_in_executor(None, self._finalize)
@@ -416,17 +427,23 @@ class AuthorityHTTPServer:
                              writer: asyncio.StreamWriter) -> None:
         self._connections += 1
         try:
-            while True:
+            while not self._hung_up:
+                self._idle.add(writer)
                 try:
                     request = await self._read_request(reader)
                 except _HTTPError as exc:
-                    await self._write_response(
-                        writer, exc.status, exc.payload(),
-                        extra=exc.headers, close=True,
-                    )
+                    try:
+                        await self._write_response(
+                            writer, exc.status, exc.payload(),
+                            extra=exc.headers, close=True,
+                        )
+                    except (ConnectionError, RuntimeError):
+                        pass  # hung up mid-request
                     return
                 except (asyncio.IncompleteReadError, ConnectionError):
                     return
+                finally:
+                    self._idle.discard(writer)
                 if request is None:
                     return
                 method, target, headers, body = request
@@ -444,6 +461,7 @@ class AuthorityHTTPServer:
                 close = (
                     headers.get("connection", "").lower() == "close"
                     or response.close
+                    or self._hung_up
                 )
                 try:
                     await self._write_response(
@@ -687,6 +705,8 @@ class AuthorityHTTPServer:
         except ValueError:
             raise _HTTPError(400, "since and limit must be integers") \
                 from None
+        if limit is not None and limit < 0:
+            raise _HTTPError(400, "limit must be non-negative")
         records = self._service.authority.audit.records
         return _Response(
             200, audit_payload(
@@ -717,13 +737,20 @@ class AuthorityHTTPServer:
 
     @staticmethod
     def _deadline_param(params: dict) -> float | None:
-        """Parse an optional ``deadline_ms`` body field (None = default)."""
+        """Parse an optional ``deadline_ms`` body field (None = default).
+
+        ``json.loads`` accepts ``NaN`` and ``Infinity``; the range check
+        refuses both.
+        """
         raw = params.get("deadline_ms")
         if raw is None:
             return None
         if isinstance(raw, bool) or not isinstance(raw, (int, float)) \
-                or raw <= 0:
-            raise _HTTPError(400, "deadline_ms must be a positive number")
+                or not 0 < raw <= MAX_DEADLINE_MS:
+            raise _HTTPError(
+                400, "deadline_ms must be positive and at most "
+                f"{MAX_DEADLINE_MS:.0f}"
+            )
         return float(raw)
 
     def _submit(self, kind: str, params: dict):

@@ -126,11 +126,14 @@ def error_payload(message: str, **extra: Any) -> dict[str, Any]:
 def audit_payload(records, event: str | None = None,
                   since: int | None = None,
                   limit: int | None = None) -> dict[str, Any]:
-    """Audit records → the ``GET /audit`` body (filtered, capped).
+    """The audit window → the ``GET /audit`` body (filtered, capped).
 
-    ``since`` is an exclusive logical-clock lower bound, so a client
-    can tail the log incrementally (``?since=<last seen clock>``);
-    ``limit`` keeps the *latest* matching records.
+    ``records`` is the log's window, oldest first.  ``since`` is an
+    exclusive logical-clock lower bound, so a client can tail the log
+    incrementally (``?since=<last seen clock>``); ``oldest_clock`` (null
+    for an empty window) tells it whether records it never saw have
+    already left the window.  ``limit`` (non-negative) keeps the
+    *latest* matching records; ``total`` counts every match.
     """
     matching = [
         record for record in records
@@ -138,9 +141,10 @@ def audit_payload(records, event: str | None = None,
         and (since is None or record.clock > since)
     ]
     total = len(matching)
-    if limit is not None and limit >= 0:
-        matching = matching[-limit:]
+    if limit is not None:
+        matching = matching[max(0, total - limit):]
     return {
+        "oldest_clock": records[0].clock if records else None,
         "total": total,
         "returned": len(matching),
         "records": [

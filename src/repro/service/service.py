@@ -69,6 +69,10 @@ from repro.service import faults
 from repro.service.cache import SolveCache
 from repro.service.futures import ConsultationFuture
 
+#: The longest deadline a submission may carry: the drain waits out a
+#: deadlined solve with one timed wait, which refuses longer timeouts.
+MAX_DEADLINE_MS = threading.TIMEOUT_MAX * 1000.0
+
 
 @dataclass
 class _Submission:
@@ -284,8 +288,13 @@ class AuthorityService:
                  backpressure: str = BACKPRESSURE_RAISE,
                  block_timeout: float | None = None,
                  default_deadline_ms: float | None = None):
-        if default_deadline_ms is not None and default_deadline_ms <= 0:
-            raise ProtocolError("default_deadline_ms must be positive")
+        if default_deadline_ms is not None \
+                and not 0 < default_deadline_ms <= MAX_DEADLINE_MS:
+            # The chained comparison refuses NaN as well.
+            raise ProtocolError(
+                "default_deadline_ms must be positive and at most "
+                f"{MAX_DEADLINE_MS:.0f}"
+            )
         if solve_cache is not None and cache_path is not None:
             raise ProtocolError(
                 "pass either solve_cache or cache_path, not both"
@@ -408,8 +417,10 @@ class AuthorityService:
         authority.agent(agent_name)  # raises on unknown agents
         for game_id in game_ids:
             authority.inventor_of(game_id)  # raises on unknown games
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise ProtocolError("deadline_ms must be positive")
+        if deadline_ms is not None and not 0 < deadline_ms <= MAX_DEADLINE_MS:
+            raise ProtocolError(
+                f"deadline_ms must be positive and at most {MAX_DEADLINE_MS:.0f}"
+            )
         if deadline_ms is None:
             deadline_ms = self.default_deadline_ms
         deadline = (

@@ -20,6 +20,7 @@ from repro.core.registry import standard_procedures
 from repro.errors import DeadlineExceeded, ProtocolError
 from repro.games.generators import random_bimatrix
 from repro.service import AuthorityService, faults
+from repro.service.service import MAX_DEADLINE_MS
 
 
 def _authority(games=3, seed=9):
@@ -47,6 +48,34 @@ class TestDeadlineValidation:
         service = authority.service
         with pytest.raises(ProtocolError):
             service.submit("jane", "g0", deadline_ms=-5)
+        authority.close()
+
+    @pytest.mark.parametrize(
+        "deadline_ms",
+        [float("nan"), float("inf"), float("-inf"), MAX_DEADLINE_MS * 2],
+        ids=["nan", "inf", "-inf", "past-timeout-max"],
+    )
+    def test_unusable_deadline_rejected(self, deadline_ms):
+        # NaN would expire the submission at once; infinity and
+        # anything past threading.TIMEOUT_MAX overflow the timed wait.
+        authority = _authority()
+        with pytest.raises(ProtocolError):
+            AuthorityService(authority, default_deadline_ms=deadline_ms)
+        with pytest.raises(ProtocolError):
+            authority.service.submit("jane", "g0", deadline_ms=deadline_ms)
+        with pytest.raises(ProtocolError):
+            authority.service.submit_many(
+                "jane", ["g0", "g1"], deadline_ms=deadline_ms
+            )
+        assert authority.service.pending_count == 0
+        authority.close()
+
+    def test_longest_deadline_is_accepted(self):
+        authority = _authority()
+        future = authority.service.submit(
+            "jane", "g0", deadline_ms=MAX_DEADLINE_MS
+        )
+        assert future.result().majority.accepted
         authority.close()
 
 

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 import http.client
+import logging
 import os
+import threading
+import time
 
 import pytest
 
@@ -25,7 +28,7 @@ from repro.core.registry import standard_procedures
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
 from repro.server import ThreadedServer, WriteBehindPersister, state_paths
-from repro.service import AuthorityService, SolveCache
+from repro.service import AuthorityService, SolveCache, faults
 
 GAMES = 6
 
@@ -159,6 +162,16 @@ class TestEndpoints:
         assert body["returned"] == 0
         status, body, _ = client.request("GET", "/audit?limit=2")
         assert body["returned"] == 2 and body["total"] >= 2
+        # limit=0 returns no records but still counts the matches.
+        status, body, _ = client.request("GET", "/audit?limit=0")
+        assert status == 200
+        assert body["returned"] == 0 and body["records"] == []
+        assert body["total"] >= 2
+        status, body, _ = client.request("GET", "/audit?limit=-1")
+        assert status == 400 and "limit" in body["error"]
+        # Nothing has left the window yet: it starts at clock 1.
+        status, body, _ = client.request("GET", "/audit")
+        assert body["oldest_clock"] == 1
 
     def test_stats_shape(self, client):
         client.request("POST", "/consult", {"agent": "jane", "game_id": "g2"})
@@ -197,6 +210,28 @@ class TestErrorMapping:
             {"agent": "jane", "game_id": "g0", "mode": "nope"},
         )
         assert status == 400
+
+    @pytest.mark.parametrize(
+        "token", ["NaN", "Infinity", "-Infinity", "1e13"],
+        ids=["nan", "inf", "-inf", "past-timeout-max"],
+    )
+    def test_unusable_deadline_is_400_with_strict_json(self, client, token):
+        # json.loads accepts NaN and Infinity; the server must refuse
+        # them, and its error body must not echo them back.
+        client.conn.request(
+            "POST", "/consult",
+            body='{"agent": "jane", "game_id": "g0", "deadline_ms": %s}'
+            % token,
+        )
+        resp = client.conn.getresponse()
+        raw = resp.read()
+        assert resp.status == 400
+
+        def refuse(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        body = json.loads(raw, parse_constant=refuse)
+        assert "deadline_ms" in body["error"]
 
     def test_bad_json_body_is_400(self, client):
         client.conn.request("POST", "/consult", body="{not json")
@@ -275,6 +310,64 @@ class TestGracefulShutdown:
         assert shutdown[0].details["completed"] == 1
         assert shutdown[0].details["snapshot_entries"] >= 1
         authority.close()
+
+    @pytest.mark.parametrize(
+        "pending", [b"", b"GET /heal"], ids=["idle", "half-sent-request"]
+    )
+    def test_stop_hangs_up_an_idle_keep_alive_client(self, caplog, pending):
+        """A keep-alive client parked between requests, or partway into
+        sending its next one, must not hold the shutdown for the whole
+        grace window."""
+        grace = 10.0
+        service = AuthorityService(build_authority())
+        threaded = ThreadedServer(service, shutdown_grace=grace).start()
+        client = Client(threaded.port)
+        status, _, headers = client.request(
+            "POST", "/consult", {"agent": "jane", "game_id": "g0"}
+        )
+        assert status == 200 and headers.get("Connection") == "keep-alive"
+        client.conn.sock.sendall(pending)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            started = time.monotonic()
+            threaded.stop()
+            elapsed = time.monotonic() - started
+        assert elapsed < grace / 5
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+        shutdown = service.authority.audit.events_of(EVENT_SERVER_SHUTDOWN)
+        assert len(shutdown) == 1
+        # The server hung up on the idle connection.
+        with pytest.raises((http.client.HTTPException, ConnectionError)):
+            client.request("GET", "/healthz")
+        client.close()
+        service.authority.close()
+
+    def test_stop_still_lets_an_in_flight_request_answer(self):
+        """The grace window still covers a handler whose consultation
+        resolves during the shutdown drain; its answer closes the
+        connection."""
+        service = AuthorityService(build_authority())
+        threaded = ThreadedServer(service).start()
+        client = Client(threaded.port)
+        replies = []
+        caller = threading.Thread(target=lambda: replies.append(
+            client.request(
+                "POST", "/consult", {"agent": "jane", "game_id": "g0"}
+            )
+        ))
+        with faults.armed("solve:hang:1@1") as plan:
+            caller.start()
+            waited = time.monotonic() + 30
+            while not plan.fired and time.monotonic() < waited:
+                time.sleep(0.01)
+            assert plan.fired  # the solve is wedged: the request is in flight
+            threaded.stop()
+            caller.join(timeout=30)
+        assert not caller.is_alive()
+        status, body, headers = replies[0]
+        assert status == 200 and body["state"] == "resolved"
+        assert headers.get("Connection") == "close"
+        client.close()
+        service.authority.close()
 
     def test_admin_snapshot_with_persister(self, tmp_path):
         snapshot, journal = state_paths(tmp_path / "state")
