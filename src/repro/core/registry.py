@@ -190,16 +190,30 @@ class P1Procedure(VerificationProcedure):
             return self._verdict(False, "P1 applies to bimatrix games")
         proof = advice.proof
         if isinstance(proof, P1Announcement):
-            announcement = proof
+            supports = (proof.row_support, proof.column_support)
         else:
             try:
-                announcement = P1Announcement(
-                    row_support=tuple(proof["row_support"]),
-                    column_support=tuple(proof["column_support"]),
-                )
+                supports = (proof["row_support"], proof["column_support"])
             except (TypeError, KeyError) as exc:
                 return self._verdict(False, f"malformed P1 announcement: {exc}")
-        agents = (ROW, COLUMN) if advice.agent == "both" else (int(advice.agent),)
+        if not all(_is_support(support) for support in supports):
+            return self._verdict(
+                False,
+                "malformed P1 announcement: a support is not a strictly "
+                "increasing sequence of action indices",
+            )
+        advised = advice.agent
+        if advised != "both" and not (
+            type(advised) is int and advised in (ROW, COLUMN)
+        ):
+            return self._verdict(
+                False,
+                f"malformed P1 announcement: agent {advised!r} is not 0, 1 or 'both'",
+            )
+        announcement = P1Announcement(
+            row_support=tuple(supports[0]), column_support=tuple(supports[1])
+        )
+        agents = (ROW, COLUMN) if advised == "both" else (advised,)
         solves = 0
         for agent in agents:
             report = P1Verifier(game, agent).verify(announcement)
@@ -208,6 +222,16 @@ class P1Procedure(VerificationProcedure):
                 return self._verdict(False, f"agent {agent}: {report.reason}",
                                      linear_solves=solves)
         return self._verdict(True, "P1 supports verified", linear_solves=solves)
+
+
+def _is_support(support) -> bool:
+    """A strictly increasing sequence of ints (bools are not ints here):
+    what a bit-vector decodes to."""
+    return (
+        type(support) in (list, tuple)
+        and all(type(i) is int for i in support)
+        and all(a < b for a, b in zip(support, support[1:]))
+    )
 
 
 class P2Procedure(VerificationProcedure):

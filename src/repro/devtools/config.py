@@ -71,6 +71,7 @@ def default_config() -> LintConfig:
             "repro/linalg/int_exact.py",
             "repro/linalg/int_lp.py",
             "repro/equilibria/mixed.py",
+            "repro/interactive/p1.py",
             "repro/proofs/",
         ),
         integer_kernel_modules=(

@@ -20,11 +20,21 @@ sides, which :func:`run_p1_exchange` performs.
 
 The system (1) is square when |S1| = |S2| and generically nonsingular;
 for degenerate games the verifier falls back to exact LP feasibility over
-the same conditions — matching Lemma 1's "LP(n, m)" bound.  Both legs
-run fraction-free: the square solve on the integer Bareiss kernel
-(:mod:`repro.linalg.int_exact`) and the LP fallback on the integer
-simplex (:mod:`repro.linalg.int_lp`), each bit-identical to its
-Fraction reference.
+the same conditions — matching Lemma 1's "LP(n, m)" bound.
+
+The verifier runs on Python ints.  On each call it clears the agent's
+payoffs in the columns of S2 to one positive scale (its own clearing,
+independent of the inventor's cached lattice).  The square system goes
+through the integer Bareiss kernel
+(:func:`repro.linalg.int_exact.solve_square_integers`), which returns
+y_j = w_j / det with det > 0; the LP fallback runs on the integer
+simplex (:mod:`repro.linalg.int_lp`) and its mix is cleared the same
+way.  The probability checks are then ``0 <= w_j <= det`` and
+``sum(w) == det``, the gains are integer dot products, and indifference
+and the off-support test compare integers in units of scale * det.
+Fractions are built only for the report.  :func:`fraction_p1_check`
+keeps the Fraction arithmetic as the reference the parity tests
+compare against.
 """
 
 from __future__ import annotations
@@ -36,7 +46,11 @@ from typing import Sequence
 from repro.errors import EquilibriumError, LinearAlgebraError, TranscriptError
 from repro.games.bimatrix import COLUMN, ROW, BimatrixGame
 from repro.games.profiles import MixedProfile
-from repro.linalg.int_exact import solve_square
+from repro.linalg.int_exact import (
+    integerize_vector,
+    solve_square,
+    solve_square_integers,
+)
 from repro.equilibria.support_enumeration import solve_one_side
 from repro.interactive.transcripts import (
     PROVER,
@@ -130,23 +144,7 @@ class P1Verifier:
         """Run the Fig. 3 verification for this agent."""
         self.linear_solves = 0
         self.lp_fallbacks = 0
-        if self._agent == ROW:
-            own_support = announcement.row_support
-            other_support = announcement.column_support
-            payoff_rows = self._game.row_matrix
-            num_own, num_other = self._game.action_counts
-        else:
-            own_support = announcement.column_support
-            other_support = announcement.row_support
-            # The column agent's payoffs, viewed with its own actions as rows.
-            b = self._game.column_matrix
-            payoff_rows = tuple(
-                tuple(b[i][j] for i in range(self._game.num_rows))
-                for j in range(self._game.num_columns)
-            )
-            num_other, num_own = self._game.action_counts
-
-        report = self._verify_side(payoff_rows, own_support, other_support, num_own, num_other)
+        report = self._verify_side(*_agent_view(self._game, self._agent, announcement))
         if transcript is not None:
             transcript.record(
                 VERIFIER,
@@ -165,31 +163,38 @@ class P1Verifier:
         num_own: int,
         num_other: int,
     ) -> P1Report:
-        if not own_support or not other_support:
-            return self._reject("a support set is empty")
-        if any(not 0 <= i < num_own for i in own_support):
-            return self._reject("own support indices out of range")
-        if any(not 0 <= j < num_other for j in other_support):
-            return self._reject("other support indices out of range")
+        problem = _support_problem(own_support, other_support, num_own, num_other)
+        if problem is not None:
+            return self._reject(problem)
 
-        y = self._solve_system(payoff_rows, own_support, other_support, num_other)
-        if y is None:
+        # The verifier's own clearing: the agent's payoffs in the columns
+        # of S2, one positive scale, so gains compare as scale * gain.
+        k = len(other_support)
+        flat, scale = integerize_vector(
+            tuple(row[j] for row in payoff_rows for j in other_support)
+        )
+        columns = [flat[i * k:(i + 1) * k] for i in range(num_own)]
+
+        solved = self._solve_system(
+            payoff_rows, columns, own_support, other_support, num_other
+        )
+        if solved is None:
             return self._reject(
                 "the support system (1) has no valid probability solution"
             )
+        # y_j = weights[t] / det for j = other_support[t], with det > 0.
+        weights, det = solved
 
         # Probability constraints: 0 <= y_t <= 1, summing to one.
-        if any(prob < 0 or prob > 1 for prob in y):
+        if any(w < 0 or w > det for w in weights):
             return self._reject("derived probabilities leave [0, 1]")
-        if sum(y, start=_ZERO) != 1:
+        if sum(weights) != det:
             return self._reject("derived probabilities do not sum to 1")
 
-        # Zero weights add nothing: sum over the opponent actions in play.
-        played = [j for j in range(num_other) if y[j]]
-        gains = [
-            sum((y[j] * payoff_rows[i][j] for j in played), start=_ZERO)
-            for i in range(num_own)
-        ]
+        # Gains in units of scale * det; zero weights add nothing.
+        played = [(t, w) for t, w in enumerate(weights) if w]
+        gains = [sum(row[t] * w for t, w in played) for row in columns]
+        unit = scale * det
         value = gains[own_support[0]]
         for i in own_support:
             if gains[i] != value:
@@ -201,13 +206,17 @@ class P1Verifier:
                 continue
             if gains[i] > value:
                 return self._reject(
-                    f"off-support action {i} earns {gains[i]} > λ = {value}"
+                    f"off-support action {i} earns {Fraction(gains[i], unit)} "
+                    f"> λ = {Fraction(value, unit)}"
                 )
+        other_mix = [_ZERO] * num_other
+        for t, w in played:
+            other_mix[other_support[t]] = Fraction(w, det)
         return P1Report(
             accepted=True,
             reason="supports verified",
-            other_mix=tuple(y),
-            value=value,
+            other_mix=tuple(other_mix),
+            value=Fraction(value, unit),
             linear_solves=self.linear_solves,
             lp_fallbacks=self.lp_fallbacks,
         )
@@ -215,47 +224,168 @@ class P1Verifier:
     def _solve_system(
         self,
         payoff_rows: Sequence[Sequence[Fraction]],
+        columns: Sequence[Sequence[int]],
         own_support: tuple[int, ...],
         other_support: tuple[int, ...],
         num_other: int,
-    ) -> tuple[Fraction, ...] | None:
-        """Solve system (1); exact square solve first, LP fallback after."""
+    ) -> tuple[Sequence[int], int] | None:
+        """Solve system (1) on ints: ``(weights on S2, det)``, det > 0.
+
+        Exact square solve first, LP fallback after.  ``columns`` holds
+        the agent's cleared payoffs in the columns of S2; scaling every
+        payoff by one constant scales λ and leaves y unchanged.
+        """
         k = len(other_support)
         if len(own_support) == k:
             # Square system: unknowns y_{j in S2} and λ.
-            matrix = []
-            rhs = []
-            for i in own_support:
-                matrix.append([payoff_rows[i][j] for j in other_support] + [-_ONE])
-                rhs.append(_ZERO)
-            matrix.append([_ONE] * k + [_ZERO])
-            rhs.append(_ONE)
+            augmented = [[*columns[i], -1, 0] for i in own_support]
+            augmented.append([1] * k + [0, 1])
             self.linear_solves += 1
             try:
-                solution = solve_square(matrix, rhs)
+                solution, det = solve_square_integers(augmented)
             except LinearAlgebraError:
-                solution = None
-            if solution is not None:
-                y = [_ZERO] * num_other
-                for idx, j in enumerate(other_support):
-                    y[j] = solution[idx]
-                return tuple(y)
+                pass
+            else:
+                return solution[:k], det
         # Degenerate or non-square: exact LP feasibility (Lemma 1's LP bound).
         self.lp_fallbacks += 1
         result = solve_one_side(payoff_rows, own_support, other_support, num_other)
         if result is None:
             return None
-        return result[0]
+        # The LP's variables are the mix on S2; clear them to one scale.
+        return integerize_vector(tuple(result[0][j] for j in other_support))
 
     def _reject(self, reason: str) -> P1Report:
-        return P1Report(
-            accepted=False,
-            reason=reason,
-            other_mix=None,
-            value=None,
-            linear_solves=self.linear_solves,
-            lp_fallbacks=self.lp_fallbacks,
+        return _rejected(reason, self.linear_solves, self.lp_fallbacks)
+
+
+def fraction_p1_check(
+    game: BimatrixGame, agent: int, announcement: P1Announcement
+) -> P1Report:
+    """The seed's Fraction-arithmetic P1 side (reference semantics).
+
+    Same checks, in the same order, as :class:`P1Verifier`, with system
+    (1), the gains and every comparison summed as Fractions.  The
+    integer verifier must (and, per the parity tests, does) return an
+    equal :class:`P1Report` on every input.
+    """
+    if agent not in (ROW, COLUMN):
+        raise EquilibriumError("agent must be ROW or COLUMN")
+    payoff_rows, own_support, other_support, num_own, num_other = _agent_view(
+        game, agent, announcement
+    )
+    solves = fallbacks = 0
+    problem = _support_problem(own_support, other_support, num_own, num_other)
+    if problem is not None:
+        return _rejected(problem, solves, fallbacks)
+
+    y = None
+    k = len(other_support)
+    if len(own_support) == k:
+        matrix = [
+            [payoff_rows[i][j] for j in other_support] + [-_ONE]
+            for i in own_support
+        ]
+        matrix.append([_ONE] * k + [_ZERO])
+        solves += 1
+        try:
+            solution = solve_square(matrix, [_ZERO] * k + [_ONE])
+        except LinearAlgebraError:
+            pass
+        else:
+            y = [_ZERO] * num_other
+            for idx, j in enumerate(other_support):
+                y[j] = solution[idx]
+    if y is None:
+        fallbacks += 1
+        result = solve_one_side(payoff_rows, own_support, other_support, num_other)
+        if result is None:
+            return _rejected(
+                "the support system (1) has no valid probability solution",
+                solves, fallbacks,
+            )
+        y = result[0]
+
+    if any(prob < 0 or prob > 1 for prob in y):
+        return _rejected("derived probabilities leave [0, 1]", solves, fallbacks)
+    if sum(y, start=_ZERO) != 1:
+        return _rejected("derived probabilities do not sum to 1", solves, fallbacks)
+    played = [j for j in range(num_other) if y[j]]
+    gains = [
+        sum((y[j] * payoff_rows[i][j] for j in played), start=_ZERO)
+        for i in range(num_own)
+    ]
+    value = gains[own_support[0]]
+    for i in own_support:
+        if gains[i] != value:
+            return _rejected(
+                f"supported action {i} is not indifferent (λ broken)",
+                solves, fallbacks,
+            )
+    for i in range(num_own):
+        if i not in own_support and gains[i] > value:
+            return _rejected(
+                f"off-support action {i} earns {gains[i]} > λ = {value}",
+                solves, fallbacks,
+            )
+    return P1Report(
+        accepted=True,
+        reason="supports verified",
+        other_mix=tuple(y),
+        value=value,
+        linear_solves=solves,
+        lp_fallbacks=fallbacks,
+    )
+
+
+def _agent_view(game: BimatrixGame, agent: int, announcement: P1Announcement):
+    """``(payoff_rows, own_support, other_support, num_own, num_other)``.
+
+    The column agent's payoffs are viewed with its own actions as rows.
+    """
+    num_rows, num_columns = game.action_counts
+    if agent == ROW:
+        return (
+            game.row_matrix,
+            announcement.row_support,
+            announcement.column_support,
+            num_rows,
+            num_columns,
         )
+    return (
+        game.column_matrix_transposed,
+        announcement.column_support,
+        announcement.row_support,
+        num_columns,
+        num_rows,
+    )
+
+
+def _support_problem(
+    own_support: tuple[int, ...],
+    other_support: tuple[int, ...],
+    num_own: int,
+    num_other: int,
+) -> str | None:
+    """Why the announced supports cannot be checked, or None."""
+    if not own_support or not other_support:
+        return "a support set is empty"
+    if any(not 0 <= i < num_own for i in own_support):
+        return "own support indices out of range"
+    if any(not 0 <= j < num_other for j in other_support):
+        return "other support indices out of range"
+    return None
+
+
+def _rejected(reason: str, linear_solves: int, lp_fallbacks: int) -> P1Report:
+    return P1Report(
+        accepted=False,
+        reason=reason,
+        other_mix=None,
+        value=None,
+        linear_solves=linear_solves,
+        lp_fallbacks=lp_fallbacks,
+    )
 
 
 def run_p1_exchange(

@@ -262,11 +262,10 @@ def solve_square(matrix: Sequence[Sequence], rhs: Sequence) -> Vector:
     """Solve a square nonsingular system exactly, fraction-free.
 
     Bit-identical to :func:`repro.linalg.exact.solve_square` (the
-    solution of a nonsingular system is unique): forward Bareiss
-    elimination to an integer echelon form, then the
-    Nakos-Turner-Williams integer back-substitution — divisions by the
-    pivots are exact, and the one reconstruction division per unknown
-    happens at the Fraction boundary.
+    solution of a nonsingular system is unique): the rows are cleared to
+    integers and solved by :func:`solve_square_integers`, and the one
+    reconstruction division per unknown happens at the Fraction
+    boundary.
     """
     a = fraction_matrix(matrix)
     b = fraction_vector(rhs)
@@ -279,7 +278,28 @@ def solve_square(matrix: Sequence[Sequence], rhs: Sequence) -> Vector:
         raise LinearAlgebraError("rhs length does not match matrix")
 
     int_a, int_b, __ = _integerize_augmented(a, [[x] for x in b])
-    rows = [int_a[i] + int_b[i] for i in range(n)]
+    numerators, det = solve_square_integers(
+        [int_a[i] + int_b[i] for i in range(n)]
+    )
+    return tuple(Fraction(y_j, det) for y_j in numerators)
+
+
+def solve_square_integers(
+    augmented: Sequence[Sequence[int]],
+) -> tuple[tuple[int, ...], int]:
+    """Solve a square nonsingular integer system: ``(numerators, det)``.
+
+    ``augmented`` holds the ``n >= 1`` rows ``[A | b]`` of Python ints
+    (``n`` by ``n + 1``); it is not modified.  The solution is
+    ``x_j = numerators[j] / det`` with ``det > 0``, so callers can keep
+    comparing on integers and build Fractions only at their boundary.
+    Forward Bareiss elimination to an integer echelon form, then the
+    Nakos-Turner-Williams integer back-substitution — every division by
+    a pivot is exact.  Raises :class:`~repro.errors.LinearAlgebraError`
+    when the matrix is singular.
+    """
+    rows = list(augmented)
+    n = len(rows)
 
     # Forward Bareiss: only rows below the pivot are touched.
     denominator = 1
@@ -309,7 +329,9 @@ def solve_square(matrix: Sequence[Sequence], rhs: Sequence) -> Vector:
         for l in range(j + 1, n):
             total -= rows[j][l] * y[l]
         y[j] = _exact_div(total, rows[j][j])
-    return tuple(Fraction(y_j, det) for y_j in y)
+    if det < 0:
+        return tuple(-y_j for y_j in y), -det
+    return tuple(y), det
 
 
 def solve_linear_system(matrix: Sequence[Sequence], rhs: Sequence):

@@ -19,7 +19,7 @@ from repro.core import (
     standard_procedures,
 )
 from repro.errors import EquilibriumError, ProtocolError
-from repro.games import ParticipationGame, ROW
+from repro.games import BimatrixGame, ParticipationGame, ROW
 from repro.games.generators import matching_pennies, random_bimatrix
 from repro.interactive import P1Announcement
 
@@ -167,3 +167,73 @@ class TestP1ProcedureObjectProof:
             ParticipationGame(3, value=8, cost=3), advice, context
         )
         assert not verdict.accepted
+
+def _p1_advice(row_support, column_support, agent="both"):
+    return Advice(
+        game_id="g", agent=agent, concept=SolutionConcept.MIXED_NASH,
+        proof_format=ProofFormat.INTERACTIVE_P1,
+        suggestion=None,
+        proof={"row_support": row_support, "column_support": column_support},
+    )
+
+
+#: A 2x2 game whose one equilibrium is pure, at (row 1, column 0).
+_PURE_AT_1_0 = BimatrixGame([[0, 0], [1, 1]], [[1, 0], [1, 0]])
+
+
+class TestP1ProcedureMalformedInput:
+    """A malformed announcement or advised agent is a rejecting verdict,
+    never an exception.  Bool entries, repeated and unordered indices
+    decode from no bit-vector; each case below is one that would
+    otherwise be accepted."""
+
+    @pytest.mark.parametrize(
+        "row_support, column_support, agent",
+        [
+            pytest.param(["0"], [0], "both", id="string-entries"),
+            pytest.param([1.0], [0.0], "both", id="float-entries"),
+            pytest.param("01", [0], "both", id="string-support"),
+            pytest.param([True], [False], "both", id="bool-entries"),
+            pytest.param([1, 1], [0], 0, id="repeated-indices"),
+            pytest.param([1], [0], 2, id="agent-2"),
+            pytest.param([1], [0], "2", id="agent-string-2"),
+            pytest.param([1], [0], -1, id="agent-minus-1"),
+            pytest.param([1], [0], "row", id="agent-row"),
+            pytest.param([1], [0], True, id="agent-bool"),
+        ],
+    )
+    def test_rejected_as_malformed(self, row_support, column_support, agent):
+        advice = _p1_advice(row_support, column_support, agent)
+        context = VerificationContext(rng=random.Random(0))
+        verdict = P1Procedure("v").verify(_PURE_AT_1_0, advice, context)
+        assert not verdict.accepted
+        assert verdict.reason.startswith("malformed P1 announcement")
+
+    def test_unordered_indices_rejected_as_malformed(self):
+        """Matching pennies' full supports, listed backwards."""
+        advice = _p1_advice([1, 0], [1, 0])
+        context = VerificationContext(rng=random.Random(0))
+        verdict = P1Procedure("v").verify(matching_pennies(), advice, context)
+        assert not verdict.accepted
+        assert verdict.reason.startswith("malformed P1 announcement")
+        ordered = _p1_advice([0, 1], [0, 1])
+        assert P1Procedure("v").verify(matching_pennies(), ordered, context).accepted
+
+    @pytest.mark.parametrize("agent", [0, 1, "both"])
+    def test_well_formed_equilibrium_still_accepted(self, agent):
+        context = VerificationContext(rng=random.Random(0))
+        for proof in ((1,), (0,)), ([1], [0]):
+            advice = _p1_advice(*proof, agent=agent)
+            assert P1Procedure("v").verify(_PURE_AT_1_0, advice, context).accepted
+
+    def test_out_of_range_and_empty_supports_keep_their_reasons(self):
+        context = VerificationContext(rng=random.Random(0))
+        verdict = P1Procedure("v").verify(
+            _PURE_AT_1_0, _p1_advice([1, 2], [0], agent=0), context
+        )
+        assert verdict.reason == "agent 0: own support indices out of range"
+        verdict = P1Procedure("v").verify(
+            _PURE_AT_1_0, _p1_advice([], [0], agent=1), context
+        )
+        assert verdict.reason == "agent 1: a support set is empty"
+

@@ -123,6 +123,29 @@ class TestBareissEliminationParity:
         assert got == expected
         assert got_error == expected_error
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=1, max_value=6), st.data())
+    def test_solve_square_integers(self, size, data):
+        """The integer entry point: x_j = numerators[j] / det, det > 0."""
+        entry = st.integers(min_value=-4, max_value=4)
+        augmented = [
+            [data.draw(entry) for _ in range(size + 1)] for _ in range(size)
+        ]
+        untouched = [list(row) for row in augmented]
+        matrix = [row[:size] for row in augmented]
+        rhs = [row[size] for row in augmented]
+        try:
+            expected = exact.solve_square(matrix, rhs)
+        except LinearAlgebraError:
+            with pytest.raises(LinearAlgebraError):
+                int_exact.solve_square_integers(augmented)
+            return
+        numerators, det = int_exact.solve_square_integers(augmented)
+        assert det > 0
+        assert all(type(v) is int for v in numerators)
+        assert tuple(Fraction(v, det) for v in numerators) == expected
+        assert augmented == untouched
+
     @settings(max_examples=60, deadline=None)
     @given(rational_matrix())
     def test_nullspace_parity(self, matrix):

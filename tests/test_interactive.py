@@ -1,6 +1,7 @@
 """Tests for the interactive proofs P1 and P2, transcripts, the n-player
 generalization, privacy (Remark 2), and dishonest provers."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -38,7 +39,9 @@ from repro.interactive import (
     verify_nplayer,
     view_from_session,
 )
+from repro.interactive.p1 import fraction_p1_check
 from repro.interactive.p2 import P2Disclosure
+from repro.rng import make_rng
 
 
 class TestTranscripts:
@@ -178,6 +181,175 @@ class TestP1:
             # row agent derived y; column agent derived x.
             profile = MixedProfile((col_report.other_mix, row_report.other_mix))
             assert is_mixed_nash(game, profile)
+
+
+def _parity_game(kind: str, n: int, m: int, seed: int) -> BimatrixGame:
+    """Random integers, ties in {-1,0,1} or {-2..2}, or Fractions with
+    mixed denominators up to 49."""
+    rng = make_rng(seed, f"p1-parity:{kind}")
+
+    def cell():
+        if kind == "int":
+            return rng.randint(-9, 9)
+        if kind == "tie3":
+            return rng.choice((-1, 0, 1))
+        if kind == "tie5":
+            return rng.choice((-2, -1, 0, 1, 2))
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 49))
+
+    a = [[cell() for _ in range(m)] for _ in range(n)]
+    b = [[cell() for _ in range(m)] for _ in range(n)]
+    return BimatrixGame(a, b, name=f"{kind}({n}x{m}, seed={seed})")
+
+
+def _subsets(k: int):
+    return [
+        tuple(i for i in range(k) if mask >> i & 1) for mask in range(1 << k)
+    ]
+
+
+def _every_announcement(n: int, m: int):
+    """Every pair of supports, the empty ones included, and three out of
+    range."""
+    announcements = [
+        P1Announcement(rs, cs) for rs in _subsets(n) for cs in _subsets(m)
+    ]
+    announcements += [
+        P1Announcement((n,), (0,)),
+        P1Announcement((0,), (m,)),
+        P1Announcement((-1, 0), (0,)),
+    ]
+    return announcements
+
+
+def _parity_cases():
+    """(game, agent, announcement) over a fixed corpus of small games."""
+    for n, m in [(1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3)]:
+        for kind in ("int", "tie3", "tie5", "frac"):
+            for seed in range(2):
+                game = _parity_game(kind, n, m, 6100 + 10 * seed + n * m)
+                for announcement in _every_announcement(n, m):
+                    for agent in (ROW, COLUMN):
+                        yield game, agent, announcement
+
+
+def _report_line(game, agent, announcement, report) -> bytes:
+    mix = None if report.other_mix is None else ",".join(map(str, report.other_mix))
+    return (
+        f"{game.name}:{agent}:{announcement.row_support}:"
+        f"{announcement.column_support}:{report.accepted}:{report.reason}:"
+        f"{mix}:{report.value}:{report.linear_solves}:{report.lp_fallbacks}\n"
+    ).encode()
+
+
+#: SHA-256 over the 3,104 P1 reports of :func:`_parity_cases` (828
+#: accepted), recorded with the Fraction-arithmetic verifier.
+P1_REPORT_DIGEST = (
+    "da925ca4e57703435d4d6a49b9e4140ef6d1c0a8efe0f6f2bf83b4cf20b011cc"
+)
+
+
+def _cells_game(cells):
+    """Hypothesis strategy: a game of 1..4 by 1..5 actions over ``cells``."""
+
+    def matrices(shape):
+        n, m = shape
+        matrix = st.lists(
+            st.lists(cells, min_size=m, max_size=m), min_size=n, max_size=n
+        )
+        return st.tuples(matrix, matrix)
+
+    return st.tuples(
+        st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=5)
+    ).flatmap(matrices).map(lambda ab: BimatrixGame(*ab))
+
+
+def _support(k: int):
+    """Mostly in-range supports (empty included), sometimes out of range."""
+    in_range = st.sets(st.integers(min_value=0, max_value=k - 1), max_size=k)
+    anywhere = st.sets(st.integers(min_value=-1, max_value=k), max_size=k + 1)
+    return st.one_of(in_range, in_range, in_range, anywhere).map(
+        lambda support: tuple(sorted(support))
+    )
+
+
+class TestIntegerP1Parity:
+    """The integer verifier returns the Fraction reference's reports:
+    verdict, reason, derived mix, value and solve counts."""
+
+    def test_every_announcement_matches_the_reference(self):
+        for game, agent, announcement in _parity_cases():
+            report = P1Verifier(game, agent).verify(announcement)
+            assert report == fraction_p1_check(game, agent, announcement), (
+                game.name, agent, announcement,
+            )
+            if report.accepted:
+                assert all(type(p) is Fraction for p in report.other_mix)
+                assert type(report.value) is Fraction
+
+    def test_reports_match_the_recorded_digest(self):
+        digest = hashlib.sha256()
+        for game, agent, announcement in _parity_cases():
+            report = P1Verifier(game, agent).verify(announcement)
+            digest.update(_report_line(game, agent, announcement, report))
+        assert digest.hexdigest() == P1_REPORT_DIGEST
+
+    def test_corpus_reaches_every_leg(self):
+        """The corpus takes the square solve, the LP leg and the LP after
+        a singular square system, and rejects on every check."""
+        seen = set()
+        for game, agent, announcement in _parity_cases():
+            report = P1Verifier(game, agent).verify(announcement)
+            legs = (report.linear_solves, report.lp_fallbacks)
+            seen.add((report.accepted, legs))
+            seen.add(report.reason.split(" ")[0])
+        assert {(True, (1, 0)), (True, (0, 1)), (True, (1, 1))} <= seen
+        assert {(False, (1, 0)), (False, (0, 1)), (False, (1, 1))} <= seen
+        assert {"a", "own", "other", "derived", "off-support", "the"} <= seen
+
+    def _check(self, data, cells):
+        game = data.draw(_cells_game(cells))
+        n, m = game.action_counts
+        for __ in range(4):
+            announcement = P1Announcement(
+                data.draw(_support(n)), data.draw(_support(m))
+            )
+            for agent in (ROW, COLUMN):
+                assert P1Verifier(game, agent).verify(announcement) == (
+                    fraction_p1_check(game, agent, announcement)
+                )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_integer_games(self, data):
+        self._check(data, st.integers(min_value=-9, max_value=9))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_tie_heavy_games(self, data):
+        self._check(data, st.sampled_from((-1, 0, 1)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_fraction_payoffs_with_distinct_denominators(self, data):
+        self._check(
+            data,
+            st.builds(
+                Fraction,
+                st.integers(min_value=-9, max_value=9),
+                st.integers(min_value=1, max_value=49),
+            ),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_honest_announcements(self, seed):
+        game = random_bimatrix(4, 5, seed=seed)
+        announcement = P1Prover(game, lemke_howson(game, seed % 9)).announce()
+        for agent in (ROW, COLUMN):
+            report = P1Verifier(game, agent).verify(announcement)
+            assert report.accepted
+            assert report == fraction_p1_check(game, agent, announcement)
 
 
 class TestP2:
