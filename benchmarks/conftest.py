@@ -1,7 +1,7 @@
 """Shared benchmark infrastructure.
 
-Every bench prints a paper-vs-measured table and also writes it under
-``benchmarks/results/`` so the numbers survive pytest's output capture.
+Every bench prints a paper-vs-measured table and also writes it to a
+file so the numbers survive pytest's output capture.
 ``REPRO_BENCH_SCALE`` selects the workload size:
 
 * ``quick``   — smoke-test sizes (seconds);
@@ -13,6 +13,13 @@ machine-readable ``BENCH_<name>.json`` files via :func:`record_metrics`
 so the performance trajectory is trackable across PRs: each file carries
 the bench name, the scale it ran at, the solver backend, and a list of
 ``{"metric", "value"}`` pairs (plus free-form context per metric).
+
+``benchmarks/results/`` holds the committed trajectory, and only a
+recording run writes there: ``REPRO_BENCH_RECORD=1`` at default scale.
+Every other run — the plain ``pytest`` that also collects this
+directory, CI's smokes — writes its tables and JSON to
+``results/smoke/`` (ignored by git), so running the suite never
+rewrites the committed numbers.  Every bench assertion runs either way.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ import pathlib
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-#: Non-default-scale JSON quarantine: quick/full runs write here, so the
-#: committed trajectory directory holds default-scale numbers only.
+#: Where every run that is not a recording run writes (see the module
+#: notes); quick/full JSON always lands here, scale-suffixed.
 SMOKE_DIR = RESULTS_DIR / "smoke"
 
 
@@ -60,14 +67,21 @@ def bench_scale() -> str:
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> pathlib.Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+def results_dir(bench_scale) -> pathlib.Path:
+    """Where this run writes: ``results/`` for a recording run (the one
+    kind that writes the committed files), else ``results/smoke/``."""
+    recording = (
+        os.environ.get("REPRO_BENCH_RECORD") == "1"
+        and bench_scale == "default"
+    )
+    target = RESULTS_DIR if recording else SMOKE_DIR
+    target.mkdir(parents=True, exist_ok=True)
+    return target
 
 
 @pytest.fixture
 def record_table(results_dir):
-    """Print a rendered table and persist it to results/<name>.txt."""
+    """Print a rendered table and persist it to ``<results_dir>/<name>.txt``."""
 
     def _record(name: str, text: str) -> None:
         print()
@@ -80,7 +94,7 @@ def record_table(results_dir):
 
 @pytest.fixture
 def record_metrics(results_dir, bench_scale):
-    """Persist machine-readable metrics to results/BENCH_<name>.json.
+    """Persist machine-readable metrics to ``BENCH_<name>.json``.
 
     ``metrics`` is a list of dicts, each at least ``{"metric": str,
     "value": number}``; extra keys (e.g. ``"size"``, ``"unit"``) ride
@@ -89,10 +103,11 @@ def record_metrics(results_dir, bench_scale):
     ``"mixed"`` for comparative benches).
 
     The bare ``BENCH_<name>.json`` filename is reserved for the
-    committed default scale; quick/full runs write
-    ``BENCH_<name>.<scale>.json`` into ``results/smoke/`` instead, so a
-    smoke run never clobbers — and can never be committed next to —
-    the cross-PR trajectory data.
+    default scale: ``results/`` for a recording run, ``results/smoke/``
+    otherwise.  Quick/full runs always write
+    ``BENCH_<name>.<scale>.json`` into ``results/smoke/``, so a smoke
+    run never clobbers — and can never be committed next to — the
+    cross-PR trajectory data.
     """
 
     def _record(name: str, metrics: list[dict], backend: str = "exact") -> None:
@@ -110,7 +125,7 @@ def record_metrics(results_dir, bench_scale):
         if bench_scale == "default":
             path = results_dir / f"BENCH_{name}.json"
         else:
-            SMOKE_DIR.mkdir(exist_ok=True)
+            SMOKE_DIR.mkdir(parents=True, exist_ok=True)
             path = SMOKE_DIR / f"BENCH_{name}.{bench_scale}.json"
         path.write_text(
             json.dumps(payload, indent=2, default=str) + "\n", encoding="utf-8"

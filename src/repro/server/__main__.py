@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import gc
 import sys
 
 from repro.core.actors import AuthorityAgent, BimatrixInventor
@@ -94,8 +95,17 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="admission high-water mark (429 past it)")
     parser.add_argument("--flush-every-drains", type=int, default=1)
     parser.add_argument("--flush-interval", type=float, default=5.0)
-    parser.add_argument("--snapshot-every-drains", type=int, default=256)
-    parser.add_argument("--snapshot-interval", type=float, default=300.0)
+    parser.add_argument(
+        "--snapshot-every-drains", type=int, default=256,
+        help="minimum drains between cadence snapshots; a snapshot also "
+             "waits for a new update and for the journal to hold as many "
+             "frames as the last snapshot held entries",
+    )
+    parser.add_argument(
+        "--snapshot-interval", type=float, default=300.0,
+        help="minimum seconds between timer snapshots, under the same "
+             "journal-growth rule",
+    )
     parser.add_argument("--long-poll-timeout", type=float, default=30.0)
     parser.add_argument("--poll-interval", type=float, default=0.25)
     return parser.parse_args(argv)
@@ -104,6 +114,11 @@ def parse_args(argv=None) -> argparse.Namespace:
 async def _serve(args) -> None:
     server, _service = build_server(args)
     await server.start()
+    # Move everything alive after start-up (the published games, the
+    # replayed cache) to the permanent generation, so full collections
+    # stop walking it.  No collect() first: on a large start-up heap it
+    # would cost a full collection for nothing the freeze needs.
+    gc.freeze()
     print(f"PORT {server.port}", flush=True)
     print(
         f"repro.server listening on http://{server.host}:{server.port} "

@@ -24,7 +24,8 @@ surface:
 ``GET /audit`` / ``GET /stats`` / ``GET /healthz`` / ``GET /readyz``
     observability; the audit endpoint tails the authority's log
     window (``?event=``, ``?since=<clock>``, ``?limit=``) and reports
-    the window's ``oldest_clock``; ``/healthz`` is
+    the window's ``oldest_clock``; ``/stats`` also reports the cyclic
+    collector's per-generation counts; ``/healthz`` is
     pure *liveness* (200 whenever the loop answers) while ``/readyz``
     is *readiness* (503 + ``Retry-After`` during the recovery replay
     and the shutdown drain);
@@ -53,6 +54,7 @@ future first and lands a ``server.shutdown.completed`` audit record.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import signal
 import threading
@@ -678,6 +680,14 @@ class AuthorityHTTPServer:
             "persistence": (
                 None if self._persister is None else self._persister.stats()
             ),
+            "gc": {
+                # The cyclic collector's lifetime counts per generation
+                # (youngest first: collections, collected,
+                # uncollectable) and the objects gc.freeze() moved out
+                # of its reach.
+                "generations": gc.get_stats(),
+                "frozen": gc.get_freeze_count(),
+            },
         }
         return jsonable(payload)
 

@@ -28,9 +28,12 @@ trail.
 Crash-safety of the flush/snapshot cycle itself:
 
 * updates are committed to the in-memory cache *before* they are queued
-  for the journal, so a snapshot always subsumes every update drained
-  before it — the snapshot → truncate window can only duplicate frames
+  for the journal, so a snapshot always subsumes every update queued
+  before it — an update still queued when a snapshot lands is also
+  journaled by the next flush, which can only duplicate entries
   (replay is idempotent), never lose them;
+* a flush and a snapshot never overlap: a frame appended between the
+  snapshot's cache copy and its truncation would land in neither file;
 * journal appends are fsynced per flush batch; the journal file's
   creation and every truncation fsync the directory, like the
   snapshot's atomic replace does.
@@ -138,9 +141,8 @@ class CacheJournal:
     returns — one ``write`` + one ``fsync`` per flush batch, however
     many frames it carries.  :meth:`truncate` empties the file (the
     snapshot that just landed subsumes it) and fsyncs the directory so
-    the truncation itself survives power loss.  Thread-safe; the
-    persister serializes flushes anyway, but an ``/admin/snapshot``
-    request may race a drain-end flush.
+    the truncation itself survives power loss.  Thread-safe on its
+    own; the persister also serializes its flushes and snapshots.
     """
 
     def __init__(self, path):
@@ -225,13 +227,27 @@ class WriteBehindPersister:
       pending/re-certify stores;
     * :meth:`on_drained` (the service's drain listener) — flush the
       dirty queue to the journal every ``flush_every_drains`` drains,
-      and cut a full snapshot every ``snapshot_every_drains`` drains;
+      then cut a full snapshot when the journal has grown (below), at
+      most once per ``snapshot_every_drains`` drains;
     * :meth:`poll` (an idle host's timer) — the same two decisions on
       wall-clock cadence (``flush_interval`` / ``snapshot_interval``
       seconds), so a trickle of traffic still reaches disk promptly;
-    * :meth:`snapshot` — flush-discard + atomic whole-cache save +
-      journal truncation, also the ``POST /admin/snapshot`` handler;
+    * :meth:`snapshot` — atomic whole-cache save + journal truncation,
+      also the ``POST /admin/snapshot`` handler;
     * :meth:`close` — final snapshot (graceful shutdown).
+
+    **The growth rule.**  A cadence snapshot is cut only when the
+    journal has grown: at least one update was committed since the
+    last successful snapshot, *and* the journal holds at least as many
+    frames (recovered at start-up plus flushed since) as that snapshot
+    held entries (the loaded snapshot's count at start-up).  A stream
+    of cache hits therefore never rewrites an unchanged cache, and a
+    stream of new entries pays O(1) amortized snapshot work per
+    update: each snapshot writes at most twice the frames appended
+    since the one before.  ``snapshot_every_drains`` and
+    ``snapshot_interval`` are minimum spacings on top of the rule;
+    :meth:`snapshot` itself (the admin endpoint, :meth:`close`) always
+    runs.
 
     What each knob bounds: a crash loses at most the updates committed
     since the last flush — ``flush_every_drains`` drains or
@@ -244,8 +260,10 @@ class WriteBehindPersister:
     capped exponential backoff (``backoff_base_s`` doubling up to
     ``backoff_cap_s``); past that the persister enters sticky
     **snapshot-only mode**: journaling stops, every flush cadence
-    attempts a full snapshot instead (the snapshot subsumes every
-    committed update, so nothing is lost while snapshots still land),
+    attempts a full snapshot instead whenever an update was committed
+    since the last one landed (the snapshot subsumes every committed
+    update, so nothing is lost while snapshots still land; a failed
+    snapshot leaves the state dirty for the next cadence),
     and the ``on_event`` callback — the server wires it into the audit
     log as ``server.durability.degraded`` — plus the :meth:`stats`
     ``degraded``/``degraded_reason`` fields surface the mode.  Failed
@@ -292,6 +310,10 @@ class WriteBehindPersister:
         self.snapshot_interval = snapshot_interval
         self._clock = clock
         self._lock = threading.Lock()
+        # Serializes flush() and snapshot() (see the module notes).
+        # Reentrant: a degraded flush snapshots, and the cadence holds
+        # it across its flush and snapshot decisions.
+        self._persist_lock = threading.RLock()
         self._drains_since_flush = 0
         self._drains_since_snapshot = 0
         self._last_flush = clock()
@@ -307,6 +329,13 @@ class WriteBehindPersister:
         self.flush_ms_total = 0.0
         self.snapshot_ms_total = 0.0
         self.last_replay: JournalReplayReport | None = None
+        # The growth rule's state: an update committed since the last
+        # successful snapshot, frames in the journal, and the entry
+        # count of the last snapshot (the loaded one at start-up).
+        self._dirty = False
+        self._journal_frames = 0
+        loaded = cache.last_load_report
+        self._snapshot_entries = 0 if loaded is None else loaded.entry_count
         # Degradation telemetry.
         self.degraded = False
         self.degraded_reason: str | None = None
@@ -331,6 +360,8 @@ class WriteBehindPersister:
             self.cache.merge_pending_state(state)
         for rejection in report.rejections:
             self.cache.note_rejection(**rejection)
+        with self._lock:
+            self._journal_frames += report.frames
         self.last_replay = report
         return report
 
@@ -340,35 +371,54 @@ class WriteBehindPersister:
 
     def on_drained(self, summary=None) -> None:
         """The service drain listener: count, then flush/snapshot as due."""
-        with self._lock:
-            self._drains_since_flush += 1
-            self._drains_since_snapshot += 1
-            snapshot_due = (
-                self.snapshot_every_drains is not None
-                and self._drains_since_snapshot >= self.snapshot_every_drains
-            )
-            flush_due = self._drains_since_flush >= self.flush_every_drains
-        if snapshot_due:
-            self.guarded_snapshot()
-        elif flush_due:
-            self.flush()
+        with self._persist_lock:
+            with self._lock:
+                self._drains_since_flush += 1
+                self._drains_since_snapshot += 1
+                flush_due = (
+                    self._drains_since_flush >= self.flush_every_drains
+                )
+                spaced = (
+                    self.snapshot_every_drains is not None
+                    and self._drains_since_snapshot
+                    >= self.snapshot_every_drains
+                )
+            self._cadence(flush_due, spaced)
 
     def poll(self) -> None:
         """Timer-driven cadence: flush/snapshot when the interval lapsed."""
         now = self._clock()
-        with self._lock:
-            snapshot_due = (
-                self.snapshot_interval is not None
-                and now - self._last_snapshot >= self.snapshot_interval
-            )
-            flush_due = (
-                self.flush_interval is not None
-                and now - self._last_flush >= self.flush_interval
-            )
-        if snapshot_due:
-            self.guarded_snapshot()
-        elif flush_due:
+        with self._persist_lock:
+            with self._lock:
+                flush_due = (
+                    self.flush_interval is not None
+                    and now - self._last_flush >= self.flush_interval
+                )
+                spaced = (
+                    self.snapshot_interval is not None
+                    and now - self._last_snapshot >= self.snapshot_interval
+                )
+            self._cadence(flush_due, spaced)
+
+    def _cadence(self, flush_due: bool, spaced: bool) -> None:
+        """Flush when due, then snapshot by the growth rule (see the
+        class notes) when the minimum spacing has passed.
+
+        Degraded, the journal takes no frames and each flush snapshots a
+        dirty state itself, so the rule stays quiet.
+        """
+        if flush_due:
             self.flush()
+        if not spaced:
+            return
+        with self._lock:
+            grown = (
+                not self.degraded
+                and self._dirty
+                and self._journal_frames >= self._snapshot_entries
+            )
+        if grown:
+            self.guarded_snapshot()
 
     def flush(self) -> int:
         """Append the cache's dirty updates to the journal; frame count.
@@ -377,29 +427,44 @@ class WriteBehindPersister:
         append (after the retry/backoff ladder) flips the persister
         into snapshot-only mode and attempts an immediate snapshot so
         the frames the journal refused still reach disk.  Degraded,
-        every flush cadence *is* a (guarded) snapshot attempt.
+        every flush cadence *is* a (guarded) snapshot attempt whenever
+        an update was committed since the last snapshot landed.
         """
-        if self.degraded:
-            self.guarded_snapshot()
-            return 0
-        started = self._clock()
-        entries = self.cache.drain_updates()
-        try:
-            frames = self._append_with_retry(entries)
-        except DURABILITY_ERRORS as exc:
-            # The drained entries are still committed in the cache
-            # stores; a snapshot subsumes them, so degrading loses
-            # nothing while snapshots still land.
-            self._enter_degraded(exc)
-            self.guarded_snapshot()
-            return 0
-        with self._lock:
-            self._drains_since_flush = 0
-            self._last_flush = self._clock()
-            self.flushes += 1
-            self.frames_flushed += frames
-            self.flush_ms_total += (self._clock() - started) * 1000.0
-        return frames
+        with self._persist_lock:
+            if self.degraded:
+                # The snapshot subsumes the queued updates; draining
+                # them only tells whether there is anything to save.
+                committed = bool(self.cache.drain_updates())
+                with self._lock:
+                    self._dirty = self._dirty or committed
+                    self._drains_since_flush = 0
+                    self._last_flush = self._clock()
+                    dirty = self._dirty
+                if dirty:
+                    self.guarded_snapshot()
+                return 0
+            started = self._clock()
+            entries = self.cache.drain_updates()
+            try:
+                frames = self._append_with_retry(entries)
+            except DURABILITY_ERRORS as exc:
+                # The drained entries are still committed in the cache
+                # stores; a snapshot subsumes them, so degrading loses
+                # nothing while snapshots still land.
+                self._enter_degraded(exc)
+                with self._lock:
+                    self._dirty = True
+                self.guarded_snapshot()
+                return 0
+            with self._lock:
+                self._drains_since_flush = 0
+                self._last_flush = self._clock()
+                self.flushes += 1
+                self.frames_flushed += frames
+                self._journal_frames += frames
+                self._dirty = self._dirty or frames > 0
+                self.flush_ms_total += (self._clock() - started) * 1000.0
+            return frames
 
     def _append_with_retry(self, entries) -> int:
         """One journal append, retried on the durability error dialect.
@@ -477,25 +542,30 @@ class WriteBehindPersister:
     def snapshot(self) -> int:
         """Cut a full snapshot and truncate the journal; entry count.
 
-        Sequence (each step crash-safe on its own): discard the dirty
-        queue *first* — every queued update is already committed to the
-        cache stores, so the save that follows subsumes it — then the
-        atomic whole-cache save, then the truncation.  A crash between
-        save and truncate leaves frames that duplicate snapshot
-        entries; replay is idempotent, so recovery is unaffected.
+        The atomic whole-cache save, then the truncation, both under the
+        lock that flushes take, so no frame is appended between the
+        save's copy of the cache and the truncation.  Updates still
+        queued for the journal stay queued: the save subsumes them, and
+        the next flush journals them as well, so a failed save leaves no
+        committed update outside both files.  A crash between save and
+        truncate leaves frames that duplicate snapshot entries; replay
+        is idempotent, so recovery is unaffected.
         """
-        started = self._clock()
-        self.cache.drain_updates()
-        entries = self.cache.save()
-        self.journal.truncate()
-        with self._lock:
-            self._drains_since_flush = 0
-            self._drains_since_snapshot = 0
-            now = self._clock()
-            self._last_flush = now
-            self._last_snapshot = now
-            self.snapshots += 1
-            self.snapshot_ms_total += (now - started) * 1000.0
+        with self._persist_lock:
+            started = self._clock()
+            entries = self.cache.save()
+            self.journal.truncate()
+            with self._lock:
+                self._drains_since_flush = 0
+                self._drains_since_snapshot = 0
+                now = self._clock()
+                self._last_flush = now
+                self._last_snapshot = now
+                self._dirty = False
+                self._journal_frames = 0
+                self._snapshot_entries = entries
+                self.snapshots += 1
+                self.snapshot_ms_total += (now - started) * 1000.0
         return entries
 
     def close(self) -> int:

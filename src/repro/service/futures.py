@@ -14,11 +14,19 @@ bridges cleanly into ``asyncio`` (``asyncio.wrap_future`` on
 admission queue is drained synchronously in the calling thread — so a
 submit-then-result sequence never deadlocks even with no background
 worker anywhere.
+
+Done-callbacks live on the consultation future, not on the stdlib one:
+a stdlib future keeps its callbacks for life, and a callback that
+refers back to its future makes a reference cycle that only the cyclic
+collector can free.  Here the list is run and dropped at resolution,
+so a resolved future holds no cycle and its outcome dies by reference
+count as soon as the last caller lets go.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import threading
 import time
 from typing import Any, Callable
 
@@ -41,6 +49,10 @@ class ConsultationFuture:
         self.deadline_ms = deadline_ms
         self._service = service
         self._inner: concurrent.futures.Future = concurrent.futures.Future()
+        #: Done-callbacks not yet run; ``None`` once the resolving
+        #: thread has taken them, after which new ones run at once.
+        self._callbacks: list | None = []
+        self._callbacks_lock = threading.Lock()
         self._submitted_at = time.perf_counter()
         #: Seconds from admission to resolution; ``None`` until resolved.
         self.latency: float | None = None
@@ -89,31 +101,34 @@ class ConsultationFuture:
     def add_done_callback(self, fn: Callable[["ConsultationFuture"], None]) -> None:
         """Call ``fn(self)`` once resolved (immediately if already done).
 
-        The callback runs on whatever thread resolves the future — the
-        draining thread, an off-path verifier worker, or (when already
-        resolved) the caller itself.  A raising callback is recorded as
-        a ``service.callback.failed`` audit warning (or logged, for a
-        service-less future): the stdlib future underneath would catch
-        and log the exception anyway, but invisibly — the authority's
-        accountability story wants misbehaving consumers in the audit
-        trail, not buried in the logging module.
+        The callback runs exactly once, on whatever thread resolves the
+        future (the draining thread, for the service) or, when it is
+        already resolved, on the caller's — also when the registration
+        races the resolution.  A raising callback is recorded as a
+        ``service.callback.failed`` audit warning (or logged, for a
+        service-less future): the authority's accountability story
+        wants misbehaving consumers in the audit trail, not buried in
+        the logging module.
         """
+        with self._callbacks_lock:
+            if self._callbacks is not None:
+                self._callbacks.append(fn)
+                return
+        self._invoke(fn)
 
-        def _isolated(_inner) -> None:
-            try:
-                fn(self)
-            except Exception as exc:
-                service = self._service
-                if service is not None:
-                    service._record_callback_failure(self, exc)
-                else:  # pragma: no cover - no audit log to warn into
-                    import logging
+    def _invoke(self, fn) -> None:
+        try:
+            fn(self)
+        except Exception as exc:
+            service = self._service
+            if service is not None:
+                service._record_callback_failure(self, exc)
+            else:  # pragma: no cover - no audit log to warn into
+                import logging
 
-                    logging.getLogger(__name__).exception(
-                        "done-callback for %r raised", self
-                    )
-
-        self._inner.add_done_callback(_isolated)
+                logging.getLogger(__name__).exception(
+                    "done-callback for %r raised", self
+                )
 
     @property
     def inner(self) -> concurrent.futures.Future:
@@ -154,6 +169,7 @@ class ConsultationFuture:
         self.latency = time.perf_counter() - self._submitted_at
         self._note_completed()
         self._inner.set_result(outcome)
+        self._run_callbacks()
 
     def _fail(self, exc: BaseException) -> None:
         if self._inner.done():
@@ -161,6 +177,17 @@ class ConsultationFuture:
         self.latency = time.perf_counter() - self._submitted_at
         self._note_completed()
         self._inner.set_exception(exc)
+        self._run_callbacks()
+
+    def _run_callbacks(self) -> None:
+        # Taking the list under the lock hands each callback to exactly
+        # one thread: registrations before this point run here, later
+        # ones run in add_done_callback.  Dropping the list breaks the
+        # callback -> future reference cycle.
+        with self._callbacks_lock:
+            callbacks, self._callbacks = self._callbacks, None
+        for fn in callbacks or ():
+            self._invoke(fn)
 
     def _note_completed(self) -> None:
         # Count the completion at the instant the future resolves, not

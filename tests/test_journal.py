@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from fractions import Fraction
 
 import pytest
@@ -29,13 +30,15 @@ from repro.server.journal import (
     replay_journal,
     state_paths,
 )
-from repro.service import AuthorityService, SolveCache
+from repro.service import AuthorityService, SolveCache, faults
+from repro.service import cache as cache_module
 from repro.service.persistence import (
     CacheState,
     apply_journal_entry,
     decode_journal_frame,
     encode_journal_frame,
     payload_digest,
+    read_cache_file,
 )
 
 
@@ -299,6 +302,207 @@ class TestWriteBehindPersister:
     def test_pathless_cache_is_refused(self, tmp_path):
         with pytest.raises(PersistenceError, match="path-bound"):
             WriteBehindPersister(SolveCache(), tmp_path / "j.jsonl")
+
+
+def _store(cache: SolveCache, index: int) -> None:
+    """Commit one new cache entry (one journal frame at the next flush)."""
+    cache.store_profile(f"fp{index}", "m", "exact", _profile())
+
+
+class TestSnapshotGrowthRule:
+    """Cadence snapshots wait until the journal has grown.
+
+    A cadence snapshot needs an update committed since the last
+    successful snapshot *and* a journal holding at least as many frames
+    as that snapshot held entries; ``snapshot_every_drains`` and
+    ``snapshot_interval`` are minimum spacings on top.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _close_journals(self):
+        self.journals = []
+        yield
+        for journal in self.journals:
+            journal.close()
+
+    def _persister(self, tmp_path, **kwargs):
+        snapshot, journal = state_paths(tmp_path / "state")
+        cache = SolveCache(path=snapshot)
+        options = {"flush_every_drains": 1, "snapshot_every_drains": None,
+                   "snapshot_interval": None, "flush_retries": 0,
+                   "backoff_base_s": 0.0}
+        options.update(kwargs)
+        persister = WriteBehindPersister(cache, journal, **options)
+        self.journals.append(persister.journal)
+        return cache, persister
+
+    def test_clean_drains_and_polls_never_snapshot(self, tmp_path):
+        clock = FakeClock()
+        cache, persister = self._persister(
+            tmp_path, snapshot_every_drains=1, flush_interval=1.0,
+            snapshot_interval=1.0, clock=clock,
+        )
+        for __ in range(8):
+            persister.on_drained()
+            clock.now += 10.0
+            persister.poll()
+        assert persister.snapshots == 0
+        assert not os.path.exists(cache.path)
+
+    def test_snapshots_at_the_floor_then_when_the_journal_catches_up(
+        self, tmp_path
+    ):
+        cache, persister = self._persister(
+            tmp_path, snapshot_every_drains=3
+        )
+        snapshot_drains = []
+        for drain in range(1, 13):
+            _store(cache, drain)
+            persister.on_drained()
+            if persister.snapshots > len(snapshot_drains):
+                snapshot_drains.append(drain)
+        # Drain 3: the floor (an empty state held 0 entries).  Drain 6:
+        # 3 frames against the 3-entry snapshot.  Drain 12: 6 against 6.
+        assert snapshot_drains == [3, 6, 12]
+        assert persister.frames_flushed == 12
+        assert len(read_cache_file(cache.path).profiles) == 12
+        for __ in range(6):  # clean drains after growth: still nothing
+            persister.on_drained()
+        assert persister.snapshots == 3
+
+    def test_poll_snapshots_by_the_same_rule(self, tmp_path):
+        clock = FakeClock()
+        cache, persister = self._persister(
+            tmp_path, flush_interval=1.0, snapshot_interval=5.0,
+            clock=clock,
+        )
+        clock.now = 6.0
+        persister.poll()
+        assert persister.snapshots == 0  # interval lapsed, nothing new
+        _store(cache, 1)
+        clock.now = 7.0
+        persister.poll()
+        assert persister.flushes == 2 and persister.snapshots == 1
+        _store(cache, 2)
+        clock.now = 8.0
+        persister.poll()
+        assert persister.snapshots == 1  # inside the minimum spacing
+        clock.now = 13.0
+        persister.poll()
+        assert persister.snapshots == 2  # 1 frame against 1 entry
+
+    def test_recovered_frames_count_toward_the_journal(self, tmp_path):
+        snapshot, journal = state_paths(tmp_path / "state")
+        seed_cache = SolveCache(path=snapshot)
+        for index in range(3):
+            _store(seed_cache, index)
+        assert seed_cache.save() == 3
+        with CacheJournal(journal) as writer:
+            writer.append([("profile", ("fp3", "m", "exact"), _profile())])
+
+        cache = SolveCache(path=snapshot)  # loads the 3-entry snapshot
+        persister = WriteBehindPersister(
+            cache, journal, flush_every_drains=1, snapshot_every_drains=1,
+            snapshot_interval=None,
+        )
+        self.journals.append(persister.journal)
+        assert persister.recover().frames == 1
+        persister.on_drained()
+        assert persister.snapshots == 0  # recovered, but nothing new
+        _store(cache, 4)
+        persister.on_drained()
+        assert persister.snapshots == 0  # 1 recovered + 1 < 3 entries
+        _store(cache, 5)
+        persister.on_drained()
+        assert persister.snapshots == 1  # 1 recovered + 2 = 3 entries
+        assert len(read_cache_file(snapshot).profiles) == 6
+        assert os.path.getsize(journal) == 0
+
+    def test_failed_snapshot_stays_dirty(self, tmp_path):
+        cache, persister = self._persister(
+            tmp_path, snapshot_every_drains=1
+        )
+        _store(cache, 1)
+        with faults.armed("snapshot.write:raise:oserror@1"):
+            persister.on_drained()
+        assert persister.snapshot_failures == 1
+        assert persister.snapshots == 0
+        persister.on_drained()  # no new update: the retry is still due
+        assert persister.snapshots == 1
+        persister.on_drained()
+        assert persister.snapshots == 1
+
+    def test_degraded_mode_snapshots_only_when_dirty(self, tmp_path):
+        cache, persister = self._persister(tmp_path)
+        with faults.armed("journal.append:raise:oserror@1x*"):
+            _store(cache, 1)
+            persister.on_drained()
+            assert persister.degraded and persister.snapshots == 1
+            for __ in range(3):
+                persister.on_drained()
+            assert persister.snapshots == 1
+            _store(cache, 2)
+            persister.on_drained()
+            assert persister.snapshots == 2
+            _store(cache, 3)
+        with faults.armed("snapshot.write:raise:oserror@1"):
+            persister.on_drained()
+        assert persister.snapshot_failures == 1
+        persister.on_drained()  # still dirty: snapshot-only retries
+        assert persister.snapshots == 3
+        persister.on_drained()
+        assert persister.snapshots == 3
+        assert len(read_cache_file(cache.path).profiles) == 3
+
+    def test_admin_snapshot_and_close_always_run(self, tmp_path):
+        cache, persister = self._persister(
+            tmp_path, snapshot_every_drains=1
+        )
+        assert persister.snapshot() == 0  # clean, and still cut
+        assert persister.snapshot() == 0
+        assert persister.close() == 0
+        assert persister.snapshots == 3
+        assert os.path.exists(cache.path)
+
+    def test_flush_waits_for_an_overlapping_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        """A frame flushed between a snapshot's cache copy and its
+        journal truncation must survive in one of the two files."""
+        cache, persister = self._persister(tmp_path)
+        _store(cache, 1)
+        assert persister.flush() == 1
+        copied, release = threading.Event(), threading.Event()
+        write = cache_module.write_cache_file
+
+        def paused_write(path, state):
+            copied.set()  # the snapshot's copy of the cache is taken
+            assert release.wait(30)
+            return write(path, state)
+
+        monkeypatch.setattr(cache_module, "write_cache_file", paused_write)
+        snapshotter = threading.Thread(target=persister.snapshot)
+        snapshotter.start()
+        assert copied.wait(30)
+        flushed = []
+
+        def store_and_flush():
+            _store(cache, 2)
+            flushed.append(persister.flush())
+
+        flusher = threading.Thread(target=store_and_flush)
+        flusher.start()
+        flusher.join(0.5)  # unserialized, the flush lands in this window
+        release.set()
+        snapshotter.join(30)
+        flusher.join(30)
+        assert not snapshotter.is_alive() and not flusher.is_alive()
+        assert flushed == [1]
+        saved = set(read_cache_file(cache.path).profiles)
+        replayed, __ = replay_journal(persister.journal.path)
+        recovered = saved | set(replayed.profiles)
+        assert ("fp1", "m", "exact") in recovered
+        assert ("fp2", "m", "exact") in recovered
 
 
 class TestCrashRecoveryInProcess:

@@ -8,6 +8,7 @@ server's service and audit log directly for assertions.
 
 from __future__ import annotations
 
+import gc
 import json
 import http.client
 import logging
@@ -185,6 +186,47 @@ class TestEndpoints:
         failures = body["failures"]
         assert failures["deadlines_exceeded"] == 0
         assert failures["pump_failures"] == {}
+        # The cyclic collector's pressure, per generation.
+        collector = body["gc"]
+        assert len(collector["generations"]) == len(gc.get_stats())
+        for generation in collector["generations"]:
+            assert {"collections", "collected", "uncollectable"} <= set(
+                generation
+            )
+        assert collector["frozen"] >= 0
+
+
+class TestCycleFreeConsultations:
+    def test_warm_consults_leave_no_work_for_the_cyclic_collector(self):
+        # Each consultation's outcome, advice and verdicts must die by
+        # reference count once the server drops its future; whatever
+        # is left for gc.collect() counts against this bound.
+        requests = 300
+        service = AuthorityService(build_authority())
+        with ThreadedServer(service) as threaded:
+            client = Client(threaded.port)
+            try:
+                for i in range(GAMES):
+                    client.request(
+                        "POST", "/consult",
+                        {"agent": "jane", "game_id": f"g{i}"},
+                    )
+                gc.collect()
+                gc.disable()
+                try:
+                    for i in range(requests):
+                        status, _, _ = client.request(
+                            "POST", "/consult",
+                            {"agent": "jane", "game_id": f"g{i % GAMES}"},
+                        )
+                        assert status == 200
+                    found = gc.collect()
+                finally:
+                    gc.enable()
+            finally:
+                client.close()
+        service.authority.close()
+        assert found < requests
 
 
 class TestErrorMapping:

@@ -125,8 +125,17 @@ def test_sigterm_drains_snapshots_and_exits_zero(tmp_path):
     # A third run warm-loads the snapshot: all hits immediately.
     proc, port = start_server(state_dir)
     try:
-        body = consult(port, "g0")
-        assert body["advice"]["cache"] == "hit"
+        for i in range(3):
+            body = consult(port, f"g{i}")
+            assert body["advice"]["cache"] == "hit"
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        conn.request("GET", "/stats")
+        stats = json.loads(conn.getresponse().read())
+        conn.close()
+        # Warm hits commit nothing, so no cadence snapshot rewrites the
+        # unchanged cache; and the entry point froze its start-up heap.
+        assert stats["persistence"]["snapshots"] == 0
+        assert stats["gc"]["frozen"] > 0
     finally:
         os.kill(proc.pid, signal.SIGTERM)
         proc.wait(timeout=60)

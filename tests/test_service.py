@@ -9,6 +9,10 @@ close() regression, and the future-based online burst adapter.
 from __future__ import annotations
 
 import asyncio
+import gc
+import sys
+import threading
+import weakref
 
 import pytest
 
@@ -165,6 +169,66 @@ class TestSubmitAndFutures:
 
         assert authority.audit.events_of(EVENT_CALLBACK_FAILED)
         authority.close()
+
+    def test_resolved_future_with_a_callback_dies_by_reference_count(self):
+        # A callback that closes over its own future is a reference
+        # cycle until the future resolves; after that, nothing but the
+        # caller may hold the future, so with the cyclic collector off
+        # it and its outcome still die as soon as the caller lets go.
+        inventor = PureNashInventor("pure")
+        authority = _authority(inventor, [("pd", prisoners_dilemma())])
+        seen = []
+        gc.collect()
+        gc.disable()
+        try:
+            future = authority.service.submit("jane", "pd")
+            future.add_done_callback(
+                lambda f: seen.append(future.game_id)
+            )
+            outcome = weakref.ref(future.result())
+            resolved = weakref.ref(future)
+            del future
+            assert resolved() is None and outcome() is None
+        finally:
+            gc.enable()
+        assert seen == ["pd"]
+        authority.close()
+
+    def test_callbacks_racing_the_resolution_each_run_exactly_once(self):
+        adders, per_adder = 4, 25
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(100):
+                future = ConsultationFuture(
+                    round_, "jane", "pd", service=None, queue_depth=0
+                )
+                calls = []
+                start = threading.Barrier(adders + 1)
+
+                def add(first):
+                    start.wait(10)
+                    for key in range(first, first + per_adder):
+                        future.add_done_callback(
+                            lambda f, key=key: calls.append(key)
+                        )
+
+                def resolve():
+                    start.wait(10)
+                    future._resolve("outcome")
+
+                threads = [
+                    threading.Thread(target=add, args=(i * per_adder,))
+                    for i in range(adders)
+                ] + [threading.Thread(target=resolve)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert sorted(calls) == list(range(adders * per_adder))
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestShimEquivalence:
