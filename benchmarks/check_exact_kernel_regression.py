@@ -10,10 +10,10 @@ below half the committed one.
 
 CI (the ``perf-smoke`` job) re-measures at **default scale** — the
 scale the committed baseline was recorded at — into
-``results/smoke/BENCH_exact_kernel.json`` (only a recording run,
-``REPRO_BENCH_RECORD=1``, writes the committed file), and passes both
-paths explicitly, so the comparison is apples to apples.  With no arguments the script compares a local
-quick-scale run (``BENCH_exact_kernel.quick.json``) against the
+``results/smoke/BENCH_exact_kernel.json`` (no run writes the committed
+file), and passes both paths explicitly, so the comparison is apples
+to apples.  With no arguments the script compares a local quick-scale
+run (``BENCH_exact_kernel.quick.json``) against the
 committed file instead — convenient after a quick smoke, but
 cross-scale: quick ratios run legitimately lower, so treat a near-floor
 result there as "re-measure at default scale", not proof of regression.

@@ -14,12 +14,13 @@ so the performance trajectory is trackable across PRs: each file carries
 the bench name, the scale it ran at, the solver backend, and a list of
 ``{"metric", "value"}`` pairs (plus free-form context per metric).
 
-``benchmarks/results/`` holds the committed trajectory, and only a
-recording run writes there: ``REPRO_BENCH_RECORD=1`` at default scale.
-Every other run — the plain ``pytest`` that also collects this
+``benchmarks/results/`` holds the committed trajectory, and no run
+writes there: every run — the plain ``pytest`` that also collects this
 directory, CI's smokes — writes its tables and JSON to
 ``results/smoke/`` (ignored by git), so running the suite never
-rewrites the committed numbers.  Every bench assertion runs either way.
+rewrites the committed numbers.  To re-baseline, run the benches at
+default scale and copy the fresh ``BENCH_<name>.json`` and
+``<name>.txt`` files from ``results/smoke/`` into ``results/``.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import pathlib
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-#: Where every run that is not a recording run writes (see the module
-#: notes); quick/full JSON always lands here, scale-suffixed.
+#: Where every run writes (see the module notes); quick/full JSON
+#: lands here scale-suffixed, default-scale JSON under its bare name.
 SMOKE_DIR = RESULTS_DIR / "smoke"
 
 
@@ -67,16 +68,9 @@ def bench_scale() -> str:
 
 
 @pytest.fixture(scope="session")
-def results_dir(bench_scale) -> pathlib.Path:
-    """Where this run writes: ``results/`` for a recording run (the one
-    kind that writes the committed files), else ``results/smoke/``."""
-    recording = (
-        os.environ.get("REPRO_BENCH_RECORD") == "1"
-        and bench_scale == "default"
-    )
-    target = RESULTS_DIR if recording else SMOKE_DIR
-    target.mkdir(parents=True, exist_ok=True)
-    return target
+def results_dir() -> pathlib.Path:
+    SMOKE_DIR.mkdir(parents=True, exist_ok=True)
+    return SMOKE_DIR
 
 
 @pytest.fixture
@@ -103,11 +97,10 @@ def record_metrics(results_dir, bench_scale):
     ``"mixed"`` for comparative benches).
 
     The bare ``BENCH_<name>.json`` filename is reserved for the
-    default scale: ``results/`` for a recording run, ``results/smoke/``
-    otherwise.  Quick/full runs always write
-    ``BENCH_<name>.<scale>.json`` into ``results/smoke/``, so a smoke
-    run never clobbers — and can never be committed next to — the
-    cross-PR trajectory data.
+    default scale, the one the committed trajectory is recorded at;
+    quick/full runs write ``BENCH_<name>.<scale>.json``, so a smoke
+    file can never be copied over — or committed next to — the
+    cross-PR trajectory data by mistake.
     """
 
     def _record(name: str, metrics: list[dict], backend: str = "exact") -> None:
@@ -122,11 +115,8 @@ def record_metrics(results_dir, bench_scale):
             "backend": backend,
             "metrics": metrics,
         }
-        if bench_scale == "default":
-            path = results_dir / f"BENCH_{name}.json"
-        else:
-            SMOKE_DIR.mkdir(parents=True, exist_ok=True)
-            path = SMOKE_DIR / f"BENCH_{name}.{bench_scale}.json"
+        suffix = "" if bench_scale == "default" else f".{bench_scale}"
+        path = results_dir / f"BENCH_{name}{suffix}.json"
         path.write_text(
             json.dumps(payload, indent=2, default=str) + "\n", encoding="utf-8"
         )

@@ -52,7 +52,10 @@ class ConsultationFuture:
         #: Done-callbacks not yet run; ``None`` once the resolving
         #: thread has taken them, after which new ones run at once.
         self._callbacks: list | None = []
-        self._callbacks_lock = threading.Lock()
+        #: Reentrant: the stdlib future runs callbacks registered on
+        #: :attr:`inner` while :meth:`_settle` holds it, and one of
+        #: them may register a callback here.
+        self._callbacks_lock = threading.RLock()
         self._submitted_at = time.perf_counter()
         #: Seconds from admission to resolution; ``None`` until resolved.
         self.latency: float | None = None
@@ -168,24 +171,24 @@ class ConsultationFuture:
             return
         self.latency = time.perf_counter() - self._submitted_at
         self._note_completed()
-        self._inner.set_result(outcome)
-        self._run_callbacks()
+        self._settle(self._inner.set_result, outcome)
 
     def _fail(self, exc: BaseException) -> None:
         if self._inner.done():
             return
         self.latency = time.perf_counter() - self._submitted_at
         self._note_completed()
-        self._inner.set_exception(exc)
-        self._run_callbacks()
+        self._settle(self._inner.set_exception, exc)
 
-    def _run_callbacks(self) -> None:
-        # Taking the list under the lock hands each callback to exactly
-        # one thread: registrations before this point run here, later
-        # ones run in add_done_callback.  Dropping the list breaks the
-        # callback -> future reference cycle.
+    def _settle(self, setter, value) -> None:
+        # Resolving and taking the list in one locked section hands each
+        # callback to exactly one thread: registrations before it run
+        # here, and a thread that sees the future done and then
+        # registers finds the list gone and runs its callback itself.
+        # Dropping the list breaks the callback -> future reference cycle.
         with self._callbacks_lock:
             callbacks, self._callbacks = self._callbacks, None
+            setter(value)
         for fn in callbacks or ():
             self._invoke(fn)
 

@@ -230,6 +230,48 @@ class TestSubmitAndFutures:
         finally:
             sys.setswitchinterval(previous)
 
+    def test_callback_added_once_seen_done_runs_before_add_returns(self):
+        # The stdlib future wakes its waiters, then runs the callbacks
+        # registered on ``inner``.  One that stalls holds the resolving
+        # thread in that window; a caller whose wait() has returned
+        # must still have its new callback run at once, on its own
+        # thread, not later on the resolver's.
+        future = ConsultationFuture(
+            0, "jane", "pd", service=None, queue_depth=0
+        )
+        added = threading.Event()
+        future.inner.add_done_callback(lambda f: added.wait(0.3))
+        resolver = threading.Thread(target=future._resolve, args=("o",))
+        resolver.start()
+        try:
+            assert future.wait(10)
+            ran_on = []
+            future.add_done_callback(
+                lambda f: ran_on.append(threading.get_ident())
+            )
+            assert ran_on == [threading.get_ident()]
+        finally:
+            added.set()
+            resolver.join(10)
+        assert not resolver.is_alive()
+        assert ran_on == [threading.get_ident()]
+
+    def test_inner_callback_may_register_a_callback(self):
+        # Callbacks on ``inner`` run while the resolution holds the
+        # callback lock; one that registers here must not deadlock.
+        future = ConsultationFuture(
+            0, "jane", "pd", service=None, queue_depth=0
+        )
+        calls = []
+        future.inner.add_done_callback(
+            lambda f: future.add_done_callback(lambda g: calls.append(g))
+        )
+        resolver = threading.Thread(target=future._resolve, args=("o",))
+        resolver.start()
+        resolver.join(10)
+        assert not resolver.is_alive()
+        assert calls == [future]
+
 
 class TestShimEquivalence:
     """consult/consult_many are thin shims and stay behavior-identical."""
