@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from repro.analysis import PaperComparison, TextTable
 from repro.core.actors import AuthorityAgent, BimatrixInventor
-from repro.core.audit_events import EVENT_SERVICE_DRAINED
+from repro.core.audit_events import EVENT_SERVICE_COMPLETED
 from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
 from repro.games.bimatrix import BimatrixGame
@@ -87,8 +87,8 @@ def test_bench_service_cache(benchmark, bench_scale, record_table, record_metric
             isinstance(value, Fraction)
             for value in warm_outcome.advice.suggestion
         )
-    drained = authority.audit.events_of(EVENT_SERVICE_DRAINED)
-    assert drained[-1].details["cache_hit_rate"] == 1.0
+    completed = authority.audit.events_of(EVENT_SERVICE_COMPLETED)
+    assert [r.details["cache"] for r in completed[count:]] == ["hit"] * count
 
     cold_rate = count / cold_seconds if cold_seconds > 0 else float("inf")
     warm_rate = count / warm_seconds if warm_seconds > 0 else float("inf")

@@ -63,10 +63,10 @@ def percentile(values: Sequence[float], q: float) -> float:
 def latency_summary(values: Sequence[float]) -> dict[str, float]:
     """The p50/p95/p99/max summary every latency consumer shares.
 
-    Used by the service's ``service.queue.drained`` audit records and by
-    the open-loop load harness, so the two report the same estimator on
-    the same keys.  An empty sample summarizes to zeros (a drain that
-    resolved nothing still emits a record).
+    Used by the open-loop load harness, and by any reader that
+    aggregates the ``latency_ms`` of ``service.consultation.completed``
+    audit records, so that both report the same estimator on the same
+    keys.  An empty sample summarizes to zeros.
     """
     if not values:
         return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}

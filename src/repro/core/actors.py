@@ -20,7 +20,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from repro.core.advice import Advice, ProofFormat, SolutionConcept
 from repro.errors import EquilibriumError, ProtocolError
@@ -46,6 +46,16 @@ class AdvicePackage:
 
     advice: Advice
     prover: Any = None
+
+
+class Solved(NamedTuple):
+    """One :meth:`BimatrixInventor.solve`: the certified profile and how
+    this call got it (cache state, see
+    :data:`~repro.core.advice.CACHE_STATES`, and wall time in ms)."""
+
+    profile: MixedProfile
+    cache: str
+    solve_ms: float
 
 
 class GameInventor(abc.ABC):
@@ -171,7 +181,8 @@ class BimatrixInventor(GameInventor):
     without searching; anything else is a cold search, so the answer
     depends only on the game and the policy, never on what the cache
     saw before.  The consultation service attaches its cache here via
-    :meth:`attach_solve_cache`.
+    :meth:`attach_solve_cache`.  Without a cache the inventor keeps no
+    solver state between calls, and every advice searches.
     """
 
     def __init__(self, name: str, method: str = "lemke-howson",
@@ -185,10 +196,7 @@ class BimatrixInventor(GameInventor):
         self._commitments = commitment_mode
         self._rng = rng or random.Random(0)
         self._policy = resolve_policy(backend)
-        self._cache: dict[str, MixedProfile] = {}
         self._solve_cache = solve_cache
-        self._cache_status: dict[str, str] = {}
-        self._solve_ms: dict[str, float] = {}
 
     @property
     def backend_mode(self) -> str:
@@ -215,62 +223,56 @@ class BimatrixInventor(GameInventor):
         """The cross-run cache this inventor consults (None when uncached)."""
         return self._solve_cache
 
-    def cache_state(self, game_id: str) -> str:
-        """What the cross-run cache did for this game's solve (see
-        :data:`~repro.core.advice.CACHE_STATES`)."""
-        return self._cache_status.get(game_id, "")
+    def solve(self, game: BimatrixGame) -> Solved:
+        """The inventor's expensive step, with this call's provenance.
 
-    def solve_millis(self, game_id: str) -> float:
-        """Measured wall time of this game's hard step (ms; -1 unknown)."""
-        return self._solve_ms.get(game_id, -1.0)
-
-    def solve(self, game_id: str, game: BimatrixGame) -> MixedProfile:
-        """The inventor's expensive step, cached per game id *and* — when
-        a cross-run cache is attached — per exact payoff fingerprint."""
-        if game_id in self._cache:
-            return self._cache[game_id]
+        With a cross-run cache attached, an exact payoff repeat is
+        served from it (``cache="hit"``) and a cold search is stored
+        into it (``"miss"``); without one every call searches
+        (``""``).  ``solve_ms`` is this call's own wall time.
+        """
         started = time.perf_counter()
         cache = self._solve_cache
-        fingerprint = mode = None
+        fingerprint = None
         if cache is not None:
             fingerprint = getattr(game, "payoff_fingerprint", None)
+        if fingerprint is not None:
             mode = self.effective_backend(game)
-            if fingerprint is not None:
-                cached = cache.lookup_profile(
-                    fingerprint, self._method, mode, game=game
+            cached = cache.lookup_profile(
+                fingerprint, self._method, mode, game=game
+            )
+            if cached is not None:
+                return Solved(
+                    cached, "hit", (time.perf_counter() - started) * 1000.0
                 )
-                if cached is not None:
-                    self._cache[game_id] = cached
-                    self._cache_status[game_id] = "hit"
-                    self._solve_ms[game_id] = (
-                        time.perf_counter() - started
-                    ) * 1000.0
-                    return cached
         if self._method == "lemke-howson":
             profile = lemke_howson(game, 0, policy=self._policy)
         else:
             profile = find_one_equilibrium(game, policy=self._policy)
-        if cache is not None and fingerprint is not None:
+        if fingerprint is not None:
             cache.store_profile(fingerprint, self._method, mode, profile)
             cache.note_solved()
-        self._cache[game_id] = profile
-        self._cache_status[game_id] = "" if fingerprint is None else "miss"
-        self._solve_ms[game_id] = (time.perf_counter() - started) * 1000.0
-        return profile
+        return Solved(
+            profile, "" if fingerprint is None else "miss",
+            (time.perf_counter() - started) * 1000.0,
+        )
 
     def prepare_games(self, games: Sequence[tuple[str, BimatrixGame]]) -> None:
-        """Pre-solve a batch of games.
+        """Pre-solve a batch of games into the cross-run cache.
 
         This is the inventor half of the batch-consultation path: every
         subsequent :meth:`advise` for these games hits the cache.
+        Without a cache there is nothing to warm, so this does nothing.
         """
-        for game_id, game in games:
-            self.solve(game_id, game)
+        if self._solve_cache is None:
+            return
+        for __, game in games:
+            self.solve(game)
 
     def advise(self, game_id, game, agent, privacy) -> AdvicePackage:
         if not isinstance(game, BimatrixGame):
             raise ProtocolError("BimatrixInventor advises bimatrix games only")
-        equilibrium = self.solve(game_id, game)
+        equilibrium, cache_state, solve_ms = self.solve(game)
         if privacy == "private":
             if agent == "both":
                 raise ProtocolError("private advice addresses a single agent")
@@ -288,8 +290,8 @@ class BimatrixInventor(GameInventor):
                 proof=None,
                 inventor=self.name,
                 backend=self.effective_backend(game),
-                cache=self.cache_state(game_id),
-                solve_ms=self.solve_millis(game_id),
+                cache=cache_state,
+                solve_ms=solve_ms,
             )
             return AdvicePackage(advice=advice, prover=prover)
         announcement = P1Prover(game, equilibrium).announce()
@@ -310,8 +312,8 @@ class BimatrixInventor(GameInventor):
             },
             inventor=self.name,
             backend=self.effective_backend(game),
-            cache=self.cache_state(game_id),
-            solve_ms=self.solve_millis(game_id),
+            cache=cache_state,
+            solve_ms=solve_ms,
         )
         return AdvicePackage(advice=advice)
 

@@ -36,7 +36,7 @@ _BLAME_EVENTS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditRecord:
     """One append-only audit entry."""
 
@@ -73,7 +73,7 @@ class AuditLog:
                 session_id=session_id,
                 actor=actor,
                 event=event,
-                details=dict(details),
+                details=details,  # the call's own fresh kwargs dict
             )
             self._records.append(entry)
             if event in _BLAME_EVENTS:

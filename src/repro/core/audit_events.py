@@ -28,12 +28,6 @@ from __future__ import annotations
 # Consultation protocol (the paper's gamesman/inventor/verifier loop)
 # ----------------------------------------------------------------------
 EVENT_GAME_PUBLISHED = "game.published"
-EVENT_ADVICE_REQUESTED = "advice.requested"
-EVENT_ADVICE_DELIVERED = "advice.delivered"
-EVENT_VERDICT = "verification.verdict"
-EVENT_MAJORITY = "verification.majority"
-EVENT_ADVICE_ADOPTED = "advice.adopted"
-EVENT_ADVICE_REJECTED = "advice.rejected"
 EVENT_CROSS_CHECK = "advice.cross-check"
 EVENT_BATCH_CONSULTATION = "consultation.batch"
 
@@ -50,7 +44,6 @@ EVENT_STATISTICS_AUDIT = "statistics.audit"
 # Service core (admission, drain, deadlines)
 # ----------------------------------------------------------------------
 EVENT_SERVICE_COMPLETED = "service.consultation.completed"
-EVENT_SERVICE_DRAINED = "service.queue.drained"
 EVENT_CALLBACK_FAILED = "service.callback.failed"
 EVENT_BACKPRESSURE = "service.admission.backpressure"
 EVENT_DEADLINE_EXCEEDED = "service.deadline.exceeded"
@@ -79,18 +72,6 @@ EVENT_DURABILITY_DEGRADED = "server.durability.degraded"
 REGISTRY: dict[str, str] = {
     EVENT_GAME_PUBLISHED:
         "An inventor registered a game with the authority.",
-    EVENT_ADVICE_REQUESTED:
-        "An agent opened a consultation session for a game.",
-    EVENT_ADVICE_DELIVERED:
-        "The inventor's advice (with proof obligations) reached the agent.",
-    EVENT_VERDICT:
-        "One verifier's accept/reject verdict on a piece of advice.",
-    EVENT_MAJORITY:
-        "The verifier panel's majority decision (carries verify_ms).",
-    EVENT_ADVICE_ADOPTED:
-        "The agent acted on verified advice.",
-    EVENT_ADVICE_REJECTED:
-        "The agent declined advice (or verification failed it).",
     EVENT_CROSS_CHECK:
         "A second-opinion consultation compared two inventors' advice.",
     EVENT_BATCH_CONSULTATION:
@@ -106,10 +87,11 @@ REGISTRY: dict[str, str] = {
     EVENT_STATISTICS_AUDIT:
         "A statistical audit of an inventor's advice stream ran.",
     EVENT_SERVICE_COMPLETED:
-        "One consultation future resolved (latency + cache state).",
-    EVENT_SERVICE_DRAINED:
-        "One admission-queue drain finished (depth, hit rate, "
-        "latency percentiles).",
+        "A consultation's future resolved; the one record of it, with "
+        "the agent as actor: game_id, privacy, the advice's inventor, "
+        "concept, proof_format, backend, cache and solve_ms, votes as "
+        "(verifier, accepted, reason), accepted, verify_ms, adopted, "
+        "queue_depth and latency_ms — or failed and error_type.",
     EVENT_CALLBACK_FAILED:
         "A future's done-callback raised; surfaced instead of swallowed.",
     EVENT_BACKPRESSURE:

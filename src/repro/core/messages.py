@@ -10,18 +10,26 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any
 
 from repro.errors import ProtocolError
-from repro.interactive.transcripts import encode_value
 
 
-@dataclass(frozen=True)
+def _exact(value: Any) -> str:
+    """``json.dumps`` hook: a Fraction crosses as ``"p/q"``; nothing
+    else that JSON lacks may cross the bus."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    raise TypeError(f"cannot encode {type(value).__name__} on the bus")
+
+
+@dataclass(frozen=True, slots=True)
 class Message:
     """One bus message.
 
     ``kind`` is a dotted protocol tag (e.g. ``"advice.request"``);
-    ``payload`` must be JSON-able after Fraction encoding.
+    ``payload`` must be JSON with string keys, plus exact Fractions.
     """
 
     sender: str
@@ -33,7 +41,8 @@ class Message:
     def canonical_payload(self) -> str:
         try:
             return json.dumps(
-                encode_value(self.payload), sort_keys=True, separators=(",", ":")
+                self.payload, sort_keys=True, separators=(",", ":"),
+                default=_exact,
             )
         except Exception as exc:  # noqa: BLE001 - normalize to protocol error
             raise ProtocolError(f"unencodable payload in {self.kind}: {exc}") from exc

@@ -6,9 +6,12 @@ A session walks the Fig. 1 flow as an explicit state machine::
 
 driving the bus (who said what to whom, in bytes), the verifier registry
 (which procedures ran), the reputation store (who agreed with the
-majority) and the audit log (what to blame on whom).  Driving it out of
-order raises :class:`ProtocolError` — protocol order is part of the
-framework's guarantees.
+majority) and the audit log (what to blame on whom).  The rest of the
+story — advice provenance, every vote, the decision and its timings —
+goes into the one ``service.consultation.completed`` record the
+consultation service writes from the :class:`SessionOutcome`.  Driving
+a session out of order raises :class:`ProtocolError` — protocol order
+is part of the framework's guarantees.
 """
 
 from __future__ import annotations
@@ -22,18 +25,11 @@ from typing import Any
 from repro.core.actors import AdvicePackage, AuthorityAgent, GameInventor
 from repro.core.advice import Advice, describe_advice
 from repro.core.audit import AuditLog
-from repro.core.audit_events import (
-    EVENT_ADVICE_ADOPTED,
-    EVENT_ADVICE_DELIVERED,
-    EVENT_ADVICE_REJECTED,
-    EVENT_ADVICE_REQUESTED,
-    EVENT_MAJORITY,
-    EVENT_VERDICT,
-)
 from repro.core.bus import MessageBus
 from repro.core.registry import (
     MajorityOutcome,
     VerificationContext,
+    Verdict,
     VerifierRegistry,
     majority_verdict,
 )
@@ -67,6 +63,10 @@ def advice_wire_summary(advice: Advice) -> dict[str, Any]:
         }
     elif isinstance(suggestion, tuple):
         suggestion = list(suggestion)
+    elif isinstance(suggestion, dict):
+        # A correlated device is keyed by action profiles (tuples); JSON
+        # keys are strings.
+        suggestion = {str(key): value for key, value in suggestion.items()}
     proof: Any = advice.proof
     if isinstance(proof, P1Announcement):
         proof = {
@@ -131,6 +131,11 @@ class ConsultationSession:
         self._majority: MajorityOutcome | None = None
         self._verify_ms: float | None = None
 
+    @property
+    def advice(self) -> Advice | None:
+        """The delivered (not yet verified) advice; None before delivery."""
+        return None if self._package is None else self._package.advice
+
     # ------------------------------------------------------------------
     # Phase 1: advice
     # ------------------------------------------------------------------
@@ -148,10 +153,6 @@ class ConsultationSession:
             {"game_id": self._game_id, "agent": self._agent.player_role,
              "privacy": privacy},
         )
-        self._audit.record(
-            self.session_id, self._agent.name, EVENT_ADVICE_REQUESTED,
-            game_id=self._game_id, privacy=privacy,
-        )
         package = inventor.advise(
             self._game_id, self._game, self._agent.player_role, privacy
         )
@@ -160,15 +161,6 @@ class ConsultationSession:
             self._agent.name,
             "advice.delivery",
             advice_wire_summary(package.advice),
-        )
-        self._audit.record(
-            self.session_id, inventor.name, EVENT_ADVICE_DELIVERED,
-            game_id=self._game_id,
-            concept=package.advice.concept.value,
-            proof_format=package.advice.proof_format.value,
-            backend=package.advice.backend,
-            cache=package.advice.cache,
-            solve_ms=package.advice.solve_ms,
         )
         self._package = package
         self._state = _ADVISED
@@ -206,8 +198,6 @@ class ConsultationSession:
             except Exception as exc:  # noqa: BLE001 - a crashing verifier
                 # must not take the session down; it simply fails to
                 # establish the proof (and the audit shows why).
-                from repro.core.registry import Verdict
-
                 verdict = Verdict(
                     verifier=name,
                     accepted=False,
@@ -216,12 +206,8 @@ class ConsultationSession:
             self._bus.send(
                 name,
                 self._agent.name,
-                EVENT_VERDICT,
+                "verification.verdict",
                 {"accepted": verdict.accepted, "reason": verdict.reason},
-            )
-            self._audit.record(
-                self.session_id, name, EVENT_VERDICT,
-                accepted=verdict.accepted, reason=verdict.reason,
             )
             verdicts.append(verdict)
 
@@ -230,13 +216,6 @@ class ConsultationSession:
         # run plus the vote.  This is the cheap side of the paper's
         # asymmetry, priced next to Advice.solve_ms in the audit trail.
         self._verify_ms = (time.perf_counter() - verify_started) * 1000.0
-        self._audit.record(
-            self.session_id, self._agent.name, EVENT_MAJORITY,
-            accepted=majority.accepted,
-            accept_votes=majority.accept_votes,
-            reject_votes=majority.reject_votes,
-            verify_ms=self._verify_ms,
-        )
         self._reputation.update_from_outcome(majority)
         for dissenter in majority.dissenters():
             self._audit.blame_verifier(
@@ -263,11 +242,6 @@ class ConsultationSession:
         majority = self._majority
         assert package is not None and majority is not None
         adopted = majority.accepted and self._agent.policy.adopt_on_majority
-        event = EVENT_ADVICE_ADOPTED if adopted else EVENT_ADVICE_REJECTED
-        self._audit.record(
-            self.session_id, self._agent.name, event,
-            game_id=self._game_id, accepted=majority.accepted,
-        )
         self._state = _CLOSED
         # The outcome's advice carries the measured verification time —
         # the delivered advice could not (it predates verification).

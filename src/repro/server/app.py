@@ -72,6 +72,7 @@ from repro.errors import AdmissionError, DeadlineExceeded, ProtocolError
 from repro.server.wire import (
     audit_payload,
     error_payload,
+    exact_default,
     failure_payload,
     future_id,
     jsonable,
@@ -533,7 +534,8 @@ class AuthorityHTTPServer:
                               extra: dict[str, str] | None = None,
                               close: bool = False) -> None:
         blob = json.dumps(
-            payload, separators=(",", ":"), sort_keys=True
+            payload, separators=(",", ":"), sort_keys=True,
+            default=exact_default,
         ).encode("utf-8")
         lines = [
             f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",

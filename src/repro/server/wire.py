@@ -46,14 +46,27 @@ def jsonable(value: Any) -> Any:
     return repr(value)
 
 
+def exact_default(value: Any) -> Any:
+    """``json.dumps`` hook for response bodies: a Fraction becomes its
+    canonical ``"num/den"`` string and an enum its value, as
+    :func:`jsonable` would make them; anything else JSON lacks is a
+    ``TypeError``."""
+    if isinstance(value, Fraction):
+        return encode_fraction(value)
+    if isinstance(value, enum.Enum):
+        return value.value
+    raise TypeError(f"cannot encode {type(value).__name__} in a response")
+
+
 def outcome_payload(future: ConsultationFuture,
                     outcome: SessionOutcome) -> dict[str, Any]:
     """One resolved consultation → its response body.
 
-    The advice block is the bus wire summary made JSON-exact; the
-    ``latency_ms`` is the future's end-to-end (admission → resolution)
-    service latency, which over HTTP sits inside the request's own wall
-    time.
+    The advice block is the bus wire summary; its Fractions are left
+    for the body's one ``json.dumps`` (with :func:`exact_default`) to
+    write as ``"num/den"`` strings.  The ``latency_ms`` is the future's
+    end-to-end (admission → resolution) service latency, which over
+    HTTP sits inside the request's own wall time.
     """
     return {
         "future_id": future_id(future),
@@ -61,7 +74,7 @@ def outcome_payload(future: ConsultationFuture,
         "session_id": outcome.session_id,
         "agent": future.agent,
         "game_id": future.game_id,
-        "advice": jsonable(advice_wire_summary(outcome.advice)),
+        "advice": advice_wire_summary(outcome.advice),
         "inventor": outcome.advice.inventor,
         "majority": {
             "accepted": outcome.majority.accepted,

@@ -79,7 +79,7 @@ def game_fingerprint(game) -> str | None:
 
 @dataclass
 class CacheStats:
-    """Counters the service reports into the audit log.
+    """Lifetime counters, reported by ``GET /stats``.
 
     ``set_misses`` means "cacheable but absent" — a set solved cold for
     a game that *could* have hit.  Games without a payoff fingerprint
@@ -121,14 +121,6 @@ class CacheStats:
             "load_rejected": self.load_rejected,
             "hit_rate": self.hit_rate,
         }
-
-
-@dataclass(frozen=True)
-class _Snapshot:
-    """Immutable copy of the counters, for delta reporting."""
-
-    hits: int
-    misses: int
 
 
 class SolveCache:
@@ -498,23 +490,6 @@ class SolveCache:
                 len(self._profiles) + len(self._sets)
                 + len(self._pending_profiles) + len(self._pending_sets)
             )
-
-    def snapshot(self) -> _Snapshot:
-        """Counter snapshot for delta reporting (see the service drain)."""
-        with self._lock:
-            return _Snapshot(hits=self.stats.hits, misses=self.stats.misses)
-
-    def delta_since(self, snapshot: _Snapshot) -> dict:
-        """Hit/miss counts accumulated since ``snapshot``."""
-        with self._lock:
-            hits = self.stats.hits - snapshot.hits
-            misses = self.stats.misses - snapshot.misses
-        lookups = hits + misses
-        return {
-            "cache_hits": hits,
-            "cache_misses": misses,
-            "cache_hit_rate": hits / lookups if lookups else 0.0,
-        }
 
     def clear(self) -> None:
         with self._lock:

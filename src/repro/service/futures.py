@@ -149,10 +149,10 @@ class ConsultationFuture:
     def peek_outcome(self):
         """The resolved outcome, or ``None`` — never pumps the service.
 
-        Telemetry accessor: the drain loop reads resolved futures'
-        outcomes (for e.g. per-drain verify-time aggregates) without
-        re-entering :meth:`result`'s drain path and without raising a
-        failed submission's exception.
+        Telemetry accessor: the HTTP front-end and the load harness
+        read resolved futures' outcomes without re-entering
+        :meth:`result`'s drain path and without raising a failed
+        submission's exception.
         """
         if (
             self._inner.done()

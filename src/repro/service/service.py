@@ -27,16 +27,22 @@ background thread — "async" here means *admission is decoupled from
 execution*, which composes with any host: a sync caller, an asyncio
 loop, or a real server front-end.
 
-Audit integration: every drain appends a ``service.queue.drained``
-record with the queue depth, cache hit/miss counts, the hit rate,
-the p50/p95/p99/max of the drain's per-consultation latencies and the
-drain's worst verification time (``max_verify_ms``); every completion
-appends a ``service.consultation.completed`` record with the future's
-end-to-end latency, the advice's cache state and its measured
-``verify_ms`` — so the search-vs-verify cost split is visible per
-consultation and per drain.  Shed or blocked admissions append
-``service.admission.backpressure``.  Batch submissions keep emitting
-the same per-inventor ``consultation.batch`` records (and
+Audit integration: once a consultation's future resolves — accepted,
+rejected or failed — the service appends exactly one
+``service.consultation.completed`` record for it, with the agent as
+actor.  It carries the game id and privacy mode, the advice's
+provenance (inventor, concept, proof format, backend, cache state,
+``solve_ms``), every vote as ``(verifier, accepted, reason)``, the
+majority decision, ``verify_ms``, adoption, the queue depth at
+admission and the end-to-end latency — or ``failed`` and the error
+type.  One record thus says both where a consultation's time went
+(search against verify against queue) and why its verdict was reached;
+drain-level figures such as hit rates and latency percentiles are
+aggregates over these records.  The session's blame records precede
+it.  Shed or blocked admissions append
+``service.admission.backpressure``, and lapsed deadlines
+``service.deadline.exceeded``.  Batch submissions keep emitting the
+same per-inventor ``consultation.batch`` records (and
 ``prepare_games`` pre-solve) that ``consult_many`` always did.
 """
 
@@ -50,7 +56,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.analysis.stats import latency_summary
 from repro.core.audit_events import (
     EVENT_BACKPRESSURE,
     EVENT_BATCH_CONSULTATION,
@@ -60,7 +65,6 @@ from repro.core.audit_events import (
     EVENT_CALLBACK_FAILED,
     EVENT_DEADLINE_EXCEEDED,
     EVENT_SERVICE_COMPLETED,
-    EVENT_SERVICE_DRAINED,
 )
 from repro.core.session import ConsultationSession, SessionOutcome
 from repro.errors import AdmissionError, DeadlineExceeded, ProtocolError
@@ -236,6 +240,18 @@ class _DeadlineWorker:
                 # the idle pool (or retire when it is full/closed).
                 if not self._runner._recycle(self):
                     return
+
+
+def _advice_facts(advice) -> dict:
+    """The provenance of a delivered advice, for the completed record."""
+    return {
+        "inventor": advice.inventor,
+        "concept": advice.concept.value,
+        "proof_format": advice.proof_format.value,
+        "backend": advice.backend,
+        "cache": advice.cache,
+        "solve_ms": advice.solve_ms,
+    }
 
 
 #: Backpressure policies for ``AuthorityService(max_pending=...)``.
@@ -582,10 +598,7 @@ class AuthorityService:
             depth_at_start = self.pending_count
             if depth_at_start == 0:
                 return 0
-            snapshots = [
-                (cache, cache.snapshot()) for cache in self._active_caches()
-            ]
-            processed: list[ConsultationFuture] = []
+            processed: list[_Submission] = []
             popped = 0
             try:
                 while max_batches is None or popped < max_batches:
@@ -607,28 +620,6 @@ class AuthorityService:
             # Completions are counted by the futures themselves as they
             # resolve (see _note_completed) — nothing to tally here.
             self._flush_cache_rejections()
-            latencies = [f.latency_ms for f in processed if f.latency_ms is not None]
-            outcomes = [
-                outcome
-                for outcome in (f.peek_outcome() for f in processed)
-                if outcome is not None
-            ]
-            verify_times = [
-                o.advice.verify_ms for o in outcomes
-                if o.advice.verify_ms >= 0.0
-            ]
-            summary = latency_summary(latencies)
-            self._authority.audit.record(
-                "-", self._authority.AUTHORITY_NAME, EVENT_SERVICE_DRAINED,
-                submissions=len(processed),
-                queue_depth=depth_at_start,
-                latency_p50_ms=summary["p50"],
-                latency_p95_ms=summary["p95"],
-                latency_p99_ms=summary["p99"],
-                max_latency_ms=summary["max"],
-                max_verify_ms=max(verify_times, default=0.0),
-                **self._cache_deltas(snapshots),
-            )
             self._notify_drained(len(processed), depth_at_start)
             return len(processed)
 
@@ -664,8 +655,8 @@ class AuthorityService:
 
     def _abort_outstanding(self, exc: BaseException, processed: list) -> None:
         """Fail every unresolved future this drain was responsible for."""
-        for future in processed:
-            future._fail(exc)
+        for submission in processed:
+            self._complete(submission, error=exc)
         while True:
             with self._headroom:
                 if not self._queue:
@@ -673,15 +664,14 @@ class AuthorityService:
                 batch = self._queue.popleft()
                 self._note_drained_submissions(len(batch.submissions))
             for submission in batch.submissions:
-                submission.future._fail(exc)
+                self._complete(submission, error=exc)
 
     def _active_caches(self) -> list:
         """Every solve cache this drain's solves can actually touch.
 
         Usually just :attr:`cache`, but an inventor constructed with —
-        or previously attached to — a different cache keeps it, and the
-        drain telemetry must count *that* cache's hits, not silently
-        report zeros from an unused one.
+        or previously attached to — a different cache keeps it, and
+        *that* cache's rejections must reach the audit log too.
         """
         caches = {id(self.cache): self.cache}
         for inventor in self._authority.inventors:
@@ -724,20 +714,6 @@ class AuthorityService:
             error=repr(exc),
         )
 
-    @staticmethod
-    def _cache_deltas(snapshots) -> dict:
-        """Aggregate hit/miss deltas across the active caches."""
-        totals = {"cache_hits": 0, "cache_misses": 0}
-        for cache, snapshot in snapshots:
-            delta = cache.delta_since(snapshot)
-            for key in totals:
-                totals[key] += delta[key]
-        lookups = sum(totals.values())
-        totals["cache_hit_rate"] = (
-            totals["cache_hits"] / lookups if lookups else 0.0
-        )
-        return totals
-
     # ------------------------------------------------------------------
     # The drain stages: prepare -> solve -> verify/conclude
     # ------------------------------------------------------------------
@@ -754,8 +730,7 @@ class AuthorityService:
         if batch.batched and not self._stage_prepare(batch, processed):
             return
         for submission in batch.submissions:
-            future = submission.future
-            processed.append(future)
+            processed.append(submission)
             if self._expired(submission):
                 self._deadline_fail(submission, phase="queued")
                 continue
@@ -767,14 +742,15 @@ class AuthorityService:
                     if session is None:  # abandoned past its budget
                         continue
             except Exception as exc:
-                future._fail(exc)
+                self._complete(submission, error=exc)
                 continue
             if self._expired(submission):
                 # Solved, but past the promise: the caller has already
                 # been told 504-land — do not spend verify time on it.
-                self._deadline_fail(submission, phase="solved")
+                self._deadline_fail(submission, phase="solved",
+                                    session=session)
                 continue
-            self._verify_and_conclude(session, future)
+            self._verify_and_conclude(session, submission)
 
     @staticmethod
     def _expired(submission: _Submission) -> bool:
@@ -783,11 +759,11 @@ class AuthorityService:
             and time.monotonic() >= submission.deadline
         )
 
-    def _deadline_fail(self, submission: _Submission, phase: str) -> None:
+    def _deadline_fail(self, submission: _Submission, phase: str,
+                       session: ConsultationSession | None = None) -> None:
         """Resolve an expired submission to DeadlineExceeded; audit."""
-        future = submission.future
-        budget = future.deadline_ms
-        future._fail(DeadlineExceeded(
+        budget = submission.future.deadline_ms
+        self._complete(submission, session=session, error=DeadlineExceeded(
             f"consultation for {submission.game_id!r} exceeded its "
             f"{budget:g} ms deadline ({phase})",
             deadline_ms=budget,
@@ -857,8 +833,8 @@ class AuthorityService:
                 inventor.prepare_games(list(distinct.items()))
         except Exception as exc:
             for submission in batch.submissions:
-                submission.future._fail(exc)
-                processed.append(submission.future)
+                self._complete(submission, error=exc)
+                processed.append(submission)
             return False
         return True
 
@@ -874,32 +850,61 @@ class AuthorityService:
         return session
 
     def _verify_and_conclude(self, session: ConsultationSession,
-                             future: ConsultationFuture) -> None:
+                             submission: _Submission) -> None:
         """Stage 2: verify, conclude, resolve, audit."""
-        outcome: SessionOutcome | None = None
         try:
             faults.check("verify.conclude")
             session.verify()
             outcome = session.conclude()
         except Exception as exc:
-            future._fail(exc)
+            self._complete(submission, session=session, error=exc)
         else:
-            future._resolve(outcome)
-        details = {
-            "game_id": future.game_id,
-            "agent": future.agent,
-            "queue_depth": future.queue_depth,
-            "latency_ms": future.latency_ms,
-        }
+            self._complete(submission, session=session, outcome=outcome)
+
+    def _complete(self, submission: _Submission,
+                  session: ConsultationSession | None = None,
+                  outcome: SessionOutcome | None = None,
+                  error: BaseException | None = None) -> None:
+        """Resolve ``submission``'s future to ``outcome`` (or ``error``)
+        and append its one ``service.consultation.completed`` record.
+
+        A future that is already resolved has had its record; it is
+        left alone.
+        """
+        future = submission.future
+        if future.done():
+            return
         if outcome is not None:
-            details["cache"] = outcome.advice.cache
-            details["accepted"] = outcome.majority.accepted
-            details["verify_ms"] = outcome.advice.verify_ms
+            future._resolve(outcome)
+            advice = outcome.advice
+            majority = outcome.majority
+            details = {
+                "game_id": submission.game_id,
+                "privacy": submission.privacy,
+                **_advice_facts(advice),
+                "votes": [
+                    (v.verifier, v.accepted, v.reason)
+                    for v in majority.verdicts
+                ],
+                "accepted": majority.accepted,
+                "verify_ms": advice.verify_ms,
+                "adopted": outcome.adopted,
+            }
         else:
+            future._fail(error)
+            details = {
+                "game_id": submission.game_id,
+                "privacy": submission.privacy,
+            }
+            if session is not None and session.advice is not None:
+                details.update(_advice_facts(session.advice))
             details["failed"] = True
+            details["error_type"] = type(error).__name__
+        details["queue_depth"] = future.queue_depth
+        details["latency_ms"] = future.latency_ms
         self._authority.audit.record(
-            session.session_id, self._authority.AUTHORITY_NAME,
-            EVENT_SERVICE_COMPLETED, **details,
+            "-" if session is None else session.session_id,
+            submission.agent, EVENT_SERVICE_COMPLETED, **details,
         )
 
     # ------------------------------------------------------------------

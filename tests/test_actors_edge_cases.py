@@ -36,11 +36,14 @@ class TestBimatrixInventor:
             BimatrixInventor("x", method="oracle")
 
     def test_solve_is_cached(self):
-        inventor = BimatrixInventor("lh")
+        from repro.service.cache import SolveCache
+
+        inventor = BimatrixInventor("lh", solve_cache=SolveCache())
         game = random_bimatrix(4, 4, seed=5)
-        first = inventor.solve("g", game)
-        second = inventor.solve("g", game)
-        assert first is second
+        first = inventor.solve(game)
+        second = inventor.solve(game)
+        assert second.profile is first.profile
+        assert (first.cache, second.cache) == ("miss", "hit")
 
     def test_private_advice_needs_single_agent(self):
         inventor = BimatrixInventor("lh")

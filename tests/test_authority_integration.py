@@ -11,12 +11,9 @@ from repro.core import (
     ByzantineProcedure,
     ComplianceExpectation,
     EmptyProofProcedure,
-    EVENT_ADVICE_ADOPTED,
-    EVENT_ADVICE_DELIVERED,
-    EVENT_ADVICE_REQUESTED,
     EVENT_CROSS_CHECK,
     EVENT_INVENTOR_BLAMED,
-    EVENT_MAJORITY,
+    EVENT_SERVICE_COMPLETED,
     EVENT_VERIFIER_BLAMED,
     GameAuthorityMonitor,
     MisadvisingInventor,
@@ -103,12 +100,19 @@ class TestConsultationFlow:
         authority.register_agent(AuthorityAgent("joe"))
         authority.publish_game("acme", "bos", battle_of_sexes().to_strategic())
         outcome = authority.consult("joe", "bos")
-        session_events = authority.audit.session(outcome.session_id)
-        events = [r.event for r in session_events]
-        assert EVENT_ADVICE_REQUESTED in events
-        assert EVENT_ADVICE_DELIVERED in events
-        assert EVENT_MAJORITY in events
-        assert EVENT_ADVICE_ADOPTED in events
+        (record,) = authority.audit.session(outcome.session_id)
+        assert record.event == EVENT_SERVICE_COMPLETED
+        assert record.actor == "joe"
+        details = record.details
+        assert details["game_id"] == "bos" and details["privacy"] == "open"
+        assert details["inventor"] == "acme"
+        assert details["concept"] == "maximal-pure-nash"
+        assert details["proof_format"] == outcome.advice.proof_format.value
+        assert details["votes"] == [
+            (v.verifier, v.accepted, v.reason)
+            for v in outcome.majority.verdicts
+        ]
+        assert details["accepted"] and details["adopted"]
 
     def test_unknown_agent_or_game(self):
         authority = make_authority()

@@ -12,8 +12,8 @@ from repro.core.actors import (
 )
 from repro.core.advice import Advice, ProofFormat, SolutionConcept
 from repro.core.audit_events import (
-    EVENT_ADVICE_DELIVERED,
     EVENT_BATCH_CONSULTATION,
+    EVENT_SERVICE_COMPLETED,
 )
 from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
@@ -87,11 +87,11 @@ class TestConsultMany:
             assert summary["backend"] == expected_backend
         batch_events = authority.audit.events_of(EVENT_BATCH_CONSULTATION)
         assert len(batch_events) == 1
-        delivered = authority.audit.events_of(EVENT_ADVICE_DELIVERED)
-        assert delivered
+        completed = authority.audit.events_of(EVENT_SERVICE_COMPLETED)
+        assert len(completed) == len(outcomes)
         assert all(
             event.details["backend"] == expected_backend
-            for event in delivered
+            for event in completed
         )
 
     def test_empty_batch(self):

@@ -173,7 +173,7 @@ class TestRoundTrip:
         games = _degenerate_and_rank_deficient() + [
             random_bimatrix(4, 4, seed=900 + i) for i in range(3)
         ]
-        cold = [inventor.solve(f"g{i}", g) for i, g in enumerate(games)]
+        cold = [inventor.solve(g).profile for g in games]
         cache.close()  # autosave
 
         loaded = SolveCache(path=path)
@@ -184,8 +184,8 @@ class TestRoundTrip:
         )
         for i, game in enumerate(games):
             clone = BimatrixGame(game.row_matrix, game.column_matrix)
-            warm = restarted.solve(f"r{i}", clone)
-            assert restarted.cache_state(f"r{i}") == "hit", game.name
+            warm, cache_state, __ = restarted.solve(clone)
+            assert cache_state == "hit", game.name
             assert _bit_identical(warm, cold[i]), game.name
         assert loaded.stats.hits == len(games)
         assert loaded.stats.load_rejected == 0
@@ -224,8 +224,8 @@ class TestRoundTrip:
         inventor = BimatrixInventor(
             "inv", method="support-enumeration", solve_cache=cache
         )
-        profile = inventor.solve("g", game)
-        assert inventor.cache_state("g") == "hit"
+        profile, cache_state, __ = inventor.solve(game)
+        assert cache_state == "hit"
         assert profile.distributions == ((1, 0), (1, 0))
         assert len(cache.equilibrium_set(game)) == 3
         assert cache.stats.set_hits == 1
@@ -241,7 +241,7 @@ class TestRoundTrip:
         )
         games = [random_bimatrix(3, 3, seed=700 + i) for i in range(3)]
         for i, game in enumerate(games):
-            inventor.solve(f"g{i}", game)
+            inventor.solve(game)
         cache.save()
 
         # Reload into a 2-entry cache: only the two *newest* survive.
@@ -249,10 +249,10 @@ class TestRoundTrip:
         probe = BimatrixInventor(
             "probe", method="support-enumeration", solve_cache=loaded
         )
-        probe.solve("p0", BimatrixGame(games[0].row_matrix, games[0].column_matrix))
-        assert probe.cache_state("p0") == "miss"  # oldest was dropped
-        probe.solve("p2", BimatrixGame(games[2].row_matrix, games[2].column_matrix))
-        assert probe.cache_state("p2") == "hit"
+        p0 = BimatrixGame(games[0].row_matrix, games[0].column_matrix)
+        assert probe.solve(p0).cache == "miss"  # oldest was dropped
+        p2 = BimatrixGame(games[2].row_matrix, games[2].column_matrix)
+        assert probe.solve(p2).cache == "hit"
 
     def test_gameless_lookup_leaves_pending_entries_servable(self, tmp_path):
         # A lookup without a game cannot run the gate; it must not
@@ -268,8 +268,8 @@ class TestRoundTrip:
         inventor = BimatrixInventor(
             "inv", method="support-enumeration", solve_cache=cache
         )
-        inventor.solve("g", BimatrixGame(game.row_matrix, game.column_matrix))
-        assert inventor.cache_state("g") == "hit"  # ...and nothing lost
+        clone = BimatrixGame(game.row_matrix, game.column_matrix)
+        assert inventor.solve(clone).cache == "hit"  # ...and nothing lost
         assert cache.stats.load_rejected == 0
 
     def test_save_preserves_the_target_file_mode(self, tmp_path):
@@ -291,7 +291,7 @@ class TestRoundTrip:
             "inv", method="support-enumeration", solve_cache=cache
         )
         game = random_bimatrix(3, 3, seed=77)
-        inventor.solve("g", game)
+        inventor.solve(game)
         cache.save()
         intermediate = SolveCache(path=path)  # loads, serves nothing
         intermediate.save()
@@ -300,8 +300,8 @@ class TestRoundTrip:
         served = BimatrixInventor(
             "inv2", method="support-enumeration", solve_cache=final
         )
-        served.solve("h", BimatrixGame(game.row_matrix, game.column_matrix))
-        assert served.cache_state("h") == "hit"
+        clone = BimatrixGame(game.row_matrix, game.column_matrix)
+        assert served.solve(clone).cache == "hit"
 
 
 def _populated_file(tmp_path, count=2):
@@ -312,7 +312,7 @@ def _populated_file(tmp_path, count=2):
     )
     games = [random_bimatrix(3, 3, seed=40 + i) for i in range(count)]
     for i, game in enumerate(games):
-        inventor.solve(f"g{i}", game)
+        inventor.solve(game)
     cache.save()
     return path, games
 
@@ -405,10 +405,10 @@ class TestTamperRejection:
             "inv", method="support-enumeration", solve_cache=cache
         )
         game = games[0]
-        profile = inventor.solve(
-            "g", BimatrixGame(game.row_matrix, game.column_matrix)
+        profile, cache_state, __ = inventor.solve(
+            BimatrixGame(game.row_matrix, game.column_matrix)
         )
-        assert inventor.cache_state("g") == "miss"  # not served
+        assert cache_state == "miss"  # not served
         assert certify_mixed_profile(game, profile) is not None
         assert cache.stats.load_rejected == 1
         (rejection,) = cache.drain_rejections()
@@ -452,8 +452,8 @@ class TestTamperRejection:
             "inv", method="support-enumeration", solve_cache=cache
         )
         game = games[0]
-        inventor.solve("g", BimatrixGame(game.row_matrix, game.column_matrix))
-        assert inventor.cache_state("g") == "miss"
+        clone = BimatrixGame(game.row_matrix, game.column_matrix)
+        assert inventor.solve(clone).cache == "miss"
         assert cache.stats.load_rejected == 1
 
     @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
@@ -626,7 +626,7 @@ class TestAutosaveSemantics:
             inventor = BimatrixInventor(
                 "inv", method="support-enumeration", solve_cache=cache
             )
-            inventor.solve("g", random_bimatrix(3, 3, seed=71))
+            inventor.solve(random_bimatrix(3, 3, seed=71))
         assert path.exists()
         assert SolveCache(path=path).last_load_report.profiles == 1
 
@@ -636,7 +636,7 @@ class TestAutosaveSemantics:
         inventor = BimatrixInventor(
             "inv", method="support-enumeration", solve_cache=cache
         )
-        inventor.solve("g", random_bimatrix(3, 3, seed=72))
+        inventor.solve(random_bimatrix(3, 3, seed=72))
         cache.close()
         assert not path.exists()
         cache.save()  # explicit save still works

@@ -212,8 +212,7 @@ class TestReplay:
         inventor = BimatrixInventor(
             "inv", method="support-enumeration", solve_cache=cache
         )
-        inventor.solve("g", game)
-        assert inventor.cache_state("g") == "hit"
+        assert inventor.solve(game).cache == "hit"
         assert len(cache.equilibrium_set(game)) == 3
         assert cache.stats.set_hits == 1
 

@@ -41,10 +41,17 @@ BLAME_EVENTS = (EVENT_INVENTOR_BLAMED, EVENT_VERIFIER_BLAMED,
 #: Games consulted round-robin by the soaks; one consult_many batch.
 GAMES = 16
 
-#: Consultations that turn both windows over once.  The bus window is
-#: the slower one: a consultation sends 3 messages but writes at least
-#: 6 audit records.
-TURNOVER = math.ceil(BUS_WINDOW / 3 / GAMES) * GAMES
+#: What one consultation of a soak adds to each window: 3 bus messages,
+#: and to the audit log its ``service.consultation.completed`` record
+#: plus its share of the batch's ``consultation.batch`` record.
+MESSAGES_PER_CONSULT = 3
+RECORDS_PER_CONSULT = 1 + 1 / GAMES
+
+#: Consultations that turn both windows over once, whole batches.
+TURNOVER = math.ceil(
+    max(BUS_WINDOW / MESSAGES_PER_CONSULT,
+        AUDIT_WINDOW / RECORDS_PER_CONSULT) / GAMES
+) * GAMES
 
 #: Retained bytes allowed per consultation once the windows are full.
 #: With unbounded logs a warm consultation retained about 4.3 KB.

@@ -21,7 +21,6 @@ from repro.core.actors import AuthorityAgent, BimatrixInventor, PureNashInventor
 from repro.core.audit_events import (
     EVENT_BATCH_CONSULTATION,
     EVENT_SERVICE_COMPLETED,
-    EVENT_SERVICE_DRAINED,
 )
 from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
@@ -352,16 +351,16 @@ class TestShimEquivalence:
         assert outcome.advice.solve_ms >= 0.0  # ...but lives on the advice
         authority.close()
 
-    def test_drain_and_completion_events_in_audit(self):
+    def test_one_completion_record_per_consultation(self):
         inventor = PureNashInventor("pure")
         authority = _authority(inventor, [("pd", prisoners_dilemma())])
-        authority.consult("jane", "pd")
-        drained = authority.audit.events_of(EVENT_SERVICE_DRAINED)
-        completed = authority.audit.events_of(EVENT_SERVICE_COMPLETED)
-        assert len(drained) == 1 and len(completed) == 1
-        assert drained[0].details["submissions"] == 1
-        assert "cache_hit_rate" in drained[0].details
-        assert completed[0].details["latency_ms"] >= 0.0
+        outcome = authority.consult("jane", "pd")
+        (completed,) = authority.audit.session(outcome.session_id)
+        assert completed.event == EVENT_SERVICE_COMPLETED
+        assert completed.actor == "jane"
+        assert completed.details["latency_ms"] >= 0.0
+        assert completed.details["queue_depth"] == 0
+        assert completed.details["cache"] == ""  # pure advice: no cache
 
 
 class TestConcurrentServiceDemo:
@@ -388,11 +387,15 @@ class TestConcurrentServiceDemo:
         assert len(hits) == 50
         assert all(o.advice.cache == "miss" for o in outcomes[:50])
         assert service.cache.stats.hits == 50
-        # The audit log reports the drain's hit rate.
-        drained = authority.audit.events_of(EVENT_SERVICE_DRAINED)
-        assert drained and drained[-1].details["cache_hits"] == 50
-        assert drained[-1].details["cache_hit_rate"] == pytest.approx(0.5)
-        assert drained[-1].details["queue_depth"] == 100
+        # The audit log says which consultations hit, and how deep the
+        # queue was when each was admitted.
+        completed = authority.audit.events_of(EVENT_SERVICE_COMPLETED)
+        assert [r.details["cache"] for r in completed] == [
+            o.advice.cache for o in outcomes
+        ]
+        assert [r.details["queue_depth"] for r in completed] == list(
+            range(100)
+        )
         # Hits carry the stored certified solution: bit-identical to
         # the cold solve of the same payoffs earlier in the stream.
         by_id = {o.advice.game_id: o for o in outcomes}

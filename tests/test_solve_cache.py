@@ -127,13 +127,13 @@ class TestProfileCache:
         )
         game = random_bimatrix(4, 4, seed=21)
         clone = BimatrixGame(game.row_matrix, game.column_matrix)
-        cold = inventor.solve("g-cold", game)
-        warm = inventor.solve("g-warm", clone)
-        assert warm is cold  # the stored certified object itself
-        assert inventor.cache_state("g-cold") == "miss"
-        assert inventor.cache_state("g-warm") == "hit"
+        cold = inventor.solve(game)
+        warm = inventor.solve(clone)
+        assert warm.profile is cold.profile  # the stored certified object
+        assert cold.cache == "miss"
+        assert warm.cache == "hit"
         assert cache.stats.hits == 1 and cache.stats.misses == 1
-        assert inventor.solve_millis("g-warm") >= 0.0
+        assert warm.solve_ms >= 0.0
 
     def test_keys_include_method_and_mode(self):
         cache = SolveCache()
@@ -142,15 +142,14 @@ class TestProfileCache:
             "se", method="support-enumeration", solve_cache=cache
         )
         lh = BimatrixInventor("lh", method="lemke-howson", solve_cache=cache)
-        se.solve("g", game)
-        lh.solve("g", game)  # different method: no cross-contamination
-        assert lh.cache_state("g") == "miss"
+        se.solve(game)
+        # A different method: no cross-contamination.
+        assert lh.solve(game).cache == "miss"
         assert cache.stats.misses == 2
 
     def test_without_cache_state_is_blank(self):
         inventor = BimatrixInventor("inv", method="support-enumeration")
-        inventor.solve("g", random_bimatrix(3, 3, seed=23))
-        assert inventor.cache_state("g") == ""
+        assert inventor.solve(random_bimatrix(3, 3, seed=23)).cache == ""
 
 
 class TestHistoryFree:
@@ -168,7 +167,7 @@ class TestHistoryFree:
         differ = []
         for seed in range(7000, 7100):
             game = random_bimatrix(size, size, seed=seed)
-            served = inventor.solve(f"g{seed}", game)
+            served = inventor.solve(game).profile
             alone = find_one_equilibrium(game, policy="auto")
             if served.distributions != alone.distributions:
                 differ.append(seed)
@@ -181,14 +180,14 @@ class TestHistoryFree:
             "inv", method="support-enumeration", solve_cache=cache
         )
         game = random_bimatrix(4, 4, seed=31)
-        cold = inventor.solve("g", game)
-        near = inventor.solve("g-near", _scaled(game, 3))
-        assert inventor.cache_state("g-near") == "miss"
+        cold = inventor.solve(game).profile
+        near, cache_state, __ = inventor.solve(_scaled(game, 3))
+        assert cache_state == "miss"
         # Positive scaling preserves the equilibrium exactly.
         assert near.distributions == cold.distributions
         # Cached under the near game's own fingerprint: a repeat hits.
-        again = inventor.solve("g-near-2", _scaled(game, 3))
-        assert inventor.cache_state("g-near-2") == "hit"
+        again, cache_state, __ = inventor.solve(_scaled(game, 3))
+        assert cache_state == "hit"
         assert again is near
 
     def test_names_perfbench_reads_stay_inert(self):
@@ -196,7 +195,7 @@ class TestHistoryFree:
         inventor = BimatrixInventor(
             "inv", method="support-enumeration", solve_cache=cache
         )
-        inventor.solve("g", random_bimatrix(3, 3, seed=32))
+        inventor.solve(random_bimatrix(3, 3, seed=32))
         assert cache.note_hint((3, 3), ((0,), (0,))) is None
         assert len(cache) == 1
         stats = cache.stats.as_dict()
@@ -277,8 +276,8 @@ class TestStatsAndLifecycle:
             "inv", method="support-enumeration", solve_cache=cache
         )
         game = random_bimatrix(3, 3, seed=41)
-        inventor.solve("a", game)
-        inventor.solve("b", BimatrixGame(game.row_matrix, game.column_matrix))
+        inventor.solve(game)
+        inventor.solve(BimatrixGame(game.row_matrix, game.column_matrix))
         stats = cache.stats.as_dict()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == pytest.approx(0.5)
@@ -294,16 +293,16 @@ class TestStatsAndLifecycle:
         )
         games = [random_bimatrix(3, 3, seed=600 + i) for i in range(3)]
         for i, game in enumerate(games):
-            inventor.solve(f"g{i}", game)
+            inventor.solve(game)
         # Three distinct fingerprints through a 2-entry store: the
         # oldest (g0) was evicted, the newer two still hit.
         fresh = BimatrixInventor(
             "fresh", method="support-enumeration", solve_cache=cache
         )
-        fresh.solve("r0", BimatrixGame(games[0].row_matrix, games[0].column_matrix))
-        assert fresh.cache_state("r0") == "miss"  # evicted
-        fresh.solve("r2", BimatrixGame(games[2].row_matrix, games[2].column_matrix))
-        assert fresh.cache_state("r2") == "hit"
+        r0 = BimatrixGame(games[0].row_matrix, games[0].column_matrix)
+        assert fresh.solve(r0).cache == "miss"  # evicted
+        r2 = BimatrixGame(games[2].row_matrix, games[2].column_matrix)
+        assert fresh.solve(r2).cache == "hit"
         assert SolveCache(max_entries=None)._max_entries is None
         with pytest.raises(ValueError):
             SolveCache(max_entries=0)
@@ -315,19 +314,19 @@ class TestStatsAndLifecycle:
         )
         g0 = random_bimatrix(3, 3, seed=610)
         g1 = random_bimatrix(3, 3, seed=611)
-        inventor.solve("g0", g0)
-        inventor.solve("g1", g1)
+        inventor.solve(g0)
+        inventor.solve(g1)
         # Touch g0 so g1 becomes the LRU entry...
-        inventor.solve("g0-again", BimatrixGame(g0.row_matrix, g0.column_matrix))
+        inventor.solve(BimatrixGame(g0.row_matrix, g0.column_matrix))
         # ...then insert a third fingerprint, evicting g1, not g0.
-        inventor.solve("g2", random_bimatrix(3, 3, seed=612))
+        inventor.solve(random_bimatrix(3, 3, seed=612))
         probe = BimatrixInventor(
             "probe", method="support-enumeration", solve_cache=cache
         )
-        probe.solve("p0", BimatrixGame(g0.row_matrix, g0.column_matrix))
-        assert probe.cache_state("p0") == "hit"
-        probe.solve("p1", BimatrixGame(g1.row_matrix, g1.column_matrix))
-        assert probe.cache_state("p1") == "miss"
+        p0 = BimatrixGame(g0.row_matrix, g0.column_matrix)
+        assert probe.solve(p0).cache == "hit"
+        p1 = BimatrixGame(g1.row_matrix, g1.column_matrix)
+        assert probe.solve(p1).cache == "miss"
 
     def test_misadvising_wrapper_forwards_the_cache(self):
         from repro.core.actors import MisadvisingInventor
@@ -338,17 +337,3 @@ class TestStatsAndLifecycle:
         wrapper.attach_solve_cache(cache)
         assert inner.solve_cache is cache
         assert wrapper.solve_cache is cache
-
-    def test_delta_reporting(self):
-        cache = SolveCache()
-        inventor = BimatrixInventor(
-            "inv", method="support-enumeration", solve_cache=cache
-        )
-        game = random_bimatrix(3, 3, seed=42)
-        inventor.solve("a", game)
-        snapshot = cache.snapshot()
-        inventor.solve("b", BimatrixGame(game.row_matrix, game.column_matrix))
-        delta = cache.delta_since(snapshot)
-        assert delta["cache_hits"] == 1
-        assert delta["cache_misses"] == 0
-        assert delta["cache_hit_rate"] == 1.0

@@ -1,19 +1,15 @@
 """End-to-end verify telemetry: the search-vs-verify split per consultation.
 
 ``Advice.verify_ms`` (populated on the *outcome's* advice by the
-session), the ``verification.majority`` audit record, the service's
-``service.consultation.completed`` / ``service.queue.drained`` records —
-and the wire-determinism rule that keeps every wall time off the bus.
+session), the service's ``service.consultation.completed`` record, which
+prices both halves of the asymmetry — and the wire-determinism rule
+that keeps every wall time off the bus.
 """
 
 from __future__ import annotations
 
 from repro.core.actors import AuthorityAgent, BimatrixInventor, PureNashInventor
-from repro.core.audit_events import (
-    EVENT_MAJORITY,
-    EVENT_SERVICE_COMPLETED,
-    EVENT_SERVICE_DRAINED,
-)
+from repro.core.audit_events import EVENT_SERVICE_COMPLETED
 from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
 from repro.core.session import advice_wire_summary
@@ -51,12 +47,13 @@ class TestVerifyTelemetry:
         assert outcome.advice.verify_ms >= 0.0
         authority.close()
 
-    def test_majority_record_carries_verify_ms(self):
+    def test_completed_record_carries_both_timings(self):
         inventor = PureNashInventor("pure")
         authority = _authority(inventor, [("pd", prisoners_dilemma())])
-        authority.consult("jane", "pd")
-        (majority,) = authority.audit.events_of(EVENT_MAJORITY)
-        assert majority.details["verify_ms"] >= 0.0
+        outcome = authority.consult("jane", "pd")
+        (record,) = authority.audit.events_of(EVENT_SERVICE_COMPLETED)
+        assert record.details["verify_ms"] == outcome.advice.verify_ms >= 0.0
+        assert record.details["solve_ms"] == outcome.advice.solve_ms
         authority.close()
 
     def test_wire_summary_never_carries_timings(self):
@@ -77,11 +74,10 @@ class TestVerifyTelemetry:
             assert future.result().advice.verify_ms >= 0.0
         completed = authority.audit.events_of(EVENT_SERVICE_COMPLETED)
         assert len(completed) == 3
+        assert [r.details["verify_ms"] for r in completed] == [
+            future.result().advice.verify_ms for future in futures
+        ]
         assert all(r.details["verify_ms"] >= 0.0 for r in completed)
-        (drained,) = authority.audit.events_of(EVENT_SERVICE_DRAINED)
-        assert drained.details["max_verify_ms"] >= max(
-            r.details["verify_ms"] for r in completed
-        ) - 1e-9
         authority.close()
 
     def test_service_submissions_report_verify_ms(self):
