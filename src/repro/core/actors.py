@@ -19,7 +19,6 @@ import abc
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, NamedTuple, Sequence
 
 from repro.core.advice import Advice, ProofFormat, SolutionConcept
@@ -331,7 +330,6 @@ class ParticipationInventor(GameInventor):
         super().__init__(name)
         self._prefer = prefer
         self._policy = resolve_policy(backend)
-        self._cache: dict[str, Fraction] = {}
 
     @property
     def backend_mode(self) -> str:
@@ -343,17 +341,12 @@ class ParticipationInventor(GameInventor):
         :meth:`BimatrixInventor.effective_backend`)."""
         return self._policy.search_backend(game.num_players).mode
 
-    def equilibrium_probability(self, game_id: str, game: ParticipationGame) -> Fraction:
-        if game_id not in self._cache:
-            self._cache[game_id] = participation_equilibrium(
-                game, prefer=self._prefer, policy=self._policy
-            )
-        return self._cache[game_id]
-
     def advise(self, game_id, game, agent, privacy) -> AdvicePackage:
         if not isinstance(game, ParticipationGame):
             raise ProtocolError("ParticipationInventor advises participation games")
-        p = self.equilibrium_probability(game_id, game)
+        p = participation_equilibrium(
+            game, prefer=self._prefer, policy=self._policy
+        )
         advice = Advice(
             game_id=game_id,
             agent=agent,
@@ -412,23 +405,16 @@ class CorrelatedInventor(GameInventor):
     themselves through the registry.
     """
 
-    def __init__(self, name: str):
-        super().__init__(name)
-        self._cache: dict[str, dict] = {}
-
     def advise(self, game_id, game, agent, privacy) -> AdvicePackage:
         from repro.core.advice import SolutionConcept as _SC
         from repro.equilibria.correlated import correlated_equilibrium_lp
 
-        if game_id not in self._cache:
-            self._cache[game_id] = correlated_equilibrium_lp(game)
-        device = self._cache[game_id]
         advice = Advice(
             game_id=game_id,
             agent=agent,
             concept=_SC.CORRELATED,
             proof_format=ProofFormat.EMPTY_PROOF,
-            suggestion=dict(device),
+            suggestion=correlated_equilibrium_lp(game),
             proof=None,
             inventor=self.name,
         )
@@ -438,25 +424,19 @@ class CorrelatedInventor(GameInventor):
 class ExtensiveFormInventor(GameInventor):
     """Advises the backward-induction plan of a sequential game."""
 
-    def __init__(self, name: str):
-        super().__init__(name)
-        self._cache: dict[str, dict] = {}
-
     def advise(self, game_id, game, agent, privacy) -> AdvicePackage:
         from repro.core.advice import SolutionConcept as _SC
         from repro.games.extensive import ExtensiveGame, backward_induction
 
         if not isinstance(game, ExtensiveGame):
             raise ProtocolError("ExtensiveFormInventor advises extensive-form games")
-        if game_id not in self._cache:
-            strategy, __ = backward_induction(game)
-            self._cache[game_id] = strategy
+        strategy, __ = backward_induction(game)
         advice = Advice(
             game_id=game_id,
             agent=agent,
             concept=_SC.SUBGAME_PERFECT,
             proof_format=ProofFormat.EMPTY_PROOF,
-            suggestion=dict(self._cache[game_id]),
+            suggestion=strategy,
             proof=None,
             inventor=self.name,
         )

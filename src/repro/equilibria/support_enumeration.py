@@ -47,17 +47,28 @@ Screening runs chunk by chunk off a fixed schedule of chunk sizes.  An
 exhaustive enumeration screens DEFAULT_CHUNK_SIZE pairs per chunk.  A
 first-hit scan (:func:`find_one_equilibrium`) on the numpy backend
 starts at FIRST_CHUNK_SIZE pairs and doubles up to DEFAULT_CHUNK_SIZE,
-stopping after the first wave that holds a certified pair, so a game
-whose answer sits early in pair order screens a few dozen pairs, not
-all of them.
+stopping after the first wave that holds a certified pair.
+
+The first-hit scan decides more before it screens.  It also drops
+every pair in which a supported action is strictly dominated, over the
+other side's support, by another action of the same player (an
+integer comparison; no backend could answer from such a pair).  And
+its stream ends at the first decided pair with two one-action sides:
+the decide stage keeps such a pair only when each action is a best
+reply to the other, so it is an exact pure equilibrium, and only the
+pairs ahead of it are screened or solved.  A game whose decided stream
+leads with a pure pair — most random games have one — is answered
+with no screen and no LP.  The exhaustive enumeration takes neither
+rule, which keeps it an independent reference for the scan.
 
 Determinism: support pairs are generated in a fixed order, every stage
 runs in the calling process, and candidates are resolved strictly in
 pair order, so the same game and policy always return the same
-equilibria.  The decide stage drops only pairs no backend could answer
-from, so it changes cost, never an answer.  On the numpy backend each
-pair's verdict is moreover the one its systems earn when screened
-alone, so not even the chunk sizes can change an answer.
+equilibria.  The decide stage and the dominance rule drop only pairs
+no backend could answer from, so they change cost, never an answer.
+On the numpy backend each pair's verdict is moreover the one its
+systems earn when screened alone, so not even the chunk sizes can
+change an answer.
 """
 
 from __future__ import annotations
@@ -360,6 +371,77 @@ def decide_support_pairs(game: BimatrixGame, pairs):
             continue
         if len(cs) == 1 and not best_rows[cs[0]].issuperset(rs):
             continue
+        yield rs, cs
+
+
+def _beaten_masks(payoff_rows) -> list[list[int]]:
+    """``masks[i][k]`` has bit j set when our action k earns strictly
+    more than our action i against the other player's action j
+    (``payoff_rows[i][j]``: our integer-lattice payoffs)."""
+    return [
+        [
+            sum(
+                1 << j
+                for j, (theirs, mine) in enumerate(zip(rival, ours))
+                if theirs > mine
+            )
+            for rival in payoff_rows
+        ]
+        for ours in payoff_rows
+    ]
+
+
+def _dominated(masks, other_support) -> frozenset[int]:
+    """Our actions strictly dominated, over ``other_support``, by another:
+    some action earns strictly more against every action of it."""
+    need = sum(1 << j for j in other_support)
+    return frozenset(
+        i for i, beaten in enumerate(masks)
+        if any(mask & need == need for mask in beaten)
+    )
+
+
+def _undominated_pairs(game: BimatrixGame, pairs):
+    """Drop the pairs with a strictly dominated supported action; keep order.
+
+    If a row of S1 is strictly dominated over S2 by another row, every
+    mix on S2 pays that other row strictly more than the supported one,
+    so no λ1 satisfies Lemma 1's system (likewise for a column of S2
+    over S1): the pair is infeasible on every backend and dropping it
+    changes cost, never an answer.  Everything is built lazily on the
+    game's integer lattice: the comparison masks at the first pair, and
+    one dominated set per support the stream reaches.
+    """
+    row_masks = col_masks = None
+    dominated_rows: dict[tuple[int, ...], frozenset[int]] = {}
+    dominated_cols: dict[tuple[int, ...], frozenset[int]] = {}
+    for rs, cs in pairs:
+        if row_masks is None:
+            lattice = game.integer_lattice
+            row_masks = _beaten_masks(lattice.row_payoffs)
+            col_masks = _beaten_masks(lattice.column_payoffs)
+        rows = dominated_rows.get(cs)
+        if rows is None:
+            rows = dominated_rows[cs] = _dominated(row_masks, cs)
+        if not rows.isdisjoint(rs):
+            continue
+        cols = dominated_cols.get(rs)
+        if cols is None:
+            cols = dominated_cols[rs] = _dominated(col_masks, rs)
+        if not cols.isdisjoint(cs):
+            continue
+        yield rs, cs
+
+
+def _until_pure_pair(pairs, stop: list):
+    """The pairs ahead of the first pair with two one-action sides.
+
+    That pair ends the stream and is appended to ``stop``.
+    """
+    for rs, cs in pairs:
+        if len(rs) == 1 and len(cs) == 1:
+            stop.append((rs[0], cs[0]))
+            return
         yield rs, cs
 
 
@@ -691,10 +773,10 @@ def _resolve_screened_pair(game, rs, cs, verdict):
 SCALAR_FIND_CHUNK_SIZE = 16
 
 #: The first chunk of a first-hit scan on a batched screen.  Later
-#: chunks double, up to DEFAULT_CHUNK_SIZE: on random 5x5 games the
-#: winning pair's median position is about 62 of 961, so most scans
-#: stop after the first chunk or two, while a scan that runs long soon
-#: reaches full stack width.
+#: chunks double, up to DEFAULT_CHUNK_SIZE, so a scan that runs long
+#: soon reaches full stack width.  On random 5x5 games without a pure
+#: equilibrium, the decide stage and the dominance rule leave a median
+#: of about 50 of the 961 pairs, so one chunk usually holds them all.
 FIRST_CHUNK_SIZE = 64
 
 
@@ -839,10 +921,18 @@ def support_enumeration(
 def find_one_equilibrium(game: BimatrixGame, policy=None) -> MixedProfile:
     """The first equilibrium support enumeration finds (smallest support).
 
-    Every finite game has one (Nash 1950), so exhausting the support pairs
-    without a hit indicates an internal error — or, on an approximate
-    search backend, an over-aggressive screen; in that case the scan is
-    repeated on the exact path before concluding anything.
+    The answer is ``support_enumeration(game, policy=policy)[0]``, found
+    with less work: the decided pair stream drops the pairs with a
+    strictly dominated supported action and ends at the first pair with
+    two one-action sides, an exact pure equilibrium (see the module
+    docstring).  When no pair ahead of that one yields an equilibrium,
+    its profile is returned after the exact gate, with no screen and no
+    LP.
+
+    Every finite game has an equilibrium (Nash 1950), so exhausting the
+    support pairs without a hit indicates an internal error — or, on an
+    approximate search backend, an over-aggressive screen; in that case
+    the scan is repeated on the exact path before concluding anything.
 
     Screening is chunked and *lazy*: pairs stream off the generator one
     wave at a time and the scan stops inside the first wave containing a
@@ -858,24 +948,36 @@ def find_one_equilibrium(game: BimatrixGame, policy=None) -> MixedProfile:
     resolved = resolve_policy(policy)
     backend, payoffs = _search_setup(game, resolved)
     n, m = game.action_counts
-    pairs = decide_support_pairs(game, support_pairs(n, m))
+    decided = decide_support_pairs(game, support_pairs(n, m))
+    stop: list[tuple[int, int]] = []
+    pairs = _undominated_pairs(game, _until_pure_pair(decided, stop))
     if backend is None:
         for rs, cs in pairs:
             result = equilibrium_for_supports(game, rs, cs)
             if result is not None:
                 return result[0]
+    else:
+        chunk_sizes = _chunk_sizes(
+            backend, resolved.chunk_size, first_hit=True
+        )
+        for (rs, cs), verdict in _screened_pairs(
+            backend, payoffs, pairs, chunk_sizes
+        ):
+            profile = _resolve_screened_pair(game, rs, cs, verdict)
+            if profile is not None:
+                return profile
+    if stop:
+        profile = MixedProfile.pure(stop[0], (n, m))
+        if not _certified(game, profile):
+            raise EquilibriumError(
+                f"the decided pure pair {stop[0]} failed certification"
+            )
+        return profile
+    if backend is None:
         raise EquilibriumError(
             "support enumeration found no equilibrium; "
             "this contradicts Nash's theorem"
         )
-
-    chunk_sizes = _chunk_sizes(backend, resolved.chunk_size, first_hit=True)
-    for (rs, cs), verdict in _screened_pairs(
-        backend, payoffs, pairs, chunk_sizes
-    ):
-        profile = _resolve_screened_pair(game, rs, cs, verdict)
-        if profile is not None:
-            return profile
     # The approximate screen may have pruned a knife-edge support pair;
     # the exact rescan is the authoritative answer.
     return find_one_equilibrium(game)

@@ -725,7 +725,10 @@ class AuthorityService:
         ``prepare_games`` pre-solve.  Stage 1: open the session and
         request advice — the inventor's cache lookup and (on a miss)
         its screening/search happen here.  Stage 2: verify/conclude.
-        All three run on the draining thread.
+        All three run on the draining thread, except a deadlined
+        solve, which runs on a worker.  The session is opened first, on
+        the draining thread, so a solve that raises still leaves its
+        session id on the failed record.
         """
         if batch.batched and not self._stage_prepare(batch, processed):
             return
@@ -734,15 +737,17 @@ class AuthorityService:
             if self._expired(submission):
                 self._deadline_fail(submission, phase="queued")
                 continue
+            session = None
             try:
+                session = self._authority.open_session(
+                    submission.agent, submission.game_id
+                )
                 if submission.deadline is None:
-                    session = self._stage_solve(submission)
-                else:
-                    session = self._stage_solve_deadlined(submission)
-                    if session is None:  # abandoned past its budget
-                        continue
+                    self._stage_solve(submission, session)
+                elif not self._stage_solve_deadlined(submission, session):
+                    continue  # abandoned past its budget
             except Exception as exc:
-                self._complete(submission, error=exc)
+                self._complete(submission, session=session, error=exc)
                 continue
             if self._expired(submission):
                 # Solved, but past the promise: the caller has already
@@ -777,30 +782,31 @@ class AuthorityService:
             phase=phase,
         )
 
-    def _stage_solve_deadlined(self, submission: _Submission):
+    def _stage_solve_deadlined(self, submission: _Submission,
+                               session: ConsultationSession) -> bool:
         """Stage 1 under a wall-clock budget (watchdog thread).
 
-        Returns the solved session, ``None`` when the solve outran its
-        budget and was abandoned (the future is already resolved to
-        :class:`~repro.errors.DeadlineExceeded`), or raises what the
-        solve raised.  The abandoned solve keeps running on its worker
-        thread and discards its result into the resolved future.
+        Returns True once ``session`` holds its advice, False when the
+        solve outran its budget and was abandoned (the future is already
+        resolved to :class:`~repro.errors.DeadlineExceeded`), or raises
+        what the solve raised.  The abandoned solve keeps running on its
+        worker thread and discards its result into the resolved future.
         """
         remaining = submission.deadline - time.monotonic()
         if remaining <= 0:
-            self._deadline_fail(submission, phase="queued")
-            return None
+            self._deadline_fail(submission, phase="queued", session=session)
+            return False
         if self._deadline_runner is None:
             self._deadline_runner = _DeadlineRunner()
-        done, session, error = self._deadline_runner.execute(
-            lambda: self._stage_solve(submission), remaining
+        done, __, error = self._deadline_runner.execute(
+            lambda: self._stage_solve(submission, session), remaining
         )
         if not done:
             self._deadline_fail(submission, phase="solve")
-            return None
+            return False
         if error is not None:
             raise error
-        return session
+        return True
 
     def _stage_prepare(self, batch: _Batch, processed: list) -> bool:
         """Stage 0: the batched pre-solve (``consult_many`` semantics).
@@ -838,16 +844,13 @@ class AuthorityService:
             return False
         return True
 
-    def _stage_solve(self, submission: _Submission) -> ConsultationSession:
-        """Stage 1: session open + advice (cache lookup / search)."""
+    def _stage_solve(self, submission: _Submission,
+                     session: ConsultationSession) -> None:
+        """Stage 1: advice for the opened ``session`` (cache lookup /
+        search)."""
         faults.check("solve")
-        authority = self._authority
-        session = authority.open_session(
-            submission.agent, submission.game_id
-        )
-        inventor = authority.inventor_of(submission.game_id)
+        inventor = self._authority.inventor_of(submission.game_id)
         session.request_advice(inventor, privacy=submission.privacy)
-        return session
 
     def _verify_and_conclude(self, session: ConsultationSession,
                              submission: _Submission) -> None:

@@ -9,6 +9,8 @@ from repro.core import (
     Advice,
     AuthorityAgent,
     BimatrixInventor,
+    CorrelatedInventor,
+    ExtensiveFormInventor,
     P1Procedure,
     ParticipationInventor,
     ProofFormat,
@@ -19,8 +21,13 @@ from repro.core import (
     standard_procedures,
 )
 from repro.errors import EquilibriumError, ProtocolError
-from repro.games import BimatrixGame, ParticipationGame, ROW
-from repro.games.generators import matching_pennies, random_bimatrix
+from repro.games import BimatrixGame, ParticipationGame, ROW, ultimatum_game
+from repro.games.generators import (
+    battle_of_sexes,
+    matching_pennies,
+    prisoners_dilemma,
+    random_bimatrix,
+)
 from repro.interactive import P1Announcement
 
 
@@ -74,7 +81,7 @@ class TestParticipationInventor:
         with pytest.raises(ProtocolError):
             inventor.advise("g", matching_pennies(), 0, "open")
 
-    def test_probability_cached_across_agents(self):
+    def test_probability_same_across_agents(self):
         inventor = ParticipationInventor("auctioneer")
         game = ParticipationGame(3, value=8, cost=3)
         a = inventor.advise("g", game, 0, "open").advice.suggestion
@@ -86,6 +93,59 @@ class TestParticipationInventor:
         game = ParticipationGame(3, value=8, cost=3)
         assert inventor.advise("g", game, 0, "open").advice.suggestion == \
             Fraction(3, 4)
+
+
+def _per_game_state(inventor) -> int:
+    """Entries held in the inventor's containers (dicts, lists, sets)."""
+    return sum(
+        len(value) for value in vars(inventor).values()
+        if isinstance(value, (dict, list, set))
+    )
+
+
+#: (inventor, first game, second game): two games whose answers differ.
+NO_MEMO_CASES = [
+    pytest.param(
+        lambda: ParticipationInventor("auctioneer"),
+        ParticipationGame(3, value=8, cost=3),
+        ParticipationGame(4, value=8, cost=3),
+        id="participation",
+    ),
+    pytest.param(
+        lambda: CorrelatedInventor("device-maker"),
+        battle_of_sexes().to_strategic(),
+        prisoners_dilemma().to_strategic(),
+        id="correlated",
+    ),
+    pytest.param(
+        lambda: ExtensiveFormInventor("sequential"),
+        ultimatum_game(4),
+        ultimatum_game(6),
+        id="extensive",
+    ),
+]
+
+
+class TestNoPerIdMemo:
+    """Each advice answers the game it is given, not an earlier game
+    advised under the same id, and advising keeps no per-id state."""
+
+    @pytest.mark.parametrize("make, first, second", NO_MEMO_CASES)
+    def test_a_reused_id_gets_the_new_games_answer(self, make, first, second):
+        expected = make().advise("g2", second, 0, "open").advice.suggestion
+        inventor = make()
+        before = inventor.advise("g", first, 0, "open").advice.suggestion
+        after = inventor.advise("g", second, 0, "open").advice.suggestion
+        assert before != expected
+        assert after == expected
+
+    @pytest.mark.parametrize("make, first, second", NO_MEMO_CASES)
+    def test_advising_many_ids_keeps_no_state(self, make, first, second):
+        inventor = make()
+        held = _per_game_state(inventor)
+        for i in range(500):
+            inventor.advise(f"g{i}", first, 0, "open")
+        assert _per_game_state(inventor) == held
 
 
 class TestPureNashInventor:

@@ -142,12 +142,29 @@ class TestFailedRecords:
         assert future.exception() is not None
         assert _clock(authority) == clock + 1
         (record,) = authority.audit.events_of(EVENT_SERVICE_COMPLETED)
-        assert record.actor == "jane" and record.session_id == "-"
+        assert record.actor == "jane"
+        assert record.session_id == "session-0001"
         assert record.details == {
             "game_id": "mp", "privacy": "open", "failed": True,
             "error_type": type(future.exception()).__name__,
             "queue_depth": 0, "latency_ms": future.latency_ms,
         }
+        authority.close()
+
+    @pytest.mark.parametrize("deadline_ms", [None, 60_000.0],
+                             ids=["inline", "deadlined"])
+    def test_a_failed_solve_is_found_by_its_session(self, deadline_ms):
+        """The session opened for a solve that raised keeps its id, so
+        the failed record is the session's trail."""
+        inventor = PureNashInventor("pure")
+        authority = _authority(inventor, [("mp", matching_pennies())])
+        future = authority.service.submit(
+            "jane", "mp", deadline_ms=deadline_ms
+        )
+        assert type(future.exception()).__name__ == "EquilibriumError"
+        (record,) = authority.audit.events_of(EVENT_SERVICE_COMPLETED)
+        assert record.session_id != "-"
+        assert authority.audit.session(record.session_id) == (record,)
         authority.close()
 
     def test_a_failed_verification_keeps_the_advice_provenance(self):

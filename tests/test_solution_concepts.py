@@ -381,7 +381,7 @@ class TestNewInventors:
         outcome = authority.consult("joe", "bos")
         assert outcome.adopted
         assert outcome.advice.concept is SolutionConcept.CORRELATED
-        # The device is cached across consultations.
+        # The same game gets the same device on every consultation.
         again = authority.consult("joe", "bos")
         assert again.advice.suggestion == outcome.advice.suggestion
 

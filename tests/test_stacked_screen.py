@@ -1,4 +1,4 @@
-"""The decide stage, the padded-stack screen and the first-hit schedule.
+"""The decide stage, the padded-stack screen and the first-hit scan.
 
 Support enumeration screens each side of a chunk's Lemma-1 systems as
 one zero-padded numpy stack.  These tests pin that padding changes
@@ -7,7 +7,11 @@ screened alone, iteration caps included, and the first equilibrium
 found does not depend on how the pairs are chunked.  They also pin the
 exact decide stage in front of the screen: every pair it drops has no
 equilibrium, no equilibrium's support pair is dropped, and a dropped
-pair never reaches the screen or the exact LP.
+pair never reaches the screen or the exact LP.  Finally they pin the
+first-hit scan's two exact rules against the exhaustive enumeration,
+which takes neither: every pair the dominance rule drops is
+infeasible, the scan ends at the first decided pure pair, and its
+answer is the enumeration's first.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from repro.equilibria.support_enumeration import (
     SCREEN_PRUNED,
     _feasibility_rows,
     _triage,
+    _undominated_pairs,
     decide_support_pairs,
     equilibrium_for_supports,
     find_one_equilibrium,
@@ -34,6 +39,7 @@ from repro.equilibria.support_enumeration import (
 )
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
+from repro.games.profiles import MixedProfile
 from repro.linalg.backend import (
     FLOAT_BACKEND,
     INCONCLUSIVE,
@@ -259,6 +265,26 @@ def _decide_corpus():
     return games
 
 
+def _record_screened_and_solved(monkeypatch) -> list:
+    """Log every pair the search screens or solves exactly, until
+    ``monkeypatch.undo()``."""
+    seen = []
+    real_screen = se.screen_support_chunk
+    real_lp = se.equilibrium_for_supports
+
+    def screen(backend, a_float, b_cols_float, pairs):
+        seen.extend(pairs)
+        return real_screen(backend, a_float, b_cols_float, pairs)
+
+    def lp(game, rs, cs, *args, **kwargs):
+        seen.append((tuple(rs), tuple(cs)))
+        return real_lp(game, rs, cs, *args, **kwargs)
+
+    monkeypatch.setattr(se, "screen_support_chunk", screen)
+    monkeypatch.setattr(se, "equilibrium_for_supports", lp)
+    return seen
+
+
 def _rejected(game):
     pairs = list(support_pairs(*game.action_counts))
     kept = set(decide_support_pairs(game, pairs))
@@ -292,23 +318,101 @@ class TestDecideStage:
     def test_rejected_pairs_reach_neither_screen_nor_lp(
         self, game, policy, monkeypatch
     ):
-        seen = []
-        real_screen = se.screen_support_chunk
-        real_lp = se.equilibrium_for_supports
-
-        def screen(backend, a_float, b_cols_float, pairs):
-            seen.extend(pairs)
-            return real_screen(backend, a_float, b_cols_float, pairs)
-
-        def lp(game, rs, cs, *args, **kwargs):
-            seen.append((tuple(rs), tuple(cs)))
-            return real_lp(game, rs, cs, *args, **kwargs)
-
-        monkeypatch.setattr(se, "screen_support_chunk", screen)
-        monkeypatch.setattr(se, "equilibrium_for_supports", lp)
+        seen = _record_screened_and_solved(monkeypatch)
         found = find_one_equilibrium(game, policy=policy)
         everything = support_enumeration(game, policy=policy)
         monkeypatch.undo()
         assert seen
         assert not set(seen) & _rejected(game)
         assert found in everything
+
+
+def _recorded_search(game, policy, monkeypatch):
+    """``find_one_equilibrium`` with every screened or solved pair logged."""
+    seen = _record_screened_and_solved(monkeypatch)
+    found = find_one_equilibrium(game, policy=policy)
+    monkeypatch.undo()
+    return found, seen
+
+
+def _mixed_ahead_of_pure() -> BimatrixGame:
+    """Row 0 has no pure equilibrium, but it is a best reply to columns
+    1 and 2 mixed half and half, and column 0 and row 1 form a pure
+    equilibrium.  The decided stream is ((0,), (1, 2)) then the pure
+    pair ((1,), (0,)), and the first pair is an equilibrium."""
+    return BimatrixGame(
+        [[0, 0, 0], [1, 1, -1], [0, -1, 1]],
+        [[0, 1, 1], [1, 0, 0], [0, 0, 0]],
+        name="MixedAheadOfPure",
+    )
+
+
+def _first_hit_corpus():
+    games = [_mixed_ahead_of_pure()]
+    # {-1, 0, 1} games in which a pair ahead of the first pure pair
+    # certifies (about 1 in 200 such games).
+    games.append(_degenerate(5, 5, 6054))
+    games.append(_degenerate(4, 6, 6393))
+    for n, m in SHAPES:
+        for seed in range(2):
+            games.append(random_bimatrix(n, m, seed=5100 + 10 * seed + n * m))
+            games.append(_degenerate(n, m, 5200 + 10 * seed + n * m))
+            games.append(_near_tie(n, m, 5300 + 10 * seed + n * m))
+    return games
+
+
+def _dominance_dropped(game):
+    kept = list(decide_support_pairs(
+        game, support_pairs(*game.action_counts)
+    ))
+    undominated = list(_undominated_pairs(game, kept))
+    survivors = set(undominated)
+    assert undominated == [pair for pair in kept if pair in survivors]
+    return [pair for pair in kept if pair not in survivors]
+
+
+class TestFirstHitScan:
+    """The first-hit scan's dominance rule and pure-pair stop change its
+    cost, never its answer."""
+
+    @pytest.mark.parametrize("policy", ["exact", "float+certify", "numpy"])
+    def test_answer_is_the_enumerations_first(self, policy):
+        for game in _first_hit_corpus():
+            found = find_one_equilibrium(game, policy=policy)
+            first = support_enumeration(game, policy=policy)[0]
+            assert found == first, game.name
+
+    @pytest.mark.parametrize("game", _decide_corpus(), ids=lambda g: g.name)
+    def test_every_dominance_dropped_pair_is_infeasible(self, game):
+        dropped = _dominance_dropped(game)
+        assert dropped  # the rule has something to drop here
+        for rs, cs in dropped:
+            assert equilibrium_for_supports(game, rs, cs) is None, (rs, cs)
+
+    @pytest.mark.parametrize("policy", ["exact", "float+certify", "numpy"])
+    def test_a_leading_pure_pair_needs_no_screen_and_no_lp(
+        self, policy, monkeypatch
+    ):
+        game = random_bimatrix(5, 5, seed=5400)
+        rs, cs = next(decide_support_pairs(game, support_pairs(5, 5)))
+        assert len(rs) == len(cs) == 1
+        found, seen = _recorded_search(game, policy, monkeypatch)
+        assert seen == []
+        assert found == MixedProfile.pure((rs[0], cs[0]), (5, 5))
+        assert all(
+            type(p) is Fraction for dist in found.distributions for p in dist
+        )
+        assert is_mixed_nash(game, found)
+
+    @pytest.mark.parametrize("policy", ["exact", "float+certify", "numpy"])
+    def test_an_earlier_certified_pair_wins_over_the_pure_pair(
+        self, policy, monkeypatch
+    ):
+        game = _mixed_ahead_of_pure()
+        found, seen = _recorded_search(game, policy, monkeypatch)
+        assert found == MixedProfile.from_rows(
+            [[1, 0, 0], [0, Fraction(1, 2), Fraction(1, 2)]]
+        )
+        assert is_mixed_nash(game, MixedProfile.pure((1, 0), (3, 3)))
+        # Only the pair ahead of the pure pair was screened or solved.
+        assert set(seen) == {((0,), (1, 2))}
