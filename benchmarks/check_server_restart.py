@@ -13,8 +13,9 @@ against real processes*:
   the warm stream is bit-identical to the cold one with at least
   ``N - 1`` cache hits (the write-behind bound: at most one flush
   interval lost);
-* **graceful** — SIGTERM the second server and assert exit code 0, a
-  final snapshot on disk and an empty (truncated) journal.
+* **graceful** — SIGTERM the second server and assert exit code 0 and
+  one state file: ``journal.jsonl`` opens with a header covering every
+  served entry, and no ``snapshot.json`` exists.
 
 The server screens in process and verifies inline on its drain
 thread on every interpreter, so one run covers the only serving path;
@@ -114,17 +115,33 @@ def main(argv: list[str]) -> int:
                 f"only {hits}/{GAMES} warm hits (write-behind bound "
                 f"allows losing at most one flush interval)"
             )
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        conn.request("GET", "/stats")
+        compactions = json.loads(conn.getresponse().read())[
+            "persistence"]["snapshots"]
+        conn.close()
+        if hits == GAMES and compactions:
+            failures.append(f"warm hits compacted the journal "
+                            f"{compactions} time(s)")
     finally:
         os.kill(proc.pid, signal.SIGTERM)
         code = proc.wait(timeout=60)
     if code != 0:
         failures.append(f"graceful shutdown exited {code}, expected 0")
-    if not os.path.exists(os.path.join(state_dir, "snapshot.json")):
-        failures.append("graceful shutdown left no snapshot")
-    elif os.path.getsize(journal) != 0:
-        failures.append("graceful shutdown did not truncate the journal")
+    if os.path.exists(os.path.join(state_dir, "snapshot.json")):
+        failures.append("graceful shutdown left a snapshot.json")
+    with open(journal, "rb") as handle:
+        first = handle.readline()
+    covered = None if first.startswith(b'{"body":') \
+        else json.loads(first).get("frames")
+    if covered != GAMES:
+        failures.append(
+            f"graceful shutdown left a journal whose header covers "
+            f"{covered} frames, expected all {GAMES} served entries"
+        )
     else:
-        print("graceful: exit 0, snapshot cut, journal truncated")
+        print(f"graceful: exit 0, journal compacted under a header "
+              f"covering all {GAMES} entries")
 
     if failures:
         print("SERVER RESTART CHECK FAILED")

@@ -30,7 +30,7 @@ from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
-from repro.server import ThreadedServer, WriteBehindPersister, state_paths
+from repro.server import ThreadedServer, WriteBehindPersister, state_path
 from repro.service import AuthorityService, SolveCache
 
 
@@ -101,14 +101,11 @@ def test_bench_server_http(
     authority.close()
 
     # --- HTTP + write-behind: every drain flushes journal frames. ---
-    snapshot_path, journal_path = state_paths(tmp_path / "state")
-    cache = SolveCache(path=snapshot_path)
+    journal_path = state_path(tmp_path / "state")
+    cache = SolveCache()
     authority = _authority(bases)
     http_service = AuthorityService(authority, solve_cache=cache)
-    persister = WriteBehindPersister(
-        cache, journal_path, flush_every_drains=1,
-        snapshot_every_drains=None, snapshot_interval=None,
-    )
+    persister = WriteBehindPersister(cache, journal_path, flush_every_drains=1)
     http_advice = []
     http_states = []
     with ThreadedServer(http_service, persister=persister,
@@ -146,13 +143,10 @@ def test_bench_server_http(
     # --- Restart on the surviving state dir: warm serving must be
     # cache hits, bit-identical to the cold advice.  Also hosts the
     # timed target: one warm HTTP consult round trip.
-    cache = SolveCache(path=snapshot_path)
+    cache = SolveCache()
     authority = _authority(bases)
     warm_service = AuthorityService(authority, solve_cache=cache)
-    persister2 = WriteBehindPersister(
-        cache, journal_path, flush_every_drains=1,
-        snapshot_every_drains=None, snapshot_interval=None,
-    )
+    persister2 = WriteBehindPersister(cache, journal_path, flush_every_drains=1)
     with ThreadedServer(warm_service, persister=persister2,
                         poll_interval=0.0) as threaded:
         conn = http.client.HTTPConnection(

@@ -4,8 +4,8 @@
 The paper's authority is a *service*: agents bring games, the service
 returns verified advice.  This demo runs the full always-on shape —
 an asyncio HTTP front-end with a background drain pump (no client ever
-pumps the queue) and write-behind durability (journal flushed every
-drain, snapshot on demand and at shutdown):
+pumps the queue) and write-behind durability (journal appended every
+drain, compacted on demand and at shutdown):
 
 1. **Serve.**  A ``ThreadedServer`` binds an ephemeral port over a
    durable state directory; plain ``http.client`` requests consult it.
@@ -13,7 +13,7 @@ drain, snapshot on demand and at shutdown):
    ``GET /futures/<id>?wait=...`` long-poll picks up the resolution.
 3. **Observe.**  ``/stats`` and ``/audit`` expose the cache counters,
    persistence cadence and the append-only audit trail over the wire.
-4. **Restart.**  A graceful stop cuts the final snapshot; a second
+4. **Restart.**  A graceful stop compacts the journal; a second
    server on the same directory warm-serves bit-identical advice.
 
 Run:  python examples/http_authority.py
@@ -32,7 +32,7 @@ from repro.core import (
 from repro.games import ROW
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
-from repro.server import ThreadedServer, WriteBehindPersister, state_paths
+from repro.server import ThreadedServer, WriteBehindPersister, state_path
 from repro.service import AuthorityService, SolveCache
 
 GAMES = 4
@@ -57,10 +57,9 @@ def build_authority() -> RationalityAuthority:
 
 
 def build_server(state_dir) -> tuple[ThreadedServer, AuthorityService]:
-    snapshot_path, journal_path = state_paths(state_dir)
-    cache = SolveCache(path=snapshot_path)
+    cache = SolveCache()  # pathless: the persister owns the state file
     service = AuthorityService(build_authority(), solve_cache=cache)
-    persister = WriteBehindPersister(cache, journal_path,
+    persister = WriteBehindPersister(cache, state_path(state_dir),
                                      flush_every_drains=1)
     return ThreadedServer(service, persister=persister), service
 
@@ -116,8 +115,9 @@ def main() -> None:
         status, audit = request(port, "GET", "/audit?event=server.started")
         print(f"audit tail: {audit['returned']} server.started record(s)")
         status, snap = request(port, "POST", "/admin/snapshot")
-        print(f"admin snapshot: {snap['entries']} entries on disk")
-    print("graceful stop: drained, flushed, snapshotted")
+        print(f"admin snapshot: journal compacted to {snap['entries']} "
+              "entries")
+    print("graceful stop: drained, flushed, compacted")
 
     # -- 4: restart on the same state directory ----------------------------
     server, _service = build_server(state_dir)

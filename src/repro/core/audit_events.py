@@ -109,12 +109,13 @@ REGISTRY: dict[str, str] = {
     EVENT_SERVER_STARTED:
         "The HTTP front-end bound its port and started serving.",
     EVENT_SERVER_SHUTDOWN:
-        "A graceful shutdown drained, flushed, and cut a snapshot.",
+        "A graceful shutdown drained, flushed, and compacted the "
+        "journal.",
     EVENT_SERVER_PUMP_FAILED:
         "One background pump iteration failed (counted, backed off).",
     EVENT_DURABILITY_DEGRADED:
-        "Journal flushes kept failing; write-behind fell back to "
-        "snapshot-only.",
+        "Journal appends kept failing; write-behind fell back to "
+        "compaction only (mode snapshot-only).",
 }
 
 

@@ -4,30 +4,24 @@
 :class:`~repro.service.service.AuthorityService` over stdlib-asyncio
 HTTP/1.1 with a background drain pump (clients never pump the queue
 themselves); :mod:`repro.server.journal` gives the server crash-grade
-durability — an append-only digest-framed journal flushed every few
-drains plus periodic full snapshots, replayed through the cache's
+durability — one state file, a digest-framed journal appended every
+few drains and compacted in place, replayed through the cache's
 tamper-rejecting re-certification gate on restart.
 """
 
 from repro.server.app import AuthorityHTTPServer, ThreadedServer
 from repro.server.journal import (
     JOURNAL_FILENAME,
-    SNAPSHOT_FILENAME,
     CacheJournal,
-    JournalReplayReport,
     WriteBehindPersister,
-    replay_journal,
-    state_paths,
+    state_path,
 )
 
 __all__ = [
     "AuthorityHTTPServer",
     "ThreadedServer",
     "CacheJournal",
-    "JournalReplayReport",
     "WriteBehindPersister",
-    "replay_journal",
-    "state_paths",
-    "SNAPSHOT_FILENAME",
+    "state_path",
     "JOURNAL_FILENAME",
 ]

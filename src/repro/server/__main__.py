@@ -26,7 +26,7 @@ from repro.core.registry import standard_procedures
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
 from repro.server.app import AuthorityHTTPServer
-from repro.server.journal import WriteBehindPersister, state_paths
+from repro.server.journal import WriteBehindPersister, state_path
 from repro.service import AuthorityService
 from repro.service.cache import SolveCache
 
@@ -56,17 +56,14 @@ def build_server(args) -> tuple[AuthorityHTTPServer, AuthorityService]:
     authority = build_demo_authority(args.games, args.size, args.seed)
     persister = None
     if args.state_dir:
-        snapshot_path, journal_path = state_paths(args.state_dir)
-        cache = SolveCache(path=snapshot_path)
+        cache = SolveCache()  # pathless: the persister owns the file
         service = AuthorityService(
             authority, solve_cache=cache, max_pending=args.max_pending
         )
         persister = WriteBehindPersister(
-            cache, journal_path,
+            cache, state_path(args.state_dir),
             flush_every_drains=args.flush_every_drains,
             flush_interval=args.flush_interval,
-            snapshot_every_drains=args.snapshot_every_drains,
-            snapshot_interval=args.snapshot_interval,
         )
     else:
         service = AuthorityService(authority, max_pending=args.max_pending)
@@ -86,26 +83,24 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0,
                         help="0 picks a free port (announced on stdout)")
-    parser.add_argument("--state-dir", default=None,
-                        help="enable write-behind durability in this dir")
+    parser.add_argument(
+        "--state-dir", default=None, metavar="DIR",
+        help="enable write-behind durability: certified entries append "
+             "to DIR/journal.jsonl, which is compacted once it holds "
+             "twice as many frames as the cache holds entries, on "
+             "POST /admin/snapshot and at shutdown",
+    )
     parser.add_argument("--games", type=int, default=16)
     parser.add_argument("--size", type=int, default=4)
     parser.add_argument("--seed", type=int, default=6100)
     parser.add_argument("--max-pending", type=int, default=None,
                         help="admission high-water mark (429 past it)")
-    parser.add_argument("--flush-every-drains", type=int, default=1)
-    parser.add_argument("--flush-interval", type=float, default=5.0)
-    parser.add_argument(
-        "--snapshot-every-drains", type=int, default=256,
-        help="minimum drains between cadence snapshots; a snapshot also "
-             "waits for a new update and for the journal to hold as many "
-             "frames as the last snapshot held entries",
-    )
-    parser.add_argument(
-        "--snapshot-interval", type=float, default=300.0,
-        help="minimum seconds between timer snapshots, under the same "
-             "journal-growth rule",
-    )
+    parser.add_argument("--flush-every-drains", type=int, default=1,
+                        metavar="N", help="append to the journal every N "
+                        "drains")
+    parser.add_argument("--flush-interval", type=float, default=5.0,
+                        metavar="S", help="also append once S seconds "
+                        "have passed since the last append")
     parser.add_argument("--long-poll-timeout", type=float, default=30.0)
     parser.add_argument("--poll-interval", type=float, default=0.25)
     return parser.parse_args(argv)

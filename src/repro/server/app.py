@@ -30,7 +30,8 @@ surface:
     is *readiness* (503 + ``Retry-After`` during the recovery replay
     and the shutdown drain);
 ``POST /admin/snapshot`` / ``POST /admin/flush``
-    force the write-behind persister's hand.
+    force the write-behind persister's hand (compact the journal /
+    append the dirty frames now).
 
 Failure semantics map onto status codes: an
 :class:`AdmissionError` from the service's high-water mark is a
@@ -46,8 +47,8 @@ Durability is delegated to a
 passed: the server replays its journal before accepting traffic
 (auditing ``cache.load.completed`` / per-frame ``cache.load.rejected``),
 registers it as a drain listener (flush every N drains), polls it on a
-timer (flush every T seconds even when idle), and cuts the final
-snapshot during graceful shutdown — which drains every in-flight
+timer (flush every T seconds even when idle), and compacts the journal
+a last time during graceful shutdown — which drains every in-flight
 future first and lands a ``server.shutdown.completed`` audit record.
 """
 
@@ -211,19 +212,12 @@ class AuthorityHTTPServer:
         if self._persister is not None:
             if not self._persister.has_event_handler:
                 self._persister.set_event_handler(self._on_durability_event)
-            replay = await loop.run_in_executor(None, self._persister.recover)
-            details: dict[str, Any] = {
-                "journal_path": replay.path,
-                "journal_frames": replay.frames,
-                "journal_rejected": len(replay.rejections),
-            }
-            snapshot_report = self._persister.cache.last_load_report
-            if snapshot_report is not None:
-                details.update(
-                    {f"snapshot_{k}": v
-                     for k, v in snapshot_report.as_dict().items()}
-                )
-            audit.record("-", name, EVENT_CACHE_LOADED, **details)
+            report = await loop.run_in_executor(None, self._persister.recover)
+            audit.record(
+                "-", name, EVENT_CACHE_LOADED,
+                entries=len(self._persister.cache),
+                **{f"journal_{k}": v for k, v in report.as_dict().items()},
+            )
             # Frame rejections queued by recover() become audit records
             # *now*, before the first drain would publish them.
             self._service.flush_cache_rejections()
@@ -266,14 +260,14 @@ class AuthorityHTTPServer:
                 asyncio.get_running_loop().remove_signal_handler(sig)
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop admitting, drain, flush, snapshot.
+        """Graceful shutdown: stop admitting, drain, flush, compact.
 
         Sequence — stop listening; drain every already-admitted future
         to resolution; retire the pump and timer tasks; hang up the
         keep-alive connections waiting between requests and give
         in-flight handlers a grace window to write their (now resolved)
-        responses; close the service; cut the persister's final
-        snapshot; audit ``server.shutdown.completed``.  Idempotent and
+        responses; close the service; run the persister's final
+        compaction; audit ``server.shutdown.completed``.  Idempotent and
         safe to race: the second caller awaits the first's completion.
         """
         if self._stop_started:

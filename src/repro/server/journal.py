@@ -1,42 +1,43 @@
-"""Write-behind durability: the append-only journal and its flush policy.
+"""Write-behind durability: the journal is the server's state file.
 
-PR 5 made warm state survive a *graceful* restart — the cache is saved
-on ``close()``.  An always-on host needs the stronger discipline of a
-periodic-checkpoint pipeline: a crash (SIGKILL, OOM, power loss) should
-lose at most the configured flush interval of warm state, not the whole
-process lifetime.  Two files per state directory deliver that:
+An always-on host should lose at most one flush interval of warm state
+to a crash (SIGKILL, OOM, power loss), not the whole process lifetime.
+One file per state directory delivers that: ``journal.jsonl``, in the
+format of :mod:`repro.service.persistence` — a header covering the
+frames of the last compaction, then one digest-framed line per
+certified cache update appended since, fsynced per flush batch by the
+:class:`WriteBehindPersister`.
 
-* **snapshot** (``snapshot.json``) — the whole-cache document in the
-  PR 5 atomic-replace format (:mod:`repro.service.persistence`):
-  all-or-nothing, digest-protected, directory-fsynced;
-* **journal** (``journal.jsonl``) — an append-only sequence of
-  digest-framed JSON lines (:class:`CacheJournal`), one certified cache
-  update per frame, flushed every N drains or T seconds by the
-  :class:`WriteBehindPersister` and truncated whenever a fresh snapshot
-  lands (the snapshot subsumes every frame written before it).
+A compaction (:meth:`WriteBehindPersister.snapshot`) atomically
+rewrites the file as a header and the cache's entries in LRU order.
+The persister keeps the bytes of the last frame it flushed or recovered
+for each cache key and encodes only entries it holds no bytes for, so a
+compaction costs a join, a hash, a write and an fsync, not an encode of
+the whole cache.
 
-Recovery is ``load snapshot → replay journal → re-certify on serve``:
+Recovery reads the file through the reader ``SolveCache.load`` uses:
 replayed profiles and sets enter the cache's *pending* stores and pass
 the exact Lemma-1 lattice gate against the requesting caller's actual
-game before they are first served — the same tamper-rejecting path
-PR 5's loads take — so a forged or corrupted journal can cost cold
-solves, never produce unverified advice.  A bad frame (torn tail from a
-mid-write crash, flipped bit, alien format) rejects *that frame only*;
-every rejection is surfaced for the ``cache.load.rejected`` audit
-trail.
+game before they are first served, so a forged or corrupted journal can
+cost cold solves, never produce unverified advice.  A file the reader
+refuses whole is compacted over before serving, since frames appended
+behind its prefix would be refused with it.  A state directory
+an older server left — ``snapshot.json`` beside a journal without a
+header — loads the snapshot, then the journal over it, and is
+compacted into the one file.
 
-Crash-safety of the flush/snapshot cycle itself:
+Crash-safety of the flush/compaction cycle:
 
 * updates are committed to the in-memory cache *before* they are queued
-  for the journal, so a snapshot always subsumes every update queued
-  before it — an update still queued when a snapshot lands is also
-  journaled by the next flush, which can only duplicate entries
-  (replay is idempotent), never lose them;
-* a flush and a snapshot never overlap: a frame appended between the
-  snapshot's cache copy and its truncation would land in neither file;
-* journal appends are fsynced per flush batch; the journal file's
-  creation and every truncation fsync the directory, like the
-  snapshot's atomic replace does.
+  for the journal, and a compaction encodes the queue first, so it
+  subsumes every update committed before it; one committed while it
+  runs is appended by the next flush, which can only duplicate an entry
+  (the latest frame wins on replay), never lose it;
+* a flush and a compaction never overlap: a frame appended to the old
+  file between the compaction's copy of the cache and its rename would
+  vanish with that file;
+* appends are fsynced per flush batch; the file's creation and every
+  compaction fsync the directory.
 """
 
 from __future__ import annotations
@@ -44,113 +45,53 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
 
 from repro.errors import FaultInjected, PersistenceError
 from repro.service import faults
 from repro.service.persistence import (
-    CacheState,
-    apply_journal_entry,
-    decode_journal_frame,
+    CacheLoadReport,
     encode_journal_frame,
     fsync_directory,
+    write_state_file,
 )
 
 #: The failure dialect the durability layer retries and degrades on: a
 #: refusing disk, a malformed frame, or an injected chaos fault.
 DURABILITY_ERRORS = (OSError, PersistenceError, FaultInjected)
 
-#: Default file names inside a server state directory.
-SNAPSHOT_FILENAME = "snapshot.json"
+#: The state file inside a server state directory.
 JOURNAL_FILENAME = "journal.jsonl"
 
+#: What an older server kept beside its journal; recovery loads it
+#: first, then compacts it away.
+_OLD_SNAPSHOT_FILENAME = "snapshot.json"
 
-def state_paths(state_dir) -> tuple[str, str]:
-    """``(snapshot path, journal path)`` inside a server state dir.
+#: A cadence compaction waits until the file holds this many frames per
+#: cache entry, so it writes no more frames than it drops.
+COMPACT_RATIO = 2
 
-    Creates the directory if needed — both files must live on the same
-    directory entry for the fsync discipline to cover their renames.
-    """
+
+def state_path(state_dir) -> str:
+    """The state file of a server state dir (created if needed)."""
     state_dir = os.fspath(state_dir)
     os.makedirs(state_dir, exist_ok=True)
-    return (
-        os.path.join(state_dir, SNAPSHOT_FILENAME),
-        os.path.join(state_dir, JOURNAL_FILENAME),
-    )
-
-
-@dataclass
-class JournalReplayReport:
-    """What a :func:`replay_journal` pass found.
-
-    ``frames`` counts well-formed frames folded into the state;
-    ``rejections`` carries one detail dict per refused frame (for the
-    ``cache.load.rejected`` audit trail).  A missing journal file is a
-    quiet cold start: zero frames, zero rejections.
-    """
-
-    path: str
-    frames: int = 0
-    rejections: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "frames": self.frames,
-            "rejected_frames": len(self.rejections),
-        }
-
-
-def replay_journal(path) -> tuple[CacheState, JournalReplayReport]:
-    """Fold every valid frame of the journal at ``path`` into a state.
-
-    Frames are applied oldest-first, later writes winning, mirroring
-    the order the cache committed them.  Each bad frame — a torn tail
-    is the *expected* crash artifact, not an error of the format — is
-    recorded in the report and skipped; the good frames around it
-    survive.
-    """
-    path = os.fspath(path)
-    state = CacheState()
-    report = JournalReplayReport(path=path)
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except FileNotFoundError:
-        return state, report
-    for index, line in enumerate(data.split(b"\n")):
-        if not line:
-            continue
-        try:
-            kind, key, value = decode_journal_frame(line)
-            apply_journal_entry(state, kind, key, value)
-        except PersistenceError as exc:
-            report.rejections.append(
-                {"kind": "journal-frame", "path": path, "frame": index,
-                 "reason": str(exc)}
-            )
-        else:
-            report.frames += 1
-    return state, report
+    return os.path.join(state_dir, JOURNAL_FILENAME)
 
 
 class CacheJournal:
-    """The append-only, digest-framed journal file.
+    """The state file's one writer: durable appends, atomic compaction.
 
-    Appends are buffered per :meth:`append` call and fsynced before it
-    returns — one ``write`` + one ``fsync`` per flush batch, however
-    many frames it carries.  :meth:`truncate` empties the file (the
-    snapshot that just landed subsumes it) and fsyncs the directory so
-    the truncation itself survives power loss.  Thread-safe on its
-    own; the persister also serializes its flushes and snapshots.
+    :meth:`append` writes a batch of encoded frames with one ``write``
+    and one ``fsync``; :meth:`replace` closes the append handle and
+    rewrites the file as a header and the given frames, and the next
+    append reopens it.  Thread-safe on its own; the persister also
+    serializes its flushes and compactions.
     """
 
     def __init__(self, path):
         self.path = os.fspath(path)
         self._lock = threading.Lock()
         self._handle = None
-        #: Frames appended through this instance's lifetime (telemetry).
-        self.frames_written = 0
 
     def _open(self):
         if self._handle is None:
@@ -160,41 +101,32 @@ class CacheJournal:
                 fsync_directory(os.path.dirname(self.path) or ".")
         return self._handle
 
-    def append(self, entries) -> int:
-        """Encode and durably append ``(kind, key, value)`` entries.
+    def _close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
-        Returns the number of frames written.  The batch is one OS
-        write and one fsync; a crash mid-write tears at most the final
-        frame, which replay rejects frame-locally.
+    def append(self, frames) -> int:
+        """Durably append encoded frames; returns how many.
+
+        The batch is one OS write and one fsync; a crash mid-write
+        tears at most the final frame, which recovery rejects alone.
         """
-        if not entries:
+        if not frames:
             return 0
-        blob = b"".join(
-            encode_journal_frame(kind, key, value)
-            for kind, key, value in entries
-        )
-        blob = faults.filter_bytes("journal.append", blob)
+        blob = faults.filter_bytes("journal.append", b"".join(frames))
         with self._lock:
             handle = self._open()
             handle.write(blob)
             handle.flush()
             os.fsync(handle.fileno())
-            self.frames_written += len(entries)
-        return len(entries)
+        return len(frames)
 
-    def truncate(self) -> None:
-        """Empty the journal (a fresh snapshot subsumed its frames)."""
+    def replace(self, frames) -> int:
+        """Atomically rewrite the file as a header and ``frames``."""
         with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-            handle = open(self.path, "wb")
-            try:
-                handle.flush()
-                os.fsync(handle.fileno())
-            finally:
-                handle.close()
-            fsync_directory(os.path.dirname(self.path) or ".")
+            self._close()
+            return write_state_file(self.path, frames)
 
     def size_bytes(self) -> int:
         try:
@@ -204,9 +136,7 @@ class CacheJournal:
 
     def close(self) -> None:
         with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+            self._close()
 
     def __enter__(self) -> "CacheJournal":
         return self
@@ -217,65 +147,53 @@ class CacheJournal:
 
 
 class WriteBehindPersister:
-    """The checkpoint/journal policy around one cache and one state dir.
+    """The flush and compaction policy around one cache and its file.
 
-    Owns the durability cadence of an always-on host:
-
-    * :meth:`recover` (once, before serving) — the cache has already
-      warm-loaded the snapshot through its own ``path=``/autoload
-      machinery; this replays the journal on top, into the same
-      pending/re-certify stores;
+    * :meth:`recover` (once, before serving) — load the state file into
+      the cache's pending/re-certify stores;
     * :meth:`on_drained` (the service's drain listener) — flush the
       dirty queue to the journal every ``flush_every_drains`` drains,
-      then cut a full snapshot when the journal has grown (below), at
-      most once per ``snapshot_every_drains`` drains;
-    * :meth:`poll` (an idle host's timer) — the same two decisions on
-      wall-clock cadence (``flush_interval`` / ``snapshot_interval``
-      seconds), so a trickle of traffic still reaches disk promptly;
-    * :meth:`snapshot` — atomic whole-cache save + journal truncation,
-      also the ``POST /admin/snapshot`` handler;
-    * :meth:`close` — final snapshot (graceful shutdown).
+      then compact when the rule below says so;
+    * :meth:`poll` (an idle host's timer) — the same on wall-clock
+      cadence (``flush_interval`` seconds), so a trickle of traffic
+      still reaches disk promptly;
+    * :meth:`snapshot` — compact now, also the ``POST /admin/snapshot``
+      handler;
+    * :meth:`close` — a final compaction (graceful shutdown).
 
-    **The growth rule.**  A cadence snapshot is cut only when the
-    journal has grown: at least one update was committed since the
-    last successful snapshot, *and* the journal holds at least as many
-    frames (recovered at start-up plus flushed since) as that snapshot
-    held entries (the loaded snapshot's count at start-up).  A stream
-    of cache hits therefore never rewrites an unchanged cache, and a
-    stream of new entries pays O(1) amortized snapshot work per
-    update: each snapshot writes at most twice the frames appended
-    since the one before.  ``snapshot_every_drains`` and
-    ``snapshot_interval`` are minimum spacings on top of the rule;
-    :meth:`snapshot` itself (the admin endpoint, :meth:`close`) always
-    runs.
+    The cache must be pathless: the persister is the file's only writer.
 
-    What each knob bounds: a crash loses at most the updates committed
+    **The compaction rule.**  A cadence compaction runs when an update
+    was committed since the last one and the file holds at least
+    ``COMPACT_RATIO`` (2) frames per cache entry.  Cache hits never
+    rewrite the file, nor does a stream of new entries while the cache
+    fills (every frame is live); once evictions and repeats leave half
+    the file stale, each compaction writes no more frames than it
+    drops, so its cost per update stays constant.  :meth:`snapshot`
+    itself always runs.  A crash loses at most the updates committed
     since the last flush — ``flush_every_drains`` drains or
-    ``flush_interval`` seconds of them — while the snapshot cadence
-    only bounds *recovery time* (journal replay length), never data
-    loss.
+    ``flush_interval`` seconds of them; compaction bounds the file's
+    size and recovery time, never data loss.
 
     **Degradation.**  A journal append that keeps failing (a refusing
     or corrupting disk) is retried up to ``flush_retries`` times with
     capped exponential backoff (``backoff_base_s`` doubling up to
     ``backoff_cap_s``); past that the persister enters sticky
-    **snapshot-only mode**: journaling stops, every flush cadence
-    attempts a full snapshot instead whenever an update was committed
-    since the last one landed (the snapshot subsumes every committed
-    update, so nothing is lost while snapshots still land; a failed
-    snapshot leaves the state dirty for the next cadence),
-    and the ``on_event`` callback — the server wires it into the audit
-    log as ``server.durability.degraded`` — plus the :meth:`stats`
+    **snapshot-only mode**: appends stop, and every flush cadence
+    compacts instead whenever an update was committed since the last
+    compaction landed (the compaction subsumes every committed update,
+    so nothing is lost while compactions still land; a failed one
+    leaves the state dirty for the next cadence).  The ``on_event``
+    callback — the server wires it into the audit log as
+    ``server.durability.degraded`` — plus the :meth:`stats`
     ``degraded``/``degraded_reason`` fields surface the mode.  Failed
-    snapshots are counted (``snapshot_failures``), never raised into
+    compactions are counted (``snapshot_failures``), never raised into
     the serving path: durability degrades, service does not.
     """
 
     def __init__(self, cache, journal: CacheJournal | str | os.PathLike,
                  flush_every_drains: int = 1,
                  flush_interval: float | None = 5.0,
-                 snapshot_every_drains: int | None = 256,
-                 snapshot_interval: float | None = 300.0,
                  clock=time.monotonic,
                  flush_retries: int = 3,
                  backoff_base_s: float = 0.05,
@@ -287,14 +205,10 @@ class WriteBehindPersister:
             raise PersistenceError("flush_retries must be non-negative")
         if backoff_base_s < 0 or backoff_cap_s < 0:
             raise PersistenceError("backoff bounds must be non-negative")
-        if snapshot_every_drains is not None and snapshot_every_drains < 1:
+        if cache.path is not None:
             raise PersistenceError(
-                "snapshot_every_drains must be positive (or None)"
-            )
-        if cache.path is None:
-            raise PersistenceError(
-                "write-behind persistence needs a path-bound cache "
-                "(the snapshot file)"
+                "write-behind persistence needs a pathless cache: the "
+                "persister is the state file's only writer"
             )
         self.cache = cache
         # Arm dirty-entry tracking: from here on every committed cache
@@ -306,18 +220,18 @@ class WriteBehindPersister:
         )
         self.flush_every_drains = flush_every_drains
         self.flush_interval = flush_interval
-        self.snapshot_every_drains = snapshot_every_drains
-        self.snapshot_interval = snapshot_interval
         self._clock = clock
         self._lock = threading.Lock()
-        # Serializes flush() and snapshot() (see the module notes).
-        # Reentrant: a degraded flush snapshots, and the cadence holds
-        # it across its flush and snapshot decisions.
+        # Serializes flush() and snapshot() (see the module notes), and
+        # guards the two frame stores below.  Reentrant: a degraded
+        # flush compacts, and the cadence holds it across both steps.
         self._persist_lock = threading.RLock()
+        # The last frame encoded or recovered for each (kind, key), and
+        # the frames encoded but not yet appended, oldest first.
+        self._frames: dict[tuple, bytes] = {}
+        self._unwritten: list[bytes] = []
         self._drains_since_flush = 0
-        self._drains_since_snapshot = 0
         self._last_flush = clock()
-        self._last_snapshot = clock()
         self.flush_retries = flush_retries
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
@@ -328,14 +242,10 @@ class WriteBehindPersister:
         self.frames_flushed = 0
         self.flush_ms_total = 0.0
         self.snapshot_ms_total = 0.0
-        self.last_replay: JournalReplayReport | None = None
-        # The growth rule's state: an update committed since the last
-        # successful snapshot, frames in the journal, and the entry
-        # count of the last snapshot (the loaded one at start-up).
+        # The compaction rule's state: an update committed since the
+        # last compaction, and the frames the file holds.
         self._dirty = False
-        self._journal_frames = 0
-        loaded = cache.last_load_report
-        self._snapshot_entries = 0 if loaded is None else loaded.entry_count
+        self._file_frames = 0
         # Degradation telemetry.
         self.degraded = False
         self.degraded_reason: str | None = None
@@ -347,22 +257,35 @@ class WriteBehindPersister:
     # Recovery
     # ------------------------------------------------------------------
 
-    def recover(self) -> JournalReplayReport:
-        """Replay the journal into the (snapshot-warm) cache.
+    def recover(self) -> CacheLoadReport:
+        """Load the state file into the cache; returns its load report.
 
-        Returns the replay report; frame rejections are also counted
-        into the cache's ``load_rejected`` stat so ``/stats`` shows
-        them, and the caller (the server) turns them into
-        ``cache.load.rejected`` audit records.
+        An older server's ``snapshot.json`` beside the journal loads
+        first and the journal's frames over it; a compaction then folds
+        both into the journal and the snapshot is removed.  A file
+        rejected whole is compacted over at once: a frame appended
+        behind a prefix the reader refuses would be refused with it.
+        Every rejection is also counted into the cache's
+        ``load_rejected`` stat and queued for the ``cache.load.rejected``
+        audit trail.
         """
-        state, report = replay_journal(self.journal.path)
-        if state.entry_count:
-            self.cache.merge_pending_state(state)
-        for rejection in report.rejections:
-            self.cache.note_rejection(**rejection)
-        with self._lock:
-            self._journal_frames += report.frames
-        self.last_replay = report
+        old = os.path.join(
+            os.path.dirname(self.journal.path), _OLD_SNAPSHOT_FILENAME
+        )
+        with self._persist_lock:
+            migrate = os.path.exists(old)
+            if migrate:
+                self.cache.restore(old)
+            state, report = self.cache.restore(self.journal.path)
+            self._frames.update(state.frames)
+            with self._lock:
+                self._file_frames = report.frames + len(report.rejections)
+            refused = any(r["kind"] == "file" for r in report.rejections)
+            if migrate or refused:
+                compacted = self.guarded_snapshot() is not None
+                if compacted and migrate:
+                    os.unlink(old)
+                    fsync_directory(os.path.dirname(old) or ".")
         return report
 
     # ------------------------------------------------------------------
@@ -370,23 +293,17 @@ class WriteBehindPersister:
     # ------------------------------------------------------------------
 
     def on_drained(self, summary=None) -> None:
-        """The service drain listener: count, then flush/snapshot as due."""
+        """The service drain listener: count, then flush/compact as due."""
         with self._persist_lock:
             with self._lock:
                 self._drains_since_flush += 1
-                self._drains_since_snapshot += 1
                 flush_due = (
                     self._drains_since_flush >= self.flush_every_drains
                 )
-                spaced = (
-                    self.snapshot_every_drains is not None
-                    and self._drains_since_snapshot
-                    >= self.snapshot_every_drains
-                )
-            self._cadence(flush_due, spaced)
+            self._cadence(flush_due)
 
     def poll(self) -> None:
-        """Timer-driven cadence: flush/snapshot when the interval lapsed."""
+        """Timer-driven cadence: flush when the interval lapsed."""
         now = self._clock()
         with self._persist_lock:
             with self._lock:
@@ -394,79 +311,81 @@ class WriteBehindPersister:
                     self.flush_interval is not None
                     and now - self._last_flush >= self.flush_interval
                 )
-                spaced = (
-                    self.snapshot_interval is not None
-                    and now - self._last_snapshot >= self.snapshot_interval
-                )
-            self._cadence(flush_due, spaced)
+            self._cadence(flush_due)
 
-    def _cadence(self, flush_due: bool, spaced: bool) -> None:
-        """Flush when due, then snapshot by the growth rule (see the
-        class notes) when the minimum spacing has passed.
-
-        Degraded, the journal takes no frames and each flush snapshots a
-        dirty state itself, so the rule stays quiet.
-        """
+    def _cadence(self, flush_due: bool) -> None:
+        """Flush when due, then compact by the rule (see the class
+        notes).  Degraded, each flush compacts a dirty state itself, so
+        the rule stays quiet."""
         if flush_due:
             self.flush()
-        if not spaced:
-            return
+        entries = len(self.cache)
         with self._lock:
-            grown = (
+            due = (
                 not self.degraded
                 and self._dirty
-                and self._journal_frames >= self._snapshot_entries
+                and self._file_frames >= COMPACT_RATIO * entries
             )
-        if grown:
+        if due:
             self.guarded_snapshot()
+
+    def _encode_updates(self) -> int:
+        """Encode the cache's queued updates (persist lock held): each
+        becomes its key's kept frame and waits for the next append."""
+        updates = self.cache.drain_updates()
+        for kind, key, value in updates:
+            line = encode_journal_frame(kind, key, value)
+            self._frames[(kind, key)] = line
+            self._unwritten.append(line)
+        return len(updates)
 
     def flush(self) -> int:
         """Append the cache's dirty updates to the journal; frame count.
 
         Never raises into the serving path: a persistently failing
         append (after the retry/backoff ladder) flips the persister
-        into snapshot-only mode and attempts an immediate snapshot so
+        into snapshot-only mode and attempts an immediate compaction so
         the frames the journal refused still reach disk.  Degraded,
-        every flush cadence *is* a (guarded) snapshot attempt whenever
-        an update was committed since the last snapshot landed.
+        every flush cadence *is* a (guarded) compaction whenever an
+        update was committed since the last one landed.
         """
         with self._persist_lock:
+            started = self._clock()
+            committed = self._encode_updates()
             if self.degraded:
-                # The snapshot subsumes the queued updates; draining
-                # them only tells whether there is anything to save.
-                committed = bool(self.cache.drain_updates())
+                # A compaction writes every kept frame; appends are off.
+                self._unwritten = []
                 with self._lock:
-                    self._dirty = self._dirty or committed
+                    self._dirty = self._dirty or committed > 0
                     self._drains_since_flush = 0
                     self._last_flush = self._clock()
                     dirty = self._dirty
                 if dirty:
                     self.guarded_snapshot()
                 return 0
-            started = self._clock()
-            entries = self.cache.drain_updates()
             try:
-                frames = self._append_with_retry(entries)
+                frames = self._append_with_retry(self._unwritten)
             except DURABILITY_ERRORS as exc:
-                # The drained entries are still committed in the cache
-                # stores; a snapshot subsumes them, so degrading loses
-                # nothing while snapshots still land.
+                # The refused frames are kept per key; a compaction
+                # writes them, so degrading loses nothing while
+                # compactions still land.
                 self._enter_degraded(exc)
                 with self._lock:
                     self._dirty = True
                 self.guarded_snapshot()
                 return 0
+            self._unwritten = []
             with self._lock:
                 self._drains_since_flush = 0
                 self._last_flush = self._clock()
                 self.flushes += 1
                 self.frames_flushed += frames
-                self._journal_frames += frames
+                self._file_frames += frames
                 self._dirty = self._dirty or frames > 0
                 self.flush_ms_total += (self._clock() - started) * 1000.0
             return frames
 
-    def _append_with_retry(self, entries) -> int:
+    def _append_with_retry(self, frames) -> int:
         """One journal append, retried on the durability error dialect.
 
         ``flush_retries`` bounds the retries (not the attempts); the
@@ -477,7 +396,7 @@ class WriteBehindPersister:
         attempt = 0
         while True:
             try:
-                return self.journal.append(entries)
+                return self.journal.append(frames)
             except DURABILITY_ERRORS:
                 attempt += 1
                 if attempt > self.flush_retries:
@@ -506,9 +425,9 @@ class WriteBehindPersister:
             })
 
     def guarded_snapshot(self) -> int | None:
-        """A snapshot attempt that degrades instead of raising.
+        """A compaction attempt that degrades instead of raising.
 
-        Returns the entry count, or ``None`` when the snapshot failed
+        Returns the entry count, or ``None`` when the compaction failed
         (counted in ``snapshot_failures``; the committed state stays in
         memory for the next attempt).
         """
@@ -540,39 +459,44 @@ class WriteBehindPersister:
             pass
 
     def snapshot(self) -> int:
-        """Cut a full snapshot and truncate the journal; entry count.
+        """Compact the state file now; returns the entry count.
 
-        The atomic whole-cache save, then the truncation, both under the
-        lock that flushes take, so no frame is appended between the
-        save's copy of the cache and the truncation.  Updates still
-        queued for the journal stay queued: the save subsumes them, and
-        the next flush journals them as well, so a failed save leaves no
-        committed update outside both files.  A crash between save and
-        truncate leaves frames that duplicate snapshot entries; replay
-        is idempotent, so recovery is unaffected.
+        Encodes the queued updates, then atomically replaces the file
+        with a header and the cache's frames in LRU order — each
+        entry's kept bytes, encoded afresh only where none are kept —
+        and keeps frames for the cache's keys only, even when the write
+        fails (so a disk that refuses every compaction cannot grow
+        them).  Runs under the lock flushes take.  A failed compaction
+        leaves the file as it was and the frames it encoded waiting for
+        the next append.
         """
         with self._persist_lock:
             started = self._clock()
-            entries = self.cache.save()
-            self.journal.truncate()
+            self._encode_updates()
+            frames = {}
+            for kind, key, value in self.cache.entries():
+                line = self._frames.get((kind, key))
+                if line is None:
+                    line = encode_journal_frame(kind, key, value)
+                frames[(kind, key)] = line
+            self._frames = frames
+            self.journal.replace(list(frames.values()))
+            self._unwritten = []
             with self._lock:
-                self._drains_since_flush = 0
-                self._drains_since_snapshot = 0
                 now = self._clock()
+                self._drains_since_flush = 0
                 self._last_flush = now
-                self._last_snapshot = now
                 self._dirty = False
-                self._journal_frames = 0
-                self._snapshot_entries = entries
+                self._file_frames = len(frames)
                 self.snapshots += 1
                 self.snapshot_ms_total += (now - started) * 1000.0
-        return entries
+        return len(frames)
 
     def close(self) -> int:
-        """Final (guarded) snapshot + journal close; entry count.
+        """Final (guarded) compaction + journal close; entry count.
 
         A dead disk at shutdown is counted and reported like any other
-        snapshot failure — it must not wedge the server's stop
+        compaction failure — it must not wedge the server's stop
         sequence; the warm state it could not save is simply lost.
         """
         try:
@@ -590,7 +514,6 @@ class WriteBehindPersister:
         """Counters for ``/stats`` and the bench."""
         with self._lock:
             return {
-                "snapshot_path": self.cache.path,
                 "journal_path": self.journal.path,
                 "journal_bytes": self.journal.size_bytes(),
                 "flushes": self.flushes,
@@ -600,8 +523,6 @@ class WriteBehindPersister:
                 "snapshot_ms_total": self.snapshot_ms_total,
                 "flush_every_drains": self.flush_every_drains,
                 "flush_interval_s": self.flush_interval,
-                "snapshot_every_drains": self.snapshot_every_drains,
-                "snapshot_interval_s": self.snapshot_interval,
                 "degraded": self.degraded,
                 "degraded_reason": self.degraded_reason,
                 "flush_failures": self.flush_failures,

@@ -42,8 +42,8 @@ from repro.service.persistence import (
     SCHEMA_VERSION,
     CacheLoadReport,
     CacheState,
-    read_cache_file,
-    write_cache_file,
+    read_state_file,
+    write_state_file,
 )
 from repro.service.service import AuthorityService
 
@@ -65,8 +65,8 @@ __all__ = [
     "CacheState",
     "FORMAT_NAME",
     "SCHEMA_VERSION",
-    "read_cache_file",
-    "write_cache_file",
+    "read_state_file",
+    "write_state_file",
     "ArrivalSchedule",
     "LoadReport",
     "SaturationResult",

@@ -24,12 +24,15 @@ touching the soundness story:
   it is.
 
 * **Warm state survives restarts.**  With ``path=`` set the cache
-  saves its contents through :mod:`repro.service.persistence` — exact
-  ``num/den`` strings, schema version, whole-file digest, atomic
-  replace — and warm-loads them on construction.  Loaded entries are
-  *pending*: each one is re-certified through the Lemma-1 lattice gate
-  against the caller's actual game before it is first served, so a
-  forged file can cost cold solves, never produce unverified advice;
+  warm-loads the file on construction and saves to it on
+  :meth:`~SolveCache.close`, in the one format of
+  :mod:`repro.service.persistence` — exact ``num/den`` strings, a
+  digest per frame and a header digest over them all, atomic replace.
+  (A server's cache is pathless: its write-behind persister owns the
+  state file and loads it through the same reader.)  Loaded entries
+  are *pending*: each one is re-certified through the Lemma-1 lattice
+  gate against the caller's actual game before it is first served, so
+  a forged file can cost cold solves, never produce unverified advice;
   a corrupted, truncated or version-mismatched file is rejected
   outright and the cache starts empty (a clean miss), with the
   rejection recorded for the service's audit log.
@@ -60,8 +63,9 @@ from repro.games.profiles import MixedProfile
 from repro.service.persistence import (
     CacheLoadReport,
     CacheState,
-    read_cache_file,
-    write_cache_file,
+    encode_journal_frame,
+    read_state_file,
+    write_state_file,
 )
 
 
@@ -133,10 +137,9 @@ class SolveCache:
     re-solve — an evicted entry's next lookup is an ordinary miss.
 
     ``path`` makes the cache persistent: :meth:`load` restores warm
-    state from the file (done automatically at construction when
-    ``autoload`` is true and the file exists) and :meth:`save` /
-    :meth:`close` write it back atomically.  Loading is
-    tamper-rejecting — see :mod:`repro.service.persistence` and
+    state from the file (done at construction when the file exists)
+    and :meth:`save` / :meth:`close` write it back atomically.  Loading
+    is tamper-rejecting — see :mod:`repro.service.persistence` and
     :attr:`last_load_report` — and every loaded profile passes the
     exact Lemma-1 gate against the requesting caller's game before its
     first serve.
@@ -145,8 +148,7 @@ class SolveCache:
     DEFAULT_MAX_ENTRIES = 4096
 
     def __init__(self, max_entries: int | None = DEFAULT_MAX_ENTRIES,
-                 path: str | os.PathLike | None = None,
-                 autoload: bool = True, autosave: bool = True):
+                 path: str | os.PathLike | None = None):
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be positive (or None)")
         self._profiles: dict[tuple[str, str, str], MixedProfile] = {}
@@ -167,11 +169,10 @@ class SolveCache:
         self._updates: list[tuple] = []
         self.stats = CacheStats()
         self.path = None if path is None else os.fspath(path)
-        self._autosave = autosave
         #: Outcome of the most recent :meth:`load` (None before any).
         self.last_load_report: CacheLoadReport | None = None
         self._load_rejections: list[dict] = []
-        if self.path is not None and autoload and os.path.exists(self.path):
+        if self.path is not None and os.path.exists(self.path):
             self.load()
 
     def _touch(self, store: dict, key) -> None:
@@ -188,11 +189,6 @@ class SolveCache:
         """Record (under the lock) persisted state refused at load/serve."""
         self.stats.load_rejected += 1  # repro: allow[R5] -- private helper: every caller holds _lock
         self._load_rejections.append(details)
-
-    def note_rejection(self, **details) -> None:
-        """Public face of :meth:`_note_rejection` (for journal replays)."""
-        with self._lock:
-            self._note_rejection(**details)
 
     def _note_update(self, kind: str, key, value) -> None:
         """Queue (under the lock) one committed update for write-behind."""
@@ -365,76 +361,87 @@ class SolveCache:
     # Persistence: exact on-disk warm state
     # ------------------------------------------------------------------
 
-    def save(self, path: str | os.PathLike | None = None) -> int:
-        """Atomically persist the cache's warm state; returns entry count.
+    def entries(self) -> list[tuple]:
+        """Every entry as ``(kind, key, value)``, in the order a save
+        writes them: profiles, then sets, each oldest-first.
 
-        Still-pending loaded entries ride along unchanged (they were on
-        disk already and keep their not-yet-re-certified status on the
-        next load), ordered before the live stores so a save/load round
-        trip preserves LRU order.  The write itself is snapshot-
-        consistent: contents are copied under the lock, encoded and
-        written outside it, and land via temp file + ``os.replace`` —
-        a save concurrent with an active drain yields a complete,
-        loadable file of *some* consistent recent state.
+        Still-pending loaded entries come before the live ones (they
+        were on disk already and keep their not-yet-re-certified status
+        on the next load), so a save/load round trip preserves LRU
+        order.  Copied under the lock: the list is a consistent view of
+        some recent state, safe to encode while drains go on.
         """
-        target = self.path if path is None else os.fspath(path)
-        if target is None:
-            raise PersistenceError("this SolveCache has no path to save to")
         with self._lock:
-            state = CacheState(
-                profiles={**self._pending_profiles, **self._profiles},
-                sets={**self._pending_sets, **self._sets},
-            )
-        write_cache_file(target, state)
-        return state.entry_count
+            profiles = {**self._pending_profiles, **self._profiles}
+            sets = {**self._pending_sets, **self._sets}
+        return [("profile", key, value) for key, value in profiles.items()] \
+            + [("set", key, value) for key, value in sets.items()]
 
-    def load(self, path: str | os.PathLike | None = None) -> CacheLoadReport:
-        """Restore warm state from disk; tamper-rejecting, all-or-nothing.
+    def save(self) -> int:
+        """Atomically write the cache to its path; returns entry count.
 
-        On success the file's profiles and sets enter the *pending*
-        stores — each is re-certified through the exact Lemma-1 gate
-        against the requesting caller's game before its first serve.
-        On *any*
-        integrity, schema or decoding failure — including a missing
-        file — nothing is restored: the cache keeps serving clean
-        misses, the report says why, and the rejection is queued for
-        the service's ``cache.load.rejected`` audit record.
+        A header and one frame per :meth:`entries` item, landing via
+        temp file + ``os.replace`` — a save concurrent with an active
+        drain yields a complete, loadable file of some recent state.
         """
-        target = self.path if path is None else os.fspath(path)
-        if target is None:
-            raise PersistenceError("this SolveCache has no path to load from")
-        try:
-            state = read_cache_file(target)
-        except FileNotFoundError:
-            report = CacheLoadReport(
-                path=target, accepted=False, reason="file not found"
-            )
-            self.last_load_report = report
-            return report
-        except (PersistenceError, OSError) as exc:
-            report = CacheLoadReport(
-                path=target, accepted=False, reason=str(exc)
-            )
-            with self._lock:
-                self._note_rejection(kind="file", path=target, reason=str(exc))
-            self.last_load_report = report
-            return report
-        self.merge_pending_state(state)
-        report = CacheLoadReport(
-            path=target, accepted=True,
-            profiles=len(state.profiles), sets=len(state.sets),
+        if self.path is None:
+            raise PersistenceError("this SolveCache has no path to save to")
+        entries = self.entries()
+        write_state_file(
+            self.path, [encode_journal_frame(*entry) for entry in entries]
         )
+        return len(entries)
+
+    def load(self) -> CacheLoadReport:
+        """Restore warm state from the cache's path; tamper-rejecting.
+
+        What the file yields enters the *pending* stores — each entry is
+        re-certified through the exact Lemma-1 gate against the
+        requesting caller's game before its first serve.  A file
+        rejected whole (integrity, schema or decoding failure) restores
+        nothing: the cache keeps serving clean misses, the report says
+        why, and the rejection is queued for the service's
+        ``cache.load.rejected`` audit record.
+        """
+        if self.path is None:
+            raise PersistenceError("this SolveCache has no path to load from")
+        __, report = self.restore(self.path)
         self.last_load_report = report
         return report
+
+    def restore(self, path) -> tuple[CacheState, CacheLoadReport]:
+        """Read one state file into the pending stores.
+
+        The shared back half of :meth:`load` and a server's recovery
+        (:meth:`repro.server.journal.WriteBehindPersister.recover`):
+        returns the decoded state and the report, and queues every
+        rejection.  A missing file restores nothing and rejects nothing.
+        """
+        path = os.fspath(path)
+        try:
+            state, report = read_state_file(path)
+        except FileNotFoundError:
+            return CacheState(), CacheLoadReport(
+                path=path, accepted=False, reason="file not found"
+            )
+        except OSError as exc:
+            state, report = CacheState(), CacheLoadReport(
+                path=path, accepted=False, reason=str(exc),
+                rejections=({"kind": "file", "path": path,
+                             "reason": str(exc)},),
+            )
+        self.merge_pending_state(state)
+        with self._lock:
+            for rejection in report.rejections:
+                self._note_rejection(**rejection)
+        return state, report
 
     def merge_pending_state(self, state: CacheState) -> int:
         """Merge decoded warm state into the *pending* stores; entry count.
 
-        The shared back half of :meth:`load`, also the entry point for a
-        journal replay (:mod:`repro.server.journal`): profiles and sets
-        become pending — each re-certified through the Lemma-1 gate
-        against the requesting caller's actual game before first
-        serve.  Live entries are never displaced by loaded ones.
+        Profiles and sets become pending — each re-certified through the
+        Lemma-1 gate against the requesting caller's actual game before
+        first serve.  Live entries are never displaced by loaded ones.
         """
         merged = 0
         with self._lock:
@@ -451,11 +458,6 @@ class SolveCache:
                     merged += 1
         return merged
 
-    @property
-    def autosave(self) -> bool:
-        """Whether :meth:`close` (and a closing service) should save."""
-        return self._autosave
-
     def drain_rejections(self) -> list[dict]:
         """Pop the queued load/serve rejection details (for audit)."""
         with self._lock:
@@ -464,12 +466,12 @@ class SolveCache:
         return rejections
 
     def close(self) -> None:
-        """Autosave (when a path is set) and return; idempotent.
+        """Save (when a path is set) and return; idempotent.
 
         The cache stays usable after closing — ``close`` is a flush
         point, mirroring the service's own non-final ``close``.
         """
-        if self.path is not None and self._autosave:
+        if self.path is not None:
             self.save()
 
     def __enter__(self) -> "SolveCache":

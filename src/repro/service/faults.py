@@ -18,8 +18,9 @@ the production code already crosses:
                         :meth:`AuthorityService._stage_solve`
 ``verify.conclude``     the verify/conclude stage, on the draining thread
 ``journal.append``      the write-behind journal's durable append
-``snapshot.write``      the atomic whole-cache snapshot write
-``cache.load``          reading warm state (snapshot bytes) from disk
+``snapshot.write``      the atomic whole-file write (a save or a
+                        journal compaction)
+``cache.load``          reading a state file's bytes from disk
 ``pump.iteration``      one iteration of the HTTP server's drain pump
 ======================  ================================================
 

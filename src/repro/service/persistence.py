@@ -1,46 +1,41 @@
-"""On-disk warm state for the cross-run solve cache.
+"""On-disk warm state for the cross-run solve cache: one file, one format.
 
 The paper's central asymmetry — equilibrium *search* is PPAD-hard,
 *verification* is polynomial — is what makes a restartable authority
 sound: certified solutions may outlive the process that computed them
 because re-checking a candidate on load is cheap (a handful of integer
 dot products on the Lemma-1 lattice gate), while recomputing it is not.
-This module is that idea as a wire format:
+So the file only has to carry integrity.  It is a sequence of JSON
+lines:
 
-* **Exact.**  Every probability is serialized as a ``"num/den"`` string
-  (the same canonicalization discipline as
+* **Frames.**  One cache entry per line (:func:`encode_journal_frame`),
+  each carrying a SHA-256 digest of its own body.  Every probability is
+  a ``"num/den"`` string (the canonicalization discipline of
   :func:`repro.fractions_util.exact_fingerprint` and the certificate
   wire format in :mod:`repro.proofs.serialize`): no float ever touches
-  the file, so a round trip is bit-identical — the loaded profile *is*
-  the stored profile.
+  the file, so the loaded profile *is* the stored profile.
 
-* **Versioned.**  The document carries a format name and a schema
-  version; a reader refuses anything it does not understand instead of
-  guessing.  Decoding is strict throughout: unknown shapes, missing
-  fields or malformed fractions raise :class:`PersistenceError`.
+* **Header.**  A whole-file write (:func:`write_state_file`, which both
+  ``SolveCache.save`` and the server's compaction call) opens the file
+  with a header line: the format name, the schema version, and the
+  count and SHA-256 of the frames that follow.  Frames appended later
+  (the server's write-behind flushes) follow the covered ones.
 
-* **Tamper-evident.**  The document embeds a SHA-256 digest of its
-  canonical payload encoding.  A truncated or bit-flipped file — or
-  one whose entry *lists* are reordered or altered — fails the digest
-  check and the whole load is rejected; the cache degrades to a clean
-  miss, never to unverified advice.  (JSON object *key* order is
-  immaterial by construction: the digest commits to the sorted-key
-  canonical form, so re-keying an object changes nothing it protects.)
+One reader, :func:`read_state_file`, serves every load.  The covered
+frames are all-or-nothing: a truncated or bit-flipped prefix, an
+unknown format or schema, or a malformed header rejects the whole file
+— the boundary between covered and later frames is then unknown.  Each
+later frame is judged on its own: a torn tail (the normal crash
+artifact) or a tampered line rejects that frame only.  The reader also
+takes what older writers left: a journal without a header, and the
+schema-1 document (one JSON object whose digest covers a
+``profiles``/``sets`` payload).  Decoding is strict throughout, and
+every rejection is returned for the ``cache.load.rejected`` audit
+trail.
 
-* **Atomic.**  :func:`write_cache_file` writes a temporary file in the
-  target directory and ``os.replace``\\ s it into place — then fsyncs
-  the *directory* as well, so the rename itself is on stable storage:
-  a reader never observes a half-written document even if the writer
-  dies mid-save, and a completed save survives power loss, not just a
-  process crash.
-
-Besides the whole-file snapshot format, this module speaks the
-**journal frame** format used by :mod:`repro.server.journal` for
-write-behind durability: one cache entry per frame, each frame a
-single JSON line carrying its own SHA-256 digest.  A snapshot is
-all-or-nothing; a journal degrades per frame — a torn tail (the normal
-crash case) or a bit-flipped line rejects *that frame only*, and every
-rejection is surfaced for the ``cache.load.rejected`` audit trail.
+Writes are atomic: a temporary file in the target directory, fsync,
+``os.replace``, then an fsync of the directory, so a reader never sees
+a half-written file and a completed write survives power loss.
 
 The digest is an *integrity* line, not the soundness line: soundness is
 the Lemma-1 gate, which :class:`~repro.service.cache.SolveCache` runs
@@ -50,7 +45,7 @@ recomputed digest therefore still cannot make the cache serve a
 non-equilibrium — its entries fail the gate at serve time and fall back
 to a cold solve.  The one claim the gate cannot re-establish cheaply is
 *completeness* of a stored enumeration set (that would be the PPAD-hard
-step again); completeness rests on the digest, membership on the gate.
+step again); completeness rests on the digests, membership on the gate.
 """
 
 from __future__ import annotations
@@ -67,11 +62,15 @@ from repro.errors import PersistenceError
 from repro.games.profiles import MixedProfile
 from repro.service import faults
 
-#: Format tag every cache document must carry.
+#: Format tag of every state file header (and of the schema-1 document).
 FORMAT_NAME = "repro.solve-cache"
 
-#: Current schema version; readers reject any other value.
-SCHEMA_VERSION = 1
+#: Schema of the header this module writes: a count and a digest over
+#: the digest-framed lines that follow it.
+SCHEMA_VERSION = 2
+
+#: Schema of the whole-file JSON document older writers saved; still read.
+DOCUMENT_SCHEMA_VERSION = 1
 
 _DIGEST_PREFIX = "sha256:"
 
@@ -156,21 +155,25 @@ def _decode_set_key(entry: dict, what: str) -> tuple[str, bool]:
 
 
 # ----------------------------------------------------------------------
-# The document: payload, digest, schema header
+# Decoded contents, the load report, and the schema-1 document
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CacheState:
-    """The serializable contents of a solve cache, in LRU order.
+    """Decoded cache contents, in LRU order.
 
     ``profiles`` maps ``(fingerprint, method, mode)`` to a certified
     profile; ``sets`` maps ``(fingerprint, equal_size_only)`` to a full
     enumeration result.  Iteration order is oldest-first — a save/load
-    round trip preserves eviction order.
+    round trip preserves eviction order.  ``frames`` maps ``(kind,
+    key)`` to the line each entry was read from (a schema-1 document's
+    entries have none), so a writer can keep those bytes instead of
+    encoding the entry again.
     """
 
     profiles: dict[tuple[str, str, str], MixedProfile] = field(default_factory=dict)
     sets: dict[tuple[str, bool], tuple[MixedProfile, ...]] = field(default_factory=dict)
+    frames: dict[tuple, bytes] = field(default_factory=dict)
 
     @property
     def entry_count(self) -> int:
@@ -179,11 +182,14 @@ class CacheState:
 
 @dataclass(frozen=True)
 class CacheLoadReport:
-    """What a :func:`read_cache_file` / ``SolveCache.load`` attempt did.
+    """What reading one state file found.
 
-    ``accepted`` is False for every rejection — missing file aside,
-    that always means the whole document was discarded and the cache is
-    serving clean misses; ``reason`` says why.
+    ``accepted`` is False when nothing could be taken from the file: it
+    is missing or empty, or it was rejected whole (``reason`` says why).
+    ``frames`` counts the frame lines loaded; ``rejections`` holds one
+    detail dict per refusal — ``kind="file"`` for the whole file,
+    ``kind="journal-frame"`` for one frame after the covered ones — for
+    the ``cache.load.rejected`` audit trail.
     """
 
     path: str
@@ -191,10 +197,8 @@ class CacheLoadReport:
     reason: str | None = None
     profiles: int = 0
     sets: int = 0
-
-    @property
-    def entry_count(self) -> int:
-        return self.profiles + self.sets
+    frames: int = 0
+    rejections: tuple = ()
 
     def as_dict(self) -> dict:
         return {
@@ -203,41 +207,42 @@ class CacheLoadReport:
             "reason": self.reason,
             "profiles": self.profiles,
             "sets": self.sets,
+            "frames": self.frames,
+            "rejected": len(self.rejections),
         }
 
 
-def encode_cache_state(state: CacheState) -> dict[str, Any]:
-    """Cache contents → the canonical JSON-able payload dict."""
-    return {
-        "profiles": [
-            {
-                "fingerprint": fingerprint,
-                "method": method,
-                "mode": mode,
-                "profile": encode_profile(profile),
-            }
-            for (fingerprint, method, mode), profile in state.profiles.items()
-        ],
-        "sets": [
-            {
-                "fingerprint": fingerprint,
-                "equal_size_only": equal_size_only,
-                "profiles": [encode_profile(p) for p in profiles],
-            }
-            for (fingerprint, equal_size_only), profiles in state.sets.items()
-        ],
-    }
+def _canonical_payload_bytes(payload: dict[str, Any]) -> bytes:
+    """The byte string the digest commits to (sorted keys, no whitespace)."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def decode_cache_state(payload: Any) -> CacheState:
-    """Strict inverse of :func:`encode_cache_state`.
+def payload_digest(payload: dict[str, Any]) -> str:
+    return _DIGEST_PREFIX + hashlib.sha256(_canonical_payload_bytes(payload)).hexdigest()
 
-    Top-level keys other than ``profiles`` and ``sets`` are ignored, so
-    a payload from an older writer that also carried a support-hint
-    list still loads (the digest covers that list too, and verifies).
+
+def decode_document(document: Any) -> CacheState:
+    """Check a schema-1 document's format, schema and digest; decode it.
+
+    Any failure raises :class:`PersistenceError`; the reader turns that
+    into a whole-file rejection.  Payload keys other than ``profiles``
+    and ``sets`` are ignored, so a payload from an older writer that
+    also carried a support-hint list still loads (the digest covers
+    that list too, and verifies).
     """
-    if not isinstance(payload, dict):
-        raise PersistenceError("cache payload is not an object")
+    if not isinstance(document, dict):
+        raise PersistenceError("cache document is not an object")
+    _check_format(document)
+    if document.get("schema") != DOCUMENT_SCHEMA_VERSION:
+        raise PersistenceError(
+            f"unsupported schema version {document.get('schema')!r}"
+        )
+    digest = document.get("digest")
+    payload = document.get("payload")
+    if not isinstance(payload, dict) or not isinstance(digest, str):
+        raise PersistenceError("cache document lacks a payload or digest")
+    if digest != payload_digest(payload):
+        raise PersistenceError("payload digest mismatch: file corrupted or tampered")
     state = CacheState()
     try:
         for entry in payload.get("profiles", ()):
@@ -261,51 +266,11 @@ def decode_cache_state(payload: Any) -> CacheState:
     return state
 
 
-def _canonical_payload_bytes(payload: dict[str, Any]) -> bytes:
-    """The byte string the digest commits to (sorted keys, no whitespace)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def payload_digest(payload: dict[str, Any]) -> str:
-    return _DIGEST_PREFIX + hashlib.sha256(_canonical_payload_bytes(payload)).hexdigest()
-
-
-def encode_document(state: CacheState) -> dict[str, Any]:
-    """Wrap a payload in the versioned, digest-carrying document."""
-    payload = encode_cache_state(state)
-    return {
-        "format": FORMAT_NAME,
-        "schema": SCHEMA_VERSION,
-        "digest": payload_digest(payload),
-        "payload": payload,
-    }
-
-
-def decode_document(document: Any) -> CacheState:
-    """Check format, schema and digest, then decode the payload.
-
-    Any failure — this is the tamper/staleness gate — raises
-    :class:`PersistenceError`; the caller turns that into a clean-miss
-    empty cache plus a ``cache.load.rejected`` audit record.
-    """
-    if not isinstance(document, dict):
-        raise PersistenceError("cache document is not an object")
-    if document.get("format") != FORMAT_NAME:
+def _check_format(header: dict) -> None:
+    if header.get("format") != FORMAT_NAME:
         raise PersistenceError(
-            f"not a solve-cache document (format={document.get('format')!r})"
+            f"not a solve-cache document (format={header.get('format')!r})"
         )
-    schema = document.get("schema")
-    if schema != SCHEMA_VERSION:
-        raise PersistenceError(
-            f"unsupported schema version {schema!r} (this reader speaks {SCHEMA_VERSION})"
-        )
-    digest = document.get("digest")
-    payload = document.get("payload")
-    if not isinstance(payload, dict) or not isinstance(digest, str):
-        raise PersistenceError("cache document lacks a payload or digest")
-    if digest != payload_digest(payload):
-        raise PersistenceError("payload digest mismatch: file corrupted or tampered")
-    return decode_cache_state(payload)
 
 
 # ----------------------------------------------------------------------
@@ -317,9 +282,6 @@ JOURNAL_FORMAT_NAME = "repro.solve-cache-journal"
 
 #: Journal frame schema version; readers reject any other value.
 JOURNAL_SCHEMA_VERSION = 1
-
-#: The journalable entry kinds (mirroring the cache's stores).
-JOURNAL_KINDS = ("profile", "set")
 
 
 def encode_journal_body(kind: str, key, value) -> dict[str, Any]:
@@ -411,19 +373,30 @@ def decode_journal_frame(line: bytes):
     raise PersistenceError(f"unknown journal frame kind {kind!r}")
 
 
-def apply_journal_entry(state: CacheState, kind: str, key, value) -> None:
-    """Fold one decoded frame into a :class:`CacheState` (latest wins)."""
+def apply_journal_entry(state: CacheState, kind: str, key, value,
+                        line: bytes | None = None) -> None:
+    """Fold one decoded entry into a :class:`CacheState`: the latest
+    write wins, and becomes the newest entry of its store."""
     if kind == "profile":
-        state.profiles[key] = value
+        store = state.profiles
     elif kind == "set":
-        state.sets[key] = value
+        store = state.sets
     else:  # pragma: no cover - decode_journal_frame already refused it
         raise PersistenceError(f"unknown journal entry kind {kind!r}")
+    store.pop(key, None)
+    store[key] = value
+    if line is not None:
+        state.frames[(kind, key)] = line
 
 
 # ----------------------------------------------------------------------
-# Atomic file I/O
+# The state file: atomic writer, one reader
 # ----------------------------------------------------------------------
+
+#: How every encoded frame begins (sorted keys put ``body`` first); a
+#: first line that does not is a header or a schema-1 document.
+_FRAME_PREFIX = b'{"body":'
+
 
 def fsync_directory(directory) -> None:
     """fsync a directory so a rename/create inside it survives power loss.
@@ -444,24 +417,28 @@ def fsync_directory(directory) -> None:
         os.close(fd)
 
 
-def write_cache_file(path, state: CacheState) -> int:
-    """Atomically write ``state`` to ``path``; returns bytes written.
+def write_state_file(path, frames) -> int:
+    """Atomically replace ``path`` with a header and ``frames``; bytes written.
 
-    The document lands via temp-file-in-the-same-directory +
-    ``os.replace`` (with an fsync in between), so concurrent readers —
-    and a reader after a mid-save crash — see either the old complete
-    file or the new complete file, never a torn one.  The containing
-    directory is fsynced after the replace: the data was already on
-    stable storage, but the *rename* lives in the directory, and an
-    unsynced directory entry can vanish on power loss, silently
-    resurrecting the old file.
+    ``frames`` are encoded lines (:func:`encode_journal_frame`), written
+    in order under a header that carries their count and SHA-256.  The
+    file lands via temp-file-in-the-same-directory + fsync +
+    ``os.replace``, so concurrent readers — and a reader after a
+    mid-write crash — see either the old complete file or the new one;
+    a crash leaves at most a stale ``.tmp`` file, which no reader opens.
+    The directory is fsynced after the replace: the *rename* lives in
+    the directory, and an unsynced entry can vanish on power loss,
+    silently resurrecting the old file.
     """
     path = os.fspath(path)
-    # Compact on purpose: an ``indent`` makes json fall back from its C
-    # encoder to the pure-Python one, which took about 90 of the 150 ms
-    # a 4096-entry snapshot cost on the draining thread.
-    text = json.dumps(encode_document(state), sort_keys=True) + "\n"
-    data = faults.filter_bytes("snapshot.write", text.encode("utf-8"))
+    body = b"".join(frames)
+    header = _canonical_payload_bytes({
+        "digest": _DIGEST_PREFIX + hashlib.sha256(body).hexdigest(),
+        "format": FORMAT_NAME,
+        "frames": len(frames),
+        "schema": SCHEMA_VERSION,
+    })
+    data = faults.filter_bytes("snapshot.write", header + b"\n" + body)
     directory = os.path.dirname(path) or "."
     fd, tmp_path = tempfile.mkstemp(
         prefix=".solve-cache-", suffix=".tmp", dir=directory
@@ -474,7 +451,7 @@ def write_cache_file(path, state: CacheState) -> int:
         # mkstemp creates 0600 files; keep the target's existing mode
         # (0644 for a fresh file — probing the umask would mutate
         # process-global state, which concurrent save() forbids) so a
-        # save never silently locks other readers out of the warm state.
+        # write never silently locks other readers out of the warm state.
         try:
             mode = os.stat(path).st_mode & 0o777
         except OSError:
@@ -491,20 +468,94 @@ def write_cache_file(path, state: CacheState) -> int:
     return len(data)
 
 
-def read_cache_file(path) -> CacheState:
-    """Read, integrity-check and strictly decode a cache document.
+def read_state_file(path) -> tuple[CacheState, CacheLoadReport]:
+    """Read, integrity-check and strictly decode one state file.
 
-    Raises :class:`PersistenceError` on *any* problem other than the
-    underlying OS read itself — not-JSON, wrong format tag, stale
-    schema, digest mismatch, malformed entries.  ``FileNotFoundError``
-    propagates so callers can tell "no warm state yet" from "warm state
-    rejected".
+    The header-covered frames (or a schema-1 document) load
+    all-or-nothing; each later frame — all of them in a file without a
+    header — loads or is rejected on its own (see the module notes).
+    Never raises for what the file holds; ``FileNotFoundError`` and
+    other OS errors propagate, so callers can tell "no warm state yet"
+    from "warm state rejected".
     """
-    with open(os.fspath(path), "rb") as handle:
+    path = os.fspath(path)
+    with open(path, "rb") as handle:
         data = handle.read()
     data = faults.filter_bytes("cache.load", data)
+    if not data:
+        return CacheState(), CacheLoadReport(
+            path=path, accepted=False, reason="empty file"
+        )
+    lines = data.split(b"\n")
+    state, start = CacheState(), 0
+    if not lines[0].startswith(_FRAME_PREFIX):
+        try:
+            state, start = _read_covered(data, lines)
+        except PersistenceError as exc:
+            return CacheState(), CacheLoadReport(
+                path=path, accepted=False, reason=str(exc),
+                rejections=({"kind": "file", "path": path,
+                             "reason": str(exc)},),
+            )
+    frames = len(state.frames)
+    rejections = []
+    for index in range(start, len(lines)):
+        line = lines[index]
+        if not line:
+            continue
+        try:
+            kind, key, value = decode_journal_frame(line)
+        except PersistenceError as exc:
+            rejections.append({"kind": "journal-frame", "path": path,
+                               "frame": index, "reason": str(exc)})
+            continue
+        apply_journal_entry(state, kind, key, value, line + b"\n")
+        frames += 1
+    return state, CacheLoadReport(
+        path=path, accepted=True, profiles=len(state.profiles),
+        sets=len(state.sets), frames=frames, rejections=tuple(rejections),
+    )
+
+
+def _read_covered(data: bytes, lines: list) -> tuple[CacheState, int]:
+    """The header and the frames it covers, or a schema-1 document.
+
+    Returns the decoded state and the index of the first line after the
+    covered part; raises :class:`PersistenceError` on any failure.
+    """
     try:
-        document = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise PersistenceError(f"cache file is not valid JSON: {exc}") from exc
-    return decode_document(document)
+        header = json.loads(lines[0])
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        header = None
+    if not isinstance(header, dict):
+        # A schema-1 document written over several lines, or junk.
+        try:
+            document = json.loads(data)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise PersistenceError(f"cache file is not valid JSON: {exc}") from exc
+        return decode_document(document), len(lines)
+    _check_format(header)
+    schema = header.get("schema")
+    if schema == DOCUMENT_SCHEMA_VERSION:
+        return decode_document(header), 1
+    if schema != SCHEMA_VERSION:
+        raise PersistenceError(
+            f"unsupported schema version {schema!r} (this reader speaks "
+            f"{SCHEMA_VERSION}, and reads {DOCUMENT_SCHEMA_VERSION})"
+        )
+    count, digest = header.get("frames"), header.get("digest")
+    if type(count) is not int or count < 0 or not isinstance(digest, str):
+        raise PersistenceError("malformed header: no frame count or digest")
+    covered = lines[1:1 + count]
+    begin = len(lines[0]) + 1
+    end = begin + sum(len(line) + 1 for line in covered)
+    actual = hashlib.sha256(memoryview(data)[begin:end]).hexdigest()
+    if len(covered) < count or _DIGEST_PREFIX + actual != digest:
+        raise PersistenceError(
+            "frames digest mismatch: file truncated, corrupted or tampered"
+        )
+    state = CacheState()
+    for line in covered:
+        kind, key, value = decode_journal_frame(line)
+        apply_journal_entry(state, kind, key, value, line + b"\n")
+    return state, 1 + count

@@ -634,7 +634,7 @@ class AuthorityService:
         every admitted future resolved — with a small summary dict
         (``submissions``, ``queue_depth``).  This is the hook a
         write-behind persister uses to flush journal frames every N
-        drains and cut periodic snapshots without racing in-flight
+        drains and compact the journal without racing in-flight
         solves: all cache writes happen *during* drains, so at this
         point the dirty queue is stable.  A raising listener propagates
         (durability failures — a full disk — must not be silent).
@@ -765,10 +765,12 @@ class AuthorityService:
         )
 
     def _deadline_fail(self, submission: _Submission, phase: str,
-                       session: ConsultationSession | None = None) -> None:
+                       session: ConsultationSession | None = None,
+                       facts: bool = True) -> None:
         """Resolve an expired submission to DeadlineExceeded; audit."""
         budget = submission.future.deadline_ms
-        self._complete(submission, session=session, error=DeadlineExceeded(
+        self._complete(submission, session=session, facts=facts,
+                       error=DeadlineExceeded(
             f"consultation for {submission.game_id!r} exceeded its "
             f"{budget:g} ms deadline ({phase})",
             deadline_ms=budget,
@@ -802,7 +804,10 @@ class AuthorityService:
             lambda: self._stage_solve(submission, session), remaining
         )
         if not done:
-            self._deadline_fail(submission, phase="solve")
+            # The abandoned worker may still write the session's advice:
+            # the record takes the session's id and none of its facts.
+            self._deadline_fail(submission, phase="solve", session=session,
+                                facts=False)
             return False
         if error is not None:
             raise error
@@ -867,12 +872,14 @@ class AuthorityService:
     def _complete(self, submission: _Submission,
                   session: ConsultationSession | None = None,
                   outcome: SessionOutcome | None = None,
-                  error: BaseException | None = None) -> None:
+                  error: BaseException | None = None,
+                  facts: bool = True) -> None:
         """Resolve ``submission``'s future to ``outcome`` (or ``error``)
         and append its one ``service.consultation.completed`` record.
 
-        A future that is already resolved has had its record; it is
-        left alone.
+        A failed record carries the session's advice facts when it has
+        advice, unless ``facts`` is False.  A future that is already
+        resolved has had its record; it is left alone.
         """
         future = submission.future
         if future.done():
@@ -899,7 +906,7 @@ class AuthorityService:
                 "game_id": submission.game_id,
                 "privacy": submission.privacy,
             }
-            if session is not None and session.advice is not None:
+            if facts and session is not None and session.advice is not None:
                 details.update(_advice_facts(session.advice))
             details["failed"] = True
             details["error_type"] = type(error).__name__
@@ -937,8 +944,7 @@ class AuthorityService:
         runner, self._deadline_runner = self._deadline_runner, None
         if runner is not None:
             runner.close()
-        if self._cache_owned and self.cache.path is not None \
-                and self.cache.autosave:
+        if self._cache_owned and self.cache.path is not None:
             entries = self.cache.save()
             self._authority.audit.record(
                 "-", self._authority.AUTHORITY_NAME, EVENT_CACHE_SAVED,

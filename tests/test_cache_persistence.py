@@ -6,6 +6,11 @@ its in-memory hits, every loaded profile passes the Lemma-1 lattice
 gate before its first serve, and any tampered, truncated or
 version-mismatched file degrades to an empty cache (clean misses) plus
 a ``cache.load.rejected`` audit record — never to unverified advice.
+
+A saved file is a header line (format, schema, count and digest of the
+frames) over one digest-framed line per entry; the tamper tests edit
+the header or a covered frame and, where a forger would, reseal every
+digest with the real writer.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from repro.linalg.backend import (
 )
 from repro.service import AuthorityService, SolveCache
 from repro.service.persistence import (
+    DOCUMENT_SCHEMA_VERSION,
     FORMAT_NAME,
     SCHEMA_VERSION,
     decode_fraction,
@@ -43,6 +49,7 @@ from repro.service.persistence import (
     encode_fraction,
     encode_profile,
     payload_digest,
+    write_state_file,
 )
 
 MODES = [
@@ -128,6 +135,31 @@ _OLDER_SNAPSHOT = {
 }
 
 
+def _header_and_bodies(path) -> tuple[dict, list[dict]]:
+    """A saved file's header and its covered frames' bodies."""
+    lines = path.read_bytes().splitlines()
+    return json.loads(lines[0]), [json.loads(line)["body"] for line in lines[1:]]
+
+
+def _reseal(path, edit) -> None:
+    """Let ``edit`` change the covered frame bodies, then rewrite the
+    file with every digest recomputed — what a forger would do."""
+    __, bodies = _header_and_bodies(path)
+    edit(bodies)
+    write_state_file(path, [
+        json.dumps({"body": body, "digest": payload_digest(body)},
+                   sort_keys=True, separators=(",", ":")).encode() + b"\n"
+        for body in bodies
+    ])
+
+
+def _edit_header(path, **changes) -> None:
+    header, __, rest = path.read_bytes().partition(b"\n")
+    document = json.loads(header)
+    document.update(changes)
+    path.write_bytes(json.dumps(document).encode() + b"\n" + rest)
+
+
 class TestExactEncoding:
     """num/den strings, strict decoding — the serialize.py discipline."""
 
@@ -207,7 +239,9 @@ class TestRoundTrip:
             for left, right in zip(served, cold):
                 assert _bit_identical(left, right), game.name
         assert loaded.stats.set_hits == len(games)
-        assert "hints" not in json.loads(path.read_text())["payload"]
+        header, bodies = _header_and_bodies(path)
+        assert header["frames"] == len(bodies) == len(games)
+        assert {body["kind"] for body in bodies} == {"set"}
 
     def test_snapshot_with_support_hints_still_loads(self, tmp_path):
         # An older writer's file: its payload also carries a support-hint
@@ -230,8 +264,10 @@ class TestRoundTrip:
         assert len(cache.equilibrium_set(game)) == 3
         assert cache.stats.set_hits == 1
         assert cache.stats.load_rejected == 0
-        cache.save()  # rewritten in the current format
-        assert "hints" not in json.loads(path.read_text())["payload"]
+        cache.save()  # rewritten in the current format, hints dropped
+        header, bodies = _header_and_bodies(path)
+        assert header["schema"] == SCHEMA_VERSION
+        assert [body["kind"] for body in bodies] == ["profile", "set"]
 
     def test_lru_order_survives_the_round_trip(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -354,16 +390,12 @@ class TestTamperRejection:
     def test_wrong_schema_version_is_rejected(self, tmp_path):
         # Even with a *valid* digest, an unknown schema must not load.
         path, _ = _populated_file(tmp_path)
-        document = json.loads(path.read_text())
-        document["schema"] = SCHEMA_VERSION + 1
-        path.write_text(json.dumps(document))
+        _edit_header(path, schema=SCHEMA_VERSION + 1)
         self._assert_rejected(path, "schema")
 
     def test_wrong_format_tag_is_rejected(self, tmp_path):
         path, _ = _populated_file(tmp_path)
-        document = json.loads(path.read_text())
-        document["format"] = "some.other.format"
-        path.write_text(json.dumps(document))
+        _edit_header(path, format="some.other.format")
         self._assert_rejected(path, "not a solve-cache")
 
     def test_garbage_and_empty_files_are_rejected(self, tmp_path):
@@ -392,12 +424,13 @@ class TestTamperRejection:
         from repro.equilibria.mixed import certify_mixed_profile
 
         path, games = _populated_file(tmp_path, count=1)
-        document = json.loads(path.read_text())
-        entry = document["payload"]["profiles"][0]
-        # A uniform profile is (for these random games) not an equilibrium.
-        entry["profile"] = [["1/3", "1/3", "1/3"], ["1/3", "1/3", "1/3"]]
-        document["digest"] = payload_digest(document["payload"])
-        path.write_text(json.dumps(document))
+
+        def uniform(bodies):
+            # Not an equilibrium of these random games.
+            bodies[0]["profile"] = [["1/3", "1/3", "1/3"],
+                                    ["1/3", "1/3", "1/3"]]
+
+        _reseal(path, uniform)
 
         cache = SolveCache(path=path)
         assert cache.last_load_report.accepted  # structurally fine
@@ -420,11 +453,12 @@ class TestTamperRejection:
         game = random_bimatrix(3, 3, seed=55)
         cold = cache.equilibrium_set(game)
         cache.save()
-        document = json.loads(path.read_text())
-        entry = document["payload"]["sets"][0]
-        entry["profiles"][0] = [["1/3", "1/3", "1/3"], ["1/3", "1/3", "1/3"]]
-        document["digest"] = payload_digest(document["payload"])
-        path.write_text(json.dumps(document))
+
+        def forged_member(bodies):
+            bodies[0]["profiles"][0] = [["1/3", "1/3", "1/3"],
+                                        ["1/3", "1/3", "1/3"]]
+
+        _reseal(path, forged_member)
 
         loaded = SolveCache(path=path)
         assert loaded.last_load_report.accepted
@@ -442,11 +476,11 @@ class TestTamperRejection:
         # the gate raises on the shape mismatch, which must read as a
         # rejection (cold solve), not a crash.
         path, games = _populated_file(tmp_path, count=1)
-        document = json.loads(path.read_text())
-        entry = document["payload"]["profiles"][0]
-        entry["profile"] = [["1/2", "1/2"], ["1/2", "1/2"]]  # 2x2 vs 3x3
-        document["digest"] = payload_digest(document["payload"])
-        path.write_text(json.dumps(document))
+
+        def wrong_shape(bodies):
+            bodies[0]["profile"] = [["1/2", "1/2"], ["1/2", "1/2"]]  # 2x2
+
+        _reseal(path, wrong_shape)
         cache = SolveCache(path=path)
         inventor = BimatrixInventor(
             "inv", method="support-enumeration", solve_cache=cache
@@ -464,10 +498,7 @@ class TestTamperRejection:
         cache = SolveCache(path=path)
         cache.equilibrium_set(random_bimatrix(3, 3, seed=56))
         cache.save()
-        document = json.loads(path.read_text())
-        document["payload"]["sets"][0]["equal_size_only"] = flag
-        document["digest"] = payload_digest(document["payload"])
-        path.write_text(json.dumps(document))
+        _reseal(path, lambda bodies: bodies[0].update(equal_size_only=flag))
         self._assert_rejected(path, "equal_size_only is not a boolean")
 
 
@@ -596,9 +627,8 @@ class TestServiceIntegration:
                 try:
                     service.cache.save()
                     if path.exists():
-                        probe = SolveCache(path=path, autoload=False)
-                        report = probe.load()
-                        assert report.accepted or report.reason == "file not found"
+                        report = SolveCache(path=path).last_load_report
+                        assert report.accepted, report.reason
                 except BaseException as exc:  # pragma: no cover - fails the test
                     failures.append(exc)
                     return
@@ -630,18 +660,6 @@ class TestAutosaveSemantics:
         assert path.exists()
         assert SolveCache(path=path).last_load_report.profiles == 1
 
-    def test_autosave_false_leaves_the_disk_alone(self, tmp_path):
-        path = tmp_path / "noauto.json"
-        cache = SolveCache(path=path, autosave=False)
-        inventor = BimatrixInventor(
-            "inv", method="support-enumeration", solve_cache=cache
-        )
-        inventor.solve(random_bimatrix(3, 3, seed=72))
-        cache.close()
-        assert not path.exists()
-        cache.save()  # explicit save still works
-        assert path.exists()
-
     def test_pathless_cache_refuses_save_and_load(self):
         cache = SolveCache()
         with pytest.raises(PersistenceError):
@@ -653,7 +671,8 @@ class TestAutosaveSemantics:
         # The wire format is a compatibility surface: changing either
         # constant must be a conscious schema bump, not an accident.
         assert FORMAT_NAME == "repro.solve-cache"
-        assert SCHEMA_VERSION == 1
+        assert SCHEMA_VERSION == 2  # header over frames
+        assert DOCUMENT_SCHEMA_VERSION == 1  # the older writers' document
 
 
 class TestDurability:
@@ -662,13 +681,11 @@ class TestDurability:
     def test_atomic_save_fsyncs_the_containing_directory(
         self, tmp_path, monkeypatch
     ):
-        # Regression guard: write_cache_file used to stop at the
+        # Regression guard: the atomic writer once stopped at the
         # os.replace — the data was on stable storage but the *rename*
         # lived only in the unsynced directory entry, so a power loss
         # right after a "successful" save could resurrect the old file.
         import stat
-
-        from repro.service.persistence import CacheState, write_cache_file
 
         synced_dirs = []
         real_fsync = os.fsync
@@ -678,7 +695,7 @@ class TestDurability:
             real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", recording_fsync)
-        write_cache_file(tmp_path / "cache.json", CacheState())
+        write_state_file(tmp_path / "cache.json", [])
         assert False in synced_dirs, "the temp file's data must be fsynced"
         assert True in synced_dirs, "the directory entry must be fsynced"
         # Ordering matters: the rename's durability (directory) comes

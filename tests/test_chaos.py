@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import os
 import time
 
 from repro.core.actors import AuthorityAgent, BimatrixInventor
@@ -24,8 +23,9 @@ from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
 from repro.errors import ReproError
 from repro.games.generators import random_bimatrix
-from repro.server import ThreadedServer, WriteBehindPersister, state_paths
+from repro.server import ThreadedServer, WriteBehindPersister, state_path
 from repro.service import AuthorityService, SolveCache, faults
+from repro.service.persistence import read_state_file
 
 GAMES = 6
 
@@ -170,13 +170,12 @@ class TestHTTPChaos:
         """Every journal append raises: the persister must go sticky
         snapshot-only (audited, visible in /stats) while consultations
         keep succeeding."""
-        snapshot, journal = state_paths(tmp_path / "state")
-        cache = SolveCache(path=snapshot)
+        journal = state_path(tmp_path / "state")
+        cache = SolveCache()
         authority = _authority()
         service = AuthorityService(authority, solve_cache=cache)
         persister = WriteBehindPersister(
             cache, journal, flush_every_drains=1,
-            snapshot_every_drains=None, snapshot_interval=None,
             flush_retries=1, backoff_base_s=0.0,
         )
         with faults.armed("journal.append:raise:oserror@1x*"):
@@ -207,8 +206,8 @@ class TestHTTPChaos:
         assert persister.degraded
         assert persister.flush_failures >= 1
         assert authority.audit.events_of(EVENT_DURABILITY_DEGRADED)
-        # The shutdown snapshot subsumed the lost journal frames.
-        assert os.path.exists(snapshot)
+        # The shutdown compaction wrote the frames the journal refused.
+        assert read_state_file(journal)[0].entry_count == len(cache) >= 2
         authority.close()
 
 
@@ -217,7 +216,7 @@ class TestRestartReplay:
         """Consult every game under a (recoverable) fault storm, restart
         onto the persisted state, and require byte-identical advice plus
         at least one warm hit."""
-        snapshot, journal = state_paths(tmp_path / "state")
+        journal = state_path(tmp_path / "state")
         game_ids = [f"g{i}" for i in range(GAMES)]
 
         def consult_all(client):
@@ -240,12 +239,9 @@ class TestRestartReplay:
             return advice
 
         authority = _authority()
-        cache = SolveCache(path=snapshot)
+        cache = SolveCache()
         service = AuthorityService(authority, solve_cache=cache)
-        persister = WriteBehindPersister(
-            cache, journal, flush_every_drains=1,
-            snapshot_every_drains=None, snapshot_interval=None,
-        )
+        persister = WriteBehindPersister(cache, journal, flush_every_drains=1)
         with faults.armed("seed=7; solve:raise@2; verify.conclude:raise@5"):
             with ThreadedServer(service, persister=persister) as threaded:
                 client = Client(threaded.port)
@@ -257,12 +253,9 @@ class TestRestartReplay:
 
         # Cold process, same state directory, no faults.
         authority = _authority()
-        cache = SolveCache(path=snapshot)
+        cache = SolveCache()
         service = AuthorityService(authority, solve_cache=cache)
-        persister = WriteBehindPersister(
-            cache, journal, flush_every_drains=1,
-            snapshot_every_drains=None, snapshot_interval=None,
-        )
+        persister = WriteBehindPersister(cache, journal, flush_every_drains=1)
         with ThreadedServer(service, persister=persister) as threaded:
             client = Client(threaded.port)
             try:

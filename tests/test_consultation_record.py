@@ -10,6 +10,7 @@ ones of the call that served it.
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import time
@@ -35,7 +36,7 @@ from repro.games.generators import (
     random_bimatrix,
 )
 from repro.server import ThreadedServer
-from repro.service import AuthorityService, SolveCache
+from repro.service import AuthorityService, SolveCache, faults
 
 ACCEPTED_FIELDS = {
     "game_id", "privacy", "inventor", "concept", "proof_format", "backend",
@@ -151,20 +152,36 @@ class TestFailedRecords:
         }
         authority.close()
 
-    @pytest.mark.parametrize("deadline_ms", [None, 60_000.0],
-                             ids=["inline", "deadlined"])
-    def test_a_failed_solve_is_found_by_its_session(self, deadline_ms):
-        """The session opened for a solve that raised keeps its id, so
-        the failed record is the session's trail."""
+    @pytest.mark.parametrize(
+        "deadline_ms, fault, error",
+        [(None, None, "EquilibriumError"),
+         (60_000.0, None, "EquilibriumError"),
+         (100.0, "solve:hang:2@1", "DeadlineExceeded")],
+        ids=["inline", "deadlined", "abandoned"],
+    )
+    def test_a_failed_solve_is_found_by_its_session(self, deadline_ms,
+                                                    fault, error):
+        """The session opened for a solve that raised — or that was
+        abandoned past its budget — keeps its id, so the failed record
+        is the session's trail."""
         inventor = PureNashInventor("pure")
         authority = _authority(inventor, [("mp", matching_pennies())])
-        future = authority.service.submit(
-            "jane", "mp", deadline_ms=deadline_ms
-        )
-        assert type(future.exception()).__name__ == "EquilibriumError"
-        (record,) = authority.audit.events_of(EVENT_SERVICE_COMPLETED)
-        assert record.session_id != "-"
-        assert authority.audit.session(record.session_id) == (record,)
+        scope = faults.armed(fault) if fault else contextlib.nullcontext()
+        with scope:  # an abandoned worker stays hung inside it
+            future = authority.service.submit(
+                "jane", "mp", deadline_ms=deadline_ms
+            )
+            assert type(future.exception()).__name__ == error
+            (record,) = authority.audit.events_of(EVENT_SERVICE_COMPLETED)
+            assert record.session_id == "session-0001"
+            assert authority.audit.session(record.session_id) == (record,)
+            # No advice facts: an abandoned worker may still write them.
+            assert "inventor" not in record.details
+            assert "concept" not in record.details
+        following = authority.service.submit("jane", "mp")
+        assert following.exception() is not None
+        completed = authority.audit.events_of(EVENT_SERVICE_COMPLETED)
+        assert completed[-1].session_id == "session-0002"
         authority.close()
 
     def test_a_failed_verification_keeps_the_advice_provenance(self):

@@ -1,20 +1,27 @@
-"""Write-behind durability: journal frames, replay, persister cadence.
+"""Write-behind durability: journal frames, the state file, the persister.
 
-The contract mirrors the snapshot file's (test_cache_persistence):
-exact ``num/den`` round trips, digest-protected frames, and a replay
-path that rejects *per frame* — a torn tail from a mid-write crash
-costs that frame only — while everything replayed re-enters the cache
-through the pending stores and the Lemma-1 re-certification gate.
+The contract mirrors ``SolveCache``'s (test_cache_persistence): exact
+``num/den`` round trips and digest-protected frames.  A server's one
+state file is a header over the frames of the last compaction, then the
+frames appended since: the covered prefix loads all-or-nothing, each
+later frame on its own — a torn tail from a mid-write crash costs that
+frame only — and everything recovered re-enters the cache through the
+pending stores and the Lemma-1 re-certification gate.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
+import tempfile
 import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from repro.core.actors import AuthorityAgent, BimatrixInventor
 from repro.core.audit_events import EVENT_CACHE_LOAD_REJECTED
@@ -24,21 +31,21 @@ from repro.errors import PersistenceError
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
 from repro.games.profiles import MixedProfile
+from repro.equilibria.support_enumeration import support_enumeration
 from repro.server.journal import (
     CacheJournal,
     WriteBehindPersister,
-    replay_journal,
-    state_paths,
+    state_path,
 )
 from repro.service import AuthorityService, SolveCache, faults
-from repro.service import cache as cache_module
 from repro.service.persistence import (
     CacheState,
     apply_journal_entry,
     decode_journal_frame,
     encode_journal_frame,
     payload_digest,
-    read_cache_file,
+    read_state_file,
+    write_state_file,
 )
 
 
@@ -73,6 +80,23 @@ def _profile() -> MixedProfile:
     return MixedProfile.from_rows(
         [[Fraction(1, 3), Fraction(2, 3)], [Fraction(1), Fraction(0)]]
     )
+
+
+def _frame(index: int) -> bytes:
+    return encode_journal_frame(
+        "profile", (f"fp{index}", "m", "exact"), _profile()
+    )
+
+
+def _keys(*indices) -> list:
+    return [(f"fp{i}", "m", "exact") for i in indices]
+
+
+def _header(path) -> dict | None:
+    """The state file's header, or None when it opens with a frame."""
+    with open(path, "rb") as handle:
+        first = handle.readline()
+    return None if first.startswith(b'{"body":') else json.loads(first)
 
 
 def _authority(prefix: str, games: int = 3) -> RationalityAuthority:
@@ -169,23 +193,18 @@ class TestJournalFrames:
         assert state.profiles[key].distributions == second.distributions
 
 
-class TestReplay:
+class TestReader:
+    """One reader: a file without a header is judged frame by frame."""
+
     def test_replay_skips_torn_tail_keeps_good_frames(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        good = [
-            encode_journal_frame(
-                "profile", (f"fp{i}", "m", "exact"), _profile()
-            )
-            for i in range(3)
-        ]
-        torn = encode_journal_frame(
-            "profile", ("fpX", "m", "exact"), _profile()
-        )[:-25]
-        path.write_bytes(b"".join(good) + torn)
-        state, report = replay_journal(path)
-        assert report.frames == 3
+        torn = _frame(9)[:-25]
+        path.write_bytes(b"".join(_frame(i) for i in range(3)) + torn)
+        state, report = read_state_file(path)
+        assert report.accepted and report.frames == 3
         assert len(report.rejections) == 1
         assert report.rejections[0]["frame"] == 3
+        assert report.rejections[0]["kind"] == "journal-frame"
         assert len(state.profiles) == 3
 
     def test_older_hint_frames_are_refused_one_by_one(self, tmp_path):
@@ -194,7 +213,7 @@ class TestReplay:
         # own as an unknown kind; the frames around it replay.
         path = tmp_path / "journal.jsonl"
         path.write_bytes(_OLDER_JOURNAL)
-        state, report = replay_journal(path)
+        state, report = read_state_file(path)
         assert report.frames == 2
         assert [r["frame"] for r in report.rejections] == [1, 3]
         assert all(
@@ -217,19 +236,109 @@ class TestReplay:
         assert cache.stats.set_hits == 1
 
     def test_missing_journal_is_a_quiet_cold_start(self, tmp_path):
-        state, report = replay_journal(tmp_path / "absent.jsonl")
+        cache = SolveCache()
+        state, report = cache.restore(tmp_path / "absent.jsonl")
         assert report.frames == 0 and not report.rejections
-        assert state.entry_count == 0
+        assert state.entry_count == 0 and len(cache) == 0
+        assert cache.drain_rejections() == []
 
-    def test_journal_append_and_truncate(self, tmp_path):
-        journal = CacheJournal(tmp_path / "j.jsonl")
-        wrote = journal.append(
-            [("profile", ("fp", "m", "exact"), _profile())]
-        )
-        assert wrote == 1 and journal.size_bytes() > 0
-        journal.truncate()
-        assert journal.size_bytes() == 0
-        journal.close()
+    def test_journal_append_and_replace(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        with CacheJournal(path) as journal:
+            assert journal.append([_frame(0)]) == 1
+            assert journal.size_bytes() > 0 and _header(path) is None
+            journal.replace([_frame(1)])
+            assert _header(path)["frames"] == 1
+            journal.append([_frame(2)])  # reopened on the new file
+        state, report = read_state_file(path)
+        assert report.frames == 2 and list(state.profiles) == _keys(1, 2)
+
+
+class TestStateFile:
+    """A compacted file: the header-covered prefix is all-or-nothing,
+    each later frame stands alone."""
+
+    def _compacted(self, tmp_path, later=2):
+        path = tmp_path / "journal.jsonl"
+        with CacheJournal(path) as journal:
+            journal.replace([_frame(i) for i in range(3)])
+            journal.append([_frame(3 + i) for i in range(later)])
+        return path
+
+    @staticmethod
+    def _rejected_whole(path) -> None:
+        state, report = read_state_file(path)
+        assert not report.accepted and state.entry_count == 0
+        assert [r["kind"] for r in report.rejections] == ["file"]
+
+    def test_prefix_and_later_frames_load(self, tmp_path):
+        path = self._compacted(tmp_path)
+        state, report = read_state_file(path)
+        assert report.accepted and report.frames == 5
+        assert not report.rejections
+        assert list(state.profiles) == _keys(*range(5))
+
+    def test_a_truncated_prefix_is_rejected_whole(self, tmp_path):
+        path = self._compacted(tmp_path, later=0)
+        data = path.read_bytes()
+        for cut in (len(data) - 1, len(data) - 40, len(data) // 2, 20):
+            path.write_bytes(data[:cut])
+            self._rejected_whole(path)
+
+    def test_any_bit_flip_in_the_prefix_rejects_the_whole_file(
+        self, tmp_path
+    ):
+        # Header and covered frames alike; the later frames go with them
+        # (once the header is in doubt, so is where the prefix ends).
+        path = self._compacted(tmp_path)
+        data = path.read_bytes()
+        prefix = sum(len(line) + 1 for line in data.split(b"\n")[:4])
+        for offset in range(prefix):
+            tampered = bytearray(data)
+            tampered[offset] ^= 0x01
+            path.write_bytes(bytes(tampered))
+            self._rejected_whole(path)
+
+    def test_a_flipped_later_frame_rejects_only_that_frame(self, tmp_path):
+        path = self._compacted(tmp_path)
+        lines = path.read_bytes().split(b"\n")
+        lines[4] = lines[4][:30] + bytes([lines[4][30] ^ 0x01]) + lines[4][31:]
+        path.write_bytes(b"\n".join(lines))
+        state, report = read_state_file(path)
+        assert report.accepted and report.frames == 4
+        assert [(r["kind"], r["frame"]) for r in report.rejections] == [
+            ("journal-frame", 4)
+        ]
+        assert list(state.profiles) == _keys(0, 1, 2, 4)
+
+    def test_appends_never_follow_a_refused_prefix(self, tmp_path):
+        # The reader would refuse them with it: recovery rewrites the
+        # file first, so a flush after it survives the next crash.
+        path = self._compacted(tmp_path, later=0)
+        data = bytearray(path.read_bytes())
+        data[10] ^= 0x01
+        path.write_bytes(bytes(data))
+        cache = SolveCache()
+        persister = WriteBehindPersister(cache, path)
+        assert [r["kind"] for r in persister.recover().rejections] == ["file"]
+        _store(cache, 5)
+        _store(cache, 6)
+        assert persister.flush() == 2
+        persister.journal.close()  # a crash: no compaction, no close()
+        state, report = read_state_file(path)
+        assert report.accepted and list(state.profiles) == _keys(5, 6)
+
+    def test_a_stale_temp_file_is_never_loaded(self, tmp_path):
+        path = self._compacted(tmp_path, later=0)
+        # A compaction killed before its rename leaves a temp file behind.
+        write_state_file(tmp_path / ".solve-cache-killed.tmp",
+                         [_frame(i) for i in range(5, 9)])
+        cache = SolveCache()
+        persister = WriteBehindPersister(cache, path)
+        assert persister.recover().frames == 3
+        assert len(cache) == 3
+        persister.close()
+        assert list(read_state_file(path)[0].profiles) == _keys(0, 1, 2)
 
 
 class FakeClock:
@@ -241,16 +350,10 @@ class FakeClock:
 
 
 class TestWriteBehindPersister:
-    def _cache(self, tmp_path) -> SolveCache:
-        snapshot, _journal = state_paths(tmp_path / "state")
-        return SolveCache(path=snapshot)
-
     def test_flush_cadence_by_drains(self, tmp_path):
-        snapshot, journal = state_paths(tmp_path / "state")
-        cache = SolveCache(path=snapshot)
+        cache = SolveCache()
         persister = WriteBehindPersister(
-            cache, journal, flush_every_drains=2,
-            snapshot_every_drains=None, snapshot_interval=None,
+            cache, state_path(tmp_path / "state"), flush_every_drains=2
         )
         cache.store_profile("fp", "m", "exact", _profile())
         persister.on_drained()
@@ -261,12 +364,10 @@ class TestWriteBehindPersister:
 
     def test_flush_cadence_by_clock(self, tmp_path):
         clock = FakeClock()
-        snapshot, journal = state_paths(tmp_path / "state")
-        cache = SolveCache(path=snapshot)
+        cache = SolveCache()
         persister = WriteBehindPersister(
-            cache, journal, flush_every_drains=10**6,
-            flush_interval=5.0, snapshot_every_drains=None,
-            snapshot_interval=None, clock=clock,
+            cache, state_path(tmp_path / "state"), flush_every_drains=10**6,
+            flush_interval=5.0, clock=clock,
         )
         cache.store_profile("fp", "m", "exact", _profile())
         persister.poll()
@@ -275,47 +376,43 @@ class TestWriteBehindPersister:
         persister.poll()
         assert persister.flushes == 1
 
-    def test_snapshot_truncates_journal_and_saves(self, tmp_path):
-        snapshot, journal = state_paths(tmp_path / "state")
-        cache = SolveCache(path=snapshot)
-        persister = WriteBehindPersister(
-            cache, journal, snapshot_every_drains=None,
-            snapshot_interval=None,
-        )
+    def test_snapshot_compacts_the_journal(self, tmp_path):
+        path = state_path(tmp_path / "state")
+        cache = SolveCache()
+        persister = WriteBehindPersister(cache, path)
         cache.store_profile("fp", "m", "exact", _profile())
         persister.flush()
         assert persister.journal.size_bytes() > 0
-        entries = persister.snapshot()
-        assert entries == 1
-        assert persister.journal.size_bytes() == 0
-        assert os.path.exists(snapshot)
+        assert _header(path) is None  # appended, not yet compacted
+        assert persister.snapshot() == 1
+        assert _header(path)["frames"] == 1
+        assert os.listdir(tmp_path / "state") == ["journal.jsonl"]
+        persister.close()
 
     def test_close_disarms_tracking(self, tmp_path):
-        snapshot, journal = state_paths(tmp_path / "state")
-        cache = SolveCache(path=snapshot)
-        persister = WriteBehindPersister(cache, journal)
+        cache = SolveCache()
+        persister = WriteBehindPersister(cache, state_path(tmp_path / "s"))
         persister.close()
         cache.store_profile("fp", "m", "exact", _profile())
         assert cache.drain_updates() == []  # tracking is off again
 
-    def test_pathless_cache_is_refused(self, tmp_path):
-        with pytest.raises(PersistenceError, match="path-bound"):
-            WriteBehindPersister(SolveCache(), tmp_path / "j.jsonl")
+    def test_path_bound_cache_is_refused(self, tmp_path):
+        # Two writers of one file would be a bug: the persister owns it.
+        with pytest.raises(PersistenceError, match="pathless"):
+            WriteBehindPersister(
+                SolveCache(path=tmp_path / "c.json"), tmp_path / "j.jsonl"
+            )
 
 
 def _store(cache: SolveCache, index: int) -> None:
-    """Commit one new cache entry (one journal frame at the next flush)."""
+    """Commit one cache entry (one journal frame at the next flush)."""
     cache.store_profile(f"fp{index}", "m", "exact", _profile())
 
 
-class TestSnapshotGrowthRule:
-    """Cadence snapshots wait until the journal has grown.
-
-    A cadence snapshot needs an update committed since the last
-    successful snapshot *and* a journal holding at least as many frames
-    as that snapshot held entries; ``snapshot_every_drains`` and
-    ``snapshot_interval`` are minimum spacings on top.
-    """
+class TestCompactionRule:
+    """A cadence compaction needs an update committed since the last one
+    and a file holding ``COMPACT_RATIO`` (2) frames per cache entry;
+    ``snapshot()`` (the admin endpoint) and ``close()`` always compact."""
 
     @pytest.fixture(autouse=True)
     def _close_journals(self):
@@ -324,106 +421,124 @@ class TestSnapshotGrowthRule:
         for journal in self.journals:
             journal.close()
 
-    def _persister(self, tmp_path, **kwargs):
-        snapshot, journal = state_paths(tmp_path / "state")
-        cache = SolveCache(path=snapshot)
-        options = {"flush_every_drains": 1, "snapshot_every_drains": None,
-                   "snapshot_interval": None, "flush_retries": 0,
+    def _persister(self, tmp_path, max_entries=4, **kwargs):
+        cache = SolveCache(max_entries=max_entries)
+        options = {"flush_every_drains": 1, "flush_retries": 0,
                    "backoff_base_s": 0.0}
         options.update(kwargs)
-        persister = WriteBehindPersister(cache, journal, **options)
+        persister = WriteBehindPersister(
+            cache, state_path(tmp_path / "state"), **options
+        )
         self.journals.append(persister.journal)
         return cache, persister
 
-    def test_clean_drains_and_polls_never_snapshot(self, tmp_path):
+    def test_hits_clean_drains_and_polls_never_compact(self, tmp_path):
         clock = FakeClock()
         cache, persister = self._persister(
-            tmp_path, snapshot_every_drains=1, flush_interval=1.0,
-            snapshot_interval=1.0, clock=clock,
+            tmp_path, flush_interval=1.0, clock=clock
         )
+        _store(cache, 1)
+        persister.on_drained()
         for __ in range(8):
+            assert cache.lookup_profile("fp1", "m", "exact") is not None
             persister.on_drained()
             clock.now += 10.0
             persister.poll()
         assert persister.snapshots == 0
-        assert not os.path.exists(cache.path)
+        assert _header(persister.journal.path) is None
 
-    def test_snapshots_at_the_floor_then_when_the_journal_catches_up(
-        self, tmp_path
-    ):
-        cache, persister = self._persister(
-            tmp_path, snapshot_every_drains=3
-        )
-        snapshot_drains = []
+    def test_compacts_at_twice_the_entry_count(self, tmp_path):
+        cache, persister = self._persister(tmp_path)
+        compacted_at = []
         for drain in range(1, 13):
             _store(cache, drain)
             persister.on_drained()
-            if persister.snapshots > len(snapshot_drains):
-                snapshot_drains.append(drain)
-        # Drain 3: the floor (an empty state held 0 entries).  Drain 6:
-        # 3 frames against the 3-entry snapshot.  Drain 12: 6 against 6.
-        assert snapshot_drains == [3, 6, 12]
+            if persister.snapshots > len(compacted_at):
+                compacted_at.append(drain)
+        # Every frame is live until the 4-entry cache fills; from then
+        # on each new entry evicts one, so the file holds 8 frames for
+        # 4 entries at drain 8, and again 4 drains after that.
+        assert compacted_at == [8, 12]
         assert persister.frames_flushed == 12
-        assert len(read_cache_file(cache.path).profiles) == 12
-        for __ in range(6):  # clean drains after growth: still nothing
+        state, __ = read_state_file(persister.journal.path)
+        assert list(state.profiles) == _keys(9, 10, 11, 12)
+        for __ in range(6):  # clean drains: still nothing
             persister.on_drained()
-        assert persister.snapshots == 3
+        assert persister.snapshots == 2
 
-    def test_poll_snapshots_by_the_same_rule(self, tmp_path):
+    def test_a_repeated_key_is_a_stale_frame(self, tmp_path):
+        cache, persister = self._persister(tmp_path)
+        _store(cache, 1)
+        persister.on_drained()
+        assert persister.snapshots == 0  # 1 frame, 1 entry
+        _store(cache, 1)
+        persister.on_drained()
+        assert persister.snapshots == 1  # 2 frames, 1 entry
+        assert _header(persister.journal.path)["frames"] == 1
+
+    def test_no_kept_frame_outlives_its_key(self, tmp_path):
+        cache, persister = self._persister(tmp_path)
+        for index in range(7):
+            _store(cache, index)
+            persister.flush()
+        assert persister.snapshots == 0  # flush() alone never compacts
+        assert len(persister._frames) == 7
+        live = {("profile", key) for key in _keys(3, 4, 5, 6)}
+        # A compaction whose write fails prunes them too: a disk that
+        # refuses every compaction must not grow the kept frames.
+        with faults.armed("snapshot.write:raise:oserror@1"):
+            assert persister.guarded_snapshot() is None
+        assert set(persister._frames) == live
+        persister.snapshot()
+        assert set(persister._frames) == live
+
+    def test_poll_compacts_by_the_same_rule(self, tmp_path):
         clock = FakeClock()
         cache, persister = self._persister(
-            tmp_path, flush_interval=1.0, snapshot_interval=5.0,
-            clock=clock,
+            tmp_path, max_entries=1, flush_interval=1.0, clock=clock
         )
         clock.now = 6.0
         persister.poll()
-        assert persister.snapshots == 0  # interval lapsed, nothing new
+        assert persister.flushes == 1 and persister.snapshots == 0
         _store(cache, 1)
         clock.now = 7.0
         persister.poll()
-        assert persister.flushes == 2 and persister.snapshots == 1
-        _store(cache, 2)
+        assert persister.flushes == 2 and persister.snapshots == 0
+        _store(cache, 2)  # evicts fp1
+        clock.now = 7.5
+        persister.poll()
+        assert persister.snapshots == 0  # not flushed yet: 1 frame
         clock.now = 8.0
         persister.poll()
-        assert persister.snapshots == 1  # inside the minimum spacing
-        clock.now = 13.0
-        persister.poll()
-        assert persister.snapshots == 2  # 1 frame against 1 entry
+        assert persister.snapshots == 1  # 2 frames, 1 entry
 
-    def test_recovered_frames_count_toward_the_journal(self, tmp_path):
-        snapshot, journal = state_paths(tmp_path / "state")
-        seed_cache = SolveCache(path=snapshot)
-        for index in range(3):
-            _store(seed_cache, index)
-        assert seed_cache.save() == 3
-        with CacheJournal(journal) as writer:
-            writer.append([("profile", ("fp3", "m", "exact"), _profile())])
-
-        cache = SolveCache(path=snapshot)  # loads the 3-entry snapshot
-        persister = WriteBehindPersister(
-            cache, journal, flush_every_drains=1, snapshot_every_drains=1,
-            snapshot_interval=None,
-        )
-        self.journals.append(persister.journal)
-        assert persister.recover().frames == 1
+    def test_recovered_frames_count_toward_the_file(self, tmp_path):
+        path = state_path(tmp_path / "state")
+        with CacheJournal(path) as journal:
+            journal.replace([_frame(i) for i in range(3)])
+            journal.append([_frame(3)])
+        cache, persister = self._persister(tmp_path, max_entries=2)
+        assert persister.recover().frames == 4
+        assert len(cache) == 2  # the newest two, pending
         persister.on_drained()
-        assert persister.snapshots == 0  # recovered, but nothing new
-        _store(cache, 4)
+        assert persister.snapshots == 0  # 4 frames, 2 entries, nothing new
+        for index in (4, 5, 6):
+            _store(cache, index)
+            persister.on_drained()
+        assert persister.snapshots == 0  # 7 frames, 4 entries
+        _store(cache, 7)
         persister.on_drained()
-        assert persister.snapshots == 0  # 1 recovered + 1 < 3 entries
-        _store(cache, 5)
-        persister.on_drained()
-        assert persister.snapshots == 1  # 1 recovered + 2 = 3 entries
-        assert len(read_cache_file(snapshot).profiles) == 6
-        assert os.path.getsize(journal) == 0
+        assert persister.snapshots == 1  # 8 frames, 4 entries
+        state, __ = read_state_file(path)
+        assert list(state.profiles) == _keys(2, 3, 6, 7)
 
     def test_failed_snapshot_stays_dirty(self, tmp_path):
-        cache, persister = self._persister(
-            tmp_path, snapshot_every_drains=1
-        )
+        cache, persister = self._persister(tmp_path, max_entries=1)
         _store(cache, 1)
+        persister.on_drained()
+        _store(cache, 2)
         with faults.armed("snapshot.write:raise:oserror@1"):
-            persister.on_drained()
+            persister.on_drained()  # 2 frames, 1 entry: due, and fails
         assert persister.snapshot_failures == 1
         assert persister.snapshots == 0
         persister.on_drained()  # no new update: the retry is still due
@@ -431,7 +546,18 @@ class TestSnapshotGrowthRule:
         persister.on_drained()
         assert persister.snapshots == 1
 
-    def test_degraded_mode_snapshots_only_when_dirty(self, tmp_path):
+    def test_a_failed_compaction_leaves_its_frames_for_the_next_append(
+        self, tmp_path
+    ):
+        cache, persister = self._persister(tmp_path)
+        _store(cache, 1)  # queued, not flushed
+        with faults.armed("snapshot.write:raise:oserror@1"):
+            assert persister.guarded_snapshot() is None
+        assert persister.flush() == 1
+        state, __ = read_state_file(persister.journal.path)
+        assert list(state.profiles) == _keys(1)
+
+    def test_degraded_mode_compacts_only_when_dirty(self, tmp_path):
         cache, persister = self._persister(tmp_path)
         with faults.armed("journal.append:raise:oserror@1x*"):
             _store(cache, 1)
@@ -451,37 +577,36 @@ class TestSnapshotGrowthRule:
         assert persister.snapshots == 3
         persister.on_drained()
         assert persister.snapshots == 3
-        assert len(read_cache_file(cache.path).profiles) == 3
+        assert list(read_state_file(persister.journal.path)[0].profiles) \
+            == _keys(1, 2, 3)
 
     def test_admin_snapshot_and_close_always_run(self, tmp_path):
-        cache, persister = self._persister(
-            tmp_path, snapshot_every_drains=1
-        )
-        assert persister.snapshot() == 0  # clean, and still cut
+        cache, persister = self._persister(tmp_path)
+        assert persister.snapshot() == 0  # clean, and still compacted
         assert persister.snapshot() == 0
         assert persister.close() == 0
         assert persister.snapshots == 3
-        assert os.path.exists(cache.path)
+        assert _header(persister.journal.path)["frames"] == 0
 
-    def test_flush_waits_for_an_overlapping_snapshot(
+    def test_flush_waits_for_an_overlapping_compaction(
         self, tmp_path, monkeypatch
     ):
-        """A frame flushed between a snapshot's cache copy and its
-        journal truncation must survive in one of the two files."""
+        """A frame flushed between a compaction's copy of the cache and
+        its rename must not be appended to the file being replaced."""
         cache, persister = self._persister(tmp_path)
         _store(cache, 1)
         assert persister.flush() == 1
         copied, release = threading.Event(), threading.Event()
-        write = cache_module.write_cache_file
+        replace = persister.journal.replace
 
-        def paused_write(path, state):
-            copied.set()  # the snapshot's copy of the cache is taken
+        def paused_replace(frames):
+            copied.set()  # the compaction's copy of the cache is taken
             assert release.wait(30)
-            return write(path, state)
+            return replace(frames)
 
-        monkeypatch.setattr(cache_module, "write_cache_file", paused_write)
-        snapshotter = threading.Thread(target=persister.snapshot)
-        snapshotter.start()
+        monkeypatch.setattr(persister.journal, "replace", paused_replace)
+        compactor = threading.Thread(target=persister.snapshot)
+        compactor.start()
         assert copied.wait(30)
         flushed = []
 
@@ -493,29 +618,23 @@ class TestSnapshotGrowthRule:
         flusher.start()
         flusher.join(0.5)  # unserialized, the flush lands in this window
         release.set()
-        snapshotter.join(30)
+        compactor.join(30)
         flusher.join(30)
-        assert not snapshotter.is_alive() and not flusher.is_alive()
+        assert not compactor.is_alive() and not flusher.is_alive()
         assert flushed == [1]
-        saved = set(read_cache_file(cache.path).profiles)
-        replayed, __ = replay_journal(persister.journal.path)
-        recovered = saved | set(replayed.profiles)
-        assert ("fp1", "m", "exact") in recovered
-        assert ("fp2", "m", "exact") in recovered
+        state, __ = read_state_file(persister.journal.path)
+        assert list(state.profiles) == _keys(1, 2)
 
 
 class TestCrashRecoveryInProcess:
-    """Journal-only recovery (no snapshot): the SIGKILL shape, in-process."""
+    """Journal-only recovery (no compaction yet): the SIGKILL shape."""
 
     def test_replayed_entries_serve_bit_identical_hits(self, tmp_path):
-        snapshot, journal_path = state_paths(tmp_path / "state")
-        cache = SolveCache(path=snapshot)
+        journal_path = state_path(tmp_path / "state")
+        cache = SolveCache()
         authority = _authority("g")
         service = AuthorityService(authority, solve_cache=cache)
-        persister = WriteBehindPersister(
-            cache, journal_path, flush_every_drains=1,
-            snapshot_every_drains=None, snapshot_interval=None,
-        )
+        persister = WriteBehindPersister(cache, journal_path)
         service.add_drain_listener(persister.on_drained)
         futures = [service.submit("jane", f"g{i}") for i in range(3)]
         service.drain()
@@ -525,17 +644,14 @@ class TestCrashRecoveryInProcess:
         # Simulate SIGKILL: no snapshot(), no close() — only the journal
         # frames flushed at drain-end survive.
         persister.journal.close()
-        assert not os.path.exists(snapshot)
+        assert _header(journal_path) is None
 
-        fresh_cache = SolveCache(path=snapshot)
+        fresh_cache = SolveCache()
         fresh_authority = _authority("h")  # same payoffs, new game ids
         fresh_service = AuthorityService(
             fresh_authority, solve_cache=fresh_cache
         )
-        fresh_persister = WriteBehindPersister(
-            fresh_cache, journal_path, flush_every_drains=1,
-            snapshot_every_drains=None, snapshot_interval=None,
-        )
+        fresh_persister = WriteBehindPersister(fresh_cache, journal_path)
         report = fresh_persister.recover()
         assert report.frames > 0 and not report.rejections
         futures = [fresh_service.submit("jane", f"h{i}") for i in range(3)]
@@ -546,14 +662,11 @@ class TestCrashRecoveryInProcess:
         assert warm == cold
 
     def test_tampered_journal_frame_is_audited_not_served(self, tmp_path):
-        snapshot, journal_path = state_paths(tmp_path / "state")
-        cache = SolveCache(path=snapshot)
+        journal_path = state_path(tmp_path / "state")
+        cache = SolveCache()
         authority = _authority("g", games=1)
         service = AuthorityService(authority, solve_cache=cache)
-        persister = WriteBehindPersister(
-            cache, journal_path, flush_every_drains=1,
-            snapshot_every_drains=None, snapshot_interval=None,
-        )
+        persister = WriteBehindPersister(cache, journal_path)
         service.add_drain_listener(persister.on_drained)
         service.submit("jane", "g0")
         service.drain()
@@ -564,15 +677,12 @@ class TestCrashRecoveryInProcess:
         lines[0] = lines[0][:20] + b"X" + lines[0][21:]
         open(journal_path, "wb").write(b"".join(lines))
 
-        fresh_cache = SolveCache(path=snapshot)
+        fresh_cache = SolveCache()
         fresh_authority = _authority("h", games=1)
         fresh_service = AuthorityService(
             fresh_authority, solve_cache=fresh_cache
         )
-        fresh_persister = WriteBehindPersister(
-            fresh_cache, journal_path, flush_every_drains=1,
-            snapshot_every_drains=None, snapshot_interval=None,
-        )
+        fresh_persister = WriteBehindPersister(fresh_cache, journal_path)
         report = fresh_persister.recover()
         assert len(report.rejections) >= 1
         fresh_service.flush_cache_rejections()
@@ -584,3 +694,102 @@ class TestCrashRecoveryInProcess:
         fresh_service.drain()
         outcome = future.result()
         assert outcome.majority.accepted
+
+
+def _equilibria_by_key() -> list:
+    """Six 2x2 coordination games, each with three exact equilibria:
+    ``(cache key, game, equilibria)``."""
+    found = []
+    for a, b in ((3, 2), (2, 3), (4, 1), (5, 2), (3, 1), (1, 4)):
+        game = BimatrixGame([[a, 0], [0, b]], [[b, 0], [0, a]])
+        key = (game.payoff_fingerprint, "support-enumeration", "exact")
+        found.append((key, game, support_enumeration(game)))
+    return found
+
+
+_EQUILIBRIA = _equilibria_by_key()
+
+
+class PersisterMachine(RuleBasedStateMachine):
+    """One persister over a 4-entry cache and six keys (so stores
+    evict), driven by random steps.
+
+    The model is the file: ``log`` holds ``(key, value)`` in the order
+    the file holds them.  A flush appends what was stored since the
+    last flush, a compaction replaces the log with the cache's entries,
+    and a store that was never flushed is lost to a crash.  After every
+    recovery the cache must hold exactly the newest four keys of the
+    folded log, with their exact values.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.directory = tempfile.mkdtemp(prefix="persister-model-")
+        self.path = os.path.join(self.directory, "journal.jsonl")
+        self.log: list = []
+        self._open()
+
+    def _open(self) -> None:
+        self.cache = SolveCache(max_entries=4)
+        self.persister = WriteBehindPersister(
+            self.cache, self.path, flush_retries=0, backoff_base_s=0.0
+        )
+        self.persister.recover()
+        self.stored: list = []  # committed since the last flush
+        folded: dict = {}
+        for key, value in self.log:
+            folded.pop(key, None)
+            folded[key] = value
+        expected = list(folded.items())[-4:]
+        recovered = [(key, value) for __, key, value in self.cache.entries()]
+        assert [key for key, __ in recovered] == [key for key, __ in expected]
+        for (__, got), (__, want) in zip(recovered, expected):
+            assert got.distributions == want.distributions
+            assert all(type(p) is Fraction
+                       for dist in got.distributions for p in dist)
+
+    @rule(game=st.integers(0, 5), which=st.integers(0, 2))
+    def store(self, game, which):
+        key, __, equilibria = _EQUILIBRIA[game]
+        value = equilibria[which]
+        self.cache.store_profile(*key, value)
+        self.stored.append((key, value))
+
+    @rule(game=st.integers(0, 5))
+    def hit(self, game):
+        key, payoffs, __ = _EQUILIBRIA[game]
+        self.cache.lookup_profile(*key, game=payoffs)
+
+    @rule()
+    def flush(self):
+        self.persister.flush()
+        self.log.extend(self.stored)
+        self.stored = []
+
+    @rule()
+    def compact(self):
+        self.persister.snapshot()
+        self.log = [(key, value) for __, key, value in self.cache.entries()]
+        self.stored = []
+
+    @rule()
+    def crash(self):
+        self.persister.journal.close()  # releases the fd, writes nothing
+        self._open()
+
+    @rule()
+    def close_and_reopen(self):
+        self.persister.close()
+        self.log = [(key, value) for __, key, value in self.cache.entries()]
+        self._open()
+
+    def teardown(self):
+        self.persister.journal.close()
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+
+PersisterMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+TestPersisterModel = PersisterMachine.TestCase

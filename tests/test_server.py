@@ -28,8 +28,9 @@ from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
-from repro.server import ThreadedServer, WriteBehindPersister, state_paths
+from repro.server import ThreadedServer, WriteBehindPersister, state_path
 from repro.service import AuthorityService, SolveCache, faults
+from repro.service.persistence import read_state_file
 
 GAMES = 6
 
@@ -328,14 +329,11 @@ class TestBackpressure:
 
 class TestGracefulShutdown:
     def test_stop_flushes_snapshots_and_audits(self, tmp_path):
-        snapshot, journal = state_paths(tmp_path / "state")
-        cache = SolveCache(path=snapshot)
+        journal = state_path(tmp_path / "state")
+        cache = SolveCache()
         authority = build_authority()
         service = AuthorityService(authority, solve_cache=cache)
-        persister = WriteBehindPersister(
-            cache, journal, flush_every_drains=1,
-            snapshot_every_drains=None, snapshot_interval=None,
-        )
+        persister = WriteBehindPersister(cache, journal, flush_every_drains=1)
         threaded = ThreadedServer(service, persister=persister).start()
         client = Client(threaded.port)
         status, body, _ = client.request(
@@ -344,9 +342,13 @@ class TestGracefulShutdown:
         assert status == 200
         client.close()
         threaded.stop()
-        # The final snapshot landed and subsumed the journal.
-        assert os.path.exists(snapshot)
-        assert os.path.getsize(journal) == 0
+        # The final compaction left one file whose header covers every
+        # entry.
+        assert os.listdir(tmp_path / "state") == ["journal.jsonl"]
+        with open(journal, "rb") as handle:
+            header = json.loads(handle.readline())
+        assert header["frames"] == len(cache) >= 1
+        assert read_state_file(journal)[1].frames == len(cache)
         shutdown = authority.audit.events_of(EVENT_SERVER_SHUTDOWN)
         assert len(shutdown) == 1
         assert shutdown[0].details["completed"] == 1
@@ -412,14 +414,11 @@ class TestGracefulShutdown:
         service.authority.close()
 
     def test_admin_snapshot_with_persister(self, tmp_path):
-        snapshot, journal = state_paths(tmp_path / "state")
-        cache = SolveCache(path=snapshot)
+        journal = state_path(tmp_path / "state")
+        cache = SolveCache()
         authority = build_authority()
         service = AuthorityService(authority, solve_cache=cache)
-        persister = WriteBehindPersister(
-            cache, journal, snapshot_every_drains=None,
-            snapshot_interval=None,
-        )
+        persister = WriteBehindPersister(cache, journal)
         with ThreadedServer(service, persister=persister) as threaded:
             client = Client(threaded.port)
             try:
@@ -429,7 +428,9 @@ class TestGracefulShutdown:
                 status, body, _ = client.request("POST", "/admin/snapshot")
                 assert status == 200 and body["entries"] >= 1
                 assert body["persistence"]["snapshots"] >= 1
-                assert os.path.exists(snapshot)
+                with open(journal, "rb") as handle:
+                    header = json.loads(handle.readline())
+                assert header["frames"] == body["entries"]
             finally:
                 client.close()
         authority.close()
