@@ -17,7 +17,7 @@ prove on their own:
 
 The service screens in process and verifies inline on the draining
 thread on every interpreter, so one round trip covers the only serving
-path; ``REPRO_FORCE_SERIAL`` changes nothing here.
+path.
 
 Exit status: 0 on success, 1 on any mismatch (a restarted authority
 that forgot — or worse, changed — its advice is a failed guard).

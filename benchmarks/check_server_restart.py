@@ -18,8 +18,7 @@ against real processes*:
   served entry, and no ``snapshot.json`` exists.
 
 The server screens in process and verifies inline on its drain
-thread on every interpreter, so one run covers the only serving path;
-``REPRO_FORCE_SERIAL`` changes nothing here.
+thread on every interpreter, so one run covers the only serving path.
 
 Exit status: 0 on success, 1 on any violated gate.
 

@@ -95,8 +95,7 @@ REGISTRY: dict[str, str] = {
     EVENT_CALLBACK_FAILED:
         "A future's done-callback raised; surfaced instead of swallowed.",
     EVENT_BACKPRESSURE:
-        "An admission was shed, blocked, or timed out at the "
-        "high-water mark.",
+        "An admission was shed at the high-water mark.",
     EVENT_DEADLINE_EXCEEDED:
         "A consultation's wall-clock budget lapsed; the solve was "
         "abandoned.",

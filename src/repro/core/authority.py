@@ -179,7 +179,7 @@ class RationalityAuthority:
         with a fresh cross-run
         :class:`~repro.service.cache.SolveCache` attached to every
         cacheable inventor).  Hosts that want different service
-        parameters — a shared cache, backpressure, deadlines —
+        parameters — a shared cache, a high-water mark —
         construct their own ``AuthorityService(authority, ...)``
         instead; the synchronous :meth:`consult` / :meth:`consult_many`
         shims always use this default instance.
@@ -241,8 +241,7 @@ class RationalityAuthority:
     def close(self) -> None:
         """Close the consultation service, if one was started.
 
-        The service's queue drains, its deadline workers retire and a
-        path-bound cache is saved (see
+        The service's queue drains and a path-bound cache is saved (see
         :meth:`~repro.service.service.AuthorityService.close`).  Hosts
         should ``close()`` the authority — or use it as a context
         manager — when consultations are done.  Closing is idempotent,

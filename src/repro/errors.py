@@ -83,12 +83,11 @@ class ProtocolError(ReproError):
 
 
 class AdmissionError(ProtocolError):
-    """The consultation service refused (or timed out) an admission.
+    """The consultation service refused an admission.
 
-    Raised by :meth:`~repro.service.service.AuthorityService.submit` when
-    the pending queue sits at its configured high-water mark and the
-    backpressure policy is ``"raise"`` — or when a ``"block"``\\ ing
-    admission exceeds its wait budget.  The shed load is recorded in the
+    Raised by :meth:`~repro.service.service.AuthorityService.submit` and
+    ``submit_many`` when the admission would take the pending queue past
+    its configured high-water mark.  The shed load is recorded in the
     audit log (``service.admission.backpressure``), so refusing work is
     an accountable act, not a silent drop."""
 
@@ -119,8 +118,8 @@ class FaultInjected(ReproError):
     one catch, and deliberately its own leaf so production code never
     handles it specially by accident — resilience paths must react to
     the *native* failure dialects (``OSError``,
-    :class:`PersistenceError`, ``BrokenProcessPool``), which a
-    :class:`~repro.service.faults.FaultSpec` can also speak.
+    :class:`PersistenceError`, ``RuntimeError``, ``SystemExit``), which
+    a :class:`~repro.service.faults.FaultSpec` can also speak.
     """
 
 

@@ -37,8 +37,8 @@ Failure semantics map onto status codes: an
 :class:`AdmissionError` from the service's high-water mark is a
 **429** with a ``Retry-After`` hint; a starting-or-stopping server
 answers admissions with **503**; a consultation that outran its
-``deadline_ms`` (accepted per-request in ``/consult`` bodies, or set
-service-wide) resolves to a typed
+``deadline_ms`` (accepted per-request in ``/consult`` and
+``/consult_many`` bodies) resolves to a typed
 :class:`~repro.errors.DeadlineExceeded` and maps to **504** +
 ``Retry-After``.
 
@@ -82,6 +82,17 @@ from repro.server.wire import (
 )
 from repro.service import faults
 from repro.service.service import MAX_DEADLINE_MS
+
+#: The largest request body the server reads; a longer one is a 413.
+MAX_BODY_BYTES = 1 << 20
+
+#: Futures kept for ``GET /futures/<id>``; past it, registering a new
+#: one first drops resolved ones.
+MAX_FUTURES = 4096
+
+#: Seconds the shutdown gives in-flight handlers to write their
+#: (resolved) responses.
+SHUTDOWN_GRACE_S = 10.0
 
 #: Reason phrases for the handful of statuses the server emits.
 _REASONS = {
@@ -141,27 +152,13 @@ class AuthorityHTTPServer:
 
     def __init__(self, service, host: str = "127.0.0.1", port: int = 0,
                  persister=None, long_poll_timeout: float = 30.0,
-                 poll_interval: float = 1.0,
-                 max_body_bytes: int = 1 << 20,
-                 max_futures: int = 4096,
-                 shutdown_grace: float = 10.0,
-                 drain_batch_limit: int | None = 1):
+                 poll_interval: float = 1.0):
         self._service = service
-        # How many admission batches each pump drain pops.  The default
-        # of 1 keeps the write-behind loss bound honest: an unbounded
-        # drain absorbs batches admitted while it runs, stretching the
-        # "one flush interval" a crash may lose across arbitrarily many
-        # responses.  None restores drain-to-empty (fewer fsyncs,
-        # weaker bound).
-        self._drain_batch_limit = drain_batch_limit
         self.host = host
         self.port = port  # rebound to the real port after start()
         self._persister = persister
         self._long_poll_timeout = long_poll_timeout
         self._poll_interval = poll_interval
-        self._max_body = max_body_bytes
-        self._max_futures = max_futures
-        self._shutdown_grace = shutdown_grace
         self._server: asyncio.base_events.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._pump_task: asyncio.Task | None = None
@@ -294,7 +291,7 @@ class AuthorityHTTPServer:
             *(t for t in (self._pump_task, self._timer_task) if t),
             return_exceptions=True,
         )
-        deadline = loop.time() + self._shutdown_grace
+        deadline = loop.time() + SHUTDOWN_GRACE_S
         self._hung_up = True
         for writer in tuple(self._idle):
             writer.close()  # its handler reads EOF and returns
@@ -324,7 +321,8 @@ class AuthorityHTTPServer:
     # ------------------------------------------------------------------
 
     async def _pump(self) -> None:
-        """The continuous drain: wakes on admission, drains to empty.
+        """The continuous drain: wakes on admission, drains the queue
+        one admission batch per iteration.
 
         This is what makes the server *always-on*: clients never pump
         (``future.result()``) — they submit and passively await, and
@@ -352,9 +350,13 @@ class AuthorityHTTPServer:
                     failures = 0
 
     def _pump_once(self) -> None:
-        """One pump iteration (executor thread): hook, then drain."""
+        """One pump iteration (executor thread): hook, then drain one
+        admission batch.  An unbounded drain would absorb the batches
+        admitted while it runs, so a crash could lose the journal
+        frames of arbitrarily many answered requests; one batch per
+        drain bounds the loss to one batch."""
         faults.check("pump.iteration")
-        self._service.drain(self._drain_batch_limit)
+        self._service.drain(max_batches=1)
 
     async def _durability_timer(self) -> None:
         """Idle-time persistence: poll the write-behind cadence so a
@@ -518,7 +520,7 @@ class AuthorityHTTPServer:
                 raise _HTTPError(400, "bad content-length") from None
             if size < 0:
                 raise _HTTPError(400, "bad content-length")
-            if size > self._max_body:
+            if size > MAX_BODY_BYTES:
                 raise _HTTPError(413, "body too large")
             body = await reader.readexactly(size)
         return method, target, headers, body
@@ -733,17 +735,17 @@ class AuthorityHTTPServer:
             )
 
     def _register(self, future) -> None:
-        if len(self._futures) >= self._max_futures:
+        if len(self._futures) >= MAX_FUTURES:
             for fid, tracked in list(self._futures.items()):
                 if tracked.done():
                     self._futures.pop(fid, None)
-                if len(self._futures) < self._max_futures:
+                if len(self._futures) < MAX_FUTURES:
                     break
         self._futures[future_id(future)] = future
 
     @staticmethod
     def _deadline_param(params: dict) -> float | None:
-        """Parse an optional ``deadline_ms`` body field (None = default).
+        """Parse an optional ``deadline_ms`` body field (None = none).
 
         ``json.loads`` accepts ``NaN`` and ``Infinity``; the range check
         refuses both.

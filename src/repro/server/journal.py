@@ -52,6 +52,7 @@ from repro.service.persistence import (
     CacheLoadReport,
     encode_journal_frame,
     fsync_directory,
+    remove_stale_temp_files,
     write_state_file,
 )
 
@@ -267,12 +268,14 @@ class WriteBehindPersister:
         behind a prefix the reader refuses would be refused with it.
         Every rejection is also counted into the cache's
         ``load_rejected`` stat and queued for the ``cache.load.rejected``
-        audit trail.
+        audit trail.  The temp files of compactions a crash cut short
+        are deleted first: the persister is the file's only writer, so
+        none of them belongs to a live write.
         """
-        old = os.path.join(
-            os.path.dirname(self.journal.path), _OLD_SNAPSHOT_FILENAME
-        )
+        directory = os.path.dirname(self.journal.path) or "."
+        old = os.path.join(directory, _OLD_SNAPSHOT_FILENAME)
         with self._persist_lock:
+            remove_stale_temp_files(directory)
             migrate = os.path.exists(old)
             if migrate:
                 self.cache.restore(old)
@@ -285,7 +288,7 @@ class WriteBehindPersister:
                 compacted = self.guarded_snapshot() is not None
                 if compacted and migrate:
                     os.unlink(old)
-                    fsync_directory(os.path.dirname(old) or ".")
+                    fsync_directory(directory)
         return report
 
     # ------------------------------------------------------------------

@@ -130,8 +130,9 @@ class CacheStats:
 class SolveCache:
     """Cross-run cache of certified solves and equilibrium sets.
 
-    ``max_entries`` bounds each of the profile and set stores
-    (least-recently-used entries are evicted) so an always-on service
+    ``max_entries`` bounds the profiles and the sets, live and pending
+    together for each (pending loaded entries are evicted first, then
+    the least-recently-used live ones) so an always-on service
     answering a long stream of mostly-distinct games holds steady
     memory; ``None`` removes the bound.  Eviction only ever costs a
     re-solve — an evicted entry's next lookup is an ordinary miss.
@@ -179,10 +180,13 @@ class SolveCache:
         """Mark ``key`` most-recently-used (dicts iterate oldest-first)."""
         store[key] = store.pop(key)
 
-    def _evict(self, store: dict) -> None:
+    def _evict(self, live: dict, pending: dict) -> None:
+        """Bound one kind's live plus pending entries by ``max_entries``:
+        pending entries go first, oldest first, then the oldest live."""
         if self._max_entries is None:
             return
-        while len(store) > self._max_entries:
+        while len(live) + len(pending) > self._max_entries:
+            store = pending if pending else live
             store.pop(next(iter(store)))
 
     def _note_rejection(self, **details) -> None:
@@ -268,7 +272,7 @@ class SolveCache:
                 return None
             self.stats.hits += 1
             self._profiles[key] = certified
-            self._evict(self._profiles)
+            self._evict(self._profiles, self._pending_profiles)
         return certified
 
     def store_profile(
@@ -278,7 +282,7 @@ class SolveCache:
             key = (fingerprint, method, mode)
             self._pending_profiles.pop(key, None)
             self._profiles[key] = profile
-            self._evict(self._profiles)
+            self._evict(self._profiles, self._pending_profiles)
             self._note_update("profile", key, profile)
 
     def note_solved(self) -> None:
@@ -336,7 +340,7 @@ class SolveCache:
                 with self._lock:
                     self.stats.set_hits += 1
                     self._sets[key] = pending
-                    self._evict(self._sets)
+                    self._evict(self._sets, self._pending_sets)
                 return pending
             with self._lock:
                 self._note_rejection(
@@ -353,7 +357,7 @@ class SolveCache:
             else:
                 self.stats.set_misses += 1
                 self._sets[key] = result
-                self._evict(self._sets)
+                self._evict(self._sets, self._pending_sets)
                 self._note_update("set", key, result)
         return result
 
@@ -437,26 +441,27 @@ class SolveCache:
         return state, report
 
     def merge_pending_state(self, state: CacheState) -> int:
-        """Merge decoded warm state into the *pending* stores; entry count.
+        """Merge decoded warm state into the *pending* stores; returns
+        how many of its entries the cache now holds pending.
 
         Profiles and sets become pending — each re-certified through the
         Lemma-1 gate against the requesting caller's actual game before
         first serve.  Live entries are never displaced by loaded ones.
         """
-        merged = 0
         with self._lock:
             limit = self._max_entries
             for key, profile in _newest(state.profiles, limit).items():
                 if key not in self._profiles:
                     self._pending_profiles[key] = profile
-                    self._evict(self._pending_profiles)
-                    merged += 1
+                    self._evict(self._profiles, self._pending_profiles)
             for key, profiles in _newest(state.sets, limit).items():
                 if key not in self._sets:
                     self._pending_sets[key] = profiles
-                    self._evict(self._pending_sets)
-                    merged += 1
-        return merged
+                    self._evict(self._sets, self._pending_sets)
+            return (
+                sum(key in self._pending_profiles for key in state.profiles)
+                + sum(key in self._pending_sets for key in state.sets)
+            )
 
     def drain_rejections(self) -> list[dict]:
         """Pop the queued load/serve rejection details (for audit)."""

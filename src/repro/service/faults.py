@@ -77,26 +77,18 @@ ACTIONS = ("raise", "hang", "corrupt")
 BYTE_POINTS = ("journal.append", "snapshot.write", "cache.load")
 
 
-def _broken_pool() -> type:
-    from concurrent.futures.process import BrokenProcessPool
-
-    return BrokenProcessPool
-
-
 #: Named exception types a ``raise`` spec may choose.  ``fault`` (the
 #: default) is the typed chaos error; the rest let a plan speak each
-#: subsystem's native failure dialect — ``broken-pool`` raises what a
-#: dead process pool raises (an ordinary ``Exception``, routed into the
-#: failing consultation's future), ``oserror`` exercises the journal's
-#: disk-failure retry/degrade path, ``system-exit`` a crash that escapes
-#: ``except Exception`` routing (the drain fails every outstanding
-#: future, then re-raises).
+#: subsystem's native failure dialect — ``runtime`` an ordinary
+#: ``Exception`` routed into the failing consultation's future,
+#: ``oserror`` exercises the journal's disk-failure retry/degrade path,
+#: ``system-exit`` a crash that escapes ``except Exception`` routing
+#: (the drain fails every outstanding future, then re-raises).
 _ERROR_FACTORIES = {
     "fault": lambda: FaultInjected,
     "runtime": lambda: RuntimeError,
     "oserror": lambda: OSError,
     "persistence": lambda: PersistenceError,
-    "broken-pool": _broken_pool,
     "system-exit": lambda: SystemExit,
 }
 

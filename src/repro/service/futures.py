@@ -42,10 +42,9 @@ class ConsultationFuture:
         self.game_id = game_id
         #: Pending submissions ahead of this one at admission time.
         self.queue_depth = queue_depth
-        #: The effective wall-clock budget (request's own, or the
-        #: service default), for the wire payloads; ``None`` = none.
-        #: An expired submission resolves to
-        #: :class:`~repro.errors.DeadlineExceeded`.
+        #: The request's wall-clock budget in milliseconds, for the
+        #: wire payloads; ``None`` = none.  An expired submission
+        #: resolves to :class:`~repro.errors.DeadlineExceeded`.
         self.deadline_ms = deadline_ms
         self._service = service
         self._inner: concurrent.futures.Future = concurrent.futures.Future()

@@ -17,14 +17,11 @@ The harness composes three orthogonal pieces:
   (same shape, one perturbed cell — a cold search again), built on
   :mod:`repro.games.generators`;
 * **the driver** — :func:`run_load`: a submitter thread admits per the
-  schedule while the calling thread pumps ``service.drain()``;
-  per-consultation latency comes straight off the existing
+  schedule while the calling thread pumps ``service.drain()``, so a
+  drain never delays an arrival; per-consultation latency comes
+  straight off the existing
   :class:`~repro.service.futures.ConsultationFuture` telemetry
-  (admission to resolution, queue wait included).  Under
-  ``REPRO_FORCE_SERIAL`` (see :func:`pools_disabled`), or when threads
-  are unavailable, the driver degrades to a paced inline loop and says
-  so in the report's ``mode`` — open-loop evidence needs a second
-  thread; the fallback keeps the harness *runnable* everywhere.
+  (admission to resolution, queue wait included).
 
 :func:`find_saturation` walks an offered-rate ladder and reports the
 last sustained rate and the first rate whose p99 exceeds the bound —
@@ -37,7 +34,6 @@ shed (backpressured) submissions separately from completed ones.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -55,17 +51,9 @@ KIND_REPEAT = "repeat"
 KIND_NEAR = "near"
 
 
-def pools_disabled() -> bool:
-    """True when ``REPRO_FORCE_SERIAL`` asks for single-threaded runs.
-
-    :func:`run_load`'s ``"auto"`` mode reads it to pace arrivals on the
-    draining thread instead of a submitter thread, so a bare-interpreter
-    CI leg exercises the inline fallback.  The conventional falsy
-    spellings (``0``, ``false``, ``no``, empty) leave threads enabled,
-    so a CI matrix can set the variable on both legs.
-    """
-    value = os.environ.get("REPRO_FORCE_SERIAL", "")
-    return value.strip().lower() not in ("", "0", "false", "no")
+#: Seconds the draining caller of :func:`run_load` sleeps when a drain
+#: found the queue empty and arrivals are still due.
+_DRAIN_POLL_S = 0.0005
 
 
 # ----------------------------------------------------------------------
@@ -101,15 +89,6 @@ class ArrivalSchedule:
             return float("inf")
         return (len(self.offsets) - 1) / self.span_s
 
-    def scaled(self, time_scale: float) -> "ArrivalSchedule":
-        """The same schedule with every offset multiplied by the factor."""
-        if time_scale <= 0:
-            raise GameError("time_scale must be positive")
-        return ArrivalSchedule(
-            offsets=tuple(offset * time_scale for offset in self.offsets),
-            label=f"{self.label}*{time_scale:g}",
-        )
-
 
 def poisson_arrivals(rate: float, count: int, seed: int) -> ArrivalSchedule:
     """Poisson arrivals at ``rate`` per second (exponential gaps)."""
@@ -135,7 +114,7 @@ def bursty_arrivals(burst_size: int, bursts: int, gap_s: float,
     ``within_s > 0`` spreads each burst's arrivals uniformly (seeded)
     across that window instead of landing them on one instant — the
     queue still spikes, but admission timestamps differ, which is what
-    exercises backpressure and the controller's depth signal.
+    exercises the high-water mark.
     """
     if burst_size < 1 or bursts < 1:
         raise GameError("need at least one arrival per burst and one burst")
@@ -265,12 +244,9 @@ class LoadReport:
     consultations' end-to-end latencies; ``shed`` counts submissions
     the service refused under backpressure (they are *offered* load,
     so they count toward ``offered_rate`` but not ``throughput``).
-    ``mode`` is ``"open-loop"`` (submitter thread + draining caller)
-    or ``"inline"`` (the single-threaded paced fallback).
     """
 
     label: str
-    mode: str
     submitted: int
     completed: int
     failed: int
@@ -306,90 +282,54 @@ class LoadReport:
 
 
 def run_load(service, agent_name: str, stream: Sequence[StreamEntry],
-             schedule: ArrivalSchedule, time_scale: float = 1.0,
-             mode: str = "auto", drain_poll_s: float = 0.0005) -> LoadReport:
+             schedule: ArrivalSchedule) -> LoadReport:
     """Drive one open-loop run; returns the measured :class:`LoadReport`.
 
     ``stream`` entries must already be published (see
     :func:`publish_stream`) — publishing is setup, not load.  Arrival
     ``i`` submits stream entry ``i``; the schedule and stream must be
-    equally long.  ``time_scale`` stretches (or compresses) the whole
-    schedule without re-deriving it, so one seeded schedule serves a
-    rate ladder.
+    equally long.
 
-    The caller's thread is the drainer: it pumps ``service.drain()``
-    until the submitter thread finishes and the queue is empty.  With
-    ``mode="inline"`` (or forced serial / thread-less interpreters) the
-    arrivals are paced on the single thread instead — drains then delay
-    admissions, so the run is open-loop in intent only and the report
-    says so.
+    A submitter thread admits each arrival when its offset is due; the
+    caller's thread is the drainer: it pumps ``service.drain()`` until
+    the submitter finishes and the queue is empty.
     """
     if len(stream) != len(schedule):
         raise GameError("stream and schedule lengths must match")
-    if mode not in ("auto", "open-loop", "inline"):
-        raise GameError(f"unknown load mode {mode!r}")
-    if time_scale != 1.0:
-        schedule = schedule.scaled(time_scale)
-    if mode == "auto":
-        mode = "inline" if pools_disabled() else "open-loop"
     futures: list = [None] * len(stream)
     shed: list[int] = []
+    started = time.perf_counter()
+    done = threading.Event()
 
-    def admit(index: int) -> None:
+    def submitter() -> None:
         try:
-            futures[index] = service.submit(
-                agent_name, stream[index].game_id
-            )
-        except AdmissionError:
-            shed.append(index)
+            for index, offset in enumerate(schedule.offsets):
+                delay = offset - (time.perf_counter() - started)
+                if delay > 0:
+                    time.sleep(delay)
+                try:
+                    futures[index] = service.submit(
+                        agent_name, stream[index].game_id
+                    )
+                except AdmissionError:
+                    shed.append(index)
+        finally:
+            done.set()
 
-    if mode == "open-loop":
-        started = time.perf_counter()
-        done = threading.Event()
-
-        def submitter() -> None:
-            try:
-                for index, offset in enumerate(schedule.offsets):
-                    delay = offset - (time.perf_counter() - started)
-                    if delay > 0:
-                        time.sleep(delay)
-                    admit(index)
-            finally:
-                done.set()
-
-        thread = threading.Thread(
-            target=submitter, name="repro-load-submitter", daemon=True
-        )
-        try:
-            thread.start()
-        except RuntimeError:
-            mode = "inline"  # no threads: pace on this thread instead
-        else:
-            while not done.is_set() or service.pending_count:
-                if service.drain() == 0 and not done.is_set():
-                    time.sleep(drain_poll_s)
-            thread.join()
-            service.drain()  # late admissions between the final checks
-            duration = time.perf_counter() - started
-    if mode == "inline":
-        started = time.perf_counter()
-        index = 0
-        while index < len(stream):
-            due = schedule.offsets[index] - (time.perf_counter() - started)
-            if due > 0:
-                time.sleep(due)
-            while index < len(stream) and schedule.offsets[index] \
-                    <= time.perf_counter() - started:
-                admit(index)
-                index += 1
-            service.drain()
-        service.drain()
-        duration = time.perf_counter() - started
-    return _report(stream, schedule, futures, shed, duration, mode)
+    thread = threading.Thread(
+        target=submitter, name="repro-load-submitter", daemon=True
+    )
+    thread.start()
+    while not done.is_set() or service.pending_count:
+        if service.drain() == 0 and not done.is_set():
+            time.sleep(_DRAIN_POLL_S)
+    thread.join()
+    service.drain()  # late admissions between the final checks
+    duration = time.perf_counter() - started
+    return _report(stream, schedule, futures, shed, duration)
 
 
-def _report(stream, schedule, futures, shed, duration: float,
-            mode: str) -> LoadReport:
+def _report(stream, schedule, futures, shed, duration: float) -> LoadReport:
     latencies = []
     cache_counts: dict[str, int] = {}
     kind_counts: dict[str, int] = {}
@@ -409,7 +349,6 @@ def _report(stream, schedule, futures, shed, duration: float,
         kind_counts[entry.kind] = kind_counts.get(entry.kind, 0) + 1
     return LoadReport(
         label=schedule.label,
-        mode=mode,
         submitted=len(stream) - len(shed),
         completed=completed,
         failed=failed,

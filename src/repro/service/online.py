@@ -57,8 +57,8 @@ class BurstLinkAdviser:
     future with a :class:`VerifiedLinkAdvice`, and advances the
     tracked load trajectory.
 
-    ``max_pending`` mirrors the core service's admission backpressure:
-    past that many undrained arrivals :meth:`submit` raises
+    ``max_pending`` mirrors the core service's high-water mark: past
+    that many undrained arrivals :meth:`submit` raises
     :class:`~repro.errors.AdmissionError` (audited as
     ``service.admission.backpressure`` when an audit log is attached),
     so an open-loop arrival stream sheds load instead of growing an
@@ -102,7 +102,7 @@ class BurstLinkAdviser:
                     EVENT_BACKPRESSURE,
                     action="rejected", requested=1,
                     pending=len(self._pending),
-                    high_water=self._max_pending, policy="raise",
+                    high_water=self._max_pending,
                 )
             raise AdmissionError(
                 f"burst adviser at high-water mark "

@@ -417,6 +417,28 @@ def fsync_directory(directory) -> None:
         os.close(fd)
 
 
+#: :func:`write_state_file` writes through a temp file named with this
+#: prefix and suffix in the target's directory.
+_TEMP_PREFIX, _TEMP_SUFFIX = ".solve-cache-", ".tmp"
+
+
+def remove_stale_temp_files(directory) -> None:
+    """Unlink the temp files a crashed :func:`write_state_file` left in
+    ``directory``.
+
+    Only for a directory whose state file has one writer, the caller,
+    and before that writer starts: a live write's temp file would go
+    too.
+    """
+    try:
+        names = os.listdir(directory)
+    except FileNotFoundError:
+        return  # nothing was ever written there
+    for name in names:
+        if name.startswith(_TEMP_PREFIX) and name.endswith(_TEMP_SUFFIX):
+            os.unlink(os.path.join(directory, name))
+
+
 def write_state_file(path, frames) -> int:
     """Atomically replace ``path`` with a header and ``frames``; bytes written.
 
@@ -425,7 +447,8 @@ def write_state_file(path, frames) -> int:
     file lands via temp-file-in-the-same-directory + fsync +
     ``os.replace``, so concurrent readers — and a reader after a
     mid-write crash — see either the old complete file or the new one;
-    a crash leaves at most a stale ``.tmp`` file, which no reader opens.
+    a crash leaves at most a stale ``.tmp`` file, which no reader opens
+    (a server's recovery deletes it: :func:`remove_stale_temp_files`).
     The directory is fsynced after the replace: the *rename* lives in
     the directory, and an unsynced entry can vanish on power loss,
     silently resurrecting the old file.
@@ -441,7 +464,7 @@ def write_state_file(path, frames) -> int:
     data = faults.filter_bytes("snapshot.write", header + b"\n" + body)
     directory = os.path.dirname(path) or "."
     fd, tmp_path = tempfile.mkstemp(
-        prefix=".solve-cache-", suffix=".tmp", dir=directory
+        prefix=_TEMP_PREFIX, suffix=_TEMP_SUFFIX, dir=directory
     )
     try:
         with os.fdopen(fd, "wb") as handle:

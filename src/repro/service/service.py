@@ -15,8 +15,8 @@ inventors advise, verifiers certify — not a batch script.
   Certification costs a small fraction of a solve, so there is nothing
   to gain from moving it off the draining thread, and it stays exact
   (Fractions/int-lattice only) and in this process;
-* admission applies **backpressure** past ``max_pending``
-  (:class:`~repro.errors.AdmissionError`, or blocking, per policy);
+* admission past ``max_pending`` is refused with
+  :class:`~repro.errors.AdmissionError`;
 * ``asyncio`` callers get the same core via :meth:`async_consult`,
   :meth:`async_consult_many`, :meth:`aclose` and ``async with``.
 
@@ -39,7 +39,7 @@ type.  One record thus says both where a consultation's time went
 (search against verify against queue) and why its verdict was reached;
 drain-level figures such as hit rates and latency percentiles are
 aggregates over these records.  The session's blame records precede
-it.  Shed or blocked admissions append
+it.  Refused admissions append
 ``service.admission.backpressure``, and lapsed deadlines
 ``service.deadline.exceeded``.  Batch submissions keep emitting the
 same per-inventor ``consultation.batch`` records (and
@@ -49,8 +49,6 @@ same per-inventor ``consultation.batch`` records (and
 from __future__ import annotations
 
 import asyncio
-import math
-import queue
 import threading
 import time
 from collections import deque
@@ -109,139 +107,6 @@ class _Batch:
     batched: bool = False
 
 
-class _DeadlineRunner:
-    """Bounded-wait execution of solves that carry a deadline.
-
-    Python cannot interrupt a compute-bound solve, so a deadline is
-    enforced by *abandonment*: the solve runs on a reusable worker
-    thread while the drain waits at most ``timeout`` seconds; on
-    expiry the drain walks away (resolving the consultation to
-    :class:`~repro.errors.DeadlineExceeded`) and the worker finishes
-    in the background, discards its result into the already-resolved
-    future, and rejoins the idle pool.  Submissions *without* a
-    deadline never come here — they take the exact inline path the
-    service always had, so the no-deadline stream stays bit-identical.
-
-    Workers are recycled (checkout from an idle stack, spawn when
-    empty, cap the idle stack at :data:`_MAX_IDLE`) so a deadline-heavy
-    stream pays thread startup rarely, and an abandoned worker — still
-    busy past its drain — simply is not in the idle stack until its
-    task completes.
-    """
-
-    _MAX_IDLE = 4
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._idle: list[_DeadlineWorker] = []
-        self._spawned = 0
-        self._closed = False
-
-    def execute(self, fn, timeout: float):
-        """Run ``fn()`` with a wall-clock bound; (done, result, error).
-
-        ``done`` False means the budget lapsed and the worker was
-        abandoned (it keeps running; its result is discarded).
-        """
-        with self._lock:
-            if self._closed:
-                raise ProtocolError("deadline runner is closed")
-            worker = self._idle.pop() if self._idle else None
-            if worker is None:
-                self._spawned += 1
-                worker = _DeadlineWorker(self, self._spawned)
-        return worker.run(fn, timeout)
-
-    def _recycle(self, worker: "_DeadlineWorker") -> bool:
-        """Return a finished worker to the idle stack; False = retire."""
-        with self._lock:
-            if self._closed or len(self._idle) >= self._MAX_IDLE:
-                return False
-            self._idle.append(worker)
-            return True
-
-    def close(self) -> None:
-        """Retire the idle workers (abandoned ones die on completion)."""
-        with self._lock:
-            self._closed = True
-            idle, self._idle = self._idle, []
-        for worker in idle:
-            worker.retire()
-
-
-class _DeadlineTask:
-    """One solve handed to a deadline worker.
-
-    The ``claim`` lock arbitrates the timeout race atomically: exactly
-    one side — the waiting drain (completion in time) or the worker
-    (completion after abandonment) — owns the post-task handoff, so a
-    solve finishing in the same instant the wait expires is still
-    delivered, never dropped *and* recycled twice.
-    """
-
-    __slots__ = ("fn", "done", "result", "error", "claim", "abandoned")
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.done = threading.Event()
-        self.result = None
-        self.error: BaseException | None = None
-        self.claim = threading.Lock()
-        self.abandoned = False
-
-
-class _DeadlineWorker:
-    """One reusable thread of the :class:`_DeadlineRunner`."""
-
-    def __init__(self, runner: _DeadlineRunner, index: int):
-        self._runner = runner
-        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
-        self._thread = threading.Thread(
-            target=self._loop,
-            name=f"repro-deadline-{index}",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def run(self, fn, timeout: float):
-        """(done, result, error); done False = abandoned past budget."""
-        task = _DeadlineTask(fn)
-        self._tasks.put(task)
-        if not task.done.wait(timeout):
-            with task.claim:
-                if not task.done.is_set():
-                    # The worker is still solving: walk away.  It will
-                    # see ``abandoned`` and recycle itself on finish.
-                    task.abandoned = True
-                    return False, None, None
-            # Finished in the same instant the wait expired — a result
-            # we already paid for; deliver it.
-        if not self._runner._recycle(self):
-            self.retire()
-        return True, task.result, task.error
-
-    def retire(self) -> None:
-        self._tasks.put(None)
-
-    def _loop(self) -> None:
-        while True:
-            task = self._tasks.get()
-            if task is None:
-                return
-            try:
-                task.result = task.fn()
-            except BaseException as exc:
-                task.error = exc
-            with task.claim:
-                task.done.set()
-                abandoned = task.abandoned
-            if abandoned:
-                # Nobody is waiting; the result is discarded.  Rejoin
-                # the idle pool (or retire when it is full/closed).
-                if not self._runner._recycle(self):
-                    return
-
-
 def _advice_facts(advice) -> dict:
     """The provenance of a delivered advice, for the completed record."""
     return {
@@ -254,11 +119,6 @@ def _advice_facts(advice) -> dict:
     }
 
 
-#: Backpressure policies for ``AuthorityService(max_pending=...)``.
-BACKPRESSURE_RAISE = "raise"
-BACKPRESSURE_BLOCK = "block"
-
-
 class AuthorityService:
     """Async, future-based consultation facade over one authority.
 
@@ -266,8 +126,7 @@ class AuthorityService:
     audit record order matches the synchronous shims.
     ``solve_cache`` supplies a cross-run
     :class:`~repro.service.cache.SolveCache` (one is created when
-    omitted); ``attach_cache=False`` leaves the inventors' caching
-    exactly as constructed.
+    omitted); the service attaches it to every registered inventor.
 
     ``cache_path`` makes the service's warm state persistent: a
     :class:`~repro.service.cache.SolveCache` bound to that file is
@@ -278,55 +137,31 @@ class AuthorityService:
     explicit ``solve_cache``, not both — a caller-owned cache manages
     its own persistence.
 
-    ``max_pending`` arms admission backpressure at a fixed high-water
-    mark with the ``backpressure`` policy (``"raise"`` refuses with
-    :class:`~repro.errors.AdmissionError`; ``"block"`` waits — up to
-    ``block_timeout`` seconds, forever when ``None`` — until the
-    pending count falls to ``max_pending // 2``; blocking needs some
-    *other* thread draining, e.g. the load harness's).
+    ``max_pending`` is the admission high-water mark: an admission
+    that would take the pending count past it is refused whole with
+    :class:`~repro.errors.AdmissionError` (audited
+    ``service.admission.backpressure``); ``None`` admits without bound.
 
-    ``default_deadline_ms`` arms per-request deadlines service-wide:
-    every submission without an explicit ``deadline_ms`` inherits it.
-    An expired submission resolves to
+    A submission's ``deadline_ms`` bounds its wall clock from
+    admission.  An expired submission resolves to
     :class:`~repro.errors.DeadlineExceeded` (audited
     ``service.deadline.exceeded``) — immediately when the deadline
-    lapsed in the queue, or after the drain abandons a solve that
-    outran its budget on a watchdog thread — and the drain moves on,
-    so a wedged solve cannot head-of-line-block the service.
-    Submissions without any deadline take the exact inline solve path
-    the service always had.
+    lapsed in the queue, or when its solve outruns the budget: a
+    deadlined solve runs on a thread of its own, which the drain
+    abandons at the deadline, so a wedged solve cannot
+    head-of-line-block the service.  Submissions without a deadline
+    solve inline on the draining thread.
     """
 
     def __init__(self, authority, solve_cache: SolveCache | None = None,
-                 attach_cache: bool = True,
                  cache_path=None,
-                 max_pending: int | None = None,
-                 backpressure: str = BACKPRESSURE_RAISE,
-                 block_timeout: float | None = None,
-                 default_deadline_ms: float | None = None):
-        if default_deadline_ms is not None \
-                and not 0 < default_deadline_ms <= MAX_DEADLINE_MS:
-            # The chained comparison refuses NaN as well.
-            raise ProtocolError(
-                "default_deadline_ms must be positive and at most "
-                f"{MAX_DEADLINE_MS:.0f}"
-            )
+                 max_pending: int | None = None):
         if solve_cache is not None and cache_path is not None:
             raise ProtocolError(
                 "pass either solve_cache or cache_path, not both"
             )
-        if backpressure not in (BACKPRESSURE_RAISE, BACKPRESSURE_BLOCK):
-            raise ProtocolError(
-                f"unknown backpressure policy {backpressure!r}"
-            )
         if max_pending is not None and max_pending < 1:
             raise ProtocolError("max_pending must be positive")
-        if block_timeout is not None and not 0 <= block_timeout < math.inf:
-            # NaN and infinity would reach Condition.wait and raise
-            # there, inside an admission; None is the wait-forever value.
-            raise ProtocolError(
-                "block_timeout must be a finite non-negative number"
-            )
         self._authority = authority
         # The service persists (and audits) only a cache it created;
         # a caller-owned cache manages its own persistence.
@@ -335,30 +170,21 @@ class AuthorityService:
             self.cache = solve_cache
         else:
             self.cache = SolveCache(path=cache_path)
-        self._attach = attach_cache
         self._queue: deque[_Batch] = deque()
         self._admission_lock = threading.Lock()
-        self._headroom = threading.Condition(self._admission_lock)
         self._pending_total = 0  # O(1) mirror of the queued submissions
         self._drain_lock = threading.Lock()
         self._submission_counter = 0
         # Resolved-future counter: bumped by each future at resolution
-        # (drain thread or deadline worker), so it gets its own lock
+        # (drain thread or deadline thread), so it gets its own lock
         # rather than riding the admission or drain lock.
         self._stats_lock = threading.Lock()
         self._completed = 0
         self._drain_listeners: list = []
-        #: Service-wide wall-clock budget applied to submissions that
-        #: carry no deadline of their own (None = unbounded).
-        self.default_deadline_ms = default_deadline_ms
-        self._deadline_runner: _DeadlineRunner | None = None
         # Failure telemetry (surfaced via failure_counters / GET /stats).
         self._deadlines_exceeded = 0
         self._high_water = max_pending
-        self._low_water = None if max_pending is None else max_pending // 2
-        self._backpressure = backpressure
-        self._block_timeout = block_timeout
-        self._attach_cache()
+        self._attach_solve_cache()
         report = self.cache.last_load_report
         if cache_path is not None and report is not None and report.accepted:
             self._authority.audit.record(
@@ -396,11 +222,10 @@ class AuthorityService:
 
         The request is validated eagerly (unknown agents and games are
         rejected here, not at drain time); the hard work happens when
-        the queue drains.  Past the backpressure high-water mark the
-        admission is refused or blocked per the configured policy.
-        ``deadline_ms`` bounds this consultation's wall clock (falling
-        back to the service default); past it the future resolves to
-        :class:`~repro.errors.DeadlineExceeded`.
+        the queue drains.  Past the high-water mark the admission is
+        refused with :class:`~repro.errors.AdmissionError`.
+        ``deadline_ms`` bounds this consultation's wall clock; past it
+        the future resolves to :class:`~repro.errors.DeadlineExceeded`.
         """
         (future,) = self._admit(agent_name, [game_id], privacy,
                                 batched=False, deadline_ms=deadline_ms)
@@ -415,8 +240,8 @@ class AuthorityService:
         .consult_many` executed: grouped by owning inventor, one
         ``consultation.batch`` audit record and one
         ``prepare_games`` pre-solve per group, then the individual
-        sessions in submission order.  Backpressure treats the batch
-        atomically: it is admitted whole or refused whole.
+        sessions in submission order.  The high-water mark treats the
+        batch atomically: it is admitted whole or refused whole.
         ``deadline_ms`` applies per submission, not to the batch as a
         whole.
         """
@@ -434,34 +259,29 @@ class AuthorityService:
         for game_id in game_ids:
             authority.inventor_of(game_id)  # raises on unknown games
         if deadline_ms is not None and not 0 < deadline_ms <= MAX_DEADLINE_MS:
+            # The chained comparison refuses NaN as well.
             raise ProtocolError(
                 f"deadline_ms must be positive and at most {MAX_DEADLINE_MS:.0f}"
             )
-        if deadline_ms is None:
-            deadline_ms = self.default_deadline_ms
         deadline = (
             None if deadline_ms is None
             else time.monotonic() + deadline_ms / 1000.0
         )
         batch = _Batch(batched=batched)
         shed = None
-        blocked = None
-        with self._headroom:
+        with self._admission_lock:
             if (
                 self._high_water is not None
                 and self._pending_total + len(game_ids) > self._high_water
             ):
-                if self._backpressure == BACKPRESSURE_RAISE:
-                    shed = self._backpressure_details(
-                        "rejected", agent_name, game_ids
-                    )
-                else:
-                    blocked = self._await_headroom(agent_name, game_ids)
-                    if blocked is None:  # timed out
-                        shed = self._backpressure_details(
-                            "timed-out", agent_name, game_ids
-                        )
-            if shed is None:
+                shed = {
+                    "action": "rejected",
+                    "agent": agent_name,
+                    "requested": len(game_ids),
+                    "pending": self._pending_total,
+                    "high_water": self._high_water,
+                }
+            else:
                 depth = self._pending_total
                 futures = []
                 for game_id in game_ids:
@@ -490,65 +310,9 @@ class AuthorityService:
             )
             raise AdmissionError(
                 f"admission queue at high-water mark "
-                f"({shed['pending']}/{self._high_water} pending): "
-                f"{shed['action']}"
-            )
-        if blocked is not None and blocked > 0.0:
-            details = self._backpressure_details(
-                "blocked", agent_name, game_ids
-            )
-            details["waited_ms"] = blocked * 1000.0
-            self._authority.audit.record(
-                "-", self._authority.AUTHORITY_NAME, EVENT_BACKPRESSURE,
-                **details,
+                f"({shed['pending']}/{self._high_water} pending): rejected"
             )
         return tuple(futures)
-
-    def _backpressure_details(self, action: str, agent_name: str,
-                              game_ids) -> dict:
-        return {
-            "action": action,
-            "agent": agent_name,
-            "requested": len(game_ids),
-            "pending": self._pending_total,
-            "high_water": self._high_water,
-            "policy": self._backpressure,
-        }
-
-    def _await_headroom(self, agent_name: str, game_ids) -> float | None:
-        """Block (holding the condition) until the queue falls to the
-        low-water mark; returns seconds waited, or ``None`` on timeout.
-
-        Only another thread's drain can create headroom, so blocking
-        admission is for multi-threaded hosts (the load harness, a
-        server front-end) — a single-threaded submit-then-wait caller
-        should use the ``"raise"`` policy or a ``block_timeout``.
-        """
-        release = self._low_water if self._low_water is not None else 0
-        deadline = (
-            None if self._block_timeout is None
-            else time.monotonic() + self._block_timeout
-        )
-        started = time.monotonic()
-        while self._pending_total > release:
-            if deadline is None:
-                self._headroom.wait()
-            else:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._headroom.wait(remaining):
-                    if self._pending_total <= release:
-                        break
-                    return None
-        return time.monotonic() - started
-
-    def _note_drained_submissions(self, count: int) -> None:
-        """O(1) pending bookkeeping for a batch leaving the queue."""
-        self._pending_total -= count  # repro: allow[R5] -- both drain sites call this holding _headroom (the admission lock)
-        if (
-            self._high_water is None
-            or self._pending_total <= (self._low_water or 0)
-        ):
-            self._headroom.notify_all()
 
     @property
     def pending_count(self) -> int:
@@ -594,7 +358,7 @@ class AuthorityService:
         a crash can lose at most one batch of journal frames.
         """
         with self._drain_lock:
-            self._attach_cache()  # pick up inventors registered since
+            self._attach_solve_cache()  # pick up inventors registered since
             depth_at_start = self.pending_count
             if depth_at_start == 0:
                 return 0
@@ -602,11 +366,11 @@ class AuthorityService:
             popped = 0
             try:
                 while max_batches is None or popped < max_batches:
-                    with self._headroom:
+                    with self._admission_lock:
                         if not self._queue:
                             break
                         batch = self._queue.popleft()
-                        self._note_drained_submissions(len(batch.submissions))
+                        self._pending_total -= len(batch.submissions)
                     popped += 1
                     self._process_batch(batch, processed)
             except BaseException as exc:
@@ -658,11 +422,11 @@ class AuthorityService:
         for submission in processed:
             self._complete(submission, error=exc)
         while True:
-            with self._headroom:
+            with self._admission_lock:
                 if not self._queue:
                     return
                 batch = self._queue.popleft()
-                self._note_drained_submissions(len(batch.submissions))
+                self._pending_total -= len(batch.submissions)
             for submission in batch.submissions:
                 self._complete(submission, error=exc)
 
@@ -726,9 +490,9 @@ class AuthorityService:
         request advice — the inventor's cache lookup and (on a miss)
         its screening/search happen here.  Stage 2: verify/conclude.
         All three run on the draining thread, except a deadlined
-        solve, which runs on a worker.  The session is opened first, on
-        the draining thread, so a solve that raises still leaves its
-        session id on the failed record.
+        solve, which runs on a thread of its own.  The session is
+        opened first, on the draining thread, so a solve that raises
+        still leaves its session id on the failed record.
         """
         if batch.batched and not self._stage_prepare(batch, processed):
             return
@@ -786,31 +550,45 @@ class AuthorityService:
 
     def _stage_solve_deadlined(self, submission: _Submission,
                                session: ConsultationSession) -> bool:
-        """Stage 1 under a wall-clock budget (watchdog thread).
+        """Stage 1 under a wall-clock budget, on a thread of its own.
 
-        Returns True once ``session`` holds its advice, False when the
-        solve outran its budget and was abandoned (the future is already
-        resolved to :class:`~repro.errors.DeadlineExceeded`), or raises
-        what the solve raised.  The abandoned solve keeps running on its
-        worker thread and discards its result into the resolved future.
+        Python cannot interrupt a compute-bound solve, so the deadline
+        is kept by abandonment: the drain waits for the solve's thread
+        at most until the deadline, then walks away.  Returns True once
+        ``session`` holds its advice, False when the solve outran its
+        budget (the future is already resolved to
+        :class:`~repro.errors.DeadlineExceeded`), or raises what the
+        solve raised.  An abandoned thread finishes its solve, nobody
+        reads its result, and it exits.
         """
         remaining = submission.deadline - time.monotonic()
         if remaining <= 0:
             self._deadline_fail(submission, phase="queued", session=session)
             return False
-        if self._deadline_runner is None:
-            self._deadline_runner = _DeadlineRunner()
-        done, __, error = self._deadline_runner.execute(
-            lambda: self._stage_solve(submission, session), remaining
-        )
-        if not done:
-            # The abandoned worker may still write the session's advice:
+        solved = threading.Event()
+        raised: list[BaseException] = []
+
+        def solve() -> None:
+            try:
+                self._stage_solve(submission, session)
+            except BaseException as exc:  # re-raised on the draining thread
+                raised.append(exc)
+            finally:
+                solved.set()
+
+        threading.Thread(
+            target=solve,
+            name=f"repro-deadline-{submission.future.submission_id}",
+            daemon=True,
+        ).start()
+        if not solved.wait(remaining):
+            # The abandoned thread may still write the session's advice:
             # the record takes the session's id and none of its facts.
             self._deadline_fail(submission, phase="solve", session=session,
                                 facts=False)
             return False
-        if error is not None:
-            raise error
+        if raised:
+            raise raised[0]
         return True
 
     def _stage_prepare(self, batch: _Batch, processed: list) -> bool:
@@ -921,9 +699,7 @@ class AuthorityService:
     # Cache attachment
     # ------------------------------------------------------------------
 
-    def _attach_cache(self) -> None:
-        if not self._attach:
-            return
+    def _attach_solve_cache(self) -> None:
         for inventor in self._authority.inventors:
             inventor.attach_solve_cache(self.cache)
 
@@ -932,18 +708,14 @@ class AuthorityService:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Drain outstanding work and release service-held resources.
+        """Drain outstanding work and persist a path-bound cache.
 
         Idempotent, and — like the authority's own ``close`` — not
-        final: the service stays usable and recreates its deadline
-        workers lazily on the next deadlined solve.  A path-bound cache
-        is persisted here (atomic replace), so a ``close``\\ d — or
+        final: the service stays usable.  A path-bound cache is
+        persisted here (atomic replace), so a ``close``\\ d — or
         context-managed — service never forgets its warm state.
         """
         self.drain()
-        runner, self._deadline_runner = self._deadline_runner, None
-        if runner is not None:
-            runner.close()
         if self._cache_owned and self.cache.path is not None:
             entries = self.cache.save()
             self._authority.audit.record(

@@ -79,13 +79,16 @@ class TestServiceSoak:
         future may hang, failures must be typed, service must keep
         accepting work afterwards."""
         authority = _authority()
-        # The hang at solve-call 11 is only survivable with a budget.
-        service = AuthorityService(authority, default_deadline_ms=1500)
+        service = AuthorityService(authority)
         futures = []
         with faults.armed(HOSTILE_PLAN) as plan:
             for i in range(36):
                 game = f"g{i % GAMES}"  # every game consulted 6x: warm load
-                futures.append(service.submit("jane", game))
+                # The hang at solve-call 11 is only survivable with a
+                # budget.
+                futures.append(
+                    service.submit("jane", game, deadline_ms=1500)
+                )
                 if i % 4 == 3:
                     service.drain()
             service.drain()

@@ -1,4 +1,4 @@
-"""Per-request deadlines: typed expiry, watchdog abandonment, moving on.
+"""Per-request deadlines: typed expiry, abandonment, moving on.
 
 The acceptance property from the issue: a deliberately wedged solve
 resolves to :class:`DeadlineExceeded` within ``deadline_ms`` plus one
@@ -17,7 +17,7 @@ from repro.core.actors import AuthorityAgent, BimatrixInventor
 from repro.core.audit_events import EVENT_DEADLINE_EXCEEDED
 from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
-from repro.errors import DeadlineExceeded, ProtocolError
+from repro.errors import DeadlineExceeded, FaultInjected, ProtocolError
 from repro.games.generators import random_bimatrix
 from repro.service import AuthorityService, faults
 from repro.service.service import MAX_DEADLINE_MS
@@ -37,17 +37,14 @@ def _authority(games=3, seed=9):
 
 
 class TestDeadlineValidation:
-    def test_service_default_must_be_positive(self):
-        authority = _authority()
-        with pytest.raises(ProtocolError):
-            AuthorityService(authority, default_deadline_ms=0)
-        authority.close()
-
     def test_submit_deadline_must_be_positive(self):
         authority = _authority()
         service = authority.service
         with pytest.raises(ProtocolError):
             service.submit("jane", "g0", deadline_ms=-5)
+        with pytest.raises(ProtocolError):
+            service.submit("jane", "g0", deadline_ms=0)
+        assert service.pending_count == 0
         authority.close()
 
     @pytest.mark.parametrize(
@@ -59,8 +56,6 @@ class TestDeadlineValidation:
         # NaN would expire the submission at once; infinity and
         # anything past threading.TIMEOUT_MAX overflow the timed wait.
         authority = _authority()
-        with pytest.raises(ProtocolError):
-            AuthorityService(authority, default_deadline_ms=deadline_ms)
         with pytest.raises(ProtocolError):
             authority.service.submit("jane", "g0", deadline_ms=deadline_ms)
         with pytest.raises(ProtocolError):
@@ -130,34 +125,6 @@ class TestDeadlineOutcomes:
         assert records and records[-1].details["phase"] == "queued"
         authority.close()
 
-    def test_default_deadline_applies_to_plain_submits(self):
-        authority = _authority()
-        service = AuthorityService(authority, default_deadline_ms=1.0)
-        future = service.submit("jane", "g0")
-        assert future.deadline_ms == 1.0
-        time.sleep(0.02)
-        service.drain()
-        assert isinstance(future.exception(), DeadlineExceeded)
-        # An explicit per-request budget overrides the default.
-        future = service.submit("jane", "g1", deadline_ms=60_000)
-        assert future.deadline_ms == 60_000
-        assert future.result().majority.accepted
-        service.close()
-        authority.close()
-
-    def test_watchdog_workers_are_reused_across_deadlined_solves(self):
-        authority = _authority()
-        service = authority.service
-        for game in ("g0", "g1", "g2"):
-            outcome = service.submit(
-                "jane", game, deadline_ms=60_000
-            ).result()
-            assert outcome.majority.accepted
-        runner = service._deadline_runner
-        assert runner is not None
-        assert runner._spawned <= 2  # recycled, not respawned per solve
-        authority.close()
-
     def test_batch_deadlines_apply_per_submission(self):
         authority = _authority()
         service = authority.service
@@ -193,9 +160,83 @@ class TestThreadLifecycle:
         assert service.submit("jane", "g0").result().majority.accepted
         deadlined = service.submit("jane", "g1", deadline_ms=60_000)
         assert deadlined.result().majority.accepted
-        assert _repro_threads() - baseline  # the watchdog worker
         service.close()
         assert not _leftover_threads(baseline)
+        authority.close()
+
+    def test_a_deadlined_solves_thread_ends_with_its_solve(self):
+        # No pool to return to: once the future resolves, its thread is
+        # gone without close().
+        baseline = _repro_threads()
+        authority = _authority()
+        service = AuthorityService(authority)
+        for game in ("g0", "g1", "g2"):
+            future = service.submit("jane", game, deadline_ms=60_000)
+            assert future.result().majority.accepted
+            assert not _leftover_threads(baseline)
+        service.close()
+        authority.close()
+
+    def test_each_deadlined_solve_runs_on_its_own_named_thread(
+        self, monkeypatch
+    ):
+        from repro.core.session import ConsultationSession
+
+        solved_on = []
+        real_request = ConsultationSession.request_advice
+
+        def recording_request(session, *args, **kwargs):
+            solved_on.append(threading.current_thread())
+            return real_request(session, *args, **kwargs)
+
+        monkeypatch.setattr(
+            ConsultationSession, "request_advice", recording_request
+        )
+        authority = _authority()
+        service = AuthorityService(authority)
+        futures = [
+            service.submit("jane", "g0", deadline_ms=60_000),
+            service.submit("jane", "g1"),
+            service.submit("jane", "g2", deadline_ms=60_000),
+        ]
+        service.drain()
+        assert all(f.result().majority.accepted for f in futures)
+        deadlined, inline, deadlined_again = solved_on
+        assert inline is threading.current_thread()
+        assert deadlined is not deadlined_again
+        for thread in (deadlined, deadlined_again):
+            assert thread.name.startswith("repro-deadline")
+            assert thread.daemon
+        service.close()
+        authority.close()
+
+    def test_a_raising_deadlined_solve_fails_only_its_consultation(self):
+        authority = _authority()
+        service = AuthorityService(authority)
+        with faults.armed("solve:raise@1"):
+            failed = service.submit("jane", "g0", deadline_ms=60_000)
+            healthy = service.submit("jane", "g1", deadline_ms=60_000)
+            service.drain()
+        assert isinstance(failed.exception(), FaultInjected)
+        assert healthy.result().majority.accepted
+        assert service.failure_counters()["deadlines_exceeded"] == 0
+        service.close()
+        authority.close()
+
+    def test_a_system_exit_in_a_deadlined_solve_reaches_the_drain(self):
+        # The solve's thread hands the exception over; the drain fails
+        # every outstanding future and re-raises it, as it does inline.
+        authority = _authority()
+        service = AuthorityService(authority)
+        with faults.armed("solve:raise:system-exit@1"):
+            first = service.submit("jane", "g0", deadline_ms=60_000)
+            second = service.submit("jane", "g1")
+            with pytest.raises(SystemExit):
+                service.drain()
+        assert isinstance(first.exception(), SystemExit)
+        assert isinstance(second.exception(), SystemExit)
+        assert service.pending_count == 0
+        service.close()
         authority.close()
 
     def test_drain_without_deadlines_starts_no_thread(self):
@@ -222,8 +263,8 @@ class TestThreadLifecycle:
         monkeypatch.setattr(ConsultationSession, "verify", recording_verify)
         authority = _authority()
         service = AuthorityService(authority)
-        # A deadlined solve runs on a watchdog worker; its verification
-        # still comes back to the draining thread.
+        # A deadlined solve runs on a thread of its own; its
+        # verification still comes back to the draining thread.
         futures = [
             service.submit("jane", "g0"),
             service.submit("jane", "g1", deadline_ms=60_000),
@@ -243,10 +284,10 @@ class TestThreadLifecycle:
             service.drain()
             assert isinstance(wedged.exception(), DeadlineExceeded)
             assert _repro_threads() - baseline  # still hung
-        # Disarming released the hang: the abandoned worker finishes its
-        # solve, discards the result and retires once the runner closes.
-        service.close()
+        # Disarming released the hang: the abandoned thread finishes its
+        # solve, nobody reads the result, and the thread exits.
         assert not _leftover_threads(baseline)
+        service.close()
         authority.close()
 
     def test_authority_close_returns_threads_to_baseline(self):

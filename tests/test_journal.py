@@ -331,14 +331,29 @@ class TestStateFile:
     def test_a_stale_temp_file_is_never_loaded(self, tmp_path):
         path = self._compacted(tmp_path, later=0)
         # A compaction killed before its rename leaves a temp file behind.
-        write_state_file(tmp_path / ".solve-cache-killed.tmp",
-                         [_frame(i) for i in range(5, 9)])
+        stale = tmp_path / ".solve-cache-killed.tmp"
+        write_state_file(stale, [_frame(i) for i in range(5, 9)])
+        other = tmp_path / "notes.tmp"
+        other.write_bytes(b"not ours")
         cache = SolveCache()
         persister = WriteBehindPersister(cache, path)
         assert persister.recover().frames == 3
         assert len(cache) == 3
+        # Recovery deleted it, and only it.
+        assert sorted(os.listdir(tmp_path)) == ["journal.jsonl", "notes.tmp"]
         persister.close()
         assert list(read_state_file(path)[0].profiles) == _keys(0, 1, 2)
+
+    def test_recovery_into_a_missing_directory_is_a_cold_start(
+        self, tmp_path
+    ):
+        cache = SolveCache()
+        persister = WriteBehindPersister(
+            cache, tmp_path / "absent" / "journal.jsonl"
+        )
+        report = persister.recover()
+        assert report.frames == 0 and not report.rejections
+        assert len(cache) == 0
 
 
 class FakeClock:
@@ -522,15 +537,27 @@ class TestCompactionRule:
         assert len(cache) == 2  # the newest two, pending
         persister.on_drained()
         assert persister.snapshots == 0  # 4 frames, 2 entries, nothing new
-        for index in (4, 5, 6):
-            _store(cache, index)
-            persister.on_drained()
-        assert persister.snapshots == 0  # 7 frames, 4 entries
-        _store(cache, 7)
+        _store(cache, 4)  # evicts the older pending entry
+        assert len(cache) == 2
         persister.on_drained()
-        assert persister.snapshots == 1  # 8 frames, 4 entries
+        assert persister.snapshots == 1  # 5 frames, 2 entries
         state, __ = read_state_file(path)
-        assert list(state.profiles) == _keys(2, 3, 6, 7)
+        assert list(state.profiles) == _keys(3, 4)
+
+    def test_recovered_entries_share_the_cache_bound(self, tmp_path):
+        path = state_path(tmp_path / "state")
+        with CacheJournal(path) as journal:
+            journal.replace([_frame(i) for i in range(3)])
+        cache, persister = self._persister(tmp_path, max_entries=3)
+        persister.recover()
+        assert len(cache) == 3
+        for index in range(3, 8):
+            _store(cache, index)
+            assert len(cache) <= 3
+            persister.on_drained()
+        persister.snapshot()
+        state, __ = read_state_file(path)
+        assert list(state.profiles) == _keys(5, 6, 7)
 
     def test_failed_snapshot_stays_dirty(self, tmp_path):
         cache, persister = self._persister(tmp_path, max_entries=1)

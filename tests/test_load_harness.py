@@ -5,9 +5,9 @@ Three contracts from the service's load story:
 * the harness's schedules and streams are seeded-deterministic, and
   :func:`~repro.service.load.run_load` completes (and certifies) every
   admitted submission, reporting latency percentiles and cache mix;
-* admission backpressure raises or blocks exactly as configured, with
-  every shed/blocked admission in the audit trail, and the pending
-  counter stays O(1)-consistent through it all;
+* admission past the high-water mark is refused whole, with every
+  shed admission in the audit trail, and the pending counter stays
+  O(1)-consistent through it all;
 * a drain resolves every future admitted before it returns, audits its
   latency percentiles, and leaves no thread that keeps the interpreter
   alive.
@@ -21,11 +21,11 @@ import subprocess
 import sys
 import textwrap
 import threading
-import time
 
 import pytest
 
 from repro.core.actors import AuthorityAgent, BimatrixInventor
+from repro.core.audit import AuditLog
 from repro.core.audit_events import EVENT_BACKPRESSURE
 from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
@@ -49,7 +49,6 @@ from repro.service.load import (
     KIND_REPEAT,
     ArrivalSchedule,
     LoadReport,
-    pools_disabled,
 )
 
 
@@ -99,14 +98,12 @@ class TestSchedules:
         solid = bursty_arrivals(burst_size=4, bursts=2, gap_s=0.5)
         assert solid.offsets == (0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 0.5)
 
-    def test_uniform_and_scaling(self):
+    def test_uniform_arrivals(self):
         sched = uniform_arrivals(rate=10.0, count=5)
         assert sched.offsets == (0.0, 0.1, 0.2, 0.3, 0.4)
         assert sched.offered_rate == pytest.approx(10.0)
-        slowed = sched.scaled(2.0)
-        assert slowed.offered_rate == pytest.approx(5.0)
         with pytest.raises(GameError):
-            sched.scaled(0.0)
+            uniform_arrivals(rate=0.0, count=5)
 
 
 class TestMixedStream:
@@ -157,11 +154,6 @@ class TestRunLoad:
         service = AuthorityService(authority)
         schedule = poisson_arrivals(rate=500.0, count=len(stream), seed=1)
         report = run_load(service, "jane", stream, schedule)
-        # REPRO_FORCE_SERIAL in the caller's environment degrades the
-        # harness to the paced inline loop; everything below holds for
-        # both modes.
-        expected_mode = "inline" if pools_disabled() else "open-loop"
-        assert report.mode == expected_mode
         assert report.completed == len(stream)
         assert report.failed == 0 and report.shed == 0
         assert report.latency_ms["p50"] > 0.0
@@ -173,46 +165,28 @@ class TestRunLoad:
         service.close()
         authority.close()
 
-    def test_inline_fallback_under_forced_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FORCE_SERIAL", "1")
-        authority, stream = _published(count=6)
-        service = AuthorityService(authority)
-        schedule = uniform_arrivals(rate=1000.0, count=len(stream))
-        report = run_load(service, "jane", stream, schedule)
-        assert report.mode == "inline"
-        assert report.completed == len(stream)
-        service.close()
-        authority.close()
-
-    def test_force_serial_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FORCE_SERIAL", "1")
-        assert pools_disabled()
-
-    def test_force_serial_falsy_spellings_leave_threads_on(self, monkeypatch):
-        for value in ("0", "false", "no", "", "  FALSE "):
-            monkeypatch.setenv("REPRO_FORCE_SERIAL", value)
-            assert not pools_disabled(), value
-        monkeypatch.setenv("REPRO_FORCE_SERIAL", "true")
-        assert pools_disabled()
-
-    def test_force_serial_other_spellings_disable_threads(self, monkeypatch):
-        for value in ("1", "yes", "on", " True ", "serial"):
-            monkeypatch.setenv("REPRO_FORCE_SERIAL", value)
-            assert pools_disabled(), value
-        monkeypatch.delenv("REPRO_FORCE_SERIAL")
-        assert not pools_disabled()
-
-    def test_open_loop_and_inline_runs_agree(self):
-        # The submitter thread only paces arrivals: both modes serve
-        # every game the same certified answer, with the same cache
-        # classification, in the same order.
+    def test_open_loop_run_agrees_with_a_serial_pass(self):
+        # The submitter thread only paces arrivals: the run serves every
+        # game the same certified answer, with the same cache
+        # classification, as submitting and resolving one at a time.
         runs = []
-        for mode in ("open-loop", "inline"):
+        for open_loop in (True, False):
             authority, stream = _published(count=14, seed=21)
             service = AuthorityService(authority)
-            schedule = uniform_arrivals(rate=2000.0, count=len(stream))
-            report = run_load(service, "jane", stream, schedule, mode=mode)
-            assert report.mode == mode
+            if open_loop:
+                report = run_load(
+                    service, "jane", stream,
+                    uniform_arrivals(rate=2000.0, count=len(stream)),
+                )
+                assert (report.completed, report.failed, report.shed) \
+                    == (14, 0, 0)
+                cache_counts = report.cache_counts
+            else:
+                cache_counts = {}
+                for entry in stream:
+                    state = service.submit("jane", entry.game_id) \
+                        .result().advice.cache
+                    cache_counts[state] = cache_counts.get(state, 0) + 1
             # Each re-consultation is a cache hit serving the answer
             # the run certified.
             answers = {
@@ -221,14 +195,22 @@ class TestRunLoad:
                     .result().advice.suggestion
                 for entry in stream
             }
-            runs.append((
-                report.completed, report.failed, report.shed,
-                report.cache_counts, report.kind_counts, answers,
-            ))
+            runs.append((cache_counts, answers))
             service.close()
             authority.close()
         assert runs[0] == runs[1]
-        assert runs[0][:3] == (14, 0, 0)
+
+    def test_run_leaves_no_submitter_thread(self):
+        authority, stream = _published(count=6)
+        service = AuthorityService(authority)
+        run_load(service, "jane", stream,
+                 uniform_arrivals(rate=1000.0, count=len(stream)))
+        assert not [
+            thread for thread in threading.enumerate()
+            if thread.name == "repro-load-submitter"
+        ]
+        service.close()
+        authority.close()
 
     def test_stream_schedule_length_mismatch(self):
         authority, stream = _published(count=4)
@@ -236,11 +218,6 @@ class TestRunLoad:
         with pytest.raises(GameError):
             run_load(
                 service, "jane", stream, uniform_arrivals(10.0, 3)
-            )
-        with pytest.raises(GameError):
-            run_load(
-                service, "jane", stream, uniform_arrivals(10.0, 4),
-                mode="sideways",
             )
         authority.close()
 
@@ -267,7 +244,7 @@ class TestRunLoad:
     def test_find_saturation_walks_the_ladder(self):
         def fake(rate):
             return LoadReport(
-                label=f"@{rate}", mode="open-loop", submitted=10,
+                label=f"@{rate}", submitted=10,
                 completed=10, failed=0, shed=0, duration_s=1.0,
                 offered_rate=rate, throughput=rate,  # keeps up; p99 decides
                 latency_ms={"p99": rate},  # p99 grows with the rate
@@ -285,7 +262,7 @@ class TestRunLoad:
     def test_saturated_signals(self):
         def report(**kw):
             base = dict(
-                label="r", mode="open-loop", submitted=10, completed=10,
+                label="r", submitted=10, completed=10,
                 failed=0, shed=0, duration_s=1.0, offered_rate=100.0,
                 throughput=95.0, latency_ms={"p99": 10.0},
             )
@@ -324,148 +301,81 @@ class TestBackpressure:
         service.close()
         authority.close()
 
-    def test_block_policy_waits_for_headroom(self):
-        authority, stream = _published(count=6)
-        service = AuthorityService(
-            authority, max_pending=2, backpressure="block"
-        )
-        for entry in stream[:2]:
-            service.submit("jane", entry.game_id)
-        admitted = threading.Event()
-
-        def late_submitter():
-            service.submit("jane", stream[2].game_id)
-            admitted.set()
-
-        thread = threading.Thread(target=late_submitter, daemon=True)
-        thread.start()
-        time.sleep(0.05)
-        assert not admitted.is_set()  # still blocked at high water
-        service.drain()  # creates headroom, releases the submitter
-        assert admitted.wait(timeout=5.0)
-        thread.join(timeout=5.0)
-        blocked = [
-            r for r in authority.audit.events_of(EVENT_BACKPRESSURE)
-            if r.details["action"] == "blocked"
-        ]
-        assert len(blocked) == 1
-        assert blocked[0].details["waited_ms"] > 0.0
-        service.drain()
-        assert service.completed_count == 3
-        service.close()
-        authority.close()
-
-    def test_block_timeout_sheds_with_timed_out_action(self):
-        authority, stream = _published(count=4)
-        service = AuthorityService(
-            authority, max_pending=1, backpressure="block",
-            block_timeout=0.02,
-        )
+    def test_shed_record_fields(self):
+        authority, stream = _published(count=3)
+        service = AuthorityService(authority, max_pending=1)
         service.submit("jane", stream[0].game_id)
         with pytest.raises(AdmissionError):
-            service.submit("jane", stream[1].game_id)
+            service.submit_many("jane", [e.game_id for e in stream[1:]])
         (record,) = authority.audit.events_of(EVENT_BACKPRESSURE)
-        assert record.details["action"] == "timed-out"
+        assert record.details == {
+            "action": "rejected", "agent": "jane", "requested": 2,
+            "pending": 1, "high_water": 1,
+        }
         service.close()
         authority.close()
 
-    def test_blocked_admissions_release_at_half_the_mark(self):
-        authority, stream = _published(count=6)
-        service = AuthorityService(
-            authority, max_pending=4, backpressure="block"
-        )
-        for entry in stream[:4]:
-            service.submit("jane", entry.game_id)
-        admitted = threading.Event()
-
-        def late_submitter():
-            service.submit_many("jane", [e.game_id for e in stream[4:6]])
-            admitted.set()
-
-        thread = threading.Thread(target=late_submitter, daemon=True)
-        thread.start()
-        time.sleep(0.05)
-        assert not admitted.is_set()  # 4 + 2 > 4: blocked
-        service.drain(max_batches=1)  # 3 pending: still above 4 // 2
-        time.sleep(0.05)
-        assert not admitted.is_set()
-        service.drain(max_batches=1)  # 2 pending: the release mark
-        assert admitted.wait(timeout=5.0)
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert service.pending_count == 4
-        blocked = [
-            r for r in authority.audit.events_of(EVENT_BACKPRESSURE)
-            if r.details["action"] == "blocked"
-        ]
-        assert len(blocked) == 1
+    def test_a_refused_admission_leaves_no_trace_in_the_queue(self):
+        authority, stream = _published(count=4)
+        service = AuthorityService(authority, max_pending=2)
+        first = service.submit("jane", stream[0].game_id)
+        with pytest.raises(AdmissionError):
+            service.submit_many("jane", [e.game_id for e in stream[1:]])
+        assert service.pending_count == 1
+        # Nothing was numbered for the refused batch.
+        second = service.submit("jane", stream[1].game_id)
+        assert second.submission_id == first.submission_id + 1
+        assert service.pending_count == 2
+        service.drain()
+        assert service.completed_count == 2
+        assert all(f.result().majority.accepted for f in (first, second))
         service.close()
         authority.close()
 
     def test_admission_settings_validated(self):
         authority = _authority()
-        with pytest.raises(ProtocolError):
-            AuthorityService(authority, max_pending=0)
-        with pytest.raises(ProtocolError):
-            AuthorityService(authority, max_pending=2, backpressure="drop")
-        # A negative timeout would shed every blocked admission at once.
-        with pytest.raises(ProtocolError):
-            AuthorityService(
-                authority, max_pending=2, backpressure="block",
-                block_timeout=-1.0,
-            )
+        for bad in (0, -1):
+            with pytest.raises(ProtocolError):
+                AuthorityService(authority, max_pending=bad)
         authority.close()
 
-    @pytest.mark.parametrize(
-        "timeout", [float("nan"), float("inf"), float("-inf")],
-        ids=["nan", "inf", "-inf"],
-    )
-    def test_non_finite_block_timeout_rejected(self, timeout):
-        # NaN and infinity would otherwise reach Condition.wait and
-        # raise out of the first blocked admission.
-        authority = _authority()
-        with pytest.raises(ProtocolError):
-            AuthorityService(
-                authority, max_pending=2, backpressure="block",
-                block_timeout=timeout,
-            )
-        authority.close()
+    def test_concurrent_admissions_never_pass_the_mark(self):
+        # Many submitters race for a 5-slot queue that nobody drains:
+        # the admission check and the count update are one locked step,
+        # so exactly 5 get in and every other one is refused and
+        # audited.
+        authority, stream = _published(count=1)
+        game_id = stream[0].game_id
+        service = AuthorityService(authority, max_pending=5)
+        admitted, refused = [], []
+        start = threading.Barrier(8)
 
-    def test_zero_block_timeout_sheds_without_waiting(self):
-        authority, stream = _published(count=3)
-        service = AuthorityService(
-            authority, max_pending=1, backpressure="block",
-            block_timeout=0.0,
-        )
-        service.submit("jane", stream[0].game_id)
-        started = time.monotonic()
-        with pytest.raises(AdmissionError):
-            service.submit("jane", stream[1].game_id)
-        assert time.monotonic() - started < 1.0
-        (record,) = authority.audit.events_of(EVENT_BACKPRESSURE)
-        assert record.details["action"] == "timed-out"
-        assert service.pending_count == 1
+        def submitter() -> None:
+            start.wait(timeout=10.0)
+            for __ in range(25):
+                try:
+                    admitted.append(service.submit("jane", game_id))
+                except AdmissionError:
+                    refused.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submitter) for __ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(admitted) == 5 and len(refused) == 8 * 25 - 5
+        assert service.pending_count == 5
+        assert sorted(f.submission_id for f in admitted) == [1, 2, 3, 4, 5]
+        assert len(authority.audit.events_of(EVENT_BACKPRESSURE)) \
+            == len(refused)
         service.drain()
-        assert service.completed_count == 1
-        service.close()
-        authority.close()
-
-    def test_block_policy_admits_an_oversize_batch_into_an_empty_queue(self):
-        # A batch larger than the high-water mark can never fit, so the
-        # block policy admits it once the queue is at the release mark
-        # instead of waiting forever; it is still admitted whole.
-        authority, stream = _published(count=5)
-        service = AuthorityService(
-            authority, max_pending=2, backpressure="block",
-            block_timeout=5.0,
-        )
-        futures = service.submit_many(
-            "jane", [entry.game_id for entry in stream[:3]]
-        )
-        assert len(futures) == 3
-        assert service.pending_count == 3
-        service.drain()
-        assert all(f.result().majority.accepted for f in futures)
+        assert all(f.result().majority.accepted for f in admitted)
         service.close()
         authority.close()
 
@@ -494,6 +404,23 @@ class TestBackpressure:
         adviser.drain()
         assert adviser.pending_count == 0
         adviser.submit(1.0)  # headroom again after the drain
+
+    def test_burst_adviser_audits_each_shed_arrival(self):
+        audit = AuditLog()
+        service = OnlineLinkInventorService(3, 8, KeyRegistry())
+        adviser = BurstLinkAdviser(
+            service, num_links=3, audit=audit, max_pending=1
+        )
+        adviser.submit(1.0)
+        for __ in range(2):
+            with pytest.raises(AdmissionError):
+                adviser.submit(1.0)
+        records = audit.events_of(EVENT_BACKPRESSURE)
+        assert [r.details for r in records] == [{
+            "action": "rejected", "requested": 1, "pending": 1,
+            "high_water": 1,
+        }] * 2
+        assert adviser.shed_count == 2
 
 
 class TestDrain:

@@ -29,6 +29,12 @@ from repro.core.registry import standard_procedures
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
 from repro.server import ThreadedServer, WriteBehindPersister, state_path
+from repro.server.app import (
+    MAX_BODY_BYTES,
+    MAX_FUTURES,
+    SHUTDOWN_GRACE_S,
+    AuthorityHTTPServer,
+)
 from repro.service import AuthorityService, SolveCache, faults
 from repro.service.persistence import read_state_file
 
@@ -296,6 +302,97 @@ class TestErrorMapping:
         status, body, _ = client.request("POST", "/admin/snapshot")
         assert status == 400 and "persister" in body["error"]
 
+    def test_a_body_past_the_limit_is_413_and_one_at_it_is_read(
+        self, server
+    ):
+        # Refused on the declared length, before any body byte is read.
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=60)
+        try:
+            conn.putrequest("POST", "/consult")
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 413
+            assert resp.getheader("Connection") == "close"
+            assert "too large" in json.loads(resp.read())["error"]
+        finally:
+            conn.close()
+        client = Client(server.port)
+        try:
+            body = json.dumps({"agent": "jane", "game_id": "g0"})
+            client.conn.request(
+                "POST", "/consult",
+                body=body.ljust(MAX_BODY_BYTES).encode("ascii"),
+            )
+            resp = client.conn.getresponse()
+            assert resp.status == 200
+            assert json.loads(resp.read())["state"] == "resolved"
+        finally:
+            client.close()
+
+
+class TestPump:
+    def test_each_pump_drain_takes_one_admission_batch(self):
+        # Each drain ends at a flush point, so a crash loses the
+        # journal frames of at most one batch.
+        service = AuthorityService(build_authority())
+        queued = [service.submit("jane", f"g{i}") for i in range(3)]
+        batch = service.submit_many("jane", ["g3", "g4"])
+        drained = []
+        service.add_drain_listener(
+            lambda summary: drained.append(summary["submissions"])
+        )
+        with ThreadedServer(service) as threaded:
+            client = Client(threaded.port)
+            try:
+                status, _, _ = client.request(
+                    "POST", "/consult", {"agent": "jane", "game_id": "g5"}
+                )
+                assert status == 200
+            finally:
+                client.close()
+        assert all(f.done() for f in (*queued, *batch))
+        assert drained == [1, 1, 1, 2, 1]
+        service.authority.close()
+
+
+class _Tracked:
+    """A stand-in for a consultation future in the poll registry."""
+
+    def __init__(self, submission_id: int, resolved: bool):
+        self.submission_id = submission_id
+        self.resolved = resolved
+
+    def done(self) -> bool:
+        return self.resolved
+
+
+class TestFutureRegistry:
+    def test_registry_drops_resolved_futures_past_the_bound(self):
+        authority = build_authority()
+        server = AuthorityHTTPServer(AuthorityService(authority))
+        for index in range(MAX_FUTURES):
+            server._register(_Tracked(index, resolved=index % 2 == 0))
+        assert len(server._futures) == MAX_FUTURES
+        server._register(_Tracked(MAX_FUTURES, resolved=False))
+        # Only the oldest resolved future made room for the new one.
+        assert len(server._futures) == MAX_FUTURES
+        assert "f0" not in server._futures
+        assert "f2" in server._futures
+        assert f"f{MAX_FUTURES}" in server._futures
+        authority.close()
+
+    def test_unresolved_futures_are_never_dropped(self):
+        # With nothing resolved to drop, the registry grows past the
+        # bound rather than lose a future a client may still poll.
+        authority = build_authority()
+        server = AuthorityHTTPServer(AuthorityService(authority))
+        for index in range(MAX_FUTURES + 3):
+            server._register(_Tracked(index, resolved=False))
+        assert len(server._futures) == MAX_FUTURES + 3
+        authority.close()
+
 
 class TestBackpressure:
     def test_atomic_batch_over_high_water_is_429(self):
@@ -362,9 +459,8 @@ class TestGracefulShutdown:
         """A keep-alive client parked between requests, or partway into
         sending its next one, must not hold the shutdown for the whole
         grace window."""
-        grace = 10.0
         service = AuthorityService(build_authority())
-        threaded = ThreadedServer(service, shutdown_grace=grace).start()
+        threaded = ThreadedServer(service).start()
         client = Client(threaded.port)
         status, _, headers = client.request(
             "POST", "/consult", {"agent": "jane", "game_id": "g0"}
@@ -375,7 +471,7 @@ class TestGracefulShutdown:
             started = time.monotonic()
             threaded.stop()
             elapsed = time.monotonic() - started
-        assert elapsed < grace / 5
+        assert elapsed < SHUTDOWN_GRACE_S / 5
         assert not [r for r in caplog.records if r.name == "asyncio"]
         shutdown = service.authority.audit.events_of(EVENT_SERVER_SHUTDOWN)
         assert len(shutdown) == 1

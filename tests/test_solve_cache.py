@@ -18,13 +18,27 @@ from repro.equilibria.support_enumeration import support_enumeration
 from repro.fractions_util import exact_fingerprint
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
+from repro.games.profiles import MixedProfile
 from repro.linalg.backend import (
     MODE_EXACT,
     MODE_FLOAT_CERTIFY,
     MODE_NUMPY,
     BackendPolicy,
 )
-from repro.service import SolveCache, game_fingerprint
+from repro.service import CacheState, SolveCache, game_fingerprint
+
+
+#: A pure profile to store under made-up keys (never served).
+_PURE = MixedProfile.from_rows(
+    [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
+)
+
+
+def _pending_profiles(*fingerprints) -> CacheState:
+    """Loaded state holding ``_PURE`` under each fingerprint, in order."""
+    return CacheState(profiles={
+        (fingerprint, "m", "exact"): _PURE for fingerprint in fingerprints
+    })
 
 
 def _scaled(game: BimatrixGame, factor) -> BimatrixGame:
@@ -327,6 +341,49 @@ class TestStatsAndLifecycle:
         assert probe.solve(p0).cache == "hit"
         p1 = BimatrixGame(g1.row_matrix, g1.column_matrix)
         assert probe.solve(p1).cache == "miss"
+
+    @staticmethod
+    def _keys(cache) -> list:
+        return [key[0] for __, key, __ in cache.entries()]
+
+    @staticmethod
+    def _store(cache, *fingerprints) -> None:
+        for fingerprint in fingerprints:
+            cache.store_profile(fingerprint, "m", "exact", _PURE)
+
+    def test_pending_entries_are_evicted_first_then_the_oldest_live(self):
+        cache = SolveCache(max_entries=3)
+        assert cache.merge_pending_state(_pending_profiles("p0", "p1")) == 2
+        self._store(cache, "l0")
+        assert self._keys(cache) == ["p0", "p1", "l0"]
+        self._store(cache, "l1")
+        assert self._keys(cache) == ["p1", "l0", "l1"]
+        self._store(cache, "l2")
+        assert self._keys(cache) == ["l0", "l1", "l2"]
+        self._store(cache, "l3")
+        assert self._keys(cache) == ["l1", "l2", "l3"]
+
+    def test_a_full_cache_keeps_no_loaded_entry(self):
+        # Loaded entries never displace live ones.
+        cache = SolveCache(max_entries=2)
+        self._store(cache, "l0", "l1")
+        assert cache.merge_pending_state(_pending_profiles("p0", "p1")) == 0
+        assert self._keys(cache) == ["l0", "l1"]
+        assert len(cache) == 2
+
+    def test_loaded_sets_share_the_bound_with_live_ones(self):
+        games = [random_bimatrix(2, 2, seed=620 + i) for i in range(3)]
+        keys = [(game_fingerprint(game), False) for game in games]
+        cache = SolveCache(max_entries=2)
+        cache.merge_pending_state(CacheState(sets={
+            key: tuple(support_enumeration(game))
+            for key, game in zip(keys[:2], games[:2])
+        }))
+        cache.equilibrium_set(games[2])  # cold: evicts the older loaded set
+        assert [key for __, key, __ in cache.entries()] == keys[1:]
+        cache.equilibrium_set(games[0])
+        assert cache.stats.set_misses == 2  # its loaded set was gone
+        assert len(cache) == 2
 
     def test_misadvising_wrapper_forwards_the_cache(self):
         from repro.core.actors import MisadvisingInventor
