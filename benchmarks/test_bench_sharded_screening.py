@@ -5,8 +5,8 @@ beats exact-everywhere by a large constant factor.  This bench measures
 the *next* rung — the staged candidate engine — on the same
 default-scale support enumeration:
 
-* ``float+certify``: the B1 baseline (stdlib scalar screen, with
-  warm-started bases);
+* ``float+certify``: the B1 baseline (the stdlib screen, which solves
+  each Lemma-1 system alone and cold);
 * ``numpy``: the vectorized backend screening whole stacks of Lemma-1
   systems per pivot iteration (the acceptance target: >= 3x over the
   stdlib float screen).

@@ -27,13 +27,14 @@ The paper's central asymmetry — *finding* an equilibrium is PPAD-hard
 while *verifying* one is cheap and must be exact — is mirrored by a
 two-phase solver pipeline rooted in :mod:`repro.linalg.backend`:
 
-1. **Search** runs on a pluggable
-   :class:`~repro.linalg.backend.NumericBackend`.  The default
+1. **Search** runs on the backend a policy resolves to.  The default
    :class:`~repro.linalg.backend.ExactBackend` keeps the original
    Fraction semantics bit for bit; the stdlib-only
-   :class:`~repro.linalg.backend.FloatBackend` runs the same
-   elimination/simplex in float64 with pivot tolerances, avoiding the
-   rational coefficient growth that dominates exact pivoting.
+   :class:`~repro.linalg.backend.FloatBackend` screens candidates with
+   a float64 simplex under fixed pivot tolerances, each system solved
+   cold, avoiding the rational coefficient growth that dominates exact
+   pivoting; the optional numpy backend screens the same systems as
+   padded stacks.
 2. **Certification** is always exact.  Float-found candidates are
    reconstructed as Fractions by a support-restricted exact re-solve
    and must pass the exact Lemma-1 conditions
@@ -42,7 +43,8 @@ two-phase solver pipeline rooted in :mod:`repro.linalg.backend`:
 
 Callers select a mode through
 :class:`~repro.linalg.backend.BackendPolicy` — ``"exact"``,
-``"float+certify"`` or ``"auto"`` — which the inventors in
+``"float+certify"``, ``"numpy"`` or ``"auto"``, its only setting —
+which the inventors in
 :mod:`repro.core.actors` accept, advertise on each
 :class:`~repro.core.advice.Advice`, and the session records in the
 audit log.  Verification procedures stay exact in every mode: the

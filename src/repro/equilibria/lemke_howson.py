@@ -43,7 +43,7 @@ _ONE = Fraction(1)
 
 #: Fallback pivot tolerance for backends that do not define their own.
 #: The support threshold has no module-level copy: it is the backend's
-#: :attr:`~repro.linalg.backend.NumericBackend.support_tol`, one
+#: :attr:`~repro.linalg.backend.FloatBackend.support_tol`, one
 #: documented default for every phase of the pipeline.
 _FLOAT_PIVOT_TOL = 1e-9
 

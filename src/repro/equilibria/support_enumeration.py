@@ -24,15 +24,15 @@ pair with a one-action side: a pure row pins the row mix, so Lemma 1
 reduces to a plain comparison (likewise for a pure column), and a pair
 failing it is dropped before any LP is built.  **Screen** decides,
 approximately and cheaply, which of the remaining pairs can possibly
-carry an equilibrium; it runs on a configurable
-:class:`~repro.linalg.backend.NumericBackend` (the vectorized numpy
-backend decides a chunk's y-side Lemma-1 systems as one zero-padded
-stack built by fancy-indexing the float payoff matrix, then the
-survivors' x-sides as another; the stdlib float backend screens one
-pair at a time, warm-starting from the previous pair's basis when only
-one action changed).  **Reconstruct** re-solves surviving candidates
-exactly (support-restricted, on the fraction-free integer Bareiss
-kernel — bit-identical to Fraction elimination).  **Certify** passes
+carry an equilibrium, on the float backend the policy resolves to.  A
+chunk's y-side Lemma-1 systems go to the backend's ``screen_feasible``
+as one batch, then the survivors' x-sides as another: the vectorized
+numpy backend takes each batch as one zero-padded stack built by
+fancy-indexing the float payoff matrix, the stdlib float backend as a
+list whose systems it solves one by one, each cold.  **Reconstruct**
+re-solves surviving candidates exactly (support-restricted, on the
+fraction-free integer Bareiss kernel — bit-identical to Fraction
+elimination).  **Certify** passes
 each wave's reconstructions through the exact Lemma-1 gate as one
 :func:`~repro.equilibria.mixed.certify_many` batch — all candidates of
 a wave share the game's cached integer-lattice payoffs — before
@@ -45,9 +45,9 @@ end.
 
 Screening runs chunk by chunk off a fixed schedule of chunk sizes.  An
 exhaustive enumeration screens DEFAULT_CHUNK_SIZE pairs per chunk.  A
-first-hit scan (:func:`find_one_equilibrium`) on the numpy backend
-starts at FIRST_CHUNK_SIZE pairs and doubles up to DEFAULT_CHUNK_SIZE,
-stopping after the first wave that holds a certified pair.
+first-hit scan (:func:`find_one_equilibrium`) starts at
+FIRST_CHUNK_SIZE pairs and doubles up to DEFAULT_CHUNK_SIZE, stopping
+inside the first wave that holds a certified pair.
 
 The first-hit scan decides more before it screens.  It also drops
 every pair in which a supported action is strictly dominated, over the
@@ -66,7 +66,7 @@ runs in the calling process, and candidates are resolved strictly in
 pair order, so the same game and policy always return the same
 equilibria.  The decide stage and the dominance rule drop only pairs
 no backend could answer from, so they change cost, never an answer.
-On the numpy backend each pair's verdict is moreover the one its
+On either float backend each pair's verdict is moreover the one its
 systems earn when screened alone, so not even the chunk sizes can
 change an answer.
 """
@@ -77,15 +77,10 @@ import itertools
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from repro.errors import BackendError, EquilibriumError, LinearAlgebraError
+from repro.errors import EquilibriumError, LinearAlgebraError
 from repro.games.bimatrix import BimatrixGame
 from repro.games.profiles import MixedProfile
-from repro.linalg.backend import (
-    INCONCLUSIVE,
-    NumericBackend,
-    float_matrix,
-    resolve_policy,
-)
+from repro.linalg.backend import INCONCLUSIVE, resolve_policy
 from repro.linalg.int_exact import solve_linear_system
 from repro.linalg.int_lp import find_feasible_point
 
@@ -93,10 +88,19 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 #: Support pairs screened per work chunk in an exhaustive enumeration,
-#: and the width a first-hit scan's doubling schedule grows to
-#: (policy-overridable).  1024 amortizes the vectorized screen's
-#: per-stack overhead while bounding the memory of one stack.
+#: and the width a first-hit scan's doubling schedule grows to.  1024
+#: amortizes the vectorized screen's per-stack overhead while bounding
+#: the memory of one stack.
 DEFAULT_CHUNK_SIZE = 1024
+
+#: The first chunk of a first-hit scan.  Later chunks double, up to
+#: DEFAULT_CHUNK_SIZE, so a scan that runs long soon reaches full stack
+#: width.  A mixed game's answer usually sits within the first few
+#: pairs the decide stage and the dominance rule leave (on random 5x5
+#: games without a pure equilibrium, a median of about 50 of the 961
+#: pairs, with the answer at a median position of 3), so a small first
+#: chunk screens little the scan never looks at.
+FIRST_CHUNK_SIZE = 16
 
 
 def _feasibility_rows(
@@ -149,27 +153,6 @@ def _feasibility_rows(
     rows.append(row)
     rhs.append(one)
     return rows, rhs, num_vars
-
-
-def _exact_one_side(
-    payoff_rows: Sequence[Sequence[Fraction]],
-    own_support: tuple[int, ...],
-    other_support: tuple[int, ...],
-    num_other_actions: int,
-) -> tuple[tuple[Fraction, ...], Fraction] | None:
-    """The seed path: exact LP feasibility, Fractions end to end."""
-    rows, rhs, __ = _feasibility_rows(
-        payoff_rows, own_support, other_support, _ZERO, _ONE
-    )
-    k = len(other_support)
-    point = find_feasible_point(rows, rhs)
-    if point is None:
-        return None
-    full_mix = [_ZERO] * num_other_actions
-    for idx, j in enumerate(other_support):
-        full_mix[j] = point[idx]
-    value = point[k] - point[k + 1]
-    return tuple(full_mix), value
 
 
 def reconstruct_one_side(
@@ -237,7 +220,6 @@ def solve_one_side(
     own_support: Sequence[int],
     other_support: Sequence[int],
     num_other_actions: int,
-    backend: NumericBackend | None = None,
 ) -> tuple[tuple[Fraction, ...], Fraction] | None:
     """Find the *other* player's mix that makes ``own_support`` optimal.
 
@@ -245,70 +227,49 @@ def solve_one_side(
     player's action j.  Returns ``(full_mix, value)`` where ``full_mix``
     is the other player's distribution (length ``num_other_actions``) and
     ``value`` is our common supported payoff λ — or None if infeasible.
-    The returned values are always exact Fractions, whatever ``backend``
-    the search phase ran on.
+    Decided on the exact LP, Fractions end to end.
     """
     own_support = tuple(own_support)
     other_support = tuple(other_support)
     if not own_support or not other_support:
         return None
-
-    if backend is not None and not backend.exact:
-        rows, rhs, __ = _feasibility_rows(
-            float_matrix(payoff_rows), own_support, other_support, 0.0, 1.0
-        )
-        try:
-            point = backend.find_feasible_point(rows, rhs)
-        except BackendError:
-            point = None
-            inconclusive = True
-        else:
-            inconclusive = False
-            if point is None:
-                return None  # confidently infeasible — pruned
-        if not inconclusive:
-            support_tol = backend.support_tol
-            refined = tuple(
-                j for idx, j in enumerate(other_support)
-                if point[idx] > support_tol
-            )
-            reconstructed = reconstruct_one_side(
-                payoff_rows, own_support, refined, num_other_actions
-            )
-            if reconstructed is not None:
-                return reconstructed
-        # Inconclusive float answer or failed certification: exact path.
-    return _exact_one_side(
-        payoff_rows, own_support, other_support, num_other_actions
+    rows, rhs, __ = _feasibility_rows(
+        payoff_rows, own_support, other_support, _ZERO, _ONE
     )
+    k = len(other_support)
+    point = find_feasible_point(rows, rhs)
+    if point is None:
+        return None
+    full_mix = [_ZERO] * num_other_actions
+    for idx, j in enumerate(other_support):
+        full_mix[j] = point[idx]
+    value = point[k] - point[k + 1]
+    return tuple(full_mix), value
 
 
 def equilibrium_for_supports(
     game: BimatrixGame,
     row_support: Sequence[int],
     col_support: Sequence[int],
-    backend: NumericBackend | None = None,
 ) -> tuple[MixedProfile, Fraction, Fraction] | None:
     """One exact equilibrium with the given supports, or None.
 
     Returns ``(profile, λ1, λ2)``.  The returned profile's supports may be
     *subsets* of the requested ones (a feasible point may put zero weight
     on a requested action); callers that need support-exact equilibria
-    should compare :meth:`MixedProfile.supports`.  Whatever the search
-    backend, the returned profile is exact (see :func:`solve_one_side`).
+    should compare :meth:`MixedProfile.supports`.  Both sides are
+    decided on the exact LP (see :func:`solve_one_side`).
     """
     a = game.row_matrix
     b_cols = game.column_matrix_transposed
     n, m = game.action_counts
 
     # The column mix y makes the row support indifferent (uses A).
-    y_solution = solve_one_side(a, row_support, col_support, m, backend=backend)
+    y_solution = solve_one_side(a, row_support, col_support, m)
     if y_solution is None:
         return None
     # The row mix x makes the column support indifferent (uses B columns).
-    x_solution = solve_one_side(
-        b_cols, col_support, row_support, n, backend=backend
-    )
+    x_solution = solve_one_side(b_cols, col_support, row_support, n)
     if x_solution is None:
         return None
 
@@ -446,11 +407,13 @@ def _until_pure_pair(pairs, stop: list):
 
 
 def _search_setup(game: BimatrixGame, policy):
-    """Resolve the policy to a backend and the payoffs it screens on.
+    """Resolve the policy to a float backend and the payoffs it screens
+    on, or ``(None, None)`` when the policy searches exactly.
 
     The float payoffs — A, and B transposed — are converted once per
     search, into the form the backend reads (ndarrays for the numpy
-    backend), and every screening chunk reads them.
+    backend, lists for the stdlib one), and every screening chunk
+    reads them.
     """
     n, m = game.action_counts
     backend = resolve_policy(policy).search_backend(n + m)
@@ -501,112 +464,6 @@ SCREEN_CANDIDATE = 1   # feasible both sides: carries refined supports
 SCREEN_EXACT = 2       # inconclusive: re-decide the pair exactly
 
 
-def _variable_keys(num_own: int, own_support, other_support):
-    """Stable identities for one side-system's columns.
-
-    Basis reuse across neighbouring support pairs needs to know which
-    column in the *new* system corresponds to a basic column of the
-    *old* one; position is meaningless across systems, so columns are
-    keyed by meaning: the mix variable of an opponent action, λ⁺/λ⁻, or
-    the slack of one of our off-support actions.
-    """
-    keys = [("q", j) for j in other_support]
-    keys.append(("L", "+"))
-    keys.append(("L", "-"))
-    own = set(own_support)
-    keys.extend(("s", i) for i in range(num_own) if i not in own)
-    return keys
-
-
-def _one_action_apart(prev_own, prev_other, own, other) -> bool:
-    """True when at most one action was added, removed, or swapped."""
-    delta = len(set(prev_own) ^ set(own)) + len(set(prev_other) ^ set(other))
-    return delta <= 2
-
-
-class _SideScreener:
-    """Sequential one-side screening with warm-started bases.
-
-    Used on backends without a batched screen (the stdlib float
-    backend).  After each feasible pair the final simplex basis is
-    remembered under the column keys of :func:`_variable_keys`; when the
-    next pair is at most one action away, the old basis is remapped onto
-    the new system (swapped actions substitute for each other) and tried
-    as a crash basis — one small square solve instead of a full phase-1
-    run.  Any miss falls back to the cold screen, so warm starts change
-    cost, never verdicts' soundness.
-    """
-
-    def __init__(self, backend: NumericBackend, float_rows):
-        self._backend = backend
-        self._rows = float_rows
-        self._num_own = len(float_rows)
-        self._prev = None  # (own, other, basis_keys)
-
-    def _warm_columns(self, own, other, keys):
-        if self._prev is None:
-            return None
-        # Underdetermined sides (fewer indifference equations than mix
-        # variables) have many feasible vertices; a warm basis may land
-        # on a different one than the cold simplex, which on degenerate
-        # games changes *which* exact equilibrium the pair yields.  Warm
-        # starts are therefore restricted to sides whose Lemma-1 system
-        # generically pins a unique mix — there, any feasible point is
-        # the same point, and reuse changes cost but never answers.
-        if len(own) < len(other):
-            return None
-        prev_own, prev_other, prev_keys = self._prev
-        if not prev_keys or not _one_action_apart(prev_own, prev_other, own, other):
-            return None
-        # Swapped actions map onto each other, kind for kind.
-        swaps = {}
-        gone_q = sorted(set(prev_other) - set(other))
-        new_q = sorted(set(other) - set(prev_other))
-        if len(gone_q) == len(new_q):
-            swaps.update(
-                {("q", g): ("q", a) for g, a in zip(gone_q, new_q)}
-            )
-        prev_off = set(range(self._num_own)) - set(prev_own)
-        off = set(range(self._num_own)) - set(own)
-        gone_s = sorted(prev_off - off)
-        new_s = sorted(off - prev_off)
-        if len(gone_s) == len(new_s):
-            swaps.update(
-                {("s", g): ("s", a) for g, a in zip(gone_s, new_s)}
-            )
-        key_to_col = {key: col for col, key in enumerate(keys)}
-        columns = []
-        for key in prev_keys:
-            if key not in key_to_col:
-                key = swaps.get(key)
-                if key is None or key not in key_to_col:
-                    return None
-            columns.append(key_to_col[key])
-        return columns
-
-    def screen(self, own, other):
-        """Feasible point, ``None``, or :data:`INCONCLUSIVE` for one side."""
-        rows, rhs, __ = _feasibility_rows(self._rows, own, other, 0.0, 1.0)
-        keys = _variable_keys(self._num_own, own, other)
-        warm_columns = self._warm_columns(own, other, keys)
-        if warm_columns is not None:
-            point = self._backend.try_basis(rows, rhs, warm_columns)
-            if point is not None:
-                self._prev = (own, other, [keys[c] for c in warm_columns])
-                return point
-        try:
-            solved = self._backend.find_feasible_basis(rows, rhs)
-        except BackendError:
-            self._prev = None
-            return INCONCLUSIVE
-        if solved is None:
-            self._prev = None
-            return None
-        point, basis_columns = solved
-        self._prev = (own, other, [keys[c] for c in basis_columns])
-        return point
-
-
 def _refine(point, other_support, support_tol):
     """The support a screened feasible point actually stands on."""
     return tuple(
@@ -617,9 +474,9 @@ def _refine(point, other_support, support_tol):
 def _triage(y_point, x_point, rs, cs, support_tol):
     """Map one pair's two side-points to a screen verdict.
 
-    Shared by the batched and scalar screens so the verdict encoding
-    cannot diverge between them.  ``x_point`` may be omitted (None is
-    ambiguous, so the caller passes it only when the y-side survived).
+    ``x_point`` is None when the y-side was pruned and
+    :data:`INCONCLUSIVE` when it was inconclusive: either way the x-side
+    was never screened.
     """
     if y_point is None or x_point is None:
         return (SCREEN_PRUNED,)
@@ -685,6 +542,22 @@ def _lemma1_stack(payoff, owns, others):
     return SystemStack(a, b, sizes)
 
 
+def _side_systems(payoff, owns, others):
+    """One side's Lemma-1 systems of many support pairs, as one batch.
+
+    The batch takes the form the backend that converted ``payoff``
+    screens: a :func:`_lemma1_stack` from the numpy backend's ndarray,
+    a list of :func:`_feasibility_rows` systems from the stdlib float
+    backend's lists.
+    """
+    if isinstance(payoff, list):
+        return [
+            _feasibility_rows(payoff, own, other, 0.0, 1.0)[:2]
+            for own, other in zip(owns, others)
+        ]
+    return _lemma1_stack(payoff, owns, others)
+
+
 def screen_support_chunk(backend, a_float, b_cols_float, pairs):
     """Screen one chunk of support pairs; returns one verdict per pair.
 
@@ -694,50 +567,36 @@ def screen_support_chunk(backend, a_float, b_cols_float, pairs):
     refined_rows)`` or ``(SCREEN_EXACT,)``.  No exact arithmetic runs
     here; that is the reconstruct and certify stages' job.
 
-    Backends with a batched screen decide all y-sides of the chunk as
-    one padded stack, then all x-sides of the survivors as another;
-    scalar backends screen pair by pair with warm-started bases.
+    The chunk's y-side systems go to ``backend.screen_feasible`` as
+    one batch, then the x-sides of the pairs whose y-side was feasible
+    as another.  Both float backends decide each system as it would be
+    decided alone, so a pair's verdict does not depend on the chunk.
     """
-    support_tol = backend.support_tol
-    if backend.batched_screen:
-        y_points = backend.screen_feasible(_lemma1_stack(
-            a_float, [rs for rs, __ in pairs], [cs for __, cs in pairs]
-        ))
-        survivors = [
-            idx for idx, point in enumerate(y_points)
-            if point is not None and point is not INCONCLUSIVE
-        ]
-        x_points = {}
-        if survivors:
-            x_points = dict(zip(survivors, backend.screen_feasible(
-                _lemma1_stack(
-                    b_cols_float,
-                    [pairs[idx][1] for idx in survivors],
-                    [pairs[idx][0] for idx in survivors],
-                )
-            )))
-        return [
-            _triage(
-                y_points[idx],
-                x_points.get(idx, INCONCLUSIVE) if y_points[idx] is not None
-                else None,
-                rs, cs, support_tol,
+    y_points = backend.screen_feasible(_side_systems(
+        a_float, [rs for rs, __ in pairs], [cs for __, cs in pairs]
+    ))
+    survivors = [
+        idx for idx, point in enumerate(y_points)
+        if point is not None and point is not INCONCLUSIVE
+    ]
+    x_points = {}
+    if survivors:
+        x_points = dict(zip(survivors, backend.screen_feasible(
+            _side_systems(
+                b_cols_float,
+                [pairs[idx][1] for idx in survivors],
+                [pairs[idx][0] for idx in survivors],
             )
-            for idx, (rs, cs) in enumerate(pairs)
-        ]
-
-    y_screener = _SideScreener(backend, a_float)
-    x_screener = _SideScreener(backend, b_cols_float)
-    verdicts = []
-    for rs, cs in pairs:
-        y_point = y_screener.screen(rs, cs)
-        x_point = None
-        if y_point is not None and y_point is not INCONCLUSIVE:
-            x_point = x_screener.screen(cs, rs)
-        elif y_point is INCONCLUSIVE:
-            x_point = INCONCLUSIVE  # the pair is exact-bound either way
-        verdicts.append(_triage(y_point, x_point, rs, cs, support_tol))
-    return verdicts
+        )))
+    return [
+        _triage(
+            y_points[idx],
+            x_points.get(idx, INCONCLUSIVE) if y_points[idx] is not None
+            else None,
+            rs, cs, backend.support_tol,
+        )
+        for idx, (rs, cs) in enumerate(pairs)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -767,38 +626,16 @@ def _resolve_screened_pair(game, rs, cs, verdict):
     return result[0] if result is not None else None
 
 
-#: Chunk size for *scalar* screening when only the first hit matters:
-#: a lazy scan usually resolves within the first few pairs, so big
-#: chunks would screen ~1000 pairs it never looks at.
-SCALAR_FIND_CHUNK_SIZE = 16
-
-#: The first chunk of a first-hit scan on a batched screen.  Later
-#: chunks double, up to DEFAULT_CHUNK_SIZE, so a scan that runs long
-#: soon reaches full stack width.  On random 5x5 games without a pure
-#: equilibrium, the decide stage and the dominance rule leave a median
-#: of about 50 of the 961 pairs, so one chunk usually holds them all.
-FIRST_CHUNK_SIZE = 64
-
-
-def _chunk_sizes(backend, chunk_size, first_hit):
+def _chunk_sizes(first_hit: bool):
     """The fixed chunk-size schedule of one scan.
 
-    A policy's ``chunk_size`` fixes every chunk; an exhaustive scan
-    uses DEFAULT_CHUNK_SIZE; a first-hit scan uses
-    SCALAR_FIND_CHUNK_SIZE on a scalar screen and the doubling schedule
-    from FIRST_CHUNK_SIZE on a batched one.
+    An exhaustive scan uses DEFAULT_CHUNK_SIZE; a first-hit scan starts
+    at FIRST_CHUNK_SIZE and doubles up to DEFAULT_CHUNK_SIZE.
     """
-    if chunk_size:
-        yield from itertools.repeat(chunk_size)
-    elif not first_hit:
-        yield from itertools.repeat(DEFAULT_CHUNK_SIZE)
-    elif not backend.batched_screen:
-        yield from itertools.repeat(SCALAR_FIND_CHUNK_SIZE)
-    else:
-        size = FIRST_CHUNK_SIZE
-        while True:
-            yield size
-            size = min(2 * size, DEFAULT_CHUNK_SIZE)
+    size = FIRST_CHUNK_SIZE if first_hit else DEFAULT_CHUNK_SIZE
+    while True:
+        yield size
+        size = min(2 * size, DEFAULT_CHUNK_SIZE)
 
 
 def _screened_verdict_waves(backend, payoffs, pair_stream, chunk_sizes):
@@ -879,8 +716,9 @@ def support_enumeration(
     such as the Fig. 5 continuum's extreme points.
 
     ``policy`` selects the numeric search backend (``None``/"exact" is
-    the seed behaviour; "float+certify" screens support pairs one at a
-    time in float64; "numpy" screens whole stacks of pairs vectorized).
+    the seed behaviour; "float+certify" screens each Lemma-1 system
+    alone with the stdlib float64 simplex; "numpy" screens whole stacks
+    of them vectorized).
 
     Soundness is unconditional in every mode: nothing uncertified is
     ever returned.  *Completeness* of the approximate screens is heuristic:
@@ -890,8 +728,7 @@ def support_enumeration(
     can in principle be pruned.  Callers that must not miss any
     equilibrium use the exact policy.
     """
-    resolved = resolve_policy(policy)
-    backend, payoffs = _search_setup(game, resolved)
+    backend, payoffs = _search_setup(game, policy)
     n, m = game.action_counts
     seen: set[tuple] = set()
     out: list[MixedProfile] = []
@@ -912,7 +749,7 @@ def support_enumeration(
                 out.append(profile)
         return tuple(out)
 
-    chunk_sizes = _chunk_sizes(backend, resolved.chunk_size, first_hit=False)
+    chunk_sizes = _chunk_sizes(first_hit=False)
     for wave in _screened_verdict_waves(backend, payoffs, pairs, chunk_sizes):
         _resolve_screened_wave(game, wave, seen, out)
     return tuple(out)
@@ -937,16 +774,13 @@ def find_one_equilibrium(game: BimatrixGame, policy=None) -> MixedProfile:
     Screening is chunked and *lazy*: pairs stream off the generator one
     wave at a time and the scan stops inside the first wave containing a
     certified equilibrium, so the exponential pair space is never
-    materialized.  On the numpy backend the chunks follow a fixed
-    doubling schedule — FIRST_CHUNK_SIZE pairs, then twice as many, up
-    to DEFAULT_CHUNK_SIZE — so an early answer costs a small stack and
-    a late one soon gets full-width stacks; the stdlib float backend
-    screens SCALAR_FIND_CHUNK_SIZE pairs per chunk, and a policy's
-    ``chunk_size`` fixes every chunk.  Candidates are resolved strictly
-    in pair order.
+    materialized.  The chunks follow a fixed doubling schedule —
+    FIRST_CHUNK_SIZE pairs, then twice as many, up to
+    DEFAULT_CHUNK_SIZE — so an early answer costs a small screen and a
+    late one soon gets full-width stacks.  Candidates are resolved
+    strictly in pair order.
     """
-    resolved = resolve_policy(policy)
-    backend, payoffs = _search_setup(game, resolved)
+    backend, payoffs = _search_setup(game, policy)
     n, m = game.action_counts
     decided = decide_support_pairs(game, support_pairs(n, m))
     stop: list[tuple[int, int]] = []
@@ -957,9 +791,7 @@ def find_one_equilibrium(game: BimatrixGame, policy=None) -> MixedProfile:
             if result is not None:
                 return result[0]
     else:
-        chunk_sizes = _chunk_sizes(
-            backend, resolved.chunk_size, first_hit=True
-        )
+        chunk_sizes = _chunk_sizes(first_hit=True)
         for (rs, cs), verdict in _screened_pairs(
             backend, payoffs, pairs, chunk_sizes
         ):

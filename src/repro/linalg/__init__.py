@@ -20,11 +20,14 @@ This package supplies the few primitives they need:
   the LP kernel every hot path routes through;
 * :mod:`repro.linalg.backend` — the two-phase "search fast, certify
   exact" seam: :class:`~repro.linalg.backend.ExactBackend` (the seed
-  semantics), :class:`~repro.linalg.backend.FloatBackend` (float64
-  search with tolerances, stdlib-only) and
+  semantics: no screen), :class:`~repro.linalg.backend.FloatBackend`
+  (a stdlib float64 screen that solves each feasibility system cold,
+  under fixed tolerances) and
   :class:`~repro.linalg.backend.BackendPolicy` (``exact`` /
-  ``float+certify`` / ``auto``) that the solver stack and the core
-  authority plumb through.
+  ``float+certify`` / ``numpy`` / ``auto``) that the solver stack and
+  the core authority plumb through;
+* :mod:`repro.linalg.numpy_backend` — the optional numpy screen, which
+  decides padded stacks of feasibility systems in lockstep.
 """
 
 from repro.linalg.backend import (

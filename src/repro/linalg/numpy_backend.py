@@ -1,25 +1,18 @@
-"""The numpy-vectorized search backend: dense tableaus, batched screens.
+"""The numpy-vectorized search backend: batched screens.
 
 This module is the vectorized float arm of the two-phase pipeline.  It
 implements the same numeric contract as the stdlib
-:class:`~repro.linalg.backend.FloatBackend` — answers are *suggestions*,
-anything borderline is inconclusive, and certification downstream is
-always exact — but stages the work for hardware:
-
-* :meth:`NumpyBackend.solve_square` runs float64 Gaussian elimination
-  with partial pivoting as whole-matrix numpy operations, guarded by a
-  condition-number check (near-singular systems are inconclusive, never
-  answers);
-* :meth:`NumpyBackend.find_feasible_point` runs a dense-tableau phase-1
-  simplex whose pivots are rank-1 ndarray updates;
-* :meth:`NumpyBackend.screen_feasible` is the batched screening entry
-  point the support-enumeration engine drives: it takes one
-  :class:`SystemStack` — many small feasibility systems zero-padded to
-  a common shape — and pivots *all of them simultaneously*, one
-  entering/leaving/ratio computation per iteration for the whole
-  stack, which is where the bulk-rejection speedup over one-at-a-time
-  screening comes from.  Support enumeration builds each side of a
-  wave's Lemma-1 systems straight into one such stack.
+:class:`~repro.linalg.backend.FloatBackend`, whose tolerances it
+shares — answers are *suggestions*, anything borderline is
+inconclusive, and certification downstream is always exact — but
+stages the work for hardware: :meth:`NumpyBackend.screen_feasible`,
+the screening entry point the support-enumeration engine drives,
+takes one :class:`SystemStack` — many small feasibility systems
+zero-padded to a common shape — and pivots *all of them
+simultaneously*, one entering/leaving/ratio computation per iteration
+for the whole stack, which is where the bulk-rejection speedup over
+one-at-a-time screening comes from.  Support enumeration builds each
+side of a wave's Lemma-1 systems straight into one such stack.
 
 Padding cannot change a verdict.  A zero structural column has a
 reduced cost of exactly 0 at every pivot (it starts at 0, and every
@@ -35,11 +28,10 @@ cap, computed from its own rows and columns.
 
 Tolerance discipline mirrors the stdlib backend exactly: a phase-1
 optimum above ``feastol`` is confidently infeasible; one inside
-``(pivot_tol, feastol]`` is inconclusive (:data:`INCONCLUSIVE` in batch
-answers, :class:`BackendError` in scalar ones); hitting the iteration
-cap is likewise inconclusive.  No result of this module is ever returned
-to a caller of the solver layer without exact reconstruction and the
-Lemma-1 gate.
+``(pivot_tol, feastol]`` is inconclusive (:data:`INCONCLUSIVE`);
+hitting the iteration cap is likewise inconclusive.  No result of this
+module is ever returned to a caller of the solver layer without exact
+reconstruction and the Lemma-1 gate.
 
 This module imports numpy unconditionally; :mod:`repro.linalg.backend`
 gates the import so the rest of the library keeps working (and the
@@ -48,17 +40,11 @@ stdlib float path keeps screening) when numpy is absent.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.errors import BackendError, LinearAlgebraError
-from repro.linalg.backend import (
-    DEFAULT_SUPPORT_TOL,
-    INCONCLUSIVE,
-    MODE_NUMPY,
-    FloatBackend,
-)
+from repro.linalg.backend import INCONCLUSIVE, MODE_NUMPY, FloatBackend
 
 # Per-system outcomes of the batched phase-1 loop.
 _INCONCLUSIVE = 0  # unbounded ray, iteration cap, or too close to call
@@ -80,149 +66,33 @@ class SystemStack(NamedTuple):
     sizes: np.ndarray
 
 
-def pad_systems(systems: Sequence[tuple]) -> tuple[SystemStack, list[int]]:
-    """Stack ``(rows, rhs)`` systems of any shapes, zero-padded.
-
-    Each system's rows keep their order at the top of its slot and its
-    columns at the left; returns the stack and each system's own column
-    count.
-    """
-    shapes = []
-    for rows, rhs in systems:
-        ncols = len(rows[0]) if rows else 0
-        if any(len(row) != ncols for row in rows) or len(rhs) != len(rows):
-            raise LinearAlgebraError("screen_feasible: malformed system")
-        shapes.append((len(rows), ncols))
-    nrows = max((r for r, __ in shapes), default=0)
-    ncols = max((c for __, c in shapes), default=0)
-    a = np.zeros((len(shapes), nrows, ncols))
-    b = np.zeros((len(shapes), nrows))
-    for pos, ((rows, rhs), (r, c)) in enumerate(zip(systems, shapes)):
-        if r and c:
-            a[pos, :r, :c] = rows
-        b[pos, :r] = rhs
-    sizes = np.array([r + c for r, c in shapes], dtype=np.int64)
-    return SystemStack(a, b, sizes), [c for __, c in shapes]
-
-
 class NumpyBackend(FloatBackend):
     """Vectorized float64 search with batched feasibility screening.
 
-    Subclasses :class:`FloatBackend` so the tolerance semantics (and the
-    basis-returning scalar simplex used for warm starts) are shared; the
-    square solver and the screening paths are overridden with ndarray
-    implementations.  ``max_condition`` bounds the condition number a
-    square solve will vouch for — anything worse is inconclusive.
+    Subclasses :class:`FloatBackend` so the tolerance semantics are
+    shared; the screen is overridden with the padded-stack phase-1.
     """
 
     name = "numpy"
     mode = MODE_NUMPY
     exact = False
-    batched_screen = True
-
-    def __init__(self, feastol: float = 1e-7, pivot_tol: float = 1e-9,
-                 max_iterations: int | None = None,
-                 support_tol: float = DEFAULT_SUPPORT_TOL,
-                 max_condition: float = 1e12):
-        super().__init__(feastol=feastol, pivot_tol=pivot_tol,
-                         max_iterations=max_iterations,
-                         support_tol=support_tol)
-        if max_condition <= 0:
-            raise LinearAlgebraError("max_condition must be positive")
-        self.max_condition = float(max_condition)
 
     def float_payoffs(self, matrix):
         return np.array(matrix, dtype=np.float64)
 
-    # ------------------------------------------------------------------
-    # Square solves
-    # ------------------------------------------------------------------
+    def screen_feasible(self, stack: SystemStack) -> list:
+        """Decide a stack of ``Ax = b, x >= 0`` systems in lockstep.
 
-    def solve_square(self, matrix, rhs):
-        try:
-            a = np.asarray(
-                [[float(x) for x in row] for row in matrix], dtype=np.float64
-            )
-        except ValueError:
-            raise LinearAlgebraError("solve_square requires a square matrix") from None
-        b = np.asarray([float(x) for x in rhs], dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise LinearAlgebraError("solve_square requires a square matrix")
-        if b.shape != (a.shape[0],):
-            raise LinearAlgebraError("rhs length does not match matrix")
-        if a.size == 0:
-            return []
-        try:
-            x = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            raise BackendError("numpy solve: singular matrix") from None
-        if not np.all(np.isfinite(x)):
-            raise BackendError("numpy solve produced non-finite values")
-        # Near-singular systems solve without error but cannot be
-        # vouched for; the condition estimate is the analogue of the
-        # stdlib backend's pivot-below-tolerance test.
-        condition = np.linalg.cond(a)
-        if not np.isfinite(condition) or condition > self.max_condition:
-            raise BackendError("numpy solve: matrix condition beyond tolerance")
-        return x.tolist()
-
-    # ------------------------------------------------------------------
-    # Scalar feasibility (a batch of one through the dense tableau)
-    # ------------------------------------------------------------------
-
-    def find_feasible_point(self, a_eq, b_eq, upper_bounds=None):
-        a = [[float(x) for x in row] for row in a_eq]
-        b = [float(x) for x in b_eq]
-        ncols = len(a[0]) if a else 0
-        if any(len(row) != ncols for row in a):
-            raise LinearAlgebraError("LP constraint matrix has ragged rows")
-        if len(b) != len(a):
-            raise LinearAlgebraError("LP rhs length does not match constraints")
-        if upper_bounds is not None:
-            ubs = [float(u) for u in upper_bounds]
-            if len(ubs) != ncols:
-                raise LinearAlgebraError("upper bound length does not match variables")
-            nslack = len(ubs)
-            for row in a:
-                row.extend([0.0] * nslack)
-            for j, u in enumerate(ubs):
-                bound_row = [0.0] * (ncols + nslack)
-                bound_row[j] = 1.0
-                bound_row[ncols + j] = 1.0
-                a.append(bound_row)
-                b.append(u)
-        status, points = self._phase1_batch(pad_systems([(a, b)])[0])
-        if status[0] == _INCONCLUSIVE:
-            raise BackendError("numpy phase-1 inconclusive")
-        if status[0] == _INFEASIBLE:
-            return None
-        return points[0, :ncols].tolist()
-
-    # ------------------------------------------------------------------
-    # Batched screening
-    # ------------------------------------------------------------------
-
-    def screen_feasible(self, systems) -> list:
-        """Decide many ``Ax = b, x >= 0`` systems as one padded stack.
-
-        ``systems`` is a :class:`SystemStack`, or a sequence of
-        ``(rows, rhs)`` pairs of any shapes, which :func:`pad_systems`
-        stacks.  Returns one entry per system, in input order: ``None``
+        Returns one entry per system, in stack order: ``None``
         (confidently infeasible), :data:`INCONCLUSIVE`, or a feasible
-        point as a list — over the stack's columns for a
-        :class:`SystemStack`, over the system's own columns otherwise.
+        point as a list over the stack's columns.
         """
-        if isinstance(systems, SystemStack):
-            stack, widths = systems, None
-        else:
-            stack, widths = pad_systems(systems)
         status, points = self._phase1_batch(stack)
         rows = points.tolist()
         results: list = []
         for idx, code in enumerate(status.tolist()):
             if code == _FEASIBLE:
-                results.append(rows[idx] if widths is None
-                               else rows[idx][:widths[idx]])
+                results.append(rows[idx])
             else:
                 results.append(None if code == _INFEASIBLE else INCONCLUSIVE)
         return results
@@ -275,8 +145,7 @@ class NumpyBackend(FloatBackend):
         objective = np.zeros((batch, total + 1))
         objective[:, ncols:ncols + nrows] = 1.0
         objective -= tableau.sum(axis=1)
-        caps = (np.full(batch, self.max_iterations) if self.max_iterations
-                else 64 + 16 * np.asarray(sizes))
+        caps = self.cap_base + self.cap_per_size * np.asarray(sizes)
         # Basic values by label, for every system that ends feasible.
         solution = np.zeros((batch, total))
 

@@ -35,7 +35,9 @@ surface:
 
 Failure semantics map onto status codes: an
 :class:`AdmissionError` from the service's high-water mark is a
-**429** with a ``Retry-After`` hint; a starting-or-stopping server
+**429** with a ``Retry-After`` hint, and so is a request whose futures
+would take the poll registry past ``MAX_FUTURES`` while unresolved
+futures fill it; a starting-or-stopping server
 answers admissions with **503**; a consultation that outran its
 ``deadline_ms`` (accepted per-request in ``/consult`` and
 ``/consult_many`` bodies) resolves to a typed
@@ -86,8 +88,9 @@ from repro.service.service import MAX_DEADLINE_MS
 #: The largest request body the server reads; a longer one is a 413.
 MAX_BODY_BYTES = 1 << 20
 
-#: Futures kept for ``GET /futures/<id>``; past it, registering a new
-#: one first drops resolved ones.
+#: Futures kept for ``GET /futures/<id>``.  A request whose futures
+#: would take the registry past it first drops the oldest resolved
+#: ones; if unresolved futures still fill it, the request is a 429.
 MAX_FUTURES = 4096
 
 #: Seconds the shutdown gives in-flight handlers to write their
@@ -734,14 +737,22 @@ class AuthorityHTTPServer:
                 headers={"Retry-After": "2"}, retry_after_s=2.0,
             )
 
-    def _register(self, future) -> None:
-        if len(self._futures) >= MAX_FUTURES:
-            for fid, tracked in list(self._futures.items()):
-                if tracked.done():
-                    self._futures.pop(fid, None)
-                if len(self._futures) < MAX_FUTURES:
-                    break
-        self._futures[future_id(future)] = future
+    def _make_room(self, count: int) -> None:
+        """Drop the oldest resolved futures until ``count`` more fit
+        under MAX_FUTURES; a 429 when unresolved ones leave no room."""
+        if len(self._futures) + count <= MAX_FUTURES:
+            return
+        for fid, tracked in list(self._futures.items()):
+            if tracked.done():
+                del self._futures[fid]
+                if len(self._futures) + count <= MAX_FUTURES:
+                    return
+        raise _HTTPError(
+            429, f"{len(self._futures)} unresolved futures fill the "
+            f"poll registry ({MAX_FUTURES})",
+            headers={"Retry-After": "1"}, retry_after_s=1.0,
+            pending=self._service.pending_count,
+        )
 
     @staticmethod
     def _deadline_param(params: dict) -> float | None:
@@ -767,24 +778,28 @@ class AuthorityHTTPServer:
         if not isinstance(agent, str):
             raise _HTTPError(400, "agent must be a string")
         deadline_ms = self._deadline_param(params)
+        if kind == "one":
+            game_id = params.get("game_id")
+            if not isinstance(game_id, str):
+                raise _HTTPError(400, "game_id must be a string")
+            self._make_room(1)
+        else:
+            game_ids = params.get("game_ids")
+            if (
+                not isinstance(game_ids, list)
+                or not game_ids
+                or not all(isinstance(g, str) for g in game_ids)
+            ):
+                raise _HTTPError(
+                    400, "game_ids must be a non-empty list of strings"
+                )
+            self._make_room(len(game_ids))
         try:
             if kind == "one":
-                game_id = params.get("game_id")
-                if not isinstance(game_id, str):
-                    raise _HTTPError(400, "game_id must be a string")
                 futures = (self._service.submit(
                     agent, game_id, privacy=privacy, deadline_ms=deadline_ms
                 ),)
             else:
-                game_ids = params.get("game_ids")
-                if (
-                    not isinstance(game_ids, list)
-                    or not game_ids
-                    or not all(isinstance(g, str) for g in game_ids)
-                ):
-                    raise _HTTPError(
-                        400, "game_ids must be a non-empty list of strings"
-                    )
                 futures = self._service.submit_many(
                     agent, game_ids, privacy=privacy, deadline_ms=deadline_ms
                 )
@@ -796,7 +811,7 @@ class AuthorityHTTPServer:
         except ProtocolError as exc:
             raise _HTTPError(404, str(exc)) from None
         for future in futures:
-            self._register(future)
+            self._futures[future_id(future)] = future
         self._kick()
         return futures
 

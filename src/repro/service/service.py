@@ -75,6 +75,12 @@ from repro.service.futures import ConsultationFuture
 #: deadlined solve with one timed wait, which refuses longer timeouts.
 MAX_DEADLINE_MS = threading.TIMEOUT_MAX * 1000.0
 
+#: Abandoned deadlined solves that may still run at once.  Each keeps
+#: its thread and its session until the solve returns, so at this many
+#: the solver is taken as wedged: a further deadlined submission
+#: resolves to DeadlineExceeded at once, without a thread.
+MAX_ABANDONED_SOLVES = 4
+
 
 @dataclass
 class _Submission:
@@ -149,8 +155,11 @@ class AuthorityService:
     lapsed in the queue, or when its solve outruns the budget: a
     deadlined solve runs on a thread of its own, which the drain
     abandons at the deadline, so a wedged solve cannot
-    head-of-line-block the service.  Submissions without a deadline
-    solve inline on the draining thread.
+    head-of-line-block the service.  While :data:`MAX_ABANDONED_SOLVES`
+    abandoned solves still run, a deadlined submission resolves to
+    ``DeadlineExceeded`` (phase ``wedged``) as it reaches the solve,
+    without starting another.  Submissions without a deadline solve
+    inline on the draining thread.
     """
 
     def __init__(self, authority, solve_cache: SolveCache | None = None,
@@ -175,11 +184,15 @@ class AuthorityService:
         self._pending_total = 0  # O(1) mirror of the queued submissions
         self._drain_lock = threading.Lock()
         self._submission_counter = 0
-        # Resolved-future counter: bumped by each future at resolution
-        # (drain thread or deadline thread), so it gets its own lock
-        # rather than riding the admission or drain lock.
+        # Counters written from the drain thread and deadline threads
+        # alike, so they get their own lock rather than riding the
+        # admission or drain lock: resolved futures, bumped by each
+        # future at resolution, and deadlined solves whose thread still
+        # runs.  The drain waits for its own solve, so when it reads
+        # the second every solve counted is abandoned.
         self._stats_lock = threading.Lock()
         self._completed = 0
+        self._solves_running = 0
         self._drain_listeners: list = []
         # Failure telemetry (surfaced via failure_counters / GET /stats).
         self._deadlines_exceeded = 0
@@ -556,14 +569,22 @@ class AuthorityService:
         is kept by abandonment: the drain waits for the solve's thread
         at most until the deadline, then walks away.  Returns True once
         ``session`` holds its advice, False when the solve outran its
-        budget (the future is already resolved to
-        :class:`~repro.errors.DeadlineExceeded`), or raises what the
-        solve raised.  An abandoned thread finishes its solve, nobody
-        reads its result, and it exits.
+        budget or never started because :data:`MAX_ABANDONED_SOLVES`
+        abandoned solves still run (either way the future is already
+        resolved to :class:`~repro.errors.DeadlineExceeded`), or raises
+        what the solve raised.  An abandoned thread finishes its solve,
+        nobody reads its result, and it exits.
         """
         remaining = submission.deadline - time.monotonic()
         if remaining <= 0:
             self._deadline_fail(submission, phase="queued", session=session)
+            return False
+        with self._stats_lock:
+            wedged = self._solves_running >= MAX_ABANDONED_SOLVES
+            if not wedged:
+                self._solves_running += 1
+        if wedged:
+            self._deadline_fail(submission, phase="wedged", session=session)
             return False
         solved = threading.Event()
         raised: list[BaseException] = []
@@ -574,13 +595,20 @@ class AuthorityService:
             except BaseException as exc:  # re-raised on the draining thread
                 raised.append(exc)
             finally:
+                with self._stats_lock:
+                    self._solves_running -= 1
                 solved.set()
 
-        threading.Thread(
-            target=solve,
-            name=f"repro-deadline-{submission.future.submission_id}",
-            daemon=True,
-        ).start()
+        try:
+            threading.Thread(
+                target=solve,
+                name=f"repro-deadline-{submission.future.submission_id}",
+                daemon=True,
+            ).start()
+        except BaseException:
+            with self._stats_lock:
+                self._solves_running -= 1
+            raise
         if not solved.wait(remaining):
             # The abandoned thread may still write the session's advice:
             # the record takes the session's id and none of its facts.

@@ -7,11 +7,12 @@ to wander — ``exact``, ``float+certify`` and ``numpy`` screening (at
 the default chunk size and at 32 pairs) must return identical
 equilibrium sets.  (On random games the
 sets are generically unique; pinning the degenerate instances as well
-keeps the vectorized and warm-started screens honest about vertex
-selection.)
+keeps both float screens honest about vertex selection.)
 """
 
 from __future__ import annotations
+
+import importlib
 
 import pytest
 
@@ -25,16 +26,31 @@ from repro.linalg.backend import (
     numpy_available,
 )
 
-# Every non-exact search mode under test.  Without numpy the "numpy"
-# policies resolve to the stdlib float backend — exercising exactly the
+# The package re-exports the function under the module's name.
+se = importlib.import_module("repro.equilibria.support_enumeration")
+
+# Every non-exact search mode under test, at the default chunk sizes
+# and at 32 pairs per chunk.  Without numpy the "numpy" policies
+# resolve to the stdlib float backend — exercising exactly the
 # documented fallback.
 MODES = [
-    pytest.param(BackendPolicy(MODE_FLOAT_CERTIFY), id="float+certify"),
-    pytest.param(BackendPolicy(MODE_NUMPY), id="numpy"),
+    pytest.param((BackendPolicy(MODE_FLOAT_CERTIFY), None), id="float+certify"),
+    pytest.param((BackendPolicy(MODE_NUMPY), None), id="numpy"),
     pytest.param(
-        BackendPolicy(MODE_NUMPY, chunk_size=32), id="numpy-chunk-32"
+        (BackendPolicy(MODE_FLOAT_CERTIFY), 32), id="float+certify-chunk-32"
     ),
+    pytest.param((BackendPolicy(MODE_NUMPY), 32), id="numpy-chunk-32"),
 ]
+
+
+@pytest.fixture
+def mode(request, monkeypatch):
+    """A search policy, with every screening chunk fixed when asked."""
+    policy, chunk_size = request.param
+    if chunk_size is not None:
+        monkeypatch.setattr(se, "FIRST_CHUNK_SIZE", chunk_size)
+        monkeypatch.setattr(se, "DEFAULT_CHUNK_SIZE", chunk_size)
+    return policy
 
 
 def _sorted_set(profiles):
@@ -62,7 +78,7 @@ class TestRandomGameParity:
 
     SEEDS = list(range(50))
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", MODES, indirect=True)
     def test_equilibrium_sets_match_exact(self, mode):
         mismatches = []
         for seed in self.SEEDS:
@@ -79,7 +95,7 @@ class TestRandomGameParity:
 class TestDegenerateParity:
     """The committed degenerate seeds from test_degenerate_games."""
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", MODES, indirect=True)
     @pytest.mark.parametrize(
         "game", _degenerate_instances(), ids=lambda g: g.name
     )
@@ -88,7 +104,7 @@ class TestDegenerateParity:
         approx = _sorted_set(support_enumeration(game, policy=mode))
         assert exact == approx
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", MODES, indirect=True)
     def test_equal_size_restriction_matches_too(self, mode):
         game = random_bimatrix(5, 5, seed=4242)
         exact = _sorted_set(support_enumeration(game, equal_size_only=True))

@@ -8,46 +8,22 @@ import pytest
 
 from repro.errors import BackendError, LinearAlgebraError, ProtocolError
 from repro.linalg import (
-    EXACT_BACKEND,
     FLOAT_BACKEND,
+    INCONCLUSIVE,
     BackendPolicy,
-    ExactBackend,
+    FloatBackend,
+    int_lp,
     resolve_policy,
-    solve_square,
 )
 from repro.online.parallel_links import LeastLoadedTracker
 from repro.linalg.backend import (
+    AUTO_THRESHOLD,
     BACKEND_MODES,
     MODE_AUTO,
     MODE_EXACT,
     MODE_FLOAT_CERTIFY,
 )
 from repro.rng import make_rng
-
-
-class TestFloatSolveSquare:
-    def test_matches_exact_on_random_systems(self):
-        rng = make_rng(17, "backend:square")
-        for trial in range(25):
-            n = rng.randint(1, 6)
-            matrix = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                matrix[i][i] += 20  # diagonally dominant: well conditioned
-            rhs = [rng.randint(-9, 9) for _ in range(n)]
-            exact = solve_square(matrix, rhs)
-            approx = FLOAT_BACKEND.solve_square(matrix, rhs)
-            for e, a in zip(exact, approx):
-                assert abs(float(e) - a) < 1e-8
-
-    def test_near_singular_raises_backend_error(self):
-        with pytest.raises(BackendError):
-            FLOAT_BACKEND.solve_square([[1.0, 1.0], [1.0, 1.0 + 1e-14]], [1, 2])
-
-    def test_shape_validation(self):
-        with pytest.raises(LinearAlgebraError):
-            FLOAT_BACKEND.solve_square([[1, 2]], [1])
-        with pytest.raises(LinearAlgebraError):
-            FLOAT_BACKEND.solve_square([[1]], [1, 2])
 
 
 class TestFloatFeasibility:
@@ -59,7 +35,7 @@ class TestFloatFeasibility:
             ncols = rng.randint(1, 6)
             a = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)]
             b = [rng.randint(-5, 5) for _ in range(nrows)]
-            exact_point = EXACT_BACKEND.find_feasible_point(a, b)
+            exact_point = int_lp.find_feasible_point(a, b)
             try:
                 float_point = FLOAT_BACKEND.find_feasible_point(a, b)
             except BackendError:
@@ -74,16 +50,28 @@ class TestFloatFeasibility:
                 assert all(x >= -1e-9 for x in float_point)
         assert agreements >= 30  # the screen is conclusive nearly always
 
-    def test_upper_bounds(self):
-        # x0 + x1 = 3 with x <= (1, 1) is infeasible; x <= (2, 2) is not.
-        assert FLOAT_BACKEND.find_feasible_point([[1, 1]], [3], [1, 1]) is None
-        point = FLOAT_BACKEND.find_feasible_point([[1, 1]], [3], [2, 2])
-        assert point is not None
-        assert abs(sum(point) - 3.0) < 1e-9
-
-    def test_exact_backend_is_the_seed_lp(self):
-        point = ExactBackend().find_feasible_point([[1, 1]], [1])
-        assert point == (Fraction(1), Fraction(0))
+    def test_screen_solves_each_system_alone(self, monkeypatch):
+        rng = make_rng(29, "backend:screen")
+        systems = []
+        for __ in range(40):
+            nrows = rng.randint(1, 4)
+            ncols = rng.randint(1, 6)
+            systems.append((
+                [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)],
+                [rng.randint(-5, 5) for _ in range(nrows)],
+            ))
+        # A one-pivot cap makes the longer phase-1 runs inconclusive.
+        monkeypatch.setattr(FloatBackend, "cap_base", 1)
+        monkeypatch.setattr(FloatBackend, "cap_per_size", 0)
+        expected = []
+        for rows, rhs in systems:
+            try:
+                expected.append(FLOAT_BACKEND.find_feasible_point(rows, rhs))
+            except BackendError:
+                expected.append(INCONCLUSIVE)
+        assert INCONCLUSIVE in expected
+        assert FLOAT_BACKEND.screen_feasible(systems) == expected
+        assert FLOAT_BACKEND.screen_feasible(systems[::-1]) == expected[::-1]
 
 
 class TestBackendPolicy:
@@ -98,14 +86,13 @@ class TestBackendPolicy:
     def test_resolution(self):
         assert resolve_policy(None).mode == MODE_EXACT
         assert resolve_policy("float+certify").mode == MODE_FLOAT_CERTIFY
-        policy = BackendPolicy(MODE_AUTO, auto_threshold=8)
+        policy = BackendPolicy(MODE_AUTO)
         assert resolve_policy(policy) is policy
 
     @pytest.mark.parametrize("mode", BACKEND_MODES)
     def test_every_mode_string_resolves_to_its_shared_policy(self, mode):
         policy = resolve_policy(mode)
         assert policy.mode == mode
-        assert policy.chunk_size is None
         assert resolve_policy(mode) is policy
         assert policy == BackendPolicy(mode)
 
@@ -121,9 +108,9 @@ class TestBackendPolicy:
     def test_search_backend_selection(self):
         assert BackendPolicy(MODE_EXACT).search_backend(100).exact
         assert not BackendPolicy(MODE_FLOAT_CERTIFY).search_backend(2).exact
-        auto = BackendPolicy(MODE_AUTO, auto_threshold=10)
-        assert auto.search_backend(9).exact
-        assert not auto.search_backend(10).exact
+        auto = BackendPolicy(MODE_AUTO)
+        assert auto.search_backend(AUTO_THRESHOLD - 1).exact
+        assert not auto.search_backend(AUTO_THRESHOLD).exact
 
     def test_advice_records_and_validates_backend(self):
         from repro.core import Advice, ProofFormat, SolutionConcept

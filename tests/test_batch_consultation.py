@@ -29,7 +29,7 @@ from repro.online.consultation import (
     verify_advices,
 )
 
-CHUNKED = BackendPolicy(MODE_NUMPY, chunk_size=32)
+NUMPY = BackendPolicy(MODE_NUMPY)
 
 
 def _authority_with(inventor, games):
@@ -55,13 +55,13 @@ class TestConsultMany:
         ids = [game_id for game_id, __ in games]
 
         batch_inv = BimatrixInventor(
-            "inv", method="support-enumeration", backend=CHUNKED
+            "inv", method="support-enumeration", backend=NUMPY
         )
         batch_auth = _authority_with(batch_inv, games)
         batched = batch_auth.consult_many("jane", ids)
 
         single_inv = BimatrixInventor(
-            "inv", method="support-enumeration", backend=CHUNKED
+            "inv", method="support-enumeration", backend=NUMPY
         )
         single_auth = _authority_with(single_inv, games)
         singles = [single_auth.consult("jane", game_id) for game_id in ids]
@@ -74,7 +74,7 @@ class TestConsultMany:
     def test_records_backend_in_advice_and_audit(self):
         games = _games(count=2)
         inventor = BimatrixInventor(
-            "inv", method="support-enumeration", backend=CHUNKED
+            "inv", method="support-enumeration", backend=NUMPY
         )
         authority = _authority_with(inventor, games)
         outcomes = authority.consult_many("jane", [gid for gid, __ in games])

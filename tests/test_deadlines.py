@@ -20,7 +20,7 @@ from repro.core.registry import standard_procedures
 from repro.errors import DeadlineExceeded, FaultInjected, ProtocolError
 from repro.games.generators import random_bimatrix
 from repro.service import AuthorityService, faults
-from repro.service.service import MAX_DEADLINE_MS
+from repro.service.service import MAX_ABANDONED_SOLVES, MAX_DEADLINE_MS
 
 
 def _authority(games=3, seed=9):
@@ -287,6 +287,40 @@ class TestThreadLifecycle:
         # Disarming released the hang: the abandoned thread finishes its
         # solve, nobody reads the result, and the thread exits.
         assert not _leftover_threads(baseline)
+        service.close()
+        authority.close()
+
+    def test_abandoned_solves_are_bounded(self):
+        # Every solve wedges.  Past the bound, a deadlined submission
+        # fails at once instead of leaving one more thread behind.
+        baseline = _repro_threads()
+        authority = _authority()
+        service = AuthorityService(authority)
+        submitted = MAX_ABANDONED_SOLVES + 2
+        futures = []
+        with faults.armed("solve:hang:30@1x*"):
+            for __ in range(submitted):
+                futures.append(
+                    service.submit("jane", "g0", deadline_ms=20)
+                )
+                service.drain()
+                assert len(_repro_threads() - baseline) <= MAX_ABANDONED_SOLVES
+            assert len(_repro_threads() - baseline) == MAX_ABANDONED_SOLVES
+        assert all(
+            isinstance(f.exception(), DeadlineExceeded) for f in futures
+        )
+        phases = [
+            record.details["phase"]
+            for record in authority.audit.events_of(EVENT_DEADLINE_EXCEEDED)
+        ]
+        assert phases == (["solve"] * MAX_ABANDONED_SOLVES
+                          + ["wedged"] * (submitted - MAX_ABANDONED_SOLVES))
+        assert service.failure_counters()["deadlines_exceeded"] == submitted
+        # Disarming released the hangs: the abandoned threads exit, and
+        # a deadlined consultation gets a thread and succeeds again.
+        assert not _leftover_threads(baseline)
+        outcome = service.submit("jane", "g1", deadline_ms=60_000).result()
+        assert outcome.majority.accepted
         service.close()
         authority.close()
 

@@ -373,25 +373,71 @@ class TestFutureRegistry:
         authority = build_authority()
         server = AuthorityHTTPServer(AuthorityService(authority))
         for index in range(MAX_FUTURES):
-            server._register(_Tracked(index, resolved=index % 2 == 0))
-        assert len(server._futures) == MAX_FUTURES
-        server._register(_Tracked(MAX_FUTURES, resolved=False))
+            server._futures[f"f{index}"] = _Tracked(
+                index, resolved=index % 2 == 0
+            )
+        server._make_room(1)
         # Only the oldest resolved future made room for the new one.
-        assert len(server._futures) == MAX_FUTURES
+        assert len(server._futures) == MAX_FUTURES - 1
         assert "f0" not in server._futures
         assert "f2" in server._futures
-        assert f"f{MAX_FUTURES}" in server._futures
+        # A batch of three needs two more slots: the next two resolved.
+        server._make_room(3)
+        assert len(server._futures) == MAX_FUTURES - 3
+        assert not {"f2", "f4"} & set(server._futures)
+        assert "f6" in server._futures
         authority.close()
 
     def test_unresolved_futures_are_never_dropped(self):
-        # With nothing resolved to drop, the registry grows past the
-        # bound rather than lose a future a client may still poll.
-        authority = build_authority()
-        server = AuthorityHTTPServer(AuthorityService(authority))
-        for index in range(MAX_FUTURES + 3):
-            server._register(_Tracked(index, resolved=False))
-        assert len(server._futures) == MAX_FUTURES + 3
-        authority.close()
+        # A registry full of unresolved futures refuses new work with a
+        # 429 before the service sees it, and admits again once one of
+        # them has resolved.
+        service = AuthorityService(build_authority())
+        with ThreadedServer(service) as threaded:
+            registry = threaded.server._futures
+            tracked = [_Tracked(-1 - index, resolved=False)
+                       for index in range(MAX_FUTURES)]
+            for stand_in in tracked:
+                registry[f"f{stand_in.submission_id}"] = stand_in
+            client = Client(threaded.port)
+            try:
+                for path, body in (
+                    ("/consult", {"agent": "jane", "game_id": "g0"}),
+                    ("/consult_many",
+                     {"agent": "jane", "game_ids": ["g0", "g1"]}),
+                ):
+                    status, body, headers = client.request("POST", path, body)
+                    assert status == 429
+                    assert headers.get("Retry-After") == "1"
+                    assert "poll registry" in body["error"]
+                assert service.pending_count == 0
+                assert service.completed_count == 0
+                assert len(registry) == MAX_FUTURES
+                tracked[0].resolved = True
+                status, body, _ = client.request(
+                    "POST", "/consult", {"agent": "jane", "game_id": "g0"}
+                )
+                assert status == 200
+                # One slot is free again, and the batch needs two.
+                status, body, _ = client.request(
+                    "POST", "/consult_many",
+                    {"agent": "jane", "game_ids": ["g0", "g1"]},
+                )
+                assert status == 429
+                tracked[1].resolved = tracked[2].resolved = True
+                status, body, _ = client.request(
+                    "POST", "/consult_many",
+                    {"agent": "jane", "game_ids": ["g0", "g1"]},
+                )
+                assert status == 200
+                # Only as many resolved stand-ins went as the batch
+                # needed, and every unresolved one is still pollable.
+                assert len(registry) == MAX_FUTURES - 2
+                assert all(f"f{stand_in.submission_id}" in registry
+                           for stand_in in tracked[2:])
+            finally:
+                client.close()
+        service.authority.close()
 
 
 class TestBackpressure:

@@ -371,7 +371,7 @@ class TestConcurrentServiceDemo:
         inventor = BimatrixInventor(
             "inv",
             method="support-enumeration",
-            backend=BackendPolicy(MODE_NUMPY, chunk_size=64),
+            backend=BackendPolicy(MODE_NUMPY),
         )
         authority = _authority(inventor, games)
         service = AuthorityService(authority)
@@ -463,7 +463,7 @@ class TestAuthorityCloseRegression:
         late = BimatrixInventor(
             "late",
             method="support-enumeration",
-            backend=BackendPolicy(MODE_NUMPY, chunk_size=32),
+            backend=BackendPolicy(MODE_NUMPY),
         )
         authority.register_inventor(late)
         authority.publish_game(

@@ -1,10 +1,12 @@
 """The decide stage, the padded-stack screen and the first-hit scan.
 
 Support enumeration screens each side of a chunk's Lemma-1 systems as
-one zero-padded numpy stack.  These tests pin that padding changes
+one batch: a zero-padded numpy stack, or a list the stdlib screen
+solves system by system.  These tests pin that padding changes
 nothing: every pair's verdict equals the one its two systems earn when
-screened alone, iteration caps included, and the first equilibrium
-found does not depend on how the pairs are chunked.  They also pin the
+screened alone, iteration caps included, and on either float backend
+the first equilibrium found does not depend on how the pairs are
+chunked.  They also pin the
 exact decide stage in front of the screen: every pair it drops has no
 equilibrium, no equilibrium's support pair is dropped, and a dropped
 pair never reaches the screen or the exact LP.  Finally they pin the
@@ -27,7 +29,8 @@ from repro.equilibria.mixed import is_mixed_nash
 from repro.equilibria.support_enumeration import (
     SCREEN_EXACT,
     SCREEN_PRUNED,
-    _feasibility_rows,
+    _lemma1_stack,
+    _side_systems,
     _triage,
     _undominated_pairs,
     decide_support_pairs,
@@ -46,7 +49,7 @@ from repro.linalg.backend import (
     MODE_NUMPY,
     NUMPY_BACKEND,
     BackendPolicy,
-    float_matrix,
+    FloatBackend,
     numpy_available,
 )
 from repro.rng import make_rng
@@ -57,6 +60,13 @@ se = importlib.import_module("repro.equilibria.support_enumeration")
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="needs numpy (stdlib-only run)"
 )
+
+
+def _fix_iteration_cap(monkeypatch, cap: int) -> None:
+    """Give every float-screened system the same simplex iteration cap."""
+    monkeypatch.setattr(FloatBackend, "cap_base", cap)
+    monkeypatch.setattr(FloatBackend, "cap_per_size", 0)
+
 
 SHAPES = [(3, 3), (5, 5), (4, 6), (6, 4), (3, 7)]
 
@@ -79,20 +89,18 @@ def _corpus():
 
 
 def _screened_alone(backend, game, pairs):
-    """The reference: every Lemma-1 system built as lists, screened alone."""
-    a_rows = float_matrix(game.row_matrix)
-    b_cols = float_matrix(game.column_matrix_transposed)
+    """The reference: every Lemma-1 system screened in a batch of one."""
+    a_rows = backend.float_payoffs(game.row_matrix)
+    b_cols = backend.float_payoffs(game.column_matrix_transposed)
     verdicts = []
     for rs, cs in pairs:
-        y_point = backend.screen_feasible(
-            [_feasibility_rows(a_rows, rs, cs, 0.0, 1.0)[:2]]
-        )[0]
+        y_point = backend.screen_feasible(_side_systems(a_rows, [rs], [cs]))[0]
         x_point = None
         if y_point is INCONCLUSIVE:
             x_point = INCONCLUSIVE
         elif y_point is not None:
             x_point = backend.screen_feasible(
-                [_feasibility_rows(b_cols, cs, rs, 0.0, 1.0)[:2]]
+                _side_systems(b_cols, [cs], [rs])
             )[0]
         verdicts.append(_triage(y_point, x_point, rs, cs, backend.support_tol))
     return verdicts
@@ -116,47 +124,69 @@ class TestStackedVerdicts:
         assert stacked == _screened_alone(NUMPY_BACKEND, game, pairs)
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 5, 8])
-    def test_padded_system_hits_its_own_iteration_cap(self, cap):
-        from repro.linalg.numpy_backend import NumpyBackend
-
-        backend = NumpyBackend(max_iterations=cap)
+    def test_padded_system_hits_its_own_iteration_cap(self, cap, monkeypatch):
+        _fix_iteration_cap(monkeypatch, cap)
         inconclusive = 0
         for game in (random_bimatrix(5, 5, seed=4300), _degenerate(4, 6, 4301)):
             pairs = list(support_pairs(*game.action_counts))
-            stacked = _screened_stacked(backend, game, pairs)
-            assert stacked == _screened_alone(backend, game, pairs)
+            stacked = _screened_stacked(NUMPY_BACKEND, game, pairs)
+            assert stacked == _screened_alone(NUMPY_BACKEND, game, pairs)
             inconclusive += stacked.count((SCREEN_EXACT,))
         if cap <= 3:
             assert inconclusive > 0  # the cap really binds
 
-    def test_mixed_shapes_pad_into_one_stack(self):
-        from repro.linalg.numpy_backend import NumpyBackend
+    @pytest.mark.parametrize("cap", [None, 6])
+    def test_mixed_shapes_pad_into_one_stack(self, cap, monkeypatch):
+        # Every support size of a 4x6 game, so the stack pads both the
+        # mix and the slack columns: each system's point over its own
+        # columns is the one it earns in a stack of one.
+        if cap is not None:
+            _fix_iteration_cap(monkeypatch, cap)
+        game = _degenerate(4, 6, 4400)
+        payoff = NUMPY_BACKEND.float_payoffs(game.row_matrix)
+        pairs = list(support_pairs(4, 6))
+        owns = [rs for rs, __ in pairs]
+        others = [cs for __, cs in pairs]
+        width = max(map(len, others))
+        stacked = NUMPY_BACKEND.screen_feasible(
+            _lemma1_stack(payoff, owns, others)
+        )
+        for (rs, cs), point in zip(pairs, stacked):
+            alone = NUMPY_BACKEND.screen_feasible(
+                _lemma1_stack(payoff, [rs], [cs])
+            )[0]
+            if point is None or point is INCONCLUSIVE:
+                assert alone is point
+                continue
+            own = (point[:len(cs)] + point[width:width + 2]
+                   + point[width + 2:width + 2 + 4 - len(rs)])
+            assert own == alone
+            assert not any(point[len(cs):width])
+            assert not any(point[width + 2 + 4 - len(rs):])
+        if cap is not None:
+            assert INCONCLUSIVE in stacked  # the cap really binds
+        assert any(p is not None and p is not INCONCLUSIVE for p in stacked)
 
-        rng = make_rng(4400, "stacked-screen:generic")
-        systems = []
-        for __ in range(60):
-            nrows = rng.randint(1, 4)
-            ncols = rng.randint(1, 6)
-            systems.append((
-                [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)],
-                [rng.randint(-5, 5) for _ in range(nrows)],
-            ))
-        for backend in (NUMPY_BACKEND, NumpyBackend(max_iterations=2)):
-            alone = [backend.screen_feasible([system])[0] for system in systems]
-            assert backend.screen_feasible(systems) == alone
+
+FLOAT_POLICIES = [
+    pytest.param("float+certify", id="stdlib"),
+    pytest.param("numpy", id="numpy", marks=requires_numpy),
+]
 
 
-@requires_numpy
 class TestWaveSchedule:
+    @pytest.mark.parametrize("policy", FLOAT_POLICIES)
     @pytest.mark.parametrize("game", _corpus(), ids=lambda g: g.name)
-    def test_answer_independent_of_chunking(self, game):
-        expected = find_one_equilibrium(game, policy="numpy")
+    def test_answer_independent_of_chunking(self, game, policy, monkeypatch):
+        expected = find_one_equilibrium(game, policy=policy)
         assert is_mixed_nash(game, expected)
         for chunk_size in (1, 7, 1024):
-            policy = BackendPolicy(MODE_NUMPY, chunk_size=chunk_size)
+            monkeypatch.setattr(se, "FIRST_CHUNK_SIZE", chunk_size)
+            monkeypatch.setattr(se, "DEFAULT_CHUNK_SIZE", chunk_size)
             found = find_one_equilibrium(game, policy=policy)
             assert found.distributions == expected.distributions
 
+    @requires_numpy
     def test_answer_is_repeatable(self):
         for game in (random_bimatrix(5, 5, seed=4500), _degenerate(6, 4, 4501)):
             expected = find_one_equilibrium(game, policy="numpy")
