@@ -36,6 +36,14 @@ PACKAGES = [
 ]
 
 
+#: Third-party packages, by extra: the library itself needs none.
+#: tests/test_packaging.py checks that nothing under src/ imports a
+#: module outside the standard library, ``repro`` and this list.
+EXTRAS_REQUIRE = {
+    "simulation": ["numpy"],
+}
+
+
 def discover_packages(src: Path | None = None) -> list[str]:
     """The packages actually present under ``src/`` (sorted dotted names)."""
     if src is None:
@@ -61,7 +69,5 @@ if __name__ == "__main__":
         package_dir={"": "src"},
         packages=PACKAGES,
         python_requires=">=3.10",
-        extras_require={
-            "simulation": ["numpy"],
-        },
+        extras_require=EXTRAS_REQUIRE,
     )

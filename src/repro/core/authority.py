@@ -110,15 +110,16 @@ class RationalityAuthority:
             raise ProtocolError(f"game {game_id!r} already published")
         self._games[game_id] = game
         self._game_owner[game_id] = inventor_name
+        description = game.describe()
         self.bus.send(
             inventor_name,
             self.AUTHORITY_NAME,
             "game.publish",
-            {"game_id": game_id, "description": game.describe()},
+            {"game_id": game_id, "description": description},
         )
         self.audit.record(
             "-", inventor_name, EVENT_GAME_PUBLISHED,
-            game_id=game_id, description=game.describe(),
+            game_id=game_id, description=description,
         )
 
     def game(self, game_id: str) -> Game:

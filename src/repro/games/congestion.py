@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import networkx as nx
-
 from repro.errors import GameError
 from repro.fractions_util import to_fraction
 from repro.games.base import Game, UtilityTableMixin
@@ -137,7 +135,8 @@ class Network:
     """
 
     def __init__(self, name: str = ""):
-        self._graph = nx.MultiDiGraph()
+        # Node -> its outgoing (arc id, target) pairs, nodes in insertion order.
+        self._out_arcs: dict[str, list[tuple[int, str]]] = {}
         self._arcs: list[Arc] = []
         self.name = name or "Network"
 
@@ -150,10 +149,10 @@ class Network:
         return tuple(self._arcs)
 
     def nodes(self) -> tuple[str, ...]:
-        return tuple(self._graph.nodes())
+        return tuple(self._out_arcs)
 
     def add_node(self, node: str) -> None:
-        self._graph.add_node(node)
+        self._out_arcs.setdefault(node, [])
 
     def add_arc(self, source: str, target: str, delay: DelayFunction | None = None) -> int:
         """Add an arc and return its id.  Default delay is ``d(x) = x``."""
@@ -162,7 +161,8 @@ class Network:
         arc_id = len(self._arcs)
         arc = Arc(arc_id=arc_id, source=source, target=target, delay=delay)
         self._arcs.append(arc)
-        self._graph.add_edge(source, target, key=arc_id)
+        self._out_arcs.setdefault(source, []).append((arc_id, target))
+        self._out_arcs.setdefault(target, [])
         return arc_id
 
     def arc(self, arc_id: int) -> Arc:
@@ -181,12 +181,37 @@ class Network:
         Deterministically ordered (by length, then lexicographically by
         arc ids) so strategy indices are stable across runs — strategy
         enumeration order is part of any proof that refers to strategies
-        by index.
+        by index.  A simple path visits no node twice, so the one path
+        from a node to itself is the empty one.
         """
-        if source not in self._graph or sink not in self._graph:
+        try:
+            known = source in self._out_arcs and sink in self._out_arcs
+        except TypeError:  # an unhashable endpoint names no node
+            known = False
+        if not known:
             raise GameError(f"unknown endpoint in ({source!r}, {sink!r})")
-        raw = nx.all_simple_edge_paths(self._graph, source, sink)
-        paths = [tuple(key for (_u, _v, key) in path) for path in raw]
+        if source == sink:
+            return ((),)
+        # Depth-first over arcs: one iterator of outgoing arcs per node
+        # on the current path; an arc into the sink closes a path and is
+        # never followed further.
+        paths: list[tuple[int, ...]] = []
+        prefix: list[int] = []
+        on_path = {source}
+        stack = [iter(self._out_arcs[source])]
+        while stack:
+            for arc_id, target in stack[-1]:
+                if target == sink:
+                    paths.append((*prefix, arc_id))
+                elif target not in on_path:
+                    on_path.add(target)
+                    prefix.append(arc_id)
+                    stack.append(iter(self._out_arcs[target]))
+                    break
+            else:
+                stack.pop()
+                if prefix:
+                    on_path.discard(self._arcs[prefix.pop()].target)
         paths.sort(key=lambda p: (len(p), p))
         return tuple(paths)
 

@@ -23,7 +23,6 @@ import sys
 from repro.core.actors import AuthorityAgent, BimatrixInventor
 from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
-from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
 from repro.server.app import AuthorityHTTPServer
 from repro.server.journal import WriteBehindPersister, state_path
@@ -46,9 +45,9 @@ def build_demo_authority(games: int, size: int, seed: int,
     authority.register_inventor(inventor)
     authority.register_agent(AuthorityAgent(DEFAULT_AGENT, player_role=0))
     for i in range(games):
-        base = random_bimatrix(size, size, seed=seed + i)
-        clone = BimatrixGame(base.row_matrix, base.column_matrix)
-        authority.publish_game(DEFAULT_INVENTOR, f"g{i}", clone)
+        authority.publish_game(
+            DEFAULT_INVENTOR, f"g{i}", random_bimatrix(size, size, seed=seed + i)
+        )
     return authority
 
 
@@ -103,7 +102,12 @@ def parse_args(argv=None) -> argparse.Namespace:
                         "have passed since the last append")
     parser.add_argument("--long-poll-timeout", type=float, default=30.0)
     parser.add_argument("--poll-interval", type=float, default=0.25)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.games < 0:
+        parser.error(f"--games must be at least 0, got {args.games}")
+    if args.size < 1:
+        parser.error(f"--size must be at least 1, got {args.size}")
+    return args
 
 
 async def _serve(args) -> None:

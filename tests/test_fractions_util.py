@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.games.bimatrix import BimatrixGame
+from repro.games.generators import random_bimatrix
 from repro.fractions_util import (
+    SMALL_INT_LIMIT,
     as_floats,
     dot,
     exact_fingerprint,
@@ -59,6 +62,94 @@ class TestToFraction:
     def test_none_rejected(self):
         with pytest.raises(TypeError):
             to_fraction(None)
+
+
+class TestSharedSmallIntegers:
+    """Integers in the table convert to one shared, equal Fraction."""
+
+    @pytest.mark.parametrize("n", [
+        -SMALL_INT_LIMIT, -10, -1, 0, 1, 10, SMALL_INT_LIMIT,
+    ])
+    def test_inside_the_table_is_shared_and_equal(self, n):
+        assert to_fraction(n) is to_fraction(n)
+        assert to_fraction(n) == Fraction(n)
+        assert type(to_fraction(n)) is Fraction
+
+    def test_every_generator_payoff_is_shared(self):
+        games = [random_bimatrix(5, 5, seed=s) for s in range(40)]
+        payoffs = {
+            id(value)
+            for game in games
+            for matrix in (game.row_matrix, game.column_matrix)
+            for row in matrix
+            for value in row
+        }
+        assert len(payoffs) <= 21
+
+    @pytest.mark.parametrize("n", [
+        SMALL_INT_LIMIT + 1, -SMALL_INT_LIMIT - 1, 10**30, -(10**30),
+    ])
+    def test_outside_the_table_is_equal_but_fresh(self, n):
+        first = to_fraction(n)
+        assert first == Fraction(n)
+        assert first is not to_fraction(n)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bools_still_refused(self, flag):
+        with pytest.raises(TypeError):
+            to_fraction(flag)
+
+    @pytest.mark.skipif(np is None, reason="needs numpy (stdlib-only run)")
+    @pytest.mark.parametrize("n", [0, 7, -10, SMALL_INT_LIMIT + 1, 2**40])
+    def test_numpy_integer_scalars_convert(self, n):
+        assert to_fraction(np.int64(n)) == Fraction(n)
+
+    def test_int_and_fraction_games_agree(self):
+        ints = random_bimatrix(5, 5, seed=11)
+        rows = [[int(v) for v in row] for row in ints.row_matrix]
+        cols = [[int(v) for v in row] for row in ints.column_matrix]
+        from_ints = BimatrixGame(rows, cols)
+        from_fractions = BimatrixGame(
+            [[Fraction(v) for v in row] for row in rows],
+            [[Fraction(v) for v in row] for row in cols],
+        )
+        assert from_ints.row_matrix == from_fractions.row_matrix
+        assert from_ints.column_matrix == from_fractions.column_matrix
+        assert (
+            from_ints.payoff_fingerprint == from_fractions.payoff_fingerprint
+            == ints.payoff_fingerprint
+        )
+        assert from_ints.integer_lattice == from_fractions.integer_lattice
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteRefused:
+    """NaN and the infinities have no exact value: one ValueError each."""
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_python_floats(self, value):
+        with pytest.raises(ValueError, match=repr(value)):
+            to_fraction(value)
+
+    @pytest.mark.skipif(np is None, reason="needs numpy (stdlib-only run)")
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind", ["float16", "float32", "float64"])
+    def test_numpy_float_scalars(self, value, kind):
+        scalar = getattr(np, kind)(value)
+        with pytest.raises(ValueError, match="non-finite value") as info:
+            to_fraction(scalar)
+        assert repr(scalar) in str(info.value)
+
+    def test_finite_floats_still_convert(self):
+        assert to_fraction(1e308) == Fraction(1e308)
+        assert to_fraction(-0.0) == 0
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_games_refuse_non_finite_payoffs(self, value):
+        with pytest.raises(ValueError, match="non-finite value"):
+            BimatrixGame([[1, value]], [[0, 0]])
 
 
 class TestVectorsAndMatrices:

@@ -1,6 +1,7 @@
 """Tests for the game substrate: strategic, bimatrix, symmetric,
 participation and congestion games."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -344,6 +345,119 @@ class TestNetworksAndCongestion:
         net = parallel_links_network(1)
         with pytest.raises(GameError):
             net.simple_arc_paths("s", "nowhere")
+
+    def test_unhashable_endpoint_is_unknown(self):
+        net = parallel_links_network(1)
+        with pytest.raises(GameError, match="unknown endpoint"):
+            net.simple_arc_paths(["s"], "t")
+
+
+class _RecordedNetwork(Network):
+    """A :class:`Network` that records how it was built, for replay."""
+
+    def __init__(self, name: str = ""):
+        super().__init__(name)
+        self.calls: list[tuple] = []
+
+    def add_node(self, node):
+        self.calls.append(("node", node))
+        super().add_node(node)
+
+    def add_arc(self, source, target, delay=None):
+        self.calls.append(("arc", source, target))
+        return super().add_arc(source, target, delay)
+
+
+class TestPathsMatchNetworkx:
+    """The stdlib path search returns what ``networkx`` returns.
+
+    Each network's construction is replayed into an ``nx.MultiDiGraph``
+    (arc ids as edge keys), and every ordered pair of its nodes, plus an
+    unknown one, is queried on both sides.
+    """
+
+    @pytest.fixture()
+    def nx(self):
+        return pytest.importorskip("networkx")
+
+    @staticmethod
+    def _replay(nx, calls):
+        graph = nx.MultiDiGraph()
+        arc_ids = iter(range(len(calls)))
+        for call in calls:
+            if call[0] == "node":
+                graph.add_node(call[1])
+            else:
+                graph.add_edge(call[1], call[2], key=next(arc_ids))
+        return graph
+
+    def assert_matches(self, nx, net):
+        graph = self._replay(nx, net.calls)
+        assert net.nodes() == tuple(graph.nodes())
+        endpoints = [*graph.nodes(), "nowhere"]
+        for source in endpoints:
+            for sink in endpoints:
+                if source not in graph or sink not in graph:
+                    with pytest.raises(GameError, match="unknown endpoint"):
+                        net.simple_arc_paths(source, sink)
+                    continue
+                expected = sorted(
+                    (tuple(key for _u, _v, key in path)
+                     for path in nx.all_simple_edge_paths(graph, source, sink)),
+                    key=lambda p: (len(p), p),
+                )
+                assert net.simple_arc_paths(source, sink) == tuple(expected)
+
+    def test_fig6_diamond(self, nx, monkeypatch):
+        from repro.online import fig6
+
+        monkeypatch.setattr(fig6, "Network", _RecordedNetwork)
+        net = fig6.diamond_network()
+        assert net.simple_arc_paths("a", "d") == ((0, 1), (2, 3))
+        self.assert_matches(nx, net)
+
+    @pytest.mark.parametrize("links", [1, 2, 3, 4])
+    def test_parallel_links(self, nx, monkeypatch, links):
+        from repro.games import congestion
+
+        monkeypatch.setattr(congestion, "Network", _RecordedNetwork)
+        net = congestion.parallel_links_network(links)
+        assert net.simple_arc_paths("s", "t") == tuple((i,) for i in range(links))
+        self.assert_matches(nx, net)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_multigraphs(self, nx, seed):
+        rng = random.Random(seed)
+        names = [f"v{i}" for i in range(rng.randint(1, 5))]
+        rng.shuffle(names)
+        net = _RecordedNetwork()
+        for name in rng.sample(names, rng.randint(0, len(names))):
+            net.add_node(name)
+        for _ in range(rng.randint(0, 9)):
+            source, target = rng.choice(names), rng.choice(names)
+            net.add_arc(source, target)
+            roll = rng.random()
+            if roll < 0.25:
+                net.add_arc(source, target)  # a parallel arc
+            elif roll < 0.5:
+                net.add_arc(target, source)  # a reverse arc
+        self.assert_matches(nx, net)
+
+    def test_source_equal_to_sink_is_one_empty_path(self, nx):
+        net = _RecordedNetwork()
+        net.add_arc("s", "t")
+        net.add_arc("t", "s")
+        net.add_arc("s", "s")
+        assert net.simple_arc_paths("s", "s") == ((),)
+        self.assert_matches(nx, net)
+
+    def test_unreachable_sink_has_no_path(self, nx):
+        net = _RecordedNetwork()
+        net.add_arc("s", "t")
+        net.add_node("u")
+        assert net.simple_arc_paths("s", "u") == ()
+        assert net.simple_arc_paths("t", "s") == ()
+        self.assert_matches(nx, net)
 
 
 class TestGenerators:

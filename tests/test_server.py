@@ -9,6 +9,7 @@ server's service and audit log directly for assertions.
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import http.client
 import logging
@@ -29,6 +30,7 @@ from repro.core.registry import standard_procedures
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
 from repro.server import ThreadedServer, WriteBehindPersister, state_path
+from repro.server.__main__ import DEFAULT_AGENT, build_demo_authority, parse_args
 from repro.server.app import (
     MAX_BODY_BYTES,
     MAX_FUTURES,
@@ -576,3 +578,72 @@ class TestGracefulShutdown:
             finally:
                 client.close()
         authority.close()
+
+
+#: SHA-256 of the CLI demo world's cold-then-warm stream (16 games of
+#: size 4, seed 6100): the served /consult bodies less their wall-clock
+#: ``latency_ms``, and the journal file that stream leaves behind.
+DEMO_STREAM_BODIES_DIGEST = (
+    "f3a9575a5c38c27ef1e7952eea337f57e0cf89e2f09dbd799c896b425f2dd1e4"
+)
+DEMO_STREAM_JOURNAL_DIGEST = (
+    "6739c3b4f03f8cea13819a2b6c3e32793e27cbc7154478f753c627df2489c81a"
+)
+
+
+class TestDemoWorld:
+    """``python -m repro.server``'s world: its flags and what it serves."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--games", "-3"], ["--games", "-1"], ["--size", "0"], ["--size", "-2"],
+    ])
+    def test_out_of_range_flags_are_usage_errors(self, flags, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            parse_args(flags)
+        assert exit_info.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+
+    def test_smallest_world_is_accepted(self):
+        args = parse_args(["--games", "0", "--size", "1"])
+        assert (args.games, args.size) == (0, 1)
+
+    def test_publishes_the_generated_games(self):
+        authority = build_demo_authority(3, 4, 6100)
+        try:
+            for i in range(3):
+                drawn = random_bimatrix(4, 4, seed=6100 + i)
+                published = authority.game(f"g{i}")
+                assert published.row_matrix == drawn.row_matrix
+                assert published.column_matrix == drawn.column_matrix
+                assert published.payoff_fingerprint == drawn.payoff_fingerprint
+        finally:
+            authority.close()
+
+    def test_cold_then_warm_stream_is_pinned(self, tmp_path):
+        journal = state_path(tmp_path / "state")
+        authority = build_demo_authority(16, 4, 6100)
+        cache = SolveCache()
+        service = AuthorityService(authority, solve_cache=cache)
+        persister = WriteBehindPersister(cache, journal)
+        bodies = hashlib.sha256()
+        with ThreadedServer(service, persister=persister) as threaded:
+            client = Client(threaded.port)
+            try:
+                for i in range(16):
+                    for expected in ("miss", "hit"):
+                        status, body, _ = client.request("POST", "/consult", {
+                            "agent": DEFAULT_AGENT, "game_id": f"g{i}",
+                            "wait": True,
+                        })
+                        assert status == 200
+                        assert body["advice"]["cache"] == expected
+                        body.pop("latency_ms")
+                        bodies.update(json.dumps(body, sort_keys=True).encode())
+            finally:
+                client.close()
+        authority.close()
+        with open(journal, "rb") as handle:
+            journal_digest = hashlib.sha256(handle.read()).hexdigest()
+        assert (bodies.hexdigest(), journal_digest) == (
+            DEMO_STREAM_BODIES_DIGEST, DEMO_STREAM_JOURNAL_DIGEST,
+        )
