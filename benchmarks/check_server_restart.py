@@ -46,8 +46,7 @@ def start_server(state_dir: str):
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.server",
-         "--state-dir", state_dir, "--games", str(GAMES), "--size", "4",
-         "--flush-every-drains", "1", "--poll-interval", "0.1"],
+         "--state-dir", state_dir, "--games", str(GAMES), "--size", "4"],
         stdout=subprocess.PIPE, text=True, env=env,
     )
     line = proc.stdout.readline()

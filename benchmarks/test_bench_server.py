@@ -105,11 +105,10 @@ def test_bench_server_http(
     cache = SolveCache()
     authority = _authority(bases)
     http_service = AuthorityService(authority, solve_cache=cache)
-    persister = WriteBehindPersister(cache, journal_path, flush_every_drains=1)
+    persister = WriteBehindPersister(cache, journal_path)
     http_advice = []
     http_states = []
-    with ThreadedServer(http_service, persister=persister,
-                        poll_interval=0.0) as threaded:
+    with ThreadedServer(http_service, persister=persister) as threaded:
         conn = http.client.HTTPConnection(
             "127.0.0.1", threaded.port, timeout=300
         )
@@ -146,9 +145,8 @@ def test_bench_server_http(
     cache = SolveCache()
     authority = _authority(bases)
     warm_service = AuthorityService(authority, solve_cache=cache)
-    persister2 = WriteBehindPersister(cache, journal_path, flush_every_drains=1)
-    with ThreadedServer(warm_service, persister=persister2,
-                        poll_interval=0.0) as threaded:
+    persister2 = WriteBehindPersister(cache, journal_path)
+    with ThreadedServer(warm_service, persister=persister2) as threaded:
         conn = http.client.HTTPConnection(
             "127.0.0.1", threaded.port, timeout=300
         )

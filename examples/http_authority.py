@@ -59,8 +59,7 @@ def build_authority() -> RationalityAuthority:
 def build_server(state_dir) -> tuple[ThreadedServer, AuthorityService]:
     cache = SolveCache()  # pathless: the persister owns the state file
     service = AuthorityService(build_authority(), solve_cache=cache)
-    persister = WriteBehindPersister(cache, state_path(state_dir),
-                                     flush_every_drains=1)
+    persister = WriteBehindPersister(cache, state_path(state_dir))
     return ThreadedServer(service, persister=persister), service
 
 

@@ -127,7 +127,3 @@ def describe(event: str) -> str:
     """The one-line description of a registered event name."""
     return REGISTRY[event]
 
-
-def all_events() -> tuple[str, ...]:
-    """Every registered event name, in declaration order."""
-    return tuple(REGISTRY)

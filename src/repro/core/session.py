@@ -40,6 +40,9 @@ from repro.games.profiles import MixedProfile
 from repro.interactive.p1 import P1Announcement
 from repro.online.participation_online import OnlineAdvice
 
+#: The privacy modes an agent may request advice under.
+PRIVACY_MODES = ("open", "private")
+
 _CREATED = "created"
 _ADVISED = "advised"
 _VERIFIED = "verified"
@@ -144,7 +147,7 @@ class ConsultationSession:
         self, inventor: GameInventor, privacy: str = "open"
     ) -> Advice:
         self._require_state(_CREATED, "request_advice")
-        if privacy not in ("open", "private"):
+        if privacy not in PRIVACY_MODES:
             raise ProtocolError(f"unknown privacy mode {privacy!r}")
         self._bus.send(
             self._agent.name,

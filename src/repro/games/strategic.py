@@ -134,21 +134,6 @@ class StrategicGame(Game, UtilityTableMixin):
         """A copy of the underlying utility table."""
         return dict(self._table)
 
-    @property
-    def integer_table(self):
-        """This game's per-player integer utility table, or ``None``.
-
-        Mirrors :attr:`~repro.games.bimatrix.BimatrixGame.integer_lattice`
-        for the n-player case: payoffs cleared to each player's common
-        denominator, built once and cached (weakly) on the game, the
-        comparison currency of every lattice certification path.
-        ``None`` only for oversized profile spaces, where callers keep
-        the exact Fraction oracle.
-        """
-        from repro.linalg.int_exact import integer_utility_table
-
-        return integer_utility_table(self)
-
     def scale_payoffs(self, factor) -> "StrategicGame":
         """Return a new game with all payoffs multiplied by ``factor``.
 

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 from repro.errors import GameError
 from repro.fractions_util import to_fraction
 from repro.games.base import Game, UtilityTableMixin
-from repro.games.profiles import MixedProfile, PureProfile
+from repro.games.profiles import PureProfile
 
 
 def binomial_pmf(k: int, n: int, p: Fraction) -> Fraction:
@@ -152,11 +152,6 @@ class SymmetricTwoActionGame(Game, UtilityTableMixin):
         if p == 1:
             return gap >= 0
         return gap == 0
-
-    def symmetric_mixed_profile(self, p) -> MixedProfile:
-        """The profile in which every player plays action 1 w.p. ``p``."""
-        p = to_fraction(p)
-        return MixedProfile.from_rows([(1 - p, p)] * self._n)
 
     def to_strategic(self):
         """Materialize the full 2^n table (for the Fig. 2 proof path)."""

@@ -24,30 +24,10 @@ Fig. 2                here
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.games.base import Game
 from repro.games.profiles import PureProfile, change, is_valid_profile
-
-
-@dataclass(frozen=True)
-class EvalCounter:
-    """Mutable-by-replacement counter of primitive utility evaluations.
-
-    The Sect. 3 vs Sect. 4 complexity story is told in these counters:
-    the Fig. 2 proof path performs Θ(n·Σ|Ai|·Π|Ai|) utility evaluations,
-    the interactive verifiers polynomially few.
-    """
-
-    utility_evaluations: int = 0
-    statements_checked: int = 0
-
-    def bump_eval(self, count: int = 1) -> "EvalCounter":
-        return EvalCounter(self.utility_evaluations + count, self.statements_checked)
-
-    def bump_statement(self, count: int = 1) -> "EvalCounter":
-        return EvalCounter(self.utility_evaluations, self.statements_checked + count)
 
 
 class CountingGame:

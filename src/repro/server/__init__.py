@@ -4,8 +4,8 @@
 :class:`~repro.service.service.AuthorityService` over stdlib-asyncio
 HTTP/1.1 with a background drain pump (clients never pump the queue
 themselves); :mod:`repro.server.journal` gives the server crash-grade
-durability — one state file, a digest-framed journal appended every
-few drains and compacted in place, replayed through the cache's
+durability — one state file, a digest-framed journal appended at
+every drain and compacted in place, replayed through the cache's
 tamper-rejecting re-certification gate on restart.
 """
 

@@ -59,17 +59,11 @@ def build_server(args) -> tuple[AuthorityHTTPServer, AuthorityService]:
         service = AuthorityService(
             authority, solve_cache=cache, max_pending=args.max_pending
         )
-        persister = WriteBehindPersister(
-            cache, state_path(args.state_dir),
-            flush_every_drains=args.flush_every_drains,
-            flush_interval=args.flush_interval,
-        )
+        persister = WriteBehindPersister(cache, state_path(args.state_dir))
     else:
         service = AuthorityService(authority, max_pending=args.max_pending)
     server = AuthorityHTTPServer(
         service, host=args.host, port=args.port, persister=persister,
-        long_poll_timeout=args.long_poll_timeout,
-        poll_interval=args.poll_interval,
     )
     return server, service
 
@@ -84,24 +78,17 @@ def parse_args(argv=None) -> argparse.Namespace:
                         help="0 picks a free port (announced on stdout)")
     parser.add_argument(
         "--state-dir", default=None, metavar="DIR",
-        help="enable write-behind durability: certified entries append "
-             "to DIR/journal.jsonl, which is compacted once it holds "
-             "twice as many frames as the cache holds entries, on "
-             "POST /admin/snapshot and at shutdown",
+        help="enable write-behind durability: the certified profiles "
+             "each drain stores are appended to DIR/journal.jsonl and "
+             "fsynced when the drain ends; the file is compacted once "
+             "it holds twice as many frames as the cache holds "
+             "entries, on POST /admin/snapshot and at shutdown",
     )
     parser.add_argument("--games", type=int, default=16)
     parser.add_argument("--size", type=int, default=4)
     parser.add_argument("--seed", type=int, default=6100)
     parser.add_argument("--max-pending", type=int, default=None,
                         help="admission high-water mark (429 past it)")
-    parser.add_argument("--flush-every-drains", type=int, default=1,
-                        metavar="N", help="append to the journal every N "
-                        "drains")
-    parser.add_argument("--flush-interval", type=float, default=5.0,
-                        metavar="S", help="also append once S seconds "
-                        "have passed since the last append")
-    parser.add_argument("--long-poll-timeout", type=float, default=30.0)
-    parser.add_argument("--poll-interval", type=float, default=0.25)
     args = parser.parse_args(argv)
     if args.games < 0:
         parser.error(f"--games must be at least 0, got {args.games}")

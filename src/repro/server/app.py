@@ -48,10 +48,12 @@ Durability is delegated to a
 :class:`~repro.server.journal.WriteBehindPersister` when one is
 passed: the server replays its journal before accepting traffic
 (auditing ``cache.load.completed`` / per-frame ``cache.load.rejected``),
-registers it as a drain listener (flush every N drains), polls it on a
-timer (flush every T seconds even when idle), and compacts the journal
-a last time during graceful shutdown — which drains every in-flight
-future first and lands a ``server.shutdown.completed`` audit record.
+registers it as a drain listener (a flush at the end of every drain),
+polls it every ``POLL_INTERVAL_S`` (a flush once
+:data:`~repro.server.journal.FLUSH_INTERVAL_S` has passed, even when
+idle), and compacts the journal a last time during graceful shutdown —
+which drains every in-flight future first and lands a
+``server.shutdown.completed`` audit record.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ from repro.core.audit_events import (
     EVENT_SERVER_SHUTDOWN,
     EVENT_SERVER_STARTED,
 )
+from repro.core.session import PRIVACY_MODES
 from repro.errors import AdmissionError, DeadlineExceeded, ProtocolError
 from repro.server.wire import (
     audit_payload,
@@ -96,6 +99,13 @@ MAX_FUTURES = 4096
 #: Seconds the shutdown gives in-flight handlers to write their
 #: (resolved) responses.
 SHUTDOWN_GRACE_S = 10.0
+
+#: The longest a request waits on a future (``timeout`` in a consult
+#: body, ``?wait=`` on a poll), and the wait when a body names none.
+LONG_POLL_TIMEOUT_S = 30.0
+
+#: Seconds between the durability timer's polls of the persister.
+POLL_INTERVAL_S = 0.25
 
 #: Reason phrases for the handful of statuses the server emits.
 _REASONS = {
@@ -154,14 +164,11 @@ class AuthorityHTTPServer:
     """
 
     def __init__(self, service, host: str = "127.0.0.1", port: int = 0,
-                 persister=None, long_poll_timeout: float = 30.0,
-                 poll_interval: float = 1.0):
+                 persister=None):
         self._service = service
         self.host = host
         self.port = port  # rebound to the real port after start()
         self._persister = persister
-        self._long_poll_timeout = long_poll_timeout
-        self._poll_interval = poll_interval
         self._server: asyncio.base_events.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._pump_task: asyncio.Task | None = None
@@ -210,8 +217,7 @@ class AuthorityHTTPServer:
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = loop.time()
         if self._persister is not None:
-            if not self._persister.has_event_handler:
-                self._persister.set_event_handler(self._on_durability_event)
+            self._persister.set_event_handler(self._on_durability_event)
             report = await loop.run_in_executor(None, self._persister.recover)
             audit.record(
                 "-", name, EVENT_CACHE_LOADED,
@@ -223,7 +229,7 @@ class AuthorityHTTPServer:
             self._service.flush_cache_rejections()
             self._service.add_drain_listener(self._persister.on_drained)
         self._pump_task = loop.create_task(self._pump())
-        if self._persister is not None and self._poll_interval:
+        if self._persister is not None:
             self._timer_task = loop.create_task(self._durability_timer())
         self._ready = True
         audit.record(
@@ -363,10 +369,10 @@ class AuthorityHTTPServer:
 
     async def _durability_timer(self) -> None:
         """Idle-time persistence: poll the write-behind cadence so a
-        trickle of traffic (or none) still reaches disk promptly."""
+        profile stored outside a drain still reaches disk."""
         loop = asyncio.get_running_loop()
         while True:
-            await asyncio.sleep(self._poll_interval)
+            await asyncio.sleep(POLL_INTERVAL_S)
             try:
                 await loop.run_in_executor(None, self._persister.poll)
             except Exception as exc:
@@ -670,7 +676,7 @@ class AuthorityHTTPServer:
                 "tracked_futures": len(self._futures),
                 "uptime_s": loop_time,
                 "closing": self._closing,
-                "long_poll_timeout_s": self._long_poll_timeout,
+                "long_poll_timeout_s": LONG_POLL_TIMEOUT_S,
             },
             "service": {
                 "pending": self._service.pending_count,
@@ -777,6 +783,10 @@ class AuthorityHTTPServer:
         privacy = params.get("privacy", "open")
         if not isinstance(agent, str):
             raise _HTTPError(400, "agent must be a string")
+        if privacy not in PRIVACY_MODES:
+            raise _HTTPError(
+                400, f"privacy must be one of {', '.join(PRIVACY_MODES)}"
+            )
         deadline_ms = self._deadline_param(params)
         if kind == "one":
             game_id = params.get("game_id")
@@ -816,12 +826,12 @@ class AuthorityHTTPServer:
         return futures
 
     def _wait_budget(self, params: dict, key: str = "timeout") -> float:
-        raw = params.get(key, self._long_poll_timeout)
+        raw = params.get(key, LONG_POLL_TIMEOUT_S)
         try:
             timeout = float(raw)
         except (TypeError, ValueError):
             raise _HTTPError(400, f"{key} must be a number") from None
-        return max(0.0, min(timeout, self._long_poll_timeout))
+        return max(0.0, min(timeout, LONG_POLL_TIMEOUT_S))
 
     def _terminal_payload(self, future) -> tuple[int, dict, dict]:
         """A resolved future → (status, body, headers), dropping it

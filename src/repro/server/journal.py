@@ -1,12 +1,12 @@
 """Write-behind durability: the journal is the server's state file.
 
-An always-on host should lose at most one flush interval of warm state
-to a crash (SIGKILL, OOM, power loss), not the whole process lifetime.
-One file per state directory delivers that: ``journal.jsonl``, in the
+An always-on host should lose at most one drain of warm state to a
+crash (SIGKILL, OOM, power loss), not the whole process lifetime.  One
+file per state directory delivers that: ``journal.jsonl``, in the
 format of :mod:`repro.service.persistence` — a header covering the
 frames of the last compaction, then one digest-framed line per
-certified cache update appended since, fsynced per flush batch by the
-:class:`WriteBehindPersister`.
+certified profile stored since, appended and fsynced at the end of
+every drain by the :class:`WriteBehindPersister`.
 
 A compaction (:meth:`WriteBehindPersister.snapshot`) atomically
 rewrites the file as a header and the cache's entries in LRU order.
@@ -16,7 +16,7 @@ compaction costs a join, a hash, a write and an fsync, not an encode of
 the whole cache.
 
 Recovery reads the file through the reader ``SolveCache.load`` uses:
-replayed profiles and sets enter the cache's *pending* stores and pass
+replayed profiles enter the cache's *pending* store and pass
 the exact Lemma-1 lattice gate against the requesting caller's actual
 game before they are first served, so a forged or corrupted journal can
 cost cold solves, never produce unverified advice.  A file the reader
@@ -70,6 +70,17 @@ _OLD_SNAPSHOT_FILENAME = "snapshot.json"
 #: A cadence compaction waits until the file holds this many frames per
 #: cache entry, so it writes no more frames than it drops.
 COMPACT_RATIO = 2
+
+#: Seconds after the last append at which the host's idle timer
+#: appends what was stored outside a drain (an abandoned deadlined
+#: solve finishing late).
+FLUSH_INTERVAL_S = 5.0
+
+#: Retries of a failing journal append before snapshot-only mode; the
+#: sleep between them doubles from BACKOFF_BASE_S up to BACKOFF_CAP_S.
+FLUSH_RETRIES = 3
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 1.0
 
 
 def state_path(state_dir) -> str:
@@ -151,13 +162,13 @@ class WriteBehindPersister:
     """The flush and compaction policy around one cache and its file.
 
     * :meth:`recover` (once, before serving) — load the state file into
-      the cache's pending/re-certify stores;
+      the cache's pending/re-certify store;
     * :meth:`on_drained` (the service's drain listener) — flush the
-      dirty queue to the journal every ``flush_every_drains`` drains,
-      then compact when the rule below says so;
-    * :meth:`poll` (an idle host's timer) — the same on wall-clock
-      cadence (``flush_interval`` seconds), so a trickle of traffic
-      still reaches disk promptly;
+      dirty queue to the journal, then compact when the rule below
+      says so;
+    * :meth:`poll` (an idle host's timer) — the same once
+      ``FLUSH_INTERVAL_S`` has passed since the last flush, so a
+      profile stored outside a drain still reaches disk;
     * :meth:`snapshot` — compact now, also the ``POST /admin/snapshot``
       handler;
     * :meth:`close` — a final compaction (graceful shutdown).
@@ -172,40 +183,25 @@ class WriteBehindPersister:
     the file stale, each compaction writes no more frames than it
     drops, so its cost per update stays constant.  :meth:`snapshot`
     itself always runs.  A crash loses at most the updates committed
-    since the last flush — ``flush_every_drains`` drains or
-    ``flush_interval`` seconds of them; compaction bounds the file's
-    size and recovery time, never data loss.
+    since the last flush — the current drain's; compaction bounds the
+    file's size and recovery time, never data loss.
 
     **Degradation.**  A journal append that keeps failing (a refusing
-    or corrupting disk) is retried up to ``flush_retries`` times with
-    capped exponential backoff (``backoff_base_s`` doubling up to
-    ``backoff_cap_s``); past that the persister enters sticky
+    or corrupting disk) is retried up to ``FLUSH_RETRIES`` times with
+    capped exponential backoff; past that the persister enters sticky
     **snapshot-only mode**: appends stop, and every flush cadence
     compacts instead whenever an update was committed since the last
     compaction landed (the compaction subsumes every committed update,
     so nothing is lost while compactions still land; a failed one
-    leaves the state dirty for the next cadence).  The ``on_event``
-    callback — the server wires it into the audit log as
-    ``server.durability.degraded`` — plus the :meth:`stats`
+    leaves the state dirty for the next cadence).  The event handler
+    (:meth:`set_event_handler` — the server wires it into the audit
+    log as ``server.durability.degraded``) plus the :meth:`stats`
     ``degraded``/``degraded_reason`` fields surface the mode.  Failed
     compactions are counted (``snapshot_failures``), never raised into
     the serving path: durability degrades, service does not.
     """
 
-    def __init__(self, cache, journal: CacheJournal | str | os.PathLike,
-                 flush_every_drains: int = 1,
-                 flush_interval: float | None = 5.0,
-                 clock=time.monotonic,
-                 flush_retries: int = 3,
-                 backoff_base_s: float = 0.05,
-                 backoff_cap_s: float = 1.0,
-                 on_event=None):
-        if flush_every_drains < 1:
-            raise PersistenceError("flush_every_drains must be positive")
-        if flush_retries < 0:
-            raise PersistenceError("flush_retries must be non-negative")
-        if backoff_base_s < 0 or backoff_cap_s < 0:
-            raise PersistenceError("backoff bounds must be non-negative")
+    def __init__(self, cache, path: str | os.PathLike, clock=time.monotonic):
         if cache.path is not None:
             raise PersistenceError(
                 "write-behind persistence needs a pathless cache: the "
@@ -215,28 +211,19 @@ class WriteBehindPersister:
         # Arm dirty-entry tracking: from here on every committed cache
         # update queues a journal frame until close() disarms it.
         cache.set_update_tracking(True)
-        self.journal = (
-            journal if isinstance(journal, CacheJournal)
-            else CacheJournal(journal)
-        )
-        self.flush_every_drains = flush_every_drains
-        self.flush_interval = flush_interval
+        self.journal = CacheJournal(path)
         self._clock = clock
         self._lock = threading.Lock()
         # Serializes flush() and snapshot() (see the module notes), and
         # guards the two frame stores below.  Reentrant: a degraded
         # flush compacts, and the cadence holds it across both steps.
         self._persist_lock = threading.RLock()
-        # The last frame encoded or recovered for each (kind, key), and
+        # The last frame encoded or recovered for each cache key, and
         # the frames encoded but not yet appended, oldest first.
         self._frames: dict[tuple, bytes] = {}
         self._unwritten: list[bytes] = []
-        self._drains_since_flush = 0
         self._last_flush = clock()
-        self.flush_retries = flush_retries
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self._on_event = on_event
+        self._on_event = None
         # Telemetry for /stats and the bench.
         self.flushes = 0
         self.snapshots = 0
@@ -296,24 +283,16 @@ class WriteBehindPersister:
     # ------------------------------------------------------------------
 
     def on_drained(self, summary=None) -> None:
-        """The service drain listener: count, then flush/compact as due."""
+        """The service drain listener: flush, then compact as due."""
         with self._persist_lock:
-            with self._lock:
-                self._drains_since_flush += 1
-                flush_due = (
-                    self._drains_since_flush >= self.flush_every_drains
-                )
-            self._cadence(flush_due)
+            self._cadence(True)
 
     def poll(self) -> None:
-        """Timer-driven cadence: flush when the interval lapsed."""
+        """Timer-driven cadence: flush when ``FLUSH_INTERVAL_S`` lapsed."""
         now = self._clock()
         with self._persist_lock:
             with self._lock:
-                flush_due = (
-                    self.flush_interval is not None
-                    and now - self._last_flush >= self.flush_interval
-                )
+                flush_due = now - self._last_flush >= FLUSH_INTERVAL_S
             self._cadence(flush_due)
 
     def _cadence(self, flush_due: bool) -> None:
@@ -336,9 +315,9 @@ class WriteBehindPersister:
         """Encode the cache's queued updates (persist lock held): each
         becomes its key's kept frame and waits for the next append."""
         updates = self.cache.drain_updates()
-        for kind, key, value in updates:
-            line = encode_journal_frame(kind, key, value)
-            self._frames[(kind, key)] = line
+        for key, profile in updates:
+            line = encode_journal_frame(key, profile)
+            self._frames[key] = line
             self._unwritten.append(line)
         return len(updates)
 
@@ -360,7 +339,6 @@ class WriteBehindPersister:
                 self._unwritten = []
                 with self._lock:
                     self._dirty = self._dirty or committed > 0
-                    self._drains_since_flush = 0
                     self._last_flush = self._clock()
                     dirty = self._dirty
                 if dirty:
@@ -379,7 +357,6 @@ class WriteBehindPersister:
                 return 0
             self._unwritten = []
             with self._lock:
-                self._drains_since_flush = 0
                 self._last_flush = self._clock()
                 self.flushes += 1
                 self.frames_flushed += frames
@@ -391,9 +368,9 @@ class WriteBehindPersister:
     def _append_with_retry(self, frames) -> int:
         """One journal append, retried on the durability error dialect.
 
-        ``flush_retries`` bounds the retries (not the attempts); the
-        sleep between them doubles from ``backoff_base_s`` up to
-        ``backoff_cap_s``.  The final failure propagates to the caller,
+        ``FLUSH_RETRIES`` bounds the retries (not the attempts); the
+        sleep between them doubles from ``BACKOFF_BASE_S`` up to
+        ``BACKOFF_CAP_S``.  The final failure propagates to the caller,
         which degrades.
         """
         attempt = 0
@@ -402,16 +379,13 @@ class WriteBehindPersister:
                 return self.journal.append(frames)
             except DURABILITY_ERRORS:
                 attempt += 1
-                if attempt > self.flush_retries:
+                if attempt > FLUSH_RETRIES:
                     raise
                 with self._lock:
                     self.retries_used += 1
-                delay = min(
-                    self.backoff_cap_s,
-                    self.backoff_base_s * (2 ** (attempt - 1)),
+                time.sleep(
+                    min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** (attempt - 1)))
                 )
-                if delay > 0:
-                    time.sleep(delay)
 
     def _enter_degraded(self, exc: BaseException) -> None:
         with self._lock:
@@ -424,7 +398,7 @@ class WriteBehindPersister:
                 "kind": "degraded",
                 "mode": "snapshot-only",
                 "reason": f"{type(exc).__name__}: {exc}",
-                "retries": self.flush_retries,
+                "retries": FLUSH_RETRIES,
             })
 
     def guarded_snapshot(self) -> int | None:
@@ -446,12 +420,9 @@ class WriteBehindPersister:
             return None
 
     def set_event_handler(self, handler) -> None:
-        """Install the degradation-event observer (``on_event``)."""
+        """Install the degradation-event observer: it is called with
+        one dict per ``degraded`` or ``snapshot-failed`` event."""
         self._on_event = handler
-
-    @property
-    def has_event_handler(self) -> bool:
-        return self._on_event is not None
 
     def _emit(self, event: dict) -> None:
         if self._on_event is None:
@@ -477,17 +448,16 @@ class WriteBehindPersister:
             started = self._clock()
             self._encode_updates()
             frames = {}
-            for kind, key, value in self.cache.entries():
-                line = self._frames.get((kind, key))
+            for key, profile in self.cache.entries():
+                line = self._frames.get(key)
                 if line is None:
-                    line = encode_journal_frame(kind, key, value)
-                frames[(kind, key)] = line
+                    line = encode_journal_frame(key, profile)
+                frames[key] = line
             self._frames = frames
             self.journal.replace(list(frames.values()))
             self._unwritten = []
             with self._lock:
                 now = self._clock()
-                self._drains_since_flush = 0
                 self._last_flush = now
                 self._dirty = False
                 self._file_frames = len(frames)
@@ -524,12 +494,11 @@ class WriteBehindPersister:
                 "snapshots": self.snapshots,
                 "flush_ms_total": self.flush_ms_total,
                 "snapshot_ms_total": self.snapshot_ms_total,
-                "flush_every_drains": self.flush_every_drains,
-                "flush_interval_s": self.flush_interval,
+                "flush_interval_s": FLUSH_INTERVAL_S,
                 "degraded": self.degraded,
                 "degraded_reason": self.degraded_reason,
                 "flush_failures": self.flush_failures,
                 "snapshot_failures": self.snapshot_failures,
-                "flush_retries": self.flush_retries,
+                "flush_retries": FLUSH_RETRIES,
                 "retries_used": self.retries_used,
             }

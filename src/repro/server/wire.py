@@ -13,7 +13,6 @@ majority tally and the telemetry scalars.
 from __future__ import annotations
 
 import enum
-from dataclasses import is_dataclass
 from fractions import Fraction
 from typing import Any
 
@@ -26,10 +25,10 @@ def jsonable(value: Any) -> Any:
     """Recursively coerce a value into exact, JSON-serializable shapes.
 
     Fractions become canonical ``"num/den"`` strings; tuples become
-    lists; enums their values; dataclasses and anything else unknown
-    degrade to ``repr`` — the wire prefers a lossy-but-faithful string
-    over a lossy float or a crash.  Ints, floats (telemetry only),
-    bools, strings and None pass through.
+    lists; enums their values; anything else unknown degrades to
+    ``repr`` — the wire prefers a lossy-but-faithful string over a
+    lossy float or a crash.  Ints, floats (telemetry only), bools,
+    strings and None pass through.
     """
     if isinstance(value, Fraction):
         return encode_fraction(value)
@@ -41,8 +40,6 @@ def jsonable(value: Any) -> Any:
         return [jsonable(item) for item in value]
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    if is_dataclass(value) and not isinstance(value, type):
-        return repr(value)
     return repr(value)
 
 

@@ -13,7 +13,7 @@ shims over this package.
 latency under load and saturation.
 """
 
-from repro.service.cache import CacheStats, SolveCache, game_fingerprint
+from repro.service.cache import CacheStats, SolveCache
 from repro.service.faults import (
     FaultPlan,
     FaultSpec,
@@ -58,7 +58,6 @@ __all__ = [
     "parse_fault_plan",
     "SolveCache",
     "CacheStats",
-    "game_fingerprint",
     "BurstLinkAdviser",
     "VerifiedLinkAdvice",
     "CacheLoadReport",

@@ -1,4 +1,4 @@
-"""The cross-run solve cache: certified solutions keyed by payoff bytes.
+"""The cross-run solve cache: certified profiles keyed by payoff bytes.
 
 The PPAD-hard step of a consultation is the inventor's equilibrium
 search; a production authority answering a stream of queries sees the
@@ -14,9 +14,9 @@ touching the soundness story:
   stored solution was certified for bit-identical inputs.
 
 * **Values are certified.**  The cache stores what the solvers
-  returned — exact, Lemma-1-gated profiles (and whole enumeration
-  sets).  Serving one skips the search phase only; the verification a
-  consultation performs downstream is identical either way.
+  returned — exact, Lemma-1-gated profiles.  Serving one skips the
+  search phase only; the verification a consultation performs
+  downstream is identical either way.
 
 * **History-free.**  A game that is not an exact repeat gets a cold
   search, never a warm start from other games' answers, so what the
@@ -37,14 +37,12 @@ touching the soundness story:
   outright and the cache starts empty (a clean miss), with the
   rejection recorded for the service's audit log.
 
-Entries are keyed by ``(fingerprint, method, mode)`` for single
-solutions: a hit returns exactly the certified profile this cache
-stored for those payoff bytes under that configuration, which is
-bit-identical to a fresh cold solve (the solvers are deterministic
-given the three key parts).  Enumeration *sets* are keyed
-by fingerprint alone — the backend-parity guarantee (sets are
-bit-identical across every search mode) makes the mode irrelevant to
-the value.
+Entries are keyed by ``(fingerprint, method, mode)``: a hit returns
+exactly the certified profile this cache stored for those payoff bytes
+under that configuration, which is bit-identical to a fresh cold solve
+(the solvers are deterministic given the three key parts).  No entry
+is shared across methods or modes, so the cache relies on no claim
+that two configurations find the same equilibrium.
 
 The cache is thread-safe and intended to be shared: one instance can
 back several services, inventors and runs (that is the "cross-run" in
@@ -69,26 +67,10 @@ from repro.service.persistence import (
 )
 
 
-def game_fingerprint(game) -> str | None:
-    """The canonical exact-payoff fingerprint of ``game``, or ``None``.
-
-    Games expose their own cached ``payoff_fingerprint`` (see
-    :attr:`repro.games.bimatrix.BimatrixGame.payoff_fingerprint`, which
-    delegates to the single canonicalization helper in
-    :mod:`repro.fractions_util`); game kinds that do not are simply not
-    cacheable and every lookup for them misses harmlessly.
-    """
-    return getattr(game, "payoff_fingerprint", None)
-
-
 @dataclass
 class CacheStats:
     """Lifetime counters, reported by ``GET /stats``.
 
-    ``set_misses`` means "cacheable but absent" — a set solved cold for
-    a game that *could* have hit.  Games without a payoff fingerprint
-    are counted under ``uncacheable`` instead, so the set-hit rate is
-    computed over lookups the cache could ever have answered.
     ``load_rejected`` counts persisted state the cache refused to
     serve: whole files that failed the integrity/schema checks and
     individual loaded entries that failed the Lemma-1 gate at first
@@ -97,9 +79,6 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    set_hits: int = 0
-    set_misses: int = 0
-    uncacheable: int = 0
     load_rejected: int = 0
 
     @property
@@ -119,23 +98,20 @@ class CacheStats:
             # /stats; it goes with the next benchmark change.
             "warm_hits": 0,
             "misses": self.misses,
-            "set_hits": self.set_hits,
-            "set_misses": self.set_misses,
-            "uncacheable": self.uncacheable,
             "load_rejected": self.load_rejected,
             "hit_rate": self.hit_rate,
         }
 
 
 class SolveCache:
-    """Cross-run cache of certified solves and equilibrium sets.
+    """Cross-run cache of certified solves.
 
-    ``max_entries`` bounds the profiles and the sets, live and pending
-    together for each (pending loaded entries are evicted first, then
-    the least-recently-used live ones) so an always-on service
-    answering a long stream of mostly-distinct games holds steady
-    memory; ``None`` removes the bound.  Eviction only ever costs a
-    re-solve — an evicted entry's next lookup is an ordinary miss.
+    ``max_entries`` bounds the live and pending profiles together
+    (pending loaded entries are evicted first, then the
+    least-recently-used live ones) so an always-on service answering a
+    long stream of mostly-distinct games holds steady memory.  Eviction
+    only ever costs a re-solve — an evicted entry's next lookup is an
+    ordinary miss.
 
     ``path`` makes the cache persistent: :meth:`load` restores warm
     state from the file (done at construction when the file exists)
@@ -146,26 +122,21 @@ class SolveCache:
     first serve.
     """
 
-    DEFAULT_MAX_ENTRIES = 4096
+    #: The entry bound (live and pending together).
+    max_entries = 4096
 
-    def __init__(self, max_entries: int | None = DEFAULT_MAX_ENTRIES,
-                 path: str | os.PathLike | None = None):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be positive (or None)")
+    def __init__(self, path: str | os.PathLike | None = None):
         self._profiles: dict[tuple[str, str, str], MixedProfile] = {}
-        self._sets: dict[tuple[str, bool], tuple[MixedProfile, ...]] = {}
         # Entries restored from disk, awaiting their first-serve
         # re-certification through the Lemma-1 gate (they promote into
-        # the live stores above on success, and are dropped — counted
+        # the live store above on success, and are dropped — counted
         # as load_rejected — on failure).
-        self._pending_profiles: dict[tuple[str, str, str], MixedProfile] = {}
-        self._pending_sets: dict[tuple[str, bool], tuple[MixedProfile, ...]] = {}
-        self._max_entries = max_entries
+        self._pending: dict[tuple[str, str, str], MixedProfile] = {}
         self._lock = threading.Lock()
-        # Write-behind seam: with tracking on, every committed update
-        # (profile store, cold set store) is queued as a ``(kind, key,
-        # value)`` tuple for a journal to flush.  Off by default so a
-        # journal-less cache never grows an unbounded list.
+        # Write-behind seam: with tracking on, every stored profile is
+        # queued as a ``(key, profile)`` pair for a journal to flush.
+        # Off by default so a journal-less cache never grows an
+        # unbounded list.
         self._track_updates = False
         self._updates: list[tuple] = []
         self.stats = CacheStats()
@@ -176,28 +147,17 @@ class SolveCache:
         if self.path is not None and os.path.exists(self.path):
             self.load()
 
-    def _touch(self, store: dict, key) -> None:
-        """Mark ``key`` most-recently-used (dicts iterate oldest-first)."""
-        store[key] = store.pop(key)
-
-    def _evict(self, live: dict, pending: dict) -> None:
-        """Bound one kind's live plus pending entries by ``max_entries``:
+    def _evict(self) -> None:
+        """Bound the live plus pending entries by ``max_entries``:
         pending entries go first, oldest first, then the oldest live."""
-        if self._max_entries is None:
-            return
-        while len(live) + len(pending) > self._max_entries:
-            store = pending if pending else live
+        while len(self._profiles) + len(self._pending) > self.max_entries:
+            store = self._pending if self._pending else self._profiles
             store.pop(next(iter(store)))
 
     def _note_rejection(self, **details) -> None:
         """Record (under the lock) persisted state refused at load/serve."""
         self.stats.load_rejected += 1  # repro: allow[R5] -- private helper: every caller holds _lock
         self._load_rejections.append(details)
-
-    def _note_update(self, kind: str, key, value) -> None:
-        """Queue (under the lock) one committed update for write-behind."""
-        if self._track_updates:
-            self._updates.append((kind, key, value))
 
     # ------------------------------------------------------------------
     # The write-behind seam: dirty-entry tracking
@@ -207,9 +167,9 @@ class SolveCache:
         """Arm (or disarm) dirty-entry tracking for write-behind flushes.
 
         A :class:`~repro.server.journal.WriteBehindPersister` arms this
-        and periodically :meth:`drain_updates`; disarming also discards
-        anything queued, so tracking can never leak unbounded memory
-        after its consumer goes away.
+        and takes the queue (:meth:`drain_updates`) at every flush;
+        disarming also discards anything queued, so tracking can never
+        leak unbounded memory after its consumer goes away.
         """
         with self._lock:
             self._track_updates = bool(enabled)
@@ -217,29 +177,25 @@ class SolveCache:
                 self._updates = []
 
     def drain_updates(self) -> list[tuple]:
-        """Pop the queued ``(kind, key, value)`` updates (oldest first)."""
+        """Pop the queued ``(key, profile)`` updates (oldest first)."""
         with self._lock:
             updates = self._updates
             self._updates = []
         return updates
 
     # ------------------------------------------------------------------
-    # Single certified solutions (the inventor's find-one path)
+    # Lookups and stores
     # ------------------------------------------------------------------
 
     def lookup_profile(
-        self, fingerprint: str, method: str, mode: str,
-        game: BimatrixGame | None = None,
+        self, fingerprint: str, method: str, mode: str, game: BimatrixGame,
     ) -> MixedProfile | None:
         """The cached certified profile for this exact configuration.
 
-        ``game`` is the game the caller fingerprinted (used only to
-        re-certify entries restored from disk: a pending loaded profile
-        runs the Lemma-1 lattice gate against *this* game's exact
-        payoffs and either promotes to a live hit or is rejected and
-        dropped).  Without a game, pending entries are not servable and
-        the lookup falls through to a miss — live entries are
-        unaffected.
+        ``game`` is the game the caller fingerprinted; a pending loaded
+        profile runs the Lemma-1 lattice gate against *this* game's
+        exact payoffs and either promotes to a live hit or is rejected
+        and dropped.
 
         A miss is *not* counted here — the caller reports the cold solve
         that follows via :meth:`note_solved`.
@@ -249,20 +205,22 @@ class SolveCache:
             profile = self._profiles.get(key)
             if profile is not None:
                 self.stats.hits += 1
-                self._touch(self._profiles, key)
+                self._profiles[key] = self._profiles.pop(key)  # now newest
                 return profile
-            if game is None:
-                # Game-less lookups cannot run the gate; the pending
-                # entry stays put for a caller that can.
-                return None
-            pending = self._pending_profiles.pop(key, None)
+            pending = self._pending.pop(key, None)
         if pending is None:
             return None
         # The first-serve gate: certify outside the lock (pure reads of
         # the game's cached integer lattice), then commit the verdict.
         from repro.equilibria.mixed import certify_mixed_profile
 
-        certified = _gate(certify_mixed_profile, game, pending)
+        try:
+            certified = certify_mixed_profile(game, pending)
+        except Exception:
+            # A loaded profile that does not even fit the game (possible
+            # only with a forged digest) raises from deep in the gate:
+            # a rejection, not a crash — the caller solves cold.
+            certified = None
         with self._lock:
             if certified is None:
                 self._note_rejection(
@@ -272,7 +230,7 @@ class SolveCache:
                 return None
             self.stats.hits += 1
             self._profiles[key] = certified
-            self._evict(self._profiles, self._pending_profiles)
+            self._evict()
         return certified
 
     def store_profile(
@@ -280,10 +238,11 @@ class SolveCache:
     ) -> None:
         with self._lock:
             key = (fingerprint, method, mode)
-            self._pending_profiles.pop(key, None)
+            self._pending.pop(key, None)
             self._profiles[key] = profile
-            self._evict(self._profiles, self._pending_profiles)
-            self._note_update("profile", key, profile)
+            self._evict()
+            if self._track_updates:
+                self._updates.append((key, profile))
 
     def note_solved(self) -> None:
         """Count one cold solve after a lookup that missed."""
@@ -295,79 +254,12 @@ class SolveCache:
         name; it goes with the next benchmark change."""
 
     # ------------------------------------------------------------------
-    # Certified equilibrium sets (full enumeration results)
-    # ------------------------------------------------------------------
-
-    def equilibrium_set(
-        self,
-        game: BimatrixGame,
-        policy=None,
-        equal_size_only: bool = False,
-    ) -> tuple[MixedProfile, ...]:
-        """All equilibria of ``game``, served from cache on exact repeats.
-
-        Keyed by payoff fingerprint only: every search mode provably
-        returns the same (bit-identical, exact) set, so a set computed
-        under one policy answers for all of them.  Cold calls delegate
-        to :func:`repro.equilibria.support_enumeration.support_enumeration`
-        with the given policy and store the certified result.
-        A set restored from disk re-certifies every member through the
-        Lemma-1 gate against ``game`` before its first serve (the
-        membership half of the contract; completeness of a stored set
-        is covered by the file digest — see
-        :mod:`repro.service.persistence`).
-        """
-        from repro.equilibria.support_enumeration import support_enumeration
-
-        fingerprint = game_fingerprint(game)
-        key = (fingerprint, equal_size_only)
-        pending = None
-        if fingerprint is not None:
-            with self._lock:
-                cached = self._sets.get(key)
-                if cached is not None:
-                    self.stats.set_hits += 1
-                    self._touch(self._sets, key)
-                    return cached
-                pending = self._pending_sets.pop(key, None)
-        if pending is not None:
-            from repro.equilibria.mixed import certify_many
-
-            verdicts = _gate(certify_many, game, pending) or []
-            if len(verdicts) == len(pending) and all(
-                v is not None for v in verdicts
-            ):
-                with self._lock:
-                    self.stats.set_hits += 1
-                    self._sets[key] = pending
-                    self._evict(self._sets, self._pending_sets)
-                return pending
-            with self._lock:
-                self._note_rejection(
-                    kind="set", fingerprint=fingerprint,
-                    equal_size_only=equal_size_only,
-                    reason="loaded set member failed the Lemma-1 gate",
-                )
-        result = support_enumeration(
-            game, equal_size_only=equal_size_only, policy=policy,
-        )
-        with self._lock:
-            if fingerprint is None:
-                self.stats.uncacheable += 1
-            else:
-                self.stats.set_misses += 1
-                self._sets[key] = result
-                self._evict(self._sets, self._pending_sets)
-                self._note_update("set", key, result)
-        return result
-
-    # ------------------------------------------------------------------
     # Persistence: exact on-disk warm state
     # ------------------------------------------------------------------
 
     def entries(self) -> list[tuple]:
-        """Every entry as ``(kind, key, value)``, in the order a save
-        writes them: profiles, then sets, each oldest-first.
+        """Every entry as ``(key, profile)``, oldest first: the order a
+        save writes them.
 
         Still-pending loaded entries come before the live ones (they
         were on disk already and keep their not-yet-re-certified status
@@ -376,10 +268,7 @@ class SolveCache:
         some recent state, safe to encode while drains go on.
         """
         with self._lock:
-            profiles = {**self._pending_profiles, **self._profiles}
-            sets = {**self._pending_sets, **self._sets}
-        return [("profile", key, value) for key, value in profiles.items()] \
-            + [("set", key, value) for key, value in sets.items()]
+            return list({**self._pending, **self._profiles}.items())
 
     def save(self) -> int:
         """Atomically write the cache to its path; returns entry count.
@@ -399,7 +288,7 @@ class SolveCache:
     def load(self) -> CacheLoadReport:
         """Restore warm state from the cache's path; tamper-rejecting.
 
-        What the file yields enters the *pending* stores — each entry is
+        What the file yields enters the *pending* store — each entry is
         re-certified through the exact Lemma-1 gate against the
         requesting caller's game before its first serve.  A file
         rejected whole (integrity, schema or decoding failure) restores
@@ -414,7 +303,7 @@ class SolveCache:
         return report
 
     def restore(self, path) -> tuple[CacheState, CacheLoadReport]:
-        """Read one state file into the pending stores.
+        """Read one state file into the pending store.
 
         The shared back half of :meth:`load` and a server's recovery
         (:meth:`repro.server.journal.WriteBehindPersister.recover`):
@@ -441,27 +330,20 @@ class SolveCache:
         return state, report
 
     def merge_pending_state(self, state: CacheState) -> int:
-        """Merge decoded warm state into the *pending* stores; returns
+        """Merge decoded warm state into the *pending* store; returns
         how many of its entries the cache now holds pending.
 
-        Profiles and sets become pending — each re-certified through the
-        Lemma-1 gate against the requesting caller's actual game before
-        first serve.  Live entries are never displaced by loaded ones.
+        Each becomes pending — re-certified through the Lemma-1 gate
+        against the requesting caller's actual game before first serve.
+        Live entries are never displaced by loaded ones.
         """
         with self._lock:
-            limit = self._max_entries
-            for key, profile in _newest(state.profiles, limit).items():
+            newest = list(state.profiles.items())[-self.max_entries:]
+            for key, profile in newest:
                 if key not in self._profiles:
-                    self._pending_profiles[key] = profile
-                    self._evict(self._profiles, self._pending_profiles)
-            for key, profiles in _newest(state.sets, limit).items():
-                if key not in self._sets:
-                    self._pending_sets[key] = profiles
-                    self._evict(self._sets, self._pending_sets)
-            return (
-                sum(key in self._pending_profiles for key in state.profiles)
-                + sum(key in self._pending_sets for key in state.sets)
-            )
+                    self._pending[key] = profile
+                    self._evict()
+            return sum(key in self._pending for key in state.profiles)
 
     def drain_rejections(self) -> list[dict]:
         """Pop the queued load/serve rejection details (for audit)."""
@@ -486,45 +368,8 @@ class SolveCache:
         self.close()
         return False
 
-    # ------------------------------------------------------------------
-    # Introspection / lifecycle
-    # ------------------------------------------------------------------
-
     def __len__(self) -> int:
-        """Servable entries: live + pending profiles and sets."""
+        """Servable entries: live + pending."""
         with self._lock:
-            return (
-                len(self._profiles) + len(self._sets)
-                + len(self._pending_profiles) + len(self._pending_sets)
-            )
+            return len(self._profiles) + len(self._pending)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._profiles.clear()
-            self._sets.clear()
-            self._pending_profiles.clear()
-            self._pending_sets.clear()
-            self._load_rejections.clear()
-            self._updates.clear()
-            self.stats = CacheStats()
-
-
-def _newest(store: dict, limit: int | None) -> dict:
-    """The last ``limit`` items of an oldest-first mapping (all if None)."""
-    if limit is None or len(store) <= limit:
-        return store
-    keys = list(store)[-limit:]
-    return {key: store[key] for key in keys}
-
-
-def _gate(check, game, value):
-    """Run a certification check, treating *any* failure as rejection.
-
-    A loaded entry whose shape does not even fit the game (possible
-    only with a forged digest) raises from deep in the gate; that is a
-    rejection, not a crash — the caller falls back to a cold solve.
-    """
-    try:
-        return check(game, value)
-    except Exception:
-        return None

@@ -8,9 +8,10 @@ dot products on the Lemma-1 lattice gate), while recomputing it is not.
 So the file only has to carry integrity.  It is a sequence of JSON
 lines:
 
-* **Frames.**  One cache entry per line (:func:`encode_journal_frame`),
-  each carrying a SHA-256 digest of its own body.  Every probability is
-  a ``"num/den"`` string (the canonicalization discipline of
+* **Frames.**  One certified profile per line
+  (:func:`encode_journal_frame`), each carrying a SHA-256 digest of its
+  own body.  Every probability is a ``"num/den"`` string (the
+  canonicalization discipline of
   :func:`repro.fractions_util.exact_fingerprint` and the certificate
   wire format in :mod:`repro.proofs.serialize`): no float ever touches
   the file, so the loaded profile *is* the stored profile.
@@ -28,10 +29,12 @@ unknown format or schema, or a malformed header rejects the whole file
 later frame is judged on its own: a torn tail (the normal crash
 artifact) or a tampered line rejects that frame only.  The reader also
 takes what older writers left: a journal without a header, and the
-schema-1 document (one JSON object whose digest covers a
-``profiles``/``sets`` payload).  Decoding is strict throughout, and
-every rejection is returned for the ``cache.load.rejected`` audit
-trail.
+schema-1 document (one JSON object whose digest covers its payload).
+Only profiles load from either: an older writer's ``set`` and ``hint``
+frames are refused like any unknown frame kind, and a schema-1
+document's ``sets`` and hint list are ignored.  Decoding is strict
+throughout, and every rejection is returned for the
+``cache.load.rejected`` audit trail.
 
 Writes are atomic: a temporary file in the target directory, fsync,
 ``os.replace``, then an fsync of the directory, so a reader never sees
@@ -40,12 +43,10 @@ a half-written file and a completed write survives power loss.
 The digest is an *integrity* line, not the soundness line: soundness is
 the Lemma-1 gate, which :class:`~repro.service.cache.SolveCache` runs
 on every loaded profile against the caller's actual game before it is
-first served (see the ``pending`` stores there).  A forged file with a
+first served (see the ``pending`` store there).  A forged file with a
 recomputed digest therefore still cannot make the cache serve a
 non-equilibrium — its entries fail the gate at serve time and fall back
-to a cold solve.  The one claim the gate cannot re-establish cheaply is
-*completeness* of a stored enumeration set (that would be the PPAD-hard
-step again); completeness rests on the digests, membership on the gate.
+to a cold solve.
 """
 
 from __future__ import annotations
@@ -137,23 +138,6 @@ def decode_profile(rows: Any) -> MixedProfile:
         raise PersistenceError(f"malformed profile encoding: {exc}") from exc
 
 
-def _decode_set_key(entry: dict, what: str) -> tuple[str, bool]:
-    """Strictly decode a set entry's ``(fingerprint, equal_size_only)``.
-
-    ``equal_size_only`` must be a JSON boolean: coercing would read the
-    string ``"false"`` as True and serve the set under the wrong key.
-    """
-    fingerprint = entry["fingerprint"]
-    if not isinstance(fingerprint, str):
-        raise PersistenceError(f"{what} fingerprint is not a string: {fingerprint!r}")
-    equal_size_only = entry["equal_size_only"]
-    if not isinstance(equal_size_only, bool):
-        raise PersistenceError(
-            f"{what} equal_size_only is not a boolean: {equal_size_only!r}"
-        )
-    return fingerprint, equal_size_only
-
-
 # ----------------------------------------------------------------------
 # Decoded contents, the load report, and the schema-1 document
 # ----------------------------------------------------------------------
@@ -163,21 +147,14 @@ class CacheState:
     """Decoded cache contents, in LRU order.
 
     ``profiles`` maps ``(fingerprint, method, mode)`` to a certified
-    profile; ``sets`` maps ``(fingerprint, equal_size_only)`` to a full
-    enumeration result.  Iteration order is oldest-first — a save/load
-    round trip preserves eviction order.  ``frames`` maps ``(kind,
-    key)`` to the line each entry was read from (a schema-1 document's
-    entries have none), so a writer can keep those bytes instead of
-    encoding the entry again.
+    profile.  Iteration order is oldest-first — a save/load round trip
+    preserves eviction order.  ``frames`` maps a key to the line its
+    entry was read from (a schema-1 document's entries have none), so a
+    writer can keep those bytes instead of encoding the entry again.
     """
 
     profiles: dict[tuple[str, str, str], MixedProfile] = field(default_factory=dict)
-    sets: dict[tuple[str, bool], tuple[MixedProfile, ...]] = field(default_factory=dict)
     frames: dict[tuple, bytes] = field(default_factory=dict)
-
-    @property
-    def entry_count(self) -> int:
-        return len(self.profiles) + len(self.sets)
 
 
 @dataclass(frozen=True)
@@ -196,7 +173,6 @@ class CacheLoadReport:
     accepted: bool
     reason: str | None = None
     profiles: int = 0
-    sets: int = 0
     frames: int = 0
     rejections: tuple = ()
 
@@ -206,7 +182,6 @@ class CacheLoadReport:
             "accepted": self.accepted,
             "reason": self.reason,
             "profiles": self.profiles,
-            "sets": self.sets,
             "frames": self.frames,
             "rejected": len(self.rejections),
         }
@@ -226,9 +201,9 @@ def decode_document(document: Any) -> CacheState:
 
     Any failure raises :class:`PersistenceError`; the reader turns that
     into a whole-file rejection.  Payload keys other than ``profiles``
-    and ``sets`` are ignored, so a payload from an older writer that
-    also carried a support-hint list still loads (the digest covers
-    that list too, and verifies).
+    are ignored, so a payload from an older writer that also carried
+    enumeration sets or a support-hint list still loads its profiles
+    (the digest covers the whole payload, and verifies).
     """
     if not isinstance(document, dict):
         raise PersistenceError("cache document is not an object")
@@ -252,13 +227,6 @@ def decode_document(document: Any) -> CacheState:
             if key in state.profiles:
                 raise PersistenceError(f"duplicate profile key {key!r}")
             state.profiles[key] = decode_profile(entry["profile"])
-        for entry in payload.get("sets", ()):
-            key = _decode_set_key(entry, "set")
-            if key in state.sets:
-                raise PersistenceError(f"duplicate set key {key!r}")
-            state.sets[key] = tuple(
-                decode_profile(p) for p in entry["profiles"]
-            )
     except PersistenceError:
         raise
     except (KeyError, TypeError) as exc:
@@ -284,40 +252,21 @@ JOURNAL_FORMAT_NAME = "repro.solve-cache-journal"
 JOURNAL_SCHEMA_VERSION = 1
 
 
-def encode_journal_body(kind: str, key, value) -> dict[str, Any]:
-    """One cache update → the canonical frame body (no digest yet).
+def encode_journal_frame(key, profile: MixedProfile) -> bytes:
+    """One cache entry → one self-digesting JSON line (with newline).
 
-    ``kind``/``key``/``value`` use the cache's own vocabulary: a
-    ``"profile"`` is keyed ``(fingerprint, method, mode)``, a ``"set"``
-    ``(fingerprint, equal_size_only)``.
+    ``key`` is the cache's ``(fingerprint, method, mode)``.
     """
-    if kind == "profile":
-        fingerprint, method, mode = key
-        return {
-            "format": JOURNAL_FORMAT_NAME,
-            "schema": JOURNAL_SCHEMA_VERSION,
-            "kind": "profile",
-            "fingerprint": fingerprint,
-            "method": method,
-            "mode": mode,
-            "profile": encode_profile(value),
-        }
-    if kind == "set":
-        fingerprint, equal_size_only = key
-        return {
-            "format": JOURNAL_FORMAT_NAME,
-            "schema": JOURNAL_SCHEMA_VERSION,
-            "kind": "set",
-            "fingerprint": fingerprint,
-            "equal_size_only": bool(equal_size_only),
-            "profiles": [encode_profile(p) for p in value],
-        }
-    raise PersistenceError(f"unknown journal entry kind {kind!r}")
-
-
-def encode_journal_frame(kind: str, key, value) -> bytes:
-    """One cache update → one self-digesting JSON line (with newline)."""
-    body = encode_journal_body(kind, key, value)
+    fingerprint, method, mode = key
+    body = {
+        "format": JOURNAL_FORMAT_NAME,
+        "schema": JOURNAL_SCHEMA_VERSION,
+        "kind": "profile",
+        "fingerprint": fingerprint,
+        "method": method,
+        "mode": mode,
+        "profile": encode_profile(profile),
+    }
     frame = {"digest": payload_digest(body), "body": body}
     return _canonical_payload_bytes(frame) + b"\n"
 
@@ -325,12 +274,12 @@ def encode_journal_frame(kind: str, key, value) -> bytes:
 def decode_journal_frame(line: bytes):
     """Strict inverse of :func:`encode_journal_frame`.
 
-    Returns ``(kind, key, value)`` in the cache's vocabulary.  Raises
+    Returns ``(key, profile)`` in the cache's vocabulary.  Raises
     :class:`PersistenceError` on *anything* wrong with the frame —
     torn/non-JSON line, missing or mismatching digest, wrong format tag
-    or schema, malformed entry, unknown kind (an older writer's
-    support-hint frames among them) — so a journal replay can reject
-    the one frame and keep the rest.
+    or schema, malformed entry, a kind other than ``profile`` (an older
+    writer's ``set`` and support-hint frames among them) — so a journal
+    replay can reject the one frame and keep the rest.
     """
     try:
         frame = json.loads(line.decode("utf-8"))
@@ -354,39 +303,28 @@ def decode_journal_frame(line: bytes):
             f"(this reader speaks {JOURNAL_SCHEMA_VERSION})"
         )
     kind = body.get("kind")
+    if kind != "profile":
+        raise PersistenceError(f"unknown journal frame kind {kind!r}")
     try:
-        if kind == "profile":
-            key = (body["fingerprint"], body["method"], body["mode"])
-            if not all(isinstance(part, str) for part in key):
-                raise PersistenceError(
-                    f"profile frame key is not three strings: {key!r}"
-                )
-            return "profile", key, decode_profile(body["profile"])
-        if kind == "set":
-            return "set", _decode_set_key(body, "set frame"), tuple(
-                decode_profile(p) for p in body["profiles"]
-            )
-    except PersistenceError:
-        raise
-    except (KeyError, TypeError) as exc:
+        key = (body["fingerprint"], body["method"], body["mode"])
+        rows = body["profile"]
+    except KeyError as exc:
         raise PersistenceError(f"malformed journal frame: {exc!r}") from exc
-    raise PersistenceError(f"unknown journal frame kind {kind!r}")
+    if not all(isinstance(part, str) for part in key):
+        raise PersistenceError(
+            f"profile frame key is not three strings: {key!r}"
+        )
+    return key, decode_profile(rows)
 
 
-def apply_journal_entry(state: CacheState, kind: str, key, value,
+def apply_journal_entry(state: CacheState, key, profile: MixedProfile,
                         line: bytes | None = None) -> None:
     """Fold one decoded entry into a :class:`CacheState`: the latest
-    write wins, and becomes the newest entry of its store."""
-    if kind == "profile":
-        store = state.profiles
-    elif kind == "set":
-        store = state.sets
-    else:  # pragma: no cover - decode_journal_frame already refused it
-        raise PersistenceError(f"unknown journal entry kind {kind!r}")
-    store.pop(key, None)
-    store[key] = value
+    write wins, and becomes the newest entry."""
+    state.profiles.pop(key, None)
+    state.profiles[key] = profile
     if line is not None:
-        state.frames[(kind, key)] = line
+        state.frames[key] = line
 
 
 # ----------------------------------------------------------------------
@@ -527,16 +465,16 @@ def read_state_file(path) -> tuple[CacheState, CacheLoadReport]:
         if not line:
             continue
         try:
-            kind, key, value = decode_journal_frame(line)
+            key, profile = decode_journal_frame(line)
         except PersistenceError as exc:
             rejections.append({"kind": "journal-frame", "path": path,
                                "frame": index, "reason": str(exc)})
             continue
-        apply_journal_entry(state, kind, key, value, line + b"\n")
+        apply_journal_entry(state, key, profile, line + b"\n")
         frames += 1
     return state, CacheLoadReport(
         path=path, accepted=True, profiles=len(state.profiles),
-        sets=len(state.sets), frames=frames, rejections=tuple(rejections),
+        frames=frames, rejections=tuple(rejections),
     )
 
 
@@ -579,6 +517,5 @@ def _read_covered(data: bytes, lines: list) -> tuple[CacheState, int]:
         )
     state = CacheState()
     for line in covered:
-        kind, key, value = decode_journal_frame(line)
-        apply_journal_entry(state, kind, key, value, line + b"\n")
+        apply_journal_entry(state, *decode_journal_frame(line), line + b"\n")
     return state, 1 + count

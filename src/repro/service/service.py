@@ -8,8 +8,9 @@ inventors advise, verifiers certify — not a batch script.
   :class:`~repro.service.futures.ConsultationFuture`\\ s immediately;
 * the admission queue drains onto the inventors' long-lived solver
   state — the cross-run :class:`~repro.service.cache.SolveCache` the
-  service attaches at registration — so repeat and near-repeat games
-  skip whole screens;
+  service attaches at registration — so an exact repeat of a game
+  skips the search; any other game, a near-repeat included, is
+  searched cold;
 * the draining thread runs each consultation start to finish: solve
   (cache lookup, screening, advice), then verify and conclude inline.
   Certification costs a small fraction of a solve, so there is nothing

@@ -222,38 +222,17 @@ class TestRoundTrip:
         assert loaded.stats.hits == len(games)
         assert loaded.stats.load_rejected == 0
 
-    def test_sets_round_trip(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = SolveCache(path=path)
-        games = _degenerate_and_rank_deficient()
-        cold_sets = [cache.equilibrium_set(g) for g in games]
-        assert cache.save() == len(cache) == len(games)
-
-        loaded = SolveCache(path=path)
-        report = loaded.last_load_report
-        assert report.accepted and report.sets == len(games)
-        for game, cold in zip(games, cold_sets):
-            clone = BimatrixGame(game.row_matrix, game.column_matrix)
-            served = loaded.equilibrium_set(clone)
-            assert len(served) == len(cold)
-            for left, right in zip(served, cold):
-                assert _bit_identical(left, right), game.name
-        assert loaded.stats.set_hits == len(games)
-        header, bodies = _header_and_bodies(path)
-        assert header["frames"] == len(bodies) == len(games)
-        assert {body["kind"] for body in bodies} == {"set"}
-
     def test_snapshot_with_support_hints_still_loads(self, tmp_path):
         # An older writer's file: its payload also carries a support-hint
-        # list.  The key is ignored and the digest, which covers it,
-        # still verifies; the profile and the set serve as hits.
+        # list and an enumeration set.  Both are ignored and the digest,
+        # which covers them, still verifies; the profile serves as a hit.
         path = tmp_path / "cache.json"
         path.write_text(json.dumps(_OLDER_SNAPSHOT))
         cache = SolveCache(path=path)
         report = cache.last_load_report
         assert report.accepted, report.reason
-        assert (report.profiles, report.sets) == (1, 1)
-        assert len(cache) == 2
+        assert report.profiles == 1
+        assert len(cache) == 1
         game = _battle_of_the_sexes()
         inventor = BimatrixInventor(
             "inv", method="support-enumeration", solve_cache=cache
@@ -261,15 +240,13 @@ class TestRoundTrip:
         profile, cache_state, __ = inventor.solve(game)
         assert cache_state == "hit"
         assert profile.distributions == ((1, 0), (1, 0))
-        assert len(cache.equilibrium_set(game)) == 3
-        assert cache.stats.set_hits == 1
         assert cache.stats.load_rejected == 0
-        cache.save()  # rewritten in the current format, hints dropped
+        cache.save()  # rewritten in the current format, set and hints dropped
         header, bodies = _header_and_bodies(path)
         assert header["schema"] == SCHEMA_VERSION
-        assert [body["kind"] for body in bodies] == ["profile", "set"]
+        assert [body["kind"] for body in bodies] == ["profile"]
 
-    def test_lru_order_survives_the_round_trip(self, tmp_path):
+    def test_lru_order_survives_the_round_trip(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.json"
         cache = SolveCache(path=path)
         inventor = BimatrixInventor(
@@ -281,7 +258,8 @@ class TestRoundTrip:
         cache.save()
 
         # Reload into a 2-entry cache: only the two *newest* survive.
-        loaded = SolveCache(path=path, max_entries=2)
+        monkeypatch.setattr(SolveCache, "max_entries", 2)
+        loaded = SolveCache(path=path)
         probe = BimatrixInventor(
             "probe", method="support-enumeration", solve_cache=loaded
         )
@@ -289,24 +267,6 @@ class TestRoundTrip:
         assert probe.solve(p0).cache == "miss"  # oldest was dropped
         p2 = BimatrixGame(games[2].row_matrix, games[2].column_matrix)
         assert probe.solve(p2).cache == "hit"
-
-    def test_gameless_lookup_leaves_pending_entries_servable(self, tmp_path):
-        # A lookup without a game cannot run the gate; it must not
-        # consume the pending entry — the next caller *with* the game
-        # still gets the warm hit.
-        path, games = _populated_file(tmp_path, count=1)
-        cache = SolveCache(path=path)
-        game = games[0]
-        fingerprint = game.payoff_fingerprint
-        assert cache.lookup_profile(
-            fingerprint, "support-enumeration", "exact"
-        ) is None  # pre-PR signature: no game, no serve...
-        inventor = BimatrixInventor(
-            "inv", method="support-enumeration", solve_cache=cache
-        )
-        clone = BimatrixGame(game.row_matrix, game.column_matrix)
-        assert inventor.solve(clone).cache == "hit"  # ...and nothing lost
-        assert cache.stats.load_rejected == 0
 
     def test_save_preserves_the_target_file_mode(self, tmp_path):
         # mkstemp temp files are 0600; the atomic replace must not
@@ -447,30 +407,6 @@ class TestTamperRejection:
         (rejection,) = cache.drain_rejections()
         assert rejection["kind"] == "profile"
 
-    def test_forged_set_member_fails_the_gate_at_serve(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = SolveCache(path=path)
-        game = random_bimatrix(3, 3, seed=55)
-        cold = cache.equilibrium_set(game)
-        cache.save()
-
-        def forged_member(bodies):
-            bodies[0]["profiles"][0] = [["1/3", "1/3", "1/3"],
-                                        ["1/3", "1/3", "1/3"]]
-
-        _reseal(path, forged_member)
-
-        loaded = SolveCache(path=path)
-        assert loaded.last_load_report.accepted
-        served = loaded.equilibrium_set(
-            BimatrixGame(game.row_matrix, game.column_matrix)
-        )
-        assert [p.distributions for p in served] == [
-            p.distributions for p in cold
-        ]  # re-enumerated cold, bit-identical to the truth
-        assert loaded.stats.load_rejected == 1
-        assert loaded.stats.set_misses == 1  # the forged entry did not hit
-
     def test_wrong_game_shape_under_a_forged_key_is_rejected(self, tmp_path):
         # Forge a pending profile under some *other* game's fingerprint:
         # the gate raises on the shape mismatch, which must read as a
@@ -489,17 +425,6 @@ class TestTamperRejection:
         clone = BimatrixGame(game.row_matrix, game.column_matrix)
         assert inventor.solve(clone).cache == "miss"
         assert cache.stats.load_rejected == 1
-
-    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
-    def test_non_boolean_equal_size_only_is_rejected(self, tmp_path, flag):
-        # Even with a recomputed digest: coercing "false" to True would
-        # serve the set under the other key.
-        path = tmp_path / "cache.json"
-        cache = SolveCache(path=path)
-        cache.equilibrium_set(random_bimatrix(3, 3, seed=56))
-        cache.save()
-        _reseal(path, lambda bodies: bodies[0].update(equal_size_only=flag))
-        self._assert_rejected(path, "equal_size_only is not a boolean")
 
 
 def _service_fixture(tmp_path, cache_path=None, games=None, **kwargs):

@@ -16,6 +16,7 @@ import os
 import shutil
 import tempfile
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from repro.core.actors import AuthorityAgent, BimatrixInventor
 from repro.core.audit_events import EVENT_CACHE_LOAD_REJECTED
+from repro.server import journal as journal_module
 from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
 from repro.errors import PersistenceError
@@ -83,9 +85,7 @@ def _profile() -> MixedProfile:
 
 
 def _frame(index: int) -> bytes:
-    return encode_journal_frame(
-        "profile", (f"fp{index}", "m", "exact"), _profile()
-    )
+    return encode_journal_frame((f"fp{index}", "m", "exact"), _profile())
 
 
 def _keys(*indices) -> list:
@@ -120,42 +120,17 @@ class TestJournalFrames:
 
     def test_profile_frame_round_trip_is_exact(self):
         key = ("fp", "support-enumeration", "exact")
-        line = encode_journal_frame("profile", key, _profile())
-        kind, got_key, got = decode_journal_frame(line.rstrip(b"\n"))
-        assert (kind, got_key) == ("profile", key)
+        line = encode_journal_frame(key, _profile())
+        assert json.loads(line)["body"]["kind"] == "profile"
+        got_key, got = decode_journal_frame(line.rstrip(b"\n"))
+        assert got_key == key
         assert got.distributions == _profile().distributions
         assert all(
             type(v) is Fraction for d in got.distributions for v in d
         )
 
-    def test_set_frames_round_trip(self):
-        for flag in (True, False):
-            line = encode_journal_frame(
-                "set", ("fp", flag), (_profile(), _profile())
-            )
-            kind, key, value = decode_journal_frame(line.rstrip(b"\n"))
-            assert kind == "set" and key == ("fp", flag) and len(value) == 2
-            assert key[1] is flag
-
-    def test_only_profile_and_set_frames_are_written(self):
-        with pytest.raises(PersistenceError, match="unknown journal entry"):
-            encode_journal_frame("hint", (2, 2), ((0, 1), (1,)))
-
-    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
-    def test_non_boolean_equal_size_only_is_rejected(self, flag):
-        line = encode_journal_frame("set", ("fp", False), (_profile(),))
-        body = json.loads(line)["body"]
-        body["equal_size_only"] = flag
-        forged = json.dumps(
-            {"digest": payload_digest(body), "body": body}
-        ).encode()
-        with pytest.raises(PersistenceError, match="not a boolean"):
-            decode_journal_frame(forged)
-
     def test_tampered_frame_is_rejected(self):
-        line = encode_journal_frame(
-            "profile", ("fp", "m", "exact"), _profile()
-        )
+        line = encode_journal_frame(("fp", "m", "exact"), _profile())
         frame = json.loads(line)
         frame["body"]["fingerprint"] = "forged"
         forged = json.dumps(frame).encode()
@@ -163,9 +138,7 @@ class TestJournalFrames:
             decode_journal_frame(forged)
 
     def test_torn_frame_is_rejected(self):
-        line = encode_journal_frame(
-            "profile", ("fp", "m", "exact"), _profile()
-        )
+        line = encode_journal_frame(("fp", "m", "exact"), _profile())
         with pytest.raises(PersistenceError):
             decode_journal_frame(line[: len(line) // 2])
 
@@ -188,8 +161,8 @@ class TestJournalFrames:
             [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
         )
         key = ("fp", "m", "exact")
-        apply_journal_entry(state, "profile", key, first)
-        apply_journal_entry(state, "profile", key, second)
+        apply_journal_entry(state, key, first)
+        apply_journal_entry(state, key, second)
         assert state.profiles[key].distributions == second.distributions
 
 
@@ -207,39 +180,39 @@ class TestReader:
         assert report.rejections[0]["kind"] == "journal-frame"
         assert len(state.profiles) == 3
 
-    def test_older_hint_frames_are_refused_one_by_one(self, tmp_path):
-        # A journal as the writer that still kept support hints left it:
-        # profile, hint, set, hint.  Each hint frame is refused on its
-        # own as an unknown kind; the frames around it replay.
+    def test_older_hint_and_set_frames_are_refused_one_by_one(
+        self, tmp_path
+    ):
+        # A journal as the writer that still kept support hints and
+        # enumeration sets left it: profile, hint, set, hint.  Each hint
+        # and set frame is refused on its own as an unknown kind; the
+        # profile frame before them replays.
         path = tmp_path / "journal.jsonl"
         path.write_bytes(_OLDER_JOURNAL)
         state, report = read_state_file(path)
-        assert report.frames == 2
-        assert [r["frame"] for r in report.rejections] == [1, 3]
-        assert all(
-            "unknown journal frame kind 'hint'" in r["reason"]
-            for r in report.rejections
-        )
+        assert report.accepted and report.frames == 1
+        assert [(r["frame"], r["reason"]) for r in report.rejections] == [
+            (index, f"unknown journal frame kind {kind!r}")
+            for index, kind in ((1, "hint"), (2, "set"), (3, "hint"))
+        ]
         assert list(state.profiles) == [
             (_BOS_FINGERPRINT, "support-enumeration", "exact")
         ]
-        assert list(state.sets) == [(_BOS_FINGERPRINT, False)]
 
         cache = SolveCache()
-        assert cache.merge_pending_state(state) == 2
+        assert cache.merge_pending_state(state) == 1
         game = BimatrixGame([[3, 0], [0, 2]], [[2, 0], [0, 3]])
         inventor = BimatrixInventor(
             "inv", method="support-enumeration", solve_cache=cache
         )
         assert inventor.solve(game).cache == "hit"
-        assert len(cache.equilibrium_set(game)) == 3
-        assert cache.stats.set_hits == 1
+        assert cache.stats.load_rejected == 0
 
     def test_missing_journal_is_a_quiet_cold_start(self, tmp_path):
         cache = SolveCache()
         state, report = cache.restore(tmp_path / "absent.jsonl")
         assert report.frames == 0 and not report.rejections
-        assert state.entry_count == 0 and len(cache) == 0
+        assert not state.profiles and len(cache) == 0
         assert cache.drain_rejections() == []
 
     def test_journal_append_and_replace(self, tmp_path):
@@ -268,7 +241,7 @@ class TestStateFile:
     @staticmethod
     def _rejected_whole(path) -> None:
         state, report = read_state_file(path)
-        assert not report.accepted and state.entry_count == 0
+        assert not report.accepted and not state.profiles
         assert [r["kind"] for r in report.rejections] == ["file"]
 
     def test_prefix_and_later_frames_load(self, tmp_path):
@@ -344,6 +317,28 @@ class TestStateFile:
         persister.close()
         assert list(read_state_file(path)[0].profiles) == _keys(0, 1, 2)
 
+    def test_a_set_frame_under_the_header_refuses_its_file(self, tmp_path):
+        # An older writer's compaction left a set frame among the
+        # covered ones: the file is refused whole, the cache starts
+        # cold, and the refusal is audited.
+        profile, __, cached_set, __ = _OLDER_JOURNAL.splitlines(keepends=True)
+        path = state_path(tmp_path / "state")
+        write_state_file(path, [profile, cached_set])
+        self._rejected_whole(path)
+        cache = SolveCache()
+        authority = _authority("g", games=1)
+        service = AuthorityService(authority, solve_cache=cache)
+        persister = WriteBehindPersister(cache, path)
+        (rejection,) = persister.recover().rejections
+        assert rejection["kind"] == "file"
+        assert "unknown journal frame kind 'set'" in rejection["reason"]
+        assert len(cache) == 0
+        service.flush_cache_rejections()
+        audited = authority.audit.events_of(EVENT_CACHE_LOAD_REJECTED)
+        assert [record.details["kind"] for record in audited] == ["file"]
+        persister.close()
+        authority.close()
+
     def test_recovery_into_a_missing_directory_is_a_cold_start(
         self, tmp_path
     ):
@@ -367,27 +362,24 @@ class FakeClock:
 class TestWriteBehindPersister:
     def test_flush_cadence_by_drains(self, tmp_path):
         cache = SolveCache()
-        persister = WriteBehindPersister(
-            cache, state_path(tmp_path / "state"), flush_every_drains=2
-        )
+        persister = WriteBehindPersister(cache, state_path(tmp_path / "state"))
         cache.store_profile("fp", "m", "exact", _profile())
-        persister.on_drained()
-        assert persister.flushes == 0  # one drain: not yet due
         persister.on_drained()
         assert persister.flushes == 1 and persister.frames_flushed == 1
         assert persister.journal.size_bytes() > 0
+        persister.on_drained()  # every drain flushes, with or without news
+        assert persister.flushes == 2 and persister.frames_flushed == 1
 
     def test_flush_cadence_by_clock(self, tmp_path):
         clock = FakeClock()
         cache = SolveCache()
         persister = WriteBehindPersister(
-            cache, state_path(tmp_path / "state"), flush_every_drains=10**6,
-            flush_interval=5.0, clock=clock,
+            cache, state_path(tmp_path / "state"), clock=clock
         )
         cache.store_profile("fp", "m", "exact", _profile())
         persister.poll()
         assert persister.flushes == 0
-        clock.now = 6.0
+        clock.now = journal_module.FLUSH_INTERVAL_S
         persister.poll()
         assert persister.flushes == 1
 
@@ -430,34 +422,34 @@ class TestCompactionRule:
     ``snapshot()`` (the admin endpoint) and ``close()`` always compact."""
 
     @pytest.fixture(autouse=True)
-    def _close_journals(self):
+    def _close_journals(self, monkeypatch):
+        # A failing append degrades at once, without retry sleeps.
+        monkeypatch.setattr(journal_module, "FLUSH_RETRIES", 0)
+        self.monkeypatch = monkeypatch
         self.journals = []
         yield
         for journal in self.journals:
             journal.close()
 
-    def _persister(self, tmp_path, max_entries=4, **kwargs):
-        cache = SolveCache(max_entries=max_entries)
-        options = {"flush_every_drains": 1, "flush_retries": 0,
-                   "backoff_base_s": 0.0}
-        options.update(kwargs)
+    def _persister(self, tmp_path, max_entries=4, clock=time.monotonic):
+        self.monkeypatch.setattr(SolveCache, "max_entries", max_entries)
+        cache = SolveCache()
         persister = WriteBehindPersister(
-            cache, state_path(tmp_path / "state"), **options
+            cache, state_path(tmp_path / "state"), clock=clock
         )
         self.journals.append(persister.journal)
         return cache, persister
 
     def test_hits_clean_drains_and_polls_never_compact(self, tmp_path):
         clock = FakeClock()
-        cache, persister = self._persister(
-            tmp_path, flush_interval=1.0, clock=clock
-        )
+        cache, persister = self._persister(tmp_path, clock=clock)
+        game = BimatrixGame([[3, 0], [0, 2]], [[2, 0], [0, 3]])
         _store(cache, 1)
         persister.on_drained()
         for __ in range(8):
-            assert cache.lookup_profile("fp1", "m", "exact") is not None
+            assert cache.lookup_profile("fp1", "m", "exact", game) is not None
             persister.on_drained()
-            clock.now += 10.0
+            clock.now += 2 * journal_module.FLUSH_INTERVAL_S
             persister.poll()
         assert persister.snapshots == 0
         assert _header(persister.journal.path) is None
@@ -498,7 +490,7 @@ class TestCompactionRule:
             persister.flush()
         assert persister.snapshots == 0  # flush() alone never compacts
         assert len(persister._frames) == 7
-        live = {("profile", key) for key in _keys(3, 4, 5, 6)}
+        live = set(_keys(3, 4, 5, 6))
         # A compaction whose write fails prunes them too: a disk that
         # refuses every compaction must not grow the kept frames.
         with faults.armed("snapshot.write:raise:oserror@1"):
@@ -510,20 +502,21 @@ class TestCompactionRule:
     def test_poll_compacts_by_the_same_rule(self, tmp_path):
         clock = FakeClock()
         cache, persister = self._persister(
-            tmp_path, max_entries=1, flush_interval=1.0, clock=clock
+            tmp_path, max_entries=1, clock=clock
         )
-        clock.now = 6.0
+        interval = journal_module.FLUSH_INTERVAL_S
+        clock.now = interval
         persister.poll()
         assert persister.flushes == 1 and persister.snapshots == 0
         _store(cache, 1)
-        clock.now = 7.0
+        clock.now = 2 * interval
         persister.poll()
         assert persister.flushes == 2 and persister.snapshots == 0
         _store(cache, 2)  # evicts fp1
-        clock.now = 7.5
+        clock.now = 2.5 * interval
         persister.poll()
         assert persister.snapshots == 0  # not flushed yet: 1 frame
-        clock.now = 8.0
+        clock.now = 3 * interval
         persister.poll()
         assert persister.snapshots == 1  # 2 frames, 1 entry
 
@@ -737,6 +730,10 @@ def _equilibria_by_key() -> list:
 _EQUILIBRIA = _equilibria_by_key()
 
 
+class _FourEntryCache(SolveCache):
+    max_entries = 4
+
+
 class PersisterMachine(RuleBasedStateMachine):
     """One persister over a 4-entry cache and six keys (so stores
     evict), driven by random steps.
@@ -757,10 +754,8 @@ class PersisterMachine(RuleBasedStateMachine):
         self._open()
 
     def _open(self) -> None:
-        self.cache = SolveCache(max_entries=4)
-        self.persister = WriteBehindPersister(
-            self.cache, self.path, flush_retries=0, backoff_base_s=0.0
-        )
+        self.cache = _FourEntryCache()
+        self.persister = WriteBehindPersister(self.cache, self.path)
         self.persister.recover()
         self.stored: list = []  # committed since the last flush
         folded: dict = {}
@@ -768,7 +763,7 @@ class PersisterMachine(RuleBasedStateMachine):
             folded.pop(key, None)
             folded[key] = value
         expected = list(folded.items())[-4:]
-        recovered = [(key, value) for __, key, value in self.cache.entries()]
+        recovered = self.cache.entries()
         assert [key for key, __ in recovered] == [key for key, __ in expected]
         for (__, got), (__, want) in zip(recovered, expected):
             assert got.distributions == want.distributions
@@ -796,7 +791,7 @@ class PersisterMachine(RuleBasedStateMachine):
     @rule()
     def compact(self):
         self.persister.snapshot()
-        self.log = [(key, value) for __, key, value in self.cache.entries()]
+        self.log = self.cache.entries()
         self.stored = []
 
     @rule()
@@ -807,7 +802,7 @@ class PersisterMachine(RuleBasedStateMachine):
     @rule()
     def close_and_reopen(self):
         self.persister.close()
-        self.log = [(key, value) for __, key, value in self.cache.entries()]
+        self.log = self.cache.entries()
         self._open()
 
     def teardown(self):

@@ -263,6 +263,29 @@ class TestErrorMapping:
         assert status == 400
 
     @pytest.mark.parametrize(
+        "privacy", [5, "secret", None, ["open"]],
+        ids=["int", "unknown-mode", "null", "list"],
+    )
+    @pytest.mark.parametrize("path", ["/consult", "/consult_many"])
+    def test_a_bad_privacy_is_400_before_admission(
+        self, client, server, path, privacy
+    ):
+        service = server.server._service
+        events = [record.event for record in service.authority.audit.records]
+        body = {"agent": "jane", "privacy": privacy}
+        if path == "/consult":
+            body["game_id"] = "g0"
+        else:
+            body["game_ids"] = ["g0", "g1"]
+        status, reply, _ = client.request("POST", path, body)
+        assert status == 400 and "privacy" in reply["error"]
+        # Nothing was queued, no session opened and no record written.
+        assert (service.pending_count, service.completed_count) == (0, 0)
+        assert [
+            record.event for record in service.authority.audit.records
+        ] == events
+
+    @pytest.mark.parametrize(
         "token", ["NaN", "Infinity", "-Infinity", "1e13"],
         ids=["nan", "inf", "-inf", "past-timeout-max"],
     )
@@ -478,7 +501,7 @@ class TestGracefulShutdown:
         cache = SolveCache()
         authority = build_authority()
         service = AuthorityService(authority, solve_cache=cache)
-        persister = WriteBehindPersister(cache, journal, flush_every_drains=1)
+        persister = WriteBehindPersister(cache, journal)
         threaded = ThreadedServer(service, persister=persister).start()
         client = Client(threaded.port)
         status, body, _ = client.request(

@@ -40,8 +40,7 @@ def start_server(state_dir):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.server",
          "--state-dir", str(state_dir), "--games", str(GAMES),
-         "--size", "3", "--flush-every-drains", "1",
-         "--poll-interval", "0.1"],
+         "--size", "3"],
         stdout=subprocess.PIPE, text=True, env=_env(),
     )
     try:

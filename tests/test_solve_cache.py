@@ -1,10 +1,9 @@
-"""The cross-run solve cache: fingerprints, hits and sets.
+"""The cross-run solve cache: fingerprints, hits and the entry bound.
 
 The cache's contract is proof-preserving caching: keys are exact
-payoff fingerprints (no tolerance anywhere), values are certified
-solutions, and a hit is bit-identical to what a cold solve of the same
-configuration returns — including across backend modes, where the
-backend-parity guarantee makes enumeration sets mode-invariant.
+payoff fingerprints (no tolerance anywhere) with the search method and
+mode, values are certified profiles, and a hit is bit-identical to
+what a cold solve of the same configuration returns.
 """
 
 from __future__ import annotations
@@ -14,18 +13,11 @@ from fractions import Fraction
 import pytest
 
 from repro.core.actors import BimatrixInventor
-from repro.equilibria.support_enumeration import support_enumeration
 from repro.fractions_util import exact_fingerprint
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
 from repro.games.profiles import MixedProfile
-from repro.linalg.backend import (
-    MODE_EXACT,
-    MODE_FLOAT_CERTIFY,
-    MODE_NUMPY,
-    BackendPolicy,
-)
-from repro.service import CacheState, SolveCache, game_fingerprint
+from repro.service import CacheState, SolveCache
 
 
 #: A pure profile to store under made-up keys (never served).
@@ -51,40 +43,6 @@ def _scaled(game: BimatrixGame, factor) -> BimatrixGame:
     a = [[x * scale for x in row] for row in game.row_matrix]
     b = [[x * scale for x in row] for row in game.column_matrix]
     return BimatrixGame(a, b, name=f"{game.name}-x{factor}")
-
-
-def _degenerate_instances():
-    zero = [[0, 0], [0, 0]]
-    return [
-        BimatrixGame.fig5_example(),
-        BimatrixGame(
-            [[3, 0], [3, 0], [0, 2]], [[1, 2], [1, 2], [4, 0]],
-            name="DuplicateRows",
-        ),
-        BimatrixGame(
-            [[1, 1, 4], [2, 2, 0]], [[3, 3, 1], [0, 0, 5]],
-            name="IdenticalColumns",
-        ),
-        BimatrixGame(zero, zero, name="AllZero"),
-        BimatrixGame(
-            [[2, 2], [2, 2], [0, 1]], [[1, 1], [1, 1], [3, 0]],
-            name="DegenerateTall",
-        ),
-    ]
-
-
-def _bit_identical(left, right) -> bool:
-    """Equal values AND exact types — every probability is a Fraction."""
-    left = [p.distributions for p in left]
-    right = [p.distributions for p in right]
-    if left != right:
-        return False
-    for profile in left:
-        for dist in profile:
-            for value in dist:
-                if type(value) is not Fraction:
-                    return False
-    return True
 
 
 class TestFingerprint:
@@ -125,10 +83,6 @@ class TestFingerprint:
         assert game.payoff_fingerprint == exact_fingerprint(
             game.row_matrix, game.column_matrix, label="bimatrix"
         )
-        assert game_fingerprint(game) == game.payoff_fingerprint
-
-    def test_uncacheable_games_fingerprint_as_none(self):
-        assert game_fingerprint(object()) is None
 
 
 class TestProfileCache:
@@ -160,6 +114,19 @@ class TestProfileCache:
         # A different method: no cross-contamination.
         assert lh.solve(game).cache == "miss"
         assert cache.stats.misses == 2
+        # A different mode: on near-tie games the modes can certify
+        # different equilibria, so none is served another's entry.
+        modes = SolveCache()
+        exact, numpy = (
+            BimatrixInventor(
+                mode, method="support-enumeration", backend=mode,
+                solve_cache=modes,
+            )
+            for mode in ("exact", "numpy")
+        )
+        assert exact.solve(game).cache == "miss"
+        assert numpy.solve(game).cache == "miss"
+        assert len(modes) == 2
 
     def test_without_cache_state_is_blank(self):
         inventor = BimatrixInventor("inv", method="support-enumeration")
@@ -217,74 +184,8 @@ class TestHistoryFree:
         assert stats["misses"] == 1 and cache.stats.lookups == 1
 
 
-class TestEquilibriumSetCache:
-    """Satellite: cache hits are bit-identical to cold exact solves.
-
-    25 games (20 random + 5 degenerate), each populated under a
-    rotating search mode and then served from cache — the served set
-    must equal a *fresh cold exact* enumeration bit for bit, which is
-    exactly the cross-mode guarantee that makes fingerprint-only set
-    keys sound.
-    """
-
-    MODES = [
-        BackendPolicy(MODE_EXACT),
-        BackendPolicy(MODE_FLOAT_CERTIFY),
-        BackendPolicy(MODE_NUMPY),  # falls back to float without numpy
-    ]
-
-    def _games(self):
-        sizes = [(3, 3), (4, 3), (3, 4), (4, 4)]
-        games = [
-            random_bimatrix(*sizes[i % len(sizes)], seed=7000 + i)
-            for i in range(20)
-        ]
-        games.extend(_degenerate_instances())
-        assert len(games) == 25
-        return games
-
-    def test_cache_hits_bit_identical_to_cold_exact(self):
-        cache = SolveCache()
-        for i, game in enumerate(self._games()):
-            populate_policy = self.MODES[i % len(self.MODES)]
-            cold = cache.equilibrium_set(game, policy=populate_policy)
-            hit = cache.equilibrium_set(
-                game, policy=self.MODES[(i + 1) % len(self.MODES)]
-            )
-            assert hit is cold  # fingerprint hit, any mode
-            exact_reference = support_enumeration(game)  # fresh, no cache
-            assert _bit_identical(hit, exact_reference), game.name
-        assert cache.stats.set_hits == 25
-        assert cache.stats.set_misses == 25
-
-    def test_set_hits_survive_reconstruction_of_the_game(self):
-        cache = SolveCache()
-        game = BimatrixGame.fig5_example()
-        cold = cache.equilibrium_set(game, policy=BackendPolicy(MODE_NUMPY))
-        clone = BimatrixGame(game.row_matrix, game.column_matrix, name="x")
-        assert cache.equilibrium_set(clone) is cold
-
-    def test_uncacheable_games_do_not_skew_set_miss_telemetry(self):
-        # The bugfix: a game without a payoff fingerprint can never hit,
-        # so counting it as a set miss would drag the set-hit rate down
-        # for lookups the cache was never offered.  It lands in its own
-        # counter; set_misses keeps meaning "cacheable but absent".
-        class _Unfingerprinted(BimatrixGame):
-            payoff_fingerprint = None
-
-        cache = SolveCache()
-        opaque = _Unfingerprinted([[1, 1], [0, 2]], [[1, 1], [1, 0]])
-        first = cache.equilibrium_set(opaque)
-        again = cache.equilibrium_set(opaque)  # still no caching possible
-        assert first == again
-        assert cache.stats.uncacheable == 2
-        assert cache.stats.set_misses == 0 and cache.stats.set_hits == 0
-        assert cache.stats.as_dict()["uncacheable"] == 2
-        assert len(cache) == 0  # nothing was stored
-
-
 class TestStatsAndLifecycle:
-    def test_hit_rate_and_clear(self):
+    def test_hit_rate(self):
         cache = SolveCache()
         inventor = BimatrixInventor(
             "inv", method="support-enumeration", solve_cache=cache
@@ -295,13 +196,11 @@ class TestStatsAndLifecycle:
         stats = cache.stats.as_dict()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == pytest.approx(0.5)
-        assert len(cache) > 0
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats.lookups == 0
+        assert cache.stats.lookups == 2
 
-    def test_lru_eviction_bounds_the_stores(self):
-        cache = SolveCache(max_entries=2)
+    def test_lru_eviction_bounds_the_stores(self, monkeypatch):
+        monkeypatch.setattr(SolveCache, "max_entries", 2)
+        cache = SolveCache()
         inventor = BimatrixInventor(
             "inv", method="support-enumeration", solve_cache=cache
         )
@@ -317,12 +216,11 @@ class TestStatsAndLifecycle:
         assert fresh.solve(r0).cache == "miss"  # evicted
         r2 = BimatrixGame(games[2].row_matrix, games[2].column_matrix)
         assert fresh.solve(r2).cache == "hit"
-        assert SolveCache(max_entries=None)._max_entries is None
-        with pytest.raises(ValueError):
-            SolveCache(max_entries=0)
+        assert len(cache) == 2
 
-    def test_lookup_refreshes_lru_order(self):
-        cache = SolveCache(max_entries=2)
+    def test_lookup_refreshes_lru_order(self, monkeypatch):
+        monkeypatch.setattr(SolveCache, "max_entries", 2)
+        cache = SolveCache()
         inventor = BimatrixInventor(
             "inv", method="support-enumeration", solve_cache=cache
         )
@@ -344,15 +242,18 @@ class TestStatsAndLifecycle:
 
     @staticmethod
     def _keys(cache) -> list:
-        return [key[0] for __, key, __ in cache.entries()]
+        return [key[0] for key, __ in cache.entries()]
 
     @staticmethod
     def _store(cache, *fingerprints) -> None:
         for fingerprint in fingerprints:
             cache.store_profile(fingerprint, "m", "exact", _PURE)
 
-    def test_pending_entries_are_evicted_first_then_the_oldest_live(self):
-        cache = SolveCache(max_entries=3)
+    def test_pending_entries_are_evicted_first_then_the_oldest_live(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(SolveCache, "max_entries", 3)
+        cache = SolveCache()
         assert cache.merge_pending_state(_pending_profiles("p0", "p1")) == 2
         self._store(cache, "l0")
         assert self._keys(cache) == ["p0", "p1", "l0"]
@@ -363,26 +264,13 @@ class TestStatsAndLifecycle:
         self._store(cache, "l3")
         assert self._keys(cache) == ["l1", "l2", "l3"]
 
-    def test_a_full_cache_keeps_no_loaded_entry(self):
+    def test_a_full_cache_keeps_no_loaded_entry(self, monkeypatch):
         # Loaded entries never displace live ones.
-        cache = SolveCache(max_entries=2)
+        monkeypatch.setattr(SolveCache, "max_entries", 2)
+        cache = SolveCache()
         self._store(cache, "l0", "l1")
         assert cache.merge_pending_state(_pending_profiles("p0", "p1")) == 0
         assert self._keys(cache) == ["l0", "l1"]
-        assert len(cache) == 2
-
-    def test_loaded_sets_share_the_bound_with_live_ones(self):
-        games = [random_bimatrix(2, 2, seed=620 + i) for i in range(3)]
-        keys = [(game_fingerprint(game), False) for game in games]
-        cache = SolveCache(max_entries=2)
-        cache.merge_pending_state(CacheState(sets={
-            key: tuple(support_enumeration(game))
-            for key, game in zip(keys[:2], games[:2])
-        }))
-        cache.equilibrium_set(games[2])  # cold: evicts the older loaded set
-        assert [key for __, key, __ in cache.entries()] == keys[1:]
-        cache.equilibrium_set(games[0])
-        assert cache.stats.set_misses == 2  # its loaded set was gone
         assert len(cache) == 2
 
     def test_misadvising_wrapper_forwards_the_cache(self):
