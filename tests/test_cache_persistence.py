@@ -134,6 +134,27 @@ _OLDER_SNAPSHOT = {
     "schema": 1,
 }
 
+_OLDER_SET = _OLDER_SNAPSHOT["payload"]["sets"][0]
+
+#: Frame bodies of the kinds an older writer also journaled.
+_RETIRED_FRAME_BODIES = {
+    "set": {
+        "equal_size_only": False,
+        "fingerprint": _BOS_FINGERPRINT,
+        "format": "repro.solve-cache-journal",
+        "kind": "set",
+        "profiles": _OLDER_SET["profiles"],
+        "schema": 1,
+    },
+    "hint": {
+        "format": "repro.solve-cache-journal",
+        "kind": "hint",
+        "pair": [[0], [0]],
+        "schema": 1,
+        "shape": [2, 2],
+    },
+}
+
 
 def _header_and_bodies(path) -> tuple[dict, list[dict]]:
     """A saved file's header and its covered frames' bodies."""
@@ -245,6 +266,37 @@ class TestRoundTrip:
         header, bodies = _header_and_bodies(path)
         assert header["schema"] == SCHEMA_VERSION
         assert [body["kind"] for body in bodies] == ["profile"]
+
+    @pytest.mark.parametrize("sets", [
+        [{**_OLDER_SET, "equal_size_only": "false"}],
+        [{**_OLDER_SET, "equal_size_only": None}],
+        [{**_OLDER_SET, "profiles": [[["1/3", "1/3", "1/3"],
+                                      ["1/2", "1/2"]]]}],
+        "not a list",
+        [{"fingerprint": 7}],
+    ], ids=[
+        "string-flag", "null-flag", "forged-member", "not-a-list",
+        "malformed-entry",
+    ])
+    def test_schema_one_sets_are_ignored_whatever_they_hold(
+        self, tmp_path, sets
+    ):
+        # Under a recomputed digest, a schema-1 document's sets are never
+        # decoded, so not even a malformed one refuses the file.
+        payload = {**_OLDER_SNAPSHOT["payload"], "sets": sets}
+        document = {**_OLDER_SNAPSHOT, "payload": payload,
+                    "digest": payload_digest(payload)}
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps(document))
+        cache = SolveCache(path=path)
+        report = cache.last_load_report
+        assert report.accepted, report.reason
+        assert report.profiles == 1 and not report.rejections
+        inventor = BimatrixInventor(
+            "inv", method="support-enumeration", solve_cache=cache
+        )
+        assert inventor.solve(_battle_of_the_sexes()).cache == "hit"
+        assert cache.stats.load_rejected == 0 and len(cache) == 1
 
     def test_lru_order_survives_the_round_trip(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.json"
@@ -406,6 +458,19 @@ class TestTamperRejection:
         assert cache.stats.load_rejected == 1
         (rejection,) = cache.drain_rejections()
         assert rejection["kind"] == "profile"
+
+    @pytest.mark.parametrize("kind", sorted(_RETIRED_FRAME_BODIES))
+    def test_a_retired_frame_kind_refuses_the_whole_file(
+        self, tmp_path, kind
+    ):
+        # An older writer's set or support-hint frame among the covered
+        # ones, every digest recomputed: the file is refused whole.
+        path, _ = _populated_file(tmp_path)
+        _reseal(path, lambda bodies: bodies.append(
+            dict(_RETIRED_FRAME_BODIES[kind])
+        ))
+        assert _header_and_bodies(path)[0]["frames"] == 3
+        self._assert_rejected(path, f"unknown journal frame kind {kind!r}")
 
     def test_wrong_game_shape_under_a_forged_key_is_rejected(self, tmp_path):
         # Forge a pending profile under some *other* game's fingerprint:

@@ -137,6 +137,21 @@ class TestJournalFrames:
         with pytest.raises(PersistenceError, match="digest"):
             decode_journal_frame(forged)
 
+    @pytest.mark.parametrize("kind", ["set", "hint", None])
+    def test_frames_of_any_other_kind_are_refused(self, kind):
+        # With the digest recomputed: an older writer's set and
+        # support-hint kinds, and a body without a kind, are refused by
+        # the kind alone.
+        body = json.loads(_frame(0))["body"]
+        body["kind"] = kind
+        forged = json.dumps(
+            {"digest": payload_digest(body), "body": body}
+        ).encode()
+        with pytest.raises(
+            PersistenceError, match=f"unknown journal frame kind {kind!r}"
+        ):
+            decode_journal_frame(forged)
+
     def test_torn_frame_is_rejected(self):
         line = encode_journal_frame(("fp", "m", "exact"), _profile())
         with pytest.raises(PersistenceError):

@@ -626,6 +626,24 @@ class TestDemoWorld:
         assert exit_info.value.code == 2
         assert flags[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--flush-every-drains", "1"], ["--flush-interval", "5"],
+        ["--long-poll-timeout", "30"], ["--poll-interval", "0.25"],
+    ], ids=[
+        "flush-every-drains", "flush-interval", "long-poll-timeout",
+        "poll-interval",
+    ])
+    def test_retired_flags_are_usage_errors(self, flags, capsys):
+        # The flush cadence, the long-poll cap and the timer period are
+        # module constants: no flag sets them.
+        with pytest.raises(SystemExit) as exit_info:
+            parse_args(["--state-dir", "state", *flags])
+        assert exit_info.value.code == 2
+        assert (
+            f"unrecognized arguments: {' '.join(flags)}"
+            in capsys.readouterr().err
+        )
+
     def test_smallest_world_is_accepted(self):
         args = parse_args(["--games", "0", "--size", "1"])
         assert (args.games, args.size) == (0, 1)

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from repro.core.actors import BimatrixInventor
+from repro.equilibria.support_enumeration import find_one_equilibrium
 from repro.fractions_util import exact_fingerprint
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
@@ -43,6 +44,26 @@ def _scaled(game: BimatrixGame, factor) -> BimatrixGame:
     a = [[x * scale for x in row] for row in game.row_matrix]
     b = [[x * scale for x in row] for row in game.column_matrix]
     return BimatrixGame(a, b, name=f"{game.name}-x{factor}")
+
+
+def _degenerate_instances():
+    zero = [[0, 0], [0, 0]]
+    return [
+        BimatrixGame.fig5_example(),
+        BimatrixGame(
+            [[3, 0], [3, 0], [0, 2]], [[1, 2], [1, 2], [4, 0]],
+            name="DuplicateRows",
+        ),
+        BimatrixGame(
+            [[1, 1, 4], [2, 2, 0]], [[3, 3, 1], [0, 0, 5]],
+            name="IdenticalColumns",
+        ),
+        BimatrixGame(zero, zero, name="AllZero"),
+        BimatrixGame(
+            [[2, 2], [2, 2], [0, 1]], [[1, 1], [1, 1], [3, 0]],
+            name="DegenerateTall",
+        ),
+    ]
 
 
 class TestFingerprint:
@@ -132,14 +153,56 @@ class TestProfileCache:
         inventor = BimatrixInventor("inv", method="support-enumeration")
         assert inventor.solve(random_bimatrix(3, 3, seed=23)).cache == ""
 
+    # Without numpy the "numpy" mode falls back to the stdlib float path.
+    @pytest.mark.parametrize("mode", ["exact", "float+certify", "numpy"])
+    def test_hits_are_bit_identical_to_a_fresh_cold_solve(self, mode):
+        cache = SolveCache()
+        inventor = BimatrixInventor(
+            "inv", method="support-enumeration", backend=mode,
+            solve_cache=cache,
+        )
+        sizes = [(3, 3), (4, 3), (3, 4), (4, 4)]
+        games = [
+            random_bimatrix(*sizes[i % len(sizes)], seed=7000 + i)
+            for i in range(20)
+        ] + _degenerate_instances()
+        for game in games:
+            cold = inventor.solve(game).profile
+            clone = BimatrixGame(game.row_matrix, game.column_matrix)
+            hit, cache_state, __ = inventor.solve(clone)
+            assert cache_state == "hit" and hit is cold, game.name
+            fresh = find_one_equilibrium(game, policy=mode)  # no cache
+            assert hit.distributions == fresh.distributions, game.name
+            assert all(
+                type(value) is Fraction
+                for dist in hit.distributions for value in dist
+            ), game.name
+        assert cache.stats.hits == cache.stats.misses == len(games) == 25
+
+    def test_unfingerprinted_games_bypass_the_cache(self):
+        # A game without a payoff fingerprint can never hit: it is
+        # solved cold each time, stored nowhere, and counted as neither
+        # a hit nor a miss.
+        class _Unfingerprinted(BimatrixGame):
+            payoff_fingerprint = None
+
+        cache = SolveCache()
+        inventor = BimatrixInventor(
+            "inv", method="support-enumeration", solve_cache=cache
+        )
+        opaque = _Unfingerprinted([[1, 1], [0, 2]], [[1, 1], [1, 0]])
+        first = inventor.solve(opaque)
+        again = inventor.solve(opaque)
+        assert (first.cache, again.cache) == ("", "")
+        assert first.profile.distributions == again.profile.distributions
+        assert cache.stats.lookups == 0 and len(cache) == 0
+
 
 class TestHistoryFree:
     """A cached service answers every game as a lone cold solve would."""
 
     @pytest.mark.parametrize("size", [5, 4, 3])
     def test_answers_do_not_depend_on_earlier_solves(self, size):
-        from repro.equilibria.support_enumeration import find_one_equilibrium
-
         cache = SolveCache()
         inventor = BimatrixInventor(
             "inv", method="support-enumeration", backend="auto",
