@@ -19,7 +19,7 @@ import abc
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Sequence
+from typing import Any, NamedTuple
 
 from repro.core.advice import Advice, ProofFormat, SolutionConcept
 from repro.errors import EquilibriumError, ProtocolError
@@ -71,16 +71,6 @@ class GameInventor(abc.ABC):
         verification switch to P2-style disclosure when asked.
         """
 
-    def prepare_games(self, games: "Sequence[tuple[str, Game]]") -> None:
-        """Batch hook: pre-solve a stream of games before advising.
-
-        The base inventor has no shared solver state, so this is a
-        no-op.  Inventors whose hard step benefits from amortized
-        setup (a warm solver cache) override it — see
-        :meth:`BimatrixInventor.prepare_games` — so that a batch of
-        consultations pays for that setup once, not per query.
-        """
-
     def attach_solve_cache(self, cache) -> None:
         """Offer this inventor a cross-run solve cache.
 
@@ -102,25 +92,6 @@ class GameInventor(abc.ABC):
         different cache, is not necessarily the service's own.
         """
         return None
-
-    def advise_many(
-        self, requests: "Sequence[tuple[str, Game, Any, str]]"
-    ) -> "list[AdvicePackage]":
-        """Answer a batch of ``(game_id, game, agent, privacy)`` requests.
-
-        Pre-solves every distinct game through :meth:`prepare_games`,
-        then advises in request order.  Results are identical to calling
-        :meth:`advise` per request — batching amortizes the inventor's
-        search cost, never changes its answers.
-        """
-        distinct: dict[str, Game] = {}
-        for game_id, game, __, __ in requests:
-            distinct.setdefault(game_id, game)
-        self.prepare_games(list(distinct.items()))
-        return [
-            self.advise(game_id, game, agent, privacy)
-            for game_id, game, agent, privacy in requests
-        ]
 
 
 class PureNashInventor(GameInventor):
@@ -255,18 +226,6 @@ class BimatrixInventor(GameInventor):
             profile, "" if fingerprint is None else "miss",
             (time.perf_counter() - started) * 1000.0,
         )
-
-    def prepare_games(self, games: Sequence[tuple[str, BimatrixGame]]) -> None:
-        """Pre-solve a batch of games into the cross-run cache.
-
-        This is the inventor half of the batch-consultation path: every
-        subsequent :meth:`advise` for these games hits the cache.
-        Without a cache there is nothing to warm, so this does nothing.
-        """
-        if self._solve_cache is None:
-            return
-        for __, game in games:
-            self.solve(game)
 
     def advise(self, game_id, game, agent, privacy) -> AdvicePackage:
         if not isinstance(game, BimatrixGame):

@@ -29,7 +29,6 @@ from __future__ import annotations
 # ----------------------------------------------------------------------
 EVENT_GAME_PUBLISHED = "game.published"
 EVENT_CROSS_CHECK = "advice.cross-check"
-EVENT_BATCH_CONSULTATION = "consultation.batch"
 
 # ----------------------------------------------------------------------
 # Blame and statistics (the Ron/Norton accountability trail)
@@ -74,8 +73,6 @@ REGISTRY: dict[str, str] = {
         "An inventor registered a game with the authority.",
     EVENT_CROSS_CHECK:
         "A second-opinion consultation compared two inventors' advice.",
-    EVENT_BATCH_CONSULTATION:
-        "A consult_many/submit_many batch drained as one group.",
     EVENT_INVENTOR_BLAMED:
         "A rejected proof marked the inventor for blame.",
     EVENT_VERIFIER_BLAMED:

@@ -132,12 +132,6 @@ class RationalityAuthority:
         self.game(game_id)
         return self._inventors[self._game_owner[game_id]]
 
-    def inventor_named(self, name: str) -> GameInventor:
-        try:
-            return self._inventors[name]
-        except KeyError:
-            raise ProtocolError(f"unknown inventor {name!r}") from None
-
     @property
     def inventors(self) -> tuple[GameInventor, ...]:
         """Every registered inventor (the service attaches caches here)."""
@@ -173,7 +167,7 @@ class RationalityAuthority:
 
     @property
     def service(self):
-        """The async, future-based consultation surface over this authority.
+        """The future-based consultation surface over this authority.
 
         Created lazily (one
         :class:`~repro.service.service.AuthorityService` per authority,
@@ -182,8 +176,10 @@ class RationalityAuthority:
         cacheable inventor).  Hosts that want different service
         parameters — a shared cache, a high-water mark —
         construct their own ``AuthorityService(authority, ...)``
-        instead; the synchronous :meth:`consult` / :meth:`consult_many`
-        shims always use this default instance.
+        instead; the synchronous :meth:`consult` shim always uses this
+        default instance.  For a batch, ``service.submit_many`` admits
+        the games as one atomic batch, and each then drains as a
+        ``submit`` of it would.
         """
         with self._service_lock:
             if self._service is None:
@@ -197,43 +193,12 @@ class RationalityAuthority:
     ) -> SessionOutcome:
         """The full flow: request, verify with the majority, conclude.
 
-        .. deprecated:: PR 3
-            This is a thin synchronous shim over the consultation
-            service — ``self.service.submit(...).result()`` — kept
-            behavior-identical for existing hosts.  New code should use
-            :attr:`service` directly (``submit`` / ``submit_many`` for
-            futures, ``async_consult`` under asyncio) to get admission
-            queueing, off-path verification and cache telemetry.
+        This is a thin synchronous shim over the consultation service:
+        ``self.service.submit(...).result()``.  Hosts that want
+        futures, a batch admitted whole (``submit_many``) or a
+        per-request deadline use :attr:`service` directly.
         """
         return self.service.submit(agent_name, game_id, privacy=privacy).result()
-
-    def consult_many(
-        self,
-        agent_name: str,
-        game_ids: Sequence[str],
-        privacy: str = "open",
-    ) -> tuple[SessionOutcome, ...]:
-        """Batch consultation: one call, a stream of games.
-
-        Outcomes are identical to calling :meth:`consult` per game, in
-        the same order — batching is a cost optimization, never a
-        semantic one.  The games are grouped by owning inventor and each
-        inventor's hard solves are pre-run through its
-        :meth:`~repro.core.actors.GameInventor.prepare_games` hook, so a
-        caching inventor pays for its solver setup once per batch
-        instead of once per consultation.  Every session then proceeds
-        through the usual advise → verify → conclude flow, with the
-        resolved backend and cache state recorded per advice in the
-        audit log.
-
-        .. deprecated:: PR 3
-            Like :meth:`consult`, this is a synchronous shim — one
-            atomic :meth:`~repro.service.service.AuthorityService
-            .submit_many` batch, drained inline — kept
-            behavior-identical.  Prefer the service API for new code.
-        """
-        futures = self.service.submit_many(agent_name, game_ids, privacy=privacy)
-        return tuple(future.result() for future in futures)
 
     # ------------------------------------------------------------------
     # Lifecycle

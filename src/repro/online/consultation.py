@@ -188,9 +188,7 @@ def resolve_advice(
     Returns ``(verified, chosen_link)``: the suggestion when the
     recomputation verdict holds *and* the advice's snapshot matches the
     loads the agent actually observes; otherwise the greedy fallback,
-    with the inventor blamed in ``audit`` (when given).  Shared by the
-    synchronous session driver and the future-based burst adapter so
-    rejection semantics and blame wording cannot drift.
+    with the inventor blamed in ``audit`` (when given).
     """
     snapshot_ok = advice.loads_snapshot == tuple(link_loads)
     if rule_ok and snapshot_ok:

@@ -93,7 +93,8 @@ MAX_BODY_BYTES = 1 << 20
 
 #: Futures kept for ``GET /futures/<id>``.  A request whose futures
 #: would take the registry past it first drops the oldest resolved
-#: ones; if unresolved futures still fill it, the request is a 429.
+#: ones; if unresolved futures still fill it, the request is a 429.  A
+#: ``/consult_many`` with more ids than this is a 400.
 MAX_FUTURES = 4096
 
 #: Seconds the shutdown gives in-flight handlers to write their
@@ -802,6 +803,13 @@ class AuthorityHTTPServer:
             ):
                 raise _HTTPError(
                     400, "game_ids must be a non-empty list of strings"
+                )
+            if len(game_ids) > MAX_FUTURES:
+                # More futures than the poll registry ever holds: a 429
+                # would ask for a retry that can never succeed.
+                raise _HTTPError(
+                    400, f"game_ids holds {len(game_ids)} ids; at most "
+                    f"{MAX_FUTURES} fit the poll registry"
                 )
             self._make_room(len(game_ids))
         try:

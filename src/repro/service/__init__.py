@@ -1,13 +1,13 @@
 """The consultation service layer: queue → solve → certify → cache.
 
-An async, future-based surface over the core authority
-(:class:`AuthorityService`), the cross-run fingerprint-keyed
-:class:`SolveCache` beneath it — persistent across process lifetimes
-through the exact, tamper-rejecting on-disk format in
-:mod:`repro.service.persistence` — and the future-based burst adapter
-for the online parallel-links game.  The synchronous
-``RationalityAuthority.consult`` / ``consult_many`` calls are thin
-shims over this package.
+A future-based surface over the core authority
+(:class:`AuthorityService`: ``submit`` / ``submit_many`` admit, one
+draining thread at a time solves, verifies and concludes each
+consultation) and the cross-run fingerprint-keyed :class:`SolveCache`
+beneath it — persistent across process lifetimes through the exact,
+tamper-rejecting on-disk format in :mod:`repro.service.persistence`.
+The synchronous ``RationalityAuthority.consult`` call is a thin shim
+over this package.
 
 :mod:`repro.service.load` is the open-loop harness that measures
 latency under load and saturation.
@@ -36,7 +36,6 @@ from repro.service.load import (
     run_load,
     uniform_arrivals,
 )
-from repro.service.online import BurstLinkAdviser, VerifiedLinkAdvice
 from repro.service.persistence import (
     FORMAT_NAME,
     SCHEMA_VERSION,
@@ -58,8 +57,6 @@ __all__ = [
     "parse_fault_plan",
     "SolveCache",
     "CacheStats",
-    "BurstLinkAdviser",
-    "VerifiedLinkAdvice",
     "CacheLoadReport",
     "CacheState",
     "FORMAT_NAME",

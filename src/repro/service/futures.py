@@ -7,13 +7,15 @@ failure) and carries the service-level telemetry — queue depth at
 admission and end-to-end latency — that the audit log records per
 completion.
 
-The future is backed by a :class:`concurrent.futures.Future`, so it
-bridges cleanly into ``asyncio`` (``asyncio.wrap_future`` on
-:attr:`inner`), thread pools and plain blocking waits.  Calling
-:meth:`result` on an unresolved future *pumps the service* — the
-admission queue is drained synchronously in the calling thread — so a
-submit-then-result sequence never deadlocks even with no background
-worker anywhere.
+The future is backed by a :class:`concurrent.futures.Future`
+(:attr:`inner`), so it serves thread pools and plain blocking waits.
+Calling :meth:`result` on an unresolved future *pumps the service* —
+the admission queue is drained synchronously in the calling thread —
+so a submit-then-result sequence never deadlocks even with no
+background worker anywhere.  The one thread that must not pump is the
+draining thread itself: a done-callback that calls :meth:`result` on a
+pending future gets :class:`~repro.errors.ProtocolError` (see
+:meth:`~repro.service.service.AuthorityService.drain`).
 
 Done-callbacks live on the consultation future, not on the stdlib one:
 a stdlib future keeps its callbacks for life, and a callback that
@@ -85,9 +87,8 @@ class ConsultationFuture:
         *synchronously* — the drain (solves and all) is not bounded by
         the timeout, which only limits the wait on the resolved value
         afterwards.  Callers that need a hard wall-clock bound should
-        have something else pump the queue (``service.drain()`` /
-        ``async_drain()``) and poll :meth:`done`, or wait on
-        :attr:`inner` directly.
+        have another thread pump the queue (``service.drain()``) and
+        poll :meth:`done`, or wait on :attr:`inner` directly.
         """
         if not self._inner.done() and self._service is not None:
             self._service.drain()
@@ -134,9 +135,9 @@ class ConsultationFuture:
 
     @property
     def inner(self) -> concurrent.futures.Future:
-        """The backing stdlib future (for ``asyncio.wrap_future`` et al.).
+        """The backing stdlib future.
 
-        Note that nothing resolves it until the service drains; bridge
+        Note that nothing resolves it until the service drains; wait on
         it only when something else is pumping the service.
         """
         return self._inner
@@ -166,20 +167,22 @@ class ConsultationFuture:
     # ------------------------------------------------------------------
 
     def _resolve(self, outcome: Any) -> None:
-        if self._inner.done():
-            return
-        self.latency = time.perf_counter() - self._submitted_at
-        self._note_completed()
         self._settle(self._inner.set_result, outcome)
 
     def _fail(self, exc: BaseException) -> None:
-        if self._inner.done():
-            return
-        self.latency = time.perf_counter() - self._submitted_at
-        self._note_completed()
         self._settle(self._inner.set_exception, exc)
 
     def _settle(self, setter, value) -> None:
+        if self._inner.done():
+            return
+        self.latency = time.perf_counter() - self._submitted_at
+        # Count the completion at the instant the future resolves, not
+        # at the end of the enclosing drain: an HTTP client that gets
+        # its advice and immediately asks GET /stats must see itself
+        # counted.  Counting *before* set_result keeps the counter
+        # ahead of any caller the resolution unblocks.
+        if self._service is not None:
+            self._service._note_completed()
         # Resolving and taking the list in one locked section hands each
         # callback to exactly one thread: registrations before it run
         # here, and a thread that sees the future done and then
@@ -190,17 +193,6 @@ class ConsultationFuture:
             setter(value)
         for fn in callbacks or ():
             self._invoke(fn)
-
-    def _note_completed(self) -> None:
-        # Count the completion at the instant the future resolves, not
-        # at the end of the enclosing drain: an HTTP client that gets
-        # its advice and immediately asks GET /stats must see itself
-        # counted.  Counting *before* set_result keeps the counter
-        # ahead of any caller the resolution unblocks.  The service
-        # seam is duck-typed (BurstLinkAdviser keeps its own tallies).
-        note = getattr(self._service, "_note_completed", None)
-        if note is not None:
-            note()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done() else "pending"

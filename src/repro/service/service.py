@@ -6,27 +6,30 @@ inventors advise, verifiers certify — not a batch script.
 
 * :meth:`submit` / :meth:`submit_many` admit consultations and return
   :class:`~repro.service.futures.ConsultationFuture`\\ s immediately;
+  a :meth:`submit_many` batch is a unit of admission only: it is
+  admitted or refused whole, and each of its submissions then drains
+  exactly as if it had been submitted alone;
 * the admission queue drains onto the inventors' long-lived solver
   state — the cross-run :class:`~repro.service.cache.SolveCache` the
   service attaches at registration — so an exact repeat of a game
   skips the search; any other game, a near-repeat included, is
   searched cold;
-* the draining thread runs each consultation start to finish: solve
-  (cache lookup, screening, advice), then verify and conclude inline.
-  Certification costs a small fraction of a solve, so there is nothing
-  to gain from moving it off the draining thread, and it stays exact
-  (Fractions/int-lattice only) and in this process;
+* the draining thread runs each consultation start to finish: open
+  the session, solve (cache lookup, screening, advice), then verify
+  and conclude inline.  Certification costs a small fraction of a
+  solve, so there is nothing to gain from moving it off the draining
+  thread, and it stays exact (Fractions/int-lattice only) and in this
+  process;
 * admission past ``max_pending`` is refused with
-  :class:`~repro.errors.AdmissionError`;
-* ``asyncio`` callers get the same core via :meth:`async_consult`,
-  :meth:`async_consult_many`, :meth:`aclose` and ``async with``.
+  :class:`~repro.errors.AdmissionError`.
 
 Draining is demand-driven and thread-safe: any caller blocking on a
 future's ``result()`` pumps the queue (one drainer at a time; others
 wait and find their futures resolved).  There is deliberately no
 background thread — "async" here means *admission is decoupled from
-execution*, which composes with any host: a sync caller, an asyncio
-loop, or a real server front-end.
+execution*, which composes with any host: a sync caller, or a server
+front-end that runs :meth:`AuthorityService.drain` on a thread of its
+own (:mod:`repro.server`).
 
 Audit integration: once a consultation's future resolves — accepted,
 rejected or failed — the service appends exactly one
@@ -42,22 +45,18 @@ drain-level figures such as hit rates and latency percentiles are
 aggregates over these records.  The session's blame records precede
 it.  Refused admissions append
 ``service.admission.backpressure``, and lapsed deadlines
-``service.deadline.exceeded``.  Batch submissions keep emitting the
-same per-inventor ``consultation.batch`` records (and
-``prepare_games`` pre-solve) that ``consult_many`` always did.
+``service.deadline.exceeded``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.audit_events import (
     EVENT_BACKPRESSURE,
-    EVENT_BATCH_CONSULTATION,
     EVENT_CACHE_LOAD_REJECTED,
     EVENT_CACHE_LOADED,
     EVENT_CACHE_SAVED,
@@ -67,7 +66,6 @@ from repro.core.audit_events import (
 )
 from repro.core.session import ConsultationSession, SessionOutcome
 from repro.errors import AdmissionError, DeadlineExceeded, ProtocolError
-from repro.games.base import Game
 from repro.service import faults
 from repro.service.cache import SolveCache
 from repro.service.futures import ConsultationFuture
@@ -100,20 +98,6 @@ class _Submission:
     deadline: float | None = None
 
 
-@dataclass
-class _Batch:
-    """A unit of admission: one or many submissions, drained atomically.
-
-    ``batched`` marks batches admitted through :meth:`submit_many`;
-    they get the ``consultation.batch`` audit record and the
-    ``prepare_games`` pre-solve, exactly like ``consult_many`` —
-    single submissions skip both, exactly like ``consult``.
-    """
-
-    submissions: list = field(default_factory=list)
-    batched: bool = False
-
-
 def _advice_facts(advice) -> dict:
     """The provenance of a delivered advice, for the completed record."""
     return {
@@ -130,7 +114,7 @@ class AuthorityService:
     """Async, future-based consultation facade over one authority.
 
     The draining thread verifies each consultation inline, so the
-    audit record order matches the synchronous shims.
+    audit record order matches the synchronous shim.
     ``solve_cache`` supplies a cross-run
     :class:`~repro.service.cache.SolveCache` (one is created when
     omitted); the service attaches it to every registered inventor.
@@ -140,7 +124,7 @@ class AuthorityService:
     created, warm-loaded immediately (a rejected — tampered, truncated
     or stale-schema — file starts the cache empty and appends a
     ``cache.load.rejected`` audit record), and saved back atomically on
-    :meth:`close` / :meth:`aclose`.  Pass either ``cache_path`` or an
+    :meth:`close`.  Pass either ``cache_path`` or an
     explicit ``solve_cache``, not both — a caller-owned cache manages
     its own persistence.
 
@@ -180,10 +164,12 @@ class AuthorityService:
             self.cache = solve_cache
         else:
             self.cache = SolveCache(path=cache_path)
-        self._queue: deque[_Batch] = deque()
+        self._queue: deque[list[_Submission]] = deque()
         self._admission_lock = threading.Lock()
         self._pending_total = 0  # O(1) mirror of the queued submissions
         self._drain_lock = threading.Lock()
+        # The thread inside drain(), so that it cannot wait on itself.
+        self._drainer: int | None = None
         self._submission_counter = 0
         # Counters written from the drain thread and deadline threads
         # alike, so they get their own lock rather than riding the
@@ -241,8 +227,7 @@ class AuthorityService:
         ``deadline_ms`` bounds this consultation's wall clock; past it
         the future resolves to :class:`~repro.errors.DeadlineExceeded`.
         """
-        (future,) = self._admit(agent_name, [game_id], privacy,
-                                batched=False, deadline_ms=deadline_ms)
+        (future,) = self._admit(agent_name, [game_id], privacy, deadline_ms)
         return future
 
     def submit_many(self, agent_name: str, game_ids, privacy: str = "open",
@@ -250,23 +235,18 @@ class AuthorityService:
                     ) -> tuple[ConsultationFuture, ...]:
         """Admit a stream of consultations as one atomic batch.
 
-        The batch drains exactly like :meth:`RationalityAuthority
-        .consult_many` executed: grouped by owning inventor, one
-        ``consultation.batch`` audit record and one
-        ``prepare_games`` pre-solve per group, then the individual
-        sessions in submission order.  The high-water mark treats the
-        batch atomically: it is admitted whole or refused whole.
-        ``deadline_ms`` applies per submission, not to the batch as a
-        whole.
+        The batch is a unit of admission: the high-water mark admits it
+        whole or refuses it whole, and one drain takes all of it.  Each
+        submission then drains, in order, exactly as a :meth:`submit`
+        of it would — its own session, cache lookup, search and
+        record, and its own ``deadline_ms`` budget from admission.
         """
         if not game_ids:
             return ()
-        return self._admit(agent_name, list(game_ids), privacy,
-                           batched=True, deadline_ms=deadline_ms)
+        return self._admit(agent_name, list(game_ids), privacy, deadline_ms)
 
-    def _admit(self, agent_name: str, game_ids, privacy: str,
-               batched: bool,
-               deadline_ms: float | None = None,
+    def _admit(self, agent_name: str, game_ids: list, privacy: str,
+               deadline_ms: float | None,
                ) -> tuple[ConsultationFuture, ...]:
         authority = self._authority
         authority.agent(agent_name)  # raises on unknown agents
@@ -281,7 +261,7 @@ class AuthorityService:
             None if deadline_ms is None
             else time.monotonic() + deadline_ms / 1000.0
         )
-        batch = _Batch(batched=batched)
+        batch: list[_Submission] = []
         shed = None
         with self._admission_lock:
             if (
@@ -308,13 +288,13 @@ class AuthorityService:
                         queue_depth=depth + len(futures),
                         deadline_ms=deadline_ms,
                     )
-                    batch.submissions.append(
+                    batch.append(
                         _Submission(agent_name, game_id, privacy, future,
                                     deadline=deadline)
                     )
                     futures.append(future)
                 self._queue.append(batch)
-                self._pending_total += len(batch.submissions)
+                self._pending_total += len(batch)
         # Audit outside the admission lock: the record is bookkeeping,
         # not part of the atomic admission decision.
         if shed is not None:
@@ -370,36 +350,56 @@ class AuthorityService:
         throughput, but it stretches the write-behind flush interval
         with it.  The HTTP server's pump drains one batch at a time so
         a crash can lose at most one batch of journal frames.
+
+        Done-callbacks run on the draining thread.  One that drains
+        there — through ``result()`` or ``exception()`` on a pending
+        future, ``drain()`` or ``close()`` — would wait on the drain it
+        runs inside; that re-entry raises
+        :class:`~repro.errors.ProtocolError` at once, which the future
+        audits as ``service.callback.failed``, and the drain goes on.
         """
+        if self._drainer == threading.get_ident():
+            raise ProtocolError(
+                "drain() re-entered from the draining thread: a "
+                "done-callback waited on a pending future"
+            )
         with self._drain_lock:
-            self._attach_solve_cache()  # pick up inventors registered since
-            depth_at_start = self.pending_count
-            if depth_at_start == 0:
-                return 0
-            processed: list[_Submission] = []
-            popped = 0
+            self._drainer = threading.get_ident()
             try:
-                while max_batches is None or popped < max_batches:
-                    with self._admission_lock:
-                        if not self._queue:
-                            break
-                        batch = self._queue.popleft()
-                        self._pending_total -= len(batch.submissions)
-                    popped += 1
-                    self._process_batch(batch, processed)
-            except BaseException as exc:
-                # KeyboardInterrupt / SystemExit mid-solve: abort the
-                # drain immediately (the synchronous shims propagate it
-                # right away, as they always did), but fail every
-                # not-yet-resolved future first so nothing waits forever
-                # on work that will never run.
-                self._abort_outstanding(exc, processed)
-                raise
-            # Completions are counted by the futures themselves as they
-            # resolve (see _note_completed) — nothing to tally here.
-            self._flush_cache_rejections()
-            self._notify_drained(len(processed), depth_at_start)
-            return len(processed)
+                return self._drain(max_batches)
+            finally:
+                self._drainer = None
+
+    def _drain(self, max_batches: int | None) -> int:
+        self._attach_solve_cache()  # pick up inventors registered since
+        depth_at_start = self.pending_count
+        if depth_at_start == 0:
+            return 0
+        processed: list[_Submission] = []
+        popped = 0
+        try:
+            while max_batches is None or popped < max_batches:
+                with self._admission_lock:
+                    if not self._queue:
+                        break
+                    batch = self._queue.popleft()
+                    self._pending_total -= len(batch)
+                popped += 1
+                processed.extend(batch)
+                for submission in batch:
+                    self._consult(submission)
+        except BaseException as exc:
+            # KeyboardInterrupt / SystemExit mid-solve: abort the drain
+            # at once, but fail every not-yet-resolved future first —
+            # the rest of this batch included — so nothing waits
+            # forever on work that will never run.
+            self._abort_outstanding(exc, processed)
+            raise
+        # Completions are counted by the futures themselves as they
+        # resolve (see _note_completed) — nothing to tally here.
+        self._flush_cache_rejections()
+        self._notify_drained(len(processed), depth_at_start)
+        return len(processed)
 
     # ------------------------------------------------------------------
     # Drain listeners (the write-behind persistence seam)
@@ -440,8 +440,8 @@ class AuthorityService:
                 if not self._queue:
                     return
                 batch = self._queue.popleft()
-                self._pending_total -= len(batch.submissions)
-            for submission in batch.submissions:
+                self._pending_total -= len(batch)
+            for submission in batch:
                 self._complete(submission, error=exc)
 
     def _active_caches(self) -> list:
@@ -493,47 +493,40 @@ class AuthorityService:
         )
 
     # ------------------------------------------------------------------
-    # The drain stages: prepare -> solve -> verify/conclude
+    # The drain stages: open -> solve -> verify/conclude
     # ------------------------------------------------------------------
 
-    def _process_batch(self, batch: _Batch, processed: list) -> None:
-        """Run one admitted batch through the drain stages, in order.
+    def _consult(self, submission: _Submission) -> None:
+        """Run one submission through the drain stages, in order.
 
-        Stage 0 (batched admissions only): the per-inventor
-        ``prepare_games`` pre-solve.  Stage 1: open the session and
-        request advice — the inventor's cache lookup and (on a miss)
-        its screening/search happen here.  Stage 2: verify/conclude.
-        All three run on the draining thread, except a deadlined
-        solve, which runs on a thread of its own.  The session is
-        opened first, on the draining thread, so a solve that raises
-        still leaves its session id on the failed record.
+        Stage 1: open the session and request advice — the inventor's
+        cache lookup and (on a miss) its screening/search happen here.
+        Stage 2: verify/conclude.  Both run on the draining thread,
+        except a deadlined solve, which runs on a thread of its own.
+        The session is opened first, on the draining thread, so a solve
+        that raises still leaves its session id on the failed record.
         """
-        if batch.batched and not self._stage_prepare(batch, processed):
+        if self._expired(submission):
+            self._deadline_fail(submission, phase="queued")
             return
-        for submission in batch.submissions:
-            processed.append(submission)
-            if self._expired(submission):
-                self._deadline_fail(submission, phase="queued")
-                continue
-            session = None
-            try:
-                session = self._authority.open_session(
-                    submission.agent, submission.game_id
-                )
-                if submission.deadline is None:
-                    self._stage_solve(submission, session)
-                elif not self._stage_solve_deadlined(submission, session):
-                    continue  # abandoned past its budget
-            except Exception as exc:
-                self._complete(submission, session=session, error=exc)
-                continue
-            if self._expired(submission):
-                # Solved, but past the promise: the caller has already
-                # been told 504-land — do not spend verify time on it.
-                self._deadline_fail(submission, phase="solved",
-                                    session=session)
-                continue
-            self._verify_and_conclude(session, submission)
+        session = None
+        try:
+            session = self._authority.open_session(
+                submission.agent, submission.game_id
+            )
+            if submission.deadline is None:
+                self._stage_solve(submission, session)
+            elif not self._stage_solve_deadlined(submission, session):
+                return  # abandoned past its budget
+        except Exception as exc:
+            self._complete(submission, session=session, error=exc)
+            return
+        if self._expired(submission):
+            # Solved, but past the promise: the caller has already
+            # been told 504-land — do not spend verify time on it.
+            self._deadline_fail(submission, phase="solved", session=session)
+            return
+        self._verify_and_conclude(session, submission)
 
     @staticmethod
     def _expired(submission: _Submission) -> bool:
@@ -618,42 +611,6 @@ class AuthorityService:
             return False
         if raised:
             raise raised[0]
-        return True
-
-    def _stage_prepare(self, batch: _Batch, processed: list) -> bool:
-        """Stage 0: the batched pre-solve (``consult_many`` semantics).
-
-        Returns False — with every future in the batch failed — when
-        the pre-solve raised; other batches in the queue are
-        unaffected.  (BaseException — a caller's Ctrl-C — aborts the
-        whole drain instead, exactly as before.)
-        """
-        authority = self._authority
-        by_inventor: dict[str, list[str]] = {}
-        for submission in batch.submissions:
-            inventor = authority.inventor_of(submission.game_id)
-            by_inventor.setdefault(inventor.name, []).append(
-                submission.game_id
-            )
-        agent_name = batch.submissions[0].agent
-        try:
-            for inventor_name, ids in by_inventor.items():
-                inventor = authority.inventor_named(inventor_name)
-                distinct: dict[str, Game] = {}
-                for game_id in ids:
-                    distinct.setdefault(game_id, authority.game(game_id))
-                authority.audit.record(
-                    "-", authority.AUTHORITY_NAME, EVENT_BATCH_CONSULTATION,
-                    inventor=inventor_name,
-                    games=sorted(distinct),
-                    agent=agent_name,
-                )
-                inventor.prepare_games(list(distinct.items()))
-        except Exception as exc:
-            for submission in batch.submissions:
-                self._complete(submission, error=exc)
-                processed.append(submission)
-            return False
         return True
 
     def _stage_solve(self, submission: _Submission,
@@ -757,49 +714,4 @@ class AuthorityService:
 
     def __exit__(self, *exc) -> bool:
         self.close()
-        return False
-
-    # ------------------------------------------------------------------
-    # asyncio wrappers — same core, awaitable surface
-    # ------------------------------------------------------------------
-
-    async def async_consult(self, agent_name: str, game_id: str,
-                            privacy: str = "open") -> SessionOutcome:
-        """Awaitable consult: admit, drain off-loop, await the outcome.
-
-        Draining runs in the event loop's default thread pool, so many
-        concurrent ``async_consult`` tasks coalesce: the first drainer
-        pumps everyone's submissions while the rest await resolved
-        futures.
-        """
-        future = self.submit(agent_name, game_id, privacy=privacy)
-        return await self._await_future(future)
-
-    async def async_consult_many(self, agent_name: str, game_ids,
-                                 privacy: str = "open",
-                                 ) -> tuple[SessionOutcome, ...]:
-        """Awaitable batch consult (one atomic batch, like submit_many)."""
-        futures = self.submit_many(agent_name, game_ids, privacy=privacy)
-        if not futures:
-            return ()
-        await self.async_drain()
-        return tuple(future.result() for future in futures)
-
-    async def async_drain(self) -> int:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.drain)
-
-    async def _await_future(self, future: ConsultationFuture) -> SessionOutcome:
-        await self.async_drain()
-        return future.result()
-
-    async def aclose(self) -> None:
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self.close)
-
-    async def __aenter__(self) -> "AuthorityService":
-        return self
-
-    async def __aexit__(self, *exc) -> bool:
-        await self.aclose()
         return False

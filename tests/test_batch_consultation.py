@@ -1,20 +1,25 @@
-"""The batch consultation path: core consult_many and online bursts."""
+"""The batch consultation path: service submit_many and online bursts.
+
+A ``submit_many`` batch is a unit of admission only: each of its games
+drains as a ``submit`` of it would, so a batch records, searches and
+caches exactly what the same submissions do one by one.
+"""
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
 from repro.core import AuditLog
+from repro.core import actors
 from repro.core.actors import (
     AuthorityAgent,
     BimatrixInventor,
     PureNashInventor,
 )
 from repro.core.advice import Advice, ProofFormat, SolutionConcept
-from repro.core.audit_events import (
-    EVENT_BATCH_CONSULTATION,
-    EVENT_SERVICE_COMPLETED,
-)
+from repro.core.audit_events import EVENT_SERVICE_COMPLETED
 from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
 from repro.core.session import advice_wire_summary
@@ -49,7 +54,7 @@ def _games(count=4, size=4):
     ]
 
 
-class TestConsultMany:
+class TestSubmitMany:
     def test_matches_individual_consults(self):
         games = _games()
         ids = [game_id for game_id, __ in games]
@@ -58,7 +63,9 @@ class TestConsultMany:
             "inv", method="support-enumeration", backend=NUMPY
         )
         batch_auth = _authority_with(batch_inv, games)
-        batched = batch_auth.consult_many("jane", ids)
+        batched = [
+            f.result() for f in batch_auth.service.submit_many("jane", ids)
+        ]
 
         single_inv = BimatrixInventor(
             "inv", method="support-enumeration", backend=NUMPY
@@ -77,7 +84,10 @@ class TestConsultMany:
             "inv", method="support-enumeration", backend=NUMPY
         )
         authority = _authority_with(inventor, games)
-        outcomes = authority.consult_many("jane", [gid for gid, __ in games])
+        futures = authority.service.submit_many(
+            "jane", [gid for gid, __ in games]
+        )
+        outcomes = [future.result() for future in futures]
         from repro.linalg.backend import numpy_available
 
         expected_backend = "numpy" if numpy_available() else "float+certify"
@@ -85,8 +95,6 @@ class TestConsultMany:
             assert outcome.advice.backend == expected_backend
             summary = advice_wire_summary(outcome.advice)
             assert summary["backend"] == expected_backend
-        batch_events = authority.audit.events_of(EVENT_BATCH_CONSULTATION)
-        assert len(batch_events) == 1
         completed = authority.audit.events_of(EVENT_SERVICE_COMPLETED)
         assert len(completed) == len(outcomes)
         assert all(
@@ -97,20 +105,111 @@ class TestConsultMany:
     def test_empty_batch(self):
         inventor = PureNashInventor("pure")
         authority = _authority_with(inventor, [("pd", prisoners_dilemma())])
-        assert authority.consult_many("jane", []) == ()
+        assert authority.service.submit_many("jane", []) == ()
 
     def test_unknown_game_rejected_before_any_solve(self):
         inventor = PureNashInventor("pure")
         authority = _authority_with(inventor, [("pd", prisoners_dilemma())])
         with pytest.raises(ProtocolError):
-            authority.consult_many("jane", ["pd", "ghost"])
+            authority.service.submit_many("jane", ["pd", "ghost"])
+        assert authority.service.pending_count == 0
 
-    def test_base_inventor_advise_many_loops_advise(self):
-        inventor = PureNashInventor("pure")
-        game = prisoners_dilemma()
-        requests = [("pd", game, 0, "open"), ("pd", game, 1, "open")]
-        packages = inventor.advise_many(requests)
-        assert [p.advice.agent for p in packages] == [0, 1]
+
+def _timed_searches(monkeypatch) -> list:
+    """Record the wall time of every search the inventors run (ms)."""
+    searched_ms = []
+    search = actors.find_one_equilibrium
+
+    def timed(game, policy=None):
+        started = time.perf_counter()
+        try:
+            return search(game, policy=policy)
+        finally:
+            searched_ms.append((time.perf_counter() - started) * 1000.0)
+
+    monkeypatch.setattr(actors, "find_one_equilibrium", timed)
+    return searched_ms
+
+
+#: Record fields that time a run or place it in the queue; the rest
+#: depend only on the games and the order of consultation.
+_TIMING_FIELDS = ("solve_ms", "verify_ms", "latency_ms", "queue_depth")
+
+
+class TestBatchProvenance:
+    """A batch records each game's own search, as single submits do."""
+
+    def test_new_games_record_their_search(self, monkeypatch):
+        searched_ms = _timed_searches(monkeypatch)
+        games = _games(count=3, size=5)
+        authority = _authority_with(
+            BimatrixInventor("inv", method="support-enumeration"), games
+        )
+        service = authority.service
+        futures = service.submit_many("jane", [gid for gid, __ in games])
+        assert all(f.result().majority.accepted for f in futures)
+        completed = authority.audit.events_of(EVENT_SERVICE_COMPLETED)
+        assert [r.details["cache"] for r in completed] == ["miss"] * 3
+        # One search per game, each inside its own consultation: the
+        # record's solve_ms covers the search it ran.
+        assert len(searched_ms) == 3
+        for record, search_ms in zip(completed, searched_ms):
+            assert record.details["solve_ms"] >= search_ms
+        assert (service.cache.stats.misses, service.cache.stats.hits) == (3, 0)
+        authority.close()
+
+    def test_a_repeated_id_is_a_miss_then_a_hit(self, monkeypatch):
+        searched_ms = _timed_searches(monkeypatch)
+        games = _games(count=1, size=5)
+        authority = _authority_with(
+            BimatrixInventor("inv", method="support-enumeration"), games
+        )
+        service = authority.service
+        futures = service.submit_many("jane", ["g0", "g0"])
+        assert [f.result().advice.cache for f in futures] == ["miss", "hit"]
+        completed = authority.audit.events_of(EVENT_SERVICE_COMPLETED)
+        assert [r.details["cache"] for r in completed] == ["miss", "hit"]
+        assert len(searched_ms) == 1
+        assert (service.cache.stats.misses, service.cache.stats.hits) == (1, 1)
+        authority.close()
+
+    def test_records_match_sequential_submits(self):
+        games = _games(count=4, size=5)
+        ids = ["g0", "g1", "g0", "g2", "g3", "g1"]
+
+        def consult(batched: bool):
+            authority = _authority_with(
+                BimatrixInventor("inv", method="support-enumeration"), games
+            )
+            service = authority.service
+            if batched:
+                futures = service.submit_many("jane", ids)
+                outcomes = [future.result() for future in futures]
+            else:
+                outcomes = [
+                    service.submit("jane", gid).result() for gid in ids
+                ]
+            records = [
+                {key: value for key, value in record.details.items()
+                 if key not in _TIMING_FIELDS}
+                for record in authority.audit.events_of(
+                    EVENT_SERVICE_COMPLETED
+                )
+            ]
+            stats = service.cache.stats
+            authority.close()
+            return (
+                [o.advice.suggestion for o in outcomes], records,
+                (stats.misses, stats.hits),
+            )
+
+        batched, sequential = consult(True), consult(False)
+        assert batched == sequential
+        __, records, counts = batched
+        assert [r["cache"] for r in records] == [
+            "miss", "miss", "hit", "miss", "miss", "hit",
+        ]
+        assert counts == (4, 2)
 
 
 class TestAdviceBackendField:

@@ -584,18 +584,14 @@ class TestServiceIntegration:
                 cache_path=tmp_path / "x.json",
             )
 
-    def test_aclose_persists_too(self, tmp_path):
-        path = tmp_path / "async-cache.json"
+    def test_leaving_a_with_block_persists_too(self, tmp_path):
+        path = tmp_path / "context-cache.json"
         game = random_bimatrix(3, 3, seed=92)
         authority, service = _service_fixture(tmp_path, path, [("g", game)])
-
-        async def run():
-            async with service:
-                await service.async_consult("jane", "g")
-
-        import asyncio
-
-        asyncio.run(run())
+        with service:
+            future = service.submit("jane", "g")
+        # Leaving the block closed the service: drained, then saved.
+        assert future.done() and future.result().adopted
         assert path.exists()
         assert SolveCache(path=path).last_load_report.accepted
         authority.close()

@@ -268,18 +268,3 @@ class TestProvenance:
         assert first.cache == again.cache == ""
         assert first.suggestion == again.suggestion
         assert first.solve_ms != again.solve_ms
-
-    def test_prepare_games_warms_the_cache_it_has(self):
-        cache = SolveCache()
-        inventor = BimatrixInventor("inv", method="support-enumeration",
-                                    solve_cache=cache)
-        games = [(f"g{i}", random_bimatrix(3, 3, seed=40 + i))
-                 for i in range(3)]
-        inventor.prepare_games(games)
-        assert cache.stats.misses == 3
-        for game_id, game in games:
-            assert inventor.advise(game_id, game, 0, "open").advice.cache \
-                == "hit"
-        uncached = BimatrixInventor("bare", method="support-enumeration")
-        uncached.solve = lambda game: pytest.fail("searched with no cache")
-        uncached.prepare_games(games)  # nothing to warm

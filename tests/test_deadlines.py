@@ -8,17 +8,21 @@ drain abandoned the wedged solve instead of waiting it out.
 
 from __future__ import annotations
 
+import http.client
+import json
 import threading
 import time
 
 import pytest
 
+from repro.core import actors
 from repro.core.actors import AuthorityAgent, BimatrixInventor
 from repro.core.audit_events import EVENT_DEADLINE_EXCEEDED
 from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
 from repro.errors import DeadlineExceeded, FaultInjected, ProtocolError
 from repro.games.generators import random_bimatrix
+from repro.server import ThreadedServer
 from repro.service import AuthorityService, faults
 from repro.service.service import MAX_ABANDONED_SOLVES, MAX_DEADLINE_MS
 
@@ -150,6 +154,87 @@ def _leftover_threads(baseline: set, timeout: float = 10.0) -> set:
     while _repro_threads() - baseline and time.monotonic() < expires:
         time.sleep(0.01)
     return _repro_threads() - baseline
+
+
+#: Seconds each search takes in the deadlined-batch tests.
+SLOW_SEARCH_S = 0.5
+
+#: The budget those tests give each submission, and the most a batch
+#: of two may take: the budget plus slack, under one slowed search.
+BATCH_DEADLINE_MS = 100
+BATCH_RESOLVED_S = 0.45
+
+
+@pytest.fixture
+def slow_search(monkeypatch):
+    """Every search sleeps SLOW_SEARCH_S before it runs."""
+    search = actors.find_one_equilibrium
+
+    def slow(game, policy=None):
+        time.sleep(SLOW_SEARCH_S)
+        return search(game, policy=policy)
+
+    monkeypatch.setattr(actors, "find_one_equilibrium", slow)
+
+
+class TestDeadlinedBatches:
+    """Each submission of a batch keeps its own budget from admission."""
+
+    def test_a_deadlined_batch_resolves_within_its_budget(self, slow_search):
+        baseline = _repro_threads()
+        authority = _authority()
+        service = authority.service
+        started = time.monotonic()
+        futures = service.submit_many(
+            "jane", ["g0", "g1"], deadline_ms=BATCH_DEADLINE_MS
+        )
+        service.drain()
+        elapsed = time.monotonic() - started
+        assert all(
+            isinstance(f.exception(), DeadlineExceeded) for f in futures
+        )
+        assert elapsed < BATCH_RESOLVED_S
+        assert all(f.latency_ms < BATCH_RESOLVED_S * 1000 for f in futures)
+        # g0's search was abandoned at the deadline; g1 was then past
+        # it and never started one.
+        phases = [
+            record.details["phase"]
+            for record in authority.audit.events_of(EVENT_DEADLINE_EXCEEDED)
+        ]
+        assert phases == ["solve", "queued"]
+        assert not _leftover_threads(baseline)
+        authority.close()
+
+    def test_a_deadlined_http_batch_answers_within_its_budget(
+        self, slow_search
+    ):
+        baseline = _repro_threads()
+        service = AuthorityService(_authority())
+        with ThreadedServer(service) as threaded:
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", threaded.port, timeout=60
+            )
+            try:
+                started = time.monotonic()
+                conn.request("POST", "/consult_many", body=json.dumps({
+                    "agent": "jane", "game_ids": ["g0", "g1"],
+                    "deadline_ms": BATCH_DEADLINE_MS,
+                }))
+                resp = conn.getresponse()
+                body = json.loads(resp.read())
+                elapsed = time.monotonic() - started
+            finally:
+                conn.close()
+        assert resp.status == 200
+        assert [r["error_type"] for r in body["results"]] == [
+            "DeadlineExceeded", "DeadlineExceeded",
+        ]
+        assert [r["deadline_ms"] for r in body["results"]] == [
+            BATCH_DEADLINE_MS, BATCH_DEADLINE_MS,
+        ]
+        assert elapsed < BATCH_RESOLVED_S
+        assert not _leftover_threads(baseline)
+        service.authority.close()
 
 
 class TestThreadLifecycle:

@@ -2,7 +2,8 @@
 
 Examples are the public face of the library; these tests keep them
 working as the API evolves.  Each runs in a subprocess with a generous
-timeout and must exit 0 with non-trivial output.
+timeout and must exit 0 with non-trivial output.  The README's Quick
+start block is run the same way.
 """
 
 import pathlib
@@ -11,7 +12,8 @@ import sys
 
 import pytest
 
-EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
+REPO_DIR = pathlib.Path(__file__).parent.parent
+EXAMPLES_DIR = REPO_DIR / "examples"
 SCRIPTS = sorted(EXAMPLES_DIR.glob("*.py"))
 
 
@@ -30,3 +32,21 @@ def test_example_runs(script):
 def test_examples_exist():
     assert len(SCRIPTS) >= 5
     assert (EXAMPLES_DIR / "quickstart.py").exists()
+
+
+def quick_start_code() -> str:
+    """The python block of the README's "## Quick start" section."""
+    readme = (REPO_DIR / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_quick_start_runs():
+    result = subprocess.run(
+        [sys.executable, "-c", quick_start_code()],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout

@@ -25,16 +25,12 @@ import threading
 import pytest
 
 from repro.core.actors import AuthorityAgent, BimatrixInventor
-from repro.core.audit import AuditLog
 from repro.core.audit_events import EVENT_BACKPRESSURE
 from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
 from repro.errors import AdmissionError, GameError, ProtocolError
-from repro.crypto import KeyRegistry
-from repro.online.consultation import OnlineLinkInventorService
 from repro.service import (
     AuthorityService,
-    BurstLinkAdviser,
     bursty_arrivals,
     find_saturation,
     mixed_game_stream,
@@ -391,36 +387,6 @@ class TestBackpressure:
         assert service.completed_count == 4
         service.close()
         authority.close()
-
-    def test_burst_adviser_high_water(self):
-        service = OnlineLinkInventorService(3, 8, KeyRegistry())
-        adviser = BurstLinkAdviser(service, num_links=3, max_pending=2)
-        adviser.submit(1.0)
-        adviser.submit(1.0)
-        assert adviser.pending_count == 2
-        with pytest.raises(AdmissionError):
-            adviser.submit(1.0)
-        assert adviser.shed_count == 1
-        adviser.drain()
-        assert adviser.pending_count == 0
-        adviser.submit(1.0)  # headroom again after the drain
-
-    def test_burst_adviser_audits_each_shed_arrival(self):
-        audit = AuditLog()
-        service = OnlineLinkInventorService(3, 8, KeyRegistry())
-        adviser = BurstLinkAdviser(
-            service, num_links=3, audit=audit, max_pending=1
-        )
-        adviser.submit(1.0)
-        for __ in range(2):
-            with pytest.raises(AdmissionError):
-                adviser.submit(1.0)
-        records = audit.events_of(EVENT_BACKPRESSURE)
-        assert [r.details for r in records] == [{
-            "action": "rejected", "requested": 1, "pending": 1,
-            "high_water": 1,
-        }] * 2
-        assert adviser.shed_count == 2
 
 
 class TestDrain:

@@ -38,14 +38,14 @@ from repro.service import AuthorityService
 BLAME_EVENTS = (EVENT_INVENTOR_BLAMED, EVENT_VERIFIER_BLAMED,
                 EVENT_AGENT_BLAMED)
 
-#: Games consulted round-robin by the soaks; one consult_many batch.
+#: Games consulted round-robin by the soaks; one submit_many batch.
 GAMES = 16
 
 #: What one consultation of a soak adds to each window: 3 bus messages,
 #: and to the audit log its ``service.consultation.completed`` record
-#: plus its share of the batch's ``consultation.batch`` record.
+#: (a batch adds no record of its own).
 MESSAGES_PER_CONSULT = 3
-RECORDS_PER_CONSULT = 1 + 1 / GAMES
+RECORDS_PER_CONSULT = 1
 
 #: Consultations that turn both windows over once, whole batches.
 TURNOVER = math.ceil(

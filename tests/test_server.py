@@ -465,6 +465,39 @@ class TestFutureRegistry:
         service.authority.close()
 
 
+    def test_a_batch_larger_than_the_registry_is_a_400(self):
+        # No retry can admit more futures than the registry ever holds,
+        # so such a batch is malformed, not throttled: a 400 that
+        # admits nothing.  A batch that fills the registry exactly is
+        # served.
+        service = AuthorityService(build_authority())
+        game_ids = [f"g{i % GAMES}" for i in range(MAX_FUTURES)]
+        with ThreadedServer(service) as threaded:
+            registry = threaded.server._futures
+            client = Client(threaded.port)
+            try:
+                status, body, headers = client.request(
+                    "POST", "/consult_many",
+                    {"agent": "jane", "game_ids": game_ids + ["g0"]},
+                )
+                assert status == 400
+                assert "Retry-After" not in headers
+                assert f"at most {MAX_FUTURES}" in body["error"]
+                assert service.pending_count == 0
+                assert service.completed_count == 0
+                assert not registry
+                status, body, _ = client.request(
+                    "POST", "/consult_many",
+                    {"agent": "jane", "game_ids": game_ids},
+                )
+                assert status == 200 and body["count"] == MAX_FUTURES
+                assert all(r["state"] == "resolved" for r in body["results"])
+                assert service.completed_count == MAX_FUTURES
+            finally:
+                client.close()
+        service.authority.close()
+
+
 class TestBackpressure:
     def test_atomic_batch_over_high_water_is_429(self):
         service = AuthorityService(build_authority(), max_pending=2)

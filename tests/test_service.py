@@ -1,14 +1,13 @@
-"""The consultation service: futures, admission queue, shims, asyncio.
+"""The consultation service: futures, admission queue, the sync shim.
 
 Covers the acceptance demo (≥ 100 concurrent submissions over a
 50%-repeat game stream, every advice certified, cache hit-rate in the
-audit log), behavior-identity of the synchronous shims, the authority
-close() regression, and the future-based online burst adapter.
+audit log), behavior-identity of the synchronous shim, done-callbacks
+on the draining thread, and the authority close() regression.
 """
 
 from __future__ import annotations
 
-import asyncio
 import gc
 import sys
 import threading
@@ -16,27 +15,19 @@ import weakref
 
 import pytest
 
-from repro.core import AuditLog
 from repro.core.actors import AuthorityAgent, BimatrixInventor, PureNashInventor
 from repro.core.audit_events import (
-    EVENT_BATCH_CONSULTATION,
+    EVENT_CALLBACK_FAILED,
     EVENT_SERVICE_COMPLETED,
 )
 from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
-from repro.crypto import KeyRegistry
 from repro.errors import ProtocolError
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import prisoners_dilemma, random_bimatrix
 from repro.linalg.backend import MODE_NUMPY, BackendPolicy
-from repro.online.consultation import (
-    DeviousLinkInventor,
-    OnlineLinkInventorService,
-    run_verified_session,
-)
 from repro.service import (
     AuthorityService,
-    BurstLinkAdviser,
     ConsultationFuture,
     SolveCache,
 )
@@ -169,6 +160,50 @@ class TestSubmitAndFutures:
         assert authority.audit.events_of(EVENT_CALLBACK_FAILED)
         authority.close()
 
+    @pytest.mark.parametrize("waits_by", ["result", "exception", "drain"])
+    def test_a_callback_waiting_on_the_drain_fails_alone(self, waits_by):
+        # The callback runs on the draining thread; waiting there for a
+        # future the same drain has yet to resolve would wait forever.
+        # It raises instead, is audited, and the drain goes on.
+        inventor = PureNashInventor("pure")
+        authority = _authority(inventor, [("pd", prisoners_dilemma())])
+        service = authority.service
+        first = service.submit("jane", "pd")
+        second = service.submit("jane", "pd")
+        waits = {
+            "result": second.result,
+            "exception": second.exception,
+            "drain": service.drain,
+        }
+        first.add_done_callback(lambda f: waits[waits_by]())
+        drainer = threading.Thread(target=service.drain, daemon=True)
+        drainer.start()
+        drainer.join(10)
+        assert not drainer.is_alive()
+        assert first.done() and second.done()
+        assert first.result().adopted and second.result().adopted
+        (warning,) = authority.audit.events_of(EVENT_CALLBACK_FAILED)
+        assert warning.details["submission_id"] == first.submission_id
+        assert "ProtocolError" in warning.details["error"]
+        # The guard holds only inside a drain: the next one pumps.
+        assert service.submit("jane", "pd").result().adopted
+        authority.close()
+
+    def test_a_callback_may_read_resolved_futures(self):
+        inventor = PureNashInventor("pure")
+        authority = _authority(inventor, [("pd", prisoners_dilemma())])
+        service = authority.service
+        first = service.submit("jane", "pd")
+        second = service.submit("jane", "pd")
+        seen = []
+        second.add_done_callback(
+            lambda f: seen.append((first.result().adopted, f.exception()))
+        )
+        assert service.drain() == 2
+        assert seen == [(True, None)]
+        assert not authority.audit.events_of(EVENT_CALLBACK_FAILED)
+        authority.close()
+
     def test_resolved_future_with_a_callback_dies_by_reference_count(self):
         # A callback that closes over its own future is a reference
         # cycle until the future resolves; after that, nothing but the
@@ -273,16 +308,37 @@ class TestSubmitAndFutures:
 
 
 class TestShimEquivalence:
-    """consult/consult_many are thin shims and stay behavior-identical."""
+    """consult is a thin shim and stays behavior-identical."""
 
-    def test_consult_emits_no_batch_event_and_consult_many_one(self):
-        inventor = BimatrixInventor("inv", method="support-enumeration")
-        authority = _authority(inventor, _repeat_stream(4, 2, size=3))
-        authority.consult("jane", "g0")
-        assert authority.audit.events_of(EVENT_BATCH_CONSULTATION) == ()
-        authority.consult_many("jane", ["g1", "g2"])
-        assert len(authority.audit.events_of(EVENT_BATCH_CONSULTATION)) == 1
-        authority.close()
+    def test_a_batch_writes_what_its_submissions_write(self):
+        # A batch adds no record of its own: the audit log holds the
+        # same events, sessions and actors, in the same order, as when
+        # the same games are submitted one by one.
+        games = _repeat_stream(4, 2, size=3)
+
+        def trail(batched: bool) -> list:
+            inventor = BimatrixInventor("inv", method="support-enumeration")
+            authority = _authority(inventor, games)
+            service = authority.service
+            if batched:
+                service.submit_many("jane", ["g0", "g1", "g2"])
+            else:
+                for game_id in ("g0", "g1", "g2"):
+                    service.submit("jane", game_id)
+            service.drain()
+            records = [
+                (r.event, r.session_id, r.actor, r.details.get("cache"))
+                for r in authority.audit.records
+            ]
+            authority.close()
+            return records
+
+        batched = trail(True)
+        assert batched == trail(False)
+        assert [r for r in batched if r[0] == EVENT_SERVICE_COMPLETED] == [
+            (EVENT_SERVICE_COMPLETED, f"session-000{i}", "jane", cache)
+            for i, cache in ((1, "miss"), (2, "miss"), (3, "hit"))
+        ]
 
     def test_shim_and_service_outcomes_match(self):
         games = _repeat_stream(4, 2, size=3)
@@ -406,46 +462,6 @@ class TestConcurrentServiceDemo:
         authority.close()
 
 
-class TestAsyncAPI:
-    def test_async_consult_and_gather(self):
-        games = _repeat_stream(8, 4, size=3)
-        inventor = BimatrixInventor("inv", method="support-enumeration")
-        authority = _authority(inventor, games)
-
-        async def main():
-            async with AuthorityService(authority) as service:
-                outcomes = await asyncio.gather(
-                    *(
-                        service.async_consult("jane", gid)
-                        for gid, __ in games
-                    )
-                )
-                batch = await service.async_consult_many(
-                    "jane", [gid for gid, __ in games[:3]]
-                )
-                return outcomes, batch
-
-        outcomes, batch = asyncio.run(main())
-        assert len(outcomes) == 8 and len(batch) == 3
-        assert all(o.majority.accepted for o in outcomes)
-        assert all(o.majority.accepted for o in batch)
-        authority.close()
-
-    def test_aclose_and_async_drain(self):
-        inventor = PureNashInventor("pure")
-        authority = _authority(inventor, [("pd", prisoners_dilemma())])
-
-        async def main():
-            service = AuthorityService(authority)
-            future = service.submit("jane", "pd")
-            drained = await service.async_drain()
-            await service.aclose()
-            return drained, future.result()
-
-        drained, outcome = asyncio.run(main())
-        assert drained == 1 and outcome.adopted
-
-
 class TestAuthorityCloseRegression:
     """close() is idempotent and non-final, also across late inventors."""
 
@@ -508,6 +524,27 @@ class TestDrainAbort:
         assert isinstance(first.inner.exception(), KeyboardInterrupt)
         assert isinstance(second.inner.exception(), KeyboardInterrupt)
 
+    def test_an_interrupt_fails_the_rest_of_its_batch(self):
+        class InterruptingInventor(PureNashInventor):
+            def advise(self, game_id, game, agent, privacy):
+                raise KeyboardInterrupt
+
+        inventor = InterruptingInventor("rude")
+        authority = _authority(inventor, [("pd", prisoners_dilemma())])
+        service = authority.service
+        batch = service.submit_many("jane", ["pd", "pd", "pd"])
+        later = service.submit("jane", "pd")
+        with pytest.raises(KeyboardInterrupt):
+            service.drain()
+        # The batch was popped whole: its unsolved submissions fail
+        # with the interrupt too, like the batch still queued behind.
+        assert all(f.done() for f in (*batch, later))
+        assert all(
+            isinstance(f.inner.exception(), KeyboardInterrupt)
+            for f in (*batch, later)
+        )
+        assert service.pending_count == 0
+
 
 class TestSharedCacheAcrossRuns:
     def test_one_cache_serves_two_authorities(self):
@@ -533,63 +570,3 @@ class TestSharedCacheAcrossRuns:
         assert [o.advice.suggestion for o in first] == [
             o.advice.suggestion for o in second
         ]
-
-
-class TestBurstLinkAdviser:
-    """The online game's burst advising rides the same future pattern."""
-
-    def _loads(self, count=30):
-        import random
-
-        rng = random.Random(99)
-        return [rng.uniform(0, 100) for _ in range(count)]
-
-    def test_honest_service_matches_session_driver(self):
-        loads = self._loads()
-        adviser_service = OnlineLinkInventorService(
-            4, len(loads), KeyRegistry()
-        )
-        adviser = BurstLinkAdviser(adviser_service, num_links=4)
-        for start in range(0, len(loads), 5):
-            futures = [adviser.submit(w) for w in loads[start:start + 5]]
-            adviser.drain()
-            assert all(f.result().verified for f in futures)
-        reference = run_verified_session(
-            loads, 4, OnlineLinkInventorService(4, len(loads), KeyRegistry()),
-            batch_size=5,
-        )
-        assert tuple(adviser.loads) == reference.final_loads
-        assert adviser.makespan == reference.makespan
-        assert adviser.verified_count == len(loads)
-        assert adviser.rejected_count == 0
-
-    def test_failed_burst_fails_every_future(self):
-        # Over-budget arrivals: the service raises mid-burst; every
-        # pending future must resolve (with the error), never hang.
-        service = OnlineLinkInventorService(2, 3, KeyRegistry())
-        adviser = BurstLinkAdviser(service, num_links=2)
-        futures = [adviser.submit(w) for w in (1.0, 2.0, 3.0, 4.0)]
-        adviser.drain()
-        from repro.errors import GameError
-
-        assert all(f.done() for f in futures)
-        assert all(isinstance(f.exception() , GameError) for f in futures)
-
-    def test_devious_inventor_is_caught_and_blamed(self):
-        loads = self._loads(40)
-        audit = AuditLog()
-        service = DeviousLinkInventor(
-            3, len(loads), KeyRegistry(), deviate_p=0.5
-        )
-        adviser = BurstLinkAdviser(service, num_links=3, audit=audit)
-        results = []
-        for start in range(0, len(loads), 8):
-            futures = [adviser.submit(w) for w in loads[start:start + 8]]
-            adviser.drain()
-            results.extend(f.result() for f in futures)
-        assert service.deviations > 0
-        assert adviser.rejected_count >= service.deviations
-        rejected = [r for r in results if not r.verified]
-        assert rejected
-        # A rejected suggestion was replaced by the greedy fallback.
-        assert audit.blame_counts().get(service.identity, 0) > 0
