@@ -3,7 +3,7 @@
 What does always-on serving cost over the in-process service?  The
 same consultation stream runs twice from cold:
 
-* **in-process** — ``submit_many`` + ``drain()`` on a bare
+* **in-process** — a ``submit`` loop + ``drain()`` per round on a bare
   :class:`AuthorityService`, no persistence: the upper bound;
 * **over HTTP** — a :class:`ThreadedServer` with write-behind
   durability (journal flushed every drain), driven by a closed-loop
@@ -86,9 +86,10 @@ def test_bench_server_http(
     start = time.perf_counter()
     outcomes = []
     for round_start in range(0, len(stream), games):
-        futures = service.submit_many(
-            "jane", stream[round_start:round_start + games]
-        )
+        futures = [
+            service.submit("jane", game_id)
+            for game_id in stream[round_start:round_start + games]
+        ]
         service.drain()
         outcomes.extend(f.result() for f in futures)
     inproc_seconds = time.perf_counter() - start
@@ -172,7 +173,7 @@ def test_bench_server_http(
         ["path", "requests", "n = m", "seconds", "req/s", "durability"],
         title="B8: HTTP front-end vs in-process service, same stream",
     )
-    table.add_row("in-process submit_many", len(stream), size,
+    table.add_row("in-process submit", len(stream), size,
                   f"{inproc_seconds:.3f}", f"{inproc_rate:.1f}", "none")
     table.add_row("HTTP + journal-per-drain", len(stream), size,
                   f"{http_seconds:.3f}", f"{http_rate:.1f}",

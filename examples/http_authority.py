@@ -8,12 +8,12 @@ pumps the queue) and write-behind durability (journal appended every
 drain, compacted on demand and at shutdown):
 
 1. **Serve.**  A ``ThreadedServer`` binds an ephemeral port over a
-   durable state directory; plain ``http.client`` requests consult it.
-2. **Long-poll.**  ``mode="future"`` returns 202 + a poll URL; a
-   ``GET /futures/<id>?wait=...`` long-poll picks up the resolution.
-3. **Observe.**  ``/stats`` and ``/audit`` expose the cache counters,
+   durable state directory; plain ``http.client`` requests consult it,
+   one request per consultation, each answered once it resolves
+   (``deadline_ms`` bounds the wait).
+2. **Observe.**  ``/stats`` and ``/audit`` expose the cache counters,
    persistence cadence and the append-only audit trail over the wire.
-4. **Restart.**  A graceful stop compacts the journal; a second
+3. **Restart.**  A graceful stop compacts the journal; a second
    server on the same directory warm-serves bit-identical advice.
 
 Run:  python examples/http_authority.py
@@ -91,22 +91,15 @@ def main() -> None:
         print(f"consult g0: {status}, cache={outcome['advice']['cache']}, "
               f"suggestion={outcome['advice']['suggestion']}")
 
-        # -- 2: future mode + long-poll ------------------------------------
-        status, pending = request(port, "POST", "/consult",
-                                  {"agent": "jane", "game_id": "g1",
-                                   "mode": "future"})
-        print(f"consult g1 (future mode): {status} -> poll {pending['poll']}")
-        status, resolved = request(port, "GET", f"{pending['poll']}?wait=30")
-        print(f"long-poll: {status}, state={resolved['state']}, "
-              f"inventor={resolved['inventor']}")
+        for i in range(GAMES):
+            status, outcome = request(port, "POST", "/consult",
+                                      {"agent": "jane", "game_id": f"g{i}",
+                                       "deadline_ms": 30_000})
+            print(f"consult g{i} (30 s deadline): {status}, "
+                  f"cache={outcome['advice']['cache']}, "
+                  f"inventor={outcome['inventor']}")
 
-        status, batch = request(port, "POST", "/consult_many",
-                                {"agent": "jane",
-                                 "game_ids": [f"g{i}" for i in range(GAMES)]})
-        print(f"consult_many: {status}, "
-              f"states={[r['state'] for r in batch['results']]}")
-
-        # -- 3: observability ----------------------------------------------
+        # -- 2: observability ----------------------------------------------
         status, stats = request(port, "GET", "/stats")
         print(f"stats: cache={stats['cache']['hits']} hits / "
               f"{stats['cache']['misses']} misses, "
@@ -118,7 +111,7 @@ def main() -> None:
               "entries")
     print("graceful stop: drained, flushed, compacted")
 
-    # -- 4: restart on the same state directory ----------------------------
+    # -- 3: restart on the same state directory ----------------------------
     server, _service = build_server(state_dir)
     with server:
         status, outcome = request(server.port, "POST", "/consult",

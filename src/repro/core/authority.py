@@ -177,9 +177,9 @@ class RationalityAuthority:
         parameters — a shared cache, a high-water mark —
         construct their own ``AuthorityService(authority, ...)``
         instead; the synchronous :meth:`consult` shim always uses this
-        default instance.  For a batch, ``service.submit_many`` admits
-        the games as one atomic batch, and each then drains as a
-        ``submit`` of it would.
+        default instance.  Several games are several ``submit`` calls:
+        each returns its future at once, and the first ``result()``
+        drains them all.
         """
         with self._service_lock:
             if self._service is None:
@@ -195,8 +195,8 @@ class RationalityAuthority:
 
         This is a thin synchronous shim over the consultation service:
         ``self.service.submit(...).result()``.  Hosts that want
-        futures, a batch admitted whole (``submit_many``) or a
-        per-request deadline use :attr:`service` directly.
+        futures or a per-request deadline use :attr:`service`
+        directly.
         """
         return self.service.submit(agent_name, game_id, privacy=privacy).result()
 

@@ -85,9 +85,9 @@ class ProtocolError(ReproError):
 class AdmissionError(ProtocolError):
     """The consultation service refused an admission.
 
-    Raised by :meth:`~repro.service.service.AuthorityService.submit` and
-    ``submit_many`` when the admission would take the pending queue past
-    its configured high-water mark.  The shed load is recorded in the
+    Raised by :meth:`~repro.service.service.AuthorityService.submit`
+    when the admission would take the pending queue past its configured
+    high-water mark.  The shed load is recorded in the
     audit log (``service.admission.backpressure``), so refusing work is
     an accountable act, not a silent drop."""
 

@@ -11,16 +11,13 @@ unresolved future.
 
 The server is stdlib-only: hand-rolled HTTP/1.1 over
 ``asyncio.start_server`` (the stdlib's ``http.server`` is a blocking
-thread-per-request design, the wrong shape for long-polls).  The
-surface:
+thread-per-request design, which would park a thread per waiting
+request).  The surface:
 
 ``POST /consult``
-    one consultation; ``mode="wait"`` (default) long-polls the
-    resolution, ``mode="future"`` returns 202 + a poll URL immediately;
-``POST /consult_many``
-    one atomic batch, same two modes;
-``GET /futures/<id>``
-    poll (or ``?wait=<s>`` long-poll) an outstanding future;
+    one consultation, answered on the same request once it resolves:
+    one request, one answer, so a connection waits on at most one
+    consultation;
 ``GET /audit`` / ``GET /stats`` / ``GET /healthz`` / ``GET /readyz``
     observability; the audit endpoint tails the authority's log
     window (``?event=``, ``?since=<clock>``, ``?limit=``) and reports
@@ -29,20 +26,19 @@ surface:
     pure *liveness* (200 whenever the loop answers) while ``/readyz``
     is *readiness* (503 + ``Retry-After`` during the recovery replay
     and the shutdown drain);
-``POST /admin/snapshot`` / ``POST /admin/flush``
-    force the write-behind persister's hand (compact the journal /
-    append the dirty frames now).
+``POST /admin/snapshot``
+    force the write-behind persister's hand (compact the journal now).
 
 Failure semantics map onto status codes: an
 :class:`AdmissionError` from the service's high-water mark is a
-**429** with a ``Retry-After`` hint, and so is a request whose futures
-would take the poll registry past ``MAX_FUTURES`` while unresolved
-futures fill it; a starting-or-stopping server
+**429** with a ``Retry-After`` hint; a starting-or-stopping server
 answers admissions with **503**; a consultation that outran its
-``deadline_ms`` (accepted per-request in ``/consult`` and
-``/consult_many`` bodies) resolves to a typed
-:class:`~repro.errors.DeadlineExceeded` and maps to **504** +
-``Retry-After``.
+``deadline_ms`` (accepted per request in the ``/consult`` body)
+resolves to a typed :class:`~repro.errors.DeadlineExceeded` and maps to
+**504** + ``Retry-After``.  A consultation without a deadline is
+answered whenever it resolves.  ``deadline_ms`` bounds a
+consultation's own queue wait and solve, but not a solve queued ahead
+of it: the pump drains one submission at a time.
 
 Durability is delegated to a
 :class:`~repro.server.journal.WriteBehindPersister` when one is
@@ -80,10 +76,8 @@ from repro.server.wire import (
     error_payload,
     exact_default,
     failure_payload,
-    future_id,
     jsonable,
     outcome_payload,
-    pending_payload,
 )
 from repro.service import faults
 from repro.service.service import MAX_DEADLINE_MS
@@ -91,26 +85,16 @@ from repro.service.service import MAX_DEADLINE_MS
 #: The largest request body the server reads; a longer one is a 413.
 MAX_BODY_BYTES = 1 << 20
 
-#: Futures kept for ``GET /futures/<id>``.  A request whose futures
-#: would take the registry past it first drops the oldest resolved
-#: ones; if unresolved futures still fill it, the request is a 429.  A
-#: ``/consult_many`` with more ids than this is a 400.
-MAX_FUTURES = 4096
-
 #: Seconds the shutdown gives in-flight handlers to write their
 #: (resolved) responses.
 SHUTDOWN_GRACE_S = 10.0
-
-#: The longest a request waits on a future (``timeout`` in a consult
-#: body, ``?wait=`` on a poll), and the wait when a body names none.
-LONG_POLL_TIMEOUT_S = 30.0
 
 #: Seconds between the durability timer's polls of the persister.
 POLL_INTERVAL_S = 0.25
 
 #: Reason phrases for the handful of statuses the server emits.
 _REASONS = {
-    200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
+    200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
     429: "Too Many Requests", 431: "Request Header Fields Too Large",
     500: "Internal Server Error", 501: "Not Implemented",
@@ -155,7 +139,7 @@ class AuthorityHTTPServer:
     and persistence run in the loop's default thread-pool executor,
     and handlers wait on futures through done-callbacks
     (``loop.call_soon_threadsafe``), *not* ``asyncio.wrap_future`` —
-    wrapping would propagate a long-poll timeout's cancellation into
+    wrapping would propagate a cancelled handler's cancellation into
     the backing future and silently swallow the consultation's
     eventual resolution.
 
@@ -190,7 +174,6 @@ class AuthorityHTTPServer:
         self._idle: set[asyncio.StreamWriter] = set()
         self._hung_up = False
         self._started_at: float | None = None
-        self._futures: dict[str, Any] = {}
         self.request_count = 0
         #: Lifetime pump/durability failure counts, by site (for /stats).
         self.pump_failures: dict[str, int] = {}
@@ -332,7 +315,7 @@ class AuthorityHTTPServer:
 
     async def _pump(self) -> None:
         """The continuous drain: wakes on admission, drains the queue
-        one admission batch per iteration.
+        one submission per iteration.
 
         This is what makes the server *always-on*: clients never pump
         (``future.result()``) — they submit and passively await, and
@@ -361,12 +344,12 @@ class AuthorityHTTPServer:
 
     def _pump_once(self) -> None:
         """One pump iteration (executor thread): hook, then drain one
-        admission batch.  An unbounded drain would absorb the batches
+        submission.  An unbounded drain would absorb the submissions
         admitted while it runs, so a crash could lose the journal
-        frames of arbitrarily many answered requests; one batch per
-        drain bounds the loss to one batch."""
+        frames of arbitrarily many answered requests; one submission
+        per drain bounds the loss to one answered consultation."""
         faults.check("pump.iteration")
-        self._service.drain(max_batches=1)
+        self._service.drain(max_submissions=1)
 
     async def _durability_timer(self) -> None:
         """Idle-time persistence: poll the write-behind cadence so a
@@ -398,35 +381,33 @@ class AuthorityHTTPServer:
         """Wake the pump (new work was admitted)."""
         self._work.set()
 
-    async def _wait_future(self, future, timeout: float) -> bool:
-        """Passively await a consultation future; True if resolved.
+    @staticmethod
+    async def _resolved(future) -> None:
+        """Passively await a consultation future until it resolves.
 
-        Bridges through a done-callback into an :class:`asyncio.Event`
-        rather than ``asyncio.wrap_future``: a timed-out ``wait_for``
-        on a wrapped future would *cancel* the backing future (it is
-        never in the running state, so ``cancel()`` succeeds) and the
-        service's later resolution would be silently dropped.
+        The future's done-callback wakes a loop future rather than
+        going through ``asyncio.wrap_future``: cancelling a handler
+        that awaits a wrapped future would *cancel* the backing future
+        (it is never in the running state, so ``cancel()`` succeeds)
+        and the service's later resolution would be silently dropped.
         """
         if future.done():
-            return True
+            return
         loop = asyncio.get_running_loop()
-        event = asyncio.Event()
+        waiter = loop.create_future()
+
+        def _wake() -> None:
+            if not waiter.done():  # the handler may have been cancelled
+                waiter.set_result(None)
 
         def _on_done(_future) -> None:
             try:
-                loop.call_soon_threadsafe(event.set)
+                loop.call_soon_threadsafe(_wake)
             except RuntimeError:
                 pass  # loop already closed (shutdown race): nothing waits
 
         future.add_done_callback(_on_done)
-        self._kick()  # cover admissions that raced the pump's clear()
-        if timeout <= 0:
-            return future.done()
-        try:
-            await asyncio.wait_for(event.wait(), timeout)
-        except asyncio.TimeoutError:
-            return future.done()
-        return True
+        await waiter
 
     # ------------------------------------------------------------------
     # HTTP plumbing
@@ -583,27 +564,16 @@ class AuthorityHTTPServer:
         if path == "/consult":
             self._need(method, "POST")
             return await self._consult(body)
-        if path == "/consult_many":
-            self._need(method, "POST")
-            return await self._consult_many(body)
-        if path.startswith("/futures/"):
-            self._need(method, "GET")
-            return await self._poll_future(path[len("/futures/"):], query)
         if path == "/admin/snapshot":
             self._need(method, "POST")
-            return await self._admin_persist("snapshot")
-        if path == "/admin/flush":
-            self._need(method, "POST")
-            return await self._admin_persist("flush")
+            return await self._admin_snapshot()
         if path == "/":
             self._need(method, "GET")
             return _Response(200, {
                 "service": "repro.server",
                 "endpoints": [
-                    "POST /consult", "POST /consult_many",
-                    "GET /futures/<id>", "GET /audit", "GET /stats",
-                    "GET /healthz", "GET /readyz",
-                    "POST /admin/snapshot", "POST /admin/flush",
+                    "POST /consult", "GET /audit", "GET /stats",
+                    "GET /healthz", "GET /readyz", "POST /admin/snapshot",
                 ],
             })
         raise _HTTPError(404, f"no route for {path}")
@@ -674,10 +644,8 @@ class AuthorityHTTPServer:
                 "port": self.port,
                 "requests": self.request_count,
                 "open_connections": self._connections,
-                "tracked_futures": len(self._futures),
                 "uptime_s": loop_time,
                 "closing": self._closing,
-                "long_poll_timeout_s": LONG_POLL_TIMEOUT_S,
             },
             "service": {
                 "pending": self._service.pending_count,
@@ -744,23 +712,6 @@ class AuthorityHTTPServer:
                 headers={"Retry-After": "2"}, retry_after_s=2.0,
             )
 
-    def _make_room(self, count: int) -> None:
-        """Drop the oldest resolved futures until ``count`` more fit
-        under MAX_FUTURES; a 429 when unresolved ones leave no room."""
-        if len(self._futures) + count <= MAX_FUTURES:
-            return
-        for fid, tracked in list(self._futures.items()):
-            if tracked.done():
-                del self._futures[fid]
-                if len(self._futures) + count <= MAX_FUTURES:
-                    return
-        raise _HTTPError(
-            429, f"{len(self._futures)} unresolved futures fill the "
-            f"poll registry ({MAX_FUTURES})",
-            headers={"Retry-After": "1"}, retry_after_s=1.0,
-            pending=self._service.pending_count,
-        )
-
     @staticmethod
     def _deadline_param(params: dict) -> float | None:
         """Parse an optional ``deadline_ms`` body field (None = none).
@@ -779,7 +730,8 @@ class AuthorityHTTPServer:
             )
         return float(raw)
 
-    def _submit(self, kind: str, params: dict):
+    def _submit(self, params: dict):
+        """Validate a ``/consult`` body and admit its one submission."""
         agent = params.get("agent")
         privacy = params.get("privacy", "open")
         if not isinstance(agent, str):
@@ -789,38 +741,13 @@ class AuthorityHTTPServer:
                 400, f"privacy must be one of {', '.join(PRIVACY_MODES)}"
             )
         deadline_ms = self._deadline_param(params)
-        if kind == "one":
-            game_id = params.get("game_id")
-            if not isinstance(game_id, str):
-                raise _HTTPError(400, "game_id must be a string")
-            self._make_room(1)
-        else:
-            game_ids = params.get("game_ids")
-            if (
-                not isinstance(game_ids, list)
-                or not game_ids
-                or not all(isinstance(g, str) for g in game_ids)
-            ):
-                raise _HTTPError(
-                    400, "game_ids must be a non-empty list of strings"
-                )
-            if len(game_ids) > MAX_FUTURES:
-                # More futures than the poll registry ever holds: a 429
-                # would ask for a retry that can never succeed.
-                raise _HTTPError(
-                    400, f"game_ids holds {len(game_ids)} ids; at most "
-                    f"{MAX_FUTURES} fit the poll registry"
-                )
-            self._make_room(len(game_ids))
+        game_id = params.get("game_id")
+        if not isinstance(game_id, str):
+            raise _HTTPError(400, "game_id must be a string")
         try:
-            if kind == "one":
-                futures = (self._service.submit(
-                    agent, game_id, privacy=privacy, deadline_ms=deadline_ms
-                ),)
-            else:
-                futures = self._service.submit_many(
-                    agent, game_ids, privacy=privacy, deadline_ms=deadline_ms
-                )
+            future = self._service.submit(
+                agent, game_id, privacy=privacy, deadline_ms=deadline_ms
+            )
         except AdmissionError as exc:
             raise _HTTPError(
                 429, str(exc), headers={"Retry-After": "1"},
@@ -828,106 +755,39 @@ class AuthorityHTTPServer:
             ) from None
         except ProtocolError as exc:
             raise _HTTPError(404, str(exc)) from None
-        for future in futures:
-            self._futures[future_id(future)] = future
         self._kick()
-        return futures
-
-    def _wait_budget(self, params: dict, key: str = "timeout") -> float:
-        raw = params.get(key, LONG_POLL_TIMEOUT_S)
-        try:
-            timeout = float(raw)
-        except (TypeError, ValueError):
-            raise _HTTPError(400, f"{key} must be a number") from None
-        return max(0.0, min(timeout, LONG_POLL_TIMEOUT_S))
-
-    def _terminal_payload(self, future) -> tuple[int, dict, dict]:
-        """A resolved future → (status, body, headers), dropping it
-        from the registry; 500 carries a failed session's error body,
-        a :class:`DeadlineExceeded` outcome maps to **504** with a
-        ``Retry-After`` hint (the work was abandoned, not the server —
-        a fresh submission with a bigger budget may well succeed)."""
-        self._futures.pop(future_id(future), None)
-        exc = future.inner.exception()
-        if exc is None:
-            return 200, outcome_payload(future, future.peek_outcome()), {}
-        if isinstance(exc, DeadlineExceeded):
-            return 504, failure_payload(future, exc), {"Retry-After": "1"}
-        return 500, failure_payload(future, exc), {}
+        return future
 
     async def _consult(self, body: bytes) -> _Response:
+        """Admit one consultation and answer once it resolves: 200 with
+        the outcome, 500 with a failed session's error body, or 504
+        with a ``Retry-After`` hint for a
+        :class:`~repro.errors.DeadlineExceeded` outcome (the work was
+        abandoned, not the server — a fresh submission with a bigger
+        budget may well succeed)."""
         self._refuse_if_stopping()
-        params = self._json_body(body)
-        mode = params.get("mode", "wait")
-        if mode not in ("wait", "future"):
-            raise _HTTPError(400, "mode must be 'wait' or 'future'")
-        (future,) = self._submit("one", params)
-        if mode == "future":
-            return _Response(202, pending_payload(future))
-        if await self._wait_future(future, self._wait_budget(params)):
-            status, payload, headers = self._terminal_payload(future)
-            return _Response(status, payload, headers=headers)
-        return _Response(202, pending_payload(future))
-
-    async def _consult_many(self, body: bytes) -> _Response:
-        self._refuse_if_stopping()
-        params = self._json_body(body)
-        mode = params.get("mode", "wait")
-        if mode not in ("wait", "future"):
-            raise _HTTPError(400, "mode must be 'wait' or 'future'")
-        futures = self._submit("many", params)
-        if mode == "wait":
-            deadline = (
-                asyncio.get_running_loop().time()
-                + self._wait_budget(params)
+        future = self._submit(self._json_body(body))
+        await self._resolved(future)
+        exc = future.inner.exception()
+        if exc is None:
+            return _Response(
+                200, outcome_payload(future, future.peek_outcome())
             )
-            for future in futures:
-                remaining = deadline - asyncio.get_running_loop().time()
-                if remaining <= 0 or not await self._wait_future(
-                    future, remaining
-                ):
-                    break
-        results = []
-        all_done = True
-        for future in futures:
-            if future.done():
-                __, payload, __headers = self._terminal_payload(future)
-                results.append(payload)
-            else:
-                all_done = False
-                results.append(pending_payload(future))
-        return _Response(
-            200 if all_done else 202,
-            {"count": len(results), "results": results},
-        )
+        if isinstance(exc, DeadlineExceeded):
+            return _Response(504, failure_payload(future, exc),
+                             headers={"Retry-After": "1"})
+        return _Response(500, failure_payload(future, exc))
 
-    async def _poll_future(self, fid: str,
-                           query: dict[str, str]) -> _Response:
-        future = self._futures.get(fid)
-        if future is None:
-            raise _HTTPError(404, f"unknown future {fid!r}", future_id=fid)
-        wait = self._wait_budget(query, key="wait") if "wait" in query else 0.0
-        if wait > 0:
-            await self._wait_future(future, wait)
-        if future.done():
-            status, payload, headers = self._terminal_payload(future)
-            return _Response(status, payload, headers=headers)
-        return _Response(202, pending_payload(future))
-
-    async def _admin_persist(self, action: str) -> _Response:
+    async def _admin_snapshot(self) -> _Response:
         if self._persister is None:
             raise _HTTPError(400, "no write-behind persister configured")
-        loop = asyncio.get_running_loop()
-        if action == "snapshot":
-            entries = await loop.run_in_executor(
-                None, self._persister.snapshot
-            )
-            body = {"action": "snapshot", "entries": entries}
-        else:
-            frames = await loop.run_in_executor(None, self._persister.flush)
-            body = {"action": "flush", "frames": frames}
-        body["persistence"] = jsonable(self._persister.stats())
-        return _Response(200, body)
+        entries = await asyncio.get_running_loop().run_in_executor(
+            None, self._persister.snapshot
+        )
+        return _Response(200, {
+            "action": "snapshot", "entries": entries,
+            "persistence": jsonable(self._persister.stats()),
+        })
 
 
 class ThreadedServer:

@@ -86,21 +86,8 @@ def outcome_payload(future: ConsultationFuture,
 
 
 def future_id(future: ConsultationFuture) -> str:
-    """The wire name of a pending consultation (``GET /futures/<id>``)."""
+    """The wire name of a consultation (``future_id`` in its body)."""
     return f"f{future.submission_id}"
-
-
-def pending_payload(future: ConsultationFuture) -> dict[str, Any]:
-    """The 202 body for a not-yet-resolved consultation."""
-    fid = future_id(future)
-    return {
-        "future_id": fid,
-        "state": "pending",
-        "agent": future.agent,
-        "game_id": future.game_id,
-        "queue_depth": future.queue_depth,
-        "poll": f"/futures/{fid}",
-    }
 
 
 def failure_payload(future: ConsultationFuture,

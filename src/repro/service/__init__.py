@@ -1,10 +1,10 @@
 """The consultation service layer: queue → solve → certify → cache.
 
 A future-based surface over the core authority
-(:class:`AuthorityService`: ``submit`` / ``submit_many`` admit, one
-draining thread at a time solves, verifies and concludes each
-consultation) and the cross-run fingerprint-keyed :class:`SolveCache`
-beneath it — persistent across process lifetimes through the exact,
+(:class:`AuthorityService`: ``submit`` admits one consultation, one
+draining thread at a time solves, verifies and concludes each) and
+the cross-run fingerprint-keyed :class:`SolveCache` beneath it —
+persistent across process lifetimes through the exact,
 tamper-rejecting on-disk format in :mod:`repro.service.persistence`.
 The synchronous ``RationalityAuthority.consult`` call is a thin shim
 over this package.

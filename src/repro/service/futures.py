@@ -68,18 +68,6 @@ class ConsultationFuture:
     def done(self) -> bool:
         return self._inner.done()
 
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block until resolved WITHOUT pumping the service; True if done.
-
-        The passive counterpart of :meth:`result`, for callers that
-        know something else is draining — the load harness's drainer
-        thread, a server front-end's pump loop.  Unlike :meth:`result`,
-        the ``timeout`` here really is a wall-clock bound on the whole
-        wait.
-        """
-        done, __ = concurrent.futures.wait([self._inner], timeout=timeout)
-        return bool(done)
-
     def result(self, timeout: float | None = None):
         """The session outcome, draining the service first if needed.
 

@@ -4,11 +4,8 @@ The paper's authority is an always-on loop — agents submit games,
 inventors advise, verifiers certify — not a batch script.
 :class:`AuthorityService` is that loop as an API:
 
-* :meth:`submit` / :meth:`submit_many` admit consultations and return
-  :class:`~repro.service.futures.ConsultationFuture`\\ s immediately;
-  a :meth:`submit_many` batch is a unit of admission only: it is
-  admitted or refused whole, and each of its submissions then drains
-  exactly as if it had been submitted alone;
+* :meth:`submit` admits one consultation and returns its
+  :class:`~repro.service.futures.ConsultationFuture` immediately;
 * the admission queue drains onto the inventors' long-lived solver
   state — the cross-run :class:`~repro.service.cache.SolveCache` the
   service attaches at registration — so an exact repeat of a game
@@ -129,7 +126,7 @@ class AuthorityService:
     its own persistence.
 
     ``max_pending`` is the admission high-water mark: an admission
-    that would take the pending count past it is refused whole with
+    that would take the pending count past it is refused with
     :class:`~repro.errors.AdmissionError` (audited
     ``service.admission.backpressure``); ``None`` admits without bound.
 
@@ -164,9 +161,8 @@ class AuthorityService:
             self.cache = solve_cache
         else:
             self.cache = SolveCache(path=cache_path)
-        self._queue: deque[list[_Submission]] = deque()
+        self._queue: deque[_Submission] = deque()
         self._admission_lock = threading.Lock()
-        self._pending_total = 0  # O(1) mirror of the queued submissions
         self._drain_lock = threading.Lock()
         # The thread inside drain(), so that it cannot wait on itself.
         self._drainer: int | None = None
@@ -227,31 +223,9 @@ class AuthorityService:
         ``deadline_ms`` bounds this consultation's wall clock; past it
         the future resolves to :class:`~repro.errors.DeadlineExceeded`.
         """
-        (future,) = self._admit(agent_name, [game_id], privacy, deadline_ms)
-        return future
-
-    def submit_many(self, agent_name: str, game_ids, privacy: str = "open",
-                    deadline_ms: float | None = None,
-                    ) -> tuple[ConsultationFuture, ...]:
-        """Admit a stream of consultations as one atomic batch.
-
-        The batch is a unit of admission: the high-water mark admits it
-        whole or refuses it whole, and one drain takes all of it.  Each
-        submission then drains, in order, exactly as a :meth:`submit`
-        of it would — its own session, cache lookup, search and
-        record, and its own ``deadline_ms`` budget from admission.
-        """
-        if not game_ids:
-            return ()
-        return self._admit(agent_name, list(game_ids), privacy, deadline_ms)
-
-    def _admit(self, agent_name: str, game_ids: list, privacy: str,
-               deadline_ms: float | None,
-               ) -> tuple[ConsultationFuture, ...]:
         authority = self._authority
         authority.agent(agent_name)  # raises on unknown agents
-        for game_id in game_ids:
-            authority.inventor_of(game_id)  # raises on unknown games
+        authority.inventor_of(game_id)  # raises on unknown games
         if deadline_ms is not None and not 0 < deadline_ms <= MAX_DEADLINE_MS:
             # The chained comparison refuses NaN as well.
             raise ProtocolError(
@@ -261,59 +235,42 @@ class AuthorityService:
             None if deadline_ms is None
             else time.monotonic() + deadline_ms / 1000.0
         )
-        batch: list[_Submission] = []
-        shed = None
         with self._admission_lock:
-            if (
-                self._high_water is not None
-                and self._pending_total + len(game_ids) > self._high_water
-            ):
-                shed = {
-                    "action": "rejected",
-                    "agent": agent_name,
-                    "requested": len(game_ids),
-                    "pending": self._pending_total,
-                    "high_water": self._high_water,
-                }
-            else:
-                depth = self._pending_total
-                futures = []
-                for game_id in game_ids:
-                    self._submission_counter += 1
-                    future = ConsultationFuture(
-                        submission_id=self._submission_counter,
-                        agent=agent_name,
-                        game_id=game_id,
-                        service=self,
-                        queue_depth=depth + len(futures),
-                        deadline_ms=deadline_ms,
-                    )
-                    batch.append(
-                        _Submission(agent_name, game_id, privacy, future,
-                                    deadline=deadline)
-                    )
-                    futures.append(future)
-                self._queue.append(batch)
-                self._pending_total += len(batch)
+            depth = len(self._queue)
+            full = self._high_water is not None and depth >= self._high_water
+            if not full:
+                self._submission_counter += 1
+                future = ConsultationFuture(
+                    submission_id=self._submission_counter,
+                    agent=agent_name,
+                    game_id=game_id,
+                    service=self,
+                    queue_depth=depth,
+                    deadline_ms=deadline_ms,
+                )
+                self._queue.append(
+                    _Submission(agent_name, game_id, privacy, future,
+                                deadline=deadline)
+                )
         # Audit outside the admission lock: the record is bookkeeping,
-        # not part of the atomic admission decision.
-        if shed is not None:
+        # not part of the admission decision.
+        if full:
             self._authority.audit.record(
                 "-", self._authority.AUTHORITY_NAME, EVENT_BACKPRESSURE,
-                **shed,
+                action="rejected", agent=agent_name, pending=depth,
+                high_water=self._high_water,
             )
             raise AdmissionError(
                 f"admission queue at high-water mark "
-                f"({shed['pending']}/{self._high_water} pending): rejected"
+                f"({depth}/{self._high_water} pending): rejected"
             )
-        return tuple(futures)
+        return future
 
     @property
     def pending_count(self) -> int:
-        """Submissions admitted but not yet drained (O(1): a running
-        counter, not a queue scan)."""
+        """Submissions admitted but not yet drained."""
         with self._admission_lock:
-            return self._pending_total
+            return len(self._queue)
 
     @property
     def completed_count(self) -> int:
@@ -334,22 +291,23 @@ class AuthorityService:
     # Draining
     # ------------------------------------------------------------------
 
-    def drain(self, max_batches: int | None = None) -> int:
+    def drain(self, max_submissions: int | None = None) -> int:
         """Process the admission queue to empty; returns completions.
 
         One drainer runs at a time; concurrent callers block on the
         lock and, once inside, drain whatever was admitted meanwhile
         (usually nothing — their futures were resolved by the first
-        drainer).  Every future admitted before the call is resolved
-        when it returns.
+        drainer).  Unbounded, it returns only once every future
+        admitted before the call is resolved.
 
-        ``max_batches`` bounds how many admission batches this call
-        pops (``None`` drains to empty).  An unbounded drain keeps
-        popping batches admitted *while it runs*, so under continuous
-        load one "drain" can stretch over many submissions — fine for
-        throughput, but it stretches the write-behind flush interval
-        with it.  The HTTP server's pump drains one batch at a time so
-        a crash can lose at most one batch of journal frames.
+        ``max_submissions`` bounds how many submissions this call
+        takes (``None`` drains to empty).  An unbounded drain keeps
+        taking submissions admitted *while it runs*, so under
+        continuous load one "drain" can stretch over many of them —
+        fine for throughput, but it stretches the write-behind flush
+        interval with it.  The HTTP server's pump drains one
+        submission at a time, so a crash can lose the journal frame of
+        at most one answered consultation.
 
         Done-callbacks run on the draining thread.  One that drains
         there — through ``result()`` or ``exception()`` on a pending
@@ -366,40 +324,36 @@ class AuthorityService:
         with self._drain_lock:
             self._drainer = threading.get_ident()
             try:
-                return self._drain(max_batches)
+                return self._drain(max_submissions)
             finally:
                 self._drainer = None
 
-    def _drain(self, max_batches: int | None) -> int:
+    def _drain(self, max_submissions: int | None) -> int:
         self._attach_solve_cache()  # pick up inventors registered since
         depth_at_start = self.pending_count
         if depth_at_start == 0:
             return 0
-        processed: list[_Submission] = []
-        popped = 0
+        drained = 0
+        submission = None
         try:
-            while max_batches is None or popped < max_batches:
+            while max_submissions is None or drained < max_submissions:
                 with self._admission_lock:
                     if not self._queue:
                         break
-                    batch = self._queue.popleft()
-                    self._pending_total -= len(batch)
-                popped += 1
-                processed.extend(batch)
-                for submission in batch:
-                    self._consult(submission)
+                    submission = self._queue.popleft()
+                drained += 1
+                self._consult(submission)
         except BaseException as exc:
             # KeyboardInterrupt / SystemExit mid-solve: abort the drain
-            # at once, but fail every not-yet-resolved future first —
-            # the rest of this batch included — so nothing waits
-            # forever on work that will never run.
-            self._abort_outstanding(exc, processed)
+            # at once, but fail every not-yet-resolved future first, so
+            # nothing waits forever on work that will never run.
+            self._abort_outstanding(exc, submission)
             raise
         # Completions are counted by the futures themselves as they
         # resolve (see _note_completed) — nothing to tally here.
         self._flush_cache_rejections()
-        self._notify_drained(len(processed), depth_at_start)
-        return len(processed)
+        self._notify_drained(drained, depth_at_start)
+        return drained
 
     # ------------------------------------------------------------------
     # Drain listeners (the write-behind persistence seam)
@@ -431,18 +385,13 @@ class AuthorityService:
         for listener in tuple(self._drain_listeners):
             listener(summary)
 
-    def _abort_outstanding(self, exc: BaseException, processed: list) -> None:
-        """Fail every unresolved future this drain was responsible for."""
-        for submission in processed:
-            self._complete(submission, error=exc)
-        while True:
+    def _abort_outstanding(self, exc: BaseException,
+                           current: _Submission | None) -> None:
+        """Fail the interrupted submission and every queued one."""
+        while current is not None:
+            self._complete(current, error=exc)
             with self._admission_lock:
-                if not self._queue:
-                    return
-                batch = self._queue.popleft()
-                self._pending_total -= len(batch)
-            for submission in batch:
-                self._complete(submission, error=exc)
+                current = self._queue.popleft() if self._queue else None
 
     def _active_caches(self) -> list:
         """Every solve cache this drain's solves can actually touch.

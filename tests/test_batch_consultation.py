@@ -1,8 +1,8 @@
-"""The batch consultation path: service submit_many and online bursts.
+"""Queued consultations and online bursts.
 
-A ``submit_many`` batch is a unit of admission only: each of its games
-drains as a ``submit`` of it would, so a batch records, searches and
-caches exactly what the same submissions do one by one.
+Submissions queued ahead of a drain each drain as their own
+consultation, so a queue records, searches and caches exactly what the
+same submissions do one by one.
 """
 
 from __future__ import annotations
@@ -54,18 +54,17 @@ def _games(count=4, size=4):
     ]
 
 
-class TestSubmitMany:
+class TestQueuedSubmissions:
     def test_matches_individual_consults(self):
         games = _games()
         ids = [game_id for game_id, __ in games]
 
-        batch_inv = BimatrixInventor(
+        queue_inv = BimatrixInventor(
             "inv", method="support-enumeration", backend=NUMPY
         )
-        batch_auth = _authority_with(batch_inv, games)
-        batched = [
-            f.result() for f in batch_auth.service.submit_many("jane", ids)
-        ]
+        queue_auth = _authority_with(queue_inv, games)
+        futures = [queue_auth.service.submit("jane", gid) for gid in ids]
+        queued = [f.result() for f in futures]
 
         single_inv = BimatrixInventor(
             "inv", method="support-enumeration", backend=NUMPY
@@ -73,10 +72,10 @@ class TestSubmitMany:
         single_auth = _authority_with(single_inv, games)
         singles = [single_auth.consult("jane", game_id) for game_id in ids]
 
-        assert [o.advice.suggestion for o in batched] == [
+        assert [o.advice.suggestion for o in queued] == [
             o.advice.suggestion for o in singles
         ]
-        assert all(o.majority.accepted and o.adopted for o in batched)
+        assert all(o.majority.accepted and o.adopted for o in queued)
 
     def test_records_backend_in_advice_and_audit(self):
         games = _games(count=2)
@@ -84,9 +83,7 @@ class TestSubmitMany:
             "inv", method="support-enumeration", backend=NUMPY
         )
         authority = _authority_with(inventor, games)
-        futures = authority.service.submit_many(
-            "jane", [gid for gid, __ in games]
-        )
+        futures = [authority.service.submit("jane", gid) for gid, __ in games]
         outcomes = [future.result() for future in futures]
         from repro.linalg.backend import numpy_available
 
@@ -102,17 +99,16 @@ class TestSubmitMany:
             for event in completed
         )
 
-    def test_empty_batch(self):
-        inventor = PureNashInventor("pure")
-        authority = _authority_with(inventor, [("pd", prisoners_dilemma())])
-        assert authority.service.submit_many("jane", []) == ()
-
     def test_unknown_game_rejected_before_any_solve(self):
         inventor = PureNashInventor("pure")
         authority = _authority_with(inventor, [("pd", prisoners_dilemma())])
+        queued = authority.service.submit("jane", "pd")
         with pytest.raises(ProtocolError):
-            authority.service.submit_many("jane", ["pd", "ghost"])
-        assert authority.service.pending_count == 0
+            authority.service.submit("jane", "ghost")
+        # The refusal queued nothing; the admitted game still resolves.
+        assert authority.service.pending_count == 1
+        assert queued.result().adopted
+        assert len(authority.audit.events_of(EVENT_SERVICE_COMPLETED)) == 1
 
 
 def _timed_searches(monkeypatch) -> list:
@@ -136,8 +132,8 @@ def _timed_searches(monkeypatch) -> list:
 _TIMING_FIELDS = ("solve_ms", "verify_ms", "latency_ms", "queue_depth")
 
 
-class TestBatchProvenance:
-    """A batch records each game's own search, as single submits do."""
+class TestQueuedProvenance:
+    """Queued submissions record each game's own search."""
 
     def test_new_games_record_their_search(self, monkeypatch):
         searched_ms = _timed_searches(monkeypatch)
@@ -146,7 +142,7 @@ class TestBatchProvenance:
             BimatrixInventor("inv", method="support-enumeration"), games
         )
         service = authority.service
-        futures = service.submit_many("jane", [gid for gid, __ in games])
+        futures = [service.submit("jane", gid) for gid, __ in games]
         assert all(f.result().majority.accepted for f in futures)
         completed = authority.audit.events_of(EVENT_SERVICE_COMPLETED)
         assert [r.details["cache"] for r in completed] == ["miss"] * 3
@@ -165,7 +161,7 @@ class TestBatchProvenance:
             BimatrixInventor("inv", method="support-enumeration"), games
         )
         service = authority.service
-        futures = service.submit_many("jane", ["g0", "g0"])
+        futures = [service.submit("jane", "g0") for __ in range(2)]
         assert [f.result().advice.cache for f in futures] == ["miss", "hit"]
         completed = authority.audit.events_of(EVENT_SERVICE_COMPLETED)
         assert [r.details["cache"] for r in completed] == ["miss", "hit"]
@@ -177,13 +173,13 @@ class TestBatchProvenance:
         games = _games(count=4, size=5)
         ids = ["g0", "g1", "g0", "g2", "g3", "g1"]
 
-        def consult(batched: bool):
+        def consult(queued: bool):
             authority = _authority_with(
                 BimatrixInventor("inv", method="support-enumeration"), games
             )
             service = authority.service
-            if batched:
-                futures = service.submit_many("jane", ids)
+            if queued:
+                futures = [service.submit("jane", gid) for gid in ids]
                 outcomes = [future.result() for future in futures]
             else:
                 outcomes = [
@@ -203,9 +199,9 @@ class TestBatchProvenance:
                 (stats.misses, stats.hits),
             )
 
-        batched, sequential = consult(True), consult(False)
-        assert batched == sequential
-        __, records, counts = batched
+        queued, sequential = consult(True), consult(False)
+        assert queued == sequential
+        __, records, counts = queued
         assert [r["cache"] for r in records] == [
             "miss", "miss", "hit", "miss", "miss", "hit",
         ]

@@ -62,11 +62,9 @@ class TestDeadlineValidation:
         authority = _authority()
         with pytest.raises(ProtocolError):
             authority.service.submit("jane", "g0", deadline_ms=deadline_ms)
-        with pytest.raises(ProtocolError):
-            authority.service.submit_many(
-                "jane", ["g0", "g1"], deadline_ms=deadline_ms
-            )
         assert authority.service.pending_count == 0
+        # Nothing was numbered for the refused submission.
+        assert authority.service.submit("jane", "g1").submission_id == 1
         authority.close()
 
     def test_longest_deadline_is_accepted(self):
@@ -129,13 +127,15 @@ class TestDeadlineOutcomes:
         assert records and records[-1].details["phase"] == "queued"
         authority.close()
 
-    def test_batch_deadlines_apply_per_submission(self):
+    def test_queued_deadlines_apply_per_submission(self):
         authority = _authority()
         service = authority.service
-        futures = service.submit_many(
-            "jane", ["g0", "g1"], deadline_ms=60_000
-        )
-        assert all(f.deadline_ms == 60_000 for f in futures)
+        futures = [
+            service.submit("jane", "g0", deadline_ms=60_000),
+            service.submit("jane", "g1"),
+            service.submit("jane", "g2", deadline_ms=30_000),
+        ]
+        assert [f.deadline_ms for f in futures] == [60_000, None, 30_000]
         service.drain()
         assert all(f.result().majority.accepted for f in futures)
         authority.close()
@@ -156,13 +156,14 @@ def _leftover_threads(baseline: set, timeout: float = 10.0) -> set:
     return _repro_threads() - baseline
 
 
-#: Seconds each search takes in the deadlined-batch tests.
+#: Seconds each search takes in the deadlined-queue tests.
 SLOW_SEARCH_S = 0.5
 
-#: The budget those tests give each submission, and the most a batch
-#: of two may take: the budget plus slack, under one slowed search.
-BATCH_DEADLINE_MS = 100
-BATCH_RESOLVED_S = 0.45
+#: The budget those tests give each submission, and the most two
+#: queued submissions may take: the budget plus slack, under one
+#: slowed search.
+QUEUE_DEADLINE_MS = 100
+QUEUE_RESOLVED_S = 0.45
 
 
 @pytest.fixture
@@ -177,24 +178,25 @@ def slow_search(monkeypatch):
     monkeypatch.setattr(actors, "find_one_equilibrium", slow)
 
 
-class TestDeadlinedBatches:
-    """Each submission of a batch keeps its own budget from admission."""
+class TestDeadlinedQueues:
+    """Each queued submission keeps its own budget from admission."""
 
-    def test_a_deadlined_batch_resolves_within_its_budget(self, slow_search):
+    def test_a_deadlined_queue_resolves_within_its_budget(self, slow_search):
         baseline = _repro_threads()
         authority = _authority()
         service = authority.service
         started = time.monotonic()
-        futures = service.submit_many(
-            "jane", ["g0", "g1"], deadline_ms=BATCH_DEADLINE_MS
-        )
+        futures = [
+            service.submit("jane", game_id, deadline_ms=QUEUE_DEADLINE_MS)
+            for game_id in ("g0", "g1")
+        ]
         service.drain()
         elapsed = time.monotonic() - started
         assert all(
             isinstance(f.exception(), DeadlineExceeded) for f in futures
         )
-        assert elapsed < BATCH_RESOLVED_S
-        assert all(f.latency_ms < BATCH_RESOLVED_S * 1000 for f in futures)
+        assert elapsed < QUEUE_RESOLVED_S
+        assert all(f.latency_ms < QUEUE_RESOLVED_S * 1000 for f in futures)
         # g0's search was abandoned at the deadline; g1 was then past
         # it and never started one.
         phases = [
@@ -205,34 +207,47 @@ class TestDeadlinedBatches:
         assert not _leftover_threads(baseline)
         authority.close()
 
-    def test_a_deadlined_http_batch_answers_within_its_budget(
+    def test_concurrent_deadlined_consults_answer_within_their_budget(
         self, slow_search
     ):
+        # Two clients at once: whichever the pump takes second waits
+        # behind the first one's abandoned search, inside its own
+        # budget.
         baseline = _repro_threads()
         service = AuthorityService(_authority())
+        replies = {}
         with ThreadedServer(service) as threaded:
-            conn = http.client.HTTPConnection(
-                "127.0.0.1", threaded.port, timeout=60
-            )
-            try:
-                started = time.monotonic()
-                conn.request("POST", "/consult_many", body=json.dumps({
-                    "agent": "jane", "game_ids": ["g0", "g1"],
-                    "deadline_ms": BATCH_DEADLINE_MS,
-                }))
-                resp = conn.getresponse()
-                body = json.loads(resp.read())
-                elapsed = time.monotonic() - started
-            finally:
-                conn.close()
-        assert resp.status == 200
-        assert [r["error_type"] for r in body["results"]] == [
-            "DeadlineExceeded", "DeadlineExceeded",
-        ]
-        assert [r["deadline_ms"] for r in body["results"]] == [
-            BATCH_DEADLINE_MS, BATCH_DEADLINE_MS,
-        ]
-        assert elapsed < BATCH_RESOLVED_S
+            start = threading.Barrier(2)
+
+            def consult(game_id: str) -> None:
+                conn = http.client.HTTPConnection(
+                    "127.0.0.1", threaded.port, timeout=60
+                )
+                try:
+                    start.wait(10)
+                    started = time.monotonic()
+                    conn.request("POST", "/consult", body=json.dumps({
+                        "agent": "jane", "game_id": game_id,
+                        "deadline_ms": QUEUE_DEADLINE_MS,
+                    }))
+                    resp = conn.getresponse()
+                    replies[game_id] = (resp.status, json.loads(resp.read()),
+                                        time.monotonic() - started)
+                finally:
+                    conn.close()
+
+            clients = [threading.Thread(target=consult, args=(game_id,))
+                       for game_id in ("g0", "g1")]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(30)
+        assert sorted(replies) == ["g0", "g1"]
+        for status, body, elapsed in replies.values():
+            assert status == 504
+            assert body["error_type"] == "DeadlineExceeded"
+            assert body["deadline_ms"] == QUEUE_DEADLINE_MS
+            assert elapsed < QUEUE_RESOLVED_S
         assert not _leftover_threads(baseline)
         service.authority.close()
 

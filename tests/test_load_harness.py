@@ -287,13 +287,14 @@ class TestBackpressure:
         assert record.details["action"] == "rejected"
         assert record.details["pending"] == 4
         assert record.details["high_water"] == 4
-        # Batches are admitted whole or refused whole.
+        # A drain makes room: admission resumes up to the mark.
         service.drain()
+        for entry in stream[1:5]:
+            service.submit("jane", entry.game_id)
         with pytest.raises(AdmissionError):
-            service.submit_many(
-                "jane", [e.game_id for e in stream[:5]]
-            )
-        assert service.pending_count == 0
+            service.submit("jane", stream[5].game_id)
+        assert service.pending_count == 4
+        assert len(authority.audit.events_of(EVENT_BACKPRESSURE)) == 2
         service.close()
         authority.close()
 
@@ -301,11 +302,12 @@ class TestBackpressure:
         authority, stream = _published(count=3)
         service = AuthorityService(authority, max_pending=1)
         service.submit("jane", stream[0].game_id)
-        with pytest.raises(AdmissionError):
-            service.submit_many("jane", [e.game_id for e in stream[1:]])
+        with pytest.raises(AdmissionError) as refused:
+            service.submit("jane", stream[1].game_id)
+        assert "(1/1 pending)" in str(refused.value)
         (record,) = authority.audit.events_of(EVENT_BACKPRESSURE)
         assert record.details == {
-            "action": "rejected", "agent": "jane", "requested": 2,
+            "action": "rejected", "agent": "jane",
             "pending": 1, "high_water": 1,
         }
         service.close()
@@ -315,16 +317,20 @@ class TestBackpressure:
         authority, stream = _published(count=4)
         service = AuthorityService(authority, max_pending=2)
         first = service.submit("jane", stream[0].game_id)
-        with pytest.raises(AdmissionError):
-            service.submit_many("jane", [e.game_id for e in stream[1:]])
-        assert service.pending_count == 1
-        # Nothing was numbered for the refused batch.
         second = service.submit("jane", stream[1].game_id)
-        assert second.submission_id == first.submission_id + 1
+        with pytest.raises(AdmissionError):
+            service.submit("jane", stream[2].game_id)
         assert service.pending_count == 2
         service.drain()
-        assert service.completed_count == 2
-        assert all(f.result().majority.accepted for f in (first, second))
+        # Nothing was numbered for the refused admission.
+        third = service.submit("jane", stream[3].game_id)
+        assert third.submission_id == second.submission_id + 1
+        assert third.queue_depth == 0
+        service.drain()
+        assert service.completed_count == 3
+        assert all(
+            f.result().majority.accepted for f in (first, second, third)
+        )
         service.close()
         authority.close()
 
@@ -379,9 +385,11 @@ class TestBackpressure:
         authority, stream = _published(count=8)
         service = AuthorityService(authority)
         assert service.pending_count == 0
-        service.submit("jane", stream[0].game_id)
-        service.submit_many("jane", [e.game_id for e in stream[1:4]])
+        for entry in stream[:4]:
+            service.submit("jane", entry.game_id)
         assert service.pending_count == 4
+        assert service.drain(max_submissions=1) == 1
+        assert service.pending_count == 3
         service.drain()
         assert service.pending_count == 0
         assert service.completed_count == 4
@@ -400,18 +408,6 @@ class TestDrain:
         ]
         service.drain()
         assert all(future.done() for future in futures)
-        service.close()
-        authority.close()
-
-    def test_future_wait_is_passive(self):
-        authority, stream = _published(count=2)
-        service = AuthorityService(authority)
-        future = service.submit("jane", stream[0].game_id)
-        assert future.wait(timeout=0.01) is False  # nobody drained
-        drainer = threading.Thread(target=service.drain, daemon=True)
-        drainer.start()
-        assert future.wait(timeout=5.0) is True
-        drainer.join(timeout=5.0)
         service.close()
         authority.close()
 

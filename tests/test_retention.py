@@ -15,6 +15,7 @@ import gc
 import http.client
 import json
 import math
+import socket
 import sys
 import threading
 import tracemalloc
@@ -38,16 +39,16 @@ from repro.service import AuthorityService
 BLAME_EVENTS = (EVENT_INVENTOR_BLAMED, EVENT_VERIFIER_BLAMED,
                 EVENT_AGENT_BLAMED)
 
-#: Games consulted round-robin by the soaks; one submit_many batch.
+#: Games consulted round-robin by the soaks; one round consults each
+#: once.
 GAMES = 16
 
 #: What one consultation of a soak adds to each window: 3 bus messages,
-#: and to the audit log its ``service.consultation.completed`` record
-#: (a batch adds no record of its own).
+#: and to the audit log its ``service.consultation.completed`` record.
 MESSAGES_PER_CONSULT = 3
 RECORDS_PER_CONSULT = 1
 
-#: Consultations that turn both windows over once, whole batches.
+#: Consultations that turn both windows over once, whole rounds.
 TURNOVER = math.ceil(
     max(BUS_WINDOW / MESSAGES_PER_CONSULT,
         AUDIT_WINDOW / RECORDS_PER_CONSULT) / GAMES
@@ -76,20 +77,20 @@ def _game_ids() -> list[str]:
     return [f"g{i}" for i in range(GAMES)]
 
 
-def _soak(consult_batch, audit: AuditLog, bus: MessageBus) -> int:
+def _soak(consult_round, audit: AuditLog, bus: MessageBus) -> int:
     """Turn both windows over once, then measure the traced growth of
     three more windows' worth of consultations (bytes)."""
-    consult_batch()  # cold solves land in the cache
+    consult_round()  # cold solves land in the cache
     tracemalloc.start()
     try:
         for _ in range(TURNOVER // GAMES):
-            consult_batch()
+            consult_round()
         assert audit.records[0].clock > 1 and bus.log[0].sequence > 1
         clock, sequence = audit.records[-1].clock, bus.log[-1].sequence
         gc.collect()
         baseline = tracemalloc.get_traced_memory()[0]
         for _ in range(3 * TURNOVER // GAMES):
-            consult_batch()
+            consult_round()
         gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - baseline
     finally:
@@ -226,12 +227,13 @@ class TestFlatMemory:
         authority = _authority()
         service = AuthorityService(authority)
 
-        def consult_batch() -> None:
-            futures = service.submit_many("jane", _game_ids())
+        def consult_round() -> None:
+            futures = [service.submit("jane", game_id)
+                       for game_id in _game_ids()]
             service.drain()
             assert all(f.result().majority.accepted for f in futures)
 
-        grown = _soak(consult_batch, authority.audit, authority.bus)
+        grown = _soak(consult_round, authority.audit, authority.bus)
         assert grown < 3 * TURNOVER * RETAINED_BOUND, grown
         service.close()
         authority.close()
@@ -240,21 +242,36 @@ class TestFlatMemory:
         authority = _authority()
         service = AuthorityService(authority)
         with ThreadedServer(service) as threaded:
-            conn = http.client.HTTPConnection(
-                "127.0.0.1", threaded.port, timeout=60
-            )
-            body = json.dumps({"agent": "jane", "game_ids": _game_ids()})
+            # A bare keep-alive socket, not http.client: parsing every
+            # response's headers with email.parser makes the client
+            # cost more under tracemalloc than the server it measures.
+            sock = socket.create_connection(("127.0.0.1", threaded.port),
+                                            timeout=60)
+            reader = sock.makefile("rb")
+            requests = []
+            for game_id in _game_ids():
+                body = json.dumps({"agent": "jane", "game_id": game_id})
+                requests.append(
+                    b"POST /consult HTTP/1.1\r\nContent-Length: %d\r\n"
+                    b"\r\n%s" % (len(body), body.encode())
+                )
 
-            def consult_batch() -> None:
-                conn.request("POST", "/consult_many", body=body)
-                resp = conn.getresponse()
-                payload = json.loads(resp.read())
-                assert resp.status == 200 and payload["count"] == GAMES
+            def consult_round() -> None:
+                for request in requests:
+                    sock.sendall(request)
+                    assert reader.readline().startswith(b"HTTP/1.1 200 ")
+                    length = None
+                    while (line := reader.readline()) != b"\r\n":
+                        name, __, value = line.partition(b":")
+                        if name.lower() == b"content-length":
+                            length = int(value)
+                    assert b'"state":"resolved"' in reader.read(length)
 
             try:
-                grown = _soak(consult_batch, authority.audit, authority.bus)
+                grown = _soak(consult_round, authority.audit, authority.bus)
             finally:
-                conn.close()
+                reader.close()
+                sock.close()
         assert grown < 3 * TURNOVER * RETAINED_BOUND, grown
         authority.close()
 

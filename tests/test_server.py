@@ -14,6 +14,9 @@ import json
 import http.client
 import logging
 import os
+import pathlib
+import re
+import socket
 import threading
 import time
 
@@ -24,6 +27,7 @@ from repro.core.audit_events import (
     EVENT_BACKPRESSURE,
     EVENT_SERVER_SHUTDOWN,
     EVENT_SERVER_STARTED,
+    EVENT_SERVICE_COMPLETED,
 )
 from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
@@ -31,12 +35,7 @@ from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
 from repro.server import ThreadedServer, WriteBehindPersister, state_path
 from repro.server.__main__ import DEFAULT_AGENT, build_demo_authority, parse_args
-from repro.server.app import (
-    MAX_BODY_BYTES,
-    MAX_FUTURES,
-    SHUTDOWN_GRACE_S,
-    AuthorityHTTPServer,
-)
+from repro.server.app import MAX_BODY_BYTES, SHUTDOWN_GRACE_S
 from repro.service import AuthorityService, SolveCache, faults
 from repro.service.persistence import read_state_file
 
@@ -78,6 +77,14 @@ class Client:
 
     def close(self):
         self.conn.close()
+
+
+def raw_consult(game_id: str) -> bytes:
+    """The bytes of one keep-alive ``POST /consult`` of ``game_id``."""
+    body = json.dumps({"agent": "jane", "game_id": game_id}).encode()
+    return b"POST /consult HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (
+        len(body), body,
+    )
 
 
 @pytest.fixture()
@@ -133,28 +140,48 @@ class TestEndpoints:
             assert isinstance(prob, str) and "/" in prob
         assert body["latency_ms"] >= 0
 
-    def test_future_mode_then_long_poll(self, client):
+    @pytest.mark.parametrize("extra", [
+        {"mode": "future"}, {"timeout": 0}, {"mode": "nope"},
+    ], ids=["mode-future", "timeout-0", "mode-unknown"])
+    def test_a_consult_always_answers_with_its_outcome(self, client, extra):
+        # One request, one answer: fields of the retired poll flow are
+        # ignored like any other unknown field.
         status, body, _ = client.request(
-            "POST", "/consult",
-            {"agent": "jane", "game_id": "g1", "mode": "future"},
+            "POST", "/consult", {"agent": "jane", "game_id": "g1", **extra}
         )
-        assert status == 202 and body["state"] == "pending"
-        poll = body["poll"]
-        status, body, _ = client.request("GET", f"{poll}?wait=30")
         assert status == 200 and body["state"] == "resolved"
-        # Delivered futures leave the registry: a second poll is a 404.
-        status, body, _ = client.request("GET", poll)
-        assert status == 404
+        assert body["game_id"] == "g1" and body["majority"]["accepted"]
+        assert body["future_id"].startswith("f") and body["latency_ms"] >= 0
 
-    def test_consult_many_wait(self, client, server):
-        game_ids = [f"g{i}" for i in range(GAMES)]
-        status, body, _ = client.request(
-            "POST", "/consult_many",
-            {"agent": "jane", "game_ids": game_ids},
-        )
-        assert status == 200 and body["count"] == GAMES
-        assert all(r["state"] == "resolved" for r in body["results"])
-        assert [r["game_id"] for r in body["results"]] == game_ids
+    @pytest.mark.parametrize("method, path", [
+        ("POST", "/consult_many"), ("GET", "/futures/f1"),
+        ("GET", "/futures/f1?wait=1"), ("POST", "/admin/flush"),
+    ], ids=["consult-many", "futures", "futures-wait", "admin-flush"])
+    def test_retired_routes_are_404(self, client, server, method, path):
+        body = {"agent": "jane", "game_ids": ["g0"]} \
+            if path == "/consult_many" else None
+        status, reply, _ = client.request(method, path, body)
+        assert status == 404 and "no route" in reply["error"]
+        service = server.server._service
+        assert (service.pending_count, service.completed_count) == (0, 0)
+
+    def test_readme_table_names_the_served_routes(self, client):
+        # The README's endpoint table and the index list the same
+        # routes, and each of them is routed: not a 404, not a 405.
+        readme = pathlib.Path(__file__).parent.parent / "README.md"
+        table = readme.read_text(encoding="utf-8").split(
+            "| Method & path", 1
+        )[1].split("\n\n", 1)[0]
+        documented = re.findall(r"^\| `([A-Z]+ /[^`]*)`", table, re.M)
+        status, index, _ = client.request("GET", "/")
+        assert status == 200
+        assert sorted(documented) == sorted(index["endpoints"])
+        for route in documented:
+            method, path = route.split(" ", 1)
+            body = {"agent": "jane", "game_id": "g0"} \
+                if method == "POST" else None
+            status, _, _ = client.request(method, path, body)
+            assert status not in (404, 405), route
 
     def test_audit_endpoint_filters_and_tails(self, client):
         client.request("POST", "/consult", {"agent": "jane", "game_id": "g0"})
@@ -188,6 +215,10 @@ class TestEndpoints:
         status, body, _ = client.request("GET", "/stats")
         assert status == 200
         assert body["service"]["completed"] >= 1
+        assert set(body["server"]) == {
+            "host", "port", "requests", "open_connections", "uptime_s",
+            "closing",
+        }
         assert body["server"]["requests"] >= 1
         assert "hits" in body["cache"]
         assert body["persistence"] is None  # no persister in this fixture
@@ -251,33 +282,30 @@ class TestErrorMapping:
 
     def test_malformed_requests_are_400(self, client):
         status, body, _ = client.request("POST", "/consult", {"agent": 7})
-        assert status == 400
+        assert status == 400 and "agent" in body["error"]
         status, body, _ = client.request(
-            "POST", "/consult_many", {"agent": "jane", "game_ids": []}
+            "POST", "/consult", {"agent": "jane", "game_id": ["g0"]}
         )
-        assert status == 400
+        assert status == 400 and "game_id" in body["error"]
+        status, body, _ = client.request("POST", "/consult", ["jane", "g0"])
+        assert status == 400 and "JSON object" in body["error"]
+        # A batch body is not a consultation.
         status, body, _ = client.request(
-            "POST", "/consult",
-            {"agent": "jane", "game_id": "g0", "mode": "nope"},
+            "POST", "/consult", {"agent": "jane", "game_ids": ["g0", "g1"]}
         )
-        assert status == 400
+        assert status == 400 and "game_id" in body["error"]
 
     @pytest.mark.parametrize(
         "privacy", [5, "secret", None, ["open"]],
         ids=["int", "unknown-mode", "null", "list"],
     )
-    @pytest.mark.parametrize("path", ["/consult", "/consult_many"])
     def test_a_bad_privacy_is_400_before_admission(
-        self, client, server, path, privacy
+        self, client, server, privacy
     ):
         service = server.server._service
         events = [record.event for record in service.authority.audit.records]
-        body = {"agent": "jane", "privacy": privacy}
-        if path == "/consult":
-            body["game_id"] = "g0"
-        else:
-            body["game_ids"] = ["g0", "g1"]
-        status, reply, _ = client.request("POST", path, body)
+        body = {"agent": "jane", "game_id": "g0", "privacy": privacy}
+        status, reply, _ = client.request("POST", "/consult", body)
         assert status == 400 and "privacy" in reply["error"]
         # Nothing was queued, no session opened and no record written.
         assert (service.pending_count, service.completed_count) == (0, 0)
@@ -319,10 +347,6 @@ class TestErrorMapping:
         status, _, headers = client.request("GET", "/consult")
         assert status == 405 and headers.get("Allow") == "POST"
 
-    def test_unknown_future_is_404(self, client):
-        status, body, _ = client.request("GET", "/futures/f999")
-        assert status == 404 and body["future_id"] == "f999"
-
     def test_admin_snapshot_without_persister_is_400(self, client):
         status, body, _ = client.request("POST", "/admin/snapshot")
         assert status == 400 and "persister" in body["error"]
@@ -358,12 +382,11 @@ class TestErrorMapping:
 
 
 class TestPump:
-    def test_each_pump_drain_takes_one_admission_batch(self):
+    def test_each_pump_drain_takes_one_submission(self):
         # Each drain ends at a flush point, so a crash loses the
-        # journal frames of at most one batch.
+        # journal frame of at most one answered consultation.
         service = AuthorityService(build_authority())
-        queued = [service.submit("jane", f"g{i}") for i in range(3)]
-        batch = service.submit_many("jane", ["g3", "g4"])
+        queued = [service.submit("jane", f"g{i}") for i in range(GAMES - 1)]
         drained = []
         service.add_drain_listener(
             lambda summary: drained.append(summary["submissions"])
@@ -371,160 +394,195 @@ class TestPump:
         with ThreadedServer(service) as threaded:
             client = Client(threaded.port)
             try:
-                status, _, _ = client.request(
-                    "POST", "/consult", {"agent": "jane", "game_id": "g5"}
+                status, body, _ = client.request(
+                    "POST", "/consult",
+                    {"agent": "jane", "game_id": f"g{GAMES - 1}"},
                 )
-                assert status == 200
+                assert status == 200 and body["queue_depth"] == GAMES - 1
             finally:
                 client.close()
-        assert all(f.done() for f in (*queued, *batch))
-        assert drained == [1, 1, 1, 2, 1]
+        assert all(future.done() for future in queued)
+        assert drained == [1] * GAMES
         service.authority.close()
 
 
-class _Tracked:
-    """A stand-in for a consultation future in the poll registry."""
-
-    def __init__(self, submission_id: int, resolved: bool):
-        self.submission_id = submission_id
-        self.resolved = resolved
-
-    def done(self) -> bool:
-        return self.resolved
-
-
-class TestFutureRegistry:
-    def test_registry_drops_resolved_futures_past_the_bound(self):
-        authority = build_authority()
-        server = AuthorityHTTPServer(AuthorityService(authority))
-        for index in range(MAX_FUTURES):
-            server._futures[f"f{index}"] = _Tracked(
-                index, resolved=index % 2 == 0
-            )
-        server._make_room(1)
-        # Only the oldest resolved future made room for the new one.
-        assert len(server._futures) == MAX_FUTURES - 1
-        assert "f0" not in server._futures
-        assert "f2" in server._futures
-        # A batch of three needs two more slots: the next two resolved.
-        server._make_room(3)
-        assert len(server._futures) == MAX_FUTURES - 3
-        assert not {"f2", "f4"} & set(server._futures)
-        assert "f6" in server._futures
-        authority.close()
-
-    def test_unresolved_futures_are_never_dropped(self):
-        # A registry full of unresolved futures refuses new work with a
-        # 429 before the service sees it, and admits again once one of
-        # them has resolved.
+class TestConcurrentClients:
+    def test_each_keep_alive_client_gets_its_own_answer(self):
+        # Requests in flight on several connections at once: each
+        # answer belongs to the request that asked for it.
+        rounds = 5
         service = AuthorityService(build_authority())
         with ThreadedServer(service) as threaded:
-            registry = threaded.server._futures
-            tracked = [_Tracked(-1 - index, resolved=False)
-                       for index in range(MAX_FUTURES)]
-            for stand_in in tracked:
-                registry[f"f{stand_in.submission_id}"] = stand_in
-            client = Client(threaded.port)
+            clients = [Client(threaded.port) for __ in range(GAMES)]
+            start = threading.Barrier(GAMES)
+            answers: dict[int, list] = {i: [] for i in range(GAMES)}
+
+            def consult(index: int) -> None:
+                start.wait(10)
+                for __ in range(rounds):
+                    answers[index].append(clients[index].request(
+                        "POST", "/consult",
+                        {"agent": "jane", "game_id": f"g{index}"},
+                    ))
+
+            threads = [threading.Thread(target=consult, args=(i,))
+                       for i in range(GAMES)]
             try:
-                for path, body in (
-                    ("/consult", {"agent": "jane", "game_id": "g0"}),
-                    ("/consult_many",
-                     {"agent": "jane", "game_ids": ["g0", "g1"]}),
-                ):
-                    status, body, headers = client.request("POST", path, body)
-                    assert status == 429
-                    assert headers.get("Retry-After") == "1"
-                    assert "poll registry" in body["error"]
-                assert service.pending_count == 0
-                assert service.completed_count == 0
-                assert len(registry) == MAX_FUTURES
-                tracked[0].resolved = True
-                status, body, _ = client.request(
-                    "POST", "/consult", {"agent": "jane", "game_id": "g0"}
-                )
-                assert status == 200
-                # One slot is free again, and the batch needs two.
-                status, body, _ = client.request(
-                    "POST", "/consult_many",
-                    {"agent": "jane", "game_ids": ["g0", "g1"]},
-                )
-                assert status == 429
-                tracked[1].resolved = tracked[2].resolved = True
-                status, body, _ = client.request(
-                    "POST", "/consult_many",
-                    {"agent": "jane", "game_ids": ["g0", "g1"]},
-                )
-                assert status == 200
-                # Only as many resolved stand-ins went as the batch
-                # needed, and every unresolved one is still pollable.
-                assert len(registry) == MAX_FUTURES - 2
-                assert all(f"f{stand_in.submission_id}" in registry
-                           for stand_in in tracked[2:])
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
             finally:
-                client.close()
+                for client in clients:
+                    client.close()
+        assert not any(thread.is_alive() for thread in threads)
+        suggestions = {}
+        for index, replies in answers.items():
+            assert len(replies) == rounds
+            for status, body, headers in replies:
+                assert status == 200 and body["game_id"] == f"g{index}"
+                assert headers.get("Connection") == "keep-alive"
+                suggestions.setdefault(index, body["advice"]["suggestion"])
+                assert body["advice"]["suggestion"] == suggestions[index]
+            ids = [body["future_id"] for __, body, __ in replies]
+            assert len(set(ids)) == rounds
+        assert service.completed_count == GAMES * rounds
+        assert service.cache.stats.misses == GAMES
         service.authority.close()
 
 
-    def test_a_batch_larger_than_the_registry_is_a_400(self):
-        # No retry can admit more futures than the registry ever holds,
-        # so such a batch is malformed, not throttled: a 400 that
-        # admits nothing.  A batch that fills the registry exactly is
-        # served.
+    def test_pipelined_requests_are_answered_in_order(self, server):
+        # A connection holds at most one consultation: the server reads
+        # the second pipelined request only once the first is answered,
+        # so the second is admitted behind an empty queue.
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=60) as sock:
+            sock.sendall(raw_consult("g0") + raw_consult("g1"))
+            reader = sock.makefile("rb")
+            bodies = []
+            for __ in range(2):
+                assert reader.readline().startswith(b"HTTP/1.1 200 ")
+                length = None
+                while (line := reader.readline()) != b"\r\n":
+                    name, __, value = line.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                bodies.append(json.loads(reader.read(length)))
+            reader.close()
+        assert [b["game_id"] for b in bodies] == ["g0", "g1"]
+        assert [b["queue_depth"] for b in bodies] == [0, 0]
+
+
+class TestHangUps:
+    def test_a_client_that_hangs_up_does_not_cost_its_consultation(
+        self, caplog
+    ):
+        # The handler learns of the hang-up only when it writes the
+        # answer; the consultation still resolves, is recorded and
+        # warms the cache, and the server goes on serving.
         service = AuthorityService(build_authority())
-        game_ids = [f"g{i % GAMES}" for i in range(MAX_FUTURES)]
         with ThreadedServer(service) as threaded:
-            registry = threaded.server._futures
+            with faults.armed("solve:hang:30@1") as plan:
+                sock = socket.create_connection(
+                    ("127.0.0.1", threaded.port), timeout=60
+                )
+                sock.sendall(raw_consult("g0"))
+                waited = time.monotonic() + 30
+                while not plan.fired and time.monotonic() < waited:
+                    time.sleep(0.01)
+                assert plan.fired  # the solve is wedged: in flight
+                sock.close()
+            # Disarming released the hang.
+            waited = time.monotonic() + 30
+            while service.completed_count < 1 and time.monotonic() < waited:
+                time.sleep(0.01)
             client = Client(threaded.port)
             try:
-                status, body, headers = client.request(
-                    "POST", "/consult_many",
-                    {"agent": "jane", "game_ids": game_ids + ["g0"]},
-                )
-                assert status == 400
-                assert "Retry-After" not in headers
-                assert f"at most {MAX_FUTURES}" in body["error"]
-                assert service.pending_count == 0
-                assert service.completed_count == 0
-                assert not registry
-                status, body, _ = client.request(
-                    "POST", "/consult_many",
-                    {"agent": "jane", "game_ids": game_ids},
-                )
-                assert status == 200 and body["count"] == MAX_FUTURES
-                assert all(r["state"] == "resolved" for r in body["results"])
-                assert service.completed_count == MAX_FUTURES
+                with caplog.at_level(logging.ERROR, logger="asyncio"):
+                    status, reply, _ = client.request(
+                        "POST", "/consult", {"agent": "jane", "game_id": "g0"}
+                    )
             finally:
                 client.close()
+        assert status == 200 and reply["advice"]["cache"] == "hit"
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+        completed = service.authority.audit.events_of(EVENT_SERVICE_COMPLETED)
+        assert [r.details.get("failed") for r in completed] == [None, None]
         service.authority.close()
 
 
 class TestBackpressure:
-    def test_atomic_batch_over_high_water_is_429(self):
+    def test_a_consult_past_high_water_is_429(self):
+        # Two submissions fill the queue before the pump is woken, so
+        # the next admission finds the mark reached.
         service = AuthorityService(build_authority(), max_pending=2)
+        queued = [service.submit("jane", f"g{i}") for i in range(2)]
         with ThreadedServer(service) as threaded:
             client = Client(threaded.port)
             try:
                 status, body, headers = client.request(
-                    "POST", "/consult_many",
-                    {"agent": "jane",
-                     "game_ids": [f"g{i}" for i in range(GAMES)]},
+                    "POST", "/consult", {"agent": "jane", "game_id": "g2"}
                 )
                 assert status == 429
                 assert headers.get("Retry-After") == "1"
                 assert body["retry_after_s"] == 1.0
+                assert body["pending"] == 2
                 assert "high-water" in body["error"]
                 # The refusal is audited as service backpressure.
                 status, audit, _ = client.request(
                     "GET", f"/audit?event={EVENT_BACKPRESSURE}"
                 )
                 assert audit["returned"] == 1
-                # Small requests still go through afterwards.
+                # Once the queue drains, admissions go through again.
+                service.drain()
+                assert all(future.done() for future in queued)
                 status, body, _ = client.request(
-                    "POST", "/consult", {"agent": "jane", "game_id": "g0"}
+                    "POST", "/consult", {"agent": "jane", "game_id": "g2"}
                 )
-                assert status == 200
+                assert status == 200 and body["queue_depth"] == 0
             finally:
                 client.close()
+        service.authority.close()
+
+
+#: SHA-256 of the 504 body of a /consult whose solve outran its 300 ms
+#: deadline (first submission, agent jane, game g0), and of the 500
+#: body of one whose solve raised.  Neither carries a timing.
+DEADLINED_BODY_DIGEST = (
+    "3348a009f1cb1807048363f6ed3752f390f395e372c906036620ac98b22e592e"
+)
+FAILED_BODY_DIGEST = (
+    "610b53939e0dbb6fc3f693c248d9508e10fb9ba3ad8435d59514a19fe9925f74"
+)
+
+
+class TestFailureBodies:
+    @pytest.mark.parametrize("plan, deadline_ms, status, digest", [
+        ("solve:hang:30@1", 300, 504, DEADLINED_BODY_DIGEST),
+        ("solve:raise@1", None, 500, FAILED_BODY_DIGEST),
+    ], ids=["deadline-504", "raise-500"])
+    def test_failure_bodies_are_pinned(self, plan, deadline_ms, status,
+                                       digest):
+        service = AuthorityService(build_authority())
+        body = {"agent": "jane", "game_id": "g0"}
+        if deadline_ms is not None:
+            body["deadline_ms"] = deadline_ms
+        with faults.armed(plan):
+            with ThreadedServer(service) as threaded:
+                conn = http.client.HTTPConnection(
+                    "127.0.0.1", threaded.port, timeout=60
+                )
+                try:
+                    conn.request("POST", "/consult", body=json.dumps(body))
+                    resp = conn.getresponse()
+                    raw = resp.read()
+                finally:
+                    conn.close()
+        assert resp.status == status
+        assert resp.getheader("Retry-After") == (
+            "1" if status == 504 else None
+        )
+        assert hashlib.sha256(raw).hexdigest() == digest, raw
         service.authority.close()
 
 
@@ -667,8 +725,8 @@ class TestDemoWorld:
         "poll-interval",
     ])
     def test_retired_flags_are_usage_errors(self, flags, capsys):
-        # The flush cadence, the long-poll cap and the timer period are
-        # module constants: no flag sets them.
+        # The flush cadence and the timer period are module constants,
+        # and there is no long-poll cap: no flag sets any of them.
         with pytest.raises(SystemExit) as exit_info:
             parse_args(["--state-dir", "state", *flags])
         assert exit_info.value.code == 2

@@ -93,6 +93,27 @@ class TestSubmitAndFutures:
         assert all(f.done() for f in futures)
         assert service.completed_count == 3
 
+    def test_a_bounded_drain_takes_that_many_submissions(self):
+        inventor = PureNashInventor("pure")
+        authority = _authority(inventor, [("pd", prisoners_dilemma())])
+        service = authority.service
+        drained = []
+        service.add_drain_listener(drained.append)
+        futures = [service.submit("jane", "pd") for __ in range(5)]
+        assert service.drain(max_submissions=2) == 2
+        assert [f.done() for f in futures] == [True] * 2 + [False] * 3
+        assert service.pending_count == 3
+        assert service.drain(max_submissions=1) == 1
+        assert service.drain() == 2
+        assert service.drain(max_submissions=1) == 0  # nothing queued
+        assert all(f.result().adopted for f in futures)
+        assert drained == [
+            {"submissions": 2, "queue_depth": 5},
+            {"submissions": 1, "queue_depth": 3},
+            {"submissions": 2, "queue_depth": 2},
+        ]
+        authority.close()
+
     def test_unknown_agent_and_game_rejected_at_admission(self):
         inventor = PureNashInventor("pure")
         authority = _authority(inventor, [("pd", prisoners_dilemma())])
@@ -100,8 +121,9 @@ class TestSubmitAndFutures:
             authority.service.submit("ghost", "pd")
         with pytest.raises(ProtocolError):
             authority.service.submit("jane", "ghost-game")
-        with pytest.raises(ProtocolError):
-            authority.service.submit_many("jane", ["pd", "ghost-game"])
+        # Nothing was queued or numbered for the refused admissions.
+        assert authority.service.pending_count == 0
+        assert authority.service.submit("jane", "pd").submission_id == 1
 
     def test_submission_failures_land_in_the_future(self):
         inventor = PureNashInventor("pure")
@@ -112,11 +134,6 @@ class TestSubmitAndFutures:
             future.result()
         # The failed submission does not poison later ones.
         assert authority.service.submit("jane", "pd").result().adopted
-
-    def test_empty_submit_many(self):
-        inventor = PureNashInventor("pure")
-        authority = _authority(inventor, [("pd", prisoners_dilemma())])
-        assert authority.service.submit_many("jane", []) == ()
 
     def test_done_callback_fires(self):
         inventor = PureNashInventor("pure")
@@ -267,9 +284,9 @@ class TestSubmitAndFutures:
     def test_callback_added_once_seen_done_runs_before_add_returns(self):
         # The stdlib future wakes its waiters, then runs the callbacks
         # registered on ``inner``.  One that stalls holds the resolving
-        # thread in that window; a caller whose wait() has returned
-        # must still have its new callback run at once, on its own
-        # thread, not later on the resolver's.
+        # thread in that window; a caller whose wait on ``inner`` has
+        # returned must still have its new callback run at once, on its
+        # own thread, not later on the resolver's.
         future = ConsultationFuture(
             0, "jane", "pd", service=None, queue_depth=0
         )
@@ -278,7 +295,7 @@ class TestSubmitAndFutures:
         resolver = threading.Thread(target=future._resolve, args=("o",))
         resolver.start()
         try:
-            assert future.wait(10)
+            assert future.inner.exception(10) is None
             ran_on = []
             future.add_done_callback(
                 lambda f: ran_on.append(threading.get_ident())
@@ -310,22 +327,23 @@ class TestSubmitAndFutures:
 class TestShimEquivalence:
     """consult is a thin shim and stays behavior-identical."""
 
-    def test_a_batch_writes_what_its_submissions_write(self):
-        # A batch adds no record of its own: the audit log holds the
-        # same events, sessions and actors, in the same order, as when
-        # the same games are submitted one by one.
+    def test_a_queue_writes_what_one_at_a_time_writes(self):
+        # Draining queued submissions writes the same events, sessions
+        # and actors, in the same order, as resolving each submission
+        # before the next is admitted.
         games = _repeat_stream(4, 2, size=3)
 
-        def trail(batched: bool) -> list:
+        def trail(queued: bool) -> list:
             inventor = BimatrixInventor("inv", method="support-enumeration")
             authority = _authority(inventor, games)
             service = authority.service
-            if batched:
-                service.submit_many("jane", ["g0", "g1", "g2"])
-            else:
-                for game_id in ("g0", "g1", "g2"):
-                    service.submit("jane", game_id)
+            futures = []
+            for game_id in ("g0", "g1", "g2"):
+                futures.append(service.submit("jane", game_id))
+                if not queued:
+                    futures[-1].result()
             service.drain()
+            assert all(future.done() for future in futures)
             records = [
                 (r.event, r.session_id, r.actor, r.details.get("cache"))
                 for r in authority.audit.records
@@ -333,9 +351,9 @@ class TestShimEquivalence:
             authority.close()
             return records
 
-        batched = trail(True)
-        assert batched == trail(False)
-        assert [r for r in batched if r[0] == EVENT_SERVICE_COMPLETED] == [
+        queued = trail(True)
+        assert queued == trail(False)
+        assert [r for r in queued if r[0] == EVENT_SERVICE_COMPLETED] == [
             (EVENT_SERVICE_COMPLETED, f"session-000{i}", "jane", cache)
             for i, cache in ((1, "miss"), (2, "miss"), (3, "hit"))
         ]
@@ -524,7 +542,7 @@ class TestDrainAbort:
         assert isinstance(first.inner.exception(), KeyboardInterrupt)
         assert isinstance(second.inner.exception(), KeyboardInterrupt)
 
-    def test_an_interrupt_fails_the_rest_of_its_batch(self):
+    def test_an_interrupt_fails_the_whole_queue(self):
         class InterruptingInventor(PureNashInventor):
             def advise(self, game_id, game, agent, privacy):
                 raise KeyboardInterrupt
@@ -532,18 +550,20 @@ class TestDrainAbort:
         inventor = InterruptingInventor("rude")
         authority = _authority(inventor, [("pd", prisoners_dilemma())])
         service = authority.service
-        batch = service.submit_many("jane", ["pd", "pd", "pd"])
-        later = service.submit("jane", "pd")
+        futures = [service.submit("jane", "pd") for __ in range(4)]
         with pytest.raises(KeyboardInterrupt):
-            service.drain()
-        # The batch was popped whole: its unsolved submissions fail
-        # with the interrupt too, like the batch still queued behind.
-        assert all(f.done() for f in (*batch, later))
+            service.drain(max_submissions=1)
+        # A drain bounded to one submission still fails every queued
+        # one: nothing is left to wait for work that will never run.
         assert all(
             isinstance(f.inner.exception(), KeyboardInterrupt)
-            for f in (*batch, later)
+            for f in futures
         )
         assert service.pending_count == 0
+        completed = authority.audit.events_of(EVENT_SERVICE_COMPLETED)
+        assert [r.details["error_type"] for r in completed] == [
+            "KeyboardInterrupt"
+        ] * 4
 
 
 class TestSharedCacheAcrossRuns:

@@ -69,7 +69,7 @@ class TestVerifyTelemetry:
         inventor = BimatrixInventor("inv", method="support-enumeration")
         games = [(f"g{i}", random_bimatrix(3, 3, seed=40 + i)) for i in range(3)]
         authority = _authority(inventor, games)
-        futures = authority.service.submit_many("jane", [g for g, __ in games])
+        futures = [authority.service.submit("jane", g) for g, __ in games]
         for future in futures:
             assert future.result().advice.verify_ms >= 0.0
         completed = authority.audit.events_of(EVENT_SERVICE_COMPLETED)
