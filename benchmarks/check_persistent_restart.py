@@ -2,18 +2,20 @@
 """CI guard: a restarted authority serves bit-identical advice from disk.
 
 This is the restart contract run as two *separate processes* sharing
-nothing but one cache file — exactly what the in-process tests cannot
-prove on their own:
+nothing but one state directory — exactly what the in-process tests
+cannot prove on their own:
 
-* **cold phase** — a fresh authority with ``cache_path=<cache-file>``
-  consults a fixed deterministic stream (all cold solves), records
-  every suggestion as exact ``num/den`` strings to ``<advice-file>``,
-  and persists the cache on close;
+* **cold phase** — a fresh authority whose service has
+  ``state_dir=<state-dir>`` consults a fixed deterministic stream (all
+  cold solves), records every suggestion as exact ``num/den`` strings
+  to ``<advice-file>``, and compacts the journal on close;
 * **warm phase** — a *new process* builds a fresh authority over the
-  same payoff bytes under different game ids, warm-loads the file, and
-  asserts that every consultation is a cache ``hit``, that zero loaded
-  entries were rejected by the Lemma-1 gate, and that every suggestion
-  is string-for-string identical to the cold phase's record.
+  same payoff bytes under different game ids, recovers the directory's
+  journal (its ``cache.load.completed`` record must say
+  ``journal_accepted``), and asserts that every consultation is a
+  cache ``hit``, that zero loaded entries were rejected by the Lemma-1
+  gate, and that every suggestion is string-for-string identical to
+  the cold phase's record.
 
 The service screens in process and verifies inline on the draining
 thread on every interpreter, so one round trip covers the only serving
@@ -24,8 +26,8 @@ that forgot — or worse, changed — its advice is a failed guard).
 
 Usage::
 
-    python benchmarks/check_persistent_restart.py <cache-file> <advice-file> cold
-    python benchmarks/check_persistent_restart.py <cache-file> <advice-file> warm
+    python benchmarks/check_persistent_restart.py <state-dir> <advice-file> cold
+    python benchmarks/check_persistent_restart.py <state-dir> <advice-file> warm
 """
 
 from __future__ import annotations
@@ -90,9 +92,10 @@ def main(argv: list[str]) -> int:
     if len(argv) != 3 or argv[2] not in ("cold", "warm"):
         print(__doc__)
         return 1
-    cache_file, advice_file, phase = argv
+    state_dir, advice_file, phase = argv
     authority = build_authority(phase)
-    service = AuthorityService(authority, cache_path=cache_file)
+    service = AuthorityService(authority, state_dir=state_dir)
+    (loaded,) = authority.audit.events_of(EVENT_CACHE_LOADED)
     records = consult_stream(authority, service, phase)
     rejected = authority.audit.events_of(EVENT_CACHE_LOAD_REJECTED)
     service.close()
@@ -103,12 +106,13 @@ def main(argv: list[str]) -> int:
             json.dumps(records, indent=1) + "\n", encoding="utf-8"
         )
         print(f"cold phase: {len(records)} consultations recorded, "
-              f"cache saved to {cache_file}")
+              f"journal compacted in {state_dir}")
         return 0
 
     failures = []
-    if not authority.audit.events_of(EVENT_CACHE_LOADED):
-        failures.append("warm phase did not warm-load the cache file")
+    if not loaded.details["journal_accepted"]:
+        failures.append("warm phase did not warm-load the journal: "
+                        f"{loaded.details['journal_reason']}")
     if rejected:
         failures.append(f"{len(rejected)} load rejection(s): "
                         f"{[r.details for r in rejected]}")

@@ -5,15 +5,16 @@ solutions saved by one process are cheap to *re-verify* on the next
 process's first serve (the Lemma-1 lattice gate), while recomputing
 them would repeat the PPAD-hard search.  This bench runs the same
 consultation stream through two *separate* authorities sharing only a
-cache file:
+state directory:
 
-* **cold** — a path-bound service solves every game from scratch and
-  persists its warm state on ``close()``;
+* **cold** — a service with ``state_dir=`` solves every game from
+  scratch, journals what it stores at the end of the drain and
+  compacts the journal on ``close()``;
 * **restarted warm** — a fresh authority (new inventors, nothing
-  carried in memory) warm-loads the file and serves the same payoff
-  bytes under new game ids: every consultation is a cache hit whose
-  profile passed the load-time integrity checks and the first-serve
-  exact gate.
+  carried in memory) recovers the same directory and serves the same
+  payoff bytes under new game ids: every consultation is a cache hit
+  whose profile passed the load-time integrity checks and the
+  first-serve exact gate.
 
 Gated: the restarted stream repeats no search.  Every call of the
 inventor's search is counted: the cold stream must search each game
@@ -24,7 +25,8 @@ suggestion is bit-identical to its cold counterpart.
 
 Reported, not gated: consultations/second for both streams and the
 restart speed-up, as median, min and max over WINDOWS cold/restarted
-window pairs, save/load wall time and the file size.  A throughput
+window pairs, the wall time of the closing compaction ("save") and of
+the recovery ("load"), and the file size.  A throughput
 ratio is not a gate: it divides by the cold search's speed, so every
 faster search shrinks it, and one window of a few milliseconds on a
 shared host spreads over several-fold.
@@ -46,6 +48,7 @@ from repro.core.registry import standard_procedures
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
 from repro.service import AuthorityService, SolveCache
+from repro.service.journal import WriteBehindPersister
 
 #: Cold/restarted window pairs per run; each side's figures are the
 #: median (and range) over these.
@@ -116,11 +119,11 @@ def test_bench_persistent_cache(
     identical = True
     rejected = 0
     for window in range(WINDOWS):
-        cache_file = tmp_path / f"authority-cache-{window}.json"
+        state_dir = tmp_path / f"state-{window}"
 
-        # --- The cold process: solve everything, persist on close. ---
+        # --- The cold process: solve everything, compact on close. ---
         authority = _authority(bases, "cold")
-        service = AuthorityService(authority, cache_path=cache_file)
+        service = AuthorityService(authority, state_dir=state_dir)
         cold, cold_seconds, searched = _stream(
             service, "cold", count, searches
         )
@@ -129,15 +132,16 @@ def test_bench_persistent_cache(
         service.close()
         save_ms.append((time.perf_counter() - start) * 1000.0)
         authority.close()
-        file_bytes = os.path.getsize(cache_file)
+        file_bytes = os.path.getsize(state_dir / "journal.jsonl")
 
         # --- The restarted process: same payoff bytes, new everything
         # else. ---
         authority = _authority(bases, "warm")
         start = time.perf_counter()
-        service = AuthorityService(authority, cache_path=cache_file)
+        service = AuthorityService(authority, state_dir=state_dir)
         load_ms.append((time.perf_counter() - start) * 1000.0)
-        assert authority.audit.events_of(EVENT_CACHE_LOADED)
+        (loaded,) = authority.audit.events_of(EVENT_CACHE_LOADED)
+        assert loaded.details["journal_accepted"]
         warm, warm_seconds, searched = _stream(
             service, "warm", count, searches
         )
@@ -174,14 +178,16 @@ def test_bench_persistent_cache(
         title="B5: persistent cache, cold stream vs restarted-warm stream "
               "(median [min, max] over windows)",
     )
-    table.add_row("cold (fresh file)", count, size, WINDOWS,
+    table.add_row("cold (fresh state dir)", count, size, WINDOWS,
                   _spread(cold_rates), sum(cold_searches), "miss")
     table.add_row("restarted (warm-loaded)", count, size, WINDOWS,
                   _spread(warm_rates), sum(warm_searches), "hit")
     table.add_row("restart speed-up (x)", "-", "-", WINDOWS,
                   _spread(speedups), "-", "-")
-    table.add_row("save (ms)", "-", "-", WINDOWS, _spread(save_ms), "-", "-")
-    table.add_row("load (ms)", "-", "-", WINDOWS, _spread(load_ms), "-", "-")
+    table.add_row("save: compaction at close (ms)", "-", "-", WINDOWS,
+                  _spread(save_ms), "-", "-")
+    table.add_row("load: recovery (ms)", "-", "-", WINDOWS,
+                  _spread(load_ms), "-", "-")
     record_table("b5_persistent_cache", table.render())
 
     def summary(metric, values, unit):
@@ -243,12 +249,16 @@ def test_bench_persistent_cache(
     service.close()
     authority.close()
 
-    # Timed target for pytest-benchmark: one full save/load round trip
-    # of the populated cache (the restart overhead itself).
-    def save_load_round_trip():
-        service.cache.save()
-        probe = SolveCache(path=cache_file)
-        assert probe.last_load_report.accepted
+    # Timed target for pytest-benchmark: one compaction of the
+    # populated journal plus one recovery into a fresh cache (the
+    # restart overhead itself).
+    persister = service.persister
+
+    def compact_and_recover():
+        persister.snapshot()
+        probe = SolveCache()
+        report = WriteBehindPersister(probe, persister.journal.path).recover()
+        assert report.accepted and len(probe) == count
         return probe
 
-    benchmark(save_load_round_trip)
+    benchmark(compact_and_recover)

@@ -30,7 +30,7 @@ from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
-from repro.server import ThreadedServer, WriteBehindPersister, state_path
+from repro.server import ThreadedServer
 from repro.service import AuthorityService, SolveCache
 
 
@@ -102,14 +102,12 @@ def test_bench_server_http(
     authority.close()
 
     # --- HTTP + write-behind: every drain flushes journal frames. ---
-    journal_path = state_path(tmp_path / "state")
-    cache = SolveCache()
     authority = _authority(bases)
-    http_service = AuthorityService(authority, solve_cache=cache)
-    persister = WriteBehindPersister(cache, journal_path)
+    http_service = AuthorityService(authority, state_dir=tmp_path / "state")
+    persister = http_service.persister
     http_advice = []
     http_states = []
-    with ThreadedServer(http_service, persister=persister) as threaded:
+    with ThreadedServer(http_service) as threaded:
         conn = http.client.HTTPConnection(
             "127.0.0.1", threaded.port, timeout=300
         )
@@ -143,11 +141,9 @@ def test_bench_server_http(
     # --- Restart on the surviving state dir: warm serving must be
     # cache hits, bit-identical to the cold advice.  Also hosts the
     # timed target: one warm HTTP consult round trip.
-    cache = SolveCache()
     authority = _authority(bases)
-    warm_service = AuthorityService(authority, solve_cache=cache)
-    persister2 = WriteBehindPersister(cache, journal_path)
-    with ThreadedServer(warm_service, persister=persister2) as threaded:
+    warm_service = AuthorityService(authority, state_dir=tmp_path / "state")
+    with ThreadedServer(warm_service) as threaded:
         conn = http.client.HTTPConnection(
             "127.0.0.1", threaded.port, timeout=300
         )

@@ -32,8 +32,8 @@ from repro.core import (
 from repro.games import ROW
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
-from repro.server import ThreadedServer, WriteBehindPersister, state_path
-from repro.service import AuthorityService, SolveCache
+from repro.server import ThreadedServer
+from repro.service import AuthorityService
 
 GAMES = 4
 
@@ -57,10 +57,10 @@ def build_authority() -> RationalityAuthority:
 
 
 def build_server(state_dir) -> tuple[ThreadedServer, AuthorityService]:
-    cache = SolveCache()  # pathless: the persister owns the state file
-    service = AuthorityService(build_authority(), solve_cache=cache)
-    persister = WriteBehindPersister(cache, state_path(state_dir))
-    return ThreadedServer(service, persister=persister), service
+    # The service recovers the directory's journal here, before the
+    # server binds, and owns it from then on.
+    service = AuthorityService(build_authority(), state_dir=state_dir)
+    return ThreadedServer(service), service
 
 
 def request(port: int, method: str, path: str, body=None):

@@ -7,12 +7,13 @@ equilibria can be kept on disk across process lifetimes because
 re-verifying them on load is cheap, while recomputing them is not.
 This demo walks the full lifecycle:
 
-1. **Cold run.**  A service bound to a cache file answers a stream of
-   consultations the hard way (all cache misses) and persists its warm
-   state on ``close()`` — exact ``num/den`` fractions, schema version,
-   whole-file digest, atomic replace.
+1. **Cold run.**  A service with a state directory answers a stream
+   of consultations the hard way (all cache misses), journals each
+   drain's certified profiles, and compacts its warm state on
+   ``close()`` — exact ``num/den`` fractions, schema version, a digest
+   per frame and over them all, atomic replace.
 2. **Restart.**  A *fresh* authority (new inventors, empty memos) with
-   the same ``cache_path`` warm-loads the file; the same games under
+   the same ``state_dir`` recovers the journal; the same games under
    new ids are served as cache hits, each loaded profile re-certified
    through the Lemma-1 lattice gate before its first serve — and the
    advice is bit-identical to the cold run's.
@@ -64,25 +65,26 @@ def consult_stream(authority, service, prefix: str):
 
 def main() -> None:
     bases = [random_bimatrix(5, 5, seed=1100 + i) for i in range(GAMES)]
-    cache_file = os.path.join(tempfile.mkdtemp(), "authority-cache.json")
+    state_dir = tempfile.mkdtemp()
+    journal = os.path.join(state_dir, "journal.jsonl")
 
     # -- 1: the cold run populates and persists the cache ----------------
     authority = build_authority(bases, "cold")
-    service = AuthorityService(authority, cache_path=cache_file)
+    service = AuthorityService(authority, state_dir=state_dir)
     cold = consult_stream(authority, service, "cold")
-    service.close()  # persists the cache file atomically
+    service.close()  # compacts the journal atomically
     authority.close()
     print("--- cold run ---")
     print(f"consultations: {len(cold)}, all adopted: {all(o.adopted for o in cold)}")
     print(f"cache states:  {[o.advice.cache for o in cold]}")
-    print(f"saved {os.path.getsize(cache_file)} bytes to {cache_file}")
+    print(f"saved {os.path.getsize(journal)} bytes to {journal}")
 
-    # -- 2: "restart" — a fresh process image, same cache file -----------
+    # -- 2: "restart" — a fresh process image, same state directory ------
     authority = build_authority(bases, "warm")
-    service = AuthorityService(authority, cache_path=cache_file)
+    service = AuthorityService(authority, state_dir=state_dir)
     loaded = authority.audit.events_of(EVENT_CACHE_LOADED)[-1]
     print("\n--- restarted run ---")
-    print(f"warm-loaded: {loaded.details['profiles']} profiles")
+    print(f"warm-loaded: {loaded.details['journal_profiles']} profiles")
     warm = consult_stream(authority, service, "warm")
     identical = all(
         w.advice.suggestion == c.advice.suggestion for w, c in zip(warm, cold)
@@ -93,17 +95,20 @@ def main() -> None:
     authority.close()
 
     # -- 3: tampering is rejected, soundness is untouched -----------------
-    blob = bytearray(open(cache_file, "rb").read())
+    with open(journal, "rb") as handle:
+        blob = bytearray(handle.read())
     blob[len(blob) // 2] ^= 0x01
-    open(cache_file, "wb").write(bytes(blob))
+    with open(journal, "wb") as handle:
+        handle.write(bytes(blob))
     authority = build_authority(bases, "post")
-    service = AuthorityService(authority, cache_path=cache_file)
+    service = AuthorityService(authority, state_dir=state_dir)
     rejected = authority.audit.events_of(EVENT_CACHE_LOAD_REJECTED)[-1]
     print("\n--- tampered file ---")
     print(f"load rejected: {rejected.details['reason']}")
     post = consult_stream(authority, service, "post")
     print(f"cache states:  {[o.advice.cache for o in post]} (clean misses)")
     print(f"advice still certified and adopted: {all(o.adopted for o in post)}")
+    service.close()
     authority.close()
 
 

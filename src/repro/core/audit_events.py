@@ -97,11 +97,14 @@ REGISTRY: dict[str, str] = {
         "A consultation's wall-clock budget lapsed; the solve was "
         "abandoned.",
     EVENT_CACHE_LOADED:
-        "A persistent cache file passed the tamper checks and loaded.",
+        "A service with a state directory recovered its journal: "
+        "entries (what the cache then holds) and the load report as "
+        "journal_path, journal_accepted, journal_reason, "
+        "journal_profiles, journal_frames and journal_rejected.",
     EVENT_CACHE_LOAD_REJECTED:
         "A cache file or journal frame failed a tamper/lattice check.",
     EVENT_CACHE_SAVED:
-        "The cache's certified state was written to disk.",
+        "A service's close() compacted its journal: path and entries.",
     EVENT_SERVER_STARTED:
         "The HTTP front-end bound its port and started serving.",
     EVENT_SERVER_SHUTDOWN:
@@ -110,8 +113,9 @@ REGISTRY: dict[str, str] = {
     EVENT_SERVER_PUMP_FAILED:
         "One background pump iteration failed (counted, backed off).",
     EVENT_DURABILITY_DEGRADED:
-        "Journal appends kept failing; write-behind fell back to "
-        "compaction only (mode snapshot-only).",
+        "Journal appends kept failing, so write-behind fell back to "
+        "compaction only (kind degraded, mode snapshot-only), or a "
+        "compaction failed (kind snapshot-failed).",
 }
 
 

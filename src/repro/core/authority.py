@@ -207,7 +207,8 @@ class RationalityAuthority:
     def close(self) -> None:
         """Close the consultation service, if one was started.
 
-        The service's queue drains and a path-bound cache is saved (see
+        The service's queue drains and, with a state directory, its
+        journal is compacted (see
         :meth:`~repro.service.service.AuthorityService.close`).  Hosts
         should ``close()`` the authority — or use it as a context
         manager — when consultations are done.  Closing is idempotent,

@@ -2,11 +2,12 @@
 
 Builds a deterministic demo world (one inventor, one agent, ``--games``
 random bimatrix games whose payoffs depend only on ``--seed``, published
-as ``g0`` … ``gN-1``), wires the optional write-behind state directory,
-and serves until SIGTERM/SIGINT.  Because the games are reconstructed
-bit-identically from the seed on every start, a restart against the
-same ``--state-dir`` warm-serves the previous run's certified entries —
-this CLI is the process the crash-recovery test SIGKILLs and revives.
+as ``g0`` … ``gN-1``) over a service with the optional write-behind
+state directory, and serves until SIGTERM/SIGINT.  Because the games
+are reconstructed bit-identically from the seed on every start, a
+restart against the same ``--state-dir`` warm-serves the previous
+run's certified entries — this CLI is the process the crash-recovery
+test SIGKILLs and revives.
 
 The bound port is announced on stdout as a single line ``PORT <n>``
 (flushed before serving), so a parent process can spawn ``--port 0``
@@ -25,9 +26,7 @@ from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
 from repro.games.generators import random_bimatrix
 from repro.server.app import AuthorityHTTPServer
-from repro.server.journal import WriteBehindPersister, state_path
 from repro.service import AuthorityService
-from repro.service.cache import SolveCache
 
 DEFAULT_AGENT = "jane"
 DEFAULT_INVENTOR = "inv"
@@ -53,18 +52,11 @@ def build_demo_authority(games: int, size: int, seed: int,
 
 def build_server(args) -> tuple[AuthorityHTTPServer, AuthorityService]:
     authority = build_demo_authority(args.games, args.size, args.seed)
-    persister = None
-    if args.state_dir:
-        cache = SolveCache()  # pathless: the persister owns the file
-        service = AuthorityService(
-            authority, solve_cache=cache, max_pending=args.max_pending
-        )
-        persister = WriteBehindPersister(cache, state_path(args.state_dir))
-    else:
-        service = AuthorityService(authority, max_pending=args.max_pending)
-    server = AuthorityHTTPServer(
-        service, host=args.host, port=args.port, persister=persister,
+    service = AuthorityService(
+        authority, state_dir=args.state_dir or None,
+        max_pending=args.max_pending,
     )
+    server = AuthorityHTTPServer(service, host=args.host, port=args.port)
     return server, service
 
 

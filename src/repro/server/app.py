@@ -24,15 +24,14 @@ request).  The surface:
     the window's ``oldest_clock``; ``/stats`` also reports the cyclic
     collector's per-generation counts; ``/healthz`` is
     pure *liveness* (200 whenever the loop answers) while ``/readyz``
-    is *readiness* (503 + ``Retry-After`` during the recovery replay
-    and the shutdown drain);
+    is *readiness* (503 + ``Retry-After`` during the shutdown drain);
 ``POST /admin/snapshot``
     force the write-behind persister's hand (compact the journal now).
 
 Failure semantics map onto status codes: an
 :class:`AdmissionError` from the service's high-water mark is a
-**429** with a ``Retry-After`` hint; a starting-or-stopping server
-answers admissions with **503**; a consultation that outran its
+**429** with a ``Retry-After`` hint; a stopping server answers
+admissions with **503**; a consultation that outran its
 ``deadline_ms`` (accepted per request in the ``/consult`` body)
 resolves to a typed :class:`~repro.errors.DeadlineExceeded` and maps to
 **504** + ``Retry-After``.  A consultation without a deadline is
@@ -40,15 +39,16 @@ answered whenever it resolves.  ``deadline_ms`` bounds a
 consultation's own queue wait and solve, but not a solve queued ahead
 of it: the pump drains one submission at a time.
 
-Durability is delegated to a
-:class:`~repro.server.journal.WriteBehindPersister` when one is
-passed: the server replays its journal before accepting traffic
-(auditing ``cache.load.completed`` / per-frame ``cache.load.rejected``),
-registers it as a drain listener (a flush at the end of every drain),
-polls it every ``POLL_INTERVAL_S`` (a flush once
-:data:`~repro.server.journal.FLUSH_INTERVAL_S` has passed, even when
-idle), and compacts the journal a last time during graceful shutdown —
-which drains every in-flight future first and lands a
+Durability belongs to the service: an
+``AuthorityService(state_dir=)`` has recovered its journal before the
+server is built (auditing ``cache.load.completed`` / per-frame
+``cache.load.rejected``), so the socket binds after recovery, and each
+drain ends with the journal's flush.  The server polls
+``service.persister`` every ``POLL_INTERVAL_S`` (a flush once
+:data:`~repro.service.journal.FLUSH_INTERVAL_S` has passed, even when
+idle), compacts on ``POST /admin/snapshot``, and closes the service
+during graceful shutdown — which drains every in-flight future first,
+compacts the journal a last time and lands a
 ``server.shutdown.completed`` audit record.
 """
 
@@ -63,8 +63,6 @@ from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.audit_events import (
-    EVENT_CACHE_LOADED,
-    EVENT_DURABILITY_DEGRADED,
     EVENT_SERVER_PUMP_FAILED,
     EVENT_SERVER_SHUTDOWN,
     EVENT_SERVER_STARTED,
@@ -143,17 +141,14 @@ class AuthorityHTTPServer:
     the backing future and silently swallow the consultation's
     eventual resolution.
 
-    ``persister`` (a :class:`WriteBehindPersister`) is optional; with
-    ``None`` the server is purely in-memory (plus whatever persistence
-    the service's own cache does at close).
+    The service's ``persister`` (from ``AuthorityService(state_dir=)``)
+    makes the server durable; without one it is purely in-memory.
     """
 
-    def __init__(self, service, host: str = "127.0.0.1", port: int = 0,
-                 persister=None):
+    def __init__(self, service, host: str = "127.0.0.1", port: int = 0):
         self._service = service
         self.host = host
         self.port = port  # rebound to the real port after start()
-        self._persister = persister
         self._server: asyncio.base_events.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._pump_task: asyncio.Task | None = None
@@ -161,13 +156,10 @@ class AuthorityHTTPServer:
         self._work = asyncio.Event()
         self._stop_requested = asyncio.Event()
         self._stopped = asyncio.Event()
+        # Liveness vs readiness: /healthz answers 200 whenever the loop
+        # runs, /readyz 503 once the shutdown drain begins.
         self._closing = False
         self._stop_started = False
-        # Liveness vs readiness: the socket binds before recovery
-        # replay, so /healthz answers 200 (the loop runs) while
-        # /readyz answers 503 until _ready flips — and again during
-        # the shutdown drain.
-        self._ready = False
         self._connections = 0
         # Writers of connections reading their next request; stop()
         # hangs these up once every future has resolved.
@@ -183,43 +175,28 @@ class AuthorityHTTPServer:
     # ------------------------------------------------------------------
 
     async def start(self) -> "AuthorityHTTPServer":
-        """Bind the socket, recover durable state, start the pump.
+        """Bind the socket and start the pump (and the durability
+        timer of a service with a persister).
 
-        The socket binds *before* recovery so liveness (``/healthz``)
-        answers immediately; readiness (``/readyz``) — and admissions —
-        stay 503 until the journal replay lands and the pump starts.
+        The service recovered its journal when it was built, so the
+        socket binds after recovery and serves at once.
         """
         if self._server is not None:
             return self
         loop = asyncio.get_running_loop()
         self._loop = loop
-        audit = self._service.authority.audit
-        name = self._service.authority.AUTHORITY_NAME
+        durable = self._service.persister is not None
         self._server = await asyncio.start_server(
             self._handle_client, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = loop.time()
-        if self._persister is not None:
-            self._persister.set_event_handler(self._on_durability_event)
-            report = await loop.run_in_executor(None, self._persister.recover)
-            audit.record(
-                "-", name, EVENT_CACHE_LOADED,
-                entries=len(self._persister.cache),
-                **{f"journal_{k}": v for k, v in report.as_dict().items()},
-            )
-            # Frame rejections queued by recover() become audit records
-            # *now*, before the first drain would publish them.
-            self._service.flush_cache_rejections()
-            self._service.add_drain_listener(self._persister.on_drained)
         self._pump_task = loop.create_task(self._pump())
-        if self._persister is not None:
+        if durable:
             self._timer_task = loop.create_task(self._durability_timer())
-        self._ready = True
-        audit.record(
-            "-", name, EVENT_SERVER_STARTED,
-            host=self.host, port=self.port,
-            durable=self._persister is not None,
+        self._service.authority.audit.record(
+            "-", self._service.authority.AUTHORITY_NAME, EVENT_SERVER_STARTED,
+            host=self.host, port=self.port, durable=durable,
         )
         return self
 
@@ -256,8 +233,8 @@ class AuthorityHTTPServer:
         to resolution; retire the pump and timer tasks; hang up the
         keep-alive connections waiting between requests and give
         in-flight handlers a grace window to write their (now resolved)
-        responses; close the service; run the persister's final
-        compaction; audit ``server.shutdown.completed``.  Idempotent and
+        responses; close the service, which compacts its journal; audit
+        ``server.shutdown.completed``.  Idempotent and
         safe to race: the second caller awaits the first's completion.
         """
         if self._stop_started:
@@ -265,7 +242,6 @@ class AuthorityHTTPServer:
             return
         self._stop_started = True
         self._closing = True
-        self._ready = False
         loop = asyncio.get_running_loop()
         if self._server is not None:
             # Not wait_closed(): from Python 3.12.1 it also waits for
@@ -290,7 +266,9 @@ class AuthorityHTTPServer:
             writer.close()  # its handler reads EOF and returns
         while self._connections and loop.time() < deadline:
             await asyncio.sleep(0.02)
-        snapshot_entries = await loop.run_in_executor(None, self._finalize)
+        snapshot_entries = await loop.run_in_executor(
+            None, self._service.close
+        )
         self._service.authority.audit.record(
             "-", self._service.authority.AUTHORITY_NAME,
             EVENT_SERVER_SHUTDOWN,
@@ -299,15 +277,6 @@ class AuthorityHTTPServer:
             snapshot_entries=snapshot_entries,
         )
         self._stopped.set()
-
-    def _finalize(self) -> int | None:
-        """Blocking tail of the shutdown (runs in the executor)."""
-        if self._persister is not None:
-            self._service.remove_drain_listener(self._persister.on_drained)
-        self._service.close()
-        if self._persister is not None:
-            return self._persister.close()
-        return None
 
     # ------------------------------------------------------------------
     # Background tasks
@@ -358,7 +327,9 @@ class AuthorityHTTPServer:
         while True:
             await asyncio.sleep(POLL_INTERVAL_S)
             try:
-                await loop.run_in_executor(None, self._persister.poll)
+                await loop.run_in_executor(
+                    None, self._service.persister.poll
+                )
             except Exception as exc:
                 self._audit_pump_failure("durability-timer", exc)
 
@@ -368,13 +339,6 @@ class AuthorityHTTPServer:
             "-", self._service.authority.AUTHORITY_NAME,
             EVENT_SERVER_PUMP_FAILED,
             where=where, error=f"{type(exc).__name__}: {exc}",
-        )
-
-    def _on_durability_event(self, event: dict) -> None:
-        """The persister's degradation observer → the audit trail."""
-        self._service.authority.audit.record(
-            "-", self._service.authority.AUTHORITY_NAME,
-            EVENT_DURABILITY_DEGRADED, **event,
         )
 
     def _kick(self) -> None:
@@ -602,34 +566,26 @@ class AuthorityHTTPServer:
     # ------------------------------------------------------------------
 
     def _healthz(self) -> _Response:
-        """Liveness: 200 whenever the loop answers, even while
-        recovering or draining for shutdown — restart-deciders
-        (a process supervisor) belong here, traffic-routers on
-        :meth:`_readyz`."""
-        if self._closing:
-            status = "stopping"
-        elif not self._ready:
-            status = "starting"
-        else:
-            status = "ok"
+        """Liveness: 200 whenever the loop answers, even while draining
+        for shutdown — restart-deciders (a process supervisor) belong
+        here, traffic-routers on :meth:`_readyz`."""
         return _Response(200, {
-            "status": status,
-            "ready": self._ready,
+            "status": "stopping" if self._closing else "ok",
+            "ready": not self._closing,
             "pending": self._service.pending_count,
             "completed": self._service.completed_count,
         })
 
     def _readyz(self) -> _Response:
-        """Readiness: 503 + Retry-After during recovery replay and the
-        shutdown drain; 200 only while admissions are being accepted."""
+        """Readiness: 503 + Retry-After during the shutdown drain; 200
+        only while admissions are being accepted.  There is no
+        starting state: the service recovered before the socket bound."""
         payload = {
-            "status": "ready" if self._ready else (
-                "stopping" if self._closing else "starting"
-            ),
-            "ready": self._ready,
+            "status": "stopping" if self._closing else "ready",
+            "ready": not self._closing,
             "pending": self._service.pending_count,
         }
-        if not self._ready:
+        if self._closing:
             return _Response(503, payload, headers={"Retry-After": "2"})
         return _Response(200, payload)
 
@@ -638,6 +594,7 @@ class AuthorityHTTPServer:
         if self._loop is not None and self._started_at is not None:
             loop_time = self._loop.time() - self._started_at
         cache = self._service.cache
+        persister = self._service.persister
         payload = {
             "server": {
                 "host": self.host,
@@ -653,9 +610,7 @@ class AuthorityHTTPServer:
             },
             "failures": self._failure_stats(),
             "cache": cache.stats.as_dict(),
-            "persistence": (
-                None if self._persister is None else self._persister.stats()
-            ),
+            "persistence": None if persister is None else persister.stats(),
             "gc": {
                 # The cyclic collector's lifetime counts per generation
                 # (youngest first: collections, collected,
@@ -672,13 +627,12 @@ class AuthorityHTTPServer:
         counters = getattr(self._service, "failure_counters", None)
         failures: dict[str, Any] = dict(counters()) if counters else {}
         failures["pump_failures"] = dict(self.pump_failures)
-        if self._persister is not None:
-            failures["durability_degraded"] = self._persister.degraded
-            failures["durability_degraded_reason"] = (
-                self._persister.degraded_reason
-            )
-            failures["flush_failures"] = self._persister.flush_failures
-            failures["snapshot_failures"] = self._persister.snapshot_failures
+        persister = self._service.persister
+        if persister is not None:
+            failures["durability_degraded"] = persister.degraded
+            failures["durability_degraded_reason"] = persister.degraded_reason
+            failures["flush_failures"] = persister.flush_failures
+            failures["snapshot_failures"] = persister.snapshot_failures
         return failures
 
     def _audit(self, query: dict[str, str]) -> _Response:
@@ -704,11 +658,6 @@ class AuthorityHTTPServer:
         if self._closing:
             raise _HTTPError(
                 503, "server is shutting down",
-                headers={"Retry-After": "2"}, retry_after_s=2.0,
-            )
-        if not self._ready:
-            raise _HTTPError(
-                503, "server is starting (recovery replay in progress)",
                 headers={"Retry-After": "2"}, retry_after_s=2.0,
             )
 
@@ -779,14 +728,15 @@ class AuthorityHTTPServer:
         return _Response(500, failure_payload(future, exc))
 
     async def _admin_snapshot(self) -> _Response:
-        if self._persister is None:
+        persister = self._service.persister
+        if persister is None:
             raise _HTTPError(400, "no write-behind persister configured")
         entries = await asyncio.get_running_loop().run_in_executor(
-            None, self._persister.snapshot
+            None, persister.snapshot
         )
         return _Response(200, {
             "action": "snapshot", "entries": entries,
-            "persistence": jsonable(self._persister.stats()),
+            "persistence": jsonable(persister.stats()),
         })
 
 

@@ -1,504 +1,6 @@
-"""Write-behind durability: the journal is the server's state file.
+"""The write-behind persister lives in :mod:`repro.service.journal`;
+this name stays for perfbench's tracer, which wraps it here."""
 
-An always-on host should lose at most one drain of warm state to a
-crash (SIGKILL, OOM, power loss), not the whole process lifetime.  One
-file per state directory delivers that: ``journal.jsonl``, in the
-format of :mod:`repro.service.persistence` — a header covering the
-frames of the last compaction, then one digest-framed line per
-certified profile stored since, appended and fsynced at the end of
-every drain by the :class:`WriteBehindPersister`.
+from repro.service.journal import WriteBehindPersister
 
-A compaction (:meth:`WriteBehindPersister.snapshot`) atomically
-rewrites the file as a header and the cache's entries in LRU order.
-The persister keeps the bytes of the last frame it flushed or recovered
-for each cache key and encodes only entries it holds no bytes for, so a
-compaction costs a join, a hash, a write and an fsync, not an encode of
-the whole cache.
-
-Recovery reads the file through the reader ``SolveCache.load`` uses:
-replayed profiles enter the cache's *pending* store and pass
-the exact Lemma-1 lattice gate against the requesting caller's actual
-game before they are first served, so a forged or corrupted journal can
-cost cold solves, never produce unverified advice.  A file the reader
-refuses whole is compacted over before serving, since frames appended
-behind its prefix would be refused with it.  A state directory
-an older server left — ``snapshot.json`` beside a journal without a
-header — loads the snapshot, then the journal over it, and is
-compacted into the one file.
-
-Crash-safety of the flush/compaction cycle:
-
-* updates are committed to the in-memory cache *before* they are queued
-  for the journal, and a compaction encodes the queue first, so it
-  subsumes every update committed before it; one committed while it
-  runs is appended by the next flush, which can only duplicate an entry
-  (the latest frame wins on replay), never lose it;
-* a flush and a compaction never overlap: a frame appended to the old
-  file between the compaction's copy of the cache and its rename would
-  vanish with that file;
-* appends are fsynced per flush batch; the file's creation and every
-  compaction fsync the directory.
-"""
-
-from __future__ import annotations
-
-import os
-import threading
-import time
-
-from repro.errors import FaultInjected, PersistenceError
-from repro.service import faults
-from repro.service.persistence import (
-    CacheLoadReport,
-    encode_journal_frame,
-    fsync_directory,
-    remove_stale_temp_files,
-    write_state_file,
-)
-
-#: The failure dialect the durability layer retries and degrades on: a
-#: refusing disk, a malformed frame, or an injected chaos fault.
-DURABILITY_ERRORS = (OSError, PersistenceError, FaultInjected)
-
-#: The state file inside a server state directory.
-JOURNAL_FILENAME = "journal.jsonl"
-
-#: What an older server kept beside its journal; recovery loads it
-#: first, then compacts it away.
-_OLD_SNAPSHOT_FILENAME = "snapshot.json"
-
-#: A cadence compaction waits until the file holds this many frames per
-#: cache entry, so it writes no more frames than it drops.
-COMPACT_RATIO = 2
-
-#: Seconds after the last append at which the host's idle timer
-#: appends what was stored outside a drain (an abandoned deadlined
-#: solve finishing late).
-FLUSH_INTERVAL_S = 5.0
-
-#: Retries of a failing journal append before snapshot-only mode; the
-#: sleep between them doubles from BACKOFF_BASE_S up to BACKOFF_CAP_S.
-FLUSH_RETRIES = 3
-BACKOFF_BASE_S = 0.05
-BACKOFF_CAP_S = 1.0
-
-
-def state_path(state_dir) -> str:
-    """The state file of a server state dir (created if needed)."""
-    state_dir = os.fspath(state_dir)
-    os.makedirs(state_dir, exist_ok=True)
-    return os.path.join(state_dir, JOURNAL_FILENAME)
-
-
-class CacheJournal:
-    """The state file's one writer: durable appends, atomic compaction.
-
-    :meth:`append` writes a batch of encoded frames with one ``write``
-    and one ``fsync``; :meth:`replace` closes the append handle and
-    rewrites the file as a header and the given frames, and the next
-    append reopens it.  Thread-safe on its own; the persister also
-    serializes its flushes and compactions.
-    """
-
-    def __init__(self, path):
-        self.path = os.fspath(path)
-        self._lock = threading.Lock()
-        self._handle = None
-
-    def _open(self):
-        if self._handle is None:
-            existed = os.path.exists(self.path)
-            self._handle = open(self.path, "ab")
-            if not existed:
-                fsync_directory(os.path.dirname(self.path) or ".")
-        return self._handle
-
-    def _close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def append(self, frames) -> int:
-        """Durably append encoded frames; returns how many.
-
-        The batch is one OS write and one fsync; a crash mid-write
-        tears at most the final frame, which recovery rejects alone.
-        """
-        if not frames:
-            return 0
-        blob = faults.filter_bytes("journal.append", b"".join(frames))
-        with self._lock:
-            handle = self._open()
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        return len(frames)
-
-    def replace(self, frames) -> int:
-        """Atomically rewrite the file as a header and ``frames``."""
-        with self._lock:
-            self._close()
-            return write_state_file(self.path, frames)
-
-    def size_bytes(self) -> int:
-        try:
-            return os.path.getsize(self.path)
-        except OSError:
-            return 0
-
-    def close(self) -> None:
-        with self._lock:
-            self._close()
-
-    def __enter__(self) -> "CacheJournal":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
-
-
-class WriteBehindPersister:
-    """The flush and compaction policy around one cache and its file.
-
-    * :meth:`recover` (once, before serving) — load the state file into
-      the cache's pending/re-certify store;
-    * :meth:`on_drained` (the service's drain listener) — flush the
-      dirty queue to the journal, then compact when the rule below
-      says so;
-    * :meth:`poll` (an idle host's timer) — the same once
-      ``FLUSH_INTERVAL_S`` has passed since the last flush, so a
-      profile stored outside a drain still reaches disk;
-    * :meth:`snapshot` — compact now, also the ``POST /admin/snapshot``
-      handler;
-    * :meth:`close` — a final compaction (graceful shutdown).
-
-    The cache must be pathless: the persister is the file's only writer.
-
-    **The compaction rule.**  A cadence compaction runs when an update
-    was committed since the last one and the file holds at least
-    ``COMPACT_RATIO`` (2) frames per cache entry.  Cache hits never
-    rewrite the file, nor does a stream of new entries while the cache
-    fills (every frame is live); once evictions and repeats leave half
-    the file stale, each compaction writes no more frames than it
-    drops, so its cost per update stays constant.  :meth:`snapshot`
-    itself always runs.  A crash loses at most the updates committed
-    since the last flush — the current drain's; compaction bounds the
-    file's size and recovery time, never data loss.
-
-    **Degradation.**  A journal append that keeps failing (a refusing
-    or corrupting disk) is retried up to ``FLUSH_RETRIES`` times with
-    capped exponential backoff; past that the persister enters sticky
-    **snapshot-only mode**: appends stop, and every flush cadence
-    compacts instead whenever an update was committed since the last
-    compaction landed (the compaction subsumes every committed update,
-    so nothing is lost while compactions still land; a failed one
-    leaves the state dirty for the next cadence).  The event handler
-    (:meth:`set_event_handler` — the server wires it into the audit
-    log as ``server.durability.degraded``) plus the :meth:`stats`
-    ``degraded``/``degraded_reason`` fields surface the mode.  Failed
-    compactions are counted (``snapshot_failures``), never raised into
-    the serving path: durability degrades, service does not.
-    """
-
-    def __init__(self, cache, path: str | os.PathLike, clock=time.monotonic):
-        if cache.path is not None:
-            raise PersistenceError(
-                "write-behind persistence needs a pathless cache: the "
-                "persister is the state file's only writer"
-            )
-        self.cache = cache
-        # Arm dirty-entry tracking: from here on every committed cache
-        # update queues a journal frame until close() disarms it.
-        cache.set_update_tracking(True)
-        self.journal = CacheJournal(path)
-        self._clock = clock
-        self._lock = threading.Lock()
-        # Serializes flush() and snapshot() (see the module notes), and
-        # guards the two frame stores below.  Reentrant: a degraded
-        # flush compacts, and the cadence holds it across both steps.
-        self._persist_lock = threading.RLock()
-        # The last frame encoded or recovered for each cache key, and
-        # the frames encoded but not yet appended, oldest first.
-        self._frames: dict[tuple, bytes] = {}
-        self._unwritten: list[bytes] = []
-        self._last_flush = clock()
-        self._on_event = None
-        # Telemetry for /stats and the bench.
-        self.flushes = 0
-        self.snapshots = 0
-        self.frames_flushed = 0
-        self.flush_ms_total = 0.0
-        self.snapshot_ms_total = 0.0
-        # The compaction rule's state: an update committed since the
-        # last compaction, and the frames the file holds.
-        self._dirty = False
-        self._file_frames = 0
-        # Degradation telemetry.
-        self.degraded = False
-        self.degraded_reason: str | None = None
-        self.flush_failures = 0
-        self.snapshot_failures = 0
-        self.retries_used = 0
-
-    # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
-
-    def recover(self) -> CacheLoadReport:
-        """Load the state file into the cache; returns its load report.
-
-        An older server's ``snapshot.json`` beside the journal loads
-        first and the journal's frames over it; a compaction then folds
-        both into the journal and the snapshot is removed.  A file
-        rejected whole is compacted over at once: a frame appended
-        behind a prefix the reader refuses would be refused with it.
-        Every rejection is also counted into the cache's
-        ``load_rejected`` stat and queued for the ``cache.load.rejected``
-        audit trail.  The temp files of compactions a crash cut short
-        are deleted first: the persister is the file's only writer, so
-        none of them belongs to a live write.
-        """
-        directory = os.path.dirname(self.journal.path) or "."
-        old = os.path.join(directory, _OLD_SNAPSHOT_FILENAME)
-        with self._persist_lock:
-            remove_stale_temp_files(directory)
-            migrate = os.path.exists(old)
-            if migrate:
-                self.cache.restore(old)
-            state, report = self.cache.restore(self.journal.path)
-            self._frames.update(state.frames)
-            with self._lock:
-                self._file_frames = report.frames + len(report.rejections)
-            refused = any(r["kind"] == "file" for r in report.rejections)
-            if migrate or refused:
-                compacted = self.guarded_snapshot() is not None
-                if compacted and migrate:
-                    os.unlink(old)
-                    fsync_directory(directory)
-        return report
-
-    # ------------------------------------------------------------------
-    # The write-behind cycle
-    # ------------------------------------------------------------------
-
-    def on_drained(self, summary=None) -> None:
-        """The service drain listener: flush, then compact as due."""
-        with self._persist_lock:
-            self._cadence(True)
-
-    def poll(self) -> None:
-        """Timer-driven cadence: flush when ``FLUSH_INTERVAL_S`` lapsed."""
-        now = self._clock()
-        with self._persist_lock:
-            with self._lock:
-                flush_due = now - self._last_flush >= FLUSH_INTERVAL_S
-            self._cadence(flush_due)
-
-    def _cadence(self, flush_due: bool) -> None:
-        """Flush when due, then compact by the rule (see the class
-        notes).  Degraded, each flush compacts a dirty state itself, so
-        the rule stays quiet."""
-        if flush_due:
-            self.flush()
-        entries = len(self.cache)
-        with self._lock:
-            due = (
-                not self.degraded
-                and self._dirty
-                and self._file_frames >= COMPACT_RATIO * entries
-            )
-        if due:
-            self.guarded_snapshot()
-
-    def _encode_updates(self) -> int:
-        """Encode the cache's queued updates (persist lock held): each
-        becomes its key's kept frame and waits for the next append."""
-        updates = self.cache.drain_updates()
-        for key, profile in updates:
-            line = encode_journal_frame(key, profile)
-            self._frames[key] = line
-            self._unwritten.append(line)
-        return len(updates)
-
-    def flush(self) -> int:
-        """Append the cache's dirty updates to the journal; frame count.
-
-        Never raises into the serving path: a persistently failing
-        append (after the retry/backoff ladder) flips the persister
-        into snapshot-only mode and attempts an immediate compaction so
-        the frames the journal refused still reach disk.  Degraded,
-        every flush cadence *is* a (guarded) compaction whenever an
-        update was committed since the last one landed.
-        """
-        with self._persist_lock:
-            started = self._clock()
-            committed = self._encode_updates()
-            if self.degraded:
-                # A compaction writes every kept frame; appends are off.
-                self._unwritten = []
-                with self._lock:
-                    self._dirty = self._dirty or committed > 0
-                    self._last_flush = self._clock()
-                    dirty = self._dirty
-                if dirty:
-                    self.guarded_snapshot()
-                return 0
-            try:
-                frames = self._append_with_retry(self._unwritten)
-            except DURABILITY_ERRORS as exc:
-                # The refused frames are kept per key; a compaction
-                # writes them, so degrading loses nothing while
-                # compactions still land.
-                self._enter_degraded(exc)
-                with self._lock:
-                    self._dirty = True
-                self.guarded_snapshot()
-                return 0
-            self._unwritten = []
-            with self._lock:
-                self._last_flush = self._clock()
-                self.flushes += 1
-                self.frames_flushed += frames
-                self._file_frames += frames
-                self._dirty = self._dirty or frames > 0
-                self.flush_ms_total += (self._clock() - started) * 1000.0
-            return frames
-
-    def _append_with_retry(self, frames) -> int:
-        """One journal append, retried on the durability error dialect.
-
-        ``FLUSH_RETRIES`` bounds the retries (not the attempts); the
-        sleep between them doubles from ``BACKOFF_BASE_S`` up to
-        ``BACKOFF_CAP_S``.  The final failure propagates to the caller,
-        which degrades.
-        """
-        attempt = 0
-        while True:
-            try:
-                return self.journal.append(frames)
-            except DURABILITY_ERRORS:
-                attempt += 1
-                if attempt > FLUSH_RETRIES:
-                    raise
-                with self._lock:
-                    self.retries_used += 1
-                time.sleep(
-                    min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** (attempt - 1)))
-                )
-
-    def _enter_degraded(self, exc: BaseException) -> None:
-        with self._lock:
-            already = self.degraded
-            self.degraded = True
-            self.degraded_reason = f"{type(exc).__name__}: {exc}"
-            self.flush_failures += 1
-        if not already:
-            self._emit({
-                "kind": "degraded",
-                "mode": "snapshot-only",
-                "reason": f"{type(exc).__name__}: {exc}",
-                "retries": FLUSH_RETRIES,
-            })
-
-    def guarded_snapshot(self) -> int | None:
-        """A compaction attempt that degrades instead of raising.
-
-        Returns the entry count, or ``None`` when the compaction failed
-        (counted in ``snapshot_failures``; the committed state stays in
-        memory for the next attempt).
-        """
-        try:
-            return self.snapshot()
-        except DURABILITY_ERRORS as exc:
-            with self._lock:
-                self.snapshot_failures += 1
-            self._emit({
-                "kind": "snapshot-failed",
-                "reason": f"{type(exc).__name__}: {exc}",
-            })
-            return None
-
-    def set_event_handler(self, handler) -> None:
-        """Install the degradation-event observer: it is called with
-        one dict per ``degraded`` or ``snapshot-failed`` event."""
-        self._on_event = handler
-
-    def _emit(self, event: dict) -> None:
-        if self._on_event is None:
-            return
-        try:
-            self._on_event(dict(event))
-        except Exception:  # pragma: no cover - observer must not wedge us
-            pass
-
-    def snapshot(self) -> int:
-        """Compact the state file now; returns the entry count.
-
-        Encodes the queued updates, then atomically replaces the file
-        with a header and the cache's frames in LRU order — each
-        entry's kept bytes, encoded afresh only where none are kept —
-        and keeps frames for the cache's keys only, even when the write
-        fails (so a disk that refuses every compaction cannot grow
-        them).  Runs under the lock flushes take.  A failed compaction
-        leaves the file as it was and the frames it encoded waiting for
-        the next append.
-        """
-        with self._persist_lock:
-            started = self._clock()
-            self._encode_updates()
-            frames = {}
-            for key, profile in self.cache.entries():
-                line = self._frames.get(key)
-                if line is None:
-                    line = encode_journal_frame(key, profile)
-                frames[key] = line
-            self._frames = frames
-            self.journal.replace(list(frames.values()))
-            self._unwritten = []
-            with self._lock:
-                now = self._clock()
-                self._last_flush = now
-                self._dirty = False
-                self._file_frames = len(frames)
-                self.snapshots += 1
-                self.snapshot_ms_total += (now - started) * 1000.0
-        return len(frames)
-
-    def close(self) -> int:
-        """Final (guarded) compaction + journal close; entry count.
-
-        A dead disk at shutdown is counted and reported like any other
-        compaction failure — it must not wedge the server's stop
-        sequence; the warm state it could not save is simply lost.
-        """
-        try:
-            entries = self.guarded_snapshot()
-        finally:
-            self.cache.set_update_tracking(False)
-            self.journal.close()
-        return 0 if entries is None else entries
-
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
-
-    def stats(self) -> dict:
-        """Counters for ``/stats`` and the bench."""
-        with self._lock:
-            return {
-                "journal_path": self.journal.path,
-                "journal_bytes": self.journal.size_bytes(),
-                "flushes": self.flushes,
-                "frames_flushed": self.frames_flushed,
-                "snapshots": self.snapshots,
-                "flush_ms_total": self.flush_ms_total,
-                "snapshot_ms_total": self.snapshot_ms_total,
-                "flush_interval_s": FLUSH_INTERVAL_S,
-                "degraded": self.degraded,
-                "degraded_reason": self.degraded_reason,
-                "flush_failures": self.flush_failures,
-                "snapshot_failures": self.snapshot_failures,
-                "flush_retries": FLUSH_RETRIES,
-                "retries_used": self.retries_used,
-            }
+__all__ = ["WriteBehindPersister"]

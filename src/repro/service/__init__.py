@@ -3,9 +3,11 @@
 A future-based surface over the core authority
 (:class:`AuthorityService`: ``submit`` admits one consultation, one
 draining thread at a time solves, verifies and concludes each) and
-the cross-run fingerprint-keyed :class:`SolveCache` beneath it —
-persistent across process lifetimes through the exact,
-tamper-rejecting on-disk format in :mod:`repro.service.persistence`.
+the cross-run fingerprint-keyed :class:`SolveCache` beneath it.
+``AuthorityService(state_dir=)`` keeps that cache across process
+lifetimes through one path to disk: the write-behind journal of
+:mod:`repro.service.journal`, in the exact, tamper-rejecting format of
+:mod:`repro.service.persistence`.
 The synchronous ``RationalityAuthority.consult`` call is a thin shim
 over this package.
 

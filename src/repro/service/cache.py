@@ -23,19 +23,17 @@ touching the soundness story:
   cache holds can change how fast an answer comes, never which answer
   it is.
 
-* **Warm state survives restarts.**  With ``path=`` set the cache
-  warm-loads the file on construction and saves to it on
-  :meth:`~SolveCache.close`, in the one format of
-  :mod:`repro.service.persistence` — exact ``num/den`` strings, a
-  digest per frame and a header digest over them all, atomic replace.
-  (A server's cache is pathless: its write-behind persister owns the
-  state file and loads it through the same reader.)  Loaded entries
-  are *pending*: each one is re-certified through the Lemma-1 lattice
-  gate against the caller's actual game before it is first served, so
-  a forged file can cost cold solves, never produce unverified advice;
-  a corrupted, truncated or version-mismatched file is rejected
-  outright and the cache starts empty (a clean miss), with the
-  rejection recorded for the service's audit log.
+* **Warm state survives restarts.**  The cache itself holds no file:
+  ``AuthorityService(state_dir=)`` attaches a write-behind persister
+  (:mod:`repro.service.journal`) that journals every stored profile
+  and recovers the file into :meth:`~SolveCache.merge_pending_state`
+  on restart, in the one format of :mod:`repro.service.persistence`.
+  Loaded entries are *pending*: each one is re-certified through the
+  Lemma-1 lattice gate against the caller's actual game before it is
+  first served, so a forged file can cost cold solves, never produce
+  unverified advice; a corrupted, truncated or version-mismatched file
+  is rejected outright and the cache starts empty (a clean miss), with
+  the rejection recorded for the service's audit log.
 
 Entries are keyed by ``(fingerprint, method, mode)``: a hit returns
 exactly the certified profile this cache stored for those payoff bytes
@@ -51,20 +49,12 @@ the name).
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 
-from repro.errors import PersistenceError
 from repro.games.bimatrix import BimatrixGame
 from repro.games.profiles import MixedProfile
-from repro.service.persistence import (
-    CacheLoadReport,
-    CacheState,
-    encode_journal_frame,
-    read_state_file,
-    write_state_file,
-)
+from repro.service.persistence import CacheState
 
 
 @dataclass
@@ -113,19 +103,15 @@ class SolveCache:
     only ever costs a re-solve — an evicted entry's next lookup is an
     ordinary miss.
 
-    ``path`` makes the cache persistent: :meth:`load` restores warm
-    state from the file (done at construction when the file exists)
-    and :meth:`save` / :meth:`close` write it back atomically.  Loading
-    is tamper-rejecting — see :mod:`repro.service.persistence` and
-    :attr:`last_load_report` — and every loaded profile passes the
-    exact Lemma-1 gate against the requesting caller's game before its
-    first serve.
+    Warm state loaded from disk (:meth:`merge_pending_state`) is
+    pending: every loaded profile passes the exact Lemma-1 gate against
+    the requesting caller's game before its first serve.
     """
 
     #: The entry bound (live and pending together).
     max_entries = 4096
 
-    def __init__(self, path: str | os.PathLike | None = None):
+    def __init__(self):
         self._profiles: dict[tuple[str, str, str], MixedProfile] = {}
         # Entries restored from disk, awaiting their first-serve
         # re-certification through the Lemma-1 gate (they promote into
@@ -140,12 +126,7 @@ class SolveCache:
         self._track_updates = False
         self._updates: list[tuple] = []
         self.stats = CacheStats()
-        self.path = None if path is None else os.fspath(path)
-        #: Outcome of the most recent :meth:`load` (None before any).
-        self.last_load_report: CacheLoadReport | None = None
         self._load_rejections: list[dict] = []
-        if self.path is not None and os.path.exists(self.path):
-            self.load()
 
     def _evict(self) -> None:
         """Bound the live plus pending entries by ``max_entries``:
@@ -166,7 +147,7 @@ class SolveCache:
     def set_update_tracking(self, enabled: bool) -> None:
         """Arm (or disarm) dirty-entry tracking for write-behind flushes.
 
-        A :class:`~repro.server.journal.WriteBehindPersister` arms this
+        A :class:`~repro.service.journal.WriteBehindPersister` arms this
         and takes the queue (:meth:`drain_updates`) at every flush;
         disarming also discards anything queued, so tracking can never
         leak unbounded memory after its consumer goes away.
@@ -254,90 +235,36 @@ class SolveCache:
         name; it goes with the next benchmark change."""
 
     # ------------------------------------------------------------------
-    # Persistence: exact on-disk warm state
+    # Warm state: what a compaction writes and a recovery loads
     # ------------------------------------------------------------------
 
     def entries(self) -> list[tuple]:
         """Every entry as ``(key, profile)``, oldest first: the order a
-        save writes them.
+        compaction writes them.
 
         Still-pending loaded entries come before the live ones (they
         were on disk already and keep their not-yet-re-certified status
-        on the next load), so a save/load round trip preserves LRU
+        on the next load), so a write/read round trip preserves LRU
         order.  Copied under the lock: the list is a consistent view of
         some recent state, safe to encode while drains go on.
         """
         with self._lock:
             return list({**self._pending, **self._profiles}.items())
 
-    def save(self) -> int:
-        """Atomically write the cache to its path; returns entry count.
-
-        A header and one frame per :meth:`entries` item, landing via
-        temp file + ``os.replace`` — a save concurrent with an active
-        drain yields a complete, loadable file of some recent state.
-        """
-        if self.path is None:
-            raise PersistenceError("this SolveCache has no path to save to")
-        entries = self.entries()
-        write_state_file(
-            self.path, [encode_journal_frame(*entry) for entry in entries]
-        )
-        return len(entries)
-
-    def load(self) -> CacheLoadReport:
-        """Restore warm state from the cache's path; tamper-rejecting.
-
-        What the file yields enters the *pending* store — each entry is
-        re-certified through the exact Lemma-1 gate against the
-        requesting caller's game before its first serve.  A file
-        rejected whole (integrity, schema or decoding failure) restores
-        nothing: the cache keeps serving clean misses, the report says
-        why, and the rejection is queued for the service's
-        ``cache.load.rejected`` audit record.
-        """
-        if self.path is None:
-            raise PersistenceError("this SolveCache has no path to load from")
-        __, report = self.restore(self.path)
-        self.last_load_report = report
-        return report
-
-    def restore(self, path) -> tuple[CacheState, CacheLoadReport]:
-        """Read one state file into the pending store.
-
-        The shared back half of :meth:`load` and a server's recovery
-        (:meth:`repro.server.journal.WriteBehindPersister.recover`):
-        returns the decoded state and the report, and queues every
-        rejection.  A missing file restores nothing and rejects nothing.
-        """
-        path = os.fspath(path)
-        try:
-            state, report = read_state_file(path)
-        except FileNotFoundError:
-            return CacheState(), CacheLoadReport(
-                path=path, accepted=False, reason="file not found"
-            )
-        except OSError as exc:
-            state, report = CacheState(), CacheLoadReport(
-                path=path, accepted=False, reason=str(exc),
-                rejections=({"kind": "file", "path": path,
-                             "reason": str(exc)},),
-            )
-        self.merge_pending_state(state)
-        with self._lock:
-            for rejection in report.rejections:
-                self._note_rejection(**rejection)
-        return state, report
-
-    def merge_pending_state(self, state: CacheState) -> int:
+    def merge_pending_state(self, state: CacheState,
+                            rejections=()) -> int:
         """Merge decoded warm state into the *pending* store; returns
         how many of its entries the cache now holds pending.
 
         Each becomes pending — re-certified through the Lemma-1 gate
         against the requesting caller's actual game before first serve.
         Live entries are never displaced by loaded ones.
+        ``rejections`` (the load report's) are counted into
+        ``load_rejected`` and queued for the audit trail.
         """
         with self._lock:
+            for rejection in rejections:
+                self._note_rejection(**rejection)
             newest = list(state.profiles.items())[-self.max_entries:]
             for key, profile in newest:
                 if key not in self._profiles:
@@ -351,22 +278,6 @@ class SolveCache:
             rejections = self._load_rejections
             self._load_rejections = []
         return rejections
-
-    def close(self) -> None:
-        """Save (when a path is set) and return; idempotent.
-
-        The cache stays usable after closing — ``close`` is a flush
-        point, mirroring the service's own non-final ``close``.
-        """
-        if self.path is not None:
-            self.save()
-
-    def __enter__(self) -> "SolveCache":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
 
     def __len__(self) -> int:
         """Servable entries: live + pending."""

@@ -18,8 +18,8 @@ the production code already crosses:
                         :meth:`AuthorityService._stage_solve`
 ``verify.conclude``     the verify/conclude stage, on the draining thread
 ``journal.append``      the write-behind journal's durable append
-``snapshot.write``      the atomic whole-file write (a save or a
-                        journal compaction)
+``snapshot.write``      the atomic whole-file write (a journal
+                        compaction, or a fresh journal's header)
 ``cache.load``          reading a state file's bytes from disk
 ``pump.iteration``      one iteration of the HTTP server's drain pump
 ======================  ================================================

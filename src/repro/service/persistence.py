@@ -16,25 +16,23 @@ lines:
   wire format in :mod:`repro.proofs.serialize`): no float ever touches
   the file, so the loaded profile *is* the stored profile.
 
-* **Header.**  A whole-file write (:func:`write_state_file`, which both
-  ``SolveCache.save`` and the server's compaction call) opens the file
-  with a header line: the format name, the schema version, and the
-  count and SHA-256 of the frames that follow.  Frames appended later
-  (the server's write-behind flushes) follow the covered ones.
+* **Header.**  A whole-file write (:func:`write_state_file`, which the
+  journal's compaction calls, and its first open of a missing or empty
+  file) opens the file with a header line: the format name, the schema
+  version, and the count and SHA-256 of the frames that follow.  Frames
+  appended later (the write-behind flushes) follow the covered ones.
 
-One reader, :func:`read_state_file`, serves every load.  The covered
-frames are all-or-nothing: a truncated or bit-flipped prefix, an
-unknown format or schema, or a malformed header rejects the whole file
-— the boundary between covered and later frames is then unknown.  Each
-later frame is judged on its own: a torn tail (the normal crash
-artifact) or a tampered line rejects that frame only.  The reader also
-takes what older writers left: a journal without a header, and the
-schema-1 document (one JSON object whose digest covers its payload).
-Only profiles load from either: an older writer's ``set`` and ``hint``
-frames are refused like any unknown frame kind, and a schema-1
-document's ``sets`` and hint list are ignored.  Decoding is strict
-throughout, and every rejection is returned for the
-``cache.load.rejected`` audit trail.
+One reader, :func:`read_state_file`, serves every load, and it speaks
+only this format.  The covered frames are all-or-nothing: a first line
+that is not a schema-2 header (an older writer's schema-1 document or
+headerless journal among them), a truncated or bit-flipped prefix, or a
+malformed header rejects the whole file — the boundary between covered
+and later frames is then unknown.  Each later frame is judged on its
+own: a torn tail (the normal crash artifact) or a tampered line
+rejects that frame only.  Decoding is strict throughout — a frame
+holds one certified profile, and an older writer's ``set`` and
+``hint`` frames are refused like any unknown kind — and every
+rejection is returned for the ``cache.load.rejected`` audit trail.
 
 Writes are atomic: a temporary file in the target directory, fsync,
 ``os.replace``, then an fsync of the directory, so a reader never sees
@@ -63,15 +61,12 @@ from repro.errors import PersistenceError
 from repro.games.profiles import MixedProfile
 from repro.service import faults
 
-#: Format tag of every state file header (and of the schema-1 document).
+#: Format tag of every state file header.
 FORMAT_NAME = "repro.solve-cache"
 
-#: Schema of the header this module writes: a count and a digest over
-#: the digest-framed lines that follow it.
+#: Schema of the header this module writes and reads: a count and a
+#: digest over the digest-framed lines that follow it.
 SCHEMA_VERSION = 2
-
-#: Schema of the whole-file JSON document older writers saved; still read.
-DOCUMENT_SCHEMA_VERSION = 1
 
 _DIGEST_PREFIX = "sha256:"
 
@@ -139,7 +134,7 @@ def decode_profile(rows: Any) -> MixedProfile:
 
 
 # ----------------------------------------------------------------------
-# Decoded contents, the load report, and the schema-1 document
+# Decoded contents and the load report
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -147,10 +142,10 @@ class CacheState:
     """Decoded cache contents, in LRU order.
 
     ``profiles`` maps ``(fingerprint, method, mode)`` to a certified
-    profile.  Iteration order is oldest-first — a save/load round trip
+    profile.  Iteration order is oldest-first — a write/read round trip
     preserves eviction order.  ``frames`` maps a key to the line its
-    entry was read from (a schema-1 document's entries have none), so a
-    writer can keep those bytes instead of encoding the entry again.
+    entry was read from, so a writer can keep those bytes instead of
+    encoding the entry again.
     """
 
     profiles: dict[tuple[str, str, str], MixedProfile] = field(default_factory=dict)
@@ -194,51 +189,6 @@ def _canonical_payload_bytes(payload: dict[str, Any]) -> bytes:
 
 def payload_digest(payload: dict[str, Any]) -> str:
     return _DIGEST_PREFIX + hashlib.sha256(_canonical_payload_bytes(payload)).hexdigest()
-
-
-def decode_document(document: Any) -> CacheState:
-    """Check a schema-1 document's format, schema and digest; decode it.
-
-    Any failure raises :class:`PersistenceError`; the reader turns that
-    into a whole-file rejection.  Payload keys other than ``profiles``
-    are ignored, so a payload from an older writer that also carried
-    enumeration sets or a support-hint list still loads its profiles
-    (the digest covers the whole payload, and verifies).
-    """
-    if not isinstance(document, dict):
-        raise PersistenceError("cache document is not an object")
-    _check_format(document)
-    if document.get("schema") != DOCUMENT_SCHEMA_VERSION:
-        raise PersistenceError(
-            f"unsupported schema version {document.get('schema')!r}"
-        )
-    digest = document.get("digest")
-    payload = document.get("payload")
-    if not isinstance(payload, dict) or not isinstance(digest, str):
-        raise PersistenceError("cache document lacks a payload or digest")
-    if digest != payload_digest(payload):
-        raise PersistenceError("payload digest mismatch: file corrupted or tampered")
-    state = CacheState()
-    try:
-        for entry in payload.get("profiles", ()):
-            key = (entry["fingerprint"], entry["method"], entry["mode"])
-            if not all(isinstance(part, str) for part in key):
-                raise PersistenceError(f"profile key is not three strings: {key!r}")
-            if key in state.profiles:
-                raise PersistenceError(f"duplicate profile key {key!r}")
-            state.profiles[key] = decode_profile(entry["profile"])
-    except PersistenceError:
-        raise
-    except (KeyError, TypeError) as exc:
-        raise PersistenceError(f"malformed cache payload: {exc!r}") from exc
-    return state
-
-
-def _check_format(header: dict) -> None:
-    if header.get("format") != FORMAT_NAME:
-        raise PersistenceError(
-            f"not a solve-cache document (format={header.get('format')!r})"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -331,11 +281,6 @@ def apply_journal_entry(state: CacheState, key, profile: MixedProfile,
 # The state file: atomic writer, one reader
 # ----------------------------------------------------------------------
 
-#: How every encoded frame begins (sorted keys put ``body`` first); a
-#: first line that does not is a header or a schema-1 document.
-_FRAME_PREFIX = b'{"body":'
-
-
 def fsync_directory(directory) -> None:
     """fsync a directory so a rename/create inside it survives power loss.
 
@@ -386,7 +331,7 @@ def write_state_file(path, frames) -> int:
     ``os.replace``, so concurrent readers — and a reader after a
     mid-write crash — see either the old complete file or the new one;
     a crash leaves at most a stale ``.tmp`` file, which no reader opens
-    (a server's recovery deletes it: :func:`remove_stale_temp_files`).
+    (recovery deletes it: :func:`remove_stale_temp_files`).
     The directory is fsynced after the replace: the *rename* lives in
     the directory, and an unsynced entry can vanish on power loss,
     silently resurrecting the old file.
@@ -411,7 +356,7 @@ def write_state_file(path, frames) -> int:
             os.fsync(handle.fileno())
         # mkstemp creates 0600 files; keep the target's existing mode
         # (0644 for a fresh file — probing the umask would mutate
-        # process-global state, which concurrent save() forbids) so a
+        # process-global state, which concurrent writes forbid) so a
         # write never silently locks other readers out of the warm state.
         try:
             mode = os.stat(path).st_mode & 0o777
@@ -432,9 +377,9 @@ def write_state_file(path, frames) -> int:
 def read_state_file(path) -> tuple[CacheState, CacheLoadReport]:
     """Read, integrity-check and strictly decode one state file.
 
-    The header-covered frames (or a schema-1 document) load
-    all-or-nothing; each later frame — all of them in a file without a
-    header — loads or is rejected on its own (see the module notes).
+    The header-covered frames load all-or-nothing, and a file whose
+    first line is not a schema-2 header is rejected whole; each later
+    frame loads or is rejected on its own (see the module notes).
     Never raises for what the file holds; ``FileNotFoundError`` and
     other OS errors propagate, so callers can tell "no warm state yet"
     from "warm state rejected".
@@ -448,16 +393,14 @@ def read_state_file(path) -> tuple[CacheState, CacheLoadReport]:
             path=path, accepted=False, reason="empty file"
         )
     lines = data.split(b"\n")
-    state, start = CacheState(), 0
-    if not lines[0].startswith(_FRAME_PREFIX):
-        try:
-            state, start = _read_covered(data, lines)
-        except PersistenceError as exc:
-            return CacheState(), CacheLoadReport(
-                path=path, accepted=False, reason=str(exc),
-                rejections=({"kind": "file", "path": path,
-                             "reason": str(exc)},),
-            )
+    try:
+        state, start = _read_covered(data, lines)
+    except PersistenceError as exc:
+        return CacheState(), CacheLoadReport(
+            path=path, accepted=False, reason=str(exc),
+            rejections=({"kind": "file", "path": path,
+                         "reason": str(exc)},),
+        )
     frames = len(state.frames)
     rejections = []
     for index in range(start, len(lines)):
@@ -479,7 +422,7 @@ def read_state_file(path) -> tuple[CacheState, CacheLoadReport]:
 
 
 def _read_covered(data: bytes, lines: list) -> tuple[CacheState, int]:
-    """The header and the frames it covers, or a schema-1 document.
+    """The header and the frames it covers.
 
     Returns the decoded state and the index of the first line after the
     covered part; raises :class:`PersistenceError` on any failure.
@@ -489,20 +432,16 @@ def _read_covered(data: bytes, lines: list) -> tuple[CacheState, int]:
     except (UnicodeDecodeError, json.JSONDecodeError):
         header = None
     if not isinstance(header, dict):
-        # A schema-1 document written over several lines, or junk.
-        try:
-            document = json.loads(data)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise PersistenceError(f"cache file is not valid JSON: {exc}") from exc
-        return decode_document(document), len(lines)
-    _check_format(header)
+        raise PersistenceError("the first line is not a state-file header")
+    if header.get("format") != FORMAT_NAME:
+        raise PersistenceError(
+            f"not a solve-cache file (format={header.get('format')!r})"
+        )
     schema = header.get("schema")
-    if schema == DOCUMENT_SCHEMA_VERSION:
-        return decode_document(header), 1
     if schema != SCHEMA_VERSION:
         raise PersistenceError(
             f"unsupported schema version {schema!r} (this reader speaks "
-            f"{SCHEMA_VERSION}, and reads {DOCUMENT_SCHEMA_VERSION})"
+            f"{SCHEMA_VERSION})"
         )
     count, digest = header.get("frames"), header.get("digest")
     if type(count) is not int or count < 0 or not isinstance(digest, str):

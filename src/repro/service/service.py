@@ -18,7 +18,12 @@ inventors advise, verifiers certify — not a batch script.
   thread, and it stays exact (Fractions/int-lattice only) and in this
   process;
 * admission past ``max_pending`` is refused with
-  :class:`~repro.errors.AdmissionError`.
+  :class:`~repro.errors.AdmissionError`;
+* with a ``state_dir`` the service owns its warm state's one path to
+  disk: a :class:`~repro.service.journal.WriteBehindPersister` over
+  ``state_dir/journal.jsonl``, recovered before the constructor
+  returns, flushed at the end of every drain and compacted on
+  :meth:`~AuthorityService.close`.
 
 Draining is demand-driven and thread-safe: any caller blocking on a
 future's ``result()`` pumps the queue (one drainer at a time; others
@@ -59,6 +64,7 @@ from repro.core.audit_events import (
     EVENT_CACHE_SAVED,
     EVENT_CALLBACK_FAILED,
     EVENT_DEADLINE_EXCEEDED,
+    EVENT_DURABILITY_DEGRADED,
     EVENT_SERVICE_COMPLETED,
 )
 from repro.core.session import ConsultationSession, SessionOutcome
@@ -66,6 +72,7 @@ from repro.errors import AdmissionError, DeadlineExceeded, ProtocolError
 from repro.service import faults
 from repro.service.cache import SolveCache
 from repro.service.futures import ConsultationFuture
+from repro.service.journal import WriteBehindPersister, state_path
 
 #: The longest deadline a submission may carry: the drain waits out a
 #: deadlined solve with one timed wait, which refuses longer timeouts.
@@ -116,14 +123,16 @@ class AuthorityService:
     :class:`~repro.service.cache.SolveCache` (one is created when
     omitted); the service attaches it to every registered inventor.
 
-    ``cache_path`` makes the service's warm state persistent: a
-    :class:`~repro.service.cache.SolveCache` bound to that file is
-    created, warm-loaded immediately (a rejected — tampered, truncated
-    or stale-schema — file starts the cache empty and appends a
-    ``cache.load.rejected`` audit record), and saved back atomically on
-    :meth:`close`.  Pass either ``cache_path`` or an
-    explicit ``solve_cache``, not both — a caller-owned cache manages
-    its own persistence.
+    ``state_dir`` makes the service's warm state durable: the service
+    creates its cache and :attr:`persister`, a
+    :class:`~repro.service.journal.WriteBehindPersister` over
+    ``state_dir/journal.jsonl``, and recovers the file before the
+    constructor returns (one ``cache.load.completed`` record, then a
+    ``cache.load.rejected`` record per refusal — a rejected file starts
+    the cache empty).  Every drain ends with the persister's flush, and
+    :meth:`close` compacts the file.  Pass either ``state_dir`` or an
+    explicit ``solve_cache``, not both: the persister must journal
+    every store of its cache.
 
     ``max_pending`` is the admission high-water mark: an admission
     that would take the pending count past it is refused with
@@ -145,22 +154,18 @@ class AuthorityService:
     """
 
     def __init__(self, authority, solve_cache: SolveCache | None = None,
-                 cache_path=None,
+                 state_dir=None,
                  max_pending: int | None = None):
-        if solve_cache is not None and cache_path is not None:
+        if solve_cache is not None and state_dir is not None:
             raise ProtocolError(
-                "pass either solve_cache or cache_path, not both"
+                "pass either solve_cache or state_dir, not both"
             )
         if max_pending is not None and max_pending < 1:
             raise ProtocolError("max_pending must be positive")
         self._authority = authority
-        # The service persists (and audits) only a cache it created;
-        # a caller-owned cache manages its own persistence.
-        self._cache_owned = solve_cache is None
-        if solve_cache is not None:
-            self.cache = solve_cache
-        else:
-            self.cache = SolveCache(path=cache_path)
+        self.cache = solve_cache if solve_cache is not None else SolveCache()
+        #: The write-behind persister of ``state_dir`` (None without one).
+        self.persister: WriteBehindPersister | None = None
         self._queue: deque[_Submission] = deque()
         self._admission_lock = threading.Lock()
         self._drain_lock = threading.Lock()
@@ -176,18 +181,13 @@ class AuthorityService:
         self._stats_lock = threading.Lock()
         self._completed = 0
         self._solves_running = 0
-        self._drain_listeners: list = []
         # Failure telemetry (surfaced via failure_counters / GET /stats).
         self._deadlines_exceeded = 0
         self._high_water = max_pending
         self._attach_solve_cache()
-        report = self.cache.last_load_report
-        if cache_path is not None and report is not None and report.accepted:
-            self._authority.audit.record(
-                "-", self._authority.AUTHORITY_NAME, EVENT_CACHE_LOADED,
-                **report.as_dict(),
-            )
-        self._flush_cache_rejections()
+        if state_dir is not None:
+            self._recover(state_dir)
+        self._audit_cache_rejections()
 
     @property
     def authority(self):
@@ -198,14 +198,24 @@ class AuthorityService:
         """
         return self._authority
 
-    def flush_cache_rejections(self) -> None:
-        """Publish queued cache load/serve rejections into the audit log.
+    def _recover(self, state_dir) -> None:
+        """Attach the persister of ``state_dir`` and load its file."""
+        persister = WriteBehindPersister(self.cache, state_path(state_dir))
+        persister.set_event_handler(self._on_durability_event)
+        report = persister.recover()
+        self.persister = persister
+        self._authority.audit.record(
+            "-", self._authority.AUTHORITY_NAME, EVENT_CACHE_LOADED,
+            entries=len(self.cache),
+            **{f"journal_{k}": v for k, v in report.as_dict().items()},
+        )
 
-        Normally the drain loop does this; a host that loads warm state
-        outside a drain (journal replay at server startup) calls it
-        directly so tampered frames are audited before the first drain.
-        """
-        self._flush_cache_rejections()
+    def _on_durability_event(self, event: dict) -> None:
+        """The persister's degradation observer → the audit trail."""
+        self._authority.audit.record(
+            "-", self._authority.AUTHORITY_NAME,
+            EVENT_DURABILITY_DEGRADED, **event,
+        )
 
     # ------------------------------------------------------------------
     # Admission
@@ -305,9 +315,10 @@ class AuthorityService:
         taking submissions admitted *while it runs*, so under
         continuous load one "drain" can stretch over many of them —
         fine for throughput, but it stretches the write-behind flush
-        interval with it.  The HTTP server's pump drains one
-        submission at a time, so a crash can lose the journal frame of
-        at most one answered consultation.
+        interval with it: a drain ends with the persister's flush.  The
+        HTTP server's pump drains one submission at a time, so a crash
+        can lose the journal frame of at most one answered
+        consultation.
 
         Done-callbacks run on the draining thread.  One that drains
         there — through ``result()`` or ``exception()`` on a pending
@@ -330,8 +341,7 @@ class AuthorityService:
 
     def _drain(self, max_submissions: int | None) -> int:
         self._attach_solve_cache()  # pick up inventors registered since
-        depth_at_start = self.pending_count
-        if depth_at_start == 0:
+        if not self.pending_count:
             return 0
         drained = 0
         submission = None
@@ -351,39 +361,12 @@ class AuthorityService:
             raise
         # Completions are counted by the futures themselves as they
         # resolve (see _note_completed) — nothing to tally here.
-        self._flush_cache_rejections()
-        self._notify_drained(drained, depth_at_start)
+        self._audit_cache_rejections()
+        if self.persister is not None:
+            # Every future this drain took has resolved and every cache
+            # write it made is queued: the flush point.
+            self.persister.on_drained()
         return drained
-
-    # ------------------------------------------------------------------
-    # Drain listeners (the write-behind persistence seam)
-    # ------------------------------------------------------------------
-
-    def add_drain_listener(self, listener) -> None:
-        """Call ``listener(summary)`` at the end of every non-empty drain.
-
-        The listener runs on the draining thread at a quiescent point —
-        every admitted future resolved — with a small summary dict
-        (``submissions``, ``queue_depth``).  This is the hook a
-        write-behind persister uses to flush journal frames every N
-        drains and compact the journal without racing in-flight
-        solves: all cache writes happen *during* drains, so at this
-        point the dirty queue is stable.  A raising listener propagates
-        (durability failures — a full disk — must not be silent).
-        """
-        self._drain_listeners.append(listener)
-
-    def remove_drain_listener(self, listener) -> None:
-        """Detach a drain listener (no-op when not attached)."""
-        try:
-            self._drain_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def _notify_drained(self, submissions: int, queue_depth: int) -> None:
-        summary = {"submissions": submissions, "queue_depth": queue_depth}
-        for listener in tuple(self._drain_listeners):
-            listener(summary)
 
     def _abort_outstanding(self, exc: BaseException,
                            current: _Submission | None) -> None:
@@ -407,11 +390,11 @@ class AuthorityService:
                 caches.setdefault(id(cache), cache)
         return list(caches.values())
 
-    def _flush_cache_rejections(self) -> None:
+    def _audit_cache_rejections(self) -> None:
         """Turn queued cache load/serve rejections into audit records.
 
-        Covers every active cache (an inventor may carry its own
-        persistent cache): each detail dict a cache refused to serve —
+        Covers every active cache (an inventor may carry a cache of
+        its own): each detail dict a cache refused to serve —
         a whole rejected file or a loaded entry that failed the Lemma-1
         gate at first serve — becomes one ``cache.load.rejected``
         record, so tampered warm state is visible in the audit trail,
@@ -642,21 +625,30 @@ class AuthorityService:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def close(self) -> None:
-        """Drain outstanding work and persist a path-bound cache.
+    def close(self) -> int | None:
+        """Drain outstanding work, then compact the journal.
 
-        Idempotent, and — like the authority's own ``close`` — not
-        final: the service stays usable.  A path-bound cache is
-        persisted here (atomic replace), so a ``close``\\ d — or
-        context-managed — service never forgets its warm state.
+        Returns the compacted entry count: ``None`` without a
+        ``state_dir``, 0 when the compaction failed (the persister
+        counts and reports it, and the file stays as it was).  A landed
+        compaction is audited ``cache.saved``.  The journal's handle is
+        closed, and tracking stays armed: idempotent, and — like the
+        authority's own ``close`` — not final, so a consultation after
+        ``close()`` still reaches the journal at its drain's flush.
         """
         self.drain()
-        if self._cache_owned and self.cache.path is not None:
-            entries = self.cache.save()
-            self._authority.audit.record(
-                "-", self._authority.AUTHORITY_NAME, EVENT_CACHE_SAVED,
-                path=self.cache.path, entries=entries,
-            )
+        persister = self.persister
+        if persister is None:
+            return None
+        entries = persister.guarded_snapshot()
+        persister.journal.close()
+        if entries is None:
+            return 0
+        self._authority.audit.record(
+            "-", self._authority.AUTHORITY_NAME, EVENT_CACHE_SAVED,
+            path=persister.journal.path, entries=entries,
+        )
+        return entries
 
     def __enter__(self) -> "AuthorityService":
         return self

@@ -1,16 +1,19 @@
-"""Persistent SolveCache: exact round trips, tamper-rejecting loads.
+"""Persistent warm state: exact round trips, tamper-rejecting loads.
 
 The contract under test is the restart half of proof-preserving
-caching: a saved-then-loaded cache serves profiles *bit-identical* to
-its in-memory hits, every loaded profile passes the Lemma-1 lattice
-gate before its first serve, and any tampered, truncated or
-version-mismatched file degrades to an empty cache (clean misses) plus
-a ``cache.load.rejected`` audit record — never to unverified advice.
+caching: a compacted-then-recovered cache serves profiles
+*bit-identical* to its in-memory hits, every loaded profile passes the
+Lemma-1 lattice gate before its first serve, and any tampered,
+truncated, version-mismatched or older-format file degrades to an
+empty cache (clean misses) plus a ``cache.load.rejected`` audit record
+— never to unverified advice.
 
-A saved file is a header line (format, schema, count and digest of the
-frames) over one digest-framed line per entry; the tamper tests edit
-the header or a covered frame and, where a forger would, reseal every
-digest with the real writer.
+A compacted file is a header line (format, schema, count and digest of
+the frames) over one digest-framed line per entry; the tamper tests
+edit the header or a covered frame and, where a forger would, reseal
+every digest with the real writer.  Files are written and recovered
+through the one path to disk, the write-behind persister that
+``AuthorityService(state_dir=)`` owns.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ from repro.core.audit_events import (
     EVENT_CACHE_LOAD_REJECTED,
     EVENT_CACHE_LOADED,
     EVENT_CACHE_SAVED,
+    EVENT_DURABILITY_DEGRADED,
 )
 from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
-from repro.errors import PersistenceError
+from repro.errors import PersistenceError, ProtocolError
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
 from repro.linalg.backend import (
@@ -39,16 +43,18 @@ from repro.linalg.backend import (
     MODE_NUMPY,
     BackendPolicy,
 )
-from repro.service import AuthorityService, SolveCache
+from repro.service import AuthorityService, SolveCache, faults
+from repro.service.journal import WriteBehindPersister
 from repro.service.persistence import (
-    DOCUMENT_SCHEMA_VERSION,
     FORMAT_NAME,
     SCHEMA_VERSION,
     decode_fraction,
     decode_profile,
     encode_fraction,
+    encode_journal_frame,
     encode_profile,
     payload_digest,
+    read_state_file,
     write_state_file,
 )
 
@@ -106,7 +112,7 @@ _BOS_FINGERPRINT = (
     "db684689d8aad4a0cfe8c78e1ae8227a4ee79376c7761eb418281a594adeab9d"
 )
 
-#: A snapshot of one cached Battle-of-the-Sexes solve and its
+#: A schema-1 document of one cached Battle-of-the-Sexes solve and its
 #: enumeration set, as the writer that still kept support hints saved
 #: it (the digest is that writer's).
 _OLDER_SNAPSHOT = {
@@ -156,8 +162,20 @@ _RETIRED_FRAME_BODIES = {
 }
 
 
+def _persisted(path):
+    """A fresh cache and the persister of ``path`` over it."""
+    cache = SolveCache()
+    return cache, WriteBehindPersister(cache, path)
+
+
+def _recovered(path):
+    """A fresh cache recovered from ``path``: ``(cache, report)``."""
+    cache, persister = _persisted(path)
+    return cache, persister.recover()
+
+
 def _header_and_bodies(path) -> tuple[dict, list[dict]]:
-    """A saved file's header and its covered frames' bodies."""
+    """A compacted file's header and its covered frames' bodies."""
     lines = path.read_bytes().splitlines()
     return json.loads(lines[0]), [json.loads(line)["body"] for line in lines[1:]]
 
@@ -213,12 +231,13 @@ class TestExactEncoding:
 
 
 class TestRoundTrip:
-    """Saved-then-loaded caches serve bit-identical, re-certified hits."""
+    """Compacted-then-recovered caches serve bit-identical, re-certified
+    hits."""
 
     @pytest.mark.parametrize("policy", MODES, ids=[p.mode for p in MODES])
     def test_profiles_bit_identical_across_modes(self, tmp_path, policy):
-        path = tmp_path / "cache.json"
-        cache = SolveCache(path=path)
+        path = tmp_path / "journal.jsonl"
+        cache, persister = _persisted(path)
         inventor = BimatrixInventor(
             "inv", method="support-enumeration", backend=policy,
             solve_cache=cache,
@@ -227,10 +246,10 @@ class TestRoundTrip:
             random_bimatrix(4, 4, seed=900 + i) for i in range(3)
         ]
         cold = [inventor.solve(g).profile for g in games]
-        cache.close()  # autosave
+        persister.close()  # the final compaction
 
-        loaded = SolveCache(path=path)
-        assert loaded.last_load_report.accepted
+        loaded, report = _recovered(path)
+        assert report.accepted
         restarted = BimatrixInventor(
             "inv2", method="support-enumeration", backend=policy,
             solve_cache=loaded,
@@ -243,75 +262,20 @@ class TestRoundTrip:
         assert loaded.stats.hits == len(games)
         assert loaded.stats.load_rejected == 0
 
-    def test_snapshot_with_support_hints_still_loads(self, tmp_path):
-        # An older writer's file: its payload also carries a support-hint
-        # list and an enumeration set.  Both are ignored and the digest,
-        # which covers them, still verifies; the profile serves as a hit.
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps(_OLDER_SNAPSHOT))
-        cache = SolveCache(path=path)
-        report = cache.last_load_report
-        assert report.accepted, report.reason
-        assert report.profiles == 1
-        assert len(cache) == 1
-        game = _battle_of_the_sexes()
-        inventor = BimatrixInventor(
-            "inv", method="support-enumeration", solve_cache=cache
-        )
-        profile, cache_state, __ = inventor.solve(game)
-        assert cache_state == "hit"
-        assert profile.distributions == ((1, 0), (1, 0))
-        assert cache.stats.load_rejected == 0
-        cache.save()  # rewritten in the current format, set and hints dropped
-        header, bodies = _header_and_bodies(path)
-        assert header["schema"] == SCHEMA_VERSION
-        assert [body["kind"] for body in bodies] == ["profile"]
-
-    @pytest.mark.parametrize("sets", [
-        [{**_OLDER_SET, "equal_size_only": "false"}],
-        [{**_OLDER_SET, "equal_size_only": None}],
-        [{**_OLDER_SET, "profiles": [[["1/3", "1/3", "1/3"],
-                                      ["1/2", "1/2"]]]}],
-        "not a list",
-        [{"fingerprint": 7}],
-    ], ids=[
-        "string-flag", "null-flag", "forged-member", "not-a-list",
-        "malformed-entry",
-    ])
-    def test_schema_one_sets_are_ignored_whatever_they_hold(
-        self, tmp_path, sets
-    ):
-        # Under a recomputed digest, a schema-1 document's sets are never
-        # decoded, so not even a malformed one refuses the file.
-        payload = {**_OLDER_SNAPSHOT["payload"], "sets": sets}
-        document = {**_OLDER_SNAPSHOT, "payload": payload,
-                    "digest": payload_digest(payload)}
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps(document))
-        cache = SolveCache(path=path)
-        report = cache.last_load_report
-        assert report.accepted, report.reason
-        assert report.profiles == 1 and not report.rejections
-        inventor = BimatrixInventor(
-            "inv", method="support-enumeration", solve_cache=cache
-        )
-        assert inventor.solve(_battle_of_the_sexes()).cache == "hit"
-        assert cache.stats.load_rejected == 0 and len(cache) == 1
-
     def test_lru_order_survives_the_round_trip(self, tmp_path, monkeypatch):
-        path = tmp_path / "cache.json"
-        cache = SolveCache(path=path)
+        path = tmp_path / "journal.jsonl"
+        cache, persister = _persisted(path)
         inventor = BimatrixInventor(
             "inv", method="support-enumeration", solve_cache=cache
         )
         games = [random_bimatrix(3, 3, seed=700 + i) for i in range(3)]
         for i, game in enumerate(games):
             inventor.solve(game)
-        cache.save()
+        persister.close()
 
         # Reload into a 2-entry cache: only the two *newest* survive.
         monkeypatch.setattr(SolveCache, "max_entries", 2)
-        loaded = SolveCache(path=path)
+        loaded, __ = _recovered(path)
         probe = BimatrixInventor(
             "probe", method="support-enumeration", solve_cache=loaded
         )
@@ -327,24 +291,27 @@ class TestRoundTrip:
 
         path, _ = _populated_file(tmp_path)
         os.chmod(path, 0o644)
-        cache = SolveCache(path=path)
-        cache.save()
+        cache, persister = _persisted(path)
+        persister.recover()
+        persister.snapshot()
         assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
 
     def test_pending_entries_ride_along_on_save(self, tmp_path):
-        # Load warm state, serve none of it, save again: nothing is lost.
-        path = tmp_path / "cache.json"
-        cache = SolveCache(path=path)
+        # Load warm state, serve none of it, compact again: nothing is
+        # lost.
+        path = tmp_path / "journal.jsonl"
+        cache, persister = _persisted(path)
         inventor = BimatrixInventor(
             "inv", method="support-enumeration", solve_cache=cache
         )
         game = random_bimatrix(3, 3, seed=77)
         inventor.solve(game)
-        cache.save()
-        intermediate = SolveCache(path=path)  # loads, serves nothing
-        intermediate.save()
-        final = SolveCache(path=path)
-        assert final.last_load_report.profiles == 1
+        persister.close()
+        intermediate, persister = _persisted(path)
+        persister.recover()  # loads, serves nothing
+        persister.close()
+        final, report = _recovered(path)
+        assert report.profiles == 1
         served = BimatrixInventor(
             "inv2", method="support-enumeration", solve_cache=final
         )
@@ -353,15 +320,15 @@ class TestRoundTrip:
 
 
 def _populated_file(tmp_path, count=2):
-    path = tmp_path / "cache.json"
-    cache = SolveCache(path=path)
+    path = tmp_path / "journal.jsonl"
+    cache, persister = _persisted(path)
     inventor = BimatrixInventor(
         "inv", method="support-enumeration", solve_cache=cache
     )
     games = [random_bimatrix(3, 3, seed=40 + i) for i in range(count)]
     for i, game in enumerate(games):
         inventor.solve(game)
-    cache.save()
+    persister.close()
     return path, games
 
 
@@ -369,9 +336,8 @@ class TestTamperRejection:
     """Corruption of any kind loads as empty-with-rejection, never advice."""
 
     def _assert_rejected(self, path, reason_fragment=""):
-        cache = SolveCache(path=path)
-        report = cache.last_load_report
-        assert report is not None and not report.accepted
+        cache, report = _recovered(path)
+        assert not report.accepted
         if reason_fragment:
             assert reason_fragment in report.reason
         assert len(cache) == 0  # clean misses from here on
@@ -395,8 +361,8 @@ class TestTamperRejection:
             tampered = bytearray(data)
             tampered[offset] ^= 0x01
             path.write_bytes(bytes(tampered))
-            cache = SolveCache(path=path)
-            assert not cache.last_load_report.accepted
+            cache, report = _recovered(path)
+            assert not report.accepted
             assert len(cache) == 0
 
     def test_wrong_schema_version_is_rejected(self, tmp_path):
@@ -411,23 +377,13 @@ class TestTamperRejection:
         self._assert_rejected(path, "not a solve-cache")
 
     def test_garbage_and_empty_files_are_rejected(self, tmp_path):
-        path = tmp_path / "cache.json"
+        path = tmp_path / "journal.jsonl"
         for blob in (b"", b"not json at all", b"\x00\xff\xfe", b"[1, 2, 3]"):
             path.write_bytes(blob)
-            cache = SolveCache(path=path)
-            assert not cache.last_load_report.accepted
+            cache, report = _recovered(path)
+            assert not report.accepted
             assert len(cache) == 0
             cache.drain_rejections()
-
-    def test_missing_file_is_a_quiet_cold_start(self, tmp_path):
-        cache = SolveCache(path=tmp_path / "never-written.json")
-        # No load happened (nothing to reject, nothing to audit)...
-        assert cache.last_load_report is None
-        assert cache.drain_rejections() == []
-        # ...and an explicit load reports not-found without a rejection.
-        report = cache.load()
-        assert not report.accepted and report.reason == "file not found"
-        assert cache.stats.load_rejected == 0
 
     def test_forged_digest_profile_fails_the_gate_at_serve(self, tmp_path):
         # An adversary who *recomputes* the digest can get structurally
@@ -444,8 +400,8 @@ class TestTamperRejection:
 
         _reseal(path, uniform)
 
-        cache = SolveCache(path=path)
-        assert cache.last_load_report.accepted  # structurally fine
+        cache, report = _recovered(path)
+        assert report.accepted  # structurally fine
         inventor = BimatrixInventor(
             "inv", method="support-enumeration", solve_cache=cache
         )
@@ -482,7 +438,7 @@ class TestTamperRejection:
             bodies[0]["profile"] = [["1/2", "1/2"], ["1/2", "1/2"]]  # 2x2
 
         _reseal(path, wrong_shape)
-        cache = SolveCache(path=path)
+        cache, __ = _recovered(path)
         inventor = BimatrixInventor(
             "inv", method="support-enumeration", solve_cache=cache
         )
@@ -492,7 +448,49 @@ class TestTamperRejection:
         assert cache.stats.load_rejected == 1
 
 
-def _service_fixture(tmp_path, cache_path=None, games=None, **kwargs):
+def _older_files() -> dict:
+    """What older writers left, by name: frames without a header, and
+    the schema-1 document on one line and over several."""
+    profile = (_BOS_FINGERPRINT, "support-enumeration", "exact")
+    frame = encode_journal_frame(
+        profile, decode_profile(_OLDER_SNAPSHOT["payload"]["profiles"][0]
+                                ["profile"])
+    )
+    return {
+        "headerless-journal": frame,
+        "schema-1-line": json.dumps(_OLDER_SNAPSHOT).encode() + b"\n",
+        "schema-1-document": json.dumps(_OLDER_SNAPSHOT, indent=1).encode(),
+    }
+
+
+class TestOlderFormats:
+    """The reader speaks only the schema-2 header format: an older
+    writer's file is refused whole, audited once, and compacted over.
+    It is only warm state, so the refusal costs a re-solve."""
+
+    @pytest.mark.parametrize("name", sorted(_older_files()))
+    def test_an_older_file_is_refused_whole(self, tmp_path, name):
+        state = tmp_path / "state"
+        state.mkdir()
+        (state / "journal.jsonl").write_bytes(_older_files()[name])
+        authority, service = _service_fixture(
+            state, [("bos", _battle_of_the_sexes())]
+        )
+        rejected = authority.audit.events_of(EVENT_CACHE_LOAD_REJECTED)
+        assert [r.details["kind"] for r in rejected] == ["file"]
+        (loaded,) = authority.audit.events_of(EVENT_CACHE_LOADED)
+        assert loaded.details["journal_accepted"] is False
+        assert loaded.details["entries"] == 0
+        # Compacted over before serving: a header over no frames.
+        header, body = _header_and_bodies(state / "journal.jsonl")
+        assert header["frames"] == 0 and body == []
+        outcome = service.submit("jane", "bos").result()
+        assert outcome.adopted and outcome.advice.cache == "miss"
+        service.close()
+        authority.close()
+
+
+def _service_fixture(state_dir=None, games=None, **kwargs):
     authority = RationalityAuthority(seed=3)
     authority.register_verifiers(standard_procedures())
     inventor = BimatrixInventor("inv", method="support-enumeration")
@@ -500,31 +498,32 @@ def _service_fixture(tmp_path, cache_path=None, games=None, **kwargs):
     authority.register_agent(AuthorityAgent("jane", player_role=0))
     for game_id, game in games or ():
         authority.publish_game("inv", game_id, game)
-    service = AuthorityService(authority, cache_path=cache_path, **kwargs)
+    service = AuthorityService(authority, state_dir=state_dir, **kwargs)
     return authority, service
 
 
 class TestServiceIntegration:
-    """cache_path end-to-end: warm load, audit records, save on close."""
+    """state_dir end-to-end: recovery, audit records, compaction on
+    close."""
 
     def test_restart_round_trip_through_the_service(self, tmp_path):
-        path = tmp_path / "service-cache.json"
+        state = tmp_path / "state"
         bases = [random_bimatrix(4, 4, seed=80 + i) for i in range(3)]
         games = [(f"c{i}", g) for i, g in enumerate(bases)]
-        authority, service = _service_fixture(tmp_path, path, games)
+        authority, service = _service_fixture(state, games)
         cold = [service.submit("jane", f"c{i}").result() for i in range(3)]
         service.close()
         saved = authority.audit.events_of(EVENT_CACHE_SAVED)
         assert saved and saved[-1].details["entries"] == len(service.cache)
-        assert path.exists()
+        assert (state / "journal.jsonl").exists()
 
         clones = [
             (f"w{i}", BimatrixGame(g.row_matrix, g.column_matrix))
             for i, g in enumerate(bases)
         ]
-        authority2, service2 = _service_fixture(tmp_path, path, clones)
+        authority2, service2 = _service_fixture(state, clones)
         loaded = authority2.audit.events_of(EVENT_CACHE_LOADED)
-        assert loaded and loaded[-1].details["profiles"] == 3
+        assert loaded and loaded[-1].details["journal_profiles"] == 3
         warm = [service2.submit("jane", f"w{i}").result() for i in range(3)]
         assert all(o.advice.cache == "hit" for o in warm)
         for c, w in zip(cold, warm):
@@ -535,75 +534,106 @@ class TestServiceIntegration:
         authority2.close()
 
     def test_rejected_load_is_audited_and_still_serves(self, tmp_path):
-        path = tmp_path / "service-cache.json"
+        state = tmp_path / "state"
         game = random_bimatrix(3, 3, seed=91)
-        authority, service = _service_fixture(
-            tmp_path, path, [("g", game)]
-        )
+        authority, service = _service_fixture(state, [("g", game)])
         service.submit("jane", "g").result()
         service.close()
+        path = state / "journal.jsonl"
         data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 0x02
         path.write_bytes(bytes(data))
 
         clone = BimatrixGame(game.row_matrix, game.column_matrix)
-        authority2, service2 = _service_fixture(tmp_path, path, [("g", clone)])
+        authority2, service2 = _service_fixture(state, [("g", clone)])
         rejected = authority2.audit.events_of(EVENT_CACHE_LOAD_REJECTED)
         assert len(rejected) == 1
         assert rejected[0].details["kind"] == "file"
         outcome = service2.submit("jane", "g").result()
         assert outcome.adopted and outcome.advice.cache == "miss"
+        service2.close()
         authority.close()
         authority2.close()
 
-    def test_caller_owned_cache_is_not_saved_by_the_service(self, tmp_path):
-        # A cache the caller constructed manages its own persistence:
-        # service.close() must not write (or audit) its file behind
-        # the caller's back — only service-created caches autosave.
-        path = tmp_path / "caller-owned.json"
-        cache = SolveCache(path=path)
-        game = random_bimatrix(3, 3, seed=93)
-        authority, service = _service_fixture(
-            tmp_path, games=[("g", game)], solve_cache=cache
-        )
-        service.submit("jane", "g").result()
-        service.close()
-        assert not path.exists()
-        assert not authority.audit.events_of(EVENT_CACHE_SAVED)
-        cache.close()  # the caller's own flush point still works
-        assert path.exists()
+    def test_a_missing_journal_is_a_quiet_cold_start(self, tmp_path):
+        authority, service = _service_fixture(tmp_path / "state")
+        # One record of the load, no rejection to audit.
+        (loaded,) = authority.audit.events_of(EVENT_CACHE_LOADED)
+        assert loaded.details["journal_accepted"] is False
+        assert loaded.details["journal_reason"] == "file not found"
+        assert loaded.details["entries"] == 0
+        assert not authority.audit.events_of(EVENT_CACHE_LOAD_REJECTED)
+        assert service.cache.stats.load_rejected == 0
+        assert os.listdir(tmp_path / "state") == []
         authority.close()
 
-    def test_cache_path_and_solve_cache_are_mutually_exclusive(self, tmp_path):
-        from repro.errors import ProtocolError
-
+    def test_state_dir_and_solve_cache_are_mutually_exclusive(
+        self, tmp_path
+    ):
         authority = RationalityAuthority(seed=1)
         with pytest.raises(ProtocolError):
             AuthorityService(
                 authority, solve_cache=SolveCache(),
-                cache_path=tmp_path / "x.json",
+                state_dir=tmp_path / "state",
             )
 
     def test_leaving_a_with_block_persists_too(self, tmp_path):
-        path = tmp_path / "context-cache.json"
+        state = tmp_path / "state"
         game = random_bimatrix(3, 3, seed=92)
-        authority, service = _service_fixture(tmp_path, path, [("g", game)])
+        authority, service = _service_fixture(state, [("g", game)])
         with service:
             future = service.submit("jane", "g")
-        # Leaving the block closed the service: drained, then saved.
+        # Leaving the block closed the service: drained, then compacted.
         assert future.done() and future.result().adopted
-        assert path.exists()
-        assert SolveCache(path=path).last_load_report.accepted
+        header, bodies = _header_and_bodies(state / "journal.jsonl")
+        assert header["frames"] == 1 and len(bodies) == 1
+        assert _recovered(state / "journal.jsonl")[1].accepted
+        authority.close()
+
+    def test_a_consultation_after_close_still_reaches_the_journal(
+        self, tmp_path
+    ):
+        # close() is not final: tracking stays armed, and the next
+        # drain's flush reopens the journal it closed.
+        state = tmp_path / "state"
+        bases = [random_bimatrix(3, 3, seed=95 + i) for i in range(2)]
+        authority, service = _service_fixture(
+            state, [(f"g{i}", g) for i, g in enumerate(bases)]
+        )
+        service.submit("jane", "g0").result()
+        assert service.close() == 1
+        service.submit("jane", "g1").result()
+        service.persister.journal.close()  # a crash: no second close()
+        state_file, report = read_state_file(state / "journal.jsonl")
+        assert report.accepted and report.frames == 2
+        assert _header_and_bodies(state / "journal.jsonl")[0]["frames"] == 1
+        assert len(state_file.profiles) == 2
+        authority.close()
+
+    def test_a_failed_close_compaction_is_reported_not_saved(self, tmp_path):
+        state = tmp_path / "state"
+        game = random_bimatrix(3, 3, seed=94)
+        authority, service = _service_fixture(state, [("g", game)])
+        service.submit("jane", "g").result()
+        with faults.armed("snapshot.write:raise:oserror@1"):
+            assert service.close() == 0
+        assert not authority.audit.events_of(EVENT_CACHE_SAVED)
+        (failed,) = authority.audit.events_of(EVENT_DURABILITY_DEGRADED)
+        assert failed.details["kind"] == "snapshot-failed"
+        assert service.persister.snapshot_failures == 1
+        # The journal the drain flushed still holds the entry.
+        assert _recovered(state / "journal.jsonl")[1].frames == 1
         authority.close()
 
     def test_concurrent_save_during_active_drain_is_consistent(self, tmp_path):
-        # A saver thread hammers save() while the service drains a
-        # stream: every snapshot written must be a complete, loadable
-        # document (atomic replace), and the final state round-trips.
-        path = tmp_path / "concurrent.json"
+        # A saver thread hammers compactions while the service drains a
+        # stream: every file written must be complete and loadable
+        # (atomic replace), and the final state round-trips.
+        state = tmp_path / "state"
+        path = state / "journal.jsonl"
         bases = [random_bimatrix(4, 4, seed=120 + i) for i in range(6)]
         games = [(f"g{i}", g) for i, g in enumerate(bases)]
-        authority, service = _service_fixture(tmp_path, path, games)
+        authority, service = _service_fixture(state, games)
         futures = [service.submit("jane", f"g{i}") for i in range(6)]
         stop = threading.Event()
         failures: list[BaseException] = []
@@ -611,10 +641,9 @@ class TestServiceIntegration:
         def saver():
             while not stop.is_set():
                 try:
-                    service.cache.save()
-                    if path.exists():
-                        report = SolveCache(path=path).last_load_report
-                        assert report.accepted, report.reason
+                    service.persister.snapshot()
+                    report = read_state_file(path)[1]
+                    assert report.accepted, report.reason
                 except BaseException as exc:  # pragma: no cover - fails the test
                     failures.append(exc)
                     return
@@ -629,36 +658,18 @@ class TestServiceIntegration:
         assert not failures, failures
         assert all(o.adopted for o in outcomes)
         service.close()
-        final = SolveCache(path=path)
-        assert final.last_load_report.accepted
-        assert final.last_load_report.profiles == 6
+        __, report = _recovered(path)
+        assert report.accepted
+        assert report.profiles == 6
         authority.close()
 
 
-class TestAutosaveSemantics:
-    def test_close_and_context_manager_autosave(self, tmp_path):
-        path = tmp_path / "auto.json"
-        with SolveCache(path=path) as cache:
-            inventor = BimatrixInventor(
-                "inv", method="support-enumeration", solve_cache=cache
-            )
-            inventor.solve(random_bimatrix(3, 3, seed=71))
-        assert path.exists()
-        assert SolveCache(path=path).last_load_report.profiles == 1
-
-    def test_pathless_cache_refuses_save_and_load(self):
-        cache = SolveCache()
-        with pytest.raises(PersistenceError):
-            cache.save()
-        with pytest.raises(PersistenceError):
-            cache.load()
-
+class TestFormat:
     def test_format_constants_are_stable(self):
         # The wire format is a compatibility surface: changing either
         # constant must be a conscious schema bump, not an accident.
         assert FORMAT_NAME == "repro.solve-cache"
         assert SCHEMA_VERSION == 2  # header over frames
-        assert DOCUMENT_SCHEMA_VERSION == 1  # the older writers' document
 
 
 class TestDurability:

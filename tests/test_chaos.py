@@ -23,9 +23,10 @@ from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
 from repro.errors import ReproError
 from repro.games.generators import random_bimatrix
-from repro.server import ThreadedServer, WriteBehindPersister, state_path
-from repro.server import journal as journal_module
-from repro.service import AuthorityService, SolveCache, faults
+from repro.server import ThreadedServer
+from repro.service import AuthorityService, faults
+from repro.service import journal as journal_module
+from repro.service.journal import state_path
 from repro.service.persistence import read_state_file
 
 GAMES = 6
@@ -177,12 +178,11 @@ class TestHTTPChaos:
         monkeypatch.setattr(journal_module, "FLUSH_RETRIES", 1)
         monkeypatch.setattr(journal_module, "BACKOFF_BASE_S", 0.0)
         journal = state_path(tmp_path / "state")
-        cache = SolveCache()
         authority = _authority()
-        service = AuthorityService(authority, solve_cache=cache)
-        persister = WriteBehindPersister(cache, journal)
+        service = AuthorityService(authority, state_dir=tmp_path / "state")
+        cache, persister = service.cache, service.persister
         with faults.armed("journal.append:raise:oserror@1x*"):
-            with ThreadedServer(service, persister=persister) as threaded:
+            with ThreadedServer(service) as threaded:
                 client = Client(threaded.port)
                 try:
                     status, _, _ = client.request(
@@ -219,7 +219,6 @@ class TestRestartReplay:
         """Consult every game under a (recoverable) fault storm, restart
         onto the persisted state, and require byte-identical advice plus
         at least one warm hit."""
-        journal = state_path(tmp_path / "state")
         game_ids = [f"g{i}" for i in range(GAMES)]
 
         def consult_all(client):
@@ -242,11 +241,9 @@ class TestRestartReplay:
             return advice
 
         authority = _authority()
-        cache = SolveCache()
-        service = AuthorityService(authority, solve_cache=cache)
-        persister = WriteBehindPersister(cache, journal)
+        service = AuthorityService(authority, state_dir=tmp_path / "state")
         with faults.armed("seed=7; solve:raise@2; verify.conclude:raise@5"):
-            with ThreadedServer(service, persister=persister) as threaded:
+            with ThreadedServer(service) as threaded:
                 client = Client(threaded.port)
                 try:
                     first = consult_all(client)
@@ -256,10 +253,8 @@ class TestRestartReplay:
 
         # Cold process, same state directory, no faults.
         authority = _authority()
-        cache = SolveCache()
-        service = AuthorityService(authority, solve_cache=cache)
-        persister = WriteBehindPersister(cache, journal)
-        with ThreadedServer(service, persister=persister) as threaded:
+        service = AuthorityService(authority, state_dir=tmp_path / "state")
+        with ThreadedServer(service) as threaded:
             client = Client(threaded.port)
             try:
                 second = consult_all(client)

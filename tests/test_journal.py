@@ -1,12 +1,13 @@
 """Write-behind durability: journal frames, the state file, the persister.
 
-The contract mirrors ``SolveCache``'s (test_cache_persistence): exact
-``num/den`` round trips and digest-protected frames.  A server's one
-state file is a header over the frames of the last compaction, then the
-frames appended since: the covered prefix loads all-or-nothing, each
-later frame on its own — a torn tail from a mid-write crash costs that
-frame only — and everything recovered re-enters the cache through the
-pending stores and the Lemma-1 re-certification gate.
+The contract mirrors test_cache_persistence's: exact ``num/den`` round
+trips and digest-protected frames.  A state directory's one file is a
+header over the frames of the last compaction (over none before the
+first), then the frames appended since: the covered prefix loads
+all-or-nothing, each later frame on its own — a torn tail from a
+mid-write crash costs that frame only — and everything recovered
+re-enters the cache through the pending stores and the Lemma-1
+re-certification gate.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from repro.core.actors import AuthorityAgent, BimatrixInventor
-from repro.core.audit_events import EVENT_CACHE_LOAD_REJECTED
-from repro.server import journal as journal_module
+from repro.core.audit_events import (
+    EVENT_CACHE_LOAD_REJECTED,
+    EVENT_CACHE_LOADED,
+)
 from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
 from repro.errors import PersistenceError
@@ -34,12 +37,13 @@ from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
 from repro.games.profiles import MixedProfile
 from repro.equilibria.support_enumeration import support_enumeration
-from repro.server.journal import (
+from repro.service import AuthorityService, SolveCache, faults
+from repro.service import journal as journal_module
+from repro.service.journal import (
     CacheJournal,
     WriteBehindPersister,
     state_path,
 )
-from repro.service import AuthorityService, SolveCache, faults
 from repro.service.persistence import (
     CacheState,
     apply_journal_entry,
@@ -92,11 +96,10 @@ def _keys(*indices) -> list:
     return [(f"fp{i}", "m", "exact") for i in indices]
 
 
-def _header(path) -> dict | None:
-    """The state file's header, or None when it opens with a frame."""
+def _header(path) -> dict:
+    """The state file's header: its first line."""
     with open(path, "rb") as handle:
-        first = handle.readline()
-    return None if first.startswith(b'{"body":') else json.loads(first)
+        return json.loads(handle.readline())
 
 
 def _authority(prefix: str, games: int = 3) -> RationalityAuthority:
@@ -181,34 +184,42 @@ class TestJournalFrames:
         assert state.profiles[key].distributions == second.distributions
 
 
+def _appended(path, blob: bytes) -> None:
+    """A journal before its first compaction: a header over no frames,
+    then ``blob`` appended."""
+    write_state_file(path, [])
+    with open(path, "ab") as handle:
+        handle.write(blob)
+
+
 class TestReader:
-    """One reader: a file without a header is judged frame by frame."""
+    """One reader: the frames after the header are judged one by one."""
 
     def test_replay_skips_torn_tail_keeps_good_frames(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         torn = _frame(9)[:-25]
-        path.write_bytes(b"".join(_frame(i) for i in range(3)) + torn)
+        _appended(path, b"".join(_frame(i) for i in range(3)) + torn)
         state, report = read_state_file(path)
         assert report.accepted and report.frames == 3
         assert len(report.rejections) == 1
-        assert report.rejections[0]["frame"] == 3
+        assert report.rejections[0]["frame"] == 4  # line 0 is the header
         assert report.rejections[0]["kind"] == "journal-frame"
         assert len(state.profiles) == 3
 
     def test_older_hint_and_set_frames_are_refused_one_by_one(
         self, tmp_path
     ):
-        # A journal as the writer that still kept support hints and
-        # enumeration sets left it: profile, hint, set, hint.  Each hint
-        # and set frame is refused on its own as an unknown kind; the
-        # profile frame before them replays.
+        # The frames the writer that still kept support hints and
+        # enumeration sets appended: profile, hint, set, hint.  After a
+        # header, each hint and set frame is refused on its own as an
+        # unknown kind; the profile frame before them replays.
         path = tmp_path / "journal.jsonl"
-        path.write_bytes(_OLDER_JOURNAL)
+        _appended(path, _OLDER_JOURNAL)
         state, report = read_state_file(path)
         assert report.accepted and report.frames == 1
         assert [(r["frame"], r["reason"]) for r in report.rejections] == [
             (index, f"unknown journal frame kind {kind!r}")
-            for index, kind in ((1, "hint"), (2, "set"), (3, "hint"))
+            for index, kind in ((2, "hint"), (3, "set"), (4, "hint"))
         ]
         assert list(state.profiles) == [
             (_BOS_FINGERPRINT, "support-enumeration", "exact")
@@ -225,21 +236,42 @@ class TestReader:
 
     def test_missing_journal_is_a_quiet_cold_start(self, tmp_path):
         cache = SolveCache()
-        state, report = cache.restore(tmp_path / "absent.jsonl")
+        persister = WriteBehindPersister(cache, tmp_path / "absent.jsonl")
+        report = persister.recover()
         assert report.frames == 0 and not report.rejections
-        assert not state.profiles and len(cache) == 0
+        assert report.reason == "file not found" and len(cache) == 0
         assert cache.drain_rejections() == []
+        assert not os.path.exists(tmp_path / "absent.jsonl")
 
     def test_journal_append_and_replace(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with CacheJournal(path) as journal:
             assert journal.append([_frame(0)]) == 1
-            assert journal.size_bytes() > 0 and _header(path) is None
+            assert journal.size_bytes() > 0
+            assert _header(path)["frames"] == 0  # not yet compacted
             journal.replace([_frame(1)])
             assert _header(path)["frames"] == 1
             journal.append([_frame(2)])  # reopened on the new file
         state, report = read_state_file(path)
         assert report.frames == 2 and list(state.profiles) == _keys(1, 2)
+
+    @pytest.mark.parametrize("existing", [None, b""], ids=["missing", "empty"])
+    def test_a_fresh_journal_writes_its_header_before_the_first_frame(
+        self, tmp_path, existing
+    ):
+        # So a crash before the first compaction leaves a file the
+        # reader takes: it refuses any file without a header.
+        path = tmp_path / "j.jsonl"
+        if existing is not None:
+            path.write_bytes(existing)
+        with CacheJournal(path) as journal:
+            journal.append([_frame(0)])
+            journal.append([_frame(1)])
+        header, *frames = path.read_bytes().splitlines(keepends=True)
+        assert json.loads(header)["frames"] == 0
+        assert frames == [_frame(0), _frame(1)]
+        state, report = read_state_file(path)
+        assert report.accepted and list(state.profiles) == _keys(0, 1)
 
 
 class TestStateFile:
@@ -340,18 +372,14 @@ class TestStateFile:
         path = state_path(tmp_path / "state")
         write_state_file(path, [profile, cached_set])
         self._rejected_whole(path)
-        cache = SolveCache()
         authority = _authority("g", games=1)
-        service = AuthorityService(authority, solve_cache=cache)
-        persister = WriteBehindPersister(cache, path)
-        (rejection,) = persister.recover().rejections
-        assert rejection["kind"] == "file"
-        assert "unknown journal frame kind 'set'" in rejection["reason"]
-        assert len(cache) == 0
-        service.flush_cache_rejections()
+        service = AuthorityService(authority, state_dir=tmp_path / "state")
         audited = authority.audit.events_of(EVENT_CACHE_LOAD_REJECTED)
         assert [record.details["kind"] for record in audited] == ["file"]
-        persister.close()
+        assert "unknown journal frame kind 'set'" in \
+            audited[0].details["reason"]
+        assert len(service.cache) == 0
+        service.close()
         authority.close()
 
     def test_recovery_into_a_missing_directory_is_a_cold_start(
@@ -384,6 +412,7 @@ class TestWriteBehindPersister:
         assert persister.journal.size_bytes() > 0
         persister.on_drained()  # every drain flushes, with or without news
         assert persister.flushes == 2 and persister.frames_flushed == 1
+        persister.close()
 
     def test_flush_cadence_by_clock(self, tmp_path):
         clock = FakeClock()
@@ -397,6 +426,7 @@ class TestWriteBehindPersister:
         clock.now = journal_module.FLUSH_INTERVAL_S
         persister.poll()
         assert persister.flushes == 1
+        persister.close()
 
     def test_snapshot_compacts_the_journal(self, tmp_path):
         path = state_path(tmp_path / "state")
@@ -405,7 +435,7 @@ class TestWriteBehindPersister:
         cache.store_profile("fp", "m", "exact", _profile())
         persister.flush()
         assert persister.journal.size_bytes() > 0
-        assert _header(path) is None  # appended, not yet compacted
+        assert _header(path)["frames"] == 0  # appended, not yet compacted
         assert persister.snapshot() == 1
         assert _header(path)["frames"] == 1
         assert os.listdir(tmp_path / "state") == ["journal.jsonl"]
@@ -417,13 +447,6 @@ class TestWriteBehindPersister:
         persister.close()
         cache.store_profile("fp", "m", "exact", _profile())
         assert cache.drain_updates() == []  # tracking is off again
-
-    def test_path_bound_cache_is_refused(self, tmp_path):
-        # Two writers of one file would be a bug: the persister owns it.
-        with pytest.raises(PersistenceError, match="pathless"):
-            WriteBehindPersister(
-                SolveCache(path=tmp_path / "c.json"), tmp_path / "j.jsonl"
-            )
 
 
 def _store(cache: SolveCache, index: int) -> None:
@@ -467,7 +490,7 @@ class TestCompactionRule:
             clock.now += 2 * journal_module.FLUSH_INTERVAL_S
             persister.poll()
         assert persister.snapshots == 0
-        assert _header(persister.journal.path) is None
+        assert _header(persister.journal.path)["frames"] == 0
 
     def test_compacts_at_twice_the_entry_count(self, tmp_path):
         cache, persister = self._persister(tmp_path)
@@ -664,13 +687,24 @@ class TestCompactionRule:
 class TestCrashRecoveryInProcess:
     """Journal-only recovery (no compaction yet): the SIGKILL shape."""
 
+    def test_the_first_drain_writes_a_header_over_no_frames(self, tmp_path):
+        authority = _authority("g", games=1)
+        service = AuthorityService(authority, state_dir=tmp_path / "state")
+        service.submit("jane", "g0")
+        service.drain()
+        header, *frames = (
+            (tmp_path / "state" / "journal.jsonl").read_bytes().splitlines()
+        )
+        assert json.loads(header)["schema"] == 2
+        assert json.loads(header)["frames"] == 0
+        assert len(frames) == 1 and json.loads(frames[0])["body"]
+        service.close()
+        authority.close()
+
     def test_replayed_entries_serve_bit_identical_hits(self, tmp_path):
         journal_path = state_path(tmp_path / "state")
-        cache = SolveCache()
         authority = _authority("g")
-        service = AuthorityService(authority, solve_cache=cache)
-        persister = WriteBehindPersister(cache, journal_path)
-        service.add_drain_listener(persister.on_drained)
+        service = AuthorityService(authority, state_dir=tmp_path / "state")
         futures = [service.submit("jane", f"g{i}") for i in range(3)]
         service.drain()
         cold = [
@@ -678,50 +712,74 @@ class TestCrashRecoveryInProcess:
         ]
         # Simulate SIGKILL: no snapshot(), no close() — only the journal
         # frames flushed at drain-end survive.
-        persister.journal.close()
-        assert _header(journal_path) is None
+        service.persister.journal.close()
+        assert _header(journal_path)["frames"] == 0
 
-        fresh_cache = SolveCache()
         fresh_authority = _authority("h")  # same payoffs, new game ids
         fresh_service = AuthorityService(
-            fresh_authority, solve_cache=fresh_cache
+            fresh_authority, state_dir=tmp_path / "state"
         )
-        fresh_persister = WriteBehindPersister(fresh_cache, journal_path)
-        report = fresh_persister.recover()
-        assert report.frames > 0 and not report.rejections
+        (loaded,) = fresh_authority.audit.events_of(EVENT_CACHE_LOADED)
+        assert loaded.details["journal_frames"] > 0
+        assert loaded.details["journal_rejected"] == 0
         futures = [fresh_service.submit("jane", f"h{i}") for i in range(3)]
         fresh_service.drain()
         outcomes = [f.result() for f in futures]
         assert all(o.advice.cache == "hit" for o in outcomes)
         warm = [[str(p) for p in o.advice.suggestion] for o in outcomes]
         assert warm == cold
+        fresh_service.close()
+
+    def test_a_service_dropped_without_close_restarts_into_hits(
+        self, tmp_path
+    ):
+        # One drain per consultation, then a crash before any
+        # compaction: every drain's frame is on disk behind the header.
+        authority = _authority("g")
+        service = AuthorityService(authority, state_dir=tmp_path / "state")
+        cold = []
+        for i in range(3):
+            future = service.submit("jane", f"g{i}")
+            assert service.drain() == 1
+            cold.append(future.result().advice.suggestion)
+        assert service.persister.snapshots == 0
+        service.persister.journal.close()  # the crash
+
+        fresh_authority = _authority("h")
+        fresh = AuthorityService(fresh_authority, state_dir=tmp_path / "state")
+        (loaded,) = fresh_authority.audit.events_of(EVENT_CACHE_LOADED)
+        assert loaded.details["journal_frames"] == 3
+        assert loaded.details["journal_rejected"] == 0
+        outcomes = [fresh.submit("jane", f"h{i}").result() for i in range(3)]
+        assert [o.advice.cache for o in outcomes] == ["hit"] * 3
+        assert [o.advice.suggestion for o in outcomes] == cold
+        assert all(
+            type(p) is Fraction for o in outcomes for p in o.advice.suggestion
+        )
+        fresh.close()
 
     def test_tampered_journal_frame_is_audited_not_served(self, tmp_path):
         journal_path = state_path(tmp_path / "state")
-        cache = SolveCache()
         authority = _authority("g", games=1)
-        service = AuthorityService(authority, solve_cache=cache)
-        persister = WriteBehindPersister(cache, journal_path)
-        service.add_drain_listener(persister.on_drained)
+        service = AuthorityService(authority, state_dir=tmp_path / "state")
         service.submit("jane", "g0")
         service.drain()
-        persister.journal.close()
-        # Flip one byte inside the first frame's body: the digest no
-        # longer matches, so replay must reject exactly that frame.
-        lines = open(journal_path, "rb").read().splitlines(keepends=True)
-        lines[0] = lines[0][:20] + b"X" + lines[0][21:]
-        open(journal_path, "wb").write(b"".join(lines))
+        service.persister.journal.close()
+        # Flip one byte inside the first frame's body (line 0 is the
+        # header): the digest no longer matches, so replay must reject
+        # exactly that frame.
+        with open(journal_path, "rb") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        lines[1] = lines[1][:20] + b"X" + lines[1][21:]
+        with open(journal_path, "wb") as handle:
+            handle.write(b"".join(lines))
 
-        fresh_cache = SolveCache()
         fresh_authority = _authority("h", games=1)
         fresh_service = AuthorityService(
-            fresh_authority, solve_cache=fresh_cache
+            fresh_authority, state_dir=tmp_path / "state"
         )
-        fresh_persister = WriteBehindPersister(fresh_cache, journal_path)
-        report = fresh_persister.recover()
-        assert len(report.rejections) >= 1
-        fresh_service.flush_cache_rejections()
         rejected = fresh_authority.audit.events_of(EVENT_CACHE_LOAD_REJECTED)
+        assert len(rejected) >= 1
         assert rejected and rejected[0].details["kind"] == "journal-frame"
         # The consultation still succeeds — as a cold solve, never as
         # unverified warm advice.
@@ -729,6 +787,7 @@ class TestCrashRecoveryInProcess:
         fresh_service.drain()
         outcome = future.result()
         assert outcome.majority.accepted
+        fresh_service.close()
 
 
 def _equilibria_by_key() -> list:

@@ -25,6 +25,7 @@ import pytest
 from repro.core.actors import AuthorityAgent, BimatrixInventor
 from repro.core.audit_events import (
     EVENT_BACKPRESSURE,
+    EVENT_CACHE_LOADED,
     EVENT_SERVER_SHUTDOWN,
     EVENT_SERVER_STARTED,
     EVENT_SERVICE_COMPLETED,
@@ -33,10 +34,11 @@ from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
-from repro.server import ThreadedServer, WriteBehindPersister, state_path
+from repro.server import ThreadedServer
 from repro.server.__main__ import DEFAULT_AGENT, build_demo_authority, parse_args
 from repro.server.app import MAX_BODY_BYTES, SHUTDOWN_GRACE_S
-from repro.service import AuthorityService, SolveCache, faults
+from repro.service import AuthorityService, faults
+from repro.service.journal import state_path
 from repro.service.persistence import read_state_file
 
 GAMES = 6
@@ -114,9 +116,9 @@ class TestEndpoints:
     def test_readyz_reports_ready_when_serving(self, client, server):
         status, body, _ = client.request("GET", "/readyz")
         assert status == 200 and body["ready"] is True
-        # Liveness and readiness split: flipping readiness off turns
+        # Liveness and readiness split: a server that is closing turns
         # /readyz into a 503 with a retry hint while /healthz stays 200.
-        server.server._ready = False
+        server.server._closing = True
         try:
             status, body, headers = client.request("GET", "/readyz")
             assert status == 503 and body["ready"] is False
@@ -124,7 +126,7 @@ class TestEndpoints:
             status, body, _ = client.request("GET", "/healthz")
             assert status == 200
         finally:
-            server.server._ready = True
+            server.server._closing = False
 
     def test_consult_wait_returns_exact_advice(self, client):
         status, body, _ = client.request(
@@ -388,9 +390,15 @@ class TestPump:
         service = AuthorityService(build_authority())
         queued = [service.submit("jane", f"g{i}") for i in range(GAMES - 1)]
         drained = []
-        service.add_drain_listener(
-            lambda summary: drained.append(summary["submissions"])
-        )
+        drain = service.drain
+
+        def observed(max_submissions=None):
+            submissions = drain(max_submissions)
+            if submissions:
+                drained.append(submissions)
+            return submissions
+
+        service.drain = observed
         with ThreadedServer(service) as threaded:
             client = Client(threaded.port)
             try:
@@ -589,11 +597,10 @@ class TestFailureBodies:
 class TestGracefulShutdown:
     def test_stop_flushes_snapshots_and_audits(self, tmp_path):
         journal = state_path(tmp_path / "state")
-        cache = SolveCache()
         authority = build_authority()
-        service = AuthorityService(authority, solve_cache=cache)
-        persister = WriteBehindPersister(cache, journal)
-        threaded = ThreadedServer(service, persister=persister).start()
+        service = AuthorityService(authority, state_dir=tmp_path / "state")
+        cache = service.cache
+        threaded = ThreadedServer(service).start()
         client = Client(threaded.port)
         status, body, _ = client.request(
             "POST", "/consult", {"agent": "jane", "game_id": "g0"}
@@ -673,11 +680,9 @@ class TestGracefulShutdown:
 
     def test_admin_snapshot_with_persister(self, tmp_path):
         journal = state_path(tmp_path / "state")
-        cache = SolveCache()
         authority = build_authority()
-        service = AuthorityService(authority, solve_cache=cache)
-        persister = WriteBehindPersister(cache, journal)
-        with ThreadedServer(service, persister=persister) as threaded:
+        service = AuthorityService(authority, state_dir=tmp_path / "state")
+        with ThreadedServer(service) as threaded:
             client = Client(threaded.port)
             try:
                 client.request(
@@ -692,6 +697,37 @@ class TestGracefulShutdown:
             finally:
                 client.close()
         authority.close()
+
+
+class TestRecovery:
+    def test_the_socket_binds_after_recovery(self, tmp_path):
+        # The service recovers its journal when it is built, so the
+        # server's first record follows the recovery's and its first
+        # request already meets a ready server and a warm cache.
+        state = tmp_path / "state"
+        for expected in ("miss", "hit"):
+            authority = build_authority()
+            service = AuthorityService(authority, state_dir=state)
+            with ThreadedServer(service) as threaded:
+                client = Client(threaded.port)
+                try:
+                    status, body, _ = client.request("GET", "/readyz")
+                    assert status == 200 and body["ready"] is True
+                    status, body, _ = client.request(
+                        "POST", "/consult", {"agent": "jane", "game_id": "g0"}
+                    )
+                    assert status == 200
+                    assert body["advice"]["cache"] == expected
+                finally:
+                    client.close()
+            events = [
+                record.event for record in authority.audit.records
+                if record.event in (EVENT_CACHE_LOADED, EVENT_SERVER_STARTED)
+            ]
+            assert events == [EVENT_CACHE_LOADED, EVENT_SERVER_STARTED]
+            (started,) = authority.audit.events_of(EVENT_SERVER_STARTED)
+            assert started.details["durable"] is True
+            authority.close()
 
 
 #: SHA-256 of the CLI demo world's cold-then-warm stream (16 games of
@@ -754,11 +790,9 @@ class TestDemoWorld:
     def test_cold_then_warm_stream_is_pinned(self, tmp_path):
         journal = state_path(tmp_path / "state")
         authority = build_demo_authority(16, 4, 6100)
-        cache = SolveCache()
-        service = AuthorityService(authority, solve_cache=cache)
-        persister = WriteBehindPersister(cache, journal)
+        service = AuthorityService(authority, state_dir=tmp_path / "state")
         bodies = hashlib.sha256()
-        with ThreadedServer(service, persister=persister) as threaded:
+        with ThreadedServer(service) as threaded:
             client = Client(threaded.port)
             try:
                 for i in range(16):

@@ -8,7 +8,8 @@ child's certified entries bit-identically, losing at most the one
 flush interval the write-behind contract allows.  A SIGTERM sibling
 test pins the graceful half: drained futures, one compacted journal,
 clean exit; a third starts on a state directory an older server left
-(``snapshot.json`` beside a journal without a header).
+(``snapshot.json`` beside a journal without a header), which is refused
+whole and served cold.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ def test_sigkill_recovery_is_bit_identical(tmp_path):
     finally:
         # The crash: no graceful path runs at all.
         os.kill(proc.pid, signal.SIGKILL)
-        proc.wait(timeout=30)
+        with proc.stdout:
+            proc.wait(timeout=30)
     journal = state_dir / "journal.jsonl"
     assert journal.exists() and journal.stat().st_size > 0
 
@@ -108,7 +110,8 @@ def test_sigkill_recovery_is_bit_identical(tmp_path):
         assert details["journal_rejected"] == 0
     finally:
         os.kill(proc.pid, signal.SIGTERM)
-        assert proc.wait(timeout=60) == 0
+        with proc.stdout:
+            assert proc.wait(timeout=60) == 0
 
 
 def test_sigterm_drains_snapshots_and_exits_zero(tmp_path):
@@ -119,10 +122,12 @@ def test_sigterm_drains_snapshots_and_exits_zero(tmp_path):
             consult(port, f"g{i}")
     except BaseException:
         proc.kill()
+        proc.stdout.close()
         raise
     os.kill(proc.pid, signal.SIGTERM)
-    assert proc.wait(timeout=60) == 0
-    stdout = proc.stdout.read()
+    with proc.stdout:
+        assert proc.wait(timeout=60) == 0
+        stdout = proc.stdout.read()
     assert "graceful shutdown complete" in stdout
     # Graceful exit compacted the journal: its header covers every
     # served entry, and no snapshot file exists.
@@ -145,7 +150,8 @@ def test_sigterm_drains_snapshots_and_exits_zero(tmp_path):
         assert stats["gc"]["frozen"] > 0
     finally:
         os.kill(proc.pid, signal.SIGTERM)
-        proc.wait(timeout=60)
+        with proc.stdout:
+            proc.wait(timeout=60)
 
 
 #: A state directory as the server before the one-file format left it,
@@ -183,29 +189,30 @@ _OLDER_ADVICE = {
 }
 
 
-def test_an_older_state_dir_warm_serves_and_becomes_one_file(tmp_path):
+def test_an_older_state_dir_is_refused_whole_and_served_cold(tmp_path):
     state_dir = tmp_path / "state"
     state_dir.mkdir()
     (state_dir / "snapshot.json").write_bytes(_OLDER_SNAPSHOT)
     (state_dir / "journal.jsonl").write_bytes(_OLDER_JOURNAL)
     proc, port = start_server(state_dir)
     try:
-        # Start-up loaded both files, then compacted them into one.
-        assert sorted(os.listdir(state_dir)) == ["journal.jsonl"]
-        assert _header(state_dir)["frames"] == 3
+        # Start-up refused the headerless journal and compacted over
+        # it; snapshot.json is not read, nor touched.
+        assert _header(state_dir)["frames"] == 0
+        assert (state_dir / "snapshot.json").read_bytes() == _OLDER_SNAPSHOT
         for game_id, suggestion in _OLDER_ADVICE.items():
             body = consult(port, game_id)
-            assert body["advice"]["cache"] == "hit", game_id
+            assert body["advice"]["cache"] == "miss", game_id
             assert body["advice"]["suggestion"] == suggestion, game_id
         conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
         conn.request("GET", "/audit?event=cache.load.rejected")
         rejected = json.loads(conn.getresponse().read())["records"]
         conn.close()
-        # Only the hint frame is refused, on its own.
-        assert [r["details"]["kind"] for r in rejected] == ["journal-frame"]
+        # One refusal, of the whole file.
+        assert [r["details"]["kind"] for r in rejected] == ["file"]
     finally:
         os.kill(proc.pid, signal.SIGTERM)
         with proc.stdout:
             assert proc.wait(timeout=60) == 0
-    assert sorted(os.listdir(state_dir)) == ["journal.jsonl"]
+    assert sorted(os.listdir(state_dir)) == ["journal.jsonl", "snapshot.json"]
     assert _header(state_dir)["frames"] == 3

@@ -98,7 +98,18 @@ class TestSubmitAndFutures:
         authority = _authority(inventor, [("pd", prisoners_dilemma())])
         service = authority.service
         drained = []
-        service.add_drain_listener(drained.append)
+        drain = service.drain
+
+        def observed(max_submissions=None):
+            depth = service.pending_count
+            submissions = drain(max_submissions)
+            if submissions:
+                drained.append(
+                    {"submissions": submissions, "queue_depth": depth}
+                )
+            return submissions
+
+        service.drain = observed
         futures = [service.submit("jane", "pd") for __ in range(5)]
         assert service.drain(max_submissions=2) == 2
         assert [f.done() for f in futures] == [True] * 2 + [False] * 3
