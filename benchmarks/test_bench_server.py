@@ -31,7 +31,7 @@ from repro.core.registry import standard_procedures
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
 from repro.server import ThreadedServer
-from repro.service import AuthorityService, SolveCache
+from repro.service import AuthorityService
 
 
 def _scale(bench_scale):
@@ -82,7 +82,7 @@ def test_bench_server_http(
     # the same solves and the advice identity below is deterministic;
     # the only delta left is wire + durability.
     authority = _authority(bases)
-    service = AuthorityService(authority, solve_cache=SolveCache())
+    service = AuthorityService(authority)
     start = time.perf_counter()
     outcomes = []
     for round_start in range(0, len(stream), games):

@@ -76,50 +76,54 @@ def request(port: int, method: str, path: str, body=None):
 
 
 def main() -> None:
-    state_dir = tempfile.mkdtemp()
+    with tempfile.TemporaryDirectory() as state_dir:
+        # -- 1: serve over HTTP --------------------------------------------
+        server, _service = build_server(state_dir)
+        with server:
+            port = server.port
+            print(f"--- serving on {server.url} (state in {state_dir}) ---")
+            status, health = request(port, "GET", "/healthz")
+            print(f"healthz: {status} {health}")
 
-    # -- 1: serve over HTTP ------------------------------------------------
-    server, _service = build_server(state_dir)
-    with server:
-        port = server.port
-        print(f"--- serving on {server.url} (state in {state_dir}) ---")
-        status, health = request(port, "GET", "/healthz")
-        print(f"healthz: {status} {health}")
-
-        status, outcome = request(port, "POST", "/consult",
-                                  {"agent": "jane", "game_id": "g0"})
-        print(f"consult g0: {status}, cache={outcome['advice']['cache']}, "
-              f"suggestion={outcome['advice']['suggestion']}")
-
-        for i in range(GAMES):
             status, outcome = request(port, "POST", "/consult",
-                                      {"agent": "jane", "game_id": f"g{i}",
-                                       "deadline_ms": 30_000})
-            print(f"consult g{i} (30 s deadline): {status}, "
+                                      {"agent": "jane", "game_id": "g0"})
+            print(f"consult g0: {status}, "
                   f"cache={outcome['advice']['cache']}, "
-                  f"inventor={outcome['inventor']}")
+                  f"suggestion={outcome['advice']['suggestion']}")
 
-        # -- 2: observability ----------------------------------------------
-        status, stats = request(port, "GET", "/stats")
-        print(f"stats: cache={stats['cache']['hits']} hits / "
-              f"{stats['cache']['misses']} misses, "
-              f"journal flushes={stats['persistence']['flushes']}")
-        status, audit = request(port, "GET", "/audit?event=server.started")
-        print(f"audit tail: {audit['returned']} server.started record(s)")
-        status, snap = request(port, "POST", "/admin/snapshot")
-        print(f"admin snapshot: journal compacted to {snap['entries']} "
-              "entries")
-    print("graceful stop: drained, flushed, compacted")
+            for i in range(GAMES):
+                status, outcome = request(
+                    port, "POST", "/consult",
+                    {"agent": "jane", "game_id": f"g{i}",
+                     "deadline_ms": 30_000},
+                )
+                print(f"consult g{i} (30 s deadline): {status}, "
+                      f"cache={outcome['advice']['cache']}, "
+                      f"inventor={outcome['inventor']}")
 
-    # -- 3: restart on the same state directory ----------------------------
-    server, _service = build_server(state_dir)
-    with server:
-        status, outcome = request(server.port, "POST", "/consult",
-                                  {"agent": "jane", "game_id": "g0"})
-        print("\n--- restarted server ---")
-        print(f"consult g0 again: cache={outcome['advice']['cache']} "
-              f"(warm from disk), suggestion={outcome['advice']['suggestion']}")
-    print("done: certified advice survived the restart bit for bit")
+            # -- 2: observability ------------------------------------------
+            status, stats = request(port, "GET", "/stats")
+            print(f"stats: cache={stats['cache']['hits']} hits / "
+                  f"{stats['cache']['misses']} misses, "
+                  f"journal flushes={stats['persistence']['flushes']}")
+            status, audit = request(port, "GET",
+                                    "/audit?event=server.started")
+            print(f"audit tail: {audit['returned']} server.started record(s)")
+            status, snap = request(port, "POST", "/admin/snapshot")
+            print(f"admin snapshot: journal compacted to {snap['entries']} "
+                  "entries")
+        print("graceful stop: drained, flushed, compacted")
+
+        # -- 3: restart on the same state directory ------------------------
+        server, _service = build_server(state_dir)
+        with server:
+            status, outcome = request(server.port, "POST", "/consult",
+                                      {"agent": "jane", "game_id": "g0"})
+            print("\n--- restarted server ---")
+            print(f"consult g0 again: cache={outcome['advice']['cache']} "
+                  "(warm from disk), "
+                  f"suggestion={outcome['advice']['suggestion']}")
+        print("done: certified advice survived the restart bit for bit")
 
 
 if __name__ == "__main__":

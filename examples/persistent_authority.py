@@ -65,51 +65,55 @@ def consult_stream(authority, service, prefix: str):
 
 def main() -> None:
     bases = [random_bimatrix(5, 5, seed=1100 + i) for i in range(GAMES)]
-    state_dir = tempfile.mkdtemp()
-    journal = os.path.join(state_dir, "journal.jsonl")
+    with tempfile.TemporaryDirectory() as state_dir:
+        journal = os.path.join(state_dir, "journal.jsonl")
 
-    # -- 1: the cold run populates and persists the cache ----------------
-    authority = build_authority(bases, "cold")
-    service = AuthorityService(authority, state_dir=state_dir)
-    cold = consult_stream(authority, service, "cold")
-    service.close()  # compacts the journal atomically
-    authority.close()
-    print("--- cold run ---")
-    print(f"consultations: {len(cold)}, all adopted: {all(o.adopted for o in cold)}")
-    print(f"cache states:  {[o.advice.cache for o in cold]}")
-    print(f"saved {os.path.getsize(journal)} bytes to {journal}")
+        # -- 1: the cold run populates and persists the cache ------------
+        authority = build_authority(bases, "cold")
+        service = AuthorityService(authority, state_dir=state_dir)
+        cold = consult_stream(authority, service, "cold")
+        service.close()  # compacts the journal atomically
+        authority.close()
+        print("--- cold run ---")
+        print(f"consultations: {len(cold)}, "
+              f"all adopted: {all(o.adopted for o in cold)}")
+        print(f"cache states:  {[o.advice.cache for o in cold]}")
+        print(f"saved {os.path.getsize(journal)} bytes to {journal}")
 
-    # -- 2: "restart" — a fresh process image, same state directory ------
-    authority = build_authority(bases, "warm")
-    service = AuthorityService(authority, state_dir=state_dir)
-    loaded = authority.audit.events_of(EVENT_CACHE_LOADED)[-1]
-    print("\n--- restarted run ---")
-    print(f"warm-loaded: {loaded.details['journal_profiles']} profiles")
-    warm = consult_stream(authority, service, "warm")
-    identical = all(
-        w.advice.suggestion == c.advice.suggestion for w, c in zip(warm, cold)
-    )
-    print(f"cache states:  {[o.advice.cache for o in warm]}")
-    print(f"advice bit-identical to the cold run: {identical}")
-    service.close()
-    authority.close()
+        # -- 2: "restart" — a fresh process image, same state directory --
+        authority = build_authority(bases, "warm")
+        service = AuthorityService(authority, state_dir=state_dir)
+        loaded = authority.audit.events_of(EVENT_CACHE_LOADED)[-1]
+        print("\n--- restarted run ---")
+        print(f"warm-loaded: {loaded.details['journal_profiles']} profiles")
+        warm = consult_stream(authority, service, "warm")
+        identical = all(
+            w.advice.suggestion == c.advice.suggestion
+            for w, c in zip(warm, cold)
+        )
+        print(f"cache states:  {[o.advice.cache for o in warm]}")
+        print(f"advice bit-identical to the cold run: {identical}")
+        service.close()
+        authority.close()
 
-    # -- 3: tampering is rejected, soundness is untouched -----------------
-    with open(journal, "rb") as handle:
-        blob = bytearray(handle.read())
-    blob[len(blob) // 2] ^= 0x01
-    with open(journal, "wb") as handle:
-        handle.write(bytes(blob))
-    authority = build_authority(bases, "post")
-    service = AuthorityService(authority, state_dir=state_dir)
-    rejected = authority.audit.events_of(EVENT_CACHE_LOAD_REJECTED)[-1]
-    print("\n--- tampered file ---")
-    print(f"load rejected: {rejected.details['reason']}")
-    post = consult_stream(authority, service, "post")
-    print(f"cache states:  {[o.advice.cache for o in post]} (clean misses)")
-    print(f"advice still certified and adopted: {all(o.adopted for o in post)}")
-    service.close()
-    authority.close()
+        # -- 3: tampering is rejected, soundness is untouched -------------
+        with open(journal, "rb") as handle:
+            blob = bytearray(handle.read())
+        blob[len(blob) // 2] ^= 0x01
+        with open(journal, "wb") as handle:
+            handle.write(bytes(blob))
+        authority = build_authority(bases, "post")
+        service = AuthorityService(authority, state_dir=state_dir)
+        rejected = authority.audit.events_of(EVENT_CACHE_LOAD_REJECTED)[-1]
+        print("\n--- tampered file ---")
+        print(f"load rejected: {rejected.details['reason']}")
+        post = consult_stream(authority, service, "post")
+        print(f"cache states:  {[o.advice.cache for o in post]} "
+              "(clean misses)")
+        print("advice still certified and adopted: "
+              f"{all(o.adopted for o in post)}")
+        service.close()
+        authority.close()
 
 
 if __name__ == "__main__":

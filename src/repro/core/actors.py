@@ -5,8 +5,10 @@ consider game inventors that create games for which they could predict
 the best-reply and prove their feasibility and optimality to the
 players/agents."  Inventors here hold the heavyweight solvers
 (:mod:`repro.equilibria`) and emit :class:`~repro.core.advice.Advice`
-with the matching proof payloads.  Dishonest variants model the paper's
-conflicted inventor.
+with the matching proof payloads.  An inventor whose search is cacheable
+by exact payoffs (:class:`BimatrixInventor`) solves through the solve
+cache its authority hands it at registration.  Dishonest variants model
+the paper's conflicted inventor.
 
 Agents carry only an identity, a (private) player role and a verifier-
 selection policy; their preferences never leave their process — the
@@ -72,26 +74,13 @@ class GameInventor(abc.ABC):
         """
 
     def attach_solve_cache(self, cache) -> None:
-        """Offer this inventor a cross-run solve cache.
+        """Hand this inventor its authority's solve cache.
 
         No-op by default: only inventors whose hard step is cacheable
         by exact payoff fingerprint (see :meth:`BimatrixInventor
-        .attach_solve_cache`) opt in.  The consultation service calls
-        this for every registered inventor, so attaching must be cheap
-        and idempotent; an inventor constructed with its own cache
-        keeps it.
+        .attach_solve_cache`) opt in.  The authority calls this once,
+        when it registers the inventor.
         """
-
-    @property
-    def solve_cache(self):
-        """The cross-run solve cache this inventor uses, if any.
-
-        The consultation service aggregates drain telemetry over the
-        caches its inventors *actually* consult — which, when an
-        inventor was constructed with (or earlier attached to) a
-        different cache, is not necessarily the service's own.
-        """
-        return None
 
 
 class PureNashInventor(GameInventor):
@@ -144,21 +133,20 @@ class BimatrixInventor(GameInventor):
     search would, which is why the mode that actually ran is recorded
     on the advice for the audit log.
 
-    ``solve_cache`` optionally supplies a cross-run
-    :class:`~repro.service.cache.SolveCache`: solves are then keyed by
-    the game's canonical payoff fingerprint, so an exact repeat (same
-    payoff bytes, any game id) serves the previously certified profile
-    without searching; anything else is a cold search, so the answer
-    depends only on the game and the policy, never on what the cache
-    saw before.  The consultation service attaches its cache here via
-    :meth:`attach_solve_cache`.  Without a cache the inventor keeps no
-    solver state between calls, and every advice searches.
+    Registered with an authority, the inventor solves through the
+    authority's :class:`~repro.service.cache.SolveCache`
+    (:meth:`attach_solve_cache`): solves are then keyed by the game's
+    canonical payoff fingerprint, so an exact repeat (same payoff
+    bytes, any game id) serves the previously certified profile without
+    searching; anything else is a cold search, so the answer depends
+    only on the game and the policy, never on what the cache saw
+    before.  Without a cache the inventor keeps no solver state between
+    calls, and every advice searches.
     """
 
     def __init__(self, name: str, method: str = "lemke-howson",
                  commitment_mode: bool = False, rng: random.Random | None = None,
-                 backend: str | BackendPolicy | None = None,
-                 solve_cache=None):
+                 backend: str | BackendPolicy | None = None):
         super().__init__(name)
         if method not in ("lemke-howson", "support-enumeration"):
             raise ProtocolError(f"unknown solve method {method!r}")
@@ -166,7 +154,7 @@ class BimatrixInventor(GameInventor):
         self._commitments = commitment_mode
         self._rng = rng or random.Random(0)
         self._policy = resolve_policy(backend)
-        self._solve_cache = solve_cache
+        self._solve_cache = None
 
     @property
     def backend_mode(self) -> str:
@@ -184,14 +172,8 @@ class BimatrixInventor(GameInventor):
         return self._policy.search_backend(n + m).mode
 
     def attach_solve_cache(self, cache) -> None:
-        """Adopt a cross-run solve cache unless one was set at construction."""
-        if self._solve_cache is None:
-            self._solve_cache = cache
-
-    @property
-    def solve_cache(self):
-        """The cross-run cache this inventor consults (None when uncached)."""
-        return self._solve_cache
+        """Solve through ``cache`` from now on (replacing any earlier one)."""
+        self._solve_cache = cache
 
     def solve(self, game: BimatrixGame) -> Solved:
         """The inventor's expensive step, with this call's provenance.
@@ -418,10 +400,6 @@ class MisadvisingInventor(GameInventor):
     def attach_solve_cache(self, cache) -> None:
         """The wrapped inventor does the solving, so it gets the cache."""
         self._inner.attach_solve_cache(cache)
-
-    @property
-    def solve_cache(self):
-        return self._inner.solve_cache
 
     def advise(self, game_id, game, agent, privacy) -> AdvicePackage:
         import dataclasses

@@ -1,8 +1,10 @@
 """The rationality authority facade.
 
 Owns the shared infrastructure of Fig. 1 — the bus, the verifier
-registry, the reputation store, the audit log — plus the published games
-and registered parties, and exposes the one-call consultation flow:
+registry, the reputation store, the audit log, and the one
+:class:`~repro.service.cache.SolveCache` that every inventor gets when
+registered — plus the published games and registered parties, and
+exposes the one-call consultation flow:
 
     authority = RationalityAuthority(seed=...)
     authority.register_verifiers(standard_procedures())
@@ -40,6 +42,7 @@ from repro.errors import ProtocolError
 from repro.games.base import Game
 from repro.online.inventor_stats import SignedStatistic, audit_statistics
 from repro.rng import make_rng
+from repro.service.cache import SolveCache
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,9 @@ class RationalityAuthority:
         self.reputation = ReputationStore()
         self.audit = AuditLog()
         self.keys = KeyRegistry()
+        #: The warm state of every solve over this authority: each
+        #: registered inventor and every service share this one cache.
+        self.solve_cache = SolveCache()
         self._games: dict[str, Game] = {}
         self._game_owner: dict[str, str] = {}
         self._inventors: dict[str, GameInventor] = {}
@@ -80,6 +86,7 @@ class RationalityAuthority:
         if inventor.name in self._inventors:
             raise ProtocolError(f"inventor {inventor.name!r} already registered")
         self._inventors[inventor.name] = inventor
+        inventor.attach_solve_cache(self.solve_cache)
         self.bus.register(inventor.name)
         if not self.keys.is_registered(inventor.name):
             self.keys.register(inventor.name, rng=make_rng(self._seed, inventor.name))
@@ -132,11 +139,6 @@ class RationalityAuthority:
         self.game(game_id)
         return self._inventors[self._game_owner[game_id]]
 
-    @property
-    def inventors(self) -> tuple[GameInventor, ...]:
-        """Every registered inventor (the service attaches caches here)."""
-        return tuple(self._inventors.values())
-
     def agent(self, name: str) -> AuthorityAgent:
         try:
             return self._agents[name]
@@ -171,15 +173,14 @@ class RationalityAuthority:
 
         Created lazily (one
         :class:`~repro.service.service.AuthorityService` per authority,
-        with a fresh cross-run
-        :class:`~repro.service.cache.SolveCache` attached to every
-        cacheable inventor).  Hosts that want different service
-        parameters — a shared cache, a high-water mark —
-        construct their own ``AuthorityService(authority, ...)``
-        instead; the synchronous :meth:`consult` shim always uses this
-        default instance.  Several games are several ``submit`` calls:
-        each returns its future at once, and the first ``result()``
-        drains them all.
+        serving :attr:`solve_cache`).  Hosts that want different service
+        parameters — a state directory, a high-water mark — construct
+        their own ``AuthorityService(authority, ...)`` instead; it
+        serves the same cache, so a profile stored through either is a
+        hit through the other.  The synchronous :meth:`consult` shim
+        always uses this default instance.  Several games are several
+        ``submit`` calls: each returns its future at once, and the
+        first ``result()`` drains them all.
         """
         with self._service_lock:
             if self._service is None:

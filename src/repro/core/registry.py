@@ -52,24 +52,10 @@ class Verdict:
 
 @dataclass
 class VerificationContext:
-    """Everything a procedure may need beyond the game and the advice.
-
-    ``backend`` echoes the solver mode the advice declares (see
-    :class:`~repro.linalg.backend.BackendPolicy`).  It is informational:
-    verification procedures are the certification side of the two-phase
-    pipeline and always evaluate the proof obligations with exact
-    arithmetic, whatever backend the *inventor* searched on.  Procedures
-    may use it to annotate their verdicts or price their service.
-    """
+    """Everything a procedure may need beyond the game and the advice."""
 
     rng: random.Random
     prover: Any = None  # live prover handle for interactive formats
-    backend: str = "exact"
-    #: Echo of the advice's solve-cache state ("", "hit", "miss")
-    #: — informational: a cache hit serves a previously
-    #: certified solution, and the proof obligations this procedure
-    #: checks are identical either way.
-    cache: str = ""
 
 
 class VerificationProcedure(abc.ABC):

@@ -192,10 +192,7 @@ class ConsultationSession:
         verdicts = []
         for name in chosen_names:
             procedure = self._registry.get(name)
-            context = VerificationContext(
-                rng=self._rng, prover=package.prover, backend=advice.backend,
-                cache=advice.cache,
-            )
+            context = VerificationContext(rng=self._rng, prover=package.prover)
             try:
                 verdict = procedure.verify(self._game, advice, context)
             except Exception as exc:  # noqa: BLE001 - a crashing verifier

@@ -3,11 +3,13 @@
 A future-based surface over the core authority
 (:class:`AuthorityService`: ``submit`` admits one consultation, one
 draining thread at a time solves, verifies and concludes each) and
-the cross-run fingerprint-keyed :class:`SolveCache` beneath it.
+the cross-run fingerprint-keyed :class:`SolveCache` beneath it: one
+per authority, which every service over the authority serves.
 ``AuthorityService(state_dir=)`` keeps that cache across process
-lifetimes through one path to disk: the write-behind journal of
+lifetimes through one path to disk — the write-behind journal of
 :mod:`repro.service.journal`, in the exact, tamper-rejecting format of
-:mod:`repro.service.persistence`.
+:mod:`repro.service.persistence` — and at most one service journals
+it.
 The synchronous ``RationalityAuthority.consult`` call is a thin shim
 over this package.
 

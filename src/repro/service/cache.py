@@ -25,9 +25,11 @@ touching the soundness story:
 
 * **Warm state survives restarts.**  The cache itself holds no file:
   ``AuthorityService(state_dir=)`` attaches a write-behind persister
-  (:mod:`repro.service.journal`) that journals every stored profile
-  and recovers the file into :meth:`~SolveCache.merge_pending_state`
-  on restart, in the one format of :mod:`repro.service.persistence`.
+  (:mod:`repro.service.journal`) that journals every profile stored
+  from then on (those stored before reach the file at its next
+  compaction) and recovers the file into
+  :meth:`~SolveCache.merge_pending_state` on restart, in the one
+  format of :mod:`repro.service.persistence`.
   Loaded entries are *pending*: each one is re-certified through the
   Lemma-1 lattice gate against the caller's actual game before it is
   first served, so a forged file can cost cold solves, never produce
@@ -42,9 +44,12 @@ under that configuration, which is bit-identical to a fresh cold solve
 is shared across methods or modes, so the cache relies on no claim
 that two configurations find the same equilibrium.
 
-The cache is thread-safe and intended to be shared: one instance can
-back several services, inventors and runs (that is the "cross-run" in
-the name).
+The cache is thread-safe.  Each
+:class:`~repro.core.authority.RationalityAuthority` owns one and hands
+it to every inventor it registers, so every service over that
+authority serves the same warm state.  At most one journal carries it
+across runs (the "cross-run" in the name): :meth:`SolveCache
+.track_updates` arms once.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
+from repro.errors import ProtocolError
 from repro.games.bimatrix import BimatrixGame
 from repro.games.profiles import MixedProfile
 from repro.service.persistence import CacheState
@@ -119,10 +125,10 @@ class SolveCache:
         # as load_rejected — on failure).
         self._pending: dict[tuple[str, str, str], MixedProfile] = {}
         self._lock = threading.Lock()
-        # Write-behind seam: with tracking on, every stored profile is
-        # queued as a ``(key, profile)`` pair for a journal to flush.
-        # Off by default so a journal-less cache never grows an
-        # unbounded list.
+        # Write-behind seam: once a journal arms tracking, every stored
+        # profile is queued as a ``(key, profile)`` pair for it to
+        # flush.  Off until then, so a journal-less cache never grows
+        # an unbounded list.
         self._track_updates = False
         self._updates: list[tuple] = []
         self.stats = CacheStats()
@@ -144,18 +150,22 @@ class SolveCache:
     # The write-behind seam: dirty-entry tracking
     # ------------------------------------------------------------------
 
-    def set_update_tracking(self, enabled: bool) -> None:
-        """Arm (or disarm) dirty-entry tracking for write-behind flushes.
+    def track_updates(self) -> None:
+        """Arm dirty-entry tracking for one write-behind journal.
 
         A :class:`~repro.service.journal.WriteBehindPersister` arms this
-        and takes the queue (:meth:`drain_updates`) at every flush;
-        disarming also discards anything queued, so tracking can never
-        leak unbounded memory after its consumer goes away.
+        and takes the queue (:meth:`drain_updates`) at every flush.  A
+        cache has at most one journal: a second arm raises
+        :class:`~repro.errors.ProtocolError`, since two journals would
+        split the updates between them.
         """
         with self._lock:
-            self._track_updates = bool(enabled)
-            if not self._track_updates:
-                self._updates = []
+            if self._track_updates:
+                raise ProtocolError(
+                    "this solve cache already has a journal: a second "
+                    "would split its updates"
+                )
+            self._track_updates = True
 
     def drain_updates(self) -> list[tuple]:
         """Pop the queued ``(key, profile)`` updates (oldest first)."""

@@ -9,7 +9,8 @@ certified profile stored since, appended and fsynced at the end of
 every drain by the :class:`WriteBehindPersister`.
 ``AuthorityService(state_dir=)`` builds the persister, recovers it
 before its constructor returns, flushes it at the end of every drain
-and compacts it on ``close()``.
+and closes it (a final compaction) on ``close()``.  A cache takes one
+persister: a second would split its updates, and is refused.
 
 Every file the journal writes opens with a header: its first open of a
 missing or empty file writes a header over no frames before the first
@@ -154,13 +155,6 @@ class CacheJournal:
         with self._lock:
             self._close()
 
-    def __enter__(self) -> "CacheJournal":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
-
 
 class WriteBehindPersister:
     """The flush and compaction policy around one cache and its file.
@@ -175,7 +169,9 @@ class WriteBehindPersister:
       profile stored outside a drain still reaches disk;
     * :meth:`snapshot` — compact now, also the ``POST /admin/snapshot``
       handler;
-    * :meth:`close` — a final compaction, then tracking stops.
+    * :meth:`close` — a final compaction, then the journal's handle
+      closes; tracking stays armed, so a later store still reaches the
+      next flush.
 
     The persister is the file's only writer.
 
@@ -208,8 +204,9 @@ class WriteBehindPersister:
     def __init__(self, cache, path: str | os.PathLike, clock=time.monotonic):
         self.cache = cache
         # Arm dirty-entry tracking: from here on every committed cache
-        # update queues a journal frame until close() disarms it.
-        cache.set_update_tracking(True)
+        # update queues a journal frame.  A cache that already has a
+        # journal refuses (ProtocolError) before this one opens a file.
+        cache.track_updates()
         self.journal = CacheJournal(path)
         self._clock = clock
         self._lock = threading.Lock()
@@ -467,19 +464,19 @@ class WriteBehindPersister:
                 self.snapshot_ms_total += (now - started) * 1000.0
         return len(frames)
 
-    def close(self) -> int:
-        """Final (guarded) compaction + journal close; entry count.
+    def close(self) -> int | None:
+        """A final guarded compaction, then the journal's handle closes.
 
-        A dead disk at shutdown is counted and reported like any other
+        Returns the entry count, or ``None`` when the compaction failed:
+        a dead disk at shutdown is counted and reported like any other
         compaction failure — it must not wedge the server's stop
-        sequence; the warm state it could not save is simply lost.
+        sequence.  Tracking stays armed and the next append reopens the
+        file, so closing is not final.
         """
         try:
-            entries = self.guarded_snapshot()
+            return self.guarded_snapshot()
         finally:
-            self.cache.set_update_tracking(False)
             self.journal.close()
-        return 0 if entries is None else entries
 
     # ------------------------------------------------------------------
     # Telemetry

@@ -6,11 +6,11 @@ inventors advise, verifiers certify — not a batch script.
 
 * :meth:`submit` admits one consultation and returns its
   :class:`~repro.service.futures.ConsultationFuture` immediately;
-* the admission queue drains onto the inventors' long-lived solver
-  state — the cross-run :class:`~repro.service.cache.SolveCache` the
-  service attaches at registration — so an exact repeat of a game
-  skips the search; any other game, a near-repeat included, is
-  searched cold;
+* the admission queue drains onto the authority's one
+  :class:`~repro.service.cache.SolveCache`, which its inventors got
+  when registered and every service over the authority serves, so an
+  exact repeat of a game skips the search; any other game, a
+  near-repeat included, is searched cold;
 * the draining thread runs each consultation start to finish: open
   the session, solve (cache lookup, screening, advice), then verify
   and conclude inline.  Certification costs a small fraction of a
@@ -19,11 +19,12 @@ inventors advise, verifiers certify — not a batch script.
   process;
 * admission past ``max_pending`` is refused with
   :class:`~repro.errors.AdmissionError`;
-* with a ``state_dir`` the service owns its warm state's one path to
+* with a ``state_dir`` the service owns that cache's one path to
   disk: a :class:`~repro.service.journal.WriteBehindPersister` over
   ``state_dir/journal.jsonl``, recovered before the constructor
   returns, flushed at the end of every drain and compacted on
-  :meth:`~AuthorityService.close`.
+  :meth:`~AuthorityService.close`.  At most one service journals a
+  cache.
 
 Draining is demand-driven and thread-safe: any caller blocking on a
 future's ``result()`` pumps the queue (one drainer at a time; others
@@ -70,7 +71,6 @@ from repro.core.audit_events import (
 from repro.core.session import ConsultationSession, SessionOutcome
 from repro.errors import AdmissionError, DeadlineExceeded, ProtocolError
 from repro.service import faults
-from repro.service.cache import SolveCache
 from repro.service.futures import ConsultationFuture
 from repro.service.journal import WriteBehindPersister, state_path
 
@@ -118,21 +118,22 @@ class AuthorityService:
     """Async, future-based consultation facade over one authority.
 
     The draining thread verifies each consultation inline, so the
-    audit record order matches the synchronous shim.
-    ``solve_cache`` supplies a cross-run
-    :class:`~repro.service.cache.SolveCache` (one is created when
-    omitted); the service attaches it to every registered inventor.
+    audit record order matches the synchronous shim.  :attr:`cache` is
+    the authority's :attr:`~repro.core.authority.RationalityAuthority
+    .solve_cache`, so every service over one authority serves one warm
+    state.
 
-    ``state_dir`` makes the service's warm state durable: the service
-    creates its cache and :attr:`persister`, a
+    ``state_dir`` makes that warm state durable: the service creates
+    :attr:`persister`, a
     :class:`~repro.service.journal.WriteBehindPersister` over
     ``state_dir/journal.jsonl``, and recovers the file before the
     constructor returns (one ``cache.load.completed`` record, then a
     ``cache.load.rejected`` record per refusal — a rejected file starts
     the cache empty).  Every drain ends with the persister's flush, and
-    :meth:`close` compacts the file.  Pass either ``state_dir`` or an
-    explicit ``solve_cache``, not both: the persister must journal
-    every store of its cache.
+    :meth:`close` compacts the file, entries stored before the journal
+    attached included.  A second ``state_dir`` service over the same
+    authority raises :class:`~repro.errors.ProtocolError` before it
+    writes a file: two journals would split the cache's updates.
 
     ``max_pending`` is the admission high-water mark: an admission
     that would take the pending count past it is refused with
@@ -153,17 +154,12 @@ class AuthorityService:
     inline on the draining thread.
     """
 
-    def __init__(self, authority, solve_cache: SolveCache | None = None,
-                 state_dir=None,
+    def __init__(self, authority, state_dir=None,
                  max_pending: int | None = None):
-        if solve_cache is not None and state_dir is not None:
-            raise ProtocolError(
-                "pass either solve_cache or state_dir, not both"
-            )
         if max_pending is not None and max_pending < 1:
             raise ProtocolError("max_pending must be positive")
         self._authority = authority
-        self.cache = solve_cache if solve_cache is not None else SolveCache()
+        self.cache = authority.solve_cache
         #: The write-behind persister of ``state_dir`` (None without one).
         self.persister: WriteBehindPersister | None = None
         self._queue: deque[_Submission] = deque()
@@ -184,7 +180,6 @@ class AuthorityService:
         # Failure telemetry (surfaced via failure_counters / GET /stats).
         self._deadlines_exceeded = 0
         self._high_water = max_pending
-        self._attach_solve_cache()
         if state_dir is not None:
             self._recover(state_dir)
         self._audit_cache_rejections()
@@ -340,7 +335,6 @@ class AuthorityService:
                 self._drainer = None
 
     def _drain(self, max_submissions: int | None) -> int:
-        self._attach_solve_cache()  # pick up inventors registered since
         if not self.pending_count:
             return 0
         drained = 0
@@ -376,39 +370,20 @@ class AuthorityService:
             with self._admission_lock:
                 current = self._queue.popleft() if self._queue else None
 
-    def _active_caches(self) -> list:
-        """Every solve cache this drain's solves can actually touch.
-
-        Usually just :attr:`cache`, but an inventor constructed with —
-        or previously attached to — a different cache keeps it, and
-        *that* cache's rejections must reach the audit log too.
-        """
-        caches = {id(self.cache): self.cache}
-        for inventor in self._authority.inventors:
-            cache = getattr(inventor, "solve_cache", None)
-            if cache is not None:
-                caches.setdefault(id(cache), cache)
-        return list(caches.values())
-
     def _audit_cache_rejections(self) -> None:
         """Turn queued cache load/serve rejections into audit records.
 
-        Covers every active cache (an inventor may carry a cache of
-        its own): each detail dict a cache refused to serve —
-        a whole rejected file or a loaded entry that failed the Lemma-1
-        gate at first serve — becomes one ``cache.load.rejected``
-        record, so tampered warm state is visible in the audit trail,
-        not just absent from the hit counters.
+        Each detail dict the cache refused to serve — a whole rejected
+        file or a loaded entry that failed the Lemma-1 gate at first
+        serve — becomes one ``cache.load.rejected`` record, so tampered
+        warm state is visible in the audit trail, not just absent from
+        the hit counters.
         """
-        for cache in self._active_caches():
-            drain = getattr(cache, "drain_rejections", None)
-            if drain is None:
-                continue
-            for details in drain():
-                self._authority.audit.record(
-                    "-", self._authority.AUTHORITY_NAME,
-                    EVENT_CACHE_LOAD_REJECTED, **details,
-                )
+        for details in self.cache.drain_rejections():
+            self._authority.audit.record(
+                "-", self._authority.AUTHORITY_NAME,
+                EVENT_CACHE_LOAD_REJECTED, **details,
+            )
 
     def failure_counters(self) -> dict:
         """Lifetime supervision counters (the ``/stats`` failure block)."""
@@ -614,14 +589,6 @@ class AuthorityService:
         )
 
     # ------------------------------------------------------------------
-    # Cache attachment
-    # ------------------------------------------------------------------
-
-    def _attach_solve_cache(self) -> None:
-        for inventor in self._authority.inventors:
-            inventor.attach_solve_cache(self.cache)
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
@@ -640,8 +607,7 @@ class AuthorityService:
         persister = self.persister
         if persister is None:
             return None
-        entries = persister.guarded_snapshot()
-        persister.journal.close()
+        entries = persister.close()
         if entries is None:
             return 0
         self._authority.audit.record(

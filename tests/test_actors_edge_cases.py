@@ -45,7 +45,8 @@ class TestBimatrixInventor:
     def test_solve_is_cached(self):
         from repro.service.cache import SolveCache
 
-        inventor = BimatrixInventor("lh", solve_cache=SolveCache())
+        inventor = BimatrixInventor("lh")
+        inventor.attach_solve_cache(SolveCache())
         game = random_bimatrix(4, 4, seed=5)
         first = inventor.solve(game)
         second = inventor.solve(game)

@@ -34,7 +34,7 @@ from repro.core.audit_events import (
 )
 from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
-from repro.errors import PersistenceError, ProtocolError
+from repro.errors import PersistenceError
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
 from repro.linalg.backend import (
@@ -162,6 +162,13 @@ _RETIRED_FRAME_BODIES = {
 }
 
 
+def _cached(name, cache, **kwargs) -> BimatrixInventor:
+    """A ``BimatrixInventor`` solving through ``cache``."""
+    inventor = BimatrixInventor(name, **kwargs)
+    inventor.attach_solve_cache(cache)
+    return inventor
+
+
 def _persisted(path):
     """A fresh cache and the persister of ``path`` over it."""
     cache = SolveCache()
@@ -238,9 +245,8 @@ class TestRoundTrip:
     def test_profiles_bit_identical_across_modes(self, tmp_path, policy):
         path = tmp_path / "journal.jsonl"
         cache, persister = _persisted(path)
-        inventor = BimatrixInventor(
-            "inv", method="support-enumeration", backend=policy,
-            solve_cache=cache,
+        inventor = _cached(
+            "inv", cache, method="support-enumeration", backend=policy
         )
         games = _degenerate_and_rank_deficient() + [
             random_bimatrix(4, 4, seed=900 + i) for i in range(3)
@@ -250,9 +256,8 @@ class TestRoundTrip:
 
         loaded, report = _recovered(path)
         assert report.accepted
-        restarted = BimatrixInventor(
-            "inv2", method="support-enumeration", backend=policy,
-            solve_cache=loaded,
+        restarted = _cached(
+            "inv2", loaded, method="support-enumeration", backend=policy
         )
         for i, game in enumerate(games):
             clone = BimatrixGame(game.row_matrix, game.column_matrix)
@@ -265,9 +270,7 @@ class TestRoundTrip:
     def test_lru_order_survives_the_round_trip(self, tmp_path, monkeypatch):
         path = tmp_path / "journal.jsonl"
         cache, persister = _persisted(path)
-        inventor = BimatrixInventor(
-            "inv", method="support-enumeration", solve_cache=cache
-        )
+        inventor = _cached("inv", cache, method="support-enumeration")
         games = [random_bimatrix(3, 3, seed=700 + i) for i in range(3)]
         for i, game in enumerate(games):
             inventor.solve(game)
@@ -276,9 +279,7 @@ class TestRoundTrip:
         # Reload into a 2-entry cache: only the two *newest* survive.
         monkeypatch.setattr(SolveCache, "max_entries", 2)
         loaded, __ = _recovered(path)
-        probe = BimatrixInventor(
-            "probe", method="support-enumeration", solve_cache=loaded
-        )
+        probe = _cached("probe", loaded, method="support-enumeration")
         p0 = BimatrixGame(games[0].row_matrix, games[0].column_matrix)
         assert probe.solve(p0).cache == "miss"  # oldest was dropped
         p2 = BimatrixGame(games[2].row_matrix, games[2].column_matrix)
@@ -301,9 +302,7 @@ class TestRoundTrip:
         # lost.
         path = tmp_path / "journal.jsonl"
         cache, persister = _persisted(path)
-        inventor = BimatrixInventor(
-            "inv", method="support-enumeration", solve_cache=cache
-        )
+        inventor = _cached("inv", cache, method="support-enumeration")
         game = random_bimatrix(3, 3, seed=77)
         inventor.solve(game)
         persister.close()
@@ -312,9 +311,7 @@ class TestRoundTrip:
         persister.close()
         final, report = _recovered(path)
         assert report.profiles == 1
-        served = BimatrixInventor(
-            "inv2", method="support-enumeration", solve_cache=final
-        )
+        served = _cached("inv2", final, method="support-enumeration")
         clone = BimatrixGame(game.row_matrix, game.column_matrix)
         assert served.solve(clone).cache == "hit"
 
@@ -322,9 +319,7 @@ class TestRoundTrip:
 def _populated_file(tmp_path, count=2):
     path = tmp_path / "journal.jsonl"
     cache, persister = _persisted(path)
-    inventor = BimatrixInventor(
-        "inv", method="support-enumeration", solve_cache=cache
-    )
+    inventor = _cached("inv", cache, method="support-enumeration")
     games = [random_bimatrix(3, 3, seed=40 + i) for i in range(count)]
     for i, game in enumerate(games):
         inventor.solve(game)
@@ -402,9 +397,7 @@ class TestTamperRejection:
 
         cache, report = _recovered(path)
         assert report.accepted  # structurally fine
-        inventor = BimatrixInventor(
-            "inv", method="support-enumeration", solve_cache=cache
-        )
+        inventor = _cached("inv", cache, method="support-enumeration")
         game = games[0]
         profile, cache_state, __ = inventor.solve(
             BimatrixGame(game.row_matrix, game.column_matrix)
@@ -439,9 +432,7 @@ class TestTamperRejection:
 
         _reseal(path, wrong_shape)
         cache, __ = _recovered(path)
-        inventor = BimatrixInventor(
-            "inv", method="support-enumeration", solve_cache=cache
-        )
+        inventor = _cached("inv", cache, method="support-enumeration")
         game = games[0]
         clone = BimatrixGame(game.row_matrix, game.column_matrix)
         assert inventor.solve(clone).cache == "miss"
@@ -566,16 +557,6 @@ class TestServiceIntegration:
         assert service.cache.stats.load_rejected == 0
         assert os.listdir(tmp_path / "state") == []
         authority.close()
-
-    def test_state_dir_and_solve_cache_are_mutually_exclusive(
-        self, tmp_path
-    ):
-        authority = RationalityAuthority(seed=1)
-        with pytest.raises(ProtocolError):
-            AuthorityService(
-                authority, solve_cache=SolveCache(),
-                state_dir=tmp_path / "state",
-            )
 
     def test_leaving_a_with_block_persists_too(self, tmp_path):
         state = tmp_path / "state"

@@ -36,7 +36,7 @@ from repro.games.generators import (
     random_bimatrix,
 )
 from repro.server import ThreadedServer
-from repro.service import AuthorityService, SolveCache, faults
+from repro.service import AuthorityService, faults
 
 ACCEPTED_FIELDS = {
     "game_id", "privacy", "inventor", "concept", "proof_format", "backend",
@@ -228,7 +228,7 @@ class TestProvenance:
                  for i in range(6)]
         inventor = BimatrixInventor("inv", method="support-enumeration")
         authority = _authority(inventor, games)
-        service = AuthorityService(authority, solve_cache=SolveCache())
+        service = AuthorityService(authority)
         answers = []
         with ThreadedServer(service) as threaded:
             conn = http.client.HTTPConnection(

@@ -2,10 +2,12 @@
 
 Examples are the public face of the library; these tests keep them
 working as the API evolves.  Each runs in a subprocess with a generous
-timeout and must exit 0 with non-trivial output.  The README's Quick
-start block is run the same way.
+timeout and must exit 0 with non-trivial output, leaving nothing in its
+temporary directory.  The README's Quick start block is run the same
+way.
 """
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -18,15 +20,17 @@ SCRIPTS = sorted(EXAMPLES_DIR.glob("*.py"))
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=[s.stem for s in SCRIPTS])
-def test_example_runs(script):
+def test_example_runs(script, tmp_path):
     result = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, "TMPDIR": str(tmp_path)},
     )
     assert result.returncode == 0, result.stderr[-2000:]
     assert len(result.stdout) > 100  # produced a real walkthrough
+    assert list(tmp_path.iterdir()) == []  # removed what it made there
 
 
 def test_examples_exist():

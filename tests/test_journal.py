@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import closing
 import shutil
 import tempfile
 import threading
@@ -32,7 +33,7 @@ from repro.core.audit_events import (
 )
 from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
-from repro.errors import PersistenceError
+from repro.errors import PersistenceError, ProtocolError
 from repro.games.bimatrix import BimatrixGame
 from repro.games.generators import random_bimatrix
 from repro.games.profiles import MixedProfile
@@ -228,9 +229,8 @@ class TestReader:
         cache = SolveCache()
         assert cache.merge_pending_state(state) == 1
         game = BimatrixGame([[3, 0], [0, 2]], [[2, 0], [0, 3]])
-        inventor = BimatrixInventor(
-            "inv", method="support-enumeration", solve_cache=cache
-        )
+        inventor = BimatrixInventor("inv", method="support-enumeration")
+        inventor.attach_solve_cache(cache)
         assert inventor.solve(game).cache == "hit"
         assert cache.stats.load_rejected == 0
 
@@ -245,7 +245,7 @@ class TestReader:
 
     def test_journal_append_and_replace(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        with CacheJournal(path) as journal:
+        with closing(CacheJournal(path)) as journal:
             assert journal.append([_frame(0)]) == 1
             assert journal.size_bytes() > 0
             assert _header(path)["frames"] == 0  # not yet compacted
@@ -264,7 +264,7 @@ class TestReader:
         path = tmp_path / "j.jsonl"
         if existing is not None:
             path.write_bytes(existing)
-        with CacheJournal(path) as journal:
+        with closing(CacheJournal(path)) as journal:
             journal.append([_frame(0)])
             journal.append([_frame(1)])
         header, *frames = path.read_bytes().splitlines(keepends=True)
@@ -280,7 +280,7 @@ class TestStateFile:
 
     def _compacted(self, tmp_path, later=2):
         path = tmp_path / "journal.jsonl"
-        with CacheJournal(path) as journal:
+        with closing(CacheJournal(path)) as journal:
             journal.replace([_frame(i) for i in range(3)])
             journal.append([_frame(3 + i) for i in range(later)])
         return path
@@ -402,6 +402,11 @@ class FakeClock:
         return self.now
 
 
+def _store(cache: SolveCache, index: int) -> None:
+    """Commit one cache entry (one journal frame at the next flush)."""
+    cache.store_profile(f"fp{index}", "m", "exact", _profile())
+
+
 class TestWriteBehindPersister:
     def test_flush_cadence_by_drains(self, tmp_path):
         cache = SolveCache()
@@ -441,17 +446,27 @@ class TestWriteBehindPersister:
         assert os.listdir(tmp_path / "state") == ["journal.jsonl"]
         persister.close()
 
-    def test_close_disarms_tracking(self, tmp_path):
+    def test_a_second_persister_on_one_cache_is_refused(self, tmp_path):
+        # Two journals would split the cache's updates between them.
         cache = SolveCache()
         persister = WriteBehindPersister(cache, state_path(tmp_path / "s"))
+        with pytest.raises(ProtocolError):
+            WriteBehindPersister(cache, state_path(tmp_path / "other"))
+        assert not os.path.exists(tmp_path / "other" / "journal.jsonl")
+        _store(cache, 1)
+        assert persister.flush() == 1
         persister.close()
-        cache.store_profile("fp", "m", "exact", _profile())
-        assert cache.drain_updates() == []  # tracking is off again
 
-
-def _store(cache: SolveCache, index: int) -> None:
-    """Commit one cache entry (one journal frame at the next flush)."""
-    cache.store_profile(f"fp{index}", "m", "exact", _profile())
+    def test_a_store_after_close_reaches_the_next_flush(self, tmp_path):
+        cache = SolveCache()
+        persister = WriteBehindPersister(cache, state_path(tmp_path / "s"))
+        _store(cache, 1)
+        assert persister.close() == 1
+        _store(cache, 2)  # tracking stays armed past close()
+        assert persister.flush() == 1
+        persister.journal.close()
+        state, report = read_state_file(persister.journal.path)
+        assert report.frames == 2 and list(state.profiles) == _keys(1, 2)
 
 
 class TestCompactionRule:
@@ -560,7 +575,7 @@ class TestCompactionRule:
 
     def test_recovered_frames_count_toward_the_file(self, tmp_path):
         path = state_path(tmp_path / "state")
-        with CacheJournal(path) as journal:
+        with closing(CacheJournal(path)) as journal:
             journal.replace([_frame(i) for i in range(3)])
             journal.append([_frame(3)])
         cache, persister = self._persister(tmp_path, max_entries=2)
@@ -577,7 +592,7 @@ class TestCompactionRule:
 
     def test_recovered_entries_share_the_cache_bound(self, tmp_path):
         path = state_path(tmp_path / "state")
-        with CacheJournal(path) as journal:
+        with closing(CacheJournal(path)) as journal:
             journal.replace([_frame(i) for i in range(3)])
         cache, persister = self._persister(tmp_path, max_entries=3)
         persister.recover()

@@ -29,7 +29,7 @@ from repro.linalg.backend import MODE_NUMPY, BackendPolicy
 from repro.service import (
     AuthorityService,
     ConsultationFuture,
-    SolveCache,
+    read_state_file,
 )
 
 
@@ -577,27 +577,70 @@ class TestDrainAbort:
         ] * 4
 
 
-class TestSharedCacheAcrossRuns:
-    def test_one_cache_serves_two_authorities(self):
-        cache = SolveCache()
-        games = _repeat_stream(2, 2, size=3)
+class TestOneCachePerAuthority:
+    """The authority owns one solve cache: every service over it serves
+    that cache, and at most one journals it."""
 
-        def run():
-            inventor = BimatrixInventor(
-                "inv", method="support-enumeration"
-            )
-            authority = _authority(inventor, games)
-            service = AuthorityService(authority, solve_cache=cache)
-            outcomes = [
-                service.submit("jane", gid).result() for gid, __ in games
-            ]
-            authority.close()
-            return outcomes
+    @staticmethod
+    def _authority(games):
+        inventor = BimatrixInventor("inv", method="support-enumeration")
+        return _authority(inventor, games)
 
-        first = run()
-        second = run()  # fresh authority, same payoffs: all hits
-        assert all(o.advice.cache == "miss" for o in first)
-        assert all(o.advice.cache == "hit" for o in second)
-        assert [o.advice.suggestion for o in first] == [
-            o.advice.suggestion for o in second
+    def test_every_service_serves_the_authoritys_cache(self):
+        authority = self._authority(_repeat_stream(4, 2, size=3))
+        lazy, explicit = authority.service, AuthorityService(authority)
+        assert lazy.cache is authority.solve_cache
+        assert explicit.cache is authority.solve_cache
+        # g2 and g3 repeat g0's and g1's payoff bytes: stored through
+        # one service, each is a hit through the other.
+        stored = [lazy.submit("jane", "g0").result(),
+                  explicit.submit("jane", "g1").result()]
+        served = [explicit.submit("jane", "g2").result(),
+                  lazy.submit("jane", "g3").result()]
+        assert [o.advice.cache for o in stored] == ["miss", "miss"]
+        assert [o.advice.cache for o in served] == ["hit", "hit"]
+        assert [o.advice.suggestion for o in served] == [
+            o.advice.suggestion for o in stored
         ]
+        authority.close()
+
+    def test_a_journal_attached_after_a_consult_keeps_every_entry(
+        self, tmp_path
+    ):
+        games = _repeat_stream(3, 3, size=3)
+        authority = self._authority(games)
+        cold = [authority.consult("jane", "g0")]
+        service = AuthorityService(authority, state_dir=tmp_path)
+        cold += [service.submit("jane", g).result() for g in ("g1", "g2")]
+        assert [o.advice.cache for o in cold] == ["miss"] * 3
+        # Each drain journaled what it answered...
+        path = tmp_path / "journal.jsonl"
+        assert read_state_file(path)[1].frames == 2
+        # ...and the compaction also writes what was stored before.
+        assert service.close() == 3
+        authority.close()
+
+        restarted = self._authority(games)
+        warm_service = AuthorityService(restarted, state_dir=tmp_path)
+        warm = [warm_service.submit("jane", g).result()
+                for g in ("g0", "g1", "g2")]
+        assert [o.advice.cache for o in warm] == ["hit"] * 3
+        assert [o.advice.suggestion for o in warm] == [
+            o.advice.suggestion for o in cold
+        ]
+        warm_service.close()
+
+    def test_a_second_journal_over_one_authority_is_refused(self, tmp_path):
+        authority = self._authority(_repeat_stream(1, 1, size=3))
+        service = AuthorityService(authority, state_dir=tmp_path / "first")
+        with pytest.raises(ProtocolError):
+            AuthorityService(authority, state_dir=tmp_path / "other")
+        assert not (tmp_path / "other" / "journal.jsonl").exists()
+        service.submit("jane", "g0").result()
+        service.close()
+        # Closing keeps the journal attached: still refused.
+        with pytest.raises(ProtocolError):
+            AuthorityService(authority, state_dir=tmp_path / "other")
+        assert not (tmp_path / "other" / "journal.jsonl").exists()
+        __, report = read_state_file(tmp_path / "first" / "journal.jsonl")
+        assert report.frames == 1

@@ -27,6 +27,13 @@ _PURE = MixedProfile.from_rows(
 )
 
 
+def _cached(name, cache, **kwargs) -> BimatrixInventor:
+    """A ``BimatrixInventor`` solving through ``cache``."""
+    inventor = BimatrixInventor(name, **kwargs)
+    inventor.attach_solve_cache(cache)
+    return inventor
+
+
 def _pending_profiles(*fingerprints) -> CacheState:
     """Loaded state holding ``_PURE`` under each fingerprint, in order."""
     return CacheState(profiles={
@@ -111,9 +118,7 @@ class TestProfileCache:
 
     def test_exact_repeat_hits_across_game_ids(self):
         cache = SolveCache()
-        inventor = BimatrixInventor(
-            "inv", method="support-enumeration", solve_cache=cache
-        )
+        inventor = _cached("inv", cache, method="support-enumeration")
         game = random_bimatrix(4, 4, seed=21)
         clone = BimatrixGame(game.row_matrix, game.column_matrix)
         cold = inventor.solve(game)
@@ -127,10 +132,8 @@ class TestProfileCache:
     def test_keys_include_method_and_mode(self):
         cache = SolveCache()
         game = random_bimatrix(3, 3, seed=22)
-        se = BimatrixInventor(
-            "se", method="support-enumeration", solve_cache=cache
-        )
-        lh = BimatrixInventor("lh", method="lemke-howson", solve_cache=cache)
+        se = _cached("se", cache, method="support-enumeration")
+        lh = _cached("lh", cache, method="lemke-howson")
         se.solve(game)
         # A different method: no cross-contamination.
         assert lh.solve(game).cache == "miss"
@@ -139,10 +142,7 @@ class TestProfileCache:
         # different equilibria, so none is served another's entry.
         modes = SolveCache()
         exact, numpy = (
-            BimatrixInventor(
-                mode, method="support-enumeration", backend=mode,
-                solve_cache=modes,
-            )
+            _cached(mode, modes, method="support-enumeration", backend=mode)
             for mode in ("exact", "numpy")
         )
         assert exact.solve(game).cache == "miss"
@@ -157,9 +157,8 @@ class TestProfileCache:
     @pytest.mark.parametrize("mode", ["exact", "float+certify", "numpy"])
     def test_hits_are_bit_identical_to_a_fresh_cold_solve(self, mode):
         cache = SolveCache()
-        inventor = BimatrixInventor(
-            "inv", method="support-enumeration", backend=mode,
-            solve_cache=cache,
+        inventor = _cached(
+            "inv", cache, method="support-enumeration", backend=mode
         )
         sizes = [(3, 3), (4, 3), (3, 4), (4, 4)]
         games = [
@@ -187,9 +186,7 @@ class TestProfileCache:
             payoff_fingerprint = None
 
         cache = SolveCache()
-        inventor = BimatrixInventor(
-            "inv", method="support-enumeration", solve_cache=cache
-        )
+        inventor = _cached("inv", cache, method="support-enumeration")
         opaque = _Unfingerprinted([[1, 1], [0, 2]], [[1, 1], [1, 0]])
         first = inventor.solve(opaque)
         again = inventor.solve(opaque)
@@ -204,9 +201,8 @@ class TestHistoryFree:
     @pytest.mark.parametrize("size", [5, 4, 3])
     def test_answers_do_not_depend_on_earlier_solves(self, size):
         cache = SolveCache()
-        inventor = BimatrixInventor(
-            "inv", method="support-enumeration", backend="auto",
-            solve_cache=cache,
+        inventor = _cached(
+            "inv", cache, method="support-enumeration", backend="auto"
         )
         differ = []
         for seed in range(7000, 7100):
@@ -220,9 +216,7 @@ class TestHistoryFree:
 
     def test_near_repeat_is_a_cold_miss(self):
         cache = SolveCache()
-        inventor = BimatrixInventor(
-            "inv", method="support-enumeration", solve_cache=cache
-        )
+        inventor = _cached("inv", cache, method="support-enumeration")
         game = random_bimatrix(4, 4, seed=31)
         cold = inventor.solve(game).profile
         near, cache_state, __ = inventor.solve(_scaled(game, 3))
@@ -236,9 +230,7 @@ class TestHistoryFree:
 
     def test_names_perfbench_reads_stay_inert(self):
         cache = SolveCache()
-        inventor = BimatrixInventor(
-            "inv", method="support-enumeration", solve_cache=cache
-        )
+        inventor = _cached("inv", cache, method="support-enumeration")
         inventor.solve(random_bimatrix(3, 3, seed=32))
         assert cache.note_hint((3, 3), ((0,), (0,))) is None
         assert len(cache) == 1
@@ -250,9 +242,7 @@ class TestHistoryFree:
 class TestStatsAndLifecycle:
     def test_hit_rate(self):
         cache = SolveCache()
-        inventor = BimatrixInventor(
-            "inv", method="support-enumeration", solve_cache=cache
-        )
+        inventor = _cached("inv", cache, method="support-enumeration")
         game = random_bimatrix(3, 3, seed=41)
         inventor.solve(game)
         inventor.solve(BimatrixGame(game.row_matrix, game.column_matrix))
@@ -264,17 +254,13 @@ class TestStatsAndLifecycle:
     def test_lru_eviction_bounds_the_stores(self, monkeypatch):
         monkeypatch.setattr(SolveCache, "max_entries", 2)
         cache = SolveCache()
-        inventor = BimatrixInventor(
-            "inv", method="support-enumeration", solve_cache=cache
-        )
+        inventor = _cached("inv", cache, method="support-enumeration")
         games = [random_bimatrix(3, 3, seed=600 + i) for i in range(3)]
         for i, game in enumerate(games):
             inventor.solve(game)
         # Three distinct fingerprints through a 2-entry store: the
         # oldest (g0) was evicted, the newer two still hit.
-        fresh = BimatrixInventor(
-            "fresh", method="support-enumeration", solve_cache=cache
-        )
+        fresh = _cached("fresh", cache, method="support-enumeration")
         r0 = BimatrixGame(games[0].row_matrix, games[0].column_matrix)
         assert fresh.solve(r0).cache == "miss"  # evicted
         r2 = BimatrixGame(games[2].row_matrix, games[2].column_matrix)
@@ -284,9 +270,7 @@ class TestStatsAndLifecycle:
     def test_lookup_refreshes_lru_order(self, monkeypatch):
         monkeypatch.setattr(SolveCache, "max_entries", 2)
         cache = SolveCache()
-        inventor = BimatrixInventor(
-            "inv", method="support-enumeration", solve_cache=cache
-        )
+        inventor = _cached("inv", cache, method="support-enumeration")
         g0 = random_bimatrix(3, 3, seed=610)
         g1 = random_bimatrix(3, 3, seed=611)
         inventor.solve(g0)
@@ -295,9 +279,7 @@ class TestStatsAndLifecycle:
         inventor.solve(BimatrixGame(g0.row_matrix, g0.column_matrix))
         # ...then insert a third fingerprint, evicting g1, not g0.
         inventor.solve(random_bimatrix(3, 3, seed=612))
-        probe = BimatrixInventor(
-            "probe", method="support-enumeration", solve_cache=cache
-        )
+        probe = _cached("probe", cache, method="support-enumeration")
         p0 = BimatrixGame(g0.row_matrix, g0.column_matrix)
         assert probe.solve(p0).cache == "hit"
         p1 = BimatrixGame(g1.row_matrix, g1.column_matrix)
@@ -343,5 +325,7 @@ class TestStatsAndLifecycle:
         inner = BimatrixInventor("inner", method="support-enumeration")
         wrapper = MisadvisingInventor("wrap", inner, corrupt=lambda s: s)
         wrapper.attach_solve_cache(cache)
-        assert inner.solve_cache is cache
-        assert wrapper.solve_cache is cache
+        game = random_bimatrix(3, 3, seed=42)
+        assert inner.solve(game).cache == "miss"
+        assert inner.solve(game).cache == "hit"
+        assert cache.stats.misses == 1 and cache.stats.hits == 1
