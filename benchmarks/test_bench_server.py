@@ -8,7 +8,8 @@ same consultation stream runs twice from cold:
 * **over HTTP** — a :class:`ThreadedServer` with write-behind
   durability (journal flushed every drain), driven by a closed-loop
   ``http.client`` caller: every request crosses a real socket, every
-  drain fsyncs journal frames.
+  drain writes its journal frames, and the journal's committer thread
+  fsyncs them at most every ``COMMIT_INTERVAL_S``.
 
 Reported: requests/second on both paths, the wire+durability overhead
 factor, and the journal-flush cost per drain (the price of the

@@ -71,8 +71,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument(
         "--state-dir", default=None, metavar="DIR",
         help="enable write-behind durability: the certified profiles "
-             "each drain stores are appended to DIR/journal.jsonl and "
-             "fsynced when the drain ends; the file is compacted once "
+             "each drain stores are appended to DIR/journal.jsonl when "
+             "the drain ends and fsynced by a committer thread at most "
+             "every 20 ms; the file is compacted once "
              "it holds twice as many frames as the cache holds "
              "entries, on POST /admin/snapshot and at shutdown",
     )

@@ -125,11 +125,12 @@ class SolveCache:
         # as load_rejected — on failure).
         self._pending: dict[tuple[str, str, str], MixedProfile] = {}
         self._lock = threading.Lock()
-        # Write-behind seam: once a journal arms tracking, every stored
-        # profile is queued as a ``(key, profile)`` pair for it to
-        # flush.  Off until then, so a journal-less cache never grows
-        # an unbounded list.
-        self._track_updates = False
+        #: The write-behind seam: the cache's one persister, None until
+        #: one arms tracking.  From then on every stored profile is
+        #: queued as a ``(key, profile)`` pair for it, and every drain
+        #: over the cache flushes it; a journal-less cache grows no
+        #: queue.
+        self.persister = None
         self._updates: list[tuple] = []
         self.stats = CacheStats()
         self._load_rejections: list[dict] = []
@@ -150,22 +151,23 @@ class SolveCache:
     # The write-behind seam: dirty-entry tracking
     # ------------------------------------------------------------------
 
-    def track_updates(self) -> None:
-        """Arm dirty-entry tracking for one write-behind journal.
+    def track_updates(self, persister) -> None:
+        """Arm dirty-entry tracking for ``persister``, the cache's one
+        write-behind journal, and record it as :attr:`persister`.
 
         A :class:`~repro.service.journal.WriteBehindPersister` arms this
-        and takes the queue (:meth:`drain_updates`) at every flush.  A
-        cache has at most one journal: a second arm raises
-        :class:`~repro.errors.ProtocolError`, since two journals would
-        split the updates between them.
+        and takes the queue (:meth:`drain_updates`) at every flush,
+        which every drain over the cache runs.  A cache has at most one
+        journal: a second arm raises :class:`~repro.errors.ProtocolError`,
+        since two journals would split the updates between them.
         """
         with self._lock:
-            if self._track_updates:
+            if self.persister is not None:
                 raise ProtocolError(
                     "this solve cache already has a journal: a second "
                     "would split its updates"
                 )
-            self._track_updates = True
+            self.persister = persister
 
     def drain_updates(self) -> list[tuple]:
         """Pop the queued ``(key, profile)`` updates (oldest first)."""
@@ -232,7 +234,7 @@ class SolveCache:
             self._pending.pop(key, None)
             self._profiles[key] = profile
             self._evict()
-            if self._track_updates:
+            if self.persister is not None:
                 self._updates.append((key, profile))
 
     def note_solved(self) -> None:

@@ -1,16 +1,30 @@
 """Write-behind durability: the journal is the service's state file.
 
-An always-on host should lose at most one drain of warm state to a
-crash (SIGKILL, OOM, power loss), not the whole process lifetime.  One
-file per state directory delivers that: ``journal.jsonl``, in the
-format of :mod:`repro.service.persistence` — a header covering the
-frames of the last compaction, then one digest-framed line per
-certified profile stored since, appended and fsynced at the end of
-every drain by the :class:`WriteBehindPersister`.
-``AuthorityService(state_dir=)`` builds the persister, recovers it
-before its constructor returns, flushes it at the end of every drain
-and closes it (a final compaction) on ``close()``.  A cache takes one
-persister: a second would split its updates, and is refused.
+An always-on host should lose little warm state to a crash, never the
+whole process lifetime.  One file per state directory delivers that:
+``journal.jsonl``, in the format of :mod:`repro.service.persistence` —
+a header covering the frames of the last compaction, then one
+digest-framed line per certified profile stored since, written at the
+end of every drain by the :class:`WriteBehindPersister` and fsynced by
+the journal's committer thread.  ``AuthorityService(state_dir=)``
+builds the persister and recovers it before its constructor returns;
+every drain over its cache flushes it, and that service's ``close()``
+compacts it.  A cache takes one persister: a second would split its
+updates, and is refused.
+
+The two crash contracts:
+
+* **A process crash** (SIGKILL, OOM) loses at most the frames of the
+  drain it interrupts: each drain ends with one ``write`` of what it
+  stored, which the kernel keeps once the call returns.
+* **Power loss** (or a kernel crash) loses at most the frames written
+  in the last :data:`COMMIT_INTERVAL_S` plus one fsync: the committer
+  fsyncs what was written at most once per interval, off the draining
+  thread, so every drain in that interval shares one fsync and no
+  consultation waits on the disk.
+
+Lost frames cost only re-solves: recovery re-certifies every frame,
+and the digest framing refuses a torn tail.
 
 Every file the journal writes opens with a header: its first open of a
 missing or empty file writes a header over no frames before the first
@@ -44,8 +58,13 @@ Crash-safety of the flush/compaction cycle:
 * a flush and a compaction never overlap: a frame appended to the old
   file between the compaction's copy of the cache and its rename would
   vanish with that file;
-* appends are fsynced per flush batch; the header write and every
-  compaction fsync the directory.
+* appends are written per flush batch and fsynced by the committer;
+  the header write and every compaction fsync the file and the
+  directory, and count as a sync;
+* a failed fsync is not retried, since the kernel may have dropped the
+  pages it could not write: the journal refuses every append until a
+  compaction rewrites the file from memory, and the persister's retry
+  ladder ends in snapshot-only mode.
 """
 
 from __future__ import annotations
@@ -76,6 +95,11 @@ JOURNAL_FILENAME = "journal.jsonl"
 #: cache entry, so it writes no more frames than it drops.
 COMPACT_RATIO = 2
 
+#: The committer fsyncs at most once per this many seconds, so every
+#: append in one interval shares one fsync, and power loss costs at
+#: most the frames written in the last interval plus one fsync.
+COMMIT_INTERVAL_S = 0.02
+
 #: Seconds after the last append at which the HTTP host's idle timer
 #: appends what was stored outside a drain (an abandoned deadlined
 #: solve finishing late).
@@ -89,33 +113,63 @@ BACKOFF_CAP_S = 1.0
 
 
 def state_path(state_dir) -> str:
-    """The state file of a state directory (created if needed)."""
-    state_dir = os.fspath(state_dir)
-    os.makedirs(state_dir, exist_ok=True)
-    return os.path.join(state_dir, JOURNAL_FILENAME)
+    """The state file of a state directory.
+
+    The directory is created where the file is first written
+    (:func:`~repro.service.persistence.write_state_file`), so a
+    persister refused before it writes leaves nothing behind.
+    """
+    return os.path.join(os.fspath(state_dir), JOURNAL_FILENAME)
 
 
 class CacheJournal:
-    """The state file's one writer: durable appends, atomic compaction.
+    """The state file's one writer: appends, group commit, compaction.
 
-    :meth:`append` writes a batch of encoded frames with one ``write``
-    and one ``fsync``, after a header over no frames when the file is
-    missing or empty; :meth:`replace` closes the append handle and
-    rewrites the file as a header and the given frames, and the next
-    append reopens it.  Thread-safe on its own; the persister also
-    serializes its flushes and compactions.
+    :meth:`append` writes a batch of encoded frames with one ``write``,
+    after a header over no frames when the file is missing or empty,
+    and returns once the OS holds them: it never waits on the disk.
+    The first append after construction or :meth:`close` starts the
+    journal's committer, one daemon thread that fsyncs a duplicate of
+    the handle's fd outside the lock once :data:`COMMIT_INTERVAL_S`
+    has passed since its last fsync, so every append in that interval
+    shares one fsync.  :meth:`replace` closes the append handle and
+    rewrites the file as a header and the given frames, with its own
+    file and directory fsyncs; the next append reopens it.
+
+    The two crash contracts (see the module notes): a process crash
+    loses nothing an append returned for; power loss loses at most the
+    frames written in the last ``COMMIT_INTERVAL_S`` plus one fsync.
+    :attr:`synced_bytes` is the offset the last completed fsync or
+    compaction covers.  A failed fsync is not retried: every append
+    raises :class:`~repro.errors.PersistenceError` until a compaction
+    rewrites the file.  :meth:`close` stops the committer, which first
+    syncs what is left, and joins it.  Thread-safe on its own; the
+    persister also serializes its flushes and compactions.
     """
 
     def __init__(self, path):
         self.path = os.fspath(path)
         self._lock = threading.Lock()
+        # Wakes an idle committer when an append leaves bytes unsynced,
+        # and a retired one at close().
+        self._wake = threading.Condition(self._lock)
         self._handle = None
+        self._committer: threading.Thread | None = None
+        # The file's end after the last write, the offset the last
+        # fsync or compaction covers, the compactions so far (a sync
+        # that straddles one covers nothing of the new file), and a
+        # failed fsync, which stands until a compaction lands.
+        self._end = 0
+        self._synced = 0
+        self._generation = 0
+        self._sync_error: OSError | None = None
 
     def _open(self):
         if self._handle is None:
             if self.size_bytes() == 0:
-                write_state_file(self.path, [])
+                self._rewritten(write_state_file(self.path, []))
             self._handle = open(self.path, "ab")
+            self._end = self._handle.tell()
         return self._handle
 
     def _close(self) -> None:
@@ -123,27 +177,118 @@ class CacheJournal:
             self._handle.close()
             self._handle = None
 
-    def append(self, frames) -> int:
-        """Durably append encoded frames; returns how many.
+    def _rewritten(self, size: int) -> None:
+        """A whole-file write of ``size`` bytes landed, fsynced (lock
+        held)."""
+        self._generation += 1
+        self._end = self._synced = size
+        self._sync_error = None
 
-        The batch is one OS write and one fsync; a crash mid-write
+    def _refuse_after_failed_sync(self) -> None:
+        error = self._sync_error
+        if error is not None:
+            raise PersistenceError(
+                f"an fsync of {self.path} failed ({error}); appends "
+                f"wait for a compaction"
+            ) from error
+
+    def append(self, frames) -> int:
+        """Append encoded frames with one write; returns how many.
+
+        The write reaches the OS before this returns; a crash mid-write
         tears at most the final frame, which recovery rejects alone.
+        The committer fsyncs it within ``COMMIT_INTERVAL_S`` plus one
+        fsync.  Refused, even with no frames, while a failed fsync
+        waits for a compaction.
         """
         if not frames:
+            # No lock: an empty flush ends every drain, warm ones too.
+            self._refuse_after_failed_sync()
             return 0
         blob = faults.filter_bytes("journal.append", b"".join(frames))
         with self._lock:
+            self._refuse_after_failed_sync()
             handle = self._open()
+            if self._committer is None:
+                committer = threading.Thread(
+                    target=self._commit, daemon=True,
+                    name=f"repro-journal-commit {self.path}",
+                )
+                committer.start()  # it waits for this lock
+                self._committer = committer
+            idle = self._synced >= self._end
             handle.write(blob)
             handle.flush()
-            os.fsync(handle.fileno())
+            self._end = handle.tell()
+            if idle:
+                # Only an idle committer waits for news: one counting
+                # down its interval is not woken by every append.
+                self._wake.notify()
         return len(frames)
+
+    def _commit(self) -> None:
+        """The committer thread: fsync what was written, at most once
+        per ``COMMIT_INTERVAL_S``, until :meth:`close` retires it; a
+        retired committer syncs what is left before it returns."""
+        me = threading.current_thread()
+        synced_at = time.monotonic()
+        while True:
+            with self._lock:
+                if not self._await_unsynced(me, synced_at):
+                    return
+                end, generation = self._end, self._generation
+                try:
+                    fd = os.dup(self._handle.fileno())
+                except OSError as exc:
+                    self._sync_error = exc
+                    continue
+            error = None
+            try:
+                try:
+                    os.fsync(fd)
+                finally:
+                    os.close(fd)
+            except OSError as exc:
+                error = exc
+            synced_at = time.monotonic()
+            with self._lock:
+                if generation != self._generation:
+                    continue  # a compaction rewrote the file meanwhile
+                if error is None:
+                    self._synced = max(self._synced, end)
+                else:
+                    self._sync_error = error
+
+    def _await_unsynced(self, me, synced_at: float) -> bool:
+        """Wait (lock held) until a sync is due; False once ``me`` is
+        retired with nothing left to sync."""
+        while True:
+            retired = self._committer is not me
+            if (self._sync_error is not None or self._handle is None
+                    or self._synced >= self._end):
+                if retired:
+                    return False
+                self._wake.wait()
+                continue
+            wait = synced_at + COMMIT_INTERVAL_S - time.monotonic()
+            if retired or wait <= 0:
+                return True
+            self._wake.wait(wait)
 
     def replace(self, frames) -> int:
         """Atomically rewrite the file as a header and ``frames``."""
         with self._lock:
             self._close()
-            return write_state_file(self.path, frames)
+            size = write_state_file(self.path, frames)
+            self._rewritten(size)
+            return size
+
+    @property
+    def synced_bytes(self) -> int:
+        """The offset the last completed fsync or compaction covers:
+        power loss keeps the file's bytes below it."""
+        with self._lock:
+            return self._synced
 
     def size_bytes(self) -> int:
         try:
@@ -152,8 +297,17 @@ class CacheJournal:
             return 0
 
     def close(self) -> None:
-        with self._lock:
-            self._close()
+        """Retire the committer, which syncs what is left, join it,
+        then close the handle; the next append reopens both."""
+        while True:
+            with self._lock:
+                committer = self._committer
+                if committer is None:
+                    self._close()
+                    return
+                self._committer = None
+                self._wake.notify_all()
+            committer.join()
 
 
 class WriteBehindPersister:
@@ -161,17 +315,17 @@ class WriteBehindPersister:
 
     * :meth:`recover` (once, before serving) — load the state file into
       the cache's pending/re-certify store;
-    * :meth:`on_drained` (the service calls it at the end of every
-      drain) — flush the dirty queue to the journal, then compact when
-      the rule below says so;
+    * :meth:`on_drained` (the end of every drain over the cache,
+      through any service) — flush the dirty queue to the journal,
+      then compact when the rule below says so;
     * :meth:`poll` (an idle host's timer) — the same once
       ``FLUSH_INTERVAL_S`` has passed since the last flush, so a
       profile stored outside a drain still reaches disk;
     * :meth:`snapshot` — compact now, also the ``POST /admin/snapshot``
       handler;
     * :meth:`close` — a final compaction, then the journal's handle
-      closes; tracking stays armed, so a later store still reaches the
-      next flush.
+      closes and its committer stops; tracking stays armed, so a later
+      store still reaches the next flush.
 
     The persister is the file's only writer.
 
@@ -182,9 +336,12 @@ class WriteBehindPersister:
     fills (every frame is live); once evictions and repeats leave half
     the file stale, each compaction writes no more frames than it
     drops, so its cost per update stays constant.  :meth:`snapshot`
-    itself always runs.  A crash loses at most the updates committed
-    since the last flush — the current drain's; compaction bounds the
-    file's size and recovery time, never data loss.
+    itself always runs.  A process crash loses at most the updates
+    committed since the last flush — the current drain's; power loss,
+    at most those and the ones flushed in the last
+    ``COMMIT_INTERVAL_S`` plus one fsync, the journal's group commit.
+    Compaction bounds the file's size and recovery time, never data
+    loss.
 
     **Degradation.**  A journal append that keeps failing (a refusing
     or corrupting disk) is retried up to ``FLUSH_RETRIES`` times with
@@ -193,7 +350,10 @@ class WriteBehindPersister:
     compacts instead whenever an update was committed since the last
     compaction landed (the compaction subsumes every committed update,
     so nothing is lost while compactions still land; a failed one
-    leaves the state dirty for the next cadence).  The event handler
+    leaves the state dirty for the next cadence).  A failed fsync ends
+    there too: the journal refuses every append until a compaction
+    lands, so the retries fail, and the compaction rewrites what the
+    kernel may have dropped.  The event handler
     (:meth:`set_event_handler` — the service wires it into the audit
     log as ``server.durability.degraded``) plus the :meth:`stats`
     ``degraded``/``degraded_reason`` fields surface the mode.  Failed
@@ -203,10 +363,6 @@ class WriteBehindPersister:
 
     def __init__(self, cache, path: str | os.PathLike, clock=time.monotonic):
         self.cache = cache
-        # Arm dirty-entry tracking: from here on every committed cache
-        # update queues a journal frame.  A cache that already has a
-        # journal refuses (ProtocolError) before this one opens a file.
-        cache.track_updates()
         self.journal = CacheJournal(path)
         self._clock = clock
         self._lock = threading.Lock()
@@ -236,6 +392,11 @@ class WriteBehindPersister:
         self.flush_failures = 0
         self.snapshot_failures = 0
         self.retries_used = 0
+        # Arm dirty-entry tracking, last, so every drain over the cache
+        # finds this persister whole: from here on every committed
+        # update queues a journal frame.  A cache that already has a
+        # journal refuses (ProtocolError) before this one writes a file.
+        cache.track_updates(self)
 
     # ------------------------------------------------------------------
     # Recovery
@@ -465,13 +626,14 @@ class WriteBehindPersister:
         return len(frames)
 
     def close(self) -> int | None:
-        """A final guarded compaction, then the journal's handle closes.
+        """A final guarded compaction, then the journal closes: its
+        committer thread stops after a last sync, and its handle closes.
 
         Returns the entry count, or ``None`` when the compaction failed:
         a dead disk at shutdown is counted and reported like any other
         compaction failure — it must not wedge the server's stop
         sequence.  Tracking stays armed and the next append reopens the
-        file, so closing is not final.
+        file and restarts the committer, so closing is not final.
         """
         try:
             return self.guarded_snapshot()
@@ -484,10 +646,12 @@ class WriteBehindPersister:
 
     def stats(self) -> dict:
         """Counters for ``/stats`` and the bench."""
+        synced = self.journal.synced_bytes
         with self._lock:
             return {
                 "journal_path": self.journal.path,
                 "journal_bytes": self.journal.size_bytes(),
+                "journal_synced_bytes": synced,
                 "flushes": self.flushes,
                 "frames_flushed": self.frames_flushed,
                 "snapshots": self.snapshots,

@@ -326,8 +326,9 @@ def write_state_file(path, frames) -> int:
     """Atomically replace ``path`` with a header and ``frames``; bytes written.
 
     ``frames`` are encoded lines (:func:`encode_journal_frame`), written
-    in order under a header that carries their count and SHA-256.  The
-    file lands via temp-file-in-the-same-directory + fsync +
+    in order under a header that carries their count and SHA-256, in a
+    directory created if missing.  The file lands via
+    temp-file-in-the-same-directory + fsync +
     ``os.replace``, so concurrent readers — and a reader after a
     mid-write crash — see either the old complete file or the new one;
     a crash leaves at most a stale ``.tmp`` file, which no reader opens
@@ -346,6 +347,7 @@ def write_state_file(path, frames) -> int:
     })
     data = faults.filter_bytes("snapshot.write", header + b"\n" + body)
     directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(
         prefix=_TEMP_PREFIX, suffix=_TEMP_SUFFIX, dir=directory
     )

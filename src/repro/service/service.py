@@ -22,9 +22,9 @@ inventors advise, verifiers certify — not a batch script.
 * with a ``state_dir`` the service owns that cache's one path to
   disk: a :class:`~repro.service.journal.WriteBehindPersister` over
   ``state_dir/journal.jsonl``, recovered before the constructor
-  returns, flushed at the end of every drain and compacted on
-  :meth:`~AuthorityService.close`.  At most one service journals a
-  cache.
+  returns and compacted on :meth:`~AuthorityService.close`.  Every
+  drain over the cache, through any service, ends with its flush.  At
+  most one service journals a cache.
 
 Draining is demand-driven and thread-safe: any caller blocking on a
 future's ``result()`` pumps the queue (one drainer at a time; others
@@ -129,9 +129,11 @@ class AuthorityService:
     ``state_dir/journal.jsonl``, and recovers the file before the
     constructor returns (one ``cache.load.completed`` record, then a
     ``cache.load.rejected`` record per refusal — a rejected file starts
-    the cache empty).  Every drain ends with the persister's flush, and
-    :meth:`close` compacts the file, entries stored before the journal
-    attached included.  A second ``state_dir`` service over the same
+    the cache empty).  Every drain over the cache ends with the
+    persister's flush, a drain of another service over the authority
+    (the lazy ``authority.service``) included, and :meth:`close`
+    compacts the file, entries stored before the journal attached
+    included.  A second ``state_dir`` service over the same
     authority raises :class:`~repro.errors.ProtocolError` before it
     writes a file: two journals would split the cache's updates.
 
@@ -311,9 +313,9 @@ class AuthorityService:
         continuous load one "drain" can stretch over many of them —
         fine for throughput, but it stretches the write-behind flush
         interval with it: a drain ends with the persister's flush.  The
-        HTTP server's pump drains one submission at a time, so a crash
-        can lose the journal frame of at most one answered
-        consultation.
+        HTTP server's pump drains one submission at a time, so a
+        process crash can lose the journal frame of at most one
+        answered consultation.
 
         Done-callbacks run on the draining thread.  One that drains
         there — through ``result()`` or ``exception()`` on a pending
@@ -356,10 +358,12 @@ class AuthorityService:
         # Completions are counted by the futures themselves as they
         # resolve (see _note_completed) — nothing to tally here.
         self._audit_cache_rejections()
-        if self.persister is not None:
+        persister = self.cache.persister
+        if persister is not None:
             # Every future this drain took has resolved and every cache
-            # write it made is queued: the flush point.
-            self.persister.on_drained()
+            # write it made is queued: the flush point, whichever
+            # service owns the journal.
+            persister.on_drained()
         return drained
 
     def _abort_outstanding(self, exc: BaseException,
@@ -598,14 +602,18 @@ class AuthorityService:
         Returns the compacted entry count: ``None`` without a
         ``state_dir``, 0 when the compaction failed (the persister
         counts and reports it, and the file stays as it was).  A landed
-        compaction is audited ``cache.saved``.  The journal's handle is
-        closed, and tracking stays armed: idempotent, and — like the
-        authority's own ``close`` — not final, so a consultation after
-        ``close()`` still reaches the journal at its drain's flush.
+        compaction is audited ``cache.saved``.  Any service's close
+        then closes the cache's journal, whose handle and committer
+        thread its own drains may have reopened.  Tracking stays armed:
+        idempotent, and — like the authority's own ``close`` — not
+        final, so a consultation after ``close()`` still reaches the
+        journal at its drain's flush.
         """
         self.drain()
         persister = self.persister
         if persister is None:
+            if self.cache.persister is not None:
+                self.cache.persister.journal.close()
             return None
         entries = persister.close()
         if entries is None:

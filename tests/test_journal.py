@@ -12,6 +12,7 @@ re-certification gate.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 from contextlib import closing
@@ -30,6 +31,7 @@ from repro.core.actors import AuthorityAgent, BimatrixInventor
 from repro.core.audit_events import (
     EVENT_CACHE_LOAD_REJECTED,
     EVENT_CACHE_LOADED,
+    EVENT_DURABILITY_DEGRADED,
 )
 from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
@@ -699,6 +701,169 @@ class TestCompactionRule:
         assert list(state.profiles) == _keys(1, 2)
 
 
+def _committers(path) -> list:
+    """The live committer threads of the journal at ``path``."""
+    name = f"repro-journal-commit {os.fspath(path)}"
+    return [t for t in threading.enumerate() if t.name == name]
+
+
+def _on_committer() -> bool:
+    return threading.current_thread().name.startswith("repro-journal-commit")
+
+
+def _wait_for(predicate) -> None:
+    deadline = time.monotonic() + 30
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.002)
+
+
+class TestGroupCommit:
+    """Appends write at once; one committer thread per open journal
+    fsyncs them, at most once per ``COMMIT_INTERVAL_S``, off the
+    draining thread."""
+
+    @pytest.fixture(autouse=True)
+    def _gated_fsync(self, monkeypatch):
+        """The committer's fsyncs wait for ``self.gate`` (one release per
+        fsync) and signal ``self.entered``; other threads' fsyncs run as
+        they are."""
+        real_fsync = os.fsync
+        self.entered = threading.Semaphore(0)
+        self.gate = threading.Semaphore(0)
+        self.committed = []  # (entered, returned) monotonic times
+
+        def fsync(fd):
+            if not _on_committer():
+                return real_fsync(fd)
+            entered = time.monotonic()
+            self.entered.release()
+            self.gate.acquire(timeout=30)
+            real_fsync(fd)
+            self.committed.append((entered, time.monotonic()))
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        yield
+        for __ in range(8):
+            self.gate.release()  # nothing stays parked past a test
+
+    def test_drains_return_while_the_committers_fsync_waits(self, tmp_path):
+        authority = _authority("g")
+        service = AuthorityService(authority, state_dir=tmp_path / "state")
+        path = service.persister.journal.path
+        futures = [service.submit("jane", "g0")]
+        assert service.drain() == 1
+        assert self.entered.acquire(timeout=30)  # the fsync is parked
+        for game_id in ("g1", "g2"):
+            futures.append(service.submit("jane", game_id))
+            assert service.drain() == 1
+        assert [f.result().advice.cache for f in futures] == ["miss"] * 3
+        assert read_state_file(path)[1].frames == 3
+        stats = service.persister.stats()
+        assert stats["journal_synced_bytes"] < stats["journal_bytes"]
+        self.gate.release()
+        service.close()
+        assert read_state_file(path)[1].frames == 3
+
+    def test_appends_within_one_interval_share_one_fsync(self, tmp_path):
+        journal = CacheJournal(tmp_path / "journal.jsonl")
+        journal.append([_frame(0)])
+        assert self.entered.acquire(timeout=30)
+        for index in range(1, 4):  # while the first fsync is parked
+            journal.append([_frame(index)])
+        self.gate.release()
+        self.gate.release()
+        _wait_for(lambda: journal.synced_bytes == journal.size_bytes())
+        journal.close()  # nothing left for a final sync
+        assert len(self.committed) == 2
+        (__, first_returned), (second_entered, __) = self.committed
+        assert (second_entered
+                >= first_returned + journal_module.COMMIT_INTERVAL_S)
+
+    def test_a_sync_straddling_a_compaction_covers_none_of_the_new_file(
+        self, tmp_path
+    ):
+        journal = CacheJournal(tmp_path / "journal.jsonl")
+        journal.append([_frame(index) for index in range(5)])
+        old_end = journal.size_bytes()
+        assert self.entered.acquire(timeout=30)  # syncing the old file
+        compacted = journal.replace([_frame(9)])
+        assert compacted < old_end
+        assert journal.synced_bytes == compacted
+        journal.append([_frame(10)])
+        self.gate.release()  # the old file's sync completes...
+        assert self.entered.acquire(timeout=30)  # ...and the next begins
+        assert journal.synced_bytes == compacted
+        self.gate.release()
+        _wait_for(lambda: journal.synced_bytes == journal.size_bytes())
+        journal.close()
+
+    def test_a_failed_fsync_ends_in_snapshot_only_mode(
+        self, tmp_path, monkeypatch
+    ):
+        gated = os.fsync
+        failed = []
+
+        def failing_once(fd):
+            if _on_committer() and not failed:
+                failed.append(fd)
+                raise OSError(errno.EIO, "fsync failed")
+            return gated(fd)
+
+        monkeypatch.setattr(os, "fsync", failing_once)
+        for __ in range(8):
+            self.gate.release()  # later committer fsyncs run ungated
+        authority = _authority("g")
+        service = AuthorityService(authority, state_dir=tmp_path / "state")
+        persister = service.persister
+        cold = [service.submit("jane", "g0").result()]
+
+        def refused() -> bool:
+            try:
+                persister.journal.append([])
+            except PersistenceError:
+                return True
+            return False
+
+        _wait_for(refused)  # appends wait for a compaction
+        cold += [service.submit("jane", g).result() for g in ("g1", "g2")]
+        assert persister.degraded
+        assert persister.retries_used == journal_module.FLUSH_RETRIES
+        (degraded,) = authority.audit.events_of(EVENT_DURABILITY_DEGRADED)
+        assert degraded.details["mode"] == "snapshot-only"
+        assert "fsync" in degraded.details["reason"]
+        assert not refused()  # the compaction rewrote the file
+        assert service.close() == 3
+        authority.close()
+
+        restarted = _authority("h")  # same payoffs, new game ids
+        warm_service = AuthorityService(restarted, state_dir=tmp_path / "state")
+        warm = [warm_service.submit("jane", f"h{i}").result() for i in range(3)]
+        assert [o.advice.cache for o in warm] == ["hit"] * 3
+        assert [o.advice.suggestion for o in warm] == [
+            o.advice.suggestion for o in cold
+        ]
+        warm_service.close()
+
+    def test_no_committer_outlives_close(self, tmp_path):
+        for __ in range(8):
+            self.gate.release()
+        authority = _authority("g", games=2)
+        service = AuthorityService(authority, state_dir=tmp_path / "state")
+        service.submit("jane", "g0").result()
+        path = service.persister.journal.path
+        assert len(_committers(path)) == 1
+        service.close()
+        assert _committers(path) == []
+        # The default service's drain reopens the journal; its close,
+        # through the authority's, stops the committer again.
+        authority.consult("jane", "g1")
+        assert len(_committers(path)) == 1
+        authority.close()
+        assert _committers(path) == []
+        assert read_state_file(path)[1].frames == 2
+
+
 class TestCrashRecoveryInProcess:
     """Journal-only recovery (no compaction yet): the SIGKILL shape."""
 
@@ -827,12 +992,16 @@ class PersisterMachine(RuleBasedStateMachine):
     """One persister over a 4-entry cache and six keys (so stores
     evict), driven by random steps.
 
-    The model is the file: ``log`` holds ``(key, value)`` in the order
-    the file holds them.  A flush appends what was stored since the
-    last flush, a compaction replaces the log with the cache's entries,
-    and a store that was never flushed is lost to a crash.  After every
-    recovery the cache must hold exactly the newest four keys of the
-    folded log, with their exact values.
+    The model is the file: ``log`` holds ``(key, value, end)`` in the
+    order the file holds them, ``end`` being the file offset at which
+    the flush or compaction that wrote the entry ended.  A flush
+    appends what was stored since the last flush, a compaction replaces
+    the log with the cache's entries, and a store that was never
+    flushed is lost to a crash.  Power loss keeps only the entries
+    wholly below the offset the journal's last completed fsync or
+    compaction covers.  After every recovery the cache must hold
+    exactly the newest four keys of the folded log, with their exact
+    values.
     """
 
     def __init__(self):
@@ -848,7 +1017,7 @@ class PersisterMachine(RuleBasedStateMachine):
         self.persister.recover()
         self.stored: list = []  # committed since the last flush
         folded: dict = {}
-        for key, value in self.log:
+        for key, value, __ in self.log:
             folded.pop(key, None)
             folded[key] = value
         expected = list(folded.items())[-4:]
@@ -871,17 +1040,32 @@ class PersisterMachine(RuleBasedStateMachine):
         key, payoffs, __ = _EQUILIBRIA[game]
         self.cache.lookup_profile(*key, game=payoffs)
 
+    def _file_end(self) -> int:
+        return self.persister.journal.size_bytes()
+
+    def _compacted(self) -> None:
+        end = self._file_end()
+        self.log = [(key, value, end) for key, value in self.cache.entries()]
+        self.stored = []
+
     @rule()
     def flush(self):
         self.persister.flush()
-        self.log.extend(self.stored)
+        end = self._file_end()
+        self.log.extend((key, value, end) for key, value in self.stored)
         self.stored = []
 
     @rule()
     def compact(self):
         self.persister.snapshot()
-        self.log = self.cache.entries()
-        self.stored = []
+        self._compacted()
+
+    @rule()
+    def commit(self):
+        """Wait for the committer to sync what was appended."""
+        journal = self.persister.journal
+        if _committers(self.path):
+            _wait_for(lambda: journal.synced_bytes >= journal.size_bytes())
 
     @rule()
     def crash(self):
@@ -889,9 +1073,20 @@ class PersisterMachine(RuleBasedStateMachine):
         self._open()
 
     @rule()
+    def power_loss(self):
+        """The file keeps only what the last completed fsync or
+        compaction covers."""
+        synced = self.persister.stats()["journal_synced_bytes"]
+        self.persister.journal.close()
+        if os.path.exists(self.path):
+            os.truncate(self.path, synced)
+        self.log = [entry for entry in self.log if entry[2] <= synced]
+        self._open()
+
+    @rule()
     def close_and_reopen(self):
         self.persister.close()
-        self.log = self.cache.entries()
+        self._compacted()
         self._open()
 
     def teardown(self):

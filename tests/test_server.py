@@ -607,7 +607,16 @@ class TestGracefulShutdown:
         )
         assert status == 200
         client.close()
+        # The drain's append, just after the answer, starts the
+        # journal's committer thread.
+        committer = f"repro-journal-commit {journal}"
+        waited = time.monotonic() + 30
+        while committer not in {t.name for t in threading.enumerate()}:
+            assert time.monotonic() < waited
+            time.sleep(0.01)
         threaded.stop()
+        # The journal's committer thread stopped with the service.
+        assert committer not in {t.name for t in threading.enumerate()}
         # The final compaction left one file whose header covers every
         # entry.
         assert os.listdir(tmp_path / "state") == ["journal.jsonl"]

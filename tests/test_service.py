@@ -630,12 +630,24 @@ class TestOneCachePerAuthority:
         ]
         warm_service.close()
 
+    def test_every_drain_over_the_cache_flushes_its_journal(self, tmp_path):
+        authority = self._authority(_repeat_stream(40, 40, size=3))
+        service = AuthorityService(authority, state_dir=tmp_path)
+        service.submit("jane", "g0").result()
+        # The lazy default service's drains flush the same journal.
+        outcomes = [authority.consult("jane", f"g{i}") for i in range(1, 40)]
+        assert [o.advice.cache for o in outcomes] == ["miss"] * 39
+        assert read_state_file(tmp_path / "journal.jsonl")[1].frames == 40
+        assert service.close() == 40
+        authority.close()
+
     def test_a_second_journal_over_one_authority_is_refused(self, tmp_path):
         authority = self._authority(_repeat_stream(1, 1, size=3))
         service = AuthorityService(authority, state_dir=tmp_path / "first")
         with pytest.raises(ProtocolError):
             AuthorityService(authority, state_dir=tmp_path / "other")
         assert not (tmp_path / "other" / "journal.jsonl").exists()
+        assert not (tmp_path / "other").exists()
         service.submit("jane", "g0").result()
         service.close()
         # Closing keeps the journal attached: still refused.
