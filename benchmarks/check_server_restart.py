@@ -11,8 +11,8 @@ against real processes*:
 * **crash** — SIGKILL the server (no graceful path of any kind runs);
 * **recover** — spawn a second server on the same directory and assert
   the warm stream is bit-identical to the cold one with at least
-  ``N - 1`` cache hits (the write-behind bound: at most one flush
-  interval lost);
+  ``N - 1`` cache hits (the write-behind bound: at most the frame of
+  one answered consultation lost);
 * **graceful** — SIGTERM the second server and assert exit code 0 and
   one state file: ``journal.jsonl`` opens with a header covering every
   served entry, and no ``snapshot.json`` exists.
@@ -111,7 +111,8 @@ def main(argv: list[str]) -> int:
         if hits < GAMES - 1:
             failures.append(
                 f"only {hits}/{GAMES} warm hits (write-behind bound "
-                f"allows losing at most one flush interval)"
+                f"allows losing at most the frame of one answered "
+                f"consultation)"
             )
         conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
         conn.request("GET", "/stats")

@@ -113,9 +113,9 @@ REGISTRY: dict[str, str] = {
     EVENT_SERVER_PUMP_FAILED:
         "One background pump iteration failed (counted, backed off).",
     EVENT_DURABILITY_DEGRADED:
-        "Journal appends kept failing, so write-behind fell back to "
-        "compaction only (kind degraded, mode snapshot-only), or a "
-        "compaction failed (kind snapshot-failed).",
+        "A journal append failed, so the persister compacted at once "
+        "and stays degraded until an append lands (kind degraded, once "
+        "per episode), or a compaction failed (kind snapshot-failed).",
 }
 
 

@@ -5,8 +5,8 @@
 HTTP/1.1 with a background drain pump (clients never pump the queue
 themselves).  Durability belongs to the service:
 ``AuthorityService(state_dir=)`` owns the write-behind journal
-(:mod:`repro.service.journal`), and the server polls it, compacts it on
-``POST /admin/snapshot`` and reports it under ``/stats``.
+(:mod:`repro.service.journal`); the server flushes it on a timer,
+compacts it on ``POST /admin/snapshot`` and reports it under ``/stats``.
 """
 
 from repro.server.app import AuthorityHTTPServer, ThreadedServer

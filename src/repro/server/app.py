@@ -43,12 +43,11 @@ Durability belongs to the service: an
 ``AuthorityService(state_dir=)`` has recovered its journal before the
 server is built (auditing ``cache.load.completed`` / per-frame
 ``cache.load.rejected``), so the socket binds after recovery, and each
-drain ends with the journal's flush.  The server polls
-``service.persister`` every ``POLL_INTERVAL_S`` (a flush once
-:data:`~repro.service.journal.FLUSH_INTERVAL_S` has passed, even when
-idle), compacts on ``POST /admin/snapshot``, and closes the service
-during graceful shutdown — which drains every in-flight future first,
-compacts the journal a last time and lands a
+drain ends with the journal's flush.  The server also flushes it
+every :data:`FLUSH_INTERVAL_S`, so a profile stored outside a drain
+reaches disk on an idle host, compacts it on ``POST /admin/snapshot``,
+and closes the service during graceful shutdown — which drains every
+in-flight future first, compacts the journal a last time and lands a
 ``server.shutdown.completed`` audit record.
 """
 
@@ -87,8 +86,8 @@ MAX_BODY_BYTES = 1 << 20
 #: (resolved) responses.
 SHUTDOWN_GRACE_S = 10.0
 
-#: Seconds between the durability timer's polls of the persister.
-POLL_INTERVAL_S = 0.25
+#: Seconds between the durability timer's flushes of the journal.
+FLUSH_INTERVAL_S = 5.0
 
 #: Reason phrases for the handful of statuses the server emits.
 _REASONS = {
@@ -321,14 +320,15 @@ class AuthorityHTTPServer:
         self._service.drain(max_submissions=1)
 
     async def _durability_timer(self) -> None:
-        """Idle-time persistence: poll the write-behind cadence so a
-        profile stored outside a drain still reaches disk."""
+        """Idle-time persistence: run the end-of-drain flush every
+        ``FLUSH_INTERVAL_S``, so a profile stored outside a drain still
+        reaches disk."""
         loop = asyncio.get_running_loop()
         while True:
-            await asyncio.sleep(POLL_INTERVAL_S)
+            await asyncio.sleep(FLUSH_INTERVAL_S)
             try:
                 await loop.run_in_executor(
-                    None, self._service.persister.poll
+                    None, self._service.persister.on_drained
                 )
             except Exception as exc:
                 self._audit_pump_failure("durability-timer", exc)

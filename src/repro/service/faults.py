@@ -81,7 +81,7 @@ BYTE_POINTS = ("journal.append", "snapshot.write", "cache.load")
 #: default) is the typed chaos error; the rest let a plan speak each
 #: subsystem's native failure dialect — ``runtime`` an ordinary
 #: ``Exception`` routed into the failing consultation's future,
-#: ``oserror`` exercises the journal's disk-failure retry/degrade path,
+#: ``oserror`` a disk failure, which the journal compacts over at once,
 #: ``system-exit`` a crash that escapes ``except Exception`` routing
 #: (the drain fails every outstanding future, then re-raises).
 _ERROR_FACTORIES = {

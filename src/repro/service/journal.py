@@ -61,10 +61,11 @@ Crash-safety of the flush/compaction cycle:
 * appends are written per flush batch and fsynced by the committer;
   the header write and every compaction fsync the file and the
   directory, and count as a sync;
-* a failed fsync is not retried, since the kernel may have dropped the
-  pages it could not write: the journal refuses every append until a
-  compaction rewrites the file from memory, and the persister's retry
-  ladder ends in snapshot-only mode.
+* a failed append is not retried, whether its write, its flush or the
+  committer's fsync of it failed: the file may end in a torn frame, or
+  the kernel may have dropped the pages it could not write, so the
+  journal refuses every append until a compaction rewrites the file
+  from memory, and the persister compacts at once.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ from repro.service.persistence import (
     write_state_file,
 )
 
-#: The failure dialect the durability layer retries and degrades on: a
-#: refusing disk, a malformed frame, or an injected chaos fault.
+#: The failure dialect the durability layer degrades on: a refusing
+#: disk, a malformed frame, or an injected chaos fault.
 DURABILITY_ERRORS = (OSError, PersistenceError, FaultInjected)
 
 #: The state file inside a state directory.
@@ -99,17 +100,6 @@ COMPACT_RATIO = 2
 #: append in one interval shares one fsync, and power loss costs at
 #: most the frames written in the last interval plus one fsync.
 COMMIT_INTERVAL_S = 0.02
-
-#: Seconds after the last append at which the HTTP host's idle timer
-#: appends what was stored outside a drain (an abandoned deadlined
-#: solve finishing late).
-FLUSH_INTERVAL_S = 5.0
-
-#: Retries of a failing journal append before snapshot-only mode; the
-#: sleep between them doubles from BACKOFF_BASE_S up to BACKOFF_CAP_S.
-FLUSH_RETRIES = 3
-BACKOFF_BASE_S = 0.05
-BACKOFF_CAP_S = 1.0
 
 
 def state_path(state_dir) -> str:
@@ -132,19 +122,20 @@ class CacheJournal:
     journal's committer, one daemon thread that fsyncs a duplicate of
     the handle's fd outside the lock once :data:`COMMIT_INTERVAL_S`
     has passed since its last fsync, so every append in that interval
-    shares one fsync.  :meth:`replace` closes the append handle and
-    rewrites the file as a header and the given frames, with its own
-    file and directory fsyncs; the next append reopens it.
+    shares one fsync.  :meth:`replace` rewrites the file as a header
+    and the given frames, with its own file and directory fsyncs, then
+    closes the append handle; the next append reopens it.
 
     The two crash contracts (see the module notes): a process crash
     loses nothing an append returned for; power loss loses at most the
     frames written in the last ``COMMIT_INTERVAL_S`` plus one fsync.
     :attr:`synced_bytes` is the offset the last completed fsync or
-    compaction covers.  A failed fsync is not retried: every append
-    raises :class:`~repro.errors.PersistenceError` until a compaction
-    rewrites the file.  :meth:`close` stops the committer, which first
-    syncs what is left, and joins it.  Thread-safe on its own; the
-    persister also serializes its flushes and compactions.
+    compaction covers.  A failed append (its fault hook, its write or
+    flush, or the committer's fsync of it) is not retried: every later
+    append raises :class:`~repro.errors.PersistenceError` until a
+    compaction rewrites the file.  :meth:`close` stops the committer,
+    which first syncs what is left, and joins it.  Thread-safe on its
+    own; the persister also serializes its flushes and compactions.
     """
 
     def __init__(self, path):
@@ -158,11 +149,11 @@ class CacheJournal:
         # The file's end after the last write, the offset the last
         # fsync or compaction covers, the compactions so far (a sync
         # that straddles one covers nothing of the new file), and a
-        # failed fsync, which stands until a compaction lands.
+        # failed write or fsync, which stands until a compaction lands.
         self._end = 0
         self._synced = 0
         self._generation = 0
-        self._sync_error: OSError | None = None
+        self._failure: BaseException | None = None
 
     def _open(self):
         if self._handle is None:
@@ -182,15 +173,15 @@ class CacheJournal:
         held)."""
         self._generation += 1
         self._end = self._synced = size
-        self._sync_error = None
+        self._failure = None
 
-    def _refuse_after_failed_sync(self) -> None:
-        error = self._sync_error
-        if error is not None:
+    def _refuse_after_failure(self) -> None:
+        failure = self._failure
+        if failure is not None:
             raise PersistenceError(
-                f"an fsync of {self.path} failed ({error}); appends "
-                f"wait for a compaction"
-            ) from error
+                f"a write or fsync of {self.path} failed ({failure}); "
+                f"appends wait for a compaction"
+            ) from failure
 
     def append(self, frames) -> int:
         """Append encoded frames with one write; returns how many.
@@ -198,17 +189,28 @@ class CacheJournal:
         The write reaches the OS before this returns; a crash mid-write
         tears at most the final frame, which recovery rejects alone.
         The committer fsyncs it within ``COMMIT_INTERVAL_S`` plus one
-        fsync.  Refused, even with no frames, while a failed fsync
-        waits for a compaction.
+        fsync.  Refused, even with no frames, from a failed append
+        until a compaction lands.
         """
         if not frames:
             # No lock: an empty flush ends every drain, warm ones too.
-            self._refuse_after_failed_sync()
+            self._refuse_after_failure()
             return 0
-        blob = faults.filter_bytes("journal.append", b"".join(frames))
         with self._lock:
-            self._refuse_after_failed_sync()
-            handle = self._open()
+            self._refuse_after_failure()
+            try:
+                blob = faults.filter_bytes("journal.append", b"".join(frames))
+                handle = self._open()
+                handle.write(blob)
+                handle.flush()
+            except BaseException as exc:
+                # The file may now end in part of a frame, which a
+                # later append would run into: only a compaction
+                # writes to it again.
+                self._failure = exc
+                raise
+            idle = self._synced >= self._end
+            self._end = handle.tell()
             if self._committer is None:
                 committer = threading.Thread(
                     target=self._commit, daemon=True,
@@ -216,10 +218,6 @@ class CacheJournal:
                 )
                 committer.start()  # it waits for this lock
                 self._committer = committer
-            idle = self._synced >= self._end
-            handle.write(blob)
-            handle.flush()
-            self._end = handle.tell()
             if idle:
                 # Only an idle committer waits for news: one counting
                 # down its interval is not woken by every append.
@@ -240,7 +238,7 @@ class CacheJournal:
                 try:
                     fd = os.dup(self._handle.fileno())
                 except OSError as exc:
-                    self._sync_error = exc
+                    self._failure = exc
                     continue
             error = None
             try:
@@ -257,14 +255,14 @@ class CacheJournal:
                 if error is None:
                     self._synced = max(self._synced, end)
                 else:
-                    self._sync_error = error
+                    self._failure = error
 
     def _await_unsynced(self, me, synced_at: float) -> bool:
         """Wait (lock held) until a sync is due; False once ``me`` is
         retired with nothing left to sync."""
         while True:
             retired = self._committer is not me
-            if (self._sync_error is not None or self._handle is None
+            if (self._failure is not None or self._handle is None
                     or self._synced >= self._end):
                 if retired:
                     return False
@@ -276,10 +274,15 @@ class CacheJournal:
             self._wake.wait(wait)
 
     def replace(self, frames) -> int:
-        """Atomically rewrite the file as a header and ``frames``."""
+        """Atomically rewrite the file as a header and ``frames``.
+
+        The append handle closes only once the new file is in place: a
+        failed rewrite leaves the old file open, so the committer still
+        syncs what was appended to it.
+        """
         with self._lock:
-            self._close()
             size = write_state_file(self.path, frames)
+            self._close()
             self._rewritten(size)
             return size
 
@@ -316,11 +319,9 @@ class WriteBehindPersister:
     * :meth:`recover` (once, before serving) — load the state file into
       the cache's pending/re-certify store;
     * :meth:`on_drained` (the end of every drain over the cache,
-      through any service) — flush the dirty queue to the journal,
-      then compact when the rule below says so;
-    * :meth:`poll` (an idle host's timer) — the same once
-      ``FLUSH_INTERVAL_S`` has passed since the last flush, so a
-      profile stored outside a drain still reaches disk;
+      through any service, and an HTTP host's idle timer, so a profile
+      stored outside a drain still reaches disk) — flush the dirty
+      queue to the journal, then compact when the rule below says so;
     * :meth:`snapshot` — compact now, also the ``POST /admin/snapshot``
       handler;
     * :meth:`close` — a final compaction, then the journal's handle
@@ -343,38 +344,34 @@ class WriteBehindPersister:
     Compaction bounds the file's size and recovery time, never data
     loss.
 
-    **Degradation.**  A journal append that keeps failing (a refusing
-    or corrupting disk) is retried up to ``FLUSH_RETRIES`` times with
-    capped exponential backoff; past that the persister enters sticky
-    **snapshot-only mode**: appends stop, and every flush cadence
-    compacts instead whenever an update was committed since the last
-    compaction landed (the compaction subsumes every committed update,
-    so nothing is lost while compactions still land; a failed one
-    leaves the state dirty for the next cadence).  A failed fsync ends
-    there too: the journal refuses every append until a compaction
-    lands, so the retries fail, and the compaction rewrites what the
-    kernel may have dropped.  The event handler
-    (:meth:`set_event_handler` — the service wires it into the audit
-    log as ``server.durability.degraded``) plus the :meth:`stats`
-    ``degraded``/``degraded_reason`` fields surface the mode.  Failed
+    **The failure rule.**  A flush tries its append once.  When it
+    fails, or the journal refuses it after a failed write or fsync, the
+    flush compacts at once: the compaction writes every frame the
+    journal refused (the persister keeps each key's frame) and
+    rewrites what the kernel may have dropped, and appends resume once
+    it lands.  A failed compaction leaves the journal refusing, so the
+    next flush compacts again.  ``degraded`` holds from a failed append
+    until an append of frames lands, and each such episode emits one
+    ``degraded`` event to the handler (:meth:`set_event_handler` — the
+    service wires it into the audit log as
+    ``server.durability.degraded``); the :meth:`stats`
+    ``degraded``/``degraded_reason`` fields surface it.  Failed
     compactions are counted (``snapshot_failures``), never raised into
     the serving path: durability degrades, service does not.
     """
 
-    def __init__(self, cache, path: str | os.PathLike, clock=time.monotonic):
+    def __init__(self, cache, path: str | os.PathLike):
         self.cache = cache
         self.journal = CacheJournal(path)
-        self._clock = clock
         self._lock = threading.Lock()
         # Serializes flush() and snapshot() (see the module notes), and
-        # guards the two frame stores below.  Reentrant: a degraded
-        # flush compacts, and the cadence holds it across both steps.
+        # guards the two frame stores below.  Reentrant: a failed flush
+        # compacts, and on_drained() holds it across both steps.
         self._persist_lock = threading.RLock()
         # The last frame encoded or recovered for each cache key, and
         # the frames encoded but not yet appended, oldest first.
         self._frames: dict[tuple, bytes] = {}
         self._unwritten: list[bytes] = []
-        self._last_flush = clock()
         self._on_event = None
         # Telemetry for /stats and the bench.
         self.flushes = 0
@@ -391,7 +388,6 @@ class WriteBehindPersister:
         self.degraded_reason: str | None = None
         self.flush_failures = 0
         self.snapshot_failures = 0
-        self.retries_used = 0
         # Arm dirty-entry tracking, last, so every drain over the cache
         # finds this persister whole: from here on every committed
         # update queues a journal frame.  A cache that already has a
@@ -443,123 +439,66 @@ class WriteBehindPersister:
     # ------------------------------------------------------------------
 
     def on_drained(self) -> None:
-        """The end of a drain: flush, then compact as due."""
+        """The end of a drain, or an idle host's timer: flush, then
+        compact by the rule (see the class notes).  Degraded, a flush
+        compacts by the failure rule itself, so the rule stays quiet."""
         with self._persist_lock:
-            self._cadence(True)
-
-    def poll(self) -> None:
-        """Timer-driven cadence: flush when ``FLUSH_INTERVAL_S`` lapsed."""
-        now = self._clock()
-        with self._persist_lock:
-            with self._lock:
-                flush_due = now - self._last_flush >= FLUSH_INTERVAL_S
-            self._cadence(flush_due)
-
-    def _cadence(self, flush_due: bool) -> None:
-        """Flush when due, then compact by the rule (see the class
-        notes).  Degraded, each flush compacts a dirty state itself, so
-        the rule stays quiet."""
-        if flush_due:
             self.flush()
-        entries = len(self.cache)
-        with self._lock:
-            due = (
-                not self.degraded
-                and self._dirty
-                and self._file_frames >= COMPACT_RATIO * entries
-            )
-        if due:
-            self.guarded_snapshot()
+            entries = len(self.cache)
+            with self._lock:
+                due = (
+                    not self.degraded
+                    and self._dirty
+                    and self._file_frames >= COMPACT_RATIO * entries
+                )
+            if due:
+                self.guarded_snapshot()
 
-    def _encode_updates(self) -> int:
+    def _encode_updates(self) -> None:
         """Encode the cache's queued updates (persist lock held): each
         becomes its key's kept frame and waits for the next append."""
-        updates = self.cache.drain_updates()
-        for key, profile in updates:
+        for key, profile in self.cache.drain_updates():
             line = encode_journal_frame(key, profile)
             self._frames[key] = line
             self._unwritten.append(line)
-        return len(updates)
 
     def flush(self) -> int:
         """Append the cache's dirty updates to the journal; frame count.
 
-        Never raises into the serving path: a persistently failing
-        append (after the retry/backoff ladder) flips the persister
-        into snapshot-only mode and attempts an immediate compaction so
-        the frames the journal refused still reach disk.  Degraded,
-        every flush cadence *is* a (guarded) compaction whenever an
-        update was committed since the last one landed.
+        Never raises into the serving path: an append that fails, or
+        that the journal refuses, is not retried; the flush compacts at
+        once instead (the failure rule, see the class notes) and
+        returns 0.
         """
         with self._persist_lock:
-            started = self._clock()
-            committed = self._encode_updates()
-            if self.degraded:
-                # A compaction writes every kept frame; appends are off.
-                self._unwritten = []
-                with self._lock:
-                    self._dirty = self._dirty or committed > 0
-                    self._last_flush = self._clock()
-                    dirty = self._dirty
-                if dirty:
-                    self.guarded_snapshot()
-                return 0
+            started = time.monotonic()
+            self._encode_updates()
+            unwritten, self._unwritten = self._unwritten, []
             try:
-                frames = self._append_with_retry(self._unwritten)
+                frames = self.journal.append(unwritten)
             except DURABILITY_ERRORS as exc:
-                # The refused frames are kept per key; a compaction
-                # writes them, so degrading loses nothing while
-                # compactions still land.
-                self._enter_degraded(exc)
+                # The journal takes no append until a compaction lands,
+                # and a landed compaction writes every kept frame.
+                reason = f"{type(exc).__name__}: {exc}"
                 with self._lock:
-                    self._dirty = True
+                    episode = not self.degraded
+                    self.degraded = True
+                    self.degraded_reason = reason
+                    self.flush_failures += 1
+                if episode:
+                    self._emit({"kind": "degraded", "reason": reason})
                 self.guarded_snapshot()
                 return 0
-            self._unwritten = []
             with self._lock:
-                self._last_flush = self._clock()
                 self.flushes += 1
                 self.frames_flushed += frames
                 self._file_frames += frames
-                self._dirty = self._dirty or frames > 0
-                self.flush_ms_total += (self._clock() - started) * 1000.0
+                if frames:
+                    self._dirty = True
+                    self.degraded = False
+                    self.degraded_reason = None
+                self.flush_ms_total += (time.monotonic() - started) * 1000.0
             return frames
-
-    def _append_with_retry(self, frames) -> int:
-        """One journal append, retried on the durability error dialect.
-
-        ``FLUSH_RETRIES`` bounds the retries (not the attempts); the
-        sleep between them doubles from ``BACKOFF_BASE_S`` up to
-        ``BACKOFF_CAP_S``.  The final failure propagates to the caller,
-        which degrades.
-        """
-        attempt = 0
-        while True:
-            try:
-                return self.journal.append(frames)
-            except DURABILITY_ERRORS:
-                attempt += 1
-                if attempt > FLUSH_RETRIES:
-                    raise
-                with self._lock:
-                    self.retries_used += 1
-                time.sleep(
-                    min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** (attempt - 1)))
-                )
-
-    def _enter_degraded(self, exc: BaseException) -> None:
-        with self._lock:
-            already = self.degraded
-            self.degraded = True
-            self.degraded_reason = f"{type(exc).__name__}: {exc}"
-            self.flush_failures += 1
-        if not already:
-            self._emit({
-                "kind": "degraded",
-                "mode": "snapshot-only",
-                "reason": f"{type(exc).__name__}: {exc}",
-                "retries": FLUSH_RETRIES,
-            })
 
     def guarded_snapshot(self) -> int | None:
         """A compaction attempt that degrades instead of raising.
@@ -605,7 +544,7 @@ class WriteBehindPersister:
         the next append.
         """
         with self._persist_lock:
-            started = self._clock()
+            started = time.monotonic()
             self._encode_updates()
             frames = {}
             for key, profile in self.cache.entries():
@@ -617,12 +556,12 @@ class WriteBehindPersister:
             self.journal.replace(list(frames.values()))
             self._unwritten = []
             with self._lock:
-                now = self._clock()
-                self._last_flush = now
                 self._dirty = False
                 self._file_frames = len(frames)
                 self.snapshots += 1
-                self.snapshot_ms_total += (now - started) * 1000.0
+                self.snapshot_ms_total += (
+                    (time.monotonic() - started) * 1000.0
+                )
         return len(frames)
 
     def close(self) -> int | None:
@@ -657,11 +596,8 @@ class WriteBehindPersister:
                 "snapshots": self.snapshots,
                 "flush_ms_total": self.flush_ms_total,
                 "snapshot_ms_total": self.snapshot_ms_total,
-                "flush_interval_s": FLUSH_INTERVAL_S,
                 "degraded": self.degraded,
                 "degraded_reason": self.degraded_reason,
                 "flush_failures": self.flush_failures,
                 "snapshot_failures": self.snapshot_failures,
-                "flush_retries": FLUSH_RETRIES,
-                "retries_used": self.retries_used,
             }

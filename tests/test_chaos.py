@@ -24,8 +24,8 @@ from repro.core.registry import standard_procedures
 from repro.errors import ReproError
 from repro.games.generators import random_bimatrix
 from repro.server import ThreadedServer
+from repro.server import app as app_module
 from repro.service import AuthorityService, faults
-from repro.service import journal as journal_module
 from repro.service.journal import state_path
 from repro.service.persistence import read_state_file
 
@@ -169,14 +169,10 @@ class TestHTTPChaos:
                 client.close()
         service.authority.close()
 
-    def test_journal_faults_degrade_to_snapshot_only_and_keep_serving(
-        self, tmp_path, monkeypatch
-    ):
-        """Every journal append raises: the persister must go sticky
-        snapshot-only (audited, visible in /stats) while consultations
-        keep succeeding."""
-        monkeypatch.setattr(journal_module, "FLUSH_RETRIES", 1)
-        monkeypatch.setattr(journal_module, "BACKOFF_BASE_S", 0.0)
+    def test_journal_faults_compact_and_keep_serving(self, tmp_path):
+        """Every journal append raises: each failure compacts at once,
+        the persister stays degraded (audited, visible in /stats) and
+        consultations keep succeeding."""
         journal = state_path(tmp_path / "state")
         authority = _authority()
         service = AuthorityService(authority, state_dir=tmp_path / "state")
@@ -198,7 +194,7 @@ class TestHTTPChaos:
                         if not degraded:
                             time.sleep(0.05)
                     assert degraded, "persister never entered degraded mode"
-                    # Still serving, snapshot-only.
+                    # Still serving, every frame through a compaction.
                     status, body, _ = client.request(
                         "POST", "/consult",
                         {"agent": "jane", "game_id": "g1"},
@@ -211,6 +207,38 @@ class TestHTTPChaos:
         assert authority.audit.events_of(EVENT_DURABILITY_DEGRADED)
         # The shutdown compaction wrote the frames the journal refused.
         assert len(read_state_file(journal)[0].profiles) == len(cache) >= 2
+        authority.close()
+
+    def test_the_idle_timer_flushes_an_abandoned_solve(
+        self, tmp_path, monkeypatch
+    ):
+        """A deadlined solve that outlives its 504 stores its profile
+        after its drain flushed; the server's timer appends it with no
+        further request."""
+        monkeypatch.setattr(app_module, "FLUSH_INTERVAL_S", 0.05)
+        authority = _authority()
+        service = AuthorityService(authority, state_dir=tmp_path / "state")
+        journal = state_path(tmp_path / "state")
+        with faults.armed("solve:hang:0.5@1"):
+            with ThreadedServer(service) as threaded:
+                client = Client(threaded.port)
+                try:
+                    status, body, _ = client.request(
+                        "POST", "/consult",
+                        {"agent": "jane", "game_id": "g0",
+                         "deadline_ms": 100},
+                    )
+                    assert status == 504
+                    assert body["error_type"] == "DeadlineExceeded"
+                    deadline = time.monotonic() + 30.0
+                    while not service.persister.frames_flushed:
+                        assert time.monotonic() < deadline, "never flushed"
+                        time.sleep(0.02)
+                    assert read_state_file(journal)[1].frames == 1
+                    assert service.persister.snapshots == 0
+                    assert service.completed_count == 1
+                finally:
+                    client.close()
         authority.close()
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.actors import AuthorityAgent, BimatrixInventor
 from repro.core.audit_events import (
@@ -257,6 +257,35 @@ class TestReader:
         state, report = read_state_file(path)
         assert report.frames == 2 and list(state.profiles) == _keys(1, 2)
 
+    @pytest.mark.parametrize("failing", ["hook", "write"])
+    def test_a_failed_append_refuses_appends_until_a_compaction(
+        self, tmp_path, monkeypatch, failing
+    ):
+        # The file may end in part of a frame that a later append would
+        # run into, so only a compaction writes to it again.
+        path = tmp_path / "j.jsonl"
+        with closing(CacheJournal(path)) as journal:
+            journal.append([_frame(0)])
+            if failing == "write":
+                def write(blob):
+                    raise OSError(errno.ENOSPC, "no space left on device")
+
+                monkeypatch.setattr(journal._handle, "write", write)
+                with pytest.raises(OSError):
+                    journal.append([_frame(1)])
+            else:
+                with faults.armed("journal.append:raise:oserror@1"):
+                    with pytest.raises(OSError):
+                        journal.append([_frame(1)])
+            for frames in ([], [_frame(2)]):
+                with pytest.raises(PersistenceError, match="compaction"):
+                    journal.append(frames)
+            journal.replace([_frame(0), _frame(1)])
+            assert journal.append([_frame(2)]) == 1
+        state, report = read_state_file(path)
+        assert list(state.profiles) == _keys(0, 1, 2)
+        assert not report.rejections
+
     @pytest.mark.parametrize("existing", [None, b""], ids=["missing", "empty"])
     def test_a_fresh_journal_writes_its_header_before_the_first_frame(
         self, tmp_path, existing
@@ -396,14 +425,6 @@ class TestStateFile:
         assert len(cache) == 0
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
 def _store(cache: SolveCache, index: int) -> None:
     """Commit one cache entry (one journal frame at the next flush)."""
     cache.store_profile(f"fp{index}", "m", "exact", _profile())
@@ -419,20 +440,6 @@ class TestWriteBehindPersister:
         assert persister.journal.size_bytes() > 0
         persister.on_drained()  # every drain flushes, with or without news
         assert persister.flushes == 2 and persister.frames_flushed == 1
-        persister.close()
-
-    def test_flush_cadence_by_clock(self, tmp_path):
-        clock = FakeClock()
-        cache = SolveCache()
-        persister = WriteBehindPersister(
-            cache, state_path(tmp_path / "state"), clock=clock
-        )
-        cache.store_profile("fp", "m", "exact", _profile())
-        persister.poll()
-        assert persister.flushes == 0
-        clock.now = journal_module.FLUSH_INTERVAL_S
-        persister.poll()
-        assert persister.flushes == 1
         persister.close()
 
     def test_snapshot_compacts_the_journal(self, tmp_path):
@@ -478,34 +485,27 @@ class TestCompactionRule:
 
     @pytest.fixture(autouse=True)
     def _close_journals(self, monkeypatch):
-        # A failing append degrades at once, without retry sleeps.
-        monkeypatch.setattr(journal_module, "FLUSH_RETRIES", 0)
         self.monkeypatch = monkeypatch
         self.journals = []
         yield
         for journal in self.journals:
             journal.close()
 
-    def _persister(self, tmp_path, max_entries=4, clock=time.monotonic):
+    def _persister(self, tmp_path, max_entries=4):
         self.monkeypatch.setattr(SolveCache, "max_entries", max_entries)
         cache = SolveCache()
-        persister = WriteBehindPersister(
-            cache, state_path(tmp_path / "state"), clock=clock
-        )
+        persister = WriteBehindPersister(cache, state_path(tmp_path / "state"))
         self.journals.append(persister.journal)
         return cache, persister
 
-    def test_hits_clean_drains_and_polls_never_compact(self, tmp_path):
-        clock = FakeClock()
-        cache, persister = self._persister(tmp_path, clock=clock)
+    def test_hits_and_clean_drains_never_compact(self, tmp_path):
+        cache, persister = self._persister(tmp_path)
         game = BimatrixGame([[3, 0], [0, 2]], [[2, 0], [0, 3]])
         _store(cache, 1)
         persister.on_drained()
         for __ in range(8):
             assert cache.lookup_profile("fp1", "m", "exact", game) is not None
             persister.on_drained()
-            clock.now += 2 * journal_module.FLUSH_INTERVAL_S
-            persister.poll()
         assert persister.snapshots == 0
         assert _header(persister.journal.path)["frames"] == 0
 
@@ -553,27 +553,6 @@ class TestCompactionRule:
         assert set(persister._frames) == live
         persister.snapshot()
         assert set(persister._frames) == live
-
-    def test_poll_compacts_by_the_same_rule(self, tmp_path):
-        clock = FakeClock()
-        cache, persister = self._persister(
-            tmp_path, max_entries=1, clock=clock
-        )
-        interval = journal_module.FLUSH_INTERVAL_S
-        clock.now = interval
-        persister.poll()
-        assert persister.flushes == 1 and persister.snapshots == 0
-        _store(cache, 1)
-        clock.now = 2 * interval
-        persister.poll()
-        assert persister.flushes == 2 and persister.snapshots == 0
-        _store(cache, 2)  # evicts fp1
-        clock.now = 2.5 * interval
-        persister.poll()
-        assert persister.snapshots == 0  # not flushed yet: 1 frame
-        clock.now = 3 * interval
-        persister.poll()
-        assert persister.snapshots == 1  # 2 frames, 1 entry
 
     def test_recovered_frames_count_toward_the_file(self, tmp_path):
         path = state_path(tmp_path / "state")
@@ -632,28 +611,42 @@ class TestCompactionRule:
         state, __ = read_state_file(persister.journal.path)
         assert list(state.profiles) == _keys(1)
 
-    def test_degraded_mode_compacts_only_when_dirty(self, tmp_path):
+    def test_a_failed_append_compacts_at_once(self, tmp_path):
+        """One try per append; a failure compacts at once, and the
+        persister stays degraded until an append of frames lands."""
         cache, persister = self._persister(tmp_path)
-        with faults.armed("journal.append:raise:oserror@1x*"):
-            _store(cache, 1)
+        events = []
+        persister.set_event_handler(events.append)
+        _store(cache, 1)
+        with faults.armed("journal.append:raise:oserror@1"):
             persister.on_drained()
-            assert persister.degraded and persister.snapshots == 1
-            for __ in range(3):
-                persister.on_drained()
-            assert persister.snapshots == 1
-            _store(cache, 2)
+        assert persister.degraded and persister.snapshots == 1
+        assert _header(persister.journal.path)["frames"] == 1
+        for __ in range(3):  # nothing to append: no compaction either
             persister.on_drained()
-            assert persister.snapshots == 2
-            _store(cache, 3)
-        with faults.armed("snapshot.write:raise:oserror@1"):
-            persister.on_drained()
-        assert persister.snapshot_failures == 1
-        persister.on_drained()  # still dirty: snapshot-only retries
-        assert persister.snapshots == 3
+        assert persister.degraded and persister.snapshots == 1
+        _store(cache, 2)
+        persister.on_drained()  # the append lands
+        assert not persister.degraded and persister.degraded_reason is None
+        assert persister.snapshots == 1 and persister.frames_flushed == 1
+        _store(cache, 3)
+        with faults.armed(
+            "journal.append:raise:oserror@1; snapshot.write:raise:oserror@1"
+        ):
+            persister.on_drained()  # the append and its compaction fail
+        assert persister.degraded and persister.snapshot_failures == 1
+        with pytest.raises(PersistenceError):
+            persister.journal.append([])  # refused until a compaction
+        persister.on_drained()  # so the next flush compacts again
+        assert persister.snapshots == 2
         persister.on_drained()
-        assert persister.snapshots == 3
+        assert persister.snapshots == 2 and persister.flush_failures == 3
         assert list(read_state_file(persister.journal.path)[0].profiles) \
             == _keys(1, 2, 3)
+        assert [e["kind"] for e in events] == [
+            "degraded", "degraded", "snapshot-failed",
+        ]
+        assert all(set(e) == {"kind", "reason"} for e in events)
 
     def test_admin_snapshot_and_close_always_run(self, tmp_path):
         cache, persister = self._persister(tmp_path)
@@ -798,9 +791,12 @@ class TestGroupCommit:
         _wait_for(lambda: journal.synced_bytes == journal.size_bytes())
         journal.close()
 
-    def test_a_failed_fsync_ends_in_snapshot_only_mode(
+    def test_a_failed_fsync_costs_one_compaction(
         self, tmp_path, monkeypatch
     ):
+        """The drain after a failed fsync compacts once, without
+        retrying appends the journal refuses, and the journal then
+        takes appends again."""
         gated = os.fsync
         failed = []
 
@@ -811,9 +807,9 @@ class TestGroupCommit:
             return gated(fd)
 
         monkeypatch.setattr(os, "fsync", failing_once)
-        for __ in range(8):
+        for __ in range(64):
             self.gate.release()  # later committer fsyncs run ungated
-        authority = _authority("g")
+        authority = _authority("g", games=12)
         service = AuthorityService(authority, state_dir=tmp_path / "state")
         persister = service.persister
         cold = [service.submit("jane", "g0").result()]
@@ -826,20 +822,27 @@ class TestGroupCommit:
             return False
 
         _wait_for(refused)  # appends wait for a compaction
-        cold += [service.submit("jane", g).result() for g in ("g1", "g2")]
-        assert persister.degraded
-        assert persister.retries_used == journal_module.FLUSH_RETRIES
-        (degraded,) = authority.audit.events_of(EVENT_DURABILITY_DEGRADED)
-        assert degraded.details["mode"] == "snapshot-only"
-        assert "fsync" in degraded.details["reason"]
+        cold.append(service.submit("jane", "g1").result())
+        assert persister.snapshots == 1 and persister.degraded
         assert not refused()  # the compaction rewrote the file
-        assert service.close() == 3
+        flushed = persister.frames_flushed
+        cold += [service.submit("jane", f"g{i}").result()
+                 for i in range(2, 12)]
+        assert persister.frames_flushed == flushed + 10
+        assert persister.snapshots == 1
+        assert not persister.degraded
+        (degraded,) = authority.audit.events_of(EVENT_DURABILITY_DEGRADED)
+        assert set(degraded.details) == {"kind", "reason"}
+        assert degraded.details["kind"] == "degraded"
+        assert "fsync failed" in degraded.details["reason"]
+        assert service.close() == 12
         authority.close()
 
-        restarted = _authority("h")  # same payoffs, new game ids
+        restarted = _authority("h", games=12)  # same payoffs, new game ids
         warm_service = AuthorityService(restarted, state_dir=tmp_path / "state")
-        warm = [warm_service.submit("jane", f"h{i}").result() for i in range(3)]
-        assert [o.advice.cache for o in warm] == ["hit"] * 3
+        warm = [warm_service.submit("jane", f"h{i}").result()
+                for i in range(12)]
+        assert [o.advice.cache for o in warm] == ["hit"] * 12
         assert [o.advice.suggestion for o in warm] == [
             o.advice.suggestion for o in cold
         ]
@@ -999,9 +1002,12 @@ class PersisterMachine(RuleBasedStateMachine):
     the log with the cache's entries, and a store that was never
     flushed is lost to a crash.  Power loss keeps only the entries
     wholly below the offset the journal's last completed fsync or
-    compaction covers.  After every recovery the cache must hold
+    compaction covers.  A flush whose append fails compacts at once; a
+    compaction whose write fails leaves the file, and what it encoded
+    waits for the next flush.  After every recovery the cache must hold
     exactly the newest four keys of the folded log, with their exact
-    values.
+    values, and after every step the persister is degraded exactly from
+    a failed append until an append of frames lands.
     """
 
     def __init__(self):
@@ -1016,6 +1022,7 @@ class PersisterMachine(RuleBasedStateMachine):
         self.persister = WriteBehindPersister(self.cache, self.path)
         self.persister.recover()
         self.stored: list = []  # committed since the last flush
+        self.degraded = False
         folded: dict = {}
         for key, value, __ in self.log:
             folded.pop(key, None)
@@ -1053,7 +1060,26 @@ class PersisterMachine(RuleBasedStateMachine):
         self.persister.flush()
         end = self._file_end()
         self.log.extend((key, value, end) for key, value in self.stored)
+        if self.stored:
+            self.degraded = False
         self.stored = []
+
+    @rule()
+    def failed_append(self):
+        with faults.armed("journal.append:raise:oserror@1"):
+            self.persister.flush()
+        if self.stored:  # an append of no frames never reaches the hook
+            self.degraded = True
+            self._compacted()
+
+    @rule()
+    def failed_compaction(self):
+        with faults.armed("snapshot.write:raise:oserror@1"):
+            assert self.persister.guarded_snapshot() is None
+
+    @invariant()
+    def degraded_from_a_failed_append_until_frames_land(self):
+        assert self.persister.degraded == self.degraded
 
     @rule()
     def compact(self):

@@ -4,12 +4,12 @@ The in-process tests (test_journal) can only *simulate* a crash; this
 one performs it: a ``python -m repro.server`` child is SIGKILLed
 mid-traffic — no atexit, no finally blocks, no graceful anything — and
 a second child on the same state directory must warm-serve the first
-child's certified entries bit-identically, losing at most the one
-flush interval the write-behind contract allows.  A SIGTERM sibling
-test pins the graceful half: drained futures, one compacted journal,
-clean exit; a third starts on a state directory an older server left
-(``snapshot.json`` beside a journal without a header), which is refused
-whole and served cold.
+child's certified entries bit-identically, losing at most the frame of
+the one answered consultation the write-behind contract allows.  A
+SIGTERM sibling test pins the graceful half: drained futures, one
+compacted journal, clean exit; a third starts on a state directory an
+older server left (``snapshot.json`` beside a journal without a
+header), which is refused whole and served cold.
 """
 
 from __future__ import annotations
@@ -96,8 +96,9 @@ def test_sigkill_recovery_is_bit_identical(tmp_path):
             assert body["advice"]["suggestion"] == cold[f"g{i}"], f"g{i}"
             if body["advice"]["cache"] == "hit":
                 hits += 1
-        # The durability bound: at most the final flush interval (one
-        # drain's worth here) may be lost to the SIGKILL.
+        # The durability bound: at most the frame of one answered
+        # consultation (the pump's last drain) may be lost to the
+        # SIGKILL.
         assert hits >= GAMES - 1, f"only {hits}/{GAMES} warm hits"
         # Recovery was audited before serving.
         conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
