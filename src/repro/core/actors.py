@@ -417,10 +417,9 @@ class MisadvisingInventor(GameInventor):
 
 @dataclass
 class AgentPolicy:
-    """How an agent selects verifiers and reacts to verdicts."""
+    """How an agent selects verifiers."""
 
     verifier_count: int = 3
-    adopt_on_majority: bool = True
 
 
 @dataclass

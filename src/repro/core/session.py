@@ -241,7 +241,7 @@ class ConsultationSession:
         package = self._package
         majority = self._majority
         assert package is not None and majority is not None
-        adopted = majority.accepted and self._agent.policy.adopt_on_majority
+        adopted = majority.accepted
         self._state = _CLOSED
         # The outcome's advice carries the measured verification time —
         # the delivered advice could not (it predates verification).

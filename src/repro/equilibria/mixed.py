@@ -19,11 +19,10 @@ and each candidate's mixed strategies are cleared the same way, so the
 Lemma-1 support comparisons reduce to machine-integer dot products —
 order-preserving by construction (everything a comparison touches is
 scaled by the same positive integer), hence exactly equivalent to the
-Fraction check, just without per-operation gcds.  The batched entry
-point :func:`certify_many` shares one integerization across all
-candidates of a game; :func:`fraction_nash_check` keeps the seed's
-Fraction path as the reference (and the fallback for games without a
-lattice).
+Fraction check, just without per-operation gcds.  Because the lattice
+is cached, every candidate of a game shares one integerization;
+:func:`fraction_nash_check` keeps the seed's Fraction path as the
+reference (and the fallback for games without a lattice).
 """
 
 from __future__ import annotations
@@ -229,17 +228,15 @@ def certify_mixed_profile(game: Game, candidate: MixedProfile) -> MixedProfile |
 def certify_many(
     game: Game, candidates: Sequence[MixedProfile]
 ) -> list[MixedProfile | None]:
-    """Batched exact certification: one lattice, many candidates.
+    """Exact certification of each candidate, in order.
 
-    Returns one entry per candidate, in order — the candidate itself
-    when it passes the exact Lemma-1 gate, ``None`` otherwise (exactly
-    :func:`certify_mixed_profile` per element).  The point of the batch
-    is amortization: all candidates of a game certify against the same
-    pre-cleared integer payoff tensors — the lattice is cached on the
-    game, so the first check pays the clearing and the rest are a few
-    integer dot products each — which is how the support-enumeration
-    certify stage and the service's batch paths keep per-candidate
-    cost flat.
+    Returns one entry per candidate — the candidate itself when it
+    passes the exact Lemma-1 gate, ``None`` otherwise: exactly
+    :func:`certify_mixed_profile` per element.  The integer lattice is
+    cached on the game, so the first check pays the clearing and the
+    rest are a few integer dot products each.  The support-enumeration
+    scans certify one candidate at a time; this is a convenience for
+    callers that hold a list of them.
     """
     return [certify_mixed_profile(game, candidate) for candidate in candidates]
 

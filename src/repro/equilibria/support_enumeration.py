@@ -33,21 +33,21 @@ list whose systems it solves one by one, each cold.  **Reconstruct**
 re-solves surviving candidates exactly (support-restricted, on the
 fraction-free integer Bareiss kernel — bit-identical to Fraction
 elimination).  **Certify** passes
-each wave's reconstructions through the exact Lemma-1 gate as one
-:func:`~repro.equilibria.mixed.certify_many` batch — all candidates of
-a wave share the game's cached integer-lattice payoffs — before
-anything is returned; an inconclusive or uncertifiable screen verdict
-falls back to the seed's exact LP for that pair, so no approximate
-profile ever escapes and soundness is unconditional in every mode.
-With the default exact backend there is no screen at all: the pairs
-the decide stage keeps go straight to the exact LP, Fractions end to
-end.
+each reconstruction through the exact Lemma-1 gate
+(:func:`~repro.equilibria.mixed.certify_mixed_profile`, on the game's
+cached integer-lattice payoffs) before anything is returned; an
+inconclusive or uncertifiable screen verdict falls back to the seed's
+exact LP for that pair, so no approximate profile ever escapes and
+soundness is unconditional in every mode.  With the default exact
+backend there is no screen at all: the pairs the decide stage keeps go
+straight to the exact LP, Fractions end to end.
 
-Screening runs chunk by chunk off a fixed schedule of chunk sizes.  An
-exhaustive enumeration screens DEFAULT_CHUNK_SIZE pairs per chunk.  A
-first-hit scan (:func:`find_one_equilibrium`) starts at
-FIRST_CHUNK_SIZE pairs and doubles up to DEFAULT_CHUNK_SIZE, stopping
-inside the first wave that holds a certified pair.
+Both scans resolve pairs through one path, one pair at a time, in
+pair order.  Screening runs chunk by chunk off a fixed schedule of
+chunk sizes.  An exhaustive enumeration screens DEFAULT_CHUNK_SIZE
+pairs per chunk.  A first-hit scan (:func:`find_one_equilibrium`)
+starts at FIRST_CHUNK_SIZE pairs and doubles up to DEFAULT_CHUNK_SIZE,
+stopping inside the first wave that holds a certified pair.
 
 The first-hit scan decides more before it screens.  It also drops
 every pair in which a supported action is strictly dominated, over the
@@ -638,69 +638,32 @@ def _chunk_sizes(first_hit: bool):
         size = min(2 * size, DEFAULT_CHUNK_SIZE)
 
 
-def _screened_verdict_waves(backend, payoffs, pair_stream, chunk_sizes):
-    """Stream screened waves ``[((rs, cs), verdict), ...]`` in pair order.
+def _resolved_pairs(game: BimatrixGame, backend, payoffs, pairs,
+                    first_hit: bool):
+    """Each pair's exact profile, or None, strictly in pair order.
 
-    Each wave is the next chunk of the ``chunk_sizes`` schedule, taken
-    off the pair generator, so the exponential pair space is never
-    materialized and memory is bounded by one chunk.  Yielding whole
-    waves (rather than single pairs) lets the enumeration certify each
-    wave's surviving candidates as one batch.
+    ``backend`` and ``payoffs`` come from the scan's one
+    :func:`_search_setup` call.  With no float backend every pair goes
+    straight to the exact LP.  Otherwise the pairs are screened chunk
+    by chunk off the :func:`_chunk_sizes` schedule, taken off the pair
+    generator, so the exponential pair space is never materialized and
+    memory is bounded by one chunk; each verdict is then resolved
+    exactly.  The stream is lazy: a caller that stops at its first hit
+    screens no further chunk.
     """
-    a_float, b_cols_float = payoffs
+    if backend is None:
+        for rs, cs in pairs:
+            result = equilibrium_for_supports(game, rs, cs)
+            yield result[0] if result is not None else None
+        return
+    chunk_sizes = _chunk_sizes(first_hit)
     while True:
-        chunk = list(itertools.islice(pair_stream, next(chunk_sizes)))
+        chunk = list(itertools.islice(pairs, next(chunk_sizes)))
         if not chunk:
             return
-        yield list(zip(chunk, screen_support_chunk(
-            backend, a_float, b_cols_float, chunk
-        )))
-
-
-def _screened_pairs(backend, payoffs, pair_stream, chunk_sizes):
-    """Flattened :func:`_screened_verdict_waves` (for first-hit scans)."""
-    for wave in _screened_verdict_waves(
-        backend, payoffs, pair_stream, chunk_sizes
-    ):
-        yield from wave
-
-
-def _resolve_screened_wave(game, wave, seen, out):
-    """Stages 4+5 for one wave: batch-certify, then resolve in pair order.
-
-    All of the wave's SCREEN_CANDIDATE verdicts are reconstructed first
-    and certified through one :func:`~repro.equilibria.mixed.certify_many`
-    batch (one integer-lattice resolution for the whole wave); pairs
-    whose candidate failed either step — and every SCREEN_EXACT pair —
-    are then re-decided by the authoritative exact LP, strictly in pair
-    order, so results are identical to the pair-at-a-time path.
-    """
-    from repro.equilibria.mixed import certify_many
-
-    candidates: list[MixedProfile] = []
-    candidate_of: dict[int, int] = {}
-    for idx, ((rs, cs), verdict) in enumerate(wave):
-        if verdict[0] == SCREEN_CANDIDATE:
-            profile = _reconstruct_candidate(game, rs, cs, verdict)
-            if profile is not None:
-                candidate_of[idx] = len(candidates)
-                candidates.append(profile)
-    certified = certify_many(game, candidates)
-    for idx, ((rs, cs), verdict) in enumerate(wave):
-        if verdict[0] == SCREEN_PRUNED:
-            continue
-        profile = None
-        slot = candidate_of.get(idx)
-        if slot is not None:
-            profile = certified[slot]
-        if profile is None:
-            # Inconclusive screen, failed reconstruction, or failed
-            # certification: the exact LP decides the pair.
-            result = equilibrium_for_supports(game, rs, cs)
-            profile = result[0] if result is not None else None
-        if profile is not None and profile.distributions not in seen:
-            seen.add(profile.distributions)
-            out.append(profile)
+        verdicts = screen_support_chunk(backend, *payoffs, chunk)
+        for (rs, cs), verdict in zip(chunk, verdicts):
+            yield _resolve_screened_pair(game, rs, cs, verdict)
 
 
 def support_enumeration(
@@ -730,29 +693,16 @@ def support_enumeration(
     """
     backend, payoffs = _search_setup(game, policy)
     n, m = game.action_counts
-    seen: set[tuple] = set()
-    out: list[MixedProfile] = []
     pairs = decide_support_pairs(
         game, support_pairs(n, m, equal_size_only=equal_size_only)
     )
-
-    if backend is None:
-        # The seed path: exact LP per pair, no screen, and
-        # no materialization — pairs stream straight off the generator.
-        for rs, cs in pairs:
-            result = equilibrium_for_supports(game, rs, cs)
-            if result is None:
-                continue
-            profile = result[0]
-            if profile.distributions not in seen:
-                seen.add(profile.distributions)
-                out.append(profile)
-        return tuple(out)
-
-    chunk_sizes = _chunk_sizes(first_hit=False)
-    for wave in _screened_verdict_waves(backend, payoffs, pairs, chunk_sizes):
-        _resolve_screened_wave(game, wave, seen, out)
-    return tuple(out)
+    found: dict[tuple, MixedProfile] = {}
+    for profile in _resolved_pairs(
+        game, backend, payoffs, pairs, first_hit=False
+    ):
+        if profile is not None:
+            found.setdefault(profile.distributions, profile)
+    return tuple(found.values())
 
 
 def find_one_equilibrium(game: BimatrixGame, policy=None) -> MixedProfile:
@@ -785,19 +735,11 @@ def find_one_equilibrium(game: BimatrixGame, policy=None) -> MixedProfile:
     decided = decide_support_pairs(game, support_pairs(n, m))
     stop: list[tuple[int, int]] = []
     pairs = _undominated_pairs(game, _until_pure_pair(decided, stop))
-    if backend is None:
-        for rs, cs in pairs:
-            result = equilibrium_for_supports(game, rs, cs)
-            if result is not None:
-                return result[0]
-    else:
-        chunk_sizes = _chunk_sizes(first_hit=True)
-        for (rs, cs), verdict in _screened_pairs(
-            backend, payoffs, pairs, chunk_sizes
-        ):
-            profile = _resolve_screened_pair(game, rs, cs, verdict)
-            if profile is not None:
-                return profile
+    for profile in _resolved_pairs(
+        game, backend, payoffs, pairs, first_hit=True
+    ):
+        if profile is not None:
+            return profile
     if stop:
         profile = MixedProfile.pure(stop[0], (n, m))
         if not _certified(game, profile):

@@ -144,11 +144,11 @@ class BimatrixGame(Game, UtilityTableMixin):
         An :class:`~repro.linalg.int_exact.IntegerLattice` holding
         ``row_scale * A`` and ``column_scale * B^T`` as Python ints.
         Computed once per game and cached (like ``payoff_fingerprint``):
-        the exact certification gate and the batched
-        :func:`~repro.equilibria.mixed.certify_many` run their Lemma-1
-        support comparisons on these tensors, so every candidate of a
-        game shares one integerization instead of re-clearing Fractions
-        per check.
+        the exact certification gate
+        (:func:`~repro.equilibria.mixed.certify_mixed_profile`) runs its
+        Lemma-1 support comparisons on these tensors, so every candidate
+        of a game shares one integerization instead of re-clearing
+        Fractions per check.
         """
         if self._integer_lattice is None:
             from repro.linalg.int_exact import IntegerLattice

@@ -34,7 +34,7 @@ from repro.online.inventor_stats import (
 from repro.online.parallel_links import (
     argmin_link,
     inventor_suggestion,
-    verify_suggestions,
+    verify_suggestion,
 )
 
 
@@ -92,31 +92,6 @@ class OnlineLinkInventorService:
         """Hook for dishonest variants; honest service follows the rule."""
         return inventor_suggestion(loads, own_load, expected, future, fast=False)
 
-    def advise_many(
-        self, own_loads: Sequence[float], current_loads: Sequence[float]
-    ) -> list[LinkAdvice]:
-        """Burst consultation: advise a block of arrivals in one call.
-
-        This is the online face of the batch-consultation path: one
-        call amortizes the service's per-query setup over a stream of
-        arrivals.  Within the burst, each advice is computed against
-        the loads as they stand *after the previous burst members
-        follow their suggestions* (the service's best prediction), and
-        every :class:`LinkAdvice` still carries its own snapshot, so
-        the deterministic-recomputation proof check remains per-advice
-        self-contained.  Callers that detect a snapshot diverging from
-        the observed loads (an earlier arrival rejected its advice, or
-        the service lied about the trajectory) reject the advice and
-        fall back to greedy, exactly as for a failed recomputation.
-        """
-        loads = [float(v) for v in current_loads]
-        advices: list[LinkAdvice] = []
-        for own_load in own_loads:
-            advice = self.advise(own_load, loads)
-            advices.append(advice)
-            loads[advice.suggested_link] += float(own_load)
-        return advices
-
 
 class DeviousLinkInventor(OnlineLinkInventorService):
     """Suggests the *most* loaded link with probability ``deviate_p``."""
@@ -149,30 +124,6 @@ class VerifiedSessionResult:
     @property
     def all_verified(self) -> bool:
         return self.rejected_count == 0
-
-
-def verify_advices(advices: Sequence[LinkAdvice]) -> list[bool]:
-    """Batch proof check: recompute every advice's suggestion in one pass.
-
-    Each advice is self-contained (it carries its own snapshot), so the
-    batch check is exactly the per-advice deterministic recomputation,
-    amortized over the stream (delegating to
-    :func:`repro.online.parallel_links.verify_suggestions`, the one
-    batch recomputation helper).  Returns one verdict per advice, in
-    order.
-    """
-    return verify_suggestions(
-        [
-            (
-                list(advice.loads_snapshot),
-                advice.own_load,
-                advice.expected_load,
-                advice.future_count,
-                advice.suggested_link,
-            )
-            for advice in advices
-        ]
-    )
 
 
 def resolve_advice(
@@ -213,54 +164,37 @@ def run_verified_session(
     service: OnlineLinkInventorService,
     audit: AuditLog | None = None,
     session_id: str = "online-links",
-    batch_size: int = 1,
 ) -> VerifiedSessionResult:
     """Drive every arrival through advise -> verify -> follow-or-fallback.
 
-    A rejected suggestion is replaced by the agent's own greedy choice
-    (the safe default the paper's framework guarantees: bad advice can
-    be *detected*, so it can cost the agent nothing), and the inventor
-    is blamed in the audit log.
-
-    ``batch_size`` > 1 consults the service in bursts
-    (:meth:`OnlineLinkInventorService.advise_many`) and verifies each
-    burst with one :func:`verify_advices` pass.  Burst advices are
-    additionally checked against the loads each agent actually
-    observes: a snapshot that diverged from reality (because an earlier
-    burst member rejected its advice) is treated exactly like a failed
-    recomputation — greedy fallback, inventor blamed.  With an honest
-    service every suggestion verifies, every agent follows, and the
-    trajectory is identical to ``batch_size=1``.
+    Each arrival is advised on the loads it observes, and the
+    suggestion is re-derived from the advice's own inputs
+    (:func:`~repro.online.parallel_links.verify_suggestion`).  A
+    suggestion that fails the recomputation, or whose snapshot differs
+    from the loads the agent observes, is replaced by the agent's own
+    greedy choice (the safe default the paper's framework guarantees:
+    bad advice can be *detected*, so it can cost the agent nothing),
+    and the inventor is blamed in the audit log.
     """
-    if batch_size < 1:
-        raise GameError("batch_size must be at least 1")
     link_loads = [0.0] * num_links
     verified = 0
-    rejected = 0
     advices: list[LinkAdvice] = []
-    loads = list(loads)
-    for start in range(0, len(loads), batch_size):
-        block = loads[start:start + batch_size]
-        if batch_size == 1:
-            block_advices = [service.advise(block[0], link_loads)]
-        else:
-            block_advices = service.advise_many(block, link_loads)
-        verdicts = verify_advices(block_advices)
-        for w, advice, rule_ok in zip(block, block_advices, verdicts):
-            advices.append(advice)
-            ok, chosen = resolve_advice(
-                advice, link_loads, rule_ok, audit, session_id,
-                service.identity,
-            )
-            if ok:
-                verified += 1
-            else:
-                rejected += 1
-            link_loads[chosen] += float(w)
+    for w in loads:
+        advice = service.advise(w, link_loads)
+        advices.append(advice)
+        rule_ok = verify_suggestion(
+            advice.loads_snapshot, advice.own_load, advice.expected_load,
+            advice.future_count, advice.suggested_link,
+        )
+        ok, chosen = resolve_advice(
+            advice, link_loads, rule_ok, audit, session_id, service.identity
+        )
+        verified += ok
+        link_loads[chosen] += float(w)
     return VerifiedSessionResult(
         final_loads=tuple(link_loads),
         makespan=max(link_loads),
         verified_count=verified,
-        rejected_count=rejected,
+        rejected_count=len(advices) - verified,
         advices=tuple(advices),
     )

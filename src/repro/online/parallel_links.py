@@ -330,21 +330,6 @@ def verify_suggestion(
     ) == suggested
 
 
-def verify_suggestions(
-    checks: Sequence[tuple[Sequence, float, float, int, int]]
-) -> list[bool]:
-    """Batch recomputation proof check, one verdict per input tuple.
-
-    ``checks`` holds ``(loads, own_load, expected_load, future_count,
-    suggested)`` tuples — each self-contained, so the batch check is
-    exactly the per-item :func:`verify_suggestion`, shared by the burst
-    verifier in :mod:`repro.online.consultation` and the service-side
-    concurrent verification path.  Being pure and side-effect-free, it
-    is safe to run off-thread.
-    """
-    return [verify_suggestion(*check) for check in checks]
-
-
 # ----------------------------------------------------------------------
 # Makespan machinery (Lemma 2)
 # ----------------------------------------------------------------------

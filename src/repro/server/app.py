@@ -624,8 +624,7 @@ class AuthorityHTTPServer:
 
     def _failure_stats(self) -> dict:
         """The supervision/degradation block of ``/stats``."""
-        counters = getattr(self._service, "failure_counters", None)
-        failures: dict[str, Any] = dict(counters()) if counters else {}
+        failures: dict[str, Any] = self._service.failure_counters()
         failures["pump_failures"] = dict(self.pump_failures)
         persister = self._service.persister
         if persister is not None:

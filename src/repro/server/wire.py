@@ -107,9 +107,8 @@ def failure_payload(future: ConsultationFuture,
         "error": f"{type(exc).__name__}: {exc}",
         "error_type": type(exc).__name__,
     }
-    deadline_ms = getattr(future, "deadline_ms", None)
-    if deadline_ms is not None:
-        payload["deadline_ms"] = deadline_ms
+    if future.deadline_ms is not None:
+        payload["deadline_ms"] = future.deadline_ms
     return payload
 
 

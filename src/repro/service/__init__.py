@@ -32,7 +32,6 @@ from repro.service.load import (
     LoadReport,
     SaturationResult,
     StreamEntry,
-    bursty_arrivals,
     find_saturation,
     mixed_game_stream,
     poisson_arrivals,
@@ -71,7 +70,6 @@ __all__ = [
     "LoadReport",
     "SaturationResult",
     "StreamEntry",
-    "bursty_arrivals",
     "find_saturation",
     "mixed_game_stream",
     "poisson_arrivals",

@@ -3,15 +3,15 @@
 Every committed benchmark before this module measured one synchronous
 stream: submit, drain, divide.  A production claim needs the other
 axis — *latency under offered load* — which only an **open-loop**
-generator measures: arrivals follow their own clock (Poisson, bursty),
+generator measures: arrivals follow their own clock (Poisson, uniform),
 independent of how fast the service completes, so queueing delay shows
 up in the numbers instead of silently throttling the workload.
 
 The harness composes three orthogonal pieces:
 
 * **arrival schedules** — :func:`poisson_arrivals`,
-  :func:`bursty_arrivals`, :func:`uniform_arrivals`: seeded,
-  deterministic offset sequences (seconds from harness start);
+  :func:`uniform_arrivals`: deterministic offset sequences (seconds
+  from harness start), the Poisson gaps seeded;
 * **game streams** — :func:`mixed_game_stream`: a seeded mix of cold
   games (fresh payoffs), exact repeats (cache hits) and near-repeats
   (same shape, one perturbed cell — a cold search again), built on
@@ -104,34 +104,6 @@ def poisson_arrivals(rate: float, count: int, seed: int) -> ArrivalSchedule:
         now += rng.expovariate(rate)
     return ArrivalSchedule(
         offsets=tuple(offsets), label=f"poisson@{rate:g}/s"
-    )
-
-
-def bursty_arrivals(burst_size: int, bursts: int, gap_s: float,
-                    within_s: float = 0.0, seed: int = 0) -> ArrivalSchedule:
-    """Bursts of ``burst_size`` arrivals every ``gap_s`` seconds.
-
-    ``within_s > 0`` spreads each burst's arrivals uniformly (seeded)
-    across that window instead of landing them on one instant — the
-    queue still spikes, but admission timestamps differ, which is what
-    exercises the high-water mark.
-    """
-    if burst_size < 1 or bursts < 1:
-        raise GameError("need at least one arrival per burst and one burst")
-    if gap_s < 0 or within_s < 0:
-        raise GameError("burst spacing must be non-negative")
-    rng = make_rng(seed, f"bursty:{burst_size}x{bursts}")
-    offsets = []
-    for burst in range(bursts):
-        base = burst * gap_s
-        jitters = sorted(
-            rng.uniform(0.0, within_s) if within_s > 0 else 0.0
-            for __ in range(burst_size)
-        )
-        offsets.extend(base + jitter for jitter in jitters)
-    return ArrivalSchedule(
-        offsets=tuple(offsets),
-        label=f"bursty:{burst_size}x{bursts}@{gap_s:g}s",
     )
 
 

@@ -1,4 +1,4 @@
-"""Queued consultations and online bursts.
+"""Queued consultations and the advice's backend field.
 
 Submissions queued ahead of a drain each drain as their own
 consultation, so a queue records, searches and caches exactly what the
@@ -11,7 +11,6 @@ import time
 
 import pytest
 
-from repro.core import AuditLog
 from repro.core import actors
 from repro.core.actors import (
     AuthorityAgent,
@@ -24,15 +23,8 @@ from repro.core.authority import RationalityAuthority
 from repro.core.registry import standard_procedures
 from repro.core.session import advice_wire_summary
 from repro.errors import ProtocolError
-from repro.crypto import KeyRegistry
 from repro.games.generators import prisoners_dilemma, random_bimatrix
 from repro.linalg.backend import MODE_NUMPY, BackendPolicy
-from repro.online.consultation import (
-    DeviousLinkInventor,
-    OnlineLinkInventorService,
-    run_verified_session,
-    verify_advices,
-)
 
 NUMPY = BackendPolicy(MODE_NUMPY)
 
@@ -233,55 +225,3 @@ class TestAdviceBackendField:
             "backend": "numpy",
             "cache": "",
         }
-
-
-class TestOnlineBurstConsultation:
-    def _loads(self, count=30):
-        import random
-
-        rng = random.Random(77)
-        return [rng.uniform(0, 100) for _ in range(count)]
-
-    def test_advise_many_matches_sequential_for_honest_service(self):
-        loads = self._loads()
-        registry = KeyRegistry()
-        service = OnlineLinkInventorService(3, len(loads), registry)
-        advices = service.advise_many(loads, [0.0, 0.0, 0.0])
-        assert len(advices) == len(loads)
-        assert all(verify_advices(advices))
-
-    def test_batched_session_equals_unbatched_for_honest_service(self):
-        loads = self._loads()
-        outcomes = []
-        for batch_size in (1, 5, len(loads)):
-            registry = KeyRegistry()
-            service = OnlineLinkInventorService(4, len(loads), registry)
-            outcomes.append(
-                run_verified_session(loads, 4, service, batch_size=batch_size)
-            )
-        assert outcomes[0].final_loads == outcomes[1].final_loads
-        assert outcomes[0].final_loads == outcomes[2].final_loads
-        assert all(o.all_verified for o in outcomes)
-
-    def test_batched_session_still_catches_devious_inventor(self):
-        loads = self._loads(40)
-        registry = KeyRegistry()
-        service = DeviousLinkInventor(
-            3, len(loads), registry, deviate_p=0.5
-        )
-        audit = AuditLog()
-        outcome = run_verified_session(
-            loads, 3, service, audit=audit, session_id="burst",
-            batch_size=8,
-        )
-        assert service.deviations > 0
-        assert outcome.rejected_count >= service.deviations
-        assert audit.blame_counts().get(service.identity, 0) > 0
-
-    def test_batch_size_validation(self):
-        registry = KeyRegistry()
-        service = OnlineLinkInventorService(2, 4, registry)
-        from repro.errors import GameError
-
-        with pytest.raises(GameError):
-            run_verified_session([1.0], 2, service, batch_size=0)

@@ -31,7 +31,6 @@ from repro.core.registry import standard_procedures
 from repro.errors import AdmissionError, GameError, ProtocolError
 from repro.service import (
     AuthorityService,
-    bursty_arrivals,
     find_saturation,
     mixed_game_stream,
     poisson_arrivals,
@@ -82,17 +81,6 @@ class TestSchedules:
         assert 25.0 < a.offered_rate < 100.0
         with pytest.raises(GameError):
             poisson_arrivals(rate=0.0, count=5, seed=0)
-
-    def test_bursty_lands_in_windows(self):
-        sched = bursty_arrivals(
-            burst_size=5, bursts=3, gap_s=1.0, within_s=0.2, seed=7
-        )
-        assert len(sched) == 15
-        for burst in range(3):
-            chunk = sched.offsets[burst * 5:(burst + 1) * 5]
-            assert all(burst * 1.0 <= t <= burst * 1.0 + 0.2 for t in chunk)
-        solid = bursty_arrivals(burst_size=4, bursts=2, gap_s=0.5)
-        assert solid.offsets == (0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 0.5)
 
     def test_uniform_arrivals(self):
         sched = uniform_arrivals(rate=10.0, count=5)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.core import AuditLog
+from repro.core import EVENT_INVENTOR_BLAMED, AuditLog
 from repro.crypto import KeyRegistry
 from repro.errors import GameError
 from repro.online import simulate_inventor
@@ -15,6 +15,7 @@ from repro.online.consultation import (
     run_verified_session,
 )
 from repro.online.inventor_stats import DynamicAverageStatistics, audit_statistics
+from repro.online.parallel_links import argmin_link, verify_suggestion
 
 
 @pytest.fixture
@@ -55,6 +56,19 @@ class TestHonestService:
         service = OnlineLinkInventorService(6, len(loads), registry)
         result = run_verified_session(loads, 6, service)
         assert sum(result.final_loads) == pytest.approx(sum(loads))
+
+    def test_each_arrival_is_advised_on_the_loads_it_observes(self, loads):
+        registry = KeyRegistry()
+        service = OnlineLinkInventorService(3, len(loads), registry)
+        result = run_verified_session(loads, 3, service)
+        link_loads = [0.0] * 3
+        for index, (w, advice) in enumerate(zip(loads, result.advices)):
+            assert advice.agent_index == index
+            assert advice.own_load == w
+            assert advice.loads_snapshot == tuple(link_loads)
+            link_loads[advice.suggested_link] += w
+        assert len(result.advices) == len(loads)
+        assert result.final_loads == tuple(link_loads)
 
     def test_arrival_budget_enforced(self):
         registry = KeyRegistry()
@@ -106,6 +120,31 @@ class TestDeviousService:
         blind_makespan = max(link_loads)
         assert verified.makespan <= blind_makespan
 
+    def test_rejections_are_exactly_the_failed_recomputations(self, loads):
+        """Every snapshot is fresh, so an advice is refused exactly when
+        its suggestion fails recomputation, never for staleness."""
+        registry = KeyRegistry()
+        audit = AuditLog()
+        service = DeviousLinkInventor(
+            4, len(loads), registry, deviate_p=0.5, rng=random.Random(5),
+        )
+        result = run_verified_session(loads, 4, service, audit=audit)
+        recomputed = [
+            verify_suggestion(
+                a.loads_snapshot, a.own_load, a.expected_load,
+                a.future_count, a.suggested_link,
+            )
+            for a in result.advices
+        ]
+        assert not all(recomputed)
+        assert result.rejected_count == recomputed.count(False)
+        assert result.verified_count == recomputed.count(True)
+        blames = audit.events_of(EVENT_INVENTOR_BLAMED)
+        assert len(blames) == result.rejected_count
+        assert all(
+            "fails recomputation" in r.details["reason"] for r in blames
+        )
+
     def test_zero_deviation_rate_is_honest(self, loads):
         registry = KeyRegistry()
         service = DeviousLinkInventor(
@@ -114,3 +153,55 @@ class TestDeviousService:
         result = run_verified_session(loads, 3, service)
         assert result.all_verified
         assert service.deviations == 0
+
+
+class StaleSnapshotInventor(OnlineLinkInventorService):
+    """Advises against forged loads: every snapshot carries a phantom
+    load on link 0, and the suggestion is the honest one for that
+    snapshot, so recomputation from the advice's own inputs passes."""
+
+    def advise(self, own_load, current_loads):
+        forged = list(current_loads)
+        forged[0] += 50.0
+        return super().advise(own_load, forged)
+
+
+class TestStaleSnapshot:
+    def test_stale_snapshot_refused(self, loads):
+        registry = KeyRegistry()
+        audit = AuditLog()
+        service = StaleSnapshotInventor(
+            3, len(loads), registry, identity="stale-operator"
+        )
+        result = run_verified_session(loads, 3, service, audit=audit)
+
+        # Recomputation alone passes every advice.
+        assert all(
+            verify_suggestion(
+                a.loads_snapshot, a.own_load, a.expected_load,
+                a.future_count, a.suggested_link,
+            )
+            for a in result.advices
+        )
+        assert result.verified_count == 0
+        assert result.rejected_count == len(loads)
+
+        # Every agent took argmin_link on the loads it observed, and at
+        # least once that is not the forged suggestion.
+        link_loads = [0.0] * 3
+        differs = False
+        for w, advice in zip(loads, result.advices):
+            assert advice.loads_snapshot != tuple(link_loads)
+            chosen = argmin_link(link_loads)
+            differs |= chosen != advice.suggested_link
+            link_loads[chosen] += float(w)
+        assert differs
+        assert result.final_loads == tuple(link_loads)
+
+        assert audit.blame_counts() == {"stale-operator": len(loads)}
+        blames = audit.events_of(EVENT_INVENTOR_BLAMED)
+        assert [r.actor for r in blames] == ["stale-operator"] * len(loads)
+        assert all(
+            "was computed against stale loads" in r.details["reason"]
+            for r in blames
+        )

@@ -5,8 +5,9 @@ one batch: a zero-padded numpy stack, or a list the stdlib screen
 solves system by system.  These tests pin that padding changes
 nothing: every pair's verdict equals the one its two systems earn when
 screened alone, iteration caps included, and on either float backend
-the first equilibrium found does not depend on how the pairs are
-chunked.  They also pin the
+neither the first equilibrium found nor the full enumeration depends
+on how the pairs are chunked.  Both scans read one pair resolver,
+whose verdict on every pair is the exact LP's.  They also pin the
 exact decide stage in front of the screen: every pair it drops has no
 equilibrium, no equilibrium's support pair is dropped, and a dropped
 pair never reaches the screen or the exact LP.  Finally they pin the
@@ -180,11 +181,13 @@ class TestWaveSchedule:
     def test_answer_independent_of_chunking(self, game, policy, monkeypatch):
         expected = find_one_equilibrium(game, policy=policy)
         assert is_mixed_nash(game, expected)
+        everything = support_enumeration(game, policy=policy)
         for chunk_size in (1, 7, 1024):
             monkeypatch.setattr(se, "FIRST_CHUNK_SIZE", chunk_size)
             monkeypatch.setattr(se, "DEFAULT_CHUNK_SIZE", chunk_size)
             found = find_one_equilibrium(game, policy=policy)
             assert found.distributions == expected.distributions
+            assert support_enumeration(game, policy=policy) == everything
 
     @requires_numpy
     def test_answer_is_repeatable(self):
@@ -200,6 +203,88 @@ def _support_of(profile):
         tuple(i for i, p in enumerate(dist) if p)
         for dist in profile.distributions
     )
+
+
+#: (policy, simplex iteration cap): a cap of 2 leaves screens
+#: inconclusive, so those pairs reach the exact LP through the screen.
+RESOLVER_POLICIES = [
+    pytest.param("exact", None, id="exact"),
+    pytest.param("float+certify", None, id="stdlib"),
+    pytest.param("float+certify", 2, id="stdlib-capped"),
+    pytest.param("numpy", None, id="numpy", marks=requires_numpy),
+    pytest.param("numpy", 2, id="numpy-capped", marks=requires_numpy),
+]
+
+
+class TestResolvedPairs:
+    """Both scans read one resolver: one exact verdict per pair, in pair
+    order, whatever screens the pair."""
+
+    @pytest.mark.parametrize("first_hit", [False, True],
+                             ids=["exhaustive", "first-hit"])
+    @pytest.mark.parametrize("policy, cap", RESOLVER_POLICIES)
+    def test_each_pair_gets_an_exact_verdict(
+        self, policy, cap, first_hit, monkeypatch
+    ):
+        if cap is not None:
+            _fix_iteration_cap(monkeypatch, cap)
+        kinds = set()
+        real_screen = se.screen_support_chunk
+
+        def screen(backend, a_float, b_cols_float, pairs):
+            verdicts = real_screen(backend, a_float, b_cols_float, pairs)
+            kinds.update(verdict[0] for verdict in verdicts)
+            return verdicts
+
+        monkeypatch.setattr(se, "screen_support_chunk", screen)
+        for game in (random_bimatrix(4, 5, seed=4400), _degenerate(4, 5, 4401)):
+            pairs = list(decide_support_pairs(
+                game, support_pairs(*game.action_counts)
+            ))
+            backend, payoffs = se._search_setup(game, policy)
+            resolved = list(se._resolved_pairs(
+                game, backend, payoffs, iter(pairs), first_hit
+            ))
+            assert len(resolved) == len(pairs)
+            assert any(profile is not None for profile in resolved)
+            for (rs, cs), profile in zip(pairs, resolved):
+                # A degenerate pair may hold several equilibria, so the
+                # screen's profile need not be the LP's; its verdict is.
+                exact = equilibrium_for_supports(game, rs, cs)
+                assert (profile is None) == (exact is None), (rs, cs)
+                if profile is None:
+                    continue
+                assert is_mixed_nash(game, profile)
+                row_support, col_support = _support_of(profile)
+                assert set(row_support) <= set(rs)
+                assert set(col_support) <= set(cs)
+                assert all(
+                    type(p) is Fraction
+                    for dist in profile.distributions for p in dist
+                )
+        if cap is not None:
+            assert SCREEN_EXACT in kinds  # the cap really binds
+
+    @pytest.mark.parametrize("policy", FLOAT_POLICIES)
+    def test_a_first_hit_screens_one_chunk(self, policy, monkeypatch):
+        game = random_bimatrix(5, 5, seed=4402)
+        chunks = []
+        real_screen = se.screen_support_chunk
+
+        def screen(backend, a_float, b_cols_float, pairs):
+            chunks.append(list(pairs))
+            return real_screen(backend, a_float, b_cols_float, pairs)
+
+        monkeypatch.setattr(se, "screen_support_chunk", screen)
+        everything = list(support_pairs(5, 5))
+        pairs = iter(everything)
+        backend, payoffs = se._search_setup(game, policy)
+        stream = se._resolved_pairs(
+            game, backend, payoffs, pairs, first_hit=True
+        )
+        next(stream)
+        assert chunks == [everything[:se.FIRST_CHUNK_SIZE]]
+        assert next(pairs) == everything[se.FIRST_CHUNK_SIZE]
 
 
 class TestScreenVerdicts:
